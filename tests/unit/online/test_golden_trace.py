@@ -1,10 +1,12 @@
 """Golden-trace regression: fixed-seed runs asserted byte-for-byte.
 
 The committed traces under ``tests/data/`` pin the entire observable
-surface of one fault-free and one fault-injected fixed-seed run —
-outcomes, executed schedules, the ordered fault-event log, the ordered
-telemetry stream (wall-clock fields stripped), and the metric snapshot.
-Any change to event ordering, however subtle, shows up as a byte diff.
+surface of fixed-seed runs — a fault-free and a fault-injected closed
+batch, a bounded-admission open stream with a horizon, and a 4-shard
+federation with stealing and a crash rescue: outcomes, executed
+schedules, the ordered fault-event log, the ordered telemetry stream
+(wall-clock fields stripped), and the metric snapshot.  Any change to
+event ordering, however subtle, shows up as a byte diff.
 
 Scenario definitions and serialization live in
 ``tests/data/make_golden.py`` (also the regeneration script), so this
@@ -49,6 +51,35 @@ def test_faulty_golden_exercises_every_incident_kind():
     assert {"crash", "recovery", "task_failure", "retry"} <= kinds
     assert payload["result"]["crashes"] == 2
     assert payload["result"]["recoveries"] == 2
+
+
+def test_open_goldens_exercise_every_open_system_path():
+    """The open-system goldens only pin what their scenarios reach."""
+    streaming = make_golden.run_scenario("streaming_bounded")
+    names = {e["name"] for e in streaming["telemetry_events"]}
+    assert {
+        "streaming.admit",
+        "streaming.queue",
+        "streaming.reject",
+        "streaming.horizon_cutoff",
+        "fault.job_failed",
+    } <= names
+    reasons = {row[2] for row in streaming["result"]["rejected"]}
+    assert {"backpressure", "horizon"} < reasons  # plus the infeasible job
+    assert max(streaming["result"]["queueing_delays"]) > 0
+
+    federation = make_golden.run_scenario("federation_4shard")
+    names = {e["name"] for e in federation["telemetry_events"]}
+    assert {
+        "federation.route",
+        "federation.steal",
+        "federation.reject",
+        "federation.horizon_cutoff",
+        "streaming.queue",
+        "streaming.reject",
+    } <= names
+    sources = {row[4] for row in federation["result"]["steals"]}
+    assert sources == {"backlog", "admitted", "rescue"}
 
 
 def test_goldens_are_verifier_clean():
