@@ -10,27 +10,18 @@ kernel — ``ROUTE`` and ``STEAL`` are ordinary event classes interleaved
 with crashes, completions and arrivals — so a federated run is exactly
 as reproducible as a single-scheduler one.
 
-Layout:
-
-* :mod:`~repro.federation.shard` — :class:`ShardSpec` (declarative
-  configuration), :class:`Shard` (the live stack), capacity splitting;
-* :mod:`~repro.federation.kernelview` — kind-namespaced kernel views
-  that let N online stacks share one kernel without handler collisions;
-* :mod:`~repro.federation.routing` — the :class:`Router` protocol and
-  the round-robin / least-load / hash / affinity policies behind
-  ``"policy:key=val"`` spec strings;
-* :mod:`~repro.federation.stealing` — threshold rebalancing and crash
-  rescue as ``STEAL`` kernel events;
-* :mod:`~repro.federation.workload` — one arrival stream fanned across
-  shards via ``ROUTE`` events;
-* :mod:`~repro.federation.engine` — the federated streaming loop;
-* :mod:`~repro.federation.results` — per-shard reports, the
-  streaming-equivalent aggregate, the global-baseline comparison.
-
-The load-bearing invariant, pinned by the property suite: a 1-shard
-federation is a *strict superset* of
-:class:`repro.streaming.StreamingSimulator` — same arrivals, same
-ranker, same faults produce an **equal** result object.
+The run loop and the shards are the simulation engine's
+(:mod:`repro.online.engine`); this package adds what only a federation
+has: :mod:`~repro.federation.routing` (the :class:`Router` protocol and
+the round-robin / least-load / hash / affinity policies behind
+``"policy:key=val"`` spec strings), :mod:`~repro.federation.stealing`
+(threshold rebalancing and crash rescue as ``STEAL`` kernel events),
+capacity splitting (:mod:`~repro.federation.shard`), the facade
+(:mod:`~repro.federation.engine`) and its result views
+(:mod:`~repro.federation.results`).  A 1-shard federation and
+:class:`repro.streaming.StreamingSimulator` are the same engine
+configuration — same arrivals, ranker and faults produce an **equal**
+result object.
 """
 
 from .engine import FederatedStreamingSimulator

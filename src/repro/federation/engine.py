@@ -1,49 +1,33 @@
-"""The federated open-system simulator: shards on one shared kernel.
+"""The federated open-system simulator: many shards of the shared engine.
 
-:class:`FederatedStreamingSimulator` is the multi-scheduler sibling of
-:class:`repro.streaming.StreamingSimulator`.  The cluster is partitioned
-into shards — each a full online scheduling stack (execution, policy,
-reporting, admission) built from a :class:`~repro.federation.shard.ShardSpec`
-and wired onto a shard-namespaced view of **one** shared
-:class:`~repro.sim.SimKernel` — so all cross-shard interleavings ride
-the kernel's total event order and two runs of the same spec are
-byte-identical.
-
-The event loop is the streaming loop verbatim, with the per-run
-singletons replaced by per-shard iterations (always in ascending shard
-id) and two federation-only steps that are exact no-ops for a single
-shard:
-
-* **rebalance** — after each settled instant's backlog release, the
-  :class:`~repro.federation.stealing.WorkStealer` may migrate jobs from
-  the most- to the least-loaded shard (a ``STEAL`` kernel event) before
-  the dispatch rounds fill the machines;
-* **rescue** — when the federation wedges with a faulted shard
-  (``next_event_time() is None`` and some shard carries a permanent
-  capacity loss), never-started jobs are moved to shards that can still
-  host them before any job is failed.
-
-Because both are no-ops with one shard, a 1-shard federation with the
-trivial router reproduces :class:`~repro.streaming.StreamingSimulator`
-result-for-result — equality, not similarity — which the property suite
-pins across rankers, seeds and fault plans.
+:class:`FederatedStreamingSimulator` is the multi-scheduler facade over
+:class:`repro.online.engine.ShardedEngine` — the loop that also runs
+closed batches and single-scheduler streams.  It hands the engine what
+only a federation has — a :class:`~repro.federation.routing.Router` to
+place arrivals and, when ``steal_threshold`` is set, a
+:class:`~repro.federation.stealing.WorkStealer` to rebalance after each
+settled instant and to rescue never-started jobs off a wedged shard —
+and owns the ``federation.run`` span and the
+:class:`~repro.federation.results.FederationResult`.  With one shard
+there is nothing to route or steal and the run is the one
+:class:`~repro.streaming.StreamingSimulator` performs: the aggregate is
+an equal result object by construction.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from ..errors import ConfigError, EnvironmentStateError
-from ..sim import SimKernel
+from ..errors import ConfigError
+from ..online.engine import ShardedEngine
 from ..streaming.arrivals import ArrivalProcess
 from ..telemetry import runtime as _telemetry
 from ..telemetry.config import TelemetryConfig
 from .ledger import FederationLedger
 from .results import FederationResult, ShardReport, aggregate_result
 from .routing import Router, parse_router_spec
-from .shard import Shard, ShardSpec
+from .shard import ShardSpec
 from .stealing import WorkStealer
-from .workload import FederationWorkloadLayer
 
 __all__ = ["FederatedStreamingSimulator"]
 
@@ -108,8 +92,6 @@ class FederatedStreamingSimulator:
             EnvironmentStateError: if the step cap is exceeded or the
                 federation wedges with work it can never place.
         """
-        if horizon is not None and horizon < 0:
-            raise ConfigError(f"horizon must be >= 0, got {horizon}")
         tm = _telemetry.for_config(self.telemetry)
         with tm.span(
             "federation.run",
@@ -118,7 +100,45 @@ class FederatedStreamingSimulator:
             stealing=self.steal_threshold is not None,
             horizon=-1 if horizon is None else horizon,
         ) as span:
-            result = self._run(arrivals, tm, horizon)
+            engine = ShardedEngine(
+                self.specs,
+                enumerate(arrivals.jobs()),
+                max(1, arrivals.task_id_bound),
+                tm,
+                self.router,
+            )
+            shards = engine.shards
+            stealer = (
+                WorkStealer(shards, self.steal_threshold, engine.kernel, tm)
+                if self.steal_threshold is not None and len(shards) > 1
+                else None
+            )
+            makespan = engine.run(self.max_steps, horizon, stealer)
+            result = FederationResult(
+                aggregate=aggregate_result(
+                    shards, engine.ledger, makespan, engine.start
+                ),
+                shards=tuple(
+                    ShardReport(
+                        shard_id=shard.id,
+                        capacities=shard.capacities,
+                        # The same assembly over this shard alone: nothing
+                        # recorded above the shards belongs to its view.
+                        result=aggregate_result(
+                            [shard], FederationLedger(tm), makespan, engine.start
+                        ),
+                        routed=shard.routed,
+                        stolen_in=shard.stolen_in,
+                        stolen_out=shard.stolen_out,
+                    )
+                    for shard in shards
+                ),
+                steals=tuple(stealer.steals) if stealer is not None else (),
+                router=self.router.name,
+                steal_threshold=(
+                    self.steal_threshold if self.steal_threshold is not None else -1
+                ),
+            )
             if tm.enabled:
                 aggregate = result.aggregate
                 span.set(
@@ -132,129 +152,3 @@ class FederatedStreamingSimulator:
                 )
                 tm.inc("federation.jobs", aggregate.arrivals)
         return result
-
-    def _run(
-        self,
-        arrivals: ArrivalProcess,
-        tm: _telemetry.TelemetryLike,
-        horizon: Optional[int],
-    ) -> FederationResult:
-        for spec in self.specs:
-            if spec.faults is not None and not spec.faults.is_null:
-                spec.faults.validate_against(spec.capacities)
-
-        stream = arrivals.jobs()
-        first = next(stream, None)
-        if first is None:
-            raise ConfigError("arrival process yielded no jobs")
-        # One global task-handle stride shared by every shard, so a
-        # job's handles survive a cross-shard migration unchanged.
-        offset = max(1, arrivals.task_id_bound)
-        start = first.arrival_time
-
-        kernel = SimKernel(start=start)
-        shards: List[Shard] = [
-            Shard(k, spec, kernel, tm, start, offset)
-            for k, spec in enumerate(self.specs)
-        ]
-        ledger = FederationLedger(tm)
-        workload = FederationWorkloadLayer(
-            first, stream, kernel, shards, self.router, ledger
-        )
-        stealer = (
-            WorkStealer(shards, self.steal_threshold, kernel, ledger)
-            if self.steal_threshold is not None and len(shards) > 1
-            else None
-        )
-        cutoff = None if horizon is None else start + horizon
-
-        def any_active() -> bool:
-            return any(shard.execution.active for shard in shards)
-
-        def in_system() -> int:
-            return sum(shard.in_system() for shard in shards)
-
-        def settle_instant() -> None:
-            """Backlog release, rebalance, dispatch — ascending shard id."""
-            for shard in shards:
-                shard.release_backlog(kernel.now)
-            if stealer is not None:
-                stealer.maybe_rebalance()
-            for shard in shards:
-                shard.policy.dispatch_round()
-            ledger.sample_in_system(kernel.now, in_system())
-
-        # Settle the opening instant (first arrivals routed, pre-history
-        # faults) and fill every shard once before the loop gauges.
-        kernel.drain_due()
-        if stealer is not None:
-            stealer.maybe_rebalance()
-        for shard in shards:
-            shard.policy.dispatch_round()
-        ledger.sample_in_system(kernel.now, in_system())
-
-        steps = 0
-        while any_active() or workload.has_pending:
-            steps += 1
-            if steps > self.max_steps:
-                raise EnvironmentStateError("federated simulation exceeded step cap")
-            for shard in shards:
-                shard.reporting.gauges(shard.execution)
-            if cutoff is not None:
-                due = workload.pending_arrival_time
-                if due is not None and due > cutoff:
-                    workload.close(cutoff)
-                    if not any_active() and not workload.has_pending:
-                        break
-            target = kernel.next_event_time()
-            if target is None:
-                if not any_active() and workload.has_pending:
-                    # Everything in flight drained at the last instant;
-                    # only shard backlogs remain.  Admit from them now.
-                    settle_instant()
-                    continue
-                if any(shard.execution.fstate is not None for shard in shards):
-                    if stealer is not None and stealer.rescue():
-                        # Migrated jobs need a dispatch round to start.
-                        for shard in shards:
-                            shard.policy.dispatch_round()
-                        continue
-                    # Permanently stuck (e.g. unrecovered capacity loss
-                    # below some task's demand): report, don't lose.
-                    for shard in shards:
-                        if shard.execution.fstate is not None:
-                            shard.execution.fail_stuck()
-                    continue
-                raise EnvironmentStateError(
-                    "idle cluster with active jobs but nothing ready: "
-                    "inconsistent DAG state"
-                )
-            for shard in shards:
-                shard.reporting.account(shard.execution.state, target)
-            kernel.tick_to(target)
-            settle_instant()
-
-        makespan = kernel.now
-        aggregate = aggregate_result(shards, ledger, makespan, start)
-        reports = tuple(
-            ShardReport(
-                shard_id=shard.id,
-                capacities=shard.capacities,
-                result=shard.reporting.finalize_streaming(
-                    makespan, shard.execution.fstate
-                ),
-                routed=shard.routed,
-                stolen_in=shard.stolen_in,
-                stolen_out=shard.stolen_out,
-            )
-            for shard in shards
-        )
-        return FederationResult(
-            aggregate=aggregate,
-            shards=reports,
-            steals=tuple(ledger.steals),
-            router=self.router.name,
-            steal_threshold=(
-                self.steal_threshold if self.steal_threshold is not None else -1
-            ),
-        )

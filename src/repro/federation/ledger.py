@@ -1,35 +1,18 @@
-"""Federation-level run ledger: arrivals, routes, steals, samples.
-
-Per-shard accounting lives in each shard's
-:class:`~repro.streaming.reporting.StreamingReportingLayer` (admissions,
-outcomes, utilization integrals).  What no single shard can own lands
-here: the global arrival count, rejections decided *above* the shards
-(infeasible-everywhere, horizon cut-off), the aggregate jobs-in-system
-step series, per-shard route counts, and the steal record.
-
-The ledger mirrors the streaming reporting layer's semantics exactly
-(same sampling compression, same no-silent-loss rejection records) so
-the aggregate result a federation assembles is a genuine
-:class:`~repro.streaming.results.StreamingResult` — which is what lets
-the 1-shard equivalence property compare them for *equality*.
-"""
+"""Steal records (kept by the work stealer), and the engine's
+:class:`~repro.online.reporting.RunLedger` under its federation name."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
 
-from ..streaming.results import RejectedJob
-from ..telemetry import runtime as _telemetry
+from ..online.reporting import RunLedger as FederationLedger
 
-__all__ = ["FederationLedger", "StealRecord"]
+__all__ = ["FROM_ADMITTED", "FROM_BACKLOG", "RESCUE", "FederationLedger", "StealRecord"]
 
 #: Steal candidate origins.
 FROM_BACKLOG = "backlog"
 FROM_ADMITTED = "admitted"
 RESCUE = "rescue"
-
-__all__ += ["FROM_ADMITTED", "FROM_BACKLOG", "RESCUE"]
 
 
 @dataclass(frozen=True)
@@ -51,73 +34,3 @@ class StealRecord:
     from_shard: int
     to_shard: int
     source: str
-
-
-class FederationLedger:
-    """Mutable federation-level bookkeeping for one run."""
-
-    def __init__(self, tm: _telemetry.TelemetryLike) -> None:
-        self.tm = tm
-        self.tm_enabled = tm.enabled
-        self.arrivals_seen = 0
-        self.rejections: List[RejectedJob] = []
-        self.in_system_series: List[Tuple[int, int]] = []
-        self.horizon_cutoff: Optional[int] = None
-        self.routed: Dict[int, int] = {}
-        self.steals: List[StealRecord] = []
-
-    # ------------------------------------------------------------------ #
-    # arrival / rejection ledger (mirrors StreamingReportingLayer)
-    # ------------------------------------------------------------------ #
-
-    def record_arrival(self) -> None:
-        """One arrival was offered to the federation."""
-        self.arrivals_seen += 1
-
-    def record_rejection(self, index: int, at: int, reason: str) -> None:
-        """An arrival no shard will run; reported, never silently lost."""
-        self.rejections.append(RejectedJob(index, at, reason))
-        if self.tm_enabled:
-            self.tm.event("federation.reject", job=index, at=at, reason=reason)
-
-    def record_cutoff(self, at: int) -> None:
-        """The run horizon was reached; later arrivals are shed."""
-        if self.horizon_cutoff is None:
-            self.horizon_cutoff = at
-            if self.tm_enabled:
-                self.tm.event("federation.horizon_cutoff", at=at)
-
-    def sample_in_system(self, at: int, count: int) -> None:
-        """Append to the aggregate step series; duplicates compress."""
-        series = self.in_system_series
-        if series and series[-1][1] == count:
-            return
-        if series and series[-1][0] == at:
-            series[-1] = (at, count)
-            return
-        series.append((at, count))
-        if self.tm_enabled:
-            self.tm.gauge("federation.in_system", float(count))
-
-    # ------------------------------------------------------------------ #
-    # routing / stealing ledger
-    # ------------------------------------------------------------------ #
-
-    def record_route(self, index: int, shard_id: int, at: int) -> None:
-        """Job ``index`` was placed on shard ``shard_id``."""
-        self.routed[shard_id] = self.routed.get(shard_id, 0) + 1
-        if self.tm_enabled:
-            self.tm.event("federation.route", job=index, shard=shard_id, at=at)
-
-    def record_steal(self, record: StealRecord) -> None:
-        """One job migrated between shards."""
-        self.steals.append(record)
-        if self.tm_enabled:
-            self.tm.event(
-                "federation.steal",
-                job=record.job_index,
-                at=record.time,
-                source=record.source,
-                from_shard=record.from_shard,
-                to_shard=record.to_shard,
-            )

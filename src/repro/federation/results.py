@@ -1,13 +1,11 @@
 """Federation results: per-shard views, the aggregate, the comparison.
 
-The aggregate of a federated run is assembled as a genuine
-:class:`~repro.streaming.results.StreamingResult` — same outcome
-ordering, same utilization formulas over the summed slot-time
-integrals, same rejection/arrival ledger semantics — so everything that
-consumes streaming results (metrics schema, gates, reports) consumes
-federation results unchanged, and the 1-shard equivalence property can
-pin the federation as a strict superset by comparing results for
-*equality*.
+The aggregate of a federated run is a
+:class:`~repro.streaming.results.StreamingResult` — the one result
+assembly (:func:`~repro.streaming.results.aggregate_result`) taken over
+every shard — so everything that consumes streaming results (metrics
+schema, gates, reports) consumes federation results unchanged; a
+shard's own view is the same assembly over that shard alone.
 
 :class:`FederationResult` wraps the aggregate with the federation-only
 accounting: one :class:`ShardReport` per shard (its shard-local
@@ -20,13 +18,10 @@ an equal-total-capacity single-scheduler baseline for the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, Tuple
 
-from ..faults.events import FaultEvent
-from ..online.results import OnlineResult
-from ..streaming.results import RejectedJob, StreamingResult
-from .ledger import FROM_ADMITTED, FROM_BACKLOG, RESCUE, FederationLedger, StealRecord
-from .shard import Shard
+from ..streaming.results import StreamingResult, aggregate_result
+from .ledger import FROM_ADMITTED, FROM_BACKLOG, RESCUE, StealRecord
 
 __all__ = [
     "FederationComparison",
@@ -57,85 +52,6 @@ class ShardReport:
     routed: int
     stolen_in: int
     stolen_out: int
-
-
-def aggregate_result(
-    shards: Sequence[Shard],
-    ledger: FederationLedger,
-    makespan: int,
-    start: int,
-) -> StreamingResult:
-    """Merge the shards' ledgers into one streaming-equivalent result.
-
-    Every formula mirrors
-    :meth:`repro.online.reporting.ReportingLayer.finalize` /
-    :meth:`~repro.streaming.reporting.StreamingReportingLayer.finalize_streaming`
-    over the *summed* busy/capacity integrals, which is what makes the
-    1-shard aggregate equal (not merely equivalent) to a standalone
-    streaming run.
-    """
-    dims = len(shards[0].capacities)
-    nominal_caps = [0] * dims
-    busy = [0] * dims
-    cap_area = [0] * dims
-    outcomes = []
-    executed_by_index: Dict[int, Any] = {}
-    admit_times: Dict[int, int] = {}
-    tagged_faults: List[Tuple[int, int, int, FaultEvent]] = []
-    rejections: List[RejectedJob] = list(ledger.rejections)
-    crashes = recoveries = retries = 0
-
-    for shard in shards:
-        reporting = shard.reporting
-        reporting.account(shard.execution.state, makespan)
-        for r in range(dims):
-            nominal_caps[r] += reporting.nominal_capacities[r]
-            busy[r] += reporting.busy_area[r]
-            cap_area[r] += reporting.capacity_area[r]
-        outcomes.extend(reporting.outcomes)
-        executed_by_index.update(reporting.executed)
-        admit_times.update(reporting.admit_times)
-        for idx, event in enumerate(reporting.fault_events):
-            tagged_faults.append((event.time, shard.id, idx, event))
-        rejections.extend(reporting.rejections)
-        fstate = shard.execution.fstate
-        if fstate is not None:
-            crashes += fstate.crashes
-            recoveries += fstate.recoveries
-            retries += fstate.total_retries
-
-    horizon = max(1, makespan - start)
-    nominal = tuple(busy[r] / (horizon * nominal_caps[r]) for r in range(dims))
-    effective = tuple(
-        busy[r] / cap_area[r] if cap_area[r] > 0 else nominal[r]
-        for r in range(dims)
-    )
-    outcomes.sort(key=lambda o: o.job_index)
-    tagged_faults.sort(key=lambda t: (t[0], t[1], t[2]))
-    rejections.sort(key=lambda r: r.index)
-    online = OnlineResult(
-        outcomes=tuple(outcomes),
-        makespan=makespan,
-        mean_utilization=effective,
-        nominal_utilization=nominal,
-        crashes=crashes,
-        recoveries=recoveries,
-        total_retries=retries,
-        fault_events=tuple(event for _, _, _, event in tagged_faults),
-        executed=tuple(executed_by_index[o.job_index] for o in outcomes),
-    )
-    delays = tuple(admit_times[o.job_index] - o.arrival_time for o in outcomes)
-    return StreamingResult(
-        online=online,
-        queueing_delays=delays,
-        rejected=tuple(rejections),
-        in_system=tuple(ledger.in_system_series),
-        arrivals=ledger.arrivals_seen,
-        start_time=start,
-        horizon_cutoff=(
-            ledger.horizon_cutoff if ledger.horizon_cutoff is not None else -1
-        ),
-    )
 
 
 @dataclass(frozen=True)

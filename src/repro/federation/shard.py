@@ -1,67 +1,14 @@
-"""One shard: a full online scheduling stack over a capacity slice.
-
-A :class:`Shard` owns everything a standalone
-:class:`~repro.streaming.StreamingSimulator` run owns — execution,
-policy, streaming reporting, admission backpressure — wired onto a
-:class:`~repro.federation.kernelview.ShardKernelView` instead of a
-private kernel, so the federation's shards cooperate on one shared
-deterministic event loop.  The shard is also the fault domain boundary:
-its :class:`~repro.faults.plan.FaultPlan` is validated against (and its
-crashes can only shrink) this shard's capacities.
-
-:class:`ShardSpec` is the declarative form (capacities, ranker,
-optional rescheduler/admission/faults) the engine instantiates per run;
-:func:`split_capacities` partitions a global capacity vector into
-near-equal shard slices (remainder slots to the low shard ids).
-"""
+"""Capacity splitting; :class:`Shard` and :class:`ShardSpec` are parts of
+the engine (:mod:`repro.online.engine`), re-exported here."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, cast
+from typing import List, Sequence, Tuple
 
-from ..cluster.resources import validate_demands
-from ..dag.graph import TaskGraph
-from ..errors import CapacityError, ConfigError
-from ..faults.plan import FaultPlan
-from ..online.execution import ActiveJob, ExecutionLayer
-from ..online.policy import PolicyLayer
-from ..online.rankers import Ranker
-from ..schedulers.base import Scheduler
-from ..sim import SimKernel
-from ..streaming.admission import AdmissionConfig, AdmissionController, QueuedJob
-from ..streaming.reporting import StreamingReportingLayer
-from ..telemetry import runtime as _telemetry
-from .kernelview import ShardKernelView
+from ..errors import ConfigError
+from ..online.engine import Shard, ShardSpec
 
 __all__ = ["Shard", "ShardSpec", "split_capacities"]
-
-
-@dataclass(frozen=True)
-class ShardSpec:
-    """Declarative configuration of one shard.
-
-    Attributes:
-        capacities: this shard's slice of the cluster, per resource.
-        ranker: base dispatch order inside the shard.
-        rescheduler: optional context-aware scheduler replanning the
-            shard's residual DAGs (any registry spec composition).
-        admission: shard-local backpressure; ``None`` admits everything.
-        faults: shard-local fault plan — the fault *domain*: its crashes
-            shrink only this shard's capacity.
-    """
-
-    capacities: Tuple[int, ...]
-    ranker: Ranker
-    rescheduler: Optional[Scheduler] = None
-    admission: Optional[AdmissionConfig] = None
-    faults: Optional[FaultPlan] = None
-
-    def __post_init__(self) -> None:
-        if not self.capacities or any(c < 1 for c in self.capacities):
-            raise ConfigError(
-                f"shard capacities must be positive, got {self.capacities}"
-            )
 
 
 def split_capacities(total: Sequence[int], shards: int) -> List[Tuple[int, ...]]:
@@ -89,125 +36,3 @@ def split_capacities(total: Sequence[int], shards: int) -> List[Tuple[int, ...]]
             tuple(c // shards + (1 if k < c % shards else 0) for c in caps)
         )
     return slices
-
-
-class Shard:
-    """The live state of one scheduling domain inside a federation.
-
-    Args:
-        shard_id: stable identity; also the kind-namespace key and every
-            deterministic tie-break's last resort.
-        spec: the shard's declarative configuration.
-        kernel: the shared federation kernel.
-        tm: telemetry pipeline facade.
-        start: the stream's first arrival (reporting origin).
-        offset: global task-handle stride (shared across shards so a
-            job keeps its handle identity when stolen).
-    """
-
-    def __init__(
-        self,
-        shard_id: int,
-        spec: ShardSpec,
-        kernel: SimKernel,
-        tm: _telemetry.TelemetryLike,
-        start: int,
-        offset: int,
-    ) -> None:
-        self.id = shard_id
-        self.spec = spec
-        self.capacities = spec.capacities
-        self.view = ShardKernelView(kernel, shard_id)
-        # The online layers only use the SimKernel surface the view
-        # reproduces (now/register/schedule/add_process/queue).
-        view = cast(SimKernel, self.view)
-        self.reporting = StreamingReportingLayer(spec.capacities, tm, start_time=start)
-        self.execution = ExecutionLayer(
-            spec.capacities, view, self.reporting, offset, spec.faults
-        )
-        self.policy = PolicyLayer(spec.ranker, spec.rescheduler, view, self.execution)
-        self.execution.policy = self.policy
-        self.reporting.exec_label = self.policy.exec_label
-        self.admission = AdmissionController(spec.admission)
-        self.routed = 0
-        self.stolen_in = 0
-        self.stolen_out = 0
-
-    # ------------------------------------------------------------------ #
-    # load metrics (router and stealer inputs)
-    # ------------------------------------------------------------------ #
-
-    def load(self) -> int:
-        """Jobs bound to this shard: active plus backlogged."""
-        return len(self.execution.active) + len(self.admission.backlog)
-
-    def task_load(self) -> int:
-        """Remaining tasks bound to this shard (finer-grained load)."""
-        active = sum(job.remaining for job in self.execution.active.values())
-        backlog = sum(q.graph.num_tasks for q in self.admission.backlog)
-        return active + backlog
-
-    def in_system(self) -> int:
-        """Alias of :meth:`load` named for the sampling ledger."""
-        return self.load()
-
-    # ------------------------------------------------------------------ #
-    # admission plumbing (mirrors the streaming workload layer)
-    # ------------------------------------------------------------------ #
-
-    def feasibility(self, graph: TaskGraph) -> Optional[str]:
-        """Reason this shard can never run ``graph``, or ``None`` if it can.
-
-        Checked against *nominal* capacities — the placement contract —
-        exactly as the streaming workload layer checks arrivals.
-        """
-        if graph.num_resources != len(self.capacities):
-            return (
-                f"job has {graph.num_resources} resource dims, "
-                f"cluster has {len(self.capacities)}"
-            )
-        try:
-            for task in graph:
-                validate_demands(task.demands, self.capacities, label=task.label())
-        except (CapacityError, ConfigError) as exc:
-            return str(exc)
-        return None
-
-    def can_host_now(self, graph: TaskGraph) -> bool:
-        """True when every task fits this shard's *current* capacities.
-
-        The rescue check: after a permanent crash the nominal contract
-        may hold while the realized pool cannot run the job (or vice
-        versa on another, intact shard).
-        """
-        capacities = tuple(self.execution.state.capacities)
-        if graph.num_resources != len(capacities):
-            return False
-        try:
-            for task in graph:
-                validate_demands(task.demands, capacities, label=task.label())
-        except (CapacityError, ConfigError):
-            return False
-        return True
-
-    def admit(self, queued: QueuedJob, admit_at: int) -> ActiveJob:
-        """Admit a job into this shard's execution layer."""
-        job = self.execution.admit(queued.index, queued.arrival_time, queued.graph)
-        self.reporting.record_admission(queued.index, admit_at)
-        self.policy.on_admit(job)
-        return job
-
-    def release_backlog(self, now: int) -> None:
-        """Admit backlogged jobs freed by departures at the settled instant."""
-        if not self.admission.backlog:
-            return
-        released = self.admission.release(len(self.execution.active))
-        for queued in released:
-            self.admit(queued, now)
-
-    def would_admit(self) -> bool:
-        """True when an offer right now would be an immediate ADMIT."""
-        limit = self.admission.config.max_concurrent
-        return limit is None or (
-            len(self.execution.active) < limit and not self.admission.backlog
-        )

@@ -35,9 +35,11 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..online.execution import ActiveJob
+from ..online.workload import infeasible_reason
 from ..sim import Event, EventClass, SimKernel
-from ..streaming.admission import ADMIT, QUEUE, QueuedJob
-from .ledger import FROM_ADMITTED, FROM_BACKLOG, RESCUE, FederationLedger, StealRecord
+from ..streaming.admission import REJECT, QueuedJob
+from ..telemetry import runtime as _telemetry
+from .ledger import FROM_ADMITTED, FROM_BACKLOG, RESCUE, StealRecord
 from .shard import Shard
 
 __all__ = ["STEAL_KIND", "WorkStealer"]
@@ -53,9 +55,13 @@ class WorkStealer:
     Args:
         shards: the shard universe, ascending id.
         threshold: steal when ``max(load) - min(load)`` exceeds this
-            (>= 0; the load metric is jobs in system).
+            (>= 0, validated by the simulator; the load metric is jobs
+            in system).
         kernel: the shared federation kernel (steals are its events).
-        ledger: where migrations are recorded.
+        tm: telemetry pipeline facade (``federation.steal`` events).
+
+    Attributes:
+        steals: every migration, in occurrence order.
     """
 
     def __init__(
@@ -63,14 +69,13 @@ class WorkStealer:
         shards: Sequence[Shard],
         threshold: int,
         kernel: SimKernel,
-        ledger: FederationLedger,
+        tm: _telemetry.TelemetryLike,
     ) -> None:
-        if threshold < 0:
-            raise ValueError(f"steal threshold must be >= 0, got {threshold}")
         self.shards = list(shards)
         self.threshold = threshold
         self.kernel = kernel
-        self.ledger = ledger
+        self.tm = tm
+        self.steals: List[StealRecord] = []
         self._moved = False
         kernel.register(STEAL_KIND, self._on_steal)
 
@@ -80,8 +85,6 @@ class WorkStealer:
 
     def maybe_rebalance(self) -> None:
         """Schedule and drain a STEAL event if loads drifted too far."""
-        if len(self.shards) < 2:
-            return
         loads = [shard.load() for shard in self.shards]
         gap = max(loads) - min(loads)
         if gap <= self.threshold or gap < 2:
@@ -99,8 +102,6 @@ class WorkStealer:
             dispatch loop); False when nothing could move (the engine
             falls through to per-shard ``fail_stuck``).
         """
-        if len(self.shards) < 2:
-            return False
         self._moved = False
         self.kernel.schedule(self.kernel.now, EventClass.STEAL, STEAL_KIND, RESCUE)
         self.kernel.drain_due()
@@ -124,27 +125,17 @@ class WorkStealer:
             gap = donor.load() - thief.load()
             if donor.id == thief.id or gap <= self.threshold or gap < 2:
                 return
-            if not self._move_one(donor, thief, now):
+            backlogged = bool(donor.admission.backlog)
+            steal = self._steal_backlog if backlogged else self._steal_admitted
+            if not steal(donor, thief, now):
                 return
-
-    def _move_one(self, donor: Shard, thief: Shard, now: int) -> bool:
-        if donor.admission.backlog:
-            return self._steal_backlog(donor, thief, now)
-        return self._steal_admitted(donor, thief, now)
 
     def _steal_backlog(self, donor: Shard, thief: Shard, now: int) -> bool:
         queued = donor.admission.backlog.pop()
-        if thief.feasibility(queued.graph) is not None:
-            donor.admission.backlog.append(queued)
-            return False
-        decision = thief.admission.offer(queued, len(thief.execution.active))
-        if decision == ADMIT:
-            thief.admit(queued, now)
-        elif decision == QUEUE:
-            thief.reporting.record_queued(
-                queued.index, now, len(thief.admission.backlog)
-            )
-        else:  # thief backlog full: undo, stop stealing this instant
+        if (
+            infeasible_reason(queued.graph, thief.capacities) is not None
+            or thief.offer(queued, now) == REJECT
+        ):  # thief cannot take it (its backlog is full): undo, stop stealing
             donor.admission.backlog.append(queued)
             return False
         self._record(donor, thief, queued.index, now, FROM_BACKLOG)
@@ -158,7 +149,10 @@ class WorkStealer:
             return False
         # Newest arrival first: it has accrued the least shard locality.
         job = max(candidates, key=lambda j: (j.arrival, j.index))
-        if thief.feasibility(job.graph) is not None or not thief.would_admit():
+        if (
+            infeasible_reason(job.graph, thief.capacities) is not None
+            or not thief.would_admit()
+        ):
             return False
         self._migrate_admitted(donor, thief, job, now, FROM_ADMITTED)
         return True
@@ -180,7 +174,11 @@ class WorkStealer:
         for shard in self.shards:
             if shard.id == donor.id:
                 continue
-            if shard.can_host_now(job.graph) and shard.would_admit():
+            # Current capacities, not nominal: after a permanent crash the
+            # placement contract may hold while the realized pool cannot
+            # run the job (or vice versa on another, intact shard).
+            current = shard.execution.state.capacities
+            if infeasible_reason(job.graph, current) is None and shard.would_admit():
                 return shard
         return None
 
@@ -194,10 +192,10 @@ class WorkStealer:
         """Move an admitted, never-started job's bookkeeping wholesale."""
         del donor.execution.active[job.index]
         donor.policy.forget(job.index)
-        admitted_at = donor.reporting.admit_times[job.index]
-        fresh = thief.execution.admit(job.index, job.arrival, job.graph)
-        thief.reporting.record_admission(job.index, admitted_at)
-        thief.policy.on_admit(fresh)
+        thief.admit(
+            QueuedJob(job.index, job.arrival, job.graph),
+            donor.reporting.admit_times[job.index],
+        )
         self._record(donor, thief, job.index, now, source)
 
     def _record(
@@ -205,12 +203,13 @@ class WorkStealer:
     ) -> None:
         donor.stolen_out += 1
         thief.stolen_in += 1
-        self.ledger.record_steal(
-            StealRecord(
-                time=now,
-                job_index=index,
+        self.steals.append(StealRecord(now, index, donor.id, thief.id, source))
+        if self.tm.enabled:
+            self.tm.event(
+                "federation.steal",
+                job=index,
+                at=now,
+                source=source,
                 from_shard=donor.id,
                 to_shard=thief.id,
-                source=source,
             )
-        )

@@ -1,176 +1,5 @@
-"""Federated workload layer: one arrival stream, routed across shards.
+"""The arrival -> route layer of :mod:`repro.online.workload`, re-exported."""
 
-The single-scheduler :class:`~repro.streaming.workload.StreamingWorkloadLayer`
-couples three decisions at each ``ARRIVAL`` event: feasibility,
-admission, execution entry.  A federation splits the first off into its
-own kernel event: the ``ARRIVAL`` handler only records the arrival and
-schedules a ``ROUTE`` event (class 5) at the same instant.  Because
-ROUTE orders *after* ARRIVAL within an instant, every same-instant
-arrival is offered before the first placement runs — a load-aware
-router sees the settled load picture, never a half-delivered burst.
-
-Placement then works shard-relative:
-
-* a job **no** shard can feasibly run is rejected federation-wide (the
-  reason reported is shard 0's, which for equal shards — and for the
-  1-shard equivalence pin — is the exact streaming reason string);
-* otherwise the configured :class:`~repro.federation.routing.Router`
-  picks one feasible shard and the job is offered to *that shard's*
-  admission controller: ADMIT enters its execution layer, QUEUE joins
-  its backlog, REJECT is shard-local backpressure.
-
-The stream plumbing — exactly one pending scheduled arrival, horizon
-``close`` via queue tombstone — is copied from the streaming layer
-verbatim so the chained schedule stays order-equivalent.
-"""
-
-from __future__ import annotations
-
-from typing import Iterator, List, Optional, Sequence
-
-from ..errors import ConfigError
-from ..online.results import ArrivingJob
-from ..online.workload import ARRIVAL_KIND
-from ..sim import Event, EventClass, SimKernel
-from .ledger import FederationLedger
-from .routing import Router
-from .shard import Shard
-from ..streaming.admission import ADMIT, QUEUE, QueuedJob
+from ..online.workload import ROUTE_KIND, ArrivalLayer as FederationWorkloadLayer
 
 __all__ = ["ROUTE_KIND", "FederationWorkloadLayer"]
-
-ROUTE_KIND = "federation.route"
-
-
-class FederationWorkloadLayer:
-    """Feeds one open arrival stream through routing into the shards.
-
-    Args:
-        first: the already-pulled first job (anchors the kernel clock).
-        rest: iterator over the remaining stream, nondecreasing times.
-        kernel: the shared federation kernel (unnamespaced: arrivals and
-            routes are federation-level events, not shard-level ones).
-        shards: the shard universe, ascending id.
-        router: placement policy over feasible shards.
-        ledger: federation-level bookkeeping.
-    """
-
-    def __init__(
-        self,
-        first: ArrivingJob,
-        rest: Iterator[ArrivingJob],
-        kernel: SimKernel,
-        shards: Sequence[Shard],
-        router: Router,
-        ledger: FederationLedger,
-    ) -> None:
-        self.kernel = kernel
-        self.shards = list(shards)
-        self.router = router
-        self.ledger = ledger
-        self._rest = rest
-        self._next_index = 0
-        self._last_arrival = first.arrival_time
-        self._pending: Optional[Event] = None
-        self._closed = False
-        kernel.register(ARRIVAL_KIND, self._on_arrival)
-        kernel.register(ROUTE_KIND, self._on_route)
-        self._schedule(first)
-
-    # ------------------------------------------------------------------ #
-    # stream plumbing (mirrors StreamingWorkloadLayer)
-    # ------------------------------------------------------------------ #
-
-    def _schedule(self, job: ArrivingJob) -> None:
-        if job.arrival_time < self._last_arrival:
-            raise ConfigError(
-                f"arrival process went backwards: job {self._next_index} at "
-                f"{job.arrival_time} after {self._last_arrival}"
-            )
-        self._last_arrival = job.arrival_time
-        self._pending = self.kernel.schedule(
-            job.arrival_time,
-            EventClass.ARRIVAL,
-            ARRIVAL_KIND,
-            (self._next_index, job),
-        )
-        self._next_index += 1
-
-    def _schedule_next(self) -> None:
-        if self._closed:
-            return
-        job = next(self._rest, None)
-        if job is None:
-            self._closed = True
-            return
-        self._schedule(job)
-
-    def close(self, at: int) -> None:
-        """Horizon cut-off: tombstone the pending arrival, stop pulling."""
-        if self._pending is not None and not self._pending.cancelled:
-            self.kernel.queue.cancel(self._pending)
-            self.ledger.record_arrival()
-            self.ledger.record_rejection(
-                self._pending.payload[0],
-                self._pending.payload[1].arrival_time,
-                "horizon",
-            )
-        self._pending = None
-        self._closed = True
-        self.ledger.record_cutoff(at)
-
-    @property
-    def pending_arrival_time(self) -> Optional[int]:
-        """Due time of the scheduled (not yet fired) arrival, if any."""
-        if self._pending is None or self._pending.cancelled:
-            return None
-        return self._pending.time
-
-    @property
-    def has_pending(self) -> bool:
-        """Work remains outside the execution layers (stream or backlogs)."""
-        if self.pending_arrival_time is not None:
-            return True
-        return any(shard.admission.backlog for shard in self.shards)
-
-    # ------------------------------------------------------------------ #
-    # arrival -> route
-    # ------------------------------------------------------------------ #
-
-    def _on_arrival(self, event: Event) -> None:
-        self._pending = None
-        index, job = event.payload
-        self.ledger.record_arrival()
-        self.kernel.schedule(
-            job.arrival_time, EventClass.ROUTE, ROUTE_KIND, (index, job)
-        )
-        self._schedule_next()
-
-    def _on_route(self, event: Event) -> None:
-        index, job = event.payload
-        feasible: List[Shard] = []
-        reasons: List[str] = []
-        for shard in self.shards:
-            reason = shard.feasibility(job.graph)
-            if reason is None:
-                feasible.append(shard)
-            else:
-                reasons.append(reason)
-        if not feasible:
-            # Shard 0's reason: with homogeneous shards every reason is
-            # identical, and the 1-shard pin needs the streaming string.
-            self.ledger.record_rejection(index, job.arrival_time, reasons[0])
-            return
-        shard = self.router.route(index, job, feasible, len(self.shards))
-        self.ledger.record_route(index, shard.id, job.arrival_time)
-        shard.routed += 1
-        queued = QueuedJob(index, job.arrival_time, job.graph)
-        decision = shard.admission.offer(queued, len(shard.execution.active))
-        if decision == ADMIT:
-            shard.admit(queued, job.arrival_time)
-        elif decision == QUEUE:
-            shard.reporting.record_queued(
-                index, job.arrival_time, len(shard.admission.backlog)
-            )
-        else:
-            shard.reporting.record_rejection(index, job.arrival_time, "backpressure")

@@ -209,10 +209,6 @@ class ExecutionLayer:
         self.active[index] = job
         return job
 
-    def ready_task_count(self) -> int:
-        """Ready tasks across all active jobs (gauge input)."""
-        return sum(len(job.ready) for job in self.active.values())
-
     def start_attempt(self, job: ActiveJob, tid: int) -> None:
         """Start one attempt of a ready task, realizing its faults."""
         task = job.graph.task(tid)

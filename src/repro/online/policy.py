@@ -55,7 +55,6 @@ class PolicyLayer:
         self.plan_rank: Optional[Dict[int, Dict[int, int]]] = (
             {} if rescheduler is not None else None
         )
-        self.exec_label = rescheduler.name if rescheduler is not None else "online"
         self._replan_scheduled_at: Optional[int] = None
         # For static_key rankers: job_index -> {tid -> ranker key}.  The
         # key of such a ranker never changes over a job's lifetime, so

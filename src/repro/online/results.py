@@ -16,7 +16,7 @@ from ..errors import ConfigError
 from ..faults.events import FaultEvent
 from ..metrics.schedule import Schedule
 
-__all__ = ["ArrivingJob", "JobOutcome", "OnlineResult", "verify_execution"]
+__all__ = ["ArrivingJob", "JobOutcome", "OnlineResult", "RejectedJob", "verify_execution"]
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,15 @@ class JobOutcome:
     def jct(self) -> int:
         """Job completion time (completion - arrival)."""
         return self.completion_time - self.arrival_time
+
+
+@dataclass(frozen=True)
+class RejectedJob:
+    """One arrival shed by admission control (reported, never lost)."""
+
+    index: int
+    arrival_time: int
+    reason: str
 
 
 @dataclass(frozen=True)

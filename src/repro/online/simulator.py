@@ -1,60 +1,34 @@
-"""Event-driven multi-job cluster simulation, with optional fault injection.
+"""Closed-batch multi-job cluster simulation, with optional fault injection.
 
-Jobs arrive at given times; the simulator maintains one shared
-:class:`repro.cluster.ClusterState` and, at every event (a job arrival,
-a task completion, or — in fault-aware mode — a crash, recovery, or
-retry becoming ready), starts ready tasks in ranker order while they
-fit.  It reports per-job completion times (JCT), the batch makespan, and
-mean utilization — the metrics an operator of a Spear-style scheduler
-would watch.
+Jobs arrive at given times onto one shared cluster; at every event (an
+arrival, a task completion, or — under faults — a crash, recovery, or
+retry becoming ready) ready tasks start in ranker order while they fit.
+The run reports per-job completion times (JCT), the batch makespan and
+mean utilization — what an operator of a Spear-style scheduler watches.
 
-The engine is layered on the :mod:`repro.sim` discrete-event kernel
-(see DESIGN.md Sec. 11 for the architecture):
-
-* **workload** (:mod:`repro.online.workload`) — stream validation,
-  arrivals as ``ARRIVAL`` kernel events, admission;
-* **execution** (:mod:`repro.online.execution`) — attempt lifecycle on
-  the shared :class:`~repro.cluster.ClusterState` (completions surface
-  as kernel events through
-  :class:`~repro.cluster.sim_adapter.ClusterProcess`), fault timeline
-  firing, retries, crash kills, job abandonment;
-* **policy** (:mod:`repro.online.policy`) — ranker/plan-priority
-  dispatch and :class:`~repro.schedulers.rescheduler.ReschedulingScheduler`
-  replan triggers (crash-triggered replans are ``REPLAN`` kernel
-  events, the last class of the instant);
-* **reporting** (:mod:`repro.online.reporting`) — outcomes, executed
-  schedules, fault records, telemetry, utilization integrals.
-
-:class:`OnlineSimulator` itself is only the orchestrator: it wires the
-layers onto one kernel and drives tick after tick.
+:class:`OnlineSimulator` is a facade over the one run loop
+(:class:`~repro.online.engine.ShardedEngine`, DESIGN.md Sec. 11.3): it
+validates the batch up front (an infeasible job is fatal here, where an
+open system would shed it), runs it as one shard with unbounded
+admission and no horizon, and returns the closed-batch view of the run.
 
 Fault-aware mode (``run(..., faults=FaultPlan(...))``) executes under a
-seeded fault model (:mod:`repro.faults`):
+seeded fault model (:mod:`repro.faults`; realized by
+:mod:`repro.online.execution`, DESIGN.md Sec. 10.2): transient failures
+retry after capped exponential backoff and a task out of attempts fails
+its whole job — *reported*, never silently dropped; a machine crash
+removes capacity and the work it displaces is killed and re-enqueued;
+every incident lands in :attr:`OnlineResult.fault_events` and in
+telemetry as a ``fault.<kind>`` event.  Dynamic rescheduling (``run(...,
+rescheduler=...)``, :mod:`repro.online.policy`) replans each job's
+residual DAG on admission and on every fault event; dispatch then
+follows plan priority (jobs FIFO, plan order within a job).
 
-* a transiently failed attempt occupies the cluster for its realized
-  runtime, fails at its finish, and is retried after capped exponential
-  backoff; a task that exhausts the attempt budget fails its whole job
-  — *reported*, never silently dropped;
-* a machine crash removes capacity; running work displaced by the loss
-  is killed and re-enqueued (crash kills always retry — crashes are not
-  the task's fault); completed outputs are durable (external storage),
-  so DAG precedence over the residual graph is preserved as-is;
-* every incident lands both in :attr:`OnlineResult.fault_events` and in
-  the telemetry pipeline as a ``fault.<kind>`` event.
-
-Dynamic rescheduling (``run(..., rescheduler=...)``) replans each job's
-residual DAG — completed tasks frozen, running tasks pinned, current
-(degraded) capacities in the cluster snapshot — on admission and on
-every fault event; dispatch then follows the plan's priority order
-(jobs FIFO, plan order within a job).
-
-Determinism: every occurrence is a kernel event ordered by
-``(time, priority_class, seq)`` with the documented class table
-(crash < recovery < completion < retry-ready < arrival < route <
-steal < replan);
-candidate order under equal ranker keys falls back to (job index, task
-id); all fault draws are keyed by (seed, job, task, attempt).  The same
-seed reproduces the run bit-for-bit, retry counts included.
+Determinism: every occurrence is a kernel event in the documented
+``(time, priority_class, seq)`` order (:mod:`repro.sim`); candidates
+with equal ranker keys fall back to (job index, task id); all fault
+draws are keyed by (seed, job, task, attempt).  The same seed reproduces
+the run bit-for-bit, retry counts included.
 """
 
 from __future__ import annotations
@@ -62,18 +36,15 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..config import ClusterConfig
-from ..errors import EnvironmentStateError
 from ..faults.plan import FaultPlan
 from ..schedulers.base import Scheduler
-from ..sim import SimKernel
 from ..telemetry import runtime as _telemetry
 from ..telemetry.config import TelemetryConfig
-from .execution import ExecutionLayer
-from .policy import PolicyLayer
+from .engine import ShardedEngine, ShardSpec
 from .rankers import Ranker
 from .reporting import ReportingLayer
 from .results import ArrivingJob, JobOutcome, OnlineResult, verify_execution
-from .workload import WorkloadLayer, validate_stream
+from .workload import validate_stream
 
 __all__ = [
     "ArrivingJob",
@@ -135,8 +106,9 @@ class OnlineSimulator:
         incident is mirrored as a ``fault.<kind>`` event.
 
         Raises:
-            ConfigError: on an empty stream, a task that can never fit,
-                or a fault plan the cluster cannot survive.
+            ConfigError: on an empty stream, a resource-dimension
+                mismatch, or a fault plan the cluster cannot survive.
+            CapacityError: on a task that can never fit.
             EnvironmentStateError: if the event cap is exceeded, or (in
                 fault-free mode only) the DAG state goes inconsistent.
         """
@@ -148,7 +120,22 @@ class OnlineSimulator:
             faults=faults is not None and not faults.is_null,
             rescheduler=rescheduler.name if rescheduler is not None else "",
         ) as span:
-            result = self._run(jobs, ranker, tm, faults, rescheduler)
+            capacities = self.cluster_config.capacities
+            validate_stream(jobs, capacities)
+            # Jobs keep their stream positions as indices; equal-time
+            # arrivals admit in stream order.
+            ordered = sorted(enumerate(jobs), key=lambda e: (e[1].arrival_time, e[0]))
+            # Cluster task ids must be globally unique, so a task is
+            # handled as job_index * offset + task_id.
+            offset = 1 + max(max(job.graph.task_ids) for job in jobs)
+            engine = ShardedEngine(
+                [ShardSpec(capacities, ranker, rescheduler, faults=faults)],
+                iter(ordered),
+                offset,
+                tm,
+            )
+            makespan = engine.run(self.max_steps)
+            result = ReportingLayer.finalize(engine.shards, makespan)
             if tm.enabled:
                 span.set(
                     makespan=result.makespan,
@@ -162,59 +149,3 @@ class OnlineSimulator:
                     tm.gauge(f"online.utilization.r{r}", util)
                 tm.inc("online.jobs", len(jobs))
         return result
-
-    def _run(
-        self,
-        jobs: Sequence[ArrivingJob],
-        ranker: Ranker,
-        tm: _telemetry.TelemetryLike,
-        faults: Optional[FaultPlan],
-        rescheduler: Optional[Scheduler],
-    ) -> OnlineResult:
-        capacities = self.cluster_config.capacities
-        validate_stream(jobs, capacities)
-        if faults is not None and not faults.is_null:
-            faults.validate_against(capacities)
-
-        # The simulation starts at the first arrival; the kernel clamps
-        # any pre-history fault-timeline entries onto that instant.
-        first_arrival = min(job.arrival_time for job in jobs)
-        # Cluster task ids must be globally unique, so a task is handled
-        # as job_index * offset + task_id.
-        offset = 1 + max(max(job.graph.task_ids) for job in jobs)
-
-        kernel = SimKernel(start=first_arrival)
-        reporting = ReportingLayer(capacities, tm, start_time=first_arrival)
-        execution = ExecutionLayer(capacities, kernel, reporting, offset, faults)
-        policy = PolicyLayer(ranker, rescheduler, kernel, execution)
-        execution.policy = policy
-        reporting.exec_label = policy.exec_label
-        workload = WorkloadLayer(jobs, kernel, execution, policy)
-
-        # Settle the opening instant (first arrivals, pre-history
-        # faults) and fill the cluster once before the loop gauges.
-        kernel.drain_due()
-        policy.dispatch_round()
-
-        steps = 0
-        while execution.active or workload.has_pending:
-            steps += 1
-            if steps > self.max_steps:
-                raise EnvironmentStateError("online simulation exceeded step cap")
-            reporting.gauges(execution)
-            target = kernel.next_event_time()
-            if target is None:
-                if execution.fstate is not None:
-                    # Permanently stuck (e.g. unrecovered capacity loss
-                    # below some task's demand): report, don't lose.
-                    execution.fail_stuck()
-                    continue
-                raise EnvironmentStateError(
-                    "idle cluster with active jobs but nothing ready: "
-                    "inconsistent DAG state"
-                )
-            reporting.account(execution.state, target)
-            kernel.tick_to(target)
-            policy.dispatch_round()
-
-        return reporting.finalize(execution.state.now, execution.fstate)

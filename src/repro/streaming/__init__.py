@@ -9,9 +9,10 @@ admission control with bounded-queue backpressure
 (:mod:`~repro.streaming.protocol`) and asyncio daemon
 (:mod:`~repro.streaming.service`) behind ``repro serve``.
 
-A finite stream with unbounded admission reproduces
-:class:`repro.online.OnlineSimulator` exactly — the closed-batch
-equivalence property in ``tests/property`` pins it.
+The simulator is a one-shard configuration of
+:class:`repro.online.engine.ShardedEngine`; a finite stream with
+unbounded admission is the configuration
+:class:`repro.online.OnlineSimulator` runs, so it reproduces it exactly.
 """
 
 from .admission import (

@@ -16,9 +16,8 @@ Three processes are provided:
 * :class:`UniformProcess` — fixed inter-arrival spacing (closed-form
   load control, handy for tests and worst-case burst analysis);
 * :class:`TraceArrivals` — replay an explicit list of arriving jobs
-  (trace-driven load, and the bridge the closed-batch equivalence
-  property rides on: a finite stream through :class:`TraceArrivals`
-  reproduces :class:`~repro.online.OnlineSimulator` exactly).
+  (trace-driven load; a finite stream through it is the closed batch
+  :class:`~repro.online.OnlineSimulator` runs).
 
 :func:`parse_arrival_spec` maps the CLI's ``kind:key=value,...`` spec
 strings (``poisson:rate=0.05,n=1000``) onto these classes.
@@ -198,10 +197,8 @@ class UniformProcess:
 class TraceArrivals:
     """Replay an explicit stream (trace-driven load).
 
-    Jobs are ordered by ``(arrival_time, original index)`` — the same
-    order :class:`repro.online.workload.WorkloadLayer` schedules a
-    batch, which is what makes closed-batch streaming reproduce the
-    online simulator event-for-event.
+    Jobs are ordered by ``(arrival_time, original index)`` — the order
+    :class:`repro.online.OnlineSimulator` feeds a closed batch in.
     """
 
     def __init__(self, jobs: Sequence[ArrivingJob]) -> None:

@@ -1,32 +1,17 @@
-"""Open-system steady-state simulator over the :mod:`repro.sim` kernel.
+"""Open-system steady-state simulator: one shard of the shared engine.
 
-:class:`StreamingSimulator` is the continuous-arrival sibling of
-:class:`repro.online.OnlineSimulator`: the same execution, policy and
-reporting layers on the same kernel, but the workload is an
+:class:`StreamingSimulator` is the continuous-arrival facade over
+:class:`repro.online.engine.ShardedEngine` — the loop that also runs
+closed batches and federations.  The workload is an
 :class:`~repro.streaming.arrivals.ArrivalProcess` consumed lazily (one
 pending arrival scheduled at a time) through admission control, so
 thousand-DAG horizons never materialize the whole stream and overload is
-shed instead of crashing the run.
-
-The event loop is a superset of the online loop — gauges, next-event
-target, utilization accounting, tick, dispatch — with three additions
-that are all no-ops in the closed-batch configuration (all arrivals
-known, unbounded admission, no horizon):
-
-* **horizon cut-off** — when the next pending arrival falls past
-  ``start + horizon`` the stream is closed: the pending kernel event is
-  *cancelled* (a queue tombstone) and the iterator is never pulled
-  again; work already in the system drains normally;
-* **backlog release** — after each settled instant, jobs queued by the
-  admission controller are admitted while the concurrency limit allows,
-  in FIFO order, before the dispatch round fills the cluster;
-* **in-system sampling** — the jobs-in-system step series (active plus
-  backlogged) is appended after every settled instant.
-
-Because the additions are no-ops there, a finite stream with unbounded
-admission reproduces :class:`~repro.online.OnlineSimulator` event for
-event — the property suite pins the results as *equal*, executed
-schedules included.
+shed instead of crashing the run: an arrival the cluster can never run
+is a :class:`~repro.streaming.results.RejectedJob`, not an error.  The
+facade owns the ``streaming.run`` span, the step-cap default and the
+result view.  A finite stream with unbounded admission and no horizon is
+exactly the configuration :class:`~repro.online.OnlineSimulator` runs,
+so the two return equal closed-batch views by construction.
 """
 
 from __future__ import annotations
@@ -34,20 +19,15 @@ from __future__ import annotations
 from typing import Optional
 
 from ..config import ClusterConfig
-from ..errors import ConfigError, EnvironmentStateError
 from ..faults.plan import FaultPlan
-from ..online.execution import ExecutionLayer
-from ..online.policy import PolicyLayer
+from ..online.engine import ShardedEngine, ShardSpec
 from ..online.rankers import Ranker
 from ..schedulers.base import Scheduler
-from ..sim import SimKernel
 from ..telemetry import runtime as _telemetry
 from ..telemetry.config import TelemetryConfig
-from .admission import AdmissionConfig, AdmissionController
+from .admission import AdmissionConfig
 from .arrivals import ArrivalProcess
-from .reporting import StreamingReportingLayer
-from .results import StreamingResult
-from .workload import StreamingWorkloadLayer
+from .results import StreamingResult, aggregate_result
 
 __all__ = ["StreamingSimulator"]
 
@@ -99,8 +79,6 @@ class StreamingSimulator:
             EnvironmentStateError: if the step cap is exceeded or the
                 system wedges with work it can never place.
         """
-        if horizon is not None and horizon < 0:
-            raise ConfigError(f"horizon must be >= 0, got {horizon}")
         tm = _telemetry.for_config(self.telemetry)
         with tm.span(
             "streaming.run",
@@ -110,7 +88,19 @@ class StreamingSimulator:
             faults=faults is not None and not faults.is_null,
             rescheduler=rescheduler.name if rescheduler is not None else "",
         ) as span:
-            result = self._run(arrivals, ranker, tm, admission, horizon, faults, rescheduler)
+            spec = ShardSpec(
+                self.cluster_config.capacities, ranker, rescheduler, admission, faults
+            )
+            # Global task handles are job_index * offset + task_id; the
+            # process's declared bound plays the role the batch simulator
+            # computes by scanning the whole stream.
+            engine = ShardedEngine(
+                [spec], enumerate(arrivals.jobs()), max(1, arrivals.task_id_bound), tm
+            )
+            makespan = engine.run(self.max_steps, horizon)
+            result = aggregate_result(
+                engine.shards, engine.ledger, makespan, engine.start
+            )
             if tm.enabled:
                 span.set(
                     arrivals=result.arrivals,
@@ -124,86 +114,3 @@ class StreamingSimulator:
                 )
                 tm.inc("streaming.jobs", result.arrivals)
         return result
-
-    def _run(
-        self,
-        arrivals: ArrivalProcess,
-        ranker: Ranker,
-        tm: _telemetry.TelemetryLike,
-        admission: Optional[AdmissionConfig],
-        horizon: Optional[int],
-        faults: Optional[FaultPlan],
-        rescheduler: Optional[Scheduler],
-    ) -> StreamingResult:
-        capacities = self.cluster_config.capacities
-        if faults is not None and not faults.is_null:
-            faults.validate_against(capacities)
-
-        stream = arrivals.jobs()
-        first = next(stream, None)
-        if first is None:
-            raise ConfigError("arrival process yielded no jobs")
-        # Global task handles are job_index * offset + task_id; the
-        # process's declared bound plays the role the batch simulator
-        # computes by scanning the whole stream.
-        offset = max(1, arrivals.task_id_bound)
-        start = first.arrival_time
-
-        kernel = SimKernel(start=start)
-        reporting = StreamingReportingLayer(capacities, tm, start_time=start)
-        execution = ExecutionLayer(capacities, kernel, reporting, offset, faults)
-        policy = PolicyLayer(ranker, rescheduler, kernel, execution)
-        execution.policy = policy
-        reporting.exec_label = policy.exec_label
-        controller = AdmissionController(admission)
-        workload = StreamingWorkloadLayer(
-            first, stream, kernel, execution, policy, controller, reporting, capacities
-        )
-        cutoff = None if horizon is None else start + horizon
-
-        def in_system() -> int:
-            return len(execution.active) + len(controller.backlog)
-
-        # Settle the opening instant (first arrivals, pre-history
-        # faults) and fill the cluster once before the loop gauges.
-        kernel.drain_due()
-        policy.dispatch_round()
-        reporting.sample_in_system(kernel.now, in_system())
-
-        steps = 0
-        while execution.active or workload.has_pending:
-            steps += 1
-            if steps > self.max_steps:
-                raise EnvironmentStateError("streaming simulation exceeded step cap")
-            reporting.gauges(execution)
-            if cutoff is not None:
-                due = workload.pending_arrival_time
-                if due is not None and due > cutoff:
-                    workload.close(cutoff)
-                    if not execution.active and not workload.has_pending:
-                        break
-            target = kernel.next_event_time()
-            if target is None:
-                if not execution.active and controller.backlog:
-                    # Everything in flight drained at the last instant;
-                    # the backlog alone remains.  Admit from it now.
-                    workload.release_backlog()
-                    policy.dispatch_round()
-                    reporting.sample_in_system(kernel.now, in_system())
-                    continue
-                if execution.fstate is not None:
-                    # Permanently stuck (e.g. unrecovered capacity loss
-                    # below some task's demand): report, don't lose.
-                    execution.fail_stuck()
-                    continue
-                raise EnvironmentStateError(
-                    "idle cluster with active jobs but nothing ready: "
-                    "inconsistent DAG state"
-                )
-            reporting.account(execution.state, target)
-            kernel.tick_to(target)
-            workload.release_backlog()
-            policy.dispatch_round()
-            reporting.sample_in_system(kernel.now, in_system())
-
-        return reporting.finalize_streaming(execution.state.now, execution.fstate)

@@ -20,9 +20,11 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Sequence, Tuple
 
-from ..online.results import OnlineResult
+from ..online.engine import Shard
+from ..online.reporting import ReportingLayer, RunLedger
+from ..online.results import OnlineResult, RejectedJob
 
-__all__ = ["RejectedJob", "StreamingResult", "percentile"]
+__all__ = ["RejectedJob", "StreamingResult", "aggregate_result", "percentile"]
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -38,15 +40,6 @@ def percentile(values: Sequence[float], q: float) -> float:
     ordered = sorted(values)
     rank = max(1, math.ceil(q / 100.0 * len(ordered)))
     return float(ordered[rank - 1])
-
-
-@dataclass(frozen=True)
-class RejectedJob:
-    """One arrival shed by admission control (reported, never lost)."""
-
-    index: int
-    arrival_time: int
-    reason: str
 
 
 @dataclass(frozen=True)
@@ -67,7 +60,7 @@ class StreamingResult:
         arrivals: total arrivals offered (admitted + rejected).
         start_time: first arrival (horizon origin).
         horizon_cutoff: the cut-off instant when a ``horizon`` was set
-            and reached, else ``None``; arrivals past it were shed.
+            and reached, else -1; arrivals past it were shed.
     """
 
     online: OnlineResult
@@ -208,3 +201,32 @@ class StreamingResult:
                 f"recoveries, {online.total_retries} retries"
             )
         return "\n".join(lines)
+
+
+def aggregate_result(
+    shards: Sequence[Shard], ledger: RunLedger, makespan: int, start: int
+) -> StreamingResult:
+    """Assemble the :class:`StreamingResult` over ``shards`` and ``ledger``.
+
+    The one result assembly: over every shard and the run's ledger it is
+    the run's result (for a single shard, the standalone streaming
+    result); over one shard and an empty ledger it is that shard's view.
+    """
+    online = ReportingLayer.finalize(shards, makespan)
+    admit_times: Dict[int, int] = {}
+    rejections = list(ledger.rejections)
+    for shard in shards:
+        admit_times.update(shard.reporting.admit_times)
+        rejections.extend(shard.reporting.rejections)
+    rejections.sort(key=lambda r: r.index)
+    return StreamingResult(
+        online=online,
+        queueing_delays=tuple(
+            admit_times[o.job_index] - o.arrival_time for o in online.outcomes
+        ),
+        rejected=tuple(rejections),
+        in_system=tuple(ledger.in_system_series),
+        arrivals=ledger.arrivals_seen,
+        start_time=start,
+        horizon_cutoff=ledger.horizon_cutoff,
+    )

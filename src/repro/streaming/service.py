@@ -113,7 +113,9 @@ class SchedulerService:
         self._server: Optional[asyncio.AbstractServer] = None
         self._worker_task: Optional[asyncio.Task] = None
         self._subscribers: Set[asyncio.StreamWriter] = set()
+        self._handlers: Set[asyncio.Task] = set()
         self._draining = False
+        self._stopping = False
         self._stopped: asyncio.Event  # created in start()
         self._tick = 0
 
@@ -138,7 +140,11 @@ class SchedulerService:
         await self._stopped.wait()
 
     async def stop(self) -> None:
-        """Tear down: cancel the worker, close the listener, release waiters."""
+        """Tear down: cancel the worker, close the listener, end every live
+        connection handler, release waiters.  A second call is a no-op."""
+        if self._stopping:
+            return
+        self._stopping = True
         if self._worker_task is not None:
             self._worker_task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
@@ -146,6 +152,14 @@ class SchedulerService:
             self._worker_task = None
         if self._server is not None:
             self._server.close()
+        # A handler left running is only cancelled at loop teardown, which
+        # the stream protocol logs.  A draining handler calls this itself.
+        live = self._handlers - {asyncio.current_task()}
+        for task in live:
+            task.cancel()
+        if live:
+            await asyncio.wait(live)
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
         if self._tm.enabled:
@@ -239,8 +253,11 @@ class SchedulerService:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        self._handlers.add(task)
         try:
-            while True:
+            while not self._stopping:
                 line = await reader.readline()
                 if not line:
                     break
@@ -269,7 +286,13 @@ class SchedulerService:
                             frame.get("id"), f"unknown frame type {ftype!r}"
                         ),
                     )
+        except asyncio.CancelledError:
+            # Cancelled by stop(): end normally, so the stream protocol's
+            # done-callback (it reads ``task.exception()``) logs nothing.
+            if not self._stopping:
+                raise
         finally:
+            self._handlers.discard(task)
             self._subscribers.discard(writer)
             writer.close()
             with contextlib.suppress(Exception):

@@ -164,6 +164,34 @@ class TestServiceProtocol:
         assert telemetry["size"] == 1
 
 
+class TestStopWithLiveConnection:
+    def test_stop_ends_handlers_quietly_and_twice_is_a_noop(self, capsys):
+        """``stop()`` with a connected client used to leave the handler
+        task for loop teardown, whose cancellation the stream protocol
+        logged as ``Exception in callback ... CancelledError``."""
+        reported = []
+
+        async def main():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: reported.append(context)
+            )
+            service = SchedulerService(make_scheduler("tetris"), port=0)
+            _, port = await service.start()
+            async with _Client(port) as client:
+                await client.send({"type": protocol.PING})
+                assert (await client.recv())["type"] == protocol.PONG
+                await asyncio.wait_for(service.stop(), timeout=10)
+                served = service.stats.served
+                await asyncio.wait_for(service.stop(), timeout=10)
+                assert service.stats.served == served
+                # The service hung up: the client reads end-of-stream.
+                assert await asyncio.wait_for(client.reader.readline(), 10) == b""
+
+        asyncio.run(main())
+        assert reported == []
+        assert capsys.readouterr().err == ""
+
+
 def _smoke_request():
     from repro.schedulers.base import ClusterSnapshot, ScheduleRequest
     from repro.streaming import layered_job_factory
