@@ -447,6 +447,34 @@ def _setup_rl_gnn_forward(seed: int) -> Callable[[], None]:
     return thunk
 
 
+def _setup_rl_policy_select(seed: int) -> Callable[[], None]:
+    """The single-state policy step over one sampled episode's states.
+
+    This is the inner loop of network-guided rollouts
+    (``NetworkRollout.rollout``).  The states are those of one sampled
+    work-conserving episode, so forced states (one candidate action: no
+    observation, no forward) and unforced ones occur in their real mix.
+    """
+    from ..core.pipeline import default_network
+
+    env = _env(seed)
+    network = default_network(env.config, seed=seed)
+    policy = network.make_policy(mode="sample", seed=seed)
+    states = []
+    sim = env.clone()
+    while not sim.done:
+        states.append(sim.clone())
+        sim.step(policy.select(sim))
+
+    def thunk() -> None:
+        select = policy.select
+        for state in states:
+            select(state)
+
+    thunk.ops = len(states)  # type: ignore[attr-defined]
+    return thunk
+
+
 def _setup_faults_inject_step(seed: int) -> Callable[[], None]:
     """Per-dispatch cost of drawing one fault-injected task attempt.
 
@@ -799,6 +827,14 @@ def default_suite() -> List[BenchmarkSpec]:
             "rl.gnn_forward",
             "rl",
             _setup_rl_gnn_forward,
+            repeats=20,
+            quick_repeats=3,
+            warmup=1,
+        ),
+        BenchmarkSpec(
+            "rl.policy_select",
+            "rl",
+            _setup_rl_policy_select,
             repeats=20,
             quick_repeats=3,
             warmup=1,

@@ -42,6 +42,8 @@ class NetworkExpansion(ExpansionPolicy):
         )
 
     def prioritize(self, env: SchedulingEnv, actions: List[Action]) -> List[Action]:
+        if len(actions) <= 1:
+            return list(actions)
         probabilities = self._policy.action_probabilities(env)
         return sorted(
             actions,
@@ -146,15 +148,15 @@ class TruncatedRollout(RolloutPolicy):
         self._depth_limit = depth_limit
 
     def rollout(self, env: SchedulingEnv) -> int:
-        from ..env.observation import ObservationBuilder
-
         steps = 0
         while not env.done and steps < self._depth_limit:
             env.step(self._policy.select(env))
             steps += 1
         if env.done:
             return env.makespan
-        builder = ObservationBuilder(env.graph, env.config)
+        # The policy's per-graph builder: a new one would recompute the
+        # whole DAG's features on every rollout.
+        builder = self._policy._ensure_builder(env)
         remaining = float(self._value.predict(builder.build(env))[0])
         # A terminal state can never precede the running tasks' finishes.
         floor = 0

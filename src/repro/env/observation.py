@@ -25,6 +25,7 @@ import numpy as np
 from ..config import EnvConfig
 from ..dag.features import GraphFeatures, compute_features
 from ..dag.graph import TaskGraph
+from ..errors import ConfigError
 from .scheduling_env import SchedulingEnv
 
 __all__ = ["ObservationBuilder", "observation_size"]
@@ -86,24 +87,41 @@ class ObservationBuilder:
             for r in range(graph.num_resources)
         )
         self.size = observation_size(config, graph.num_resources)
+        resources = len(self._capacities)
+        if resources != graph.num_resources:
+            raise ConfigError(
+                f"cluster has {resources} resources, graph has "
+                f"{graph.num_resources}"
+            )
+        # Layout of the flat vector: image | max_ready task rows | scalars.
+        self._image_shape = (resources, self._horizon)
+        self._image_size = resources * self._horizon
+        self._per_task = resources * 2 + _PER_TASK_SCALARS
+        self._capacity_column = np.asarray(
+            self._capacities, dtype=np.float64
+        )[:, None]
         # task_features is pure per (graph, config): memoize per task id.
         self._task_feature_cache: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------ #
 
-    def cluster_image(self, env: SchedulingEnv) -> np.ndarray:
-        """Occupancy image of shape ``(num_resources, horizon)`` in [0, 1]."""
-        resources = len(self._capacities)
-        image = np.zeros((resources, self._horizon), dtype=np.float64)
+    def _render_image(self, env: SchedulingEnv, image: np.ndarray) -> None:
+        """Accumulate the occupancy image into the zeroed ``image``."""
+        horizon = self._horizon
         now = env.cluster.now
         for entry in env.cluster.running_tasks():
-            remaining = min(entry.finish_time - now, self._horizon)
+            remaining = min(entry.finish_time - now, horizon)
             if remaining <= 0:
                 continue
             for r, demand in enumerate(entry.demands):
                 image[r, :remaining] += demand
-        caps = np.asarray(self._capacities, dtype=np.float64)[:, None]
-        return image / caps
+        image /= self._capacity_column
+
+    def cluster_image(self, env: SchedulingEnv) -> np.ndarray:
+        """Occupancy image of shape ``(num_resources, horizon)`` in [0, 1]."""
+        image = np.zeros(self._image_shape, dtype=np.float64)
+        self._render_image(env, image)
+        return image
 
     def task_features(self, task_id: int) -> np.ndarray:
         """Normalized feature vector for one ready task.
@@ -142,19 +160,23 @@ class ObservationBuilder:
         return vector
 
     def build(self, env: SchedulingEnv) -> np.ndarray:
-        """Full observation vector for the env's current state."""
-        parts = [self.cluster_image(env).ravel()]
-        per_task = self.graph.num_resources * 2 + _PER_TASK_SCALARS
-        block = np.zeros((self.config.max_ready, per_task), dtype=np.float64)
-        for slot, tid in enumerate(env.visible_ready()):
-            block[slot] = self.task_features(tid)
-        parts.append(block.ravel())
-        backlog_norm = env.backlog_size / max(1, self.graph.num_tasks)
-        finished_norm = env.num_finished / self.graph.num_tasks
-        parts.append(np.asarray([backlog_norm, finished_norm], dtype=np.float64))
-        observation = np.concatenate(parts)
-        if observation.shape[0] != self.size:
-            raise AssertionError(
-                f"observation size mismatch: {observation.shape[0]} != {self.size}"
-            )
+        """Full observation vector for the env's current state.
+
+        Every part is written into its slot of one zeroed vector (the
+        image through a reshaped view); the caller owns the result —
+        trainers keep observations for the length of an epoch.
+        """
+        observation = np.zeros(self.size, dtype=np.float64)
+        start = self._image_size
+        self._render_image(
+            env, observation[:start].reshape(self._image_shape)
+        )
+        per_task = self._per_task
+        for tid in env.visible_ready():
+            stop = start + per_task
+            observation[start:stop] = self.task_features(tid)
+            start = stop
+        num_tasks = self.graph.num_tasks
+        observation[-2] = env.backlog_size / max(1, num_tasks)
+        observation[-1] = env.num_finished / num_tasks
         return observation

@@ -130,8 +130,8 @@ def load_policy_checkpoint(
     registry, the CLI — need no model-specific branches.
 
     Raises:
-        CheckpointError: on missing files, unknown kinds/versions or
-            corrupted payloads.
+        CheckpointError: on missing files, unknown kinds/versions,
+            corrupted payloads or non-finite parameters.
     """
 
     path = Path(path)
@@ -191,7 +191,8 @@ def load_value_checkpoint(path: Union[str, Path]):
     """Rebuild the value network stored at ``path``.
 
     Raises:
-        CheckpointError: on missing files or corrupted payloads.
+        CheckpointError: on missing files, corrupted payloads or
+            non-finite parameters.
     """
 
     from .value_network import ValueNetwork
@@ -216,8 +217,14 @@ def load_value_checkpoint(path: Union[str, Path]):
                         raise CheckpointError(f"unexpected parameter {name}")
                     if network.params[name].shape != data[key].shape:
                         raise CheckpointError(f"shape mismatch for {name}")
+                    if not np.all(np.isfinite(data[key])):
+                        raise CheckpointError(
+                            f"parameter {name} holds a non-finite value"
+                        )
                     network.params[name] = data[key].copy()
             mean, std, fitted = data["meta_target_stats"]
+            if not (np.isfinite(mean) and np.isfinite(std)):
+                raise CheckpointError("non-finite target statistics")
             network._target_mean = float(mean)
             network._target_std = float(std)
             network._fitted = bool(fitted)

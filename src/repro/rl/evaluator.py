@@ -35,7 +35,7 @@ from ..errors import ConfigError, EnvironmentStateError
 from ..utils.rng import SeedLike, as_generator
 from .agent import build_action_mask
 from .gnn import build_graph_action_mask
-from .modules import masked_softmax
+from .modules import masked_softmax, sample_index
 
 __all__ = ["PolicyEvaluator"]
 
@@ -193,7 +193,7 @@ class PolicyEvaluator:
                 if mode == "greedy":
                     choice = int(np.argmax(probs))
                 else:
-                    choice = int(generator.choice(len(probs), p=probs))
+                    choice = sample_index(probs, generator)
                 sim.step(actions[choice])
             pending = [i for i in pending if not sims[i].done]
             steps += 1

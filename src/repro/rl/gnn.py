@@ -41,17 +41,22 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..config import EnvConfig, GnnConfig
-from ..env.actions import PROCESS, Action
 from ..envarr.graphdata import GraphArrays, graph_arrays
 from ..envarr.observation import (
     GLOBAL_EXTRA_CHANNELS,
     NODE_STATE_CHANNELS,
     task_feature_table,
 )
-from ..errors import ConfigError, EnvironmentStateError
-from ..schedulers.base import Policy
+from ..errors import ConfigError
 from ..utils.rng import SeedLike, as_generator
-from .modules import EdgeList, entropy_dlogits, init_linear, masked_softmax
+from .agent import NetworkPolicyBase, candidate_actions, mask_from_actions
+from .modules import (
+    EdgeList,
+    entropy_dlogits,
+    init_linear,
+    masked_softmax,
+    replace_params,
+)
 
 __all__ = [
     "GraphPolicyNetwork",
@@ -80,19 +85,9 @@ class GraphObservation:
 
 def build_graph_action_mask(env, work_conserving: bool = True) -> np.ndarray:
     """Legality mask over ``[ready slots..., PROCESS]`` for one state."""
-    num_visible = len(env.visible_ready())
-    mask = np.zeros(num_visible + 1, dtype=bool)
-    actions = (
-        env.expansion_actions(work_conserving=True)
-        if work_conserving
-        else env.legal_actions()
+    return mask_from_actions(
+        candidate_actions(env, work_conserving), len(env.visible_ready()) + 1
     )
-    for action in actions:
-        if action == PROCESS:
-            mask[num_visible] = True
-        else:
-            mask[action] = True
-    return mask
 
 
 class GraphObservationBuilder:
@@ -520,49 +515,27 @@ class GraphPolicyNetwork:
         return {k: v.copy() for k, v in self.params.items()}
 
     def set_params(self, params: Dict[str, np.ndarray]) -> None:
-        """Load parameters (shapes must match exactly)."""
-        for key, value in self.params.items():
-            if key not in params:
-                raise ConfigError(f"missing parameter {key}")
-            if params[key].shape != value.shape:
-                raise ConfigError(
-                    f"parameter {key}: shape {params[key].shape} != "
-                    f"{value.shape}"
-                )
-        for key in self.params:
-            self.params[key] = np.asarray(params[key], dtype=np.float64).copy()
+        """Load parameters (shapes must match exactly, values be finite)."""
+        replace_params(self.params, params)
 
     def num_parameters(self) -> int:
         """Total scalar parameter count (independent of any DAG's size)."""
         return sum(v.size for v in self.params.values())
 
 
-class GraphNetworkPolicy(Policy):
+class GraphNetworkPolicy(NetworkPolicyBase):
     """Drives an environment with a :class:`GraphPolicyNetwork`.
 
     The mirror of :class:`repro.rl.agent.NetworkPolicy` for the graph
-    model: featurize, mask, then sample (or argmax) over
+    model: the shared single-state step of
+    :class:`~repro.rl.agent.NetworkPolicyBase` over
     ``[ready..., PROCESS]``.
     """
 
     name = "drl-gnn"
 
-    def __init__(
-        self,
-        network: GraphPolicyNetwork,
-        mode: str = "sample",
-        seed: SeedLike = None,
-        work_conserving: bool = True,
-    ) -> None:
-        if mode not in ("sample", "greedy"):
-            raise ConfigError(f"unknown mode {mode!r}")
-        self.network = network
-        self.mode = mode
-        self.work_conserving = work_conserving
-        self._rng = as_generator(seed)
-        self._builder: Optional[GraphObservationBuilder] = None
-
-    # ------------------------------------------------------------------ #
+    network: GraphPolicyNetwork
+    _builder: Optional[GraphObservationBuilder]
 
     def begin_episode(self, env) -> None:
         builder = GraphObservationBuilder(env.graph, env.config)
@@ -573,62 +546,14 @@ class GraphNetworkPolicy(Policy):
             )
         self._builder = builder
 
-    def _ensure_builder(self, env) -> GraphObservationBuilder:
-        if self._builder is None or self._builder.graph is not env.graph:
-            self.begin_episode(env)
-        assert self._builder is not None
-        return self._builder
+    def _num_actions(self, env) -> int:
+        return len(env.visible_ready()) + 1
 
-    def observe(self, env) -> Tuple[GraphObservation, np.ndarray]:
-        """(observation, mask) without a network forward."""
-        builder = self._ensure_builder(env)
-        observation = builder.build(env)
-        mask = build_graph_action_mask(env, self.work_conserving)
-        return observation, mask
-
-    def distribution(
-        self, env
-    ) -> Tuple[GraphObservation, np.ndarray, np.ndarray]:
-        """(observation, mask, probabilities) for the current state."""
-        observation, mask = self.observe(env)
-        logits = self.network.forward_group(
+    def _logits(self, observation: GraphObservation) -> np.ndarray:
+        return self.network.forward_group(
             observation.arrays,
             observation.static_table,
             observation.node_state[None, :, :],
             observation.globals_vec[None, :],
             [list(observation.ready)],
-        )
-        probs = masked_softmax(logits, mask[None, :])[0]
-        return observation, mask, probs
-
-    def action_probabilities(self, env) -> Dict[Action, float]:
-        """Env-action -> probability map (used by MCTS expansion/rollout)."""
-        _, mask, probs = self.distribution(env)
-        process_index = len(mask) - 1
-        result: Dict[Action, float] = {}
-        for index in np.nonzero(mask)[0]:
-            action = PROCESS if index == process_index else int(index)
-            result[action] = float(probs[index])
-        return result
-
-    def _choose(self, probs: np.ndarray) -> int:
-        if self.mode == "greedy":
-            return int(np.argmax(probs))
-        return int(self._rng.choice(len(probs), p=probs))
-
-    def select(self, env) -> Action:
-        _, mask, probs = self.distribution(env)
-        index = self._choose(probs)
-        if not mask[index]:
-            raise EnvironmentStateError("network selected a masked action")
-        return PROCESS if index == len(mask) - 1 else index
-
-    def select_with_trace(
-        self, env
-    ) -> Tuple[Action, GraphObservation, np.ndarray, int]:
-        """Like :meth:`select` but also returns (observation, mask,
-        network-action-index) for trajectory recording."""
-        observation, mask, probs = self.distribution(env)
-        index = self._choose(probs)
-        action = PROCESS if index == len(mask) - 1 else index
-        return action, observation, mask, index
+        )[0]

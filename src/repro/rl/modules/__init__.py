@@ -22,19 +22,28 @@ of hand-rolling its own layer math.  The design constraints:
   number.
 """
 
-from .base import Module
+from .base import Module, replace_params
 from .linear import Linear, init_linear
 from .activations import ReLU
-from .softmax import masked_softmax, entropy_dlogits, policy_entropy
+from .softmax import (
+    masked_softmax,
+    masked_softmax_row,
+    sample_index,
+    entropy_dlogits,
+    policy_entropy,
+)
 from .mlp import MLPStack
 from .message_passing import EdgeList, segment_sum, segment_sum_batch
 
 __all__ = [
     "Module",
+    "replace_params",
     "Linear",
     "init_linear",
     "ReLU",
     "masked_softmax",
+    "masked_softmax_row",
+    "sample_index",
     "entropy_dlogits",
     "policy_entropy",
     "MLPStack",

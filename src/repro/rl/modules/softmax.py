@@ -13,7 +13,13 @@ import numpy as np
 
 from ...errors import ConfigError
 
-__all__ = ["masked_softmax", "entropy_dlogits", "policy_entropy"]
+__all__ = [
+    "masked_softmax",
+    "masked_softmax_row",
+    "sample_index",
+    "entropy_dlogits",
+    "policy_entropy",
+]
 
 _NEG_INF = -1e30
 
@@ -37,6 +43,56 @@ def masked_softmax(logits: np.ndarray, masks: np.ndarray) -> np.ndarray:
     shifted = masked - masked.max(axis=1, keepdims=True)
     exp = np.exp(shifted) * masks
     return exp / exp.sum(axis=1, keepdims=True)
+
+
+def masked_softmax_row(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """:func:`masked_softmax` for one state.
+
+    Same operations in the same order as one row of the batch form (so
+    the same bits), minus the per-call batch bookkeeping: the policy
+    step runs this once per rollout decision.
+
+    Args:
+        logits: ``(A,)`` raw scores.
+        mask: ``(A,)`` booleans, True = legal, at least one True.
+    """
+    if mask.shape != logits.shape:
+        raise ConfigError(
+            f"mask shape {mask.shape} != logits shape {logits.shape}"
+        )
+    row = np.where(mask, logits, _NEG_INF)
+    row -= row.max()
+    np.exp(row, out=row)
+    row *= mask
+    total = row.sum()
+    # The largest legal entry contributes exp(0) = 1, so a zero sum can
+    # only mean that nothing was legal.
+    if total == 0.0:
+        raise ConfigError("a state has no legal action")
+    row /= total
+    return row
+
+
+def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw an index from the distribution ``probs`` with one uniform.
+
+    Inverse-CDF sampling, draw for draw what ``Generator.choice(n,
+    p=probs)`` does internally (cumulative sum, normalize by its last
+    entry, one ``rng.random()``, right-sided binary search) without that
+    call's argument validation — so swapping one for the other changes
+    neither the sampled index nor the generator's state.
+
+    Raises:
+        ValueError: if ``probs`` holds a NaN or infinity, or sums to 0.
+    """
+    cdf = probs.cumsum()
+    total = cdf[-1]
+    if not 0.0 < total < np.inf:
+        raise ValueError(
+            f"probabilities must be finite with a positive sum, got {total}"
+        )
+    cdf /= total
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def policy_entropy(probs: np.ndarray) -> float:

@@ -31,7 +31,7 @@ import numpy as np
 from ..config import NetworkConfig
 from ..errors import ConfigError
 from ..utils.rng import SeedLike, as_generator
-from .modules import MLPStack
+from .modules import MLPStack, replace_params
 from .modules import masked_softmax as _masked_softmax
 
 __all__ = ["PolicyNetwork"]
@@ -216,17 +216,8 @@ class PolicyNetwork:
         return {k: v.copy() for k, v in self.params.items()}
 
     def set_params(self, params: Dict[str, np.ndarray]) -> None:
-        """Load parameters (shapes must match exactly)."""
-        for key, value in self.params.items():
-            if key not in params:
-                raise ConfigError(f"missing parameter {key}")
-            if params[key].shape != value.shape:
-                raise ConfigError(
-                    f"parameter {key}: shape {params[key].shape} != "
-                    f"{value.shape}"
-                )
-        for key in self.params:
-            self.params[key] = np.asarray(params[key], dtype=np.float64).copy()
+        """Load parameters (shapes must match exactly, values be finite)."""
+        replace_params(self.params, params)
 
     def num_parameters(self) -> int:
         """Total scalar parameter count."""

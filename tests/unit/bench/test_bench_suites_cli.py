@@ -43,11 +43,14 @@ class TestDefaultSuite:
             "mcts.search_budget_unit",
             "mcts.rollout_random",
             "observation.build",
+            "rl.policy_select",
             "telemetry.span_disabled",
             "telemetry.span_enabled",
         } <= names
 
-    @pytest.mark.parametrize("name", ["env.clone", "env.legal_actions_cached"])
+    @pytest.mark.parametrize(
+        "name", ["env.clone", "env.legal_actions_cached", "rl.policy_select"]
+    )
     def test_cheap_setups_build_runnable_thunks(self, name):
         (spec,) = [s for s in default_suite() if s.name == name]
         thunk = spec.setup(seed=0)

@@ -237,3 +237,81 @@ class TestCheckpointV2:
 
         with pytest.raises(CheckpointError, match="cannot checkpoint"):
             save_checkpoint(Strange(), tmp_path / "x.npz")
+
+
+class TestNonFiniteParametersRejected:
+    """A NaN/inf weight must fail at the loader, not as a sampling error
+    deep inside a rollout — and forced moves never reach the sampler."""
+
+    @staticmethod
+    def _poison(path, key, value=np.nan):
+        with np.load(path) as data:
+            payload = {k: data[k] for k in data.files}
+        poisoned = payload[key].astype(np.float64)
+        poisoned.flat[0] = value
+        payload[key] = poisoned
+        np.savez(path, **payload)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_poisoned_mlp_checkpoint(self, tmp_path, value):
+        from repro.rl import load_policy_checkpoint
+
+        net = PolicyNetwork(
+            10, NetworkConfig(hidden_sizes=(8, 4), max_ready=3), seed=1
+        )
+        path = tmp_path / "mlp.npz"
+        save_checkpoint(net, path)
+        self._poison(path, "param_W1", value)
+        with pytest.raises(CheckpointError, match="non-finite"):
+            load_checkpoint(path)
+        with pytest.raises(CheckpointError, match="non-finite"):
+            load_policy_checkpoint(path)
+
+    def test_poisoned_gnn_checkpoint(self, tmp_path):
+        from repro.config import GnnConfig
+        from repro.rl import GraphPolicyNetwork, load_policy_checkpoint
+
+        net = GraphPolicyNetwork(
+            2, GnnConfig(hidden_size=8, rounds=1, head_hidden=4, global_hidden=4),
+            seed=2,
+        )
+        path = tmp_path / "gnn.npz"
+        save_checkpoint(net, path)
+        self._poison(path, "param_head.w")
+        with pytest.raises(CheckpointError, match="non-finite"):
+            load_policy_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["param_W0", "meta_target_stats"])
+    def test_poisoned_value_checkpoint(self, tmp_path, key):
+        from repro.rl import load_value_checkpoint, save_value_checkpoint
+        from repro.rl.value_network import ValueNetwork
+
+        path = tmp_path / "value.npz"
+        save_value_checkpoint(ValueNetwork(6, hidden_sizes=(8, 4), seed=3), path)
+        self._poison(path, key)
+        with pytest.raises(CheckpointError, match="non-finite"):
+            load_value_checkpoint(path)
+
+    def test_set_params_rejects_non_finite(self):
+        from repro.config import GnnConfig
+        from repro.rl import GraphPolicyNetwork
+
+        networks = [
+            PolicyNetwork(
+                10, NetworkConfig(hidden_sizes=(8, 4), max_ready=3), seed=1
+            ),
+            GraphPolicyNetwork(
+                2,
+                GnnConfig(hidden_size=8, rounds=1, head_hidden=4, global_hidden=4),
+                seed=2,
+            ),
+        ]
+        for network in networks:
+            before = network.get_params()
+            poisoned = network.get_params()
+            next(iter(poisoned.values())).flat[0] = np.nan
+            with pytest.raises(ConfigError, match="non-finite"):
+                network.set_params(poisoned)
+            # A rejected load leaves the live parameters untouched.
+            for key, value in before.items():
+                assert np.array_equal(network.params[key], value)
