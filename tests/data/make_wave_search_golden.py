@@ -1,0 +1,162 @@
+"""Golden wave searches: fixed-seed batched (``rollout_batch=8``) plans.
+
+The committed ``wave_search_golden.json`` holds the makespan, every
+task's start time and the search statistics (iterations, rollouts,
+decisions) of batched searches on three seeded 20-task layered DAGs:
+
+* pure MCTS (random expansion, the lockstep playout kernel);
+* Spear guided by the windowed MLP and by a seeded
+  :class:`~repro.rl.gnn.GraphPolicyNetwork`, each with batched leaf
+  priors (``leaf_policy=auto``) and without (``off``);
+* one replan request whose cluster snapshot carries degraded capacities
+  (pure MCTS and MLP-guided Spear).
+
+It was generated at the last commit that still had two environments,
+with ``EnvConfig(backend="array")`` — the only configuration in which
+``rollout_batch > 1`` batched there — and has never been regenerated:
+the one remaining environment must feed the batched kernels the same
+lanes, so every wave, every RNG draw and every plan is unchanged.
+
+Regenerate (only when an intentional behaviour change lands) with::
+
+    PYTHONPATH=src python tests/data/make_wave_search_golden.py
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+GOLDEN_PATH = Path(__file__).resolve().parent / "wave_search_golden.json"
+
+ROLLOUT_BATCH = 8
+GRAPH_SEEDS = (101, 202, 303)
+NUM_TASKS = 20
+#: (scheduler, model, leaf_policy) of every search run on every DAG.
+SEARCHES = (
+    ("mcts", None, None),
+    ("spear", "mlp", "auto"),
+    ("spear", "mlp", "off"),
+    ("spear", "gnn", "auto"),
+    ("spear", "gnn", "off"),
+)
+#: The replan case: tasks small enough to fit the degraded cluster, so
+#: the search really plans against the snapshot's capacities.
+DEGRADED_SEED = 404
+DEGRADED_CAPACITIES = (14, 14)
+DEGRADED_SEARCHES = (("mcts", None, None), ("spear", "mlp", "auto"))
+
+
+def _env_config():
+    from repro import EnvConfig
+
+    return EnvConfig(process_until_completion=True, backend="array")
+
+
+def _scheduler(kind: str, model, leaf_policy, seed: int):
+    from repro import MctsConfig, make_scheduler
+    from repro.core.pipeline import default_graph_network, default_network
+    from repro.mcts.search import MctsScheduler
+
+    env = _env_config()
+    if kind == "mcts":
+        config = MctsConfig(
+            initial_budget=24, min_budget=8, rollout_batch=ROLLOUT_BATCH
+        )
+        return MctsScheduler(config, env, seed=seed)
+    make_network = default_network if model == "mlp" else default_graph_network
+    spec = (
+        f"spear:budget=20,min_budget=5,rollout_batch={ROLLOUT_BATCH},"
+        f"leaf_policy={leaf_policy}"
+    )
+    return make_scheduler(spec, env, network=make_network(env, seed=seed), seed=seed)
+
+
+def _record(case: dict, scheduler, request) -> dict:
+    schedule = scheduler.plan(request)
+    # Wrappers added by make_scheduler forward attribute reads.
+    stats = scheduler.last_statistics
+    graph = request.graph
+    return {
+        **case,
+        "makespan": schedule.makespan,
+        "starts": {
+            str(tid): schedule.start_of(tid) for tid in sorted(graph.tasks())
+        },
+        "statistics": {
+            "iterations": stats.iterations,
+            "rollouts": stats.rollouts,
+            "decisions": stats.decisions,
+        },
+    }
+
+
+def _plan(kind: str, model, leaf_policy, seed: int) -> dict:
+    from repro import ScheduleRequest, WorkloadConfig, random_layered_dag
+
+    graph = random_layered_dag(WorkloadConfig(num_tasks=NUM_TASKS), seed=seed)
+    case = {
+        "scheduler": kind,
+        "model": model,
+        "leaf_policy": leaf_policy,
+        "graph_seed": seed,
+    }
+    return _record(
+        case, _scheduler(kind, model, leaf_policy, seed), ScheduleRequest(graph)
+    )
+
+
+def _degraded_plan(kind: str, model, leaf_policy) -> dict:
+    from repro import ScheduleRequest, WorkloadConfig, random_layered_dag
+    from repro.schedulers.base import ClusterSnapshot
+
+    workload = WorkloadConfig(num_tasks=NUM_TASKS, max_demand=12, demand_mean=6.0)
+    graph = random_layered_dag(workload, seed=DEGRADED_SEED)
+    assert all(
+        demand <= capacity
+        for task in graph
+        for demand, capacity in zip(task.demands, DEGRADED_CAPACITIES)
+    ), "the degraded case must be planned on the degraded capacities"
+    request = ScheduleRequest(
+        graph,
+        cluster=ClusterSnapshot(
+            capacities=DEGRADED_CAPACITIES, available=DEGRADED_CAPACITIES, now=0
+        ),
+    )
+    case = {
+        "scheduler": kind,
+        "model": model,
+        "leaf_policy": leaf_policy,
+        "graph_seed": DEGRADED_SEED,
+        "capacities": list(DEGRADED_CAPACITIES),
+    }
+    return _record(
+        case, _scheduler(kind, model, leaf_policy, DEGRADED_SEED), request
+    )
+
+
+def compute_golden() -> dict:
+    return {
+        "rollout_batch": ROLLOUT_BATCH,
+        "plans": [
+            _plan(kind, model, leaf_policy, seed)
+            for kind, model, leaf_policy in SEARCHES
+            for seed in GRAPH_SEEDS
+        ],
+        "degraded_plans": [
+            _degraded_plan(kind, model, leaf_policy)
+            for kind, model, leaf_policy in DEGRADED_SEARCHES
+        ],
+    }
+
+
+def main() -> None:
+    GOLDEN_PATH.write_text(
+        json.dumps(compute_golden(), indent=1, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
+    print(f"wrote {GOLDEN_PATH}")
+
+
+if __name__ == "__main__":
+    main()
