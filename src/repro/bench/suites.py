@@ -20,7 +20,6 @@ from ..config import EnvConfig, MctsConfig
 from ..dag.graph import TaskGraph
 from ..env.actions import PROCESS
 from ..env.scheduling_env import SchedulingEnv
-from ..envarr.backend import AnyEnv, make_env
 from ..experiments.fig6 import generate_dags
 from ..experiments.scale import resolve_scale
 from ..schedulers.base import ScheduleRequest
@@ -35,8 +34,8 @@ def _fig6_graph(seed: int) -> TaskGraph:
     return generate_dags(resolve_scale(None), seed=seed)[0]
 
 
-def _env(seed: int) -> AnyEnv:
-    return make_env(
+def _env(seed: int) -> SchedulingEnv:
+    return SchedulingEnv(
         _fig6_graph(seed), EnvConfig(process_until_completion=True)
     )
 
@@ -304,7 +303,7 @@ def _setup_telemetry_span_enabled(seed: int) -> Callable[[], None]:
 
 
 # --------------------------------------------------------------------- #
-# envarr group (array backend)
+# envarr group (batched kernels)
 # --------------------------------------------------------------------- #
 
 
@@ -312,17 +311,10 @@ def _setup_envarr_batch_playouts(seed: int) -> Callable[[], None]:
     """256 lockstep random playouts through the batched kernel."""
     from ..envarr.batch import BatchedPlayouts
 
-    graph = _fig6_graph(seed)
-    config = EnvConfig(process_until_completion=True, backend="array")
-    env = make_env(graph, config)
-    kernel = BatchedPlayouts(
-        env.arrays,
-        config.cluster.capacities,
-        until_completion=config.process_until_completion,
-        max_ready=config.max_ready,
-    )
+    env = _env(seed)
+    kernel = BatchedPlayouts(env.graph, env.config)
     lanes = [env] * 256  # run() copies lane state; inputs are never mutated
-    limit = 50 * (int(env.arrays.durations.sum()) + graph.num_tasks)
+    limit = 50 * (int(kernel.arrays.durations.sum()) + env.graph.num_tasks)
     rng_seed = seed + 40_000
 
     def thunk() -> None:
@@ -333,20 +325,20 @@ def _setup_envarr_batch_playouts(seed: int) -> Callable[[], None]:
 
 
 def _setup_envarr_search_budget_unit(seed: int) -> Callable[[], None]:
-    """Array-backend MCTS with batched leaf collection, per budget unit.
+    """MCTS with batched leaf collection, per budget unit.
 
     Same workload as ``mcts.search_budget_unit`` but at a wide-wave
     configuration (flat 512 budget, ``rollout_batch=512``) where the
     fused playout kernel amortizes: most of each budget unit is rollout
-    work, which is exactly what the array backend batches.  Under the
-    decayed per-decision budgets of the object benchmark the waves are
-    too small to win — tree descent dominates — so this entry prices
-    the regime the backend is built for.
+    work, which is exactly what the kernel batches.  Under the decayed
+    per-decision budgets of the sequential benchmark the waves are too
+    small to win — tree descent dominates — so this entry prices the
+    regime the kernel is built for.
     """
     from ..mcts.search import MctsScheduler
 
     graph = _fig6_graph(seed)
-    env_config = EnvConfig(process_until_completion=True, backend="array")
+    env_config = EnvConfig(process_until_completion=True)
     config = MctsConfig(
         initial_budget=512,
         min_budget=512,
@@ -372,9 +364,8 @@ def _setup_envarr_observation_batch(seed: int) -> Callable[[], None]:
     """Batched observation build over clones along one episode."""
     from ..envarr.observation import BatchObservationBuilder
 
-    graph = _fig6_graph(seed)
-    config = EnvConfig(process_until_completion=True, backend="array")
-    env = make_env(graph, config)
+    env = _env(seed)
+    graph, config = env.graph, env.config
     rng = as_generator(seed + 50_000)
     lanes = []
     sim = env.clone()
@@ -397,10 +388,9 @@ def _setup_envarr_observation_batch(seed: int) -> Callable[[], None]:
 
 
 def _rl_lanes(seed: int, count: int = 64):
-    """Mid-episode array-backend lanes for batched policy evaluation."""
-    graph = _fig6_graph(seed)
-    config = EnvConfig(process_until_completion=True, backend="array")
-    env = make_env(graph, config)
+    """Mid-episode lanes for batched policy evaluation."""
+    env = _env(seed)
+    graph, config = env.graph, env.config
     rng = as_generator(seed + 70_000)
     lanes = []
     sim = env.clone()
@@ -422,7 +412,7 @@ def _setup_rl_policy_forward_batch(seed: int) -> Callable[[], None]:
 
     graph, config, lanes = _rl_lanes(seed)
     network = default_network(config, seed=seed)
-    evaluator = PolicyEvaluator(network, config, lanes[0].arrays)
+    evaluator = PolicyEvaluator(network, config, graph)
 
     def thunk() -> None:
         evaluator.distributions(lanes)
@@ -438,7 +428,7 @@ def _setup_rl_gnn_forward(seed: int) -> Callable[[], None]:
 
     graph, config, lanes = _rl_lanes(seed)
     network = default_graph_network(config, seed=seed)
-    evaluator = PolicyEvaluator(network, config, lanes[0].arrays)
+    evaluator = PolicyEvaluator(network, config, graph)
 
     def thunk() -> None:
         evaluator.distributions(lanes)

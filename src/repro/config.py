@@ -128,15 +128,17 @@ class MctsConfig:
             expansion; ``"clone"`` stores an environment clone in every
             node (the original, memory-hungrier design).  Both produce
             bit-identical schedules; see DESIGN.md.
-        rollout_batch: number of random rollouts fused into one vectorized
-            playout call (DESIGN.md Sec. 15).  ``1`` (default) keeps the
-            sequential, bit-identical search; ``> 1`` collects that many
-            leaves per round under virtual loss and simulates them with
-            :func:`repro.envarr.batch_random_playouts` — a throughput mode
-            whose schedules remain valid and seed-deterministic but are not
-            draw-for-draw identical to the sequential search.  Requires the
-            array environment backend and a random rollout policy; other
-            configurations fall back to sequential simulation.
+        rollout_batch: leaves collected per search round (DESIGN.md
+            Sec. 15).  ``1`` (default) is the sequential search; ``> 1``
+            collects that many leaves under virtual loss and simulates
+            them in one batched call — the lockstep kernel
+            :class:`repro.envarr.BatchedPlayouts` for random rollouts, the
+            rollout policy's ``rollout_many`` otherwise (network rollouts
+            share one forward pass per step).  Schedules stay valid and
+            seed-deterministic but differ from the sequential search's.
+            Works under every ``EnvConfig``; a rollout policy that cannot
+            be batched (``GreedyRollout``, ``TruncatedRollout``) is a
+            ``ConfigError``, not a silent sequential search.
 
     Rollout truncation is a property of the rollout policy, not the
     search: see :class:`repro.core.guidance.TruncatedRollout`.
@@ -155,9 +157,9 @@ class MctsConfig:
     #: a :class:`repro.rl.evaluator.PolicyEvaluator` (one forward pass
     #: orders every new leaf's expansion candidates); ``"off"`` keeps the
     #: per-node sequential prioritization.  Only takes effect in the
-    #: batched collection mode (``rollout_batch > 1``, array backend)
-    #: when the scheduler carries a leaf network; sequential searches are
-    #: unaffected either way.
+    #: batched collection mode (``rollout_batch > 1``) when the scheduler
+    #: carries a leaf network; sequential searches are unaffected either
+    #: way.
     leaf_policy: str = "auto"
 
     def __post_init__(self) -> None:
@@ -324,12 +326,9 @@ class EnvConfig:
             (:func:`repro.telemetry.active`); an enabled config binds all
             environments sharing this ``EnvConfig`` to one dedicated
             pipeline (see :func:`repro.telemetry.for_config`).
-        backend: which environment implementation
-            :func:`repro.envarr.make_env` constructs — ``"object"`` (the
-            original :class:`repro.env.SchedulingEnv`) or ``"array"``
-            (:class:`repro.envarr.ArraySchedulingEnv`, the vectorized core
-            of DESIGN.md Sec. 15).  Both produce bit-identical schedules;
-            the array backend additionally supports batched playouts.
+
+    Every environment is a :class:`repro.env.SchedulingEnv` built from
+    this config; there is no implementation switch (DESIGN.md Sec. 15).
     """
 
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
@@ -338,14 +337,9 @@ class EnvConfig:
     include_graph_features: bool = True
     verify_terminal: bool = False
     telemetry: Optional[TelemetryConfig] = None
-    backend: str = "object"
 
     def __post_init__(self) -> None:
         _require(self.max_ready >= 1, "max_ready must be >= 1")
-        _require(
-            self.backend in ("object", "array"),
-            f"backend must be 'object' or 'array', got {self.backend!r}",
-        )
 
 
 def paper_scale(enabled: bool = True) -> Tuple[WorkloadConfig, MctsConfig]:

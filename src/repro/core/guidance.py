@@ -99,7 +99,12 @@ class NetworkRollout(RolloutPolicy):
         input environments."""
         from ..rl.evaluator import PolicyEvaluator
 
-        if self._evaluator is None or self._evaluator.graph is not envs[0].graph:
+        evaluator = self._evaluator
+        if (
+            evaluator is None
+            or evaluator.graph is not envs[0].graph
+            or evaluator.env_config != envs[0].config
+        ):
             self._evaluator = PolicyEvaluator(
                 self._policy.network,
                 envs[0].config,

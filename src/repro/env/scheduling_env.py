@@ -172,7 +172,6 @@ class SchedulingEnv:
             tid for tid in graph.topological_order() if self._unmet[tid] == 0
         ]
         self._finished: set[int] = set()
-        self._running: set[int] = set()
         self._starts: Dict[int, int] = {}
         self.steps_taken: int = 0
         # Plain-int instrumentation counters: incremented unconditionally
@@ -357,14 +356,12 @@ class SchedulingEnv:
             # Inlined _on_completions (same dynamics, fused id collection):
             # this is the busiest branch of the rollout hot path.
             completed = []
-            running = self._running
             ready = self._ready
             unmet = self._unmet
             children = self.graph.children
             for entry in released:
                 tid = entry.task_id
                 completed.append(tid)
-                running.discard(tid)
                 finished.add(tid)
                 newly_ready = []
                 for child in children(tid):
@@ -409,7 +406,6 @@ class SchedulingEnv:
             RunningTask(cluster.now + self._runtimes[tid], tid, demands),
         )
         del ready[action]
-        self._running.add(tid)
         self._starts[tid] = cluster.now
         self._version += 1
         return self._sched_results[tid]
@@ -448,7 +444,6 @@ class SchedulingEnv:
         if entry is not None:  # schedule step
             tid = entry.task_id
             self._ready.insert(record.ready_index, tid)
-            self._running.discard(tid)
             del self._starts[tid]
         else:  # process step
             cluster.now -= record.dt
@@ -459,7 +454,6 @@ class SchedulingEnv:
             for released_entry in released:
                 tid = released_entry.task_id
                 self._finished.discard(tid)
-                self._running.add(tid)
                 for child in children(tid):
                     unmet[child] += 1
         self.steps_taken -= 1
@@ -493,7 +487,6 @@ class SchedulingEnv:
         entry = RunningTask(cluster.now + self._runtimes[tid], tid, demands)
         heapq.heappush(cluster._running, entry)
         del ready[index]
-        self._running.add(tid)
         self._starts[tid] = cluster.now
         self._version += 1
         return StepUndo(
@@ -558,7 +551,6 @@ class SchedulingEnv:
         available = cluster._available
         ready = self._ready
         finished = self._finished
-        running = self._running
         unmet = self._unmet
         starts = self._starts
         demands_of = self._demands
@@ -607,7 +599,6 @@ class SchedulingEnv:
                     available[r] -= demand
                 heappush(heap, RunningTask(cluster.now + runtimes[tid], tid, demands))
                 del ready[chosen]
-                running.add(tid)
                 starts[tid] = cluster.now
                 continue
             # Nothing fits: PROCESS is the only candidate (the draw still
@@ -621,7 +612,6 @@ class SchedulingEnv:
                 finish, tid, demands = heappop(heap)
                 for r, demand in enumerate(demands):
                     available[r] += demand
-                running.discard(tid)
                 finished.add(tid)
                 newly_ready = []
                 for child in children(tid):
@@ -642,7 +632,6 @@ class SchedulingEnv:
         unmet = self._unmet
         children = self.graph.children
         for tid in completed:
-            self._running.discard(tid)
             self._finished.add(tid)
             newly_ready = []
             for child in children(tid):
@@ -668,7 +657,6 @@ class SchedulingEnv:
         copy._unmet = dict(self._unmet)
         copy._ready = list(self._ready)
         copy._finished = set(self._finished)
-        copy._running = set(self._running)
         copy._starts = dict(self._starts)
         copy.steps_taken = self.steps_taken
         copy.undos_taken = self.undos_taken
@@ -764,6 +752,6 @@ class SchedulingEnv:
     def __repr__(self) -> str:
         return (
             f"SchedulingEnv(now={self.now}, ready={len(self._ready)}, "
-            f"running={len(self._running)}, finished={len(self._finished)}/"
+            f"running={self.cluster.num_running}, finished={len(self._finished)}/"
             f"{self.graph.num_tasks})"
         )

@@ -1,42 +1,40 @@
-"""Array-native environment core (ROADMAP item 1).
+"""Batched kernels over the one scheduling environment.
 
-``repro.envarr`` re-expresses the scheduling MDP over flat vectors instead
-of the object graph the rest of the library grew up on:
+There is one environment, :class:`repro.env.SchedulingEnv`.  What lives
+here is what wins *in batches* — kernels that advance or render many
+same-graph states per NumPy call — and the dense data they run on:
 
 * :class:`GraphArrays` — a :class:`~repro.dag.graph.TaskGraph` compiled to
   CSR adjacency (``child_indptr``/``child_indices``) plus flat duration /
   demand / indegree vectors, with the Sec. III-D graph features (b-level,
   t-level, b-load) computed as level-bucketed NumPy segment sweeps rather
   than per-node recursion.
-* :class:`ArrayClusterState` — capacity/free vectors and a dense
-  finish-time vector with a vectorized event sweep in place of the
-  running-task heap.
-* :class:`ArraySchedulingEnv` — a drop-in :class:`~repro.env.SchedulingEnv`
-  twin over those vectors: same actions, same rewards, same RNG stream,
-  bit-identical schedules (the Hypothesis equivalence suite pins this).
+* :func:`lane_snapshot` — ``B`` environment states copied into dense
+  matrices (free capacity, finish times, unmet-parent countdown, ready
+  queues): the one place an env state becomes kernel input.
 * :class:`BatchedPlayouts` — many random playouts advanced in NumPy
-  lockstep per call, the throughput mode batched MCTS builds on.
-* :func:`make_env` — the ``EnvConfig(backend="array"|"object")`` switch
-  every environment construction site routes through.
+  lockstep per call, the rollout kernel of batched MCTS
+  (``MctsConfig.rollout_batch``).
+* :class:`BatchObservationBuilder` / :func:`node_state_batch` — ``B``
+  states rendered into one observation matrix per call, the input of
+  batched policy evaluation (:class:`repro.rl.evaluator.PolicyEvaluator`).
 
-See DESIGN.md Sec. 15 for the array layout and the measured speedups.
+See DESIGN.md Sec. 15 for why there is no second environment, the lane
+format and the measurements.
 """
 
 from .batch import BatchedPlayouts, batch_random_playouts
-from .backend import available_backends, make_env
-from .cluster import ArrayClusterState
-from .env import ArraySchedulingEnv
 from .graphdata import GraphArrays, graph_arrays
-from .observation import BatchObservationBuilder
+from .lanes import LaneSnapshot, lane_snapshot
+from .observation import BatchObservationBuilder, node_state_batch
 
 __all__ = [
-    "ArrayClusterState",
-    "ArraySchedulingEnv",
     "BatchObservationBuilder",
     "BatchedPlayouts",
     "GraphArrays",
-    "available_backends",
+    "LaneSnapshot",
     "batch_random_playouts",
     "graph_arrays",
-    "make_env",
+    "lane_snapshot",
+    "node_state_batch",
 ]

@@ -31,14 +31,16 @@ determinism, and distributional agreement with sequential playouts.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..config import EnvConfig
+from ..env.scheduling_env import SchedulingEnv
 from ..errors import EnvironmentStateError
-from .cluster import INF
-from .env import ArraySchedulingEnv
-from .graphdata import GraphArrays
+from .graphdata import GraphArrays, graph_arrays
+from .lanes import INF, lane_snapshot
 
 __all__ = ["BatchedPlayouts", "batch_random_playouts"]
 
@@ -64,28 +66,27 @@ def _pack_layout(capacities: Sequence[int]) -> Optional[Tuple[List[int], List[in
 
 
 class BatchedPlayouts:
-    """Reusable lockstep playout kernel for one compiled graph.
+    """Reusable lockstep playout kernel for one graph under one config.
 
     Args:
-        arrays: the compiled graph every lane plays on.
-        capacities: cluster capacities (for the packed fit test).
-        until_completion: process-action granularity, as
-            ``EnvConfig.process_until_completion``.
-        max_ready: visibility window width, as ``EnvConfig.max_ready``.
+        graph_or_arrays: the job (or its compiled arrays) every lane plays.
+        config: the lanes' environment configuration — capacities (for
+            the packed fit test), process-action granularity and the
+            visibility window width are read from it, so the kernel
+            cannot disagree with its lanes.
     """
 
-    def __init__(
-        self,
-        arrays: GraphArrays,
-        capacities: Sequence[int],
-        *,
-        until_completion: bool = True,
-        max_ready: int = 15,
-    ) -> None:
+    def __init__(self, graph_or_arrays, config: EnvConfig) -> None:
+        arrays = (
+            graph_or_arrays
+            if isinstance(graph_or_arrays, GraphArrays)
+            else graph_arrays(graph_or_arrays)
+        )
         self.arrays = arrays
-        self.capacities = tuple(int(c) for c in capacities)
-        self.until_completion = until_completion
-        self.max_ready = max_ready
+        self.config = config
+        self.capacities = tuple(int(c) for c in config.cluster.capacities)
+        self.until_completion = config.process_until_completion
+        self.max_ready = config.max_ready
         n = arrays.num_tasks
         # Dense child adjacency for the vectorized indegree countdown:
         # released (B, N) @ adjacency (N, N) counts released parents per
@@ -129,33 +130,41 @@ class BatchedPlayouts:
         return (free_rows << self._shifts[None, :]).sum(axis=1) + self.guard
 
     def states_from_envs(
-        self, envs: Sequence[ArraySchedulingEnv]
+        self, envs: Sequence[SchedulingEnv]
     ) -> Tuple[np.ndarray, ...]:
-        """Stack the lanes' mutable state into batch matrices."""
+        """Stack the lanes' mutable state into batch matrices.
+
+        Returns ``(free, finish, now, unmet, seq, num_ready, pending,
+        fincount)``: the :func:`lane_snapshot` arrays plus ``seq`` — each
+        ready task's queue position (:data:`INF` when not ready) — and the
+        ``pending`` mask of tasks still waiting on a parent.
+        """
         n = self.arrays.num_tasks
         batch = len(envs)
-        free = np.stack([env.cluster.free for env in envs]).astype(np.int64)
-        finish = np.stack([env.cluster.finish for env in envs])
-        now = np.fromiter((env.cluster.now for env in envs), np.int64, batch)
-        unmet = np.asarray([env._unmet for env in envs], dtype=np.int64)
+        lanes = lane_snapshot(self.arrays, self.config, envs)
+        num_ready = np.fromiter(map(len, lanes.ready), np.int64, batch)
+        total = int(num_ready.sum())
         seq = np.full((batch, n), INF, dtype=np.int64)
-        counter = np.zeros(batch, dtype=np.int64)
-        pending = np.ones((batch, n), dtype=bool)
-        fincount = np.zeros(batch, dtype=np.int64)
-        for b, env in enumerate(envs):
-            for position, index in enumerate(env._ready):
-                seq[b, index] = position
-            counter[b] = len(env._ready)
-            fincount[b] = len(env._finished)
-            for index in env._finished:
-                pending[b, index] = False
-        pending &= seq == INF
-        pending &= finish == INF
-        return free, finish, now, unmet, seq, counter, pending, fincount
+        if total:
+            queue_starts = np.cumsum(num_ready) - num_ready
+            seq[
+                np.repeat(np.arange(batch), num_ready),
+                np.fromiter(chain.from_iterable(lanes.ready), np.int64, total),
+            ] = np.arange(total) - np.repeat(queue_starts, num_ready)
+        return (
+            lanes.free,
+            lanes.finish,
+            lanes.now,
+            lanes.unmet,
+            seq,
+            num_ready,
+            lanes.unmet > 0,
+            lanes.num_finished,
+        )
 
     def run(
         self,
-        envs: Sequence[ArraySchedulingEnv],
+        envs: Sequence[SchedulingEnv],
         rng: np.random.Generator,
         limit: int,
         record_starts: bool = False,
@@ -167,7 +176,8 @@ class BatchedPlayouts:
         clones in and keeps them).
 
         Args:
-            envs: lanes, all over this kernel's graph.
+            envs: lanes, all over this kernel's graph and config; none
+                at all returns empty results.
             rng: shared generator; one ``(B,)`` uniform draw per iteration.
             limit: per-lane decision cap; exceeding it raises
                 ``RuntimeError`` (a livelocked rollout is a bug).
@@ -179,15 +189,14 @@ class BatchedPlayouts:
         Returns:
             ``(makespans, starts)`` with ``starts`` ``None`` unless
             requested.
+
+        Raises:
+            EnvironmentStateError: if a lane runs another graph or
+                another ``EnvConfig`` than this kernel's.
         """
         arrays = self.arrays
         n = arrays.num_tasks
         batch = len(envs)
-        for env in envs:
-            if env.arrays is not arrays:
-                raise EnvironmentStateError(
-                    "batched playout lanes must share one compiled graph"
-                )
         demands = arrays.demands
         durations = arrays.durations
         demands_packed = self.demands_packed
@@ -198,7 +207,7 @@ class BatchedPlayouts:
         adjacency = self.adjacency
         window = self.max_ready
         until_completion = self.until_completion
-        free, finish, now, unmet, seq, _counter, pending, fincount = (
+        free, finish, now, unmet, seq, num_ready, pending, fincount = (
             self.states_from_envs(envs)
         )
         # Countdowns and counters as float64: the per-iteration updates are
@@ -214,14 +223,11 @@ class BatchedPlayouts:
         makespans = now.copy()
         alive = fincount != n
         num_alive = int(alive.sum())
-        num_ready = np.fromiter(
-            (len(env._ready) for env in envs), np.int64, batch
-        )
         # Arrival stamps for tasks becoming ready mid-run: ``event * n +
         # index`` is strictly larger than any initial queue position
         # (< n), groups stamps by completion event, and orders ascending
-        # index within one event — the same queue ordering as the object
-        # backend, without a per-iteration cumsum.
+        # index within one event — the same queue ordering as the scalar
+        # environment, without a per-iteration cumsum.
         event = np.ones(batch, dtype=np.int64)
         # Row map back to the caller's lanes: finished lanes are compacted
         # away mid-run, so row ``i`` of the working arrays is the caller's
@@ -295,7 +301,7 @@ class BatchedPlayouts:
                 newly_rows, newly_cols = np.nonzero(newly)
                 if newly_rows.size:
                     # Arrival stamps within one completion follow ascending
-                    # index order — the object backend's sorted-id order.
+                    # index order — the scalar environment's sorted-id order.
                     seq[newly_rows, newly_cols] = event[newly_rows] * n + newly_cols
                     num_ready += newly.sum(axis=1)
                     pending[newly_rows, newly_cols] = False
@@ -330,23 +336,17 @@ class BatchedPlayouts:
 
 
 def batch_random_playouts(
-    envs: Sequence[ArraySchedulingEnv],
+    envs: Sequence[SchedulingEnv],
     rng: np.random.Generator,
     limit: int,
 ) -> List[int]:
     """Convenience wrapper: lockstep-play ``envs`` and return makespans.
 
     Builds a throwaway :class:`BatchedPlayouts` kernel from the first
-    lane's configuration (all lanes must share one graph).
+    lane's graph and configuration (which all lanes must share).
     """
     if not envs:
         return []
-    first = envs[0]
-    kernel = BatchedPlayouts(
-        first.arrays,
-        first.config.cluster.capacities,
-        until_completion=first.config.process_until_completion,
-        max_ready=first.config.max_ready,
-    )
+    kernel = BatchedPlayouts(envs[0].graph, envs[0].config)
     makespans, _starts = kernel.run(envs, rng, limit)
     return [int(m) for m in makespans]

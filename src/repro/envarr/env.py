@@ -1,558 +1,9 @@
-"""Array-backed scheduling environment — a :class:`SchedulingEnv` twin.
+"""Import-path alias only: ``perfbench/trace.py`` TARGETS (frozen for this
+change) still name ``repro.envarr.env:ArraySchedulingEnv``.  Delete this
+module together with those entries; nothing in ``repro`` uses it."""
 
-:class:`ArraySchedulingEnv` re-implements the MDP of
-:class:`repro.env.SchedulingEnv` over :class:`GraphArrays` +
-:class:`ArrayClusterState`: dense indices instead of task ids internally,
-a finish-time vector instead of a running heap, and list-free fit masks.
-The external surface — actions, rewards, queries, exceptions, the RNG
-stream of :meth:`random_playout` — is bit-identical to the object backend;
-the Hypothesis equivalence suite (tests/unit/envarr/) compares schedules,
-makespans, action masks and generator states across backends.
+from ..env.scheduling_env import SchedulingEnv
 
-Because the dense index order equals the task-id order (see
-:mod:`repro.envarr.graphdata`), every id tie-break in the object backend
-(ready-queue arrival order, completion order) is reproduced by the
-corresponding index tie-break here; ids only appear at the query boundary.
-"""
+__all__ = ["ArraySchedulingEnv"]
 
-from __future__ import annotations
-
-from typing import Dict, List, Optional, Tuple
-
-from ..cluster.resources import validate_demands
-from ..config import EnvConfig
-from ..dag.graph import TaskGraph
-from ..env.actions import PROCESS, Action
-from ..env.scheduling_env import StepResult
-from ..errors import CapacityError, EnvironmentStateError
-from ..metrics.schedule import Schedule
-from ..telemetry import runtime as _telemetry
-from .cluster import INF, ArrayClusterState
-from .graphdata import GraphArrays, graph_arrays
-
-__all__ = ["ArraySchedulingEnv", "ArrayStepUndo"]
-
-
-class ArrayStepUndo:
-    """Undo record for one :meth:`ArraySchedulingEnv.apply` call.
-
-    Opaque to callers, LIFO-ordered, exactly like
-    :class:`repro.env.scheduling_env.StepUndo`.  A schedule step stores the
-    started dense index and its ready-queue position; a process step stores
-    the time delta, the released dense indices and the pre-step ready length
-    (released finish times are all ``now`` after the step, so they need not
-    be stored).
-    """
-
-    __slots__ = ("result", "index", "ready_index", "dt", "released", "ready_len")
-
-    def __init__(
-        self,
-        result: StepResult,
-        index: int = -1,
-        ready_index: int = 0,
-        dt: int = 0,
-        released: Optional[List[int]] = None,
-        ready_len: int = 0,
-    ) -> None:
-        self.result = result
-        self.index = index
-        self.ready_index = ready_index
-        self.dt = dt
-        self.released = released
-        self.ready_len = ready_len
-
-
-class ArraySchedulingEnv:
-    """Deterministic scheduling MDP over dense arrays.
-
-    Drop-in for :class:`repro.env.SchedulingEnv` (construct through
-    :func:`repro.envarr.make_env` or ``EnvConfig(backend="array")``).
-    """
-
-    def __init__(self, graph: TaskGraph, config: EnvConfig | None = None) -> None:
-        self.graph = graph
-        self.config = config if config is not None else EnvConfig()
-        capacities = self.config.cluster.capacities
-        if len(capacities) != graph.num_resources:
-            raise EnvironmentStateError(
-                f"cluster has {len(capacities)} resource dims, graph has "
-                f"{graph.num_resources}"
-            )
-        for task in graph:
-            validate_demands(task.demands, capacities, label=task.label())
-        self.arrays: GraphArrays = graph_arrays(graph)
-        self._num_tasks: int = graph.num_tasks
-        # One immutable StepResult per task (dense-indexed), shared across
-        # clones — mirrors the object backend's schedule-result table.
-        self._sched_results: List[StepResult] = [
-            StepResult(0, False, (), tid) for tid in self.arrays.ids_list
-        ]
-        self.reset()
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-
-    def reset(self) -> None:
-        """Return the environment to the initial state of the episode."""
-        arrays = self.arrays
-        self._max_ready: int = self.config.max_ready
-        self._until_completion: bool = self.config.process_until_completion
-        self._verify_terminal: bool = self.config.verify_terminal
-        self.cluster = ArrayClusterState(arrays, self.config.cluster.capacities)
-        self._unmet: List[int] = [int(d) for d in arrays.indegree]
-        # Ready queue of dense indices in arrival order; index order equals
-        # id order, so the initial queue matches the object backend's
-        # topological-order seeding.
-        self._ready: List[int] = [
-            int(i) for i in arrays.topo if self._unmet[int(i)] == 0
-        ]
-        self._finished: set[int] = set()
-        self._starts: Dict[int, int] = {}
-        self.steps_taken: int = 0
-        self.undos_taken: int = 0
-        self.clones_made: int = 0
-        self._version: int = 0
-        self._actions_cache: List[Action] = []
-        self._actions_version: int = -1
-
-    # ------------------------------------------------------------------ #
-    # queries
-    # ------------------------------------------------------------------ #
-
-    @property
-    def done(self) -> bool:
-        """True iff every task in the graph has finished."""
-        return len(self._finished) == self._num_tasks
-
-    @property
-    def now(self) -> int:
-        """Current simulation time (slots)."""
-        return self.cluster.now
-
-    @property
-    def makespan(self) -> int:
-        """Completion time of the job; only meaningful once :attr:`done`."""
-        if not self.done:
-            raise EnvironmentStateError("episode not finished")
-        return self.cluster.now
-
-    @property
-    def num_finished(self) -> int:
-        """Number of completed tasks."""
-        return len(self._finished)
-
-    @property
-    def backlog_size(self) -> int:
-        """Ready tasks hidden beyond the visibility window."""
-        return max(0, len(self._ready) - self.config.max_ready)
-
-    def visible_ready(self) -> List[int]:
-        """Task ids in the visibility window, in backlog arrival order."""
-        ids = self.arrays.ids_list
-        return [ids[i] for i in self._ready[: self._max_ready]]
-
-    def all_ready(self) -> List[int]:
-        """All ready task ids (visible + backlog)."""
-        ids = self.arrays.ids_list
-        return [ids[i] for i in self._ready]
-
-    def running_ids(self) -> List[int]:
-        """Ids of currently running tasks in completion order."""
-        return self.cluster.running_ids()
-
-    def finished_ids(self) -> List[int]:
-        """Ids of completed tasks (sorted)."""
-        ids = self.arrays.ids_list
-        return [ids[i] for i in sorted(self._finished)]
-
-    def unfinished_ids(self) -> List[int]:
-        """Ids of tasks not yet completed (running, ready or pending)."""
-        ids = self.arrays.ids_list
-        finished = self._finished
-        return [ids[i] for i in range(self._num_tasks) if i not in finished]
-
-    def start_times(self) -> Dict[int, int]:
-        """Start slot of every task started so far (keyed by task id)."""
-        ids = self.arrays.ids_list
-        return {ids[i]: start for i, start in self._starts.items()}
-
-    def legal_actions(self) -> List[Action]:
-        """Actions valid in the current state (see the object backend)."""
-        if self._actions_version != self._version:
-            self._refresh_actions()
-        return list(self._actions_cache)
-
-    def _refresh_actions(self) -> None:
-        """Recompute the memoized legal-action list for the current state."""
-        actions: List[Action] = []
-        free = self.cluster.free.tolist()
-        demands_list = self.arrays.demands_list
-        append = actions.append
-        index = 0
-        for task_index in self._ready[: self._max_ready]:
-            for demand, avail in zip(demands_list[task_index], free):
-                if demand > avail:
-                    break
-            else:
-                append(index)
-            index += 1
-        if self.cluster._num_running:
-            append(PROCESS)
-        self._actions_cache = actions
-        self._actions_version = self._version
-
-    def action_mask(self) -> List[bool]:
-        """Legality mask over the fixed action space (see object backend)."""
-        mask = [False] * (self.config.max_ready + 1)
-        for action in self.legal_actions():
-            mask[action] = True  # PROCESS == -1 lands on the last entry
-        return mask
-
-    def expansion_actions(self, work_conserving: bool = True) -> List[Action]:
-        """Candidate actions for MCTS expansion (Sec. III-C filters)."""
-        if self._actions_version != self._version:
-            self._refresh_actions()
-        actions = self._actions_cache
-        if work_conserving and len(actions) > 1 and actions[-1] == PROCESS:
-            return actions[:-1]
-        return list(actions)
-
-    # ------------------------------------------------------------------ #
-    # dynamics
-    # ------------------------------------------------------------------ #
-
-    def step(self, action: Action) -> StepResult:
-        """Apply ``action``; identical dynamics to the object backend.
-
-        Raises:
-            EnvironmentStateError: on an illegal action (episode done,
-                index out of window, or PROCESS on an idle cluster).
-            CapacityError: if the chosen task does not fit.
-        """
-        finished = self._finished
-        if len(finished) == self._num_tasks:
-            raise EnvironmentStateError("episode already finished")
-        self.steps_taken += 1
-        if action == PROCESS:
-            cluster = self.cluster
-            if cluster._num_running == 0:
-                raise EnvironmentStateError("PROCESS on an idle cluster")
-            if self._until_completion:
-                dt, released = cluster.sweep()
-            else:
-                dt = 1
-                released = cluster.advance(1)
-            completed = self._on_completions(released)
-            self._version += 1
-            done = len(finished) == self._num_tasks
-            if done and self._verify_terminal:
-                self.verify_terminal_state()
-            return StepResult(-dt, done, completed)
-        index = self._checked_ready_index(action)
-        self._start_ready(index, action)
-        self._version += 1
-        return self._sched_results[index]
-
-    def apply(self, action: Action) -> ArrayStepUndo:
-        """Like :meth:`step`, but also return an undo record."""
-        if self.done:
-            raise EnvironmentStateError("episode already finished")
-        self.steps_taken += 1
-        if action == PROCESS:
-            cluster = self.cluster
-            if cluster._num_running == 0:
-                raise EnvironmentStateError("PROCESS on an idle cluster")
-            ready_len = len(self._ready)
-            if self._until_completion:
-                dt, released = cluster.sweep()
-            else:
-                dt = 1
-                released = cluster.advance(1)
-            completed = self._on_completions(released)
-            self._version += 1
-            done = len(self._finished) == self._num_tasks
-            if done and self._verify_terminal:
-                self.verify_terminal_state()
-            return ArrayStepUndo(
-                StepResult(-dt, done, completed),
-                dt=dt,
-                released=released,
-                ready_len=ready_len,
-            )
-        index = self._checked_ready_index(action)
-        self._start_ready(index, action)
-        self._version += 1
-        return ArrayStepUndo(
-            self._sched_results[index], index=index, ready_index=action
-        )
-
-    def undo(self, record: ArrayStepUndo) -> None:
-        """Revert one :meth:`apply` call (strict LIFO order)."""
-        cluster = self.cluster
-        index = record.index
-        if index >= 0:  # schedule step
-            cluster.release_index(index)
-            self._ready.insert(record.ready_index, index)
-            del self._starts[index]
-        else:  # process step
-            released = record.released or []
-            # Released finish times all equal the post-step ``now`` (the
-            # sweep jumps exactly to the earliest finish; in unit mode any
-            # earlier finish was released by a previous step).
-            cluster.reoccupy(released, [cluster.now] * len(released))
-            cluster.now -= record.dt
-            del self._ready[record.ready_len :]
-            unmet = self._unmet
-            finished = self._finished
-            children_list = self.arrays.children_list
-            for released_index in released:
-                finished.discard(released_index)
-                for child in children_list[released_index]:
-                    unmet[child] += 1
-        self.steps_taken -= 1
-        self.undos_taken += 1
-        self._version += 1
-
-    def _checked_ready_index(self, action: int) -> int:
-        """Validate a schedule action; return the dense task index."""
-        ready = self._ready
-        num_visible = len(ready)
-        if num_visible > self._max_ready:
-            num_visible = self._max_ready
-        if not 0 <= action < num_visible:
-            raise EnvironmentStateError(
-                f"schedule index {action} out of range (visible={num_visible})"
-            )
-        return ready[action]
-
-    def _start_ready(self, index: int, action: int) -> None:
-        """Fit-check and start dense ``index``, removing it from the queue."""
-        cluster = self.cluster
-        demands = self.arrays.demands_list[index]
-        free = cluster.free
-        for r, demand in enumerate(demands):
-            if demand > free[r]:
-                raise CapacityError(
-                    f"task {self.arrays.ids_list[index]}: demands {demands} "
-                    f"exceed free capacity {cluster.available}"
-                )
-        cluster.start_index(index)
-        del self._ready[action]
-        self._starts[index] = cluster.now
-
-    def _on_completions(self, released: List[int]) -> Tuple[int, ...]:
-        """Finish released indices; promote newly ready children."""
-        finished = self._finished
-        ready = self._ready
-        unmet = self._unmet
-        children_list = self.arrays.children_list
-        ids = self.arrays.ids_list
-        completed: List[int] = []
-        for index in released:
-            completed.append(ids[index])
-            finished.add(index)
-            newly_ready: List[int] = []
-            for child in children_list[index]:
-                remaining = unmet[child] - 1
-                unmet[child] = remaining
-                if remaining == 0:
-                    newly_ready.append(child)
-            if newly_ready:
-                # children_list rows are ascending, so arrival order within
-                # one completion is already the object backend's sorted-id
-                # order.
-                ready.extend(newly_ready)
-        return tuple(completed)
-
-    def random_playout(self, rng, limit: int) -> int:
-        """Uniformly random work-conserving playout; same RNG stream.
-
-        Draw-for-draw identical to the object backend's
-        :meth:`SchedulingEnv.random_playout` — ``integers(0, n)`` per
-        decision with fitting candidates, a dummy ``integers(0, 1)`` per
-        processing decision — so trajectories and final generator states
-        match bit-for-bit.  Internally the cluster arrays are unpacked into
-        flat Python locals for the loop and written back once at the end.
-
-        Raises:
-            RuntimeError: if ``limit`` steps do not finish the episode.
-        """
-        cluster = self.cluster
-        free: List[int] = cluster.free.tolist()
-        finish: List[int] = cluster.finish.tolist()
-        running: List[int] = cluster.running_indices()
-        now = cluster.now
-        ready = self._ready
-        finished = self._finished
-        starts = self._starts
-        unmet = self._unmet
-        arrays = self.arrays
-        demands_list = arrays.demands_list
-        durations_list = arrays.durations_list
-        children_list = arrays.children_list
-        num_tasks = self._num_tasks
-        max_ready = self._max_ready
-        until_completion = self._until_completion
-        two_dim = len(free) == 2
-        integers = rng.integers
-        steps = 0
-        while len(finished) != num_tasks:
-            if steps >= limit:
-                raise RuntimeError("rollout exceeded step limit; livelocked policy")
-            steps += 1
-            visible = ready if len(ready) <= max_ready else ready[:max_ready]
-            actions: List[int] = []
-            position = 0
-            if two_dim:
-                free0, free1 = free
-                for task_index in visible:
-                    demands = demands_list[task_index]
-                    if demands[0] <= free0 and demands[1] <= free1:
-                        actions.append(position)
-                    position += 1
-            else:
-                for task_index in visible:
-                    for demand, avail in zip(demands_list[task_index], free):
-                        if demand > avail:
-                            break
-                    else:
-                        actions.append(position)
-                    position += 1
-            n = len(actions)
-            if n:
-                chosen = actions[int(integers(0, n))]
-                task_index = ready[chosen]
-                for r, demand in enumerate(demands_list[task_index]):
-                    free[r] -= demand
-                finish[task_index] = now + durations_list[task_index]
-                running.append(task_index)
-                del ready[chosen]
-                starts[task_index] = now
-                continue
-            if not running:
-                raise EnvironmentStateError("no legal actions")
-            integers(0, 1)
-            if until_completion:
-                target = finish[running[0]]
-                for task_index in running:
-                    if finish[task_index] < target:
-                        target = finish[task_index]
-                now = target
-            else:
-                now += 1
-            released = sorted(i for i in running if finish[i] <= now)
-            for task_index in released:
-                for r, demand in enumerate(demands_list[task_index]):
-                    free[r] += demand
-                finish[task_index] = INF
-                running.remove(task_index)
-                finished.add(task_index)
-                newly_ready: List[int] = []
-                for child in children_list[task_index]:
-                    remaining = unmet[child] - 1
-                    unmet[child] = remaining
-                    if remaining == 0:
-                        newly_ready.append(child)
-                if newly_ready:
-                    ready.extend(newly_ready)
-        # Write the unpacked locals back into the cluster arrays.
-        cluster.free[:] = free
-        cluster.finish[:] = finish
-        cluster.now = now
-        cluster._num_running = len(running)
-        self.steps_taken += steps
-        self._version += steps
-        if self._verify_terminal:
-            self.verify_terminal_state()
-        return now
-
-    # ------------------------------------------------------------------ #
-    # copying / export
-    # ------------------------------------------------------------------ #
-
-    def clone(self) -> "ArraySchedulingEnv":
-        """Cheap independent copy sharing the compiled graph arrays."""
-        copy = ArraySchedulingEnv.__new__(ArraySchedulingEnv)
-        copy.graph = self.graph
-        copy.config = self.config
-        copy.arrays = self.arrays
-        copy.cluster = self.cluster.clone()
-        copy._unmet = list(self._unmet)
-        copy._ready = list(self._ready)
-        copy._finished = set(self._finished)
-        copy._starts = dict(self._starts)
-        copy.steps_taken = self.steps_taken
-        copy.undos_taken = self.undos_taken
-        copy.clones_made = 0
-        self.clones_made += 1
-        copy._max_ready = self._max_ready
-        copy._until_completion = self._until_completion
-        copy._verify_terminal = self._verify_terminal
-        copy._num_tasks = self._num_tasks
-        copy._sched_results = self._sched_results
-        copy._version = self._version
-        copy._actions_cache = self._actions_cache
-        copy._actions_version = self._actions_version
-        return copy
-
-    def signature(self) -> Tuple:
-        """Hashable snapshot, equal across backends for equal states."""
-        ids = self.arrays.ids_list
-        return (
-            self.cluster.signature(),
-            tuple(ids[i] for i in self._ready),
-            frozenset(ids[i] for i in self._finished),
-        )
-
-    def verify_terminal_state(self) -> None:
-        """Assert every schedule invariant on the finished episode."""
-        from ..analysis.verifier import verify_placements  # local: avoids a cycle
-
-        if not self.done:
-            raise EnvironmentStateError("episode not finished")
-        ids = self.arrays.ids_list
-        durations = self.arrays.durations_list
-        placements = [
-            (ids[i], start, start + durations[i])
-            for i, start in self._starts.items()
-        ]
-        report = verify_placements(
-            placements, self.graph, self.config.cluster.capacities
-        )
-        if not report.ok:
-            raise EnvironmentStateError(
-                "terminal state violates schedule invariants:\n"
-                + report.summary()
-            )
-
-    def to_schedule(self, scheduler: str = "unknown", wall_time: float = 0.0) -> Schedule:
-        """Export the finished episode as a :class:`Schedule` (telemetry flush)."""
-        if not self.done:
-            raise EnvironmentStateError("episode not finished")
-        tm = _telemetry.for_config(self.config.telemetry)
-        if tm.enabled:
-            tm.inc("env.episodes")
-            tm.inc("env.steps", self.steps_taken)
-            tm.inc("env.undos", self.undos_taken)
-            tm.inc("env.clones", self.clones_made)
-            tm.event(
-                "env.episode",
-                scheduler=scheduler,
-                makespan=self.cluster.now,
-                steps=self.steps_taken,
-                undos=self.undos_taken,
-                clones=self.clones_made,
-                tasks=self._num_tasks,
-            )
-        return Schedule.from_starts(
-            self.start_times(), self.graph, scheduler=scheduler, wall_time=wall_time
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"ArraySchedulingEnv(now={self.now}, ready={len(self._ready)}, "
-            f"running={self.cluster._num_running}, "
-            f"finished={len(self._finished)}/{self._num_tasks})"
-        )
+ArraySchedulingEnv = SchedulingEnv

@@ -6,9 +6,9 @@ task — duration, demand vector, children, parents — and they need them by
 dense index, not by id.  :class:`GraphArrays` compiles a graph once into:
 
 * ``ids`` — sorted task ids; dense index ``i`` ↔ id ``ids[i]``.  Because
-  the dense order is the id order, every id-based tie-break in the object
-  backend (sorted newly-ready appends, completion order) is reproduced by
-  the corresponding index-based tie-break here.
+  the dense order is the id order, every id-based tie-break of the
+  environment (sorted newly-ready appends, completion order) is reproduced
+  by the corresponding index-based tie-break in the batched kernels.
 * CSR adjacency — ``child_indptr``/``child_indices`` (and the parent
   mirror), indices ascending within each row.
 * flat vectors — ``durations``, ``demands`` ``(N, R)``, ``indegree``.
@@ -24,7 +24,7 @@ as the feature cache in :mod:`repro.dag.features`).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -86,10 +86,6 @@ class GraphArrays:
         "num_children",
         "b_load",
         "critical_path",
-        "durations_list",
-        "demands_list",
-        "children_list",
-        "ids_list",
     )
 
     def __init__(self, graph: TaskGraph) -> None:
@@ -143,23 +139,6 @@ class GraphArrays:
         )
 
         self._compute_features()
-
-        # Python mirrors for the sequential per-step kernels: C-speed list
-        # indexing beats NumPy scalar indexing at these sizes.
-        self.ids_list: List[int] = list(ids)
-        self.durations_list: List[int] = [int(d) for d in self.durations]
-        self.demands_list: List[Tuple[int, ...]] = [
-            tuple(int(d) for d in row) for row in demands
-        ]
-        self.children_list: List[Tuple[int, ...]] = [
-            tuple(
-                int(c)
-                for c in self.child_indices[
-                    self.child_indptr[i] : self.child_indptr[i + 1]
-                ]
-            )
-            for i in range(n)
-        ]
 
     # ------------------------------------------------------------------ #
 

@@ -1,4 +1,4 @@
-"""Batched observation building over the array backend.
+"""Batched observation building over dense lanes.
 
 :class:`BatchObservationBuilder` renders ``B`` environment states into one
 ``(B, size)`` float matrix per call — the input layout batched policy /
@@ -7,8 +7,9 @@ value networks consume (ROADMAP item 3) — instead of ``B`` separate
 precomputed once as an ``(N, per_task)`` matrix from :class:`GraphArrays`'
 vectorized features, so filling the ready block is a gather; the cluster
 image is accumulated with one ``np.add.at`` scatter over all lanes'
-running tasks.  Row ``b`` of the output is element-wise identical to the
-object builder's vector for the same state (pinned by the unit tests).
+running tasks.  Row ``b`` of the output is element-wise identical to
+:meth:`ObservationBuilder.build` for the same state (pinned by the unit
+tests).
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import numpy as np
 
 from ..config import EnvConfig
 from ..env.observation import observation_size
-from .cluster import INF
-from .env import ArraySchedulingEnv
+from ..env.scheduling_env import SchedulingEnv
 from .graphdata import GraphArrays, graph_arrays
+from .lanes import INF, lane_snapshot
 
 __all__ = ["BatchObservationBuilder", "task_feature_table", "node_state_batch"]
 
@@ -64,9 +65,9 @@ def task_feature_table(arrays: GraphArrays, config: EnvConfig) -> np.ndarray:
 def node_state_batch(
     arrays: GraphArrays,
     config: EnvConfig,
-    envs: Sequence[ArraySchedulingEnv],
+    envs: Sequence[SchedulingEnv],
 ):
-    """Dynamic per-node state for ``B`` array-backend lanes at once.
+    """Dynamic per-node state for ``B`` same-graph environments at once.
 
     Returns ``(node_states, globals_vec, ready_lists)``:
 
@@ -78,7 +79,7 @@ def node_state_batch(
     * ``ready_lists`` — each lane's visible ready window as dense task
       indices, in slot order (the graph policy's action layout).
 
-    The object-backend equivalent is
+    The single-state equivalent is
     :meth:`repro.rl.gnn.GraphObservationBuilder.build`; lane ``b`` here
     matches it element-for-element (pinned by the unit tests).
     """
@@ -94,25 +95,25 @@ def node_state_batch(
     globals_vec = np.empty(
         (batch, resources + GLOBAL_EXTRA_CHANNELS), dtype=np.float64
     )
-    ready_lists = []
-    finish = np.stack([env.cluster.finish for env in envs])
-    now = np.fromiter((env.cluster.now for env in envs), np.int64, batch)
+    lanes = lane_snapshot(arrays, config, envs)
+    finish = lanes.finish
+    now = lanes.now
     running = finish != INF
-    remaining = np.where(running, finish - now[:, None], 0)
     node_states[:, :, 2] = running
-    node_states[:, :, 4] = remaining / max_runtime
-    for b, env in enumerate(envs):
-        ready = env._ready
+    node_states[:, :, 4] = np.where(running, finish - now[:, None], 0) / max_runtime
+    # Neither waiting on a parent, nor running, nor (below) ready: finished.
+    node_states[:, :, 3] = (lanes.unmet == 0) & ~running
+    ready_lists = []
+    for b, ready in enumerate(lanes.ready):
         visible = ready[:max_ready]
-        ready_lists.append(list(visible))
+        ready_lists.append(visible)
         node_states[b, visible, 0] = 1.0
         node_states[b, ready, 1] = 1.0
-        if env._finished:
-            node_states[b, list(env._finished), 3] = 1.0
-        globals_vec[b, :resources] = env.cluster.free / capacities
-        globals_vec[b, resources] = env.num_finished / n
-        globals_vec[b, resources + 1] = env.backlog_size / max(1, n)
-        globals_vec[b, resources + 2] = now[b] / critical_path
+        node_states[b, ready, 3] = 0.0
+        globals_vec[b, resources + 1] = max(0, len(ready) - max_ready) / max(1, n)
+    globals_vec[:, :resources] = lanes.free / capacities
+    globals_vec[:, resources] = lanes.num_finished / n
+    globals_vec[:, resources + 2] = now / critical_path
     return node_states, globals_vec, ready_lists
 
 
@@ -142,7 +143,7 @@ class BatchObservationBuilder:
 
     # ------------------------------------------------------------------ #
 
-    def build_batch(self, envs: Sequence[ArraySchedulingEnv]) -> np.ndarray:
+    def build_batch(self, envs: Sequence[SchedulingEnv]) -> np.ndarray:
         """Render every env into one ``(B, size)`` observation matrix."""
         arrays = self.arrays
         batch = len(envs)
@@ -156,9 +157,9 @@ class BatchObservationBuilder:
         # time-axis prefix sum of a sparse difference array — two scatters
         # (one add at column 0, one subtract at column ``remaining``) and
         # one cumsum cover all lanes at once.
-        finish = np.stack([env.cluster.finish for env in envs])
-        now = np.fromiter((env.cluster.now for env in envs), np.int64, batch)
-        remaining = np.clip(finish - now[:, None], 0, horizon)
+        state = lane_snapshot(arrays, self.config, envs, with_unmet=False)
+        finish = state.finish
+        remaining = np.clip(finish - state.now[:, None], 0, horizon)
         remaining[finish == INF] = 0
         lanes, tasks = np.nonzero(remaining > 0)
         diff = np.zeros((batch, resources, horizon + 1), dtype=np.float64)
@@ -177,13 +178,12 @@ class BatchObservationBuilder:
         # table (empty slots stay zero).
         block = np.zeros((batch, max_ready, self._per_task), dtype=np.float64)
         backlog = np.zeros(batch, dtype=np.float64)
-        finished = np.zeros(batch, dtype=np.float64)
-        for b, env in enumerate(envs):
-            visible = env._ready[:max_ready]
+        for b, ready in enumerate(state.ready):
+            visible = ready[:max_ready]
             if visible:
                 block[b, : len(visible)] = self._task_table[visible]
-            backlog[b] = env.backlog_size / max(1, n)
-            finished[b] = env.num_finished / n
+            backlog[b] = max(0, len(ready) - max_ready) / max(1, n)
+        finished = state.num_finished / n
         out = np.concatenate(
             [
                 image.reshape(batch, -1),
@@ -199,6 +199,6 @@ class BatchObservationBuilder:
             )
         return out
 
-    def build(self, env: ArraySchedulingEnv) -> np.ndarray:
+    def build(self, env: SchedulingEnv) -> np.ndarray:
         """Single-state convenience: row 0 of a one-lane batch."""
         return self.build_batch([env])[0]

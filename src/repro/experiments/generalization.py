@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..config import EnvConfig, GnnConfig, TrainingConfig, WorkloadConfig
 from ..dag.generators import random_layered_dag
 from ..dag.graph import TaskGraph
-from ..envarr.backend import make_env
+from ..env.scheduling_env import SchedulingEnv
 from ..metrics.comparison import ComparisonRow, compare_makespans
 from ..schedulers.base import ScheduleRequest
 from ..schedulers.registry import make_scheduler
@@ -99,7 +99,7 @@ class GeneralizationResult:
 
 
 def _greedy_makespan(policy, graph: TaskGraph, env_config: EnvConfig) -> int:
-    env = make_env(graph, env_config)
+    env = SchedulingEnv(graph, env_config)
     while not env.done:
         env.step(policy.select(env))
     return env.makespan
@@ -135,7 +135,7 @@ def generalization_study(
     from ..rl.agent import NetworkPolicy
     from ..rl.gnn import GraphNetworkPolicy
 
-    env_config = EnvConfig(process_until_completion=True, backend="array")
+    env_config = EnvConfig(process_until_completion=True)
     training = TrainingConfig(
         num_examples=8,
         example_num_tasks=train_tasks,

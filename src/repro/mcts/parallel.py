@@ -91,9 +91,8 @@ class RootParallelMcts(Scheduler):
         :class:`MctsScheduler` honours it: the request's cluster snapshot
         resolves the planning capacities, and every worker searches
         against them.  Workers inherit the full search/env configuration —
-        including ``EnvConfig.backend`` and ``MctsConfig.rollout_batch``,
-        so each process runs the array backend's batched-leaf search under
-        virtual loss when those are set.
+        including ``MctsConfig.rollout_batch``, so each worker runs the
+        batched-leaf search under virtual loss when that is set.
 
         With telemetry active, wraps the fan-out in one
         ``mcts.parallel_schedule`` span and emits an ``mcts.worker``

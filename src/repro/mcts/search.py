@@ -27,7 +27,6 @@ from typing import List, Optional
 from ..config import EnvConfig, MctsConfig
 from ..dag.graph import TaskGraph
 from ..env.scheduling_env import SchedulingEnv
-from ..envarr.backend import AnyEnv, make_env
 from ..envarr.batch import BatchedPlayouts
 from ..errors import ConfigError
 from ..metrics.schedule import Schedule
@@ -93,6 +92,16 @@ class MctsScheduler(Scheduler):
         rng = as_generator(seed)
         self.expansion = expansion if expansion is not None else RandomExpansion(rng)
         self.rollout = rollout if rollout is not None else RandomRollout(rng)
+        if self.config.rollout_batch > 1 and not (
+            isinstance(self.rollout, RandomRollout)
+            or hasattr(self.rollout, "rollout_many")
+        ):
+            raise ConfigError(
+                f"rollout_batch={self.config.rollout_batch} needs a rollout "
+                f"policy that plays many leaves per call (RandomRollout, or "
+                f"one with rollout_many); {type(self.rollout).__name__} "
+                f"cannot — use rollout_batch=1"
+            )
         #: Policy network whose batched evaluation sets leaf priors in
         #: batched mode (``config.leaf_policy="auto"``); ``None`` keeps
         #: leaf ordering with the expansion policy.
@@ -139,7 +148,7 @@ class MctsScheduler(Scheduler):
             state_restore=self.config.state_restore,
             scheduler=self.name,
         ) as search_span:
-            env = make_env(graph, env_config)
+            env = SchedulingEnv(graph, env_config)
             exploration = self._exploration_constant(graph, stats, env_config)
             # Batched leaf evaluation: collect ``rollout_batch`` leaves
             # under virtual loss, then play all their rollouts in one
@@ -147,30 +156,17 @@ class MctsScheduler(Scheduler):
             # policy (the kernel implements exactly that policy), or the
             # rollout policy's own ``rollout_many`` (network rollouts
             # amortize their forward passes across the wave the same
-            # way).  Requires the array backend; any other combination
-            # falls back to the sequential one-leaf-one-rollout loop.
-            # Batched collection always works on clone-mode nodes (leaf
-            # lanes must be materialized environments), so it overrides
-            # ``state_restore="undo"``.
-            random_rollout = isinstance(self.rollout, RandomRollout)
-            batched = (
-                self.config.rollout_batch > 1
-                and env_config.backend == "array"
-                and (random_rollout or hasattr(self.rollout, "rollout_many"))
-            )
-            if batched:
-                undo_mode = False
+            # way).  Batched collection always works on clone-mode nodes
+            # (leaf lanes must be materialized environments), so it
+            # overrides ``state_restore="undo"``.
+            batched = self.config.rollout_batch > 1
             kernel: Optional[BatchedPlayouts] = None
             evaluator = None
             rollout_limit = 0
             if batched:
-                if random_rollout:
-                    kernel = BatchedPlayouts(
-                        env.arrays,
-                        env_config.cluster.capacities,
-                        until_completion=env_config.process_until_completion,
-                        max_ready=env_config.max_ready,
-                    )
+                undo_mode = False
+                if isinstance(self.rollout, RandomRollout):
+                    kernel = BatchedPlayouts(graph, env_config)
                 rollout_limit = self.rollout._step_limit(env)
                 if (
                     self.leaf_network is not None
@@ -181,7 +177,7 @@ class MctsScheduler(Scheduler):
                     evaluator = PolicyEvaluator(
                         self.leaf_network,
                         env_config,
-                        env.arrays,
+                        graph,
                         work_conserving=self.config.use_expansion_filters,
                     )
             root = Node(
@@ -256,7 +252,7 @@ class MctsScheduler(Scheduler):
 
     # ------------------------------------------------------------------ #
 
-    def _candidates(self, env: AnyEnv) -> List[int]:
+    def _candidates(self, env: SchedulingEnv) -> List[int]:
         """Expansion candidates after the (configurable) Sec. III-C filters."""
         actions = env.expansion_actions(
             work_conserving=self.config.use_expansion_filters
@@ -274,7 +270,7 @@ class MctsScheduler(Scheduler):
     ) -> float:
         """Scale ``c`` to the instance: greedy-packing makespan estimate
         times the configured multiplier (Sec. IV)."""
-        probe = make_env(
+        probe = SchedulingEnv(
             graph, env_config if env_config is not None else self.env_config
         )
         estimate = GreedyRollout().rollout(probe)
@@ -283,7 +279,7 @@ class MctsScheduler(Scheduler):
     def _iterate_undo(
         self,
         root: Node,
-        env: AnyEnv,
+        env: SchedulingEnv,
         exploration: float,
         stats: SearchStatistics,
     ) -> None:
@@ -370,7 +366,7 @@ class MctsScheduler(Scheduler):
         while spent < budget:
             want = min(self.config.rollout_batch, budget - spent)
             leaves: List[Node] = []
-            lanes: List[AnyEnv] = []
+            lanes: List[SchedulingEnv] = []
             while want > 0:
                 taken = self._collect_wave(
                     root, exploration, want, leaves, lanes, stats
@@ -403,7 +399,7 @@ class MctsScheduler(Scheduler):
         exploration: float,
         want: int,
         leaves: List[Node],
-        lanes: List[AnyEnv],
+        lanes: List[SchedulingEnv],
         stats: SearchStatistics,
     ) -> int:
         """One virtual-loss descent collecting up to ``want`` leaves.

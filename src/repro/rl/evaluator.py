@@ -56,9 +56,8 @@ class PolicyEvaluator:
             match the search's expansion-filter setting so the evaluator
             scores exactly the candidate set the tree expands.
 
-    The batch paths read array-backend internals, so evaluated
-    environments must be :class:`~repro.envarr.env.ArraySchedulingEnv`
-    lanes (batched MCTS guarantees this).
+    Evaluated environments must run this evaluator's graph under its
+    ``env_config`` (:func:`repro.envarr.lane_snapshot` rejects others).
     """
 
     def __init__(

@@ -91,7 +91,7 @@ def build_graph_action_mask(env, work_conserving: bool = True) -> np.ndarray:
 
 
 class GraphObservationBuilder:
-    """Featurize environment states (either backend) for the graph policy.
+    """Featurize one environment state at a time for the graph policy.
 
     Args:
         graph_or_arrays: the job (or its compiled arrays).
@@ -115,7 +115,7 @@ class GraphObservationBuilder:
         self._critical_path = max(1, arrays.critical_path)
 
     def build(self, env) -> GraphObservation:
-        """Render one state; works on the object and array backends."""
+        """Render one state (the batched form is ``node_state_batch``)."""
         arrays = self.arrays
         index_of = arrays.index_of
         n = arrays.num_tasks

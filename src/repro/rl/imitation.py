@@ -28,7 +28,7 @@ from ..config import EnvConfig, TrainingConfig
 from ..dag.graph import TaskGraph
 from ..env.actions import PROCESS
 from ..env.observation import ObservationBuilder
-from ..envarr.backend import make_env
+from ..env.scheduling_env import SchedulingEnv
 from ..errors import ConfigError, EnvironmentStateError
 from ..schedulers.base import Policy
 from ..schedulers.policies import CriticalPathPolicy
@@ -105,7 +105,7 @@ class ImitationTrainer(TrainerBase):
         actions: List[int] = []
         process_index = self.network.num_actions - 1
         for graph in graphs:
-            env = make_env(graph, self.env_config)
+            env = SchedulingEnv(graph, self.env_config)
             builder = ObservationBuilder(graph, self.env_config)
             teacher = self.teacher_factory()
             teacher.begin_episode(env)
@@ -140,7 +140,7 @@ class ImitationTrainer(TrainerBase):
         observer = self.network.make_policy(mode="greedy", work_conserving=False)
         records: List[Step] = []
         for graph in graphs:
-            env = make_env(graph, self.env_config)
+            env = SchedulingEnv(graph, self.env_config)
             observer.begin_episode(env)
             teacher = self.teacher_factory()
             teacher.begin_episode(env)

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..config import EnvConfig, TrainingConfig
 from ..dag.graph import TaskGraph
-from ..envarr.backend import make_env
+from ..env.scheduling_env import SchedulingEnv
 from ..telemetry import runtime as _telemetry
 from ..telemetry.config import TelemetryConfig
 from ..telemetry.sinks import stderr_line
@@ -136,7 +136,7 @@ class Trainer(TrainerBase, abc.ABC):
         children = spawn(self._rng, self.training.rollouts_per_example)
         trajectories = []
         for child in children:
-            env = make_env(graph, self.env_config)
+            env = SchedulingEnv(graph, self.env_config)
             policy = self.make_policy("sample", seed=child)
             trajectories.append(
                 rollout_trajectory(env, policy, self.training.max_episode_steps)
@@ -268,7 +268,7 @@ class Trainer(TrainerBase, abc.ABC):
         """Makespan of the current policy on each graph (greedy by default)."""
         results = []
         for graph in graphs:
-            env = make_env(graph, self.env_config)
+            env = SchedulingEnv(graph, self.env_config)
             mode = "greedy" if greedy else "sample"
             policy = self.make_policy(mode, seed=self._rng)
             trajectory = rollout_trajectory(

@@ -15,7 +15,7 @@ import numpy as np
 from ..config import EnvConfig
 from ..dag.graph import TaskGraph
 from ..env.observation import ObservationBuilder
-from ..envarr.backend import make_env
+from ..env.scheduling_env import SchedulingEnv
 from ..errors import EnvironmentStateError
 from ..schedulers.base import Policy
 from .value_network import ValueNetwork
@@ -50,7 +50,7 @@ def collect_value_dataset(
     for graph in graphs:
         builder = ObservationBuilder(graph, env_config)
         for _ in range(episodes_per_graph):
-            env = make_env(graph, env_config)
+            env = SchedulingEnv(graph, env_config)
             policy: Policy = policy_factory()
             policy.begin_episode(env)
             first = len(states)

@@ -41,7 +41,6 @@ from ..config import EnvConfig
 from ..dag.graph import TaskGraph
 from ..env.actions import Action
 from ..env.scheduling_env import SchedulingEnv
-from ..envarr.backend import AnyEnv, make_env
 from ..errors import ConfigError, EnvironmentStateError
 from ..metrics.schedule import Schedule
 from ..utils.timing import Stopwatch
@@ -244,7 +243,7 @@ class SchedulerWrapper(Scheduler):
 
 
 def run_policy(
-    env: AnyEnv,
+    env: SchedulingEnv,
     policy: Policy,
     max_steps: Optional[int] = None,
 ) -> Schedule:
@@ -329,7 +328,7 @@ class PolicyScheduler(Scheduler):
         self.name = name if name is not None else policy_factory().name
 
     def plan(self, request: ScheduleRequest) -> Schedule:
-        env = make_env(request.graph, _planning_config(self._config, request))
+        env = SchedulingEnv(request.graph, _planning_config(self._config, request))
         policy = self._factory()
         schedule = run_policy(env, policy)
         return Schedule(

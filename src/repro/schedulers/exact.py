@@ -26,7 +26,6 @@ from ..dag.features import compute_features
 from ..dag.graph import TaskGraph
 from ..env.actions import PROCESS
 from ..env.scheduling_env import SchedulingEnv
-from ..envarr.backend import make_env
 from ..errors import ScheduleError
 from ..metrics.schedule import Schedule
 from ..utils.timing import Stopwatch
@@ -77,7 +76,7 @@ class BranchAndBoundScheduler(Scheduler):
             for r in range(graph.num_resources)
         }
 
-        root = make_env(graph, self.env_config)
+        root = SchedulingEnv(graph, self.env_config)
         best_makespan = math.inf
         best_starts: Optional[Dict[int, int]] = None
         seen: Dict[Tuple, int] = {}

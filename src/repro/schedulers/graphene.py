@@ -35,7 +35,7 @@ from ..cluster.timeline import ResourceTimeSpace
 from ..config import EnvConfig, GrapheneConfig
 from ..dag.analysis import makespan_lower_bound
 from ..dag.graph import TaskGraph
-from ..envarr.backend import make_env
+from ..env.scheduling_env import SchedulingEnv
 from ..metrics.schedule import Schedule
 from ..utils.timing import Stopwatch
 from .base import Scheduler, run_policy
@@ -201,7 +201,7 @@ class GrapheneScheduler(Scheduler):
         best: Optional[Schedule] = None
         with watch:
             for plan in self.candidate_plans(graph):
-                env = make_env(graph, self.env_config)
+                env = SchedulingEnv(graph, self.env_config)
                 policy = PriorityListPolicy(plan.order, name=self.name)
                 candidate = run_policy(env, policy)
                 if best is None or candidate.makespan < best.makespan:

@@ -317,5 +317,7 @@ def for_config(config: Optional[TelemetryConfig]) -> TelemetryLike:
     pipeline = _per_config.get(config)
     if pipeline is None:
         pipeline = Telemetry(config)
-        _per_config[config] = pipeline
+        # A pool worker gets its own pipeline: worker-side episode counters
+        # stay in the worker (mcts/parallel.py reports from the parent).
+        _per_config[config] = pipeline  # repro: noqa[REP205] -- per-process memo
     return pipeline

@@ -12,10 +12,11 @@ decisions) of batched searches on three seeded 20-task layered DAGs:
   (pure MCTS and MLP-guided Spear).
 
 It was generated at the last commit that still had two environments,
-with ``EnvConfig(backend="array")`` — the only configuration in which
-``rollout_batch > 1`` batched there — and has never been regenerated:
-the one remaining environment must feed the batched kernels the same
-lanes, so every wave, every RNG draw and every plan is unchanged.
+by this script with ``EnvConfig(..., backend="array")`` — the only
+configuration in which ``rollout_batch > 1`` batched there — and has not
+been regenerated since: the one remaining environment must feed the
+batched kernels the same lanes, so every wave, every RNG draw and every
+plan is unchanged.
 
 Regenerate (only when an intentional behaviour change lands) with::
 
@@ -50,7 +51,7 @@ DEGRADED_SEARCHES = (("mcts", None, None), ("spear", "mlp", "auto"))
 def _env_config():
     from repro import EnvConfig
 
-    return EnvConfig(process_until_completion=True, backend="array")
+    return EnvConfig(process_until_completion=True)
 
 
 def _scheduler(kind: str, model, leaf_policy, seed: int):

@@ -5,8 +5,9 @@ import pytest
 
 from repro.config import ClusterConfig, EnvConfig, MctsConfig, WorkloadConfig
 from repro.dag import random_layered_dag
+from repro.env.scheduling_env import SchedulingEnv
 from repro.envarr.batch import BatchedPlayouts, batch_random_playouts
-from repro.envarr.env import ArraySchedulingEnv
+from repro.envarr.graphdata import graph_arrays
 from repro.errors import EnvironmentStateError
 from repro.utils.rng import as_generator
 
@@ -20,14 +21,13 @@ def make_config(until_completion=True):
     return EnvConfig(
         cluster=ClusterConfig(capacities=CAPS, horizon=8),
         process_until_completion=until_completion,
-        backend="array",
     )
 
 
 def make_lanes(seed, batch, until_completion=True, advance=0):
     graph = random_layered_dag(WORKLOAD, seed=seed)
     config = make_config(until_completion)
-    base = ArraySchedulingEnv(graph, config)
+    base = SchedulingEnv(graph, config)
     rng = as_generator(seed + 1)
     for _ in range(advance):
         if base.done:
@@ -35,13 +35,8 @@ def make_lanes(seed, batch, until_completion=True, advance=0):
         actions = base.legal_actions()
         base.step(actions[int(rng.integers(len(actions)))])
     lanes = [base.clone() for _ in range(batch)]
-    kernel = BatchedPlayouts(
-        base.arrays,
-        CAPS,
-        until_completion=until_completion,
-        max_ready=config.max_ready,
-    )
-    limit = 50 * (int(base.arrays.durations.sum()) + base.arrays.num_tasks)
+    kernel = BatchedPlayouts(graph, config)
+    limit = 50 * (int(kernel.arrays.durations.sum()) + graph.num_tasks)
     return base, lanes, kernel, limit
 
 
@@ -59,8 +54,8 @@ class TestBatchedPlayouts:
         assert [env.signature() for env in lanes] == before
 
     def test_recorded_starts_form_feasible_schedules(self):
-        base, lanes, kernel, limit = make_lanes(2, batch=9)
-        arrays = base.arrays
+        _, lanes, kernel, limit = make_lanes(2, batch=9)
+        arrays = kernel.arrays
         makespans, starts = kernel.run(
             lanes, as_generator(3), limit, record_starts=True
         )
@@ -97,11 +92,64 @@ class TestBatchedPlayouts:
 
     def test_foreign_lane_rejected(self):
         _, lanes, kernel, limit = make_lanes(5, batch=2)
-        other = ArraySchedulingEnv(
+        other = SchedulingEnv(
             random_layered_dag(WORKLOAD, seed=99), make_config()
         )
-        with pytest.raises(EnvironmentStateError):
-            kernel.run([other], as_generator(1), limit)
+        with pytest.raises(EnvironmentStateError, match="graph"):
+            kernel.run([lanes[0], other], as_generator(1), limit)
+
+    def test_same_shaped_graph_is_still_foreign(self):
+        """Equal ids and sizes are not enough: the kernel's adjacency is
+        one graph's, so lanes are matched by identity."""
+        base, _, kernel, limit = make_lanes(5, batch=1)
+        twin = SchedulingEnv(random_layered_dag(WORKLOAD, seed=5), base.config)
+        with pytest.raises(EnvironmentStateError, match="graph"):
+            kernel.run([twin], as_generator(1), limit)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"cluster": ClusterConfig(capacities=(40, 40), horizon=8)},
+            {"max_ready": 3},
+            {"process_until_completion": False},
+        ],
+        ids=["capacities", "max_ready", "granularity"],
+    )
+    def test_lane_under_another_config_rejected(self, change):
+        """A lane with other capacities used to overflow the packed fit
+        test's guard bits and be mis-played without an error."""
+        from dataclasses import replace
+
+        base, lanes, kernel, limit = make_lanes(5, batch=2)
+        stranger = SchedulingEnv(base.graph, replace(base.config, **change))
+        with pytest.raises(EnvironmentStateError, match="EnvConfig"):
+            kernel.run([lanes[0], stranger], as_generator(1), limit)
+
+    def test_equal_config_objects_are_accepted(self):
+        base, _, kernel, limit = make_lanes(5, batch=1)
+        lane = SchedulingEnv(base.graph, make_config())
+        assert lane.config is not kernel.config
+        makespans, _ = kernel.run([lane], as_generator(1), limit)
+        assert makespans.shape == (1,)
+
+    def test_zero_lanes_return_empty_results(self):
+        _, _, kernel, limit = make_lanes(5, batch=1)
+        makespans, starts = kernel.run([], as_generator(1), limit)
+        assert makespans.shape == (0,) and starts is None
+        makespans, starts = kernel.run(
+            [], as_generator(1), limit, record_starts=True
+        )
+        assert makespans.shape == (0,)
+        assert starts.shape == (0, kernel.arrays.num_tasks)
+        assert batch_random_playouts([], as_generator(1), limit) == []
+
+    def test_kernel_accepts_graph_or_compiled_arrays(self):
+        base, lanes, kernel, limit = make_lanes(6, batch=4)
+        compiled = BatchedPlayouts(graph_arrays(base.graph), base.config)
+        assert compiled.arrays is kernel.arrays
+        direct, _ = kernel.run(lanes, as_generator(2), limit)
+        again, _ = compiled.run(lanes, as_generator(2), limit)
+        assert np.array_equal(direct, again)
 
     def test_convenience_wrapper_matches_kernel(self):
         _, lanes, kernel, limit = make_lanes(6, batch=8)
@@ -129,13 +177,8 @@ class TestVirtualLossBookkeeping:
             config,
             seed=0,
         )
-        env = ArraySchedulingEnv(graph, config)
-        kernel = BatchedPlayouts(
-            env.arrays,
-            CAPS,
-            until_completion=True,
-            max_ready=config.max_ready,
-        )
+        env = SchedulingEnv(graph, config)
+        kernel = BatchedPlayouts(graph, config)
         root = Node(env.clone(), untried=scheduler._candidates(env))
         stats = SearchStatistics()
         limit = scheduler.rollout._step_limit(env)

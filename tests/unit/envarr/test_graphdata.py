@@ -60,8 +60,6 @@ class TestCsrStructure:
                 task = graph.task(tid)
                 assert int(arrays.durations[i]) == task.runtime
                 assert tuple(int(d) for d in arrays.demands[i]) == task.demands
-                assert arrays.durations_list[i] == task.runtime
-                assert arrays.demands_list[i] == task.demands
 
     def test_topo_order_respects_edges(self):
         for graph in graphs():

@@ -134,6 +134,93 @@ class TestConfigKnobs:
         assert scheduler.env_config.process_until_completion
 
 
+class TestRolloutBatch:
+    """``rollout_batch > 1`` batches under every ``EnvConfig`` — it used
+    to need a hidden ``backend="array"`` that no spec string or CLI flag
+    could set, and was silently ignored otherwise."""
+
+    SPEC = "spear:budget=20,min_budget=5,rollout_batch={batch}"
+
+    def _spear_plan(self, batch):
+        from repro import ScheduleRequest, WorkloadConfig, make_scheduler
+        from repro.dag import random_layered_dag
+
+        graph = random_layered_dag(WorkloadConfig(num_tasks=20), seed=101)
+        scheduler = make_scheduler(
+            self.SPEC.format(batch=batch),
+            EnvConfig(process_until_completion=True),
+            seed=101,
+        )
+        schedule = scheduler.plan(ScheduleRequest(graph))
+        return [schedule.start_of(tid) for tid in sorted(graph.tasks())]
+
+    def test_spec_key_batches_on_a_default_env_config(self, monkeypatch):
+        from repro.core.guidance import NetworkRollout
+
+        waves = []
+        inner = NetworkRollout.rollout_many
+
+        def counting(self, envs, limit):
+            waves.append(len(envs))
+            return inner(self, envs, limit)
+
+        monkeypatch.setattr(NetworkRollout, "rollout_many", counting)
+        sequential = self._spear_plan(1)
+        assert waves == []
+        batched = self._spear_plan(8)
+        assert waves and 1 < max(waves) <= 8, "no leaf wave was simulated"
+        assert batched != sequential
+
+    def test_pure_mcts_waves_use_the_lockstep_kernel(
+        self, env_config, small_random_graph, monkeypatch
+    ):
+        from repro.envarr.batch import BatchedPlayouts
+
+        lanes_per_call = []
+        inner = BatchedPlayouts.run
+
+        def counting(self, envs, *args, **kwargs):
+            lanes_per_call.append(len(envs))
+            return inner(self, envs, *args, **kwargs)
+
+        monkeypatch.setattr(BatchedPlayouts, "run", counting)
+        scheduler = mcts(
+            budget=24, min_budget=8, env_config=env_config, rollout_batch=8
+        )
+        schedule = scheduler.schedule(small_random_graph)
+        validate_schedule(
+            schedule, small_random_graph, env_config.cluster.capacities
+        )
+        assert lanes_per_call and max(lanes_per_call) > 1
+        stats = scheduler.last_statistics
+        assert stats.iterations == sum(stats.budgets)
+        assert stats.rollouts == sum(lanes_per_call)
+
+    def test_unbatchable_rollout_policy_is_a_config_error(self, env_config):
+        from repro.core import TruncatedRollout
+        from repro.core.pipeline import default_network
+        from repro.errors import ConfigError
+        from repro.rl.value_network import ValueNetwork
+
+        network = default_network(env_config, seed=0)
+        truncated = TruncatedRollout(
+            network, ValueNetwork(network.input_size, seed=0), depth_limit=3
+        )
+        for rollout in (GreedyRollout(), truncated):
+            with pytest.raises(ConfigError, match=type(rollout).__name__):
+                MctsScheduler(
+                    MctsConfig(initial_budget=20, min_budget=5, rollout_batch=8),
+                    env_config,
+                    rollout=rollout,
+                )
+            # The same policies still search sequentially.
+            MctsScheduler(
+                MctsConfig(initial_budget=20, min_budget=5),
+                env_config,
+                rollout=rollout,
+            )
+
+
 class TestPolicies:
     def test_random_expansion_permutes(self, env_config):
         graph = independent_tasks_dag([1] * 4, demands=[(1, 1)] * 4)

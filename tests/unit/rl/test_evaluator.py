@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from repro.config import ClusterConfig, EnvConfig, GnnConfig, WorkloadConfig
 from repro.core.pipeline import default_graph_network, default_network
 from repro.dag.generators import random_layered_dag
-from repro.envarr.env import ArraySchedulingEnv
+from repro.env.scheduling_env import SchedulingEnv
 from repro.errors import ConfigError
 from repro.rl.agent import NetworkPolicy
 from repro.rl.evaluator import PolicyEvaluator
@@ -28,7 +28,6 @@ def make_config(max_ready=6):
         cluster=ClusterConfig(capacities=(10, 10), horizon=8),
         max_ready=max_ready,
         process_until_completion=True,
-        backend="array",
     )
 
 
@@ -47,7 +46,7 @@ def make_graph(seed, num_tasks):
 
 def state_batch(graph, config, seed, count=12):
     """Clones spread along one random work-conserving episode."""
-    env = ArraySchedulingEnv(graph, config)
+    env = SchedulingEnv(graph, config)
     rng = np.random.default_rng(seed)
     lanes = [env.clone()]
     sim = env.clone()
@@ -86,7 +85,7 @@ def test_batched_distributions_match_sequential(seed, num_tasks, kind):
     config = make_config()
     lanes = state_batch(graph, config, seed)
     network = make_network(kind, config, seed)
-    evaluator = PolicyEvaluator(network, config, lanes[0].arrays)
+    evaluator = PolicyEvaluator(network, config, graph)
     batched = evaluator.action_probabilities(lanes)
     policy = sequential_policy(kind, network)
     for env, dist in zip(lanes, batched):
@@ -106,7 +105,7 @@ def test_batched_greedy_rollouts_match_sequential(seed, kind):
     config = make_config()
     lanes = state_batch(graph, config, seed, count=6)
     network = make_network(kind, config, seed)
-    evaluator = PolicyEvaluator(network, config, lanes[0].arrays)
+    evaluator = PolicyEvaluator(network, config, graph)
     limit = 10_000
     batched = evaluator.rollout_many(lanes, limit, mode="greedy")
     policy = sequential_policy(kind, network)
@@ -126,7 +125,7 @@ class TestEvaluatorValidation:
         lanes = state_batch(graph, config, 3, count=4)
         snapshots = [(env.now, env.num_finished) for env in lanes]
         network = make_network("mlp", config, 3)
-        evaluator = PolicyEvaluator(network, config, lanes[0].arrays)
+        evaluator = PolicyEvaluator(network, config, graph)
         evaluator.rollout_many(lanes, 10_000, mode="sample", rng=7)
         assert snapshots == [(env.now, env.num_finished) for env in lanes]
 

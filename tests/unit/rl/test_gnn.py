@@ -7,9 +7,9 @@ from repro.config import EnvConfig, GnnConfig, WorkloadConfig
 from repro.dag.generators import random_layered_dag
 from repro.dag.graph import TaskGraph
 from repro.dag.task import Task
-from repro.envarr.backend import make_env
+from repro.env.scheduling_env import SchedulingEnv
 from repro.envarr.graphdata import graph_arrays
-from repro.envarr.observation import task_feature_table
+from repro.envarr.observation import node_state_batch, task_feature_table
 from repro.errors import ConfigError
 from repro.rl.gnn import (
     GraphNetworkPolicy,
@@ -28,11 +28,8 @@ def _graph(num_tasks=10, seed=0):
     )
 
 
-def _array_env(graph, config=None):
-    config = config if config is not None else EnvConfig(
-        process_until_completion=True, backend="array"
-    )
-    return make_env(graph, config)
+def _env(graph):
+    return SchedulingEnv(graph, EnvConfig(process_until_completion=True))
 
 
 class TestPermutationInvariance:
@@ -89,7 +86,7 @@ class TestScaleInvariance:
         network = GraphPolicyNetwork(2, SMALL_GNN, seed=0)
         count = network.num_parameters
         for num_tasks in (5, 40):
-            env = _array_env(_graph(num_tasks=num_tasks, seed=num_tasks))
+            env = _env(_graph(num_tasks=num_tasks, seed=num_tasks))
             policy = GraphNetworkPolicy(network, mode="greedy")
             while not env.done:
                 env.step(policy.select(env))
@@ -170,35 +167,35 @@ class TestGradients:
             network.backward_group(np.zeros((1, 2)))
 
 
-class TestCrossBackendParity:
-    def test_object_and_array_builders_agree(self):
+class TestBatchedNodeStates:
+    def test_node_state_batch_matches_the_single_state_builder(self):
+        """Every lane of ``node_state_batch`` is the single-state
+        builder's observation, at every state of an episode (including
+        the terminal one) and with the lanes in any order."""
         graph = _graph(num_tasks=12, seed=6)
-        obj_env = make_env(graph, EnvConfig(process_until_completion=True))
-        arr_env = _array_env(graph)
-        builder_obj = GraphObservationBuilder(graph, obj_env.config)
-        builder_arr = GraphObservationBuilder(graph, arr_env.config)
+        env = _env(graph)
+        builder = GraphObservationBuilder(graph, env.config)
         rng = np.random.default_rng(11)
-        while not obj_env.done:
-            obs_o = builder_obj.build(obj_env)
-            obs_a = builder_arr.build(arr_env)
-            assert np.array_equal(obs_o.node_state, obs_a.node_state)
-            assert np.array_equal(obs_o.globals_vec, obs_a.globals_vec)
-            assert obs_o.ready == obs_a.ready
-            assert np.array_equal(
-                build_graph_action_mask(obj_env),
-                build_graph_action_mask(arr_env),
-            )
-            actions = obj_env.expansion_actions(work_conserving=True)
-            action = actions[int(rng.integers(0, len(actions)))]
-            obj_env.step(action)
-            arr_env.step(action)
-        assert arr_env.done
+        lanes = [env.clone()]
+        while not env.done:
+            actions = env.expansion_actions(work_conserving=True)
+            env.step(actions[int(rng.integers(0, len(actions)))])
+            lanes.append(env.clone())
+        lanes.reverse()
+        node_states, globals_vec, ready_lists = node_state_batch(
+            builder.arrays, env.config, lanes
+        )
+        for b, lane in enumerate(lanes):
+            expected = builder.build(lane)
+            assert np.array_equal(node_states[b], expected.node_state)
+            assert np.array_equal(globals_vec[b], expected.globals_vec)
+            assert tuple(ready_lists[b]) == expected.ready
 
 
 class TestGraphNetworkPolicy:
     def test_action_probabilities_sum_to_one(self):
         network = GraphPolicyNetwork(2, SMALL_GNN, seed=5)
-        env = _array_env(_graph(seed=1))
+        env = _env(_graph(seed=1))
         policy = GraphNetworkPolicy(network, mode="sample", seed=0)
         probs = policy.action_probabilities(env)
         assert sum(probs.values()) == pytest.approx(1.0)
@@ -207,7 +204,7 @@ class TestGraphNetworkPolicy:
 
     def test_greedy_select_is_argmax(self):
         network = GraphPolicyNetwork(2, SMALL_GNN, seed=5)
-        env = _array_env(_graph(seed=1))
+        env = _env(_graph(seed=1))
         policy = GraphNetworkPolicy(network, mode="greedy")
         probs = policy.action_probabilities(env)
         best = max(sorted(probs), key=lambda a: probs[a])
@@ -215,7 +212,7 @@ class TestGraphNetworkPolicy:
 
     def test_episode_completes_with_sampling(self):
         network = GraphPolicyNetwork(2, SMALL_GNN, seed=5)
-        env = _array_env(_graph(seed=2))
+        env = _env(_graph(seed=2))
         policy = GraphNetworkPolicy(network, mode="sample", seed=3)
         steps = 0
         while not env.done:
@@ -226,7 +223,7 @@ class TestGraphNetworkPolicy:
 
     def test_resource_mismatch_rejected(self):
         network = GraphPolicyNetwork(3, SMALL_GNN, seed=0)
-        env = _array_env(_graph(seed=1))
+        env = _env(_graph(seed=1))
         policy = GraphNetworkPolicy(network)
         with pytest.raises(ConfigError, match="resources"):
             policy.begin_episode(env)

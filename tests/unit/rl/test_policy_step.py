@@ -18,7 +18,7 @@ from repro.core.pipeline import default_graph_network, default_network
 from repro.dag.generators import chain_dag, random_layered_dag
 from repro.env.actions import PROCESS
 from repro.env.observation import ObservationBuilder
-from repro.envarr.backend import make_env
+from repro.env.scheduling_env import SchedulingEnv
 from repro.errors import ConfigError
 from repro.rl.gnn import GraphObservationBuilder
 from repro.rl.modules import masked_softmax
@@ -32,11 +32,8 @@ WORKLOAD = WorkloadConfig(
 GRAPH_SEEDS = (3, 17, 42)
 
 
-def env_config(backend: str = "object") -> EnvConfig:
-    return EnvConfig(
-        cluster=CLUSTER, max_ready=5, process_until_completion=True,
-        backend=backend,
-    )
+def env_config() -> EnvConfig:
+    return EnvConfig(cluster=CLUSTER, max_ready=5, process_until_completion=True)
 
 
 def make_network(model: str):
@@ -154,14 +151,11 @@ def assert_same_observation(got, expected, mlp: bool) -> None:
 
 @pytest.mark.parametrize("work_conserving", [True, False])
 @pytest.mark.parametrize("traced", [False, True], ids=["select", "with_trace"])
-@pytest.mark.parametrize("backend", ["object", "array"])
 @pytest.mark.parametrize("mode", ["sample", "greedy"])
 @pytest.mark.parametrize("model", ["mlp", "gnn"])
-def test_episodes_match_the_unfused_step(
-    model, mode, backend, traced, work_conserving
-):
+def test_episodes_match_the_unfused_step(model, mode, traced, work_conserving):
     network = make_network(model)
-    config = env_config(backend)
+    config = env_config()
     forced = unforced = 0
     for graph_seed in GRAPH_SEEDS:
         graph = random_layered_dag(WORKLOAD, seed=graph_seed)
@@ -171,8 +165,8 @@ def test_episodes_match_the_unfused_step(
         reference = ReferencePolicy(
             network, graph, config, mode, graph_seed, work_conserving
         )
-        env = make_env(graph, config)
-        twin = make_env(graph, config)
+        env = SchedulingEnv(graph, config)
+        twin = SchedulingEnv(graph, config)
         while not env.done:
             candidates = (
                 env.expansion_actions(work_conserving=True)
@@ -239,7 +233,7 @@ def test_forced_moves_skip_forward_and_featurization(model):
     config = env_config()
 
     policy = network.make_policy(mode="sample", seed=0)
-    env = make_env(graph, config)
+    env = SchedulingEnv(graph, config)
     builds = CountingCalls(policy._ensure_builder(env), "build")
     forwards = CountingCalls(network, forward_name)
     steps, unforced = play(policy, env, traced=False)
@@ -249,7 +243,7 @@ def test_forced_moves_skip_forward_and_featurization(model):
 
     # Recording keeps every observation but still skips forced forwards.
     policy = network.make_policy(mode="sample", seed=0)
-    env = make_env(graph, config)
+    env = SchedulingEnv(graph, config)
     builds = CountingCalls(policy._ensure_builder(env), "build")
     before = forwards.calls
     steps, unforced = play(policy, env, traced=True)
@@ -263,7 +257,7 @@ def test_greedy_mode_never_draws(model):
     before = policy._rng.bit_generator.state
     play(
         policy,
-        make_env(random_layered_dag(WORKLOAD, seed=GRAPH_SEEDS[1]), env_config()),
+        SchedulingEnv(random_layered_dag(WORKLOAD, seed=GRAPH_SEEDS[1]), env_config()),
         traced=False,
     )
     assert policy._rng.bit_generator.state == before
@@ -271,7 +265,7 @@ def test_greedy_mode_never_draws(model):
 
 def test_forced_sampled_move_draws_exactly_one_uniform():
     # A chain's first state has one ready task and nothing running.
-    env = make_env(chain_dag([2, 3], demands=[(2, 1)] * 2), env_config())
+    env = SchedulingEnv(chain_dag([2, 3], demands=[(2, 1)] * 2), env_config())
     assert env.expansion_actions(work_conserving=True) == [0]
     policy = make_network("mlp").make_policy(mode="sample", seed=11)
     twin = np.random.default_rng(11)
@@ -284,7 +278,7 @@ def test_forced_move_still_validates_the_environment():
     """The builder checks (window and input size) run before the
     short-circuit, so a mismatched env fails even in a forced state."""
     narrow = EnvConfig(cluster=CLUSTER, max_ready=4, process_until_completion=True)
-    env = make_env(chain_dag([2, 3], demands=[(2, 1)] * 2), narrow)
+    env = SchedulingEnv(chain_dag([2, 3], demands=[(2, 1)] * 2), narrow)
     assert len(env.expansion_actions(work_conserving=True)) == 1
     policy = make_network("mlp").make_policy(mode="sample", seed=0)
     with pytest.raises(ConfigError, match="max_ready"):
@@ -297,7 +291,7 @@ def test_prioritize_returns_at_once_for_a_single_candidate():
     network = make_network("mlp")
     forwards = CountingCalls(network, "logits")
     expansion = NetworkExpansion(network)
-    env = make_env(random_layered_dag(WORKLOAD, seed=GRAPH_SEEDS[0]), env_config())
+    env = SchedulingEnv(random_layered_dag(WORKLOAD, seed=GRAPH_SEEDS[0]), env_config())
     single = [0]
     ordered = expansion.prioritize(env, single)
     assert ordered == [0] and ordered is not single
@@ -318,10 +312,10 @@ def test_network_rollout_matches_reference_stream():
     rollout = NetworkRollout(network, seed=23)
     reference = ReferencePolicy(network, graph, config, "sample", 23, True)
     for _ in range(4):
-        env = make_env(graph, config)
+        env = SchedulingEnv(graph, config)
         while not env.done:
             env.step(reference.step(env)[0])
-        assert rollout.rollout(make_env(graph, config)) == env.makespan
+        assert rollout.rollout(SchedulingEnv(graph, config)) == env.makespan
     assert (
         rollout._policy._rng.bit_generator.state
         == reference.rng.bit_generator.state
@@ -345,11 +339,11 @@ def test_truncated_rollout_computes_graph_features_once(monkeypatch):
     rollout = TruncatedRollout(network, value, depth_limit=2, seed=0)
     first = random_layered_dag(WORKLOAD, seed=GRAPH_SEEDS[0])
     for _ in range(12):
-        env = make_env(first, config)
+        env = SchedulingEnv(first, config)
         assert rollout.rollout(env) >= 1
         assert not env.done  # the value network was consulted
     assert calls == [first]
     second = random_layered_dag(WORKLOAD, seed=GRAPH_SEEDS[1])
     for _ in range(3):
-        rollout.rollout(make_env(second, config))
+        rollout.rollout(SchedulingEnv(second, config))
     assert calls == [first, second]
