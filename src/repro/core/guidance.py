@@ -105,13 +105,13 @@ class NetworkRollout(RolloutPolicy):
             or evaluator.graph is not envs[0].graph
             or evaluator.env_config != envs[0].config
         ):
-            self._evaluator = PolicyEvaluator(
+            evaluator = self._evaluator = PolicyEvaluator(
                 self._policy.network,
                 envs[0].config,
                 envs[0].graph,
                 work_conserving=self._policy.work_conserving,
             )
-        return self._evaluator.rollout_many(
+        return evaluator.rollout_many(
             envs, limit, mode=self._policy.mode, rng=self._policy._rng
         )
 

@@ -39,7 +39,7 @@ import numpy as np
 from ..config import EnvConfig
 from ..env.scheduling_env import SchedulingEnv
 from ..errors import EnvironmentStateError
-from .graphdata import GraphArrays, graph_arrays
+from .graphdata import graph_arrays
 from .lanes import INF, lane_snapshot
 
 __all__ = ["BatchedPlayouts", "batch_random_playouts"]
@@ -77,16 +77,10 @@ class BatchedPlayouts:
     """
 
     def __init__(self, graph_or_arrays, config: EnvConfig) -> None:
-        arrays = (
-            graph_or_arrays
-            if isinstance(graph_or_arrays, GraphArrays)
-            else graph_arrays(graph_or_arrays)
-        )
+        arrays = graph_arrays(graph_or_arrays)
         self.arrays = arrays
         self.config = config
-        self.capacities = tuple(int(c) for c in config.cluster.capacities)
-        self.until_completion = config.process_until_completion
-        self.max_ready = config.max_ready
+        capacities = config.cluster.capacities
         n = arrays.num_tasks
         # Dense child adjacency for the vectorized indegree countdown:
         # released (B, N) @ adjacency (N, N) counts released parents per
@@ -99,7 +93,7 @@ class BatchedPlayouts:
             arrays.child_indices,
         ] = 1.0
         self.adjacency = adjacency
-        layout = _pack_layout(self.capacities)
+        layout = _pack_layout(capacities)
         if layout is not None:
             shifts, widths = layout
             shift_arr = np.asarray(shifts, dtype=np.int64)
@@ -120,7 +114,7 @@ class BatchedPlayouts:
             self.demands_packed = np.zeros(n, dtype=np.int64)
             self.demands_packed_f = self.demands_packed.astype(np.float64)
             self.guard = 0
-            self._shifts = np.zeros(len(self.capacities), dtype=np.int64)
+            self._shifts = np.zeros(len(capacities), dtype=np.int64)
         self.demands_f = arrays.demands.astype(np.float64)
 
     # ------------------------------------------------------------------ #
@@ -205,8 +199,8 @@ class BatchedPlayouts:
         guard = self.guard
         packed = self._packed
         adjacency = self.adjacency
-        window = self.max_ready
-        until_completion = self.until_completion
+        window = self.config.max_ready
+        until_completion = self.config.process_until_completion
         free, finish, now, unmet, seq, num_ready, pending, fincount = (
             self.states_from_envs(envs)
         )

@@ -24,7 +24,7 @@ as the feature cache in :mod:`repro.dag.features`).
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
@@ -230,8 +230,11 @@ class GraphArrays:
         )
 
 
-def graph_arrays(graph: TaskGraph) -> GraphArrays:
-    """Compile (or fetch the memoized compilation of) ``graph``."""
+def graph_arrays(graph: Union[TaskGraph, GraphArrays]) -> GraphArrays:
+    """Compile (or fetch the memoized compilation of) ``graph``; arrays
+    that are already compiled pass through."""
+    if isinstance(graph, GraphArrays):
+        return graph
     key = id(graph)
     cached = _CACHE.get(key)
     if cached is not None and cached[0] is graph:

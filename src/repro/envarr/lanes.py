@@ -20,7 +20,7 @@ is the corresponding index tie-break in the kernels.
 from __future__ import annotations
 
 from itertools import chain
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,8 +49,8 @@ class LaneSnapshot(NamedTuple):
     finish: np.ndarray
     #: ``(B,)`` current slot.
     now: np.ndarray
-    #: ``(B, N)`` unfinished-parent countdown (``None`` if not asked for).
-    unmet: Optional[np.ndarray]
+    #: ``(B, N)`` unfinished-parent countdown.
+    unmet: np.ndarray
     #: per lane, the ready queue as dense indices in arrival order (the
     #: visibility window is its first ``max_ready`` entries).
     ready: List[List[int]]
@@ -59,16 +59,9 @@ class LaneSnapshot(NamedTuple):
 
 
 def lane_snapshot(
-    arrays: GraphArrays,
-    config: EnvConfig,
-    envs: Sequence[SchedulingEnv],
-    with_unmet: bool = True,
+    arrays: GraphArrays, config: EnvConfig, envs: Sequence[SchedulingEnv]
 ) -> LaneSnapshot:
     """Copy the state of ``envs`` into dense lanes; never mutates them.
-
-    ``with_unmet=False`` skips the countdown matrix — ``B x N`` Python
-    ints, half of this function's cost — for callers that only render
-    running and ready tasks.
 
     Raises:
         EnvironmentStateError: if a lane runs another graph than
@@ -99,15 +92,13 @@ def lane_snapshot(
     finish = np.full((batch, arrays.num_tasks), INF, dtype=np.int64)
     if rows:
         finish[rows, cols] = times
-    unmet = None
-    if with_unmet:
-        # ``_unmet`` is keyed in the graph's topological order.
-        unmet = np.empty((batch, arrays.num_tasks), dtype=np.int64)
-        unmet[:, arrays.topo] = np.fromiter(
-            chain.from_iterable(env._unmet.values() for env in envs),
-            np.int64,
-            batch * arrays.num_tasks,
-        ).reshape(batch, arrays.num_tasks)
+    # ``_unmet`` is keyed in the graph's topological order.
+    unmet = np.empty((batch, arrays.num_tasks), dtype=np.int64)
+    unmet[:, arrays.topo] = np.fromiter(
+        chain.from_iterable(env._unmet.values() for env in envs),
+        np.int64,
+        batch * arrays.num_tasks,
+    ).reshape(batch, arrays.num_tasks)
     return LaneSnapshot(
         free=np.array(
             [env.cluster._available for env in envs], dtype=np.int64

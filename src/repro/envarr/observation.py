@@ -126,11 +126,7 @@ class BatchObservationBuilder:
     """
 
     def __init__(self, graph_or_arrays, config: EnvConfig) -> None:
-        arrays = (
-            graph_or_arrays
-            if isinstance(graph_or_arrays, GraphArrays)
-            else graph_arrays(graph_or_arrays)
-        )
+        arrays = graph_arrays(graph_or_arrays)
         self.arrays = arrays
         self.config = config
         self.size = observation_size(config, arrays.num_resources)
@@ -157,7 +153,7 @@ class BatchObservationBuilder:
         # time-axis prefix sum of a sparse difference array — two scatters
         # (one add at column 0, one subtract at column ``remaining``) and
         # one cumsum cover all lanes at once.
-        state = lane_snapshot(arrays, self.config, envs, with_unmet=False)
+        state = lane_snapshot(arrays, self.config, envs)
         finish = state.finish
         remaining = np.clip(finish - state.now[:, None], 0, horizon)
         remaining[finish == INF] = 0

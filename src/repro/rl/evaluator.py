@@ -25,7 +25,7 @@ import numpy as np
 
 from ..config import EnvConfig
 from ..env.actions import PROCESS, Action
-from ..envarr.graphdata import GraphArrays, graph_arrays
+from ..envarr.graphdata import graph_arrays
 from ..envarr.observation import (
     BatchObservationBuilder,
     node_state_batch,
@@ -85,11 +85,7 @@ class PolicyEvaluator:
                     f"input {network.input_size}"
                 )
         elif kind == "policy_gnn":
-            self.arrays = (
-                graph_or_arrays
-                if isinstance(graph_or_arrays, GraphArrays)
-                else graph_arrays(graph_or_arrays)
-            )
+            self.arrays = graph_arrays(graph_or_arrays)
             if self.arrays.num_resources != network.num_resources:
                 raise ConfigError(
                     f"graph has {self.arrays.num_resources} resources, "

@@ -99,11 +99,7 @@ class GraphObservationBuilder:
     """
 
     def __init__(self, graph_or_arrays, config: EnvConfig) -> None:
-        arrays = (
-            graph_or_arrays
-            if isinstance(graph_or_arrays, GraphArrays)
-            else graph_arrays(graph_or_arrays)
-        )
+        arrays = graph_arrays(graph_or_arrays)
         self.arrays = arrays
         self.graph = arrays.graph
         self.config = config

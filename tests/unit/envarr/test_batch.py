@@ -116,8 +116,8 @@ class TestBatchedPlayouts:
         ids=["capacities", "max_ready", "granularity"],
     )
     def test_lane_under_another_config_rejected(self, change):
-        """A lane with other capacities used to overflow the packed fit
-        test's guard bits and be mis-played without an error."""
+        """Played anyway, a lane with larger capacities overflows the
+        packed fit test's guard bits and is mis-played without an error."""
         from dataclasses import replace
 
         base, lanes, kernel, limit = make_lanes(5, batch=2)

@@ -135,9 +135,8 @@ class TestConfigKnobs:
 
 
 class TestRolloutBatch:
-    """``rollout_batch > 1`` batches under every ``EnvConfig`` — it used
-    to need a hidden ``backend="array"`` that no spec string or CLI flag
-    could set, and was silently ignored otherwise."""
+    """``rollout_batch > 1`` batches under every ``EnvConfig`` and from
+    spec strings, or fails loudly — never a silent sequential search."""
 
     SPEC = "spear:budget=20,min_budget=5,rollout_batch={batch}"
 

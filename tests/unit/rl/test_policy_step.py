@@ -151,11 +151,15 @@ def assert_same_observation(got, expected, mlp: bool) -> None:
 
 @pytest.mark.parametrize("work_conserving", [True, False])
 @pytest.mark.parametrize("traced", [False, True], ids=["select", "with_trace"])
+# The "object" id segment dates from when an "array" environment ran the
+# same cases beside it; it stays so the surviving cases keep their ids.
+@pytest.mark.parametrize("config", [pytest.param(env_config(), id="object")])
 @pytest.mark.parametrize("mode", ["sample", "greedy"])
 @pytest.mark.parametrize("model", ["mlp", "gnn"])
-def test_episodes_match_the_unfused_step(model, mode, traced, work_conserving):
+def test_episodes_match_the_unfused_step(
+    model, mode, config, traced, work_conserving
+):
     network = make_network(model)
-    config = env_config()
     forced = unforced = 0
     for graph_seed in GRAPH_SEEDS:
         graph = random_layered_dag(WORKLOAD, seed=graph_seed)
