@@ -15,7 +15,8 @@ same-graph states per NumPy call — and the dense data they run on:
 * :class:`BatchedPlayouts` — many random playouts advanced in NumPy
   lockstep per call, the rollout kernel of batched MCTS
   (``MctsConfig.rollout_batch``).
-* :class:`BatchObservationBuilder` / :func:`node_state_batch` — ``B``
+* :class:`BatchObservationBuilder` /
+  :func:`~repro.envarr.observation.node_state_batch` — ``B``
   states rendered into one observation matrix per call, the input of
   batched policy evaluation (:class:`repro.rl.evaluator.PolicyEvaluator`).
 
@@ -26,7 +27,7 @@ format and the measurements.
 from .batch import BatchedPlayouts, batch_random_playouts
 from .graphdata import GraphArrays, graph_arrays
 from .lanes import LaneSnapshot, lane_snapshot
-from .observation import BatchObservationBuilder, node_state_batch
+from .observation import BatchObservationBuilder
 
 __all__ = [
     "BatchObservationBuilder",
@@ -36,5 +37,4 @@ __all__ = [
     "batch_random_playouts",
     "graph_arrays",
     "lane_snapshot",
-    "node_state_batch",
 ]
