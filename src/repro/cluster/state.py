@@ -108,6 +108,18 @@ class ClusterState:
         """Ids of running tasks, in completion order."""
         return [entry.task_id for entry in sorted(self._running)]
 
+    def occupancy(self) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+        """Sorted ``(remaining slots, demands)`` of the running tasks.
+
+        Everything the resource-time occupancy of the coming slots
+        depends on, and nothing else: no task ids, no absolute clock.
+        Two states with equal occupancy render the same cluster image.
+        """
+        now = self.now
+        return tuple(
+            sorted([(entry[0] - now, entry[2]) for entry in self._running])
+        )
+
     def can_fit(self, demands: Sequence[int]) -> bool:
         """True iff ``demands`` fit in the currently free capacity."""
         return fits(demands, self._available)

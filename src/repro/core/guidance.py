@@ -10,6 +10,12 @@ whereas the default MCTS strategy uses a random policy during these steps."
 * :class:`NetworkRollout` — simulates to termination by sampling from the
   policy ("our DRL model will simulate the DAG scheduling problem with
   expertise and provide a more meaningful estimation of the makespan").
+
+Both evaluate one network whose parameters no code path changes while a
+``plan()`` runs, on states that mostly repeat, so for the length of one
+search (``begin_search`` .. ``end_search``) their policies read a shared
+:class:`~repro.rl.agent.PolicyMemo` (DESIGN.md Sec. 16.6).  Outside a
+search — a rollout called directly, a trainer — nothing is memoized.
 """
 
 from __future__ import annotations
@@ -20,14 +26,39 @@ from ..env.actions import Action
 from ..env.scheduling_env import SchedulingEnv
 from ..errors import EnvironmentStateError
 from ..mcts.policies import ExpansionPolicy, RolloutPolicy
-from ..rl.agent import NetworkPolicy
+from ..rl.agent import NetworkPolicy, PolicyMemo
 from ..rl.network import PolicyNetwork
 from ..utils.rng import SeedLike
 
 __all__ = ["NetworkExpansion", "NetworkRollout", "TruncatedRollout"]
 
 
-class NetworkExpansion(ExpansionPolicy):
+class _MemoizedGuidance:
+    """The per-search memo scope both guidance policies share.
+
+    ``memo`` is a plain attribute so that a scheduler guiding expansion
+    and rollout with one network can point both at one store
+    (:class:`~repro.core.spear.SpearScheduler` does).
+    """
+
+    def __init__(self, policy) -> None:
+        self._policy = policy
+        self.memo = PolicyMemo()
+
+    def begin_search(self, env: SchedulingEnv) -> None:
+        self.memo.clear()
+        self._policy.memo = self.memo
+
+    def end_search(self, stats) -> None:
+        # Whichever sharer ends first reports the counters; clearing
+        # zeroes them, so the other adds nothing.
+        stats.policy_evaluations += self.memo.evaluations
+        stats.policy_memo_hits += self.memo.hits
+        self.memo.clear()
+        self._policy.memo = None
+
+
+class NetworkExpansion(_MemoizedGuidance, ExpansionPolicy):
     """Order untried actions by descending policy probability.
 
     Args:
@@ -37,8 +68,8 @@ class NetworkExpansion(ExpansionPolicy):
     """
 
     def __init__(self, network, work_conserving: bool = True) -> None:
-        self._policy = network.make_policy(
-            mode="greedy", work_conserving=work_conserving
+        super().__init__(
+            network.make_policy(mode="greedy", work_conserving=work_conserving)
         )
 
     def prioritize(self, env: SchedulingEnv, actions: List[Action]) -> List[Action]:
@@ -51,7 +82,7 @@ class NetworkExpansion(ExpansionPolicy):
         )
 
 
-class NetworkRollout(RolloutPolicy):
+class NetworkRollout(_MemoizedGuidance, RolloutPolicy):
     """Simulate to termination with the trained policy.
 
     Args:
@@ -71,19 +102,20 @@ class NetworkRollout(RolloutPolicy):
         work_conserving: bool = True,
         max_steps_factor: int = 50,
     ) -> None:
-        self._policy = network.make_policy(
-            mode=mode, seed=seed, work_conserving=work_conserving
+        super().__init__(
+            network.make_policy(
+                mode=mode, seed=seed, work_conserving=work_conserving
+            )
         )
-        self._max_steps_factor = max_steps_factor
+        self.max_steps_factor = max_steps_factor
         self._evaluator = None
 
-    def _step_limit(self, env: SchedulingEnv) -> int:
-        return self._max_steps_factor * (
-            sum(task.runtime for task in env.graph) + env.graph.num_tasks
-        )
+    def begin_search(self, env: SchedulingEnv) -> None:
+        super().begin_search(env)
+        self._evaluator = None
 
     def rollout(self, env: SchedulingEnv) -> int:
-        limit = self._step_limit(env)
+        limit = self.step_limit(env)
         steps = 0
         while not env.done:
             if steps >= limit:
@@ -103,7 +135,7 @@ class NetworkRollout(RolloutPolicy):
         if (
             evaluator is None
             or evaluator.graph is not envs[0].graph
-            or evaluator.env_config != envs[0].config
+            or evaluator.env_config is not envs[0].config
         ):
             evaluator = self._evaluator = PolicyEvaluator(
                 self._policy.network,

@@ -64,6 +64,9 @@ class SpearScheduler(MctsScheduler):
             mode=rollout_mode,
             work_conserving=cfg.use_expansion_filters,
         )
+        # One network, so one distribution per state: expansion and
+        # rollout read and fill the same per-plan memo.
+        rollout.memo = expansion.memo
         super().__init__(
             config=cfg,
             env_config=env_config,

@@ -107,13 +107,11 @@ class ObservationBuilder:
 
     def _render_image(self, env: SchedulingEnv, image: np.ndarray) -> None:
         """Accumulate the occupancy image into the zeroed ``image``."""
-        horizon = self._horizon
-        now = env.cluster.now
-        for entry in env.cluster.running_tasks():
-            remaining = min(entry.finish_time - now, horizon)
+        for remaining, demands in env.cluster.occupancy():
             if remaining <= 0:
                 continue
-            for r, demand in enumerate(entry.demands):
+            for r, demand in enumerate(demands):
+                # A slice past the horizon stops at the horizon.
                 image[r, :remaining] += demand
         image /= self._capacity_column
 
@@ -158,6 +156,21 @@ class ObservationBuilder:
         vector = np.asarray(demands + scalars + bloads, dtype=np.float64)
         self._task_feature_cache[task_id] = vector
         return vector
+
+    def state_key(self, env: SchedulingEnv) -> tuple:
+        """Hashable of every env query :meth:`build` reads.
+
+        Equal keys mean byte-equal observations (for this builder's
+        graph and config).  :meth:`SchedulingEnv.window_signature` holds
+        the cluster's occupancy, which fixes the image (demands are
+        integers, so the order of accumulation cannot matter); the
+        visible ready ids in order, which fix the task rows; and the
+        ready and finished counts, which fix the two scalars.  Distinct
+        keys may still collide in observation (a task running past the
+        horizon, two tasks with equal feature rows); that only costs the
+        memo a hit.
+        """
+        return env.window_signature()
 
     def build(self, env: SchedulingEnv) -> np.ndarray:
         """Full observation vector for the env's current state.

@@ -686,6 +686,24 @@ class SchedulingEnv:
             frozenset(self._finished),
         )
 
+    def window_signature(self) -> Tuple:
+        """Hashable snapshot of what the visibility window shows.
+
+        The visible ready ids in order, the ready count (beyond the
+        window it is the backlog length), the finished *count* and the
+        cluster's :meth:`~repro.cluster.state.ClusterState.occupancy` —
+        coarser than :meth:`signature`: states equal here may differ in
+        which tasks ran or wait in the backlog, and in the absolute
+        clock, none of which a window observation can see.
+        """
+        ready = self._ready
+        return (
+            tuple(ready[: self._max_ready]),
+            len(ready),
+            len(self._finished),
+            self.cluster.occupancy(),
+        )
+
     def verify_terminal_state(self) -> None:
         """Assert every schedule invariant on the finished episode.
 

@@ -15,7 +15,8 @@ matrices:
 Resource vectors are bit-packed SWAR-style (one int64 field per resource
 plus a guard bit), so the per-iteration fit test over every lane × visible
 task is three integer ops on a ``(B, N)`` matrix instead of an
-``(B, N, R)`` tensor sweep; graphs whose packed width would exceed 62 bits
+``(B, N, R)`` tensor sweep; clusters whose packed width would exceed the 53
+bits float64 carries exactly (released demand is summed by a BLAS matvec)
 fall back to the tensor path automatically.
 
 Each iteration performs exactly one MDP decision per live lane — schedule
@@ -49,8 +50,11 @@ def _pack_layout(capacities: Sequence[int]) -> Optional[Tuple[List[int], List[in
     """Per-resource (shift, width) layout for SWAR packing, or ``None``.
 
     Each resource gets ``bit_length(capacity)`` value bits plus one guard
-    bit; ``None`` when the total exceeds the 62 bits an int64 can hold
-    safely.
+    bit; ``None`` when the total exceeds 53 bits.  The packed words live
+    in int64, but the demand a process step releases is accumulated as
+    ``released @ demands_packed_f`` in float64: every partial sum is an
+    integer below ``2 ** total`` (per field it never exceeds the
+    capacity), which float64 represents exactly only up to ``2 ** 53``.
     """
     shifts: List[int] = []
     widths: List[int] = []
@@ -60,7 +64,7 @@ def _pack_layout(capacities: Sequence[int]) -> Optional[Tuple[List[int], List[in
         shifts.append(offset)
         widths.append(width)
         offset += width + 1  # + guard bit
-    if offset > 62:
+    if offset > 53:
         return None
     return shifts, widths
 

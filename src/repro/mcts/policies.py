@@ -12,12 +12,17 @@ makespan estimate that scales the exploration constant), and
 from __future__ import annotations
 
 import abc
-from typing import Callable, List
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
+from ..dag.graph import TaskGraph
 from ..env.actions import Action
 from ..env.scheduling_env import SchedulingEnv
+from ..envarr.batch import BatchedPlayouts
 from ..schedulers.base import Policy
 from ..utils.rng import SeedLike, as_generator
+
+if TYPE_CHECKING:
+    from .search import SearchStatistics
 
 __all__ = [
     "ExpansionPolicy",
@@ -28,7 +33,19 @@ __all__ = [
 ]
 
 
-class ExpansionPolicy(abc.ABC):
+class _SearchHooks:
+    """What a search tells its policies about its own extent."""
+
+    def begin_search(self, env: SchedulingEnv) -> None:
+        """Called once at the top of each ``plan()`` with the root state:
+        the one place a policy resets what it keeps per search."""
+
+    def end_search(self, stats: "SearchStatistics") -> None:
+        """Called once when the ``plan()`` ends, also when it raises:
+        release per-search state and fold counters into ``stats``."""
+
+
+class ExpansionPolicy(_SearchHooks, abc.ABC):
     """Orders a node's untried actions from most to least promising.
 
     The search pops candidates from the front of the returned list, so the
@@ -41,12 +58,32 @@ class ExpansionPolicy(abc.ABC):
         """Return ``actions`` reordered by descending priority."""
 
 
-class RolloutPolicy(abc.ABC):
+class RolloutPolicy(_SearchHooks, abc.ABC):
     """Simulates an episode to termination and returns its makespan."""
+
+    #: Livelock guard: an episode may take this many decisions per unit of
+    #: (total runtime + task count).  A livelocked rollout is a bug, not a
+    #: result, so the cap is generous.
+    max_steps_factor: int = 50
+
+    _limit: Optional[Tuple[TaskGraph, int]] = None
 
     @abc.abstractmethod
     def rollout(self, env: SchedulingEnv) -> int:
         """Play ``env`` (mutating it) until done; return the makespan."""
+
+    def step_limit(self, env: SchedulingEnv) -> int:
+        """Decision cap for one episode on ``env``'s graph, computed once
+        per graph (a search runs thousands of rollouts over one)."""
+        limit = self._limit
+        if limit is None or limit[0] is not env.graph:
+            graph = env.graph
+            limit = self._limit = (
+                graph,
+                self.max_steps_factor
+                * (sum(task.runtime for task in graph) + graph.num_tasks),
+            )
+        return limit[1]
 
 
 class RandomExpansion(ExpansionPolicy):
@@ -66,26 +103,12 @@ class _PolicyRollout(RolloutPolicy):
 
     def __init__(self, policy_factory: Callable[[], Policy], max_steps_factor: int = 50) -> None:
         self._factory = policy_factory
-        self._max_steps_factor = max_steps_factor
-        self._limit_cache: tuple[object, int] | None = None  # (graph, limit)
-
-    def _step_limit(self, env: SchedulingEnv) -> int:
-        """Livelock cap for one episode, memoized per graph instance (MCTS
-        runs thousands of rollouts over the same graph)."""
-        cached = self._limit_cache
-        if cached is not None and cached[0] is env.graph:
-            return cached[1]
-        limit = self._max_steps_factor * (
-            sum(task.runtime for task in env.graph) + env.graph.num_tasks
-        )
-        self._limit_cache = (env.graph, limit)
-        return limit
+        self.max_steps_factor = max_steps_factor
 
     def rollout(self, env: SchedulingEnv) -> int:
         policy = self._factory()
         policy.begin_episode(env)
-        # Generous cap: a livelocked rollout policy is a bug, not a result.
-        limit = self._step_limit(env)
+        limit = self.step_limit(env)
         steps = 0
         while not env.done:
             if steps >= limit:
@@ -103,6 +126,7 @@ class RandomRollout(_PolicyRollout):
 
         rng = as_generator(seed)
         self._rng = rng
+        self._kernel: Optional[BatchedPlayouts] = None
         super().__init__(lambda: RandomPolicy(seed=rng))
 
     def rollout(self, env: SchedulingEnv) -> int:
@@ -116,7 +140,25 @@ class RandomRollout(_PolicyRollout):
         states).  MCTS runs thousands of these per decision; it is the
         single hottest path in the library.
         """
-        return env.random_playout(self._rng, self._step_limit(env))
+        return env.random_playout(self._rng, self.step_limit(env))
+
+    def begin_search(self, env: SchedulingEnv) -> None:
+        self._kernel = None
+
+    def rollout_many(self, envs: Sequence[SchedulingEnv], limit: int):
+        """Batched-MCTS hook: play all lanes to completion in the
+        lockstep kernel (:class:`repro.envarr.batch.BatchedPlayouts`,
+        which implements exactly this policy), drawing from this
+        policy's generator.  Never mutates the input environments."""
+        kernel = self._kernel
+        graph, config = envs[0].graph, envs[0].config
+        if (
+            kernel is None
+            or kernel.arrays.graph is not graph
+            or kernel.config is not config
+        ):
+            kernel = self._kernel = BatchedPlayouts(graph, config)
+        return kernel.run(envs, self._rng, limit)[0]
 
 
 class GreedyRollout(_PolicyRollout):

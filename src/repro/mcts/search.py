@@ -27,7 +27,6 @@ from typing import List, Optional
 from ..config import EnvConfig, MctsConfig
 from ..dag.graph import TaskGraph
 from ..env.scheduling_env import SchedulingEnv
-from ..envarr.batch import BatchedPlayouts
 from ..errors import ConfigError
 from ..metrics.schedule import Schedule
 from ..schedulers.base import Scheduler, ScheduleRequest, _planning_config
@@ -58,6 +57,11 @@ class SearchStatistics:
     max_tree_depth: int = 0
     exploration_constant: float = 0.0
     budgets: List[int] = field(default_factory=list)
+    #: Unforced single-state policy evaluations the guidance policies
+    #: asked for, and how many of them a per-plan memo answered (both 0
+    #: for policies that evaluate no network).
+    policy_evaluations: int = 0
+    policy_memo_hits: int = 0
 
 
 class MctsScheduler(Scheduler):
@@ -92,9 +96,8 @@ class MctsScheduler(Scheduler):
         rng = as_generator(seed)
         self.expansion = expansion if expansion is not None else RandomExpansion(rng)
         self.rollout = rollout if rollout is not None else RandomRollout(rng)
-        if self.config.rollout_batch > 1 and not (
-            isinstance(self.rollout, RandomRollout)
-            or hasattr(self.rollout, "rollout_many")
+        if self.config.rollout_batch > 1 and not hasattr(
+            self.rollout, "rollout_many"
         ):
             raise ConfigError(
                 f"rollout_batch={self.config.rollout_batch} needs a rollout "
@@ -130,9 +133,11 @@ class MctsScheduler(Scheduler):
         emits one ``mcts.schedule`` span, one ``mcts.decision`` span per
         committed action (budget spent, tree size/depth, chosen action),
         and the ``mcts.iterations`` / ``mcts.rollouts`` /
-        ``mcts.expansion_filter_hits`` counters.  Disabled telemetry
-        costs one no-op span per decision — the tree-walk statistics are
-        only computed behind the ``enabled`` guard.
+        ``mcts.expansion_filter_hits`` counters; network guidance adds
+        ``spear.policy_evaluations`` / ``spear.policy_memo_hits`` (how
+        much of the plan's policy work was recomputation).  Disabled
+        telemetry costs one no-op span per decision — the tree-walk
+        statistics are only computed behind the ``enabled`` guard.
         """
         graph = request.graph
         env_config = _planning_config(self.env_config, request)
@@ -152,22 +157,18 @@ class MctsScheduler(Scheduler):
             exploration = self._exploration_constant(graph, stats, env_config)
             # Batched leaf evaluation: collect ``rollout_batch`` leaves
             # under virtual loss, then play all their rollouts in one
-            # batched call — the lockstep kernel for the random rollout
-            # policy (the kernel implements exactly that policy), or the
-            # rollout policy's own ``rollout_many`` (network rollouts
-            # amortize their forward passes across the wave the same
-            # way).  Batched collection always works on clone-mode nodes
-            # (leaf lanes must be materialized environments), so it
-            # overrides ``state_restore="undo"``.
+            # call of the rollout policy's ``rollout_many`` — the
+            # lockstep kernel for random rollouts, one forward per
+            # simulation step across the wave for network rollouts.
+            # Batched collection always works on clone-mode nodes (leaf
+            # lanes must be materialized environments), so it overrides
+            # ``state_restore="undo"``.
             batched = self.config.rollout_batch > 1
-            kernel: Optional[BatchedPlayouts] = None
             evaluator = None
             rollout_limit = 0
             if batched:
                 undo_mode = False
-                if isinstance(self.rollout, RandomRollout):
-                    kernel = BatchedPlayouts(graph, env_config)
-                rollout_limit = self.rollout._step_limit(env)
+                rollout_limit = self.rollout.step_limit(env)
                 if (
                     self.leaf_network is not None
                     and self.config.leaf_policy == "auto"
@@ -185,66 +186,82 @@ class MctsScheduler(Scheduler):
                 untried=self._candidates(env),
             )
             depth = 1
-            while not env.done:
-                budget = (
-                    budget_at_depth(
-                        self.config.initial_budget, self.config.min_budget, depth
+            try:
+                self.expansion.begin_search(env)
+                self.rollout.begin_search(env)
+                while not env.done:
+                    budget = (
+                        budget_at_depth(
+                            self.config.initial_budget,
+                            self.config.min_budget,
+                            depth,
+                        )
+                        if self.config.use_budget_decay
+                        else self.config.initial_budget
                     )
-                    if self.config.use_budget_decay
-                    else self.config.initial_budget
-                )
-                stats.budgets.append(budget)
-                with tm.span(
-                    "mcts.decision", depth=depth, budget=budget
-                ) as decision_span:
-                    if batched:
-                        self._run_budget_batched(
-                            root,
-                            exploration,
-                            stats,
-                            budget,
-                            kernel,
-                            rollout_limit,
-                            evaluator,
+                    stats.budgets.append(budget)
+                    with tm.span(
+                        "mcts.decision", depth=depth, budget=budget
+                    ) as decision_span:
+                        if batched:
+                            self._run_budget_batched(
+                                root,
+                                exploration,
+                                stats,
+                                budget,
+                                rollout_limit,
+                                evaluator,
+                            )
+                        elif undo_mode:
+                            for _ in range(budget):
+                                self._iterate_undo(root, env, exploration, stats)
+                                stats.iterations += 1
+                        else:
+                            for _ in range(budget):
+                                self._iterate(root, exploration, stats)
+                                stats.iterations += 1
+                        if not root.children:
+                            # All candidates exhausted without one expansion —
+                            # cannot happen while the env is live, but guard.
+                            raise ConfigError(
+                                "MCTS made no progress; zero candidates"
+                            )
+                        chosen = root.exploitation_child(
+                            self.config.use_max_value_ucb
                         )
-                    elif undo_mode:
-                        for _ in range(budget):
-                            self._iterate_undo(root, env, exploration, stats)
-                            stats.iterations += 1
-                    else:
-                        for _ in range(budget):
-                            self._iterate(root, exploration, stats)
-                            stats.iterations += 1
-                    if not root.children:
-                        # All candidates exhausted without one expansion —
-                        # cannot happen while the env is live, but guard.
-                        raise ConfigError("MCTS made no progress; zero candidates")
-                    chosen = root.exploitation_child(self.config.use_max_value_ucb)
-                    if self._tm_enabled:
-                        tree = tree_statistics(root)
-                        decision_span.set(
-                            action=chosen.action,
-                            tree_nodes=tree.nodes,
-                            tree_depth=tree.max_depth,
-                            tree_visits=tree.total_visits,
-                        )
-                    env.step(chosen.action)
-                root = chosen
-                root.parent = None  # detach: the subtree is reused
-                stats.decisions += 1
-                depth += 1
+                        if self._tm_enabled:
+                            tree = tree_statistics(root)
+                            decision_span.set(
+                                action=chosen.action,
+                                tree_nodes=tree.nodes,
+                                tree_depth=tree.max_depth,
+                                tree_visits=tree.total_visits,
+                            )
+                        env.step(chosen.action)
+                    root = chosen
+                    root.parent = None  # detach: the subtree is reused
+                    stats.decisions += 1
+                    depth += 1
+            finally:
+                self.expansion.end_search(stats)
+                self.rollout.end_search(stats)
             search_span.set(
                 decisions=stats.decisions,
                 iterations=stats.iterations,
                 rollouts=stats.rollouts,
                 budget_spent=sum(stats.budgets),
                 max_tree_depth=stats.max_tree_depth,
+                policy_evaluations=stats.policy_evaluations,
+                policy_memo_hits=stats.policy_memo_hits,
             )
         if self._tm_enabled:
             tm.inc("mcts.searches")
             tm.inc("mcts.iterations", stats.iterations)
             tm.inc("mcts.rollouts", stats.rollouts)
             tm.inc("mcts.expansion_filter_hits", self._filter_hits)
+            if stats.policy_evaluations:
+                tm.inc("spear.policy_evaluations", stats.policy_evaluations)
+                tm.inc("spear.policy_memo_hits", stats.policy_memo_hits)
         self._tm_enabled = False
         self.last_statistics = stats
         stats.exploration_constant = exploration
@@ -341,7 +358,6 @@ class MctsScheduler(Scheduler):
         exploration: float,
         stats: SearchStatistics,
         budget: int,
-        kernel: Optional[BatchedPlayouts],
         rollout_limit: int,
         evaluator=None,
     ) -> None:
@@ -350,11 +366,10 @@ class MctsScheduler(Scheduler):
         Each round collects up to ``rollout_batch`` distinct leaves by
         descending under virtual loss (each selected edge's pending count
         rises, steering later descents elsewhere), then plays every
-        non-terminal leaf's rollout in one batched call — the lockstep
-        kernel (random rollouts) or the rollout policy's ``rollout_many``
-        — and backpropagates the values, clearing the virtual losses on
-        the way up.  One collected leaf costs one budget unit, exactly
-        like one sequential iteration.
+        non-terminal leaf's rollout in one call of the rollout policy's
+        ``rollout_many`` and backpropagates the values, clearing the
+        virtual losses on the way up.  One collected leaf costs one
+        budget unit, exactly like one sequential iteration.
 
         With a leaf ``evaluator``, each wave's fresh leaves also get
         their ``untried`` candidates ordered by the policy's batched
@@ -382,13 +397,9 @@ class MctsScheduler(Scheduler):
                                 key=lambda a: (-prior.get(a, 0.0), a)
                             )
                         node.ordered = True
-                if kernel is not None:
-                    rollout_rng = self.rollout._rng  # type: ignore[attr-defined]
-                    makespans, _starts = kernel.run(
-                        lanes, rollout_rng, rollout_limit
-                    )
-                else:
-                    makespans = self.rollout.rollout_many(lanes, rollout_limit)
+                makespans = self.rollout.rollout_many(  # type: ignore[attr-defined]
+                    lanes, rollout_limit
+                )
                 stats.rollouts += len(lanes)
                 for node, makespan in zip(leaves, makespans):
                     self._backpropagate(node, float(-int(makespan)), stats)

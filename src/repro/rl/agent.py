@@ -13,6 +13,9 @@ Spear it runs once per rollout decision, and in most of those states the
 work-conserving filter leaves exactly one legal action: the masked
 softmax is then exactly one-hot, so the step returns that action without
 featurizing the state or running the network (DESIGN.md Sec. 16.4).
+The remaining states repeat: one plan reaches a few hundred distinct
+featurized states in thousands of visits, so inside a search the step
+reads its distribution from a :class:`PolicyMemo` (DESIGN.md Sec. 16.6).
 """
 
 from __future__ import annotations
@@ -27,12 +30,13 @@ from ..env.scheduling_env import SchedulingEnv
 from ..errors import ConfigError, EnvironmentStateError
 from ..schedulers.base import Policy
 from ..utils.rng import SeedLike, as_generator
-from .modules import masked_softmax_row, sample_index
+from .modules import masked_softmax_row, normalized_cdf
 from .network import PolicyNetwork
 
 __all__ = [
     "NetworkPolicy",
     "NetworkPolicyBase",
+    "PolicyMemo",
     "build_action_mask",
     "candidate_actions",
     "mask_from_actions",
@@ -89,6 +93,45 @@ def build_action_mask(
     )
 
 
+#: Entries a :class:`PolicyMemo` holds before it drops them all.  The
+#: memo is exact, so eviction can cost time but never change a result;
+#: the largest plan measured (100 tasks, budget 100/20) stores ~1100.
+_MEMO_CAP = 8192
+
+#: One memoized state: (probabilities, normalized CDF, mask).
+MemoRow = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+class PolicyMemo:
+    """Policy distributions of the states one search has evaluated.
+
+    Keyed by the featurizer's ``state_key`` plus the candidate-action
+    tuple — every input of observation and mask — so a stored row is
+    bit for bit what evaluating the state again would produce, *as long
+    as the network's parameters do not move*.  Nothing here can see them
+    move: whoever installs a memo on a policy guarantees it for the
+    memo's lifetime and clears it afterwards.  Network guidance does so
+    for the length of one ``plan()`` (:mod:`repro.core.guidance`);
+    trainers and standalone policies never install one.
+
+    ``evaluations`` counts lookups, ``hits`` the ones served from the
+    store.
+    """
+
+    __slots__ = ("rows", "evaluations", "hits")
+
+    def __init__(self) -> None:
+        self.rows: Dict[tuple, MemoRow] = {}
+        self.evaluations = 0
+        self.hits = 0
+
+    def clear(self) -> None:
+        """Drop every row and zero the counters."""
+        self.rows.clear()
+        self.evaluations = 0
+        self.hits = 0
+
+
 class NetworkPolicyBase(Policy):
     """The single-state policy step shared by both network adapters.
 
@@ -119,6 +162,9 @@ class NetworkPolicyBase(Policy):
         self.network = network
         self.mode = mode
         self.work_conserving = work_conserving
+        #: Installed by a search for its duration (see :class:`PolicyMemo`);
+        #: ``None`` evaluates every state afresh.
+        self.memo: Optional[PolicyMemo] = None
         self._rng = as_generator(seed)
         self._builder = None
 
@@ -135,10 +181,18 @@ class NetworkPolicyBase(Policy):
     # ------------------------------------------------------------------ #
 
     def _ensure_builder(self, env):
-        if self._builder is None or self._builder.graph is not env.graph:
+        builder = self._builder
+        # The same graph object may come back under another cluster shape
+        # (a degraded-capacity replan), and the builder normalizes by it.
+        if (
+            builder is None
+            or builder.graph is not env.graph
+            or builder.config is not env.config
+        ):
             self.begin_episode(env)
-        assert self._builder is not None
-        return self._builder
+            builder = self._builder
+            assert builder is not None
+        return builder
 
     def _featurize(
         self, env, actions: Sequence[Action]
@@ -154,22 +208,47 @@ class NetworkPolicyBase(Policy):
             env, candidate_actions(env, self.work_conserving)
         )
 
-    def _evaluate(
-        self, env
-    ) -> Tuple[List[Action], Any, np.ndarray, np.ndarray]:
-        """(actions, observation, mask, probabilities) of one state."""
-        actions = candidate_actions(env, self.work_conserving)
+    def _probabilities(
+        self, env, actions: Sequence[Action]
+    ) -> Tuple[Any, np.ndarray, np.ndarray]:
+        """(observation, mask, probabilities) of one state, computed."""
         observation, mask = self._featurize(env, actions)
-        probs = masked_softmax_row(self._logits(observation), mask)
-        return actions, observation, mask, probs
+        return observation, mask, masked_softmax_row(
+            self._logits(observation), mask
+        )
+
+    def _memoized(self, builder, env, actions: Sequence[Action]) -> MemoRow:
+        """The state's :data:`MemoRow`, computed on its first visit."""
+        memo = self.memo
+        assert memo is not None
+        key = (builder.state_key(env), tuple(actions))
+        memo.evaluations += 1
+        row = memo.rows.get(key)
+        if row is not None:
+            memo.hits += 1
+            return row
+        _, mask, probs = self._probabilities(env, actions)
+        row = (probs, normalized_cdf(probs), mask)
+        if len(memo.rows) >= _MEMO_CAP:
+            memo.rows.clear()
+        memo.rows[key] = row
+        return row
 
     def distribution(self, env) -> Tuple[Any, np.ndarray, np.ndarray]:
         """(observation, mask, probabilities) for the current state."""
-        return self._evaluate(env)[1:]
+        return self._probabilities(
+            env, candidate_actions(env, self.work_conserving)
+        )
 
     def action_probabilities(self, env) -> Dict[Action, float]:
         """Env-action -> probability map (used by MCTS expansion/rollout)."""
-        actions, _, mask, probs = self._evaluate(env)
+        actions = candidate_actions(env, self.work_conserving)
+        if self.memo is None:
+            _, mask, probs = self._probabilities(env, actions)
+        else:
+            probs, _, mask = self._memoized(
+                self._ensure_builder(env), env, actions
+            )
         width = len(mask)
         return {
             action: float(probs[_action_index(action, width)])
@@ -186,25 +265,36 @@ class NetworkPolicyBase(Policy):
         ``record`` asks for them, so are observation and mask.  Sampling
         still consumes the one uniform the draw would have, which keeps
         every later draw of the stream where it was.
+
+        With a memo installed, an unforced state is looked up before it
+        is evaluated; the draw is the same one uniform against the same
+        CDF either way.  ``record`` bypasses the memo: a trainer's
+        parameters move between steps, and it wants the observation.
         """
         # The builder's graph/window checks come before the short-circuit.
-        self._ensure_builder(env)
+        builder = self._ensure_builder(env)
         actions = candidate_actions(env, self.work_conserving)
         width = self._num_actions(env)
-        forced = len(actions) == 1
         observation = mask = None
-        if record or not forced:
-            observation, mask = self._featurize(env, actions)
-        if forced:
+        if len(actions) == 1:
+            if record:
+                observation, mask = self._featurize(env, actions)
             index = _action_index(actions[0], width)
             if self.mode == "sample":
                 self._rng.random()
         else:
-            probs = masked_softmax_row(self._logits(observation), mask)
-            if self.mode == "greedy":
-                index = int(np.argmax(probs))
+            if record or self.memo is None:
+                observation, mask, probs = self._probabilities(env, actions)
+                cdf = None
             else:
-                index = sample_index(probs, self._rng)
+                probs, cdf, mask = self._memoized(builder, env, actions)
+            if self.mode == "greedy":
+                index = int(probs.argmax())
+            else:
+                if cdf is None:
+                    cdf = normalized_cdf(probs)
+                # One uniform against the same CDF, memoized or not.
+                index = int(cdf.searchsorted(self._rng.random(), side="right"))
         if mask is not None and not mask[index]:
             raise EnvironmentStateError("network selected a masked action")
         action = PROCESS if index == width - 1 else index

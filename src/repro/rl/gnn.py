@@ -110,6 +110,16 @@ class GraphObservationBuilder:
         self._max_runtime = max(1, int(arrays.durations.max()))
         self._critical_path = max(1, arrays.critical_path)
 
+    def state_key(self, env) -> tuple:
+        """Hashable of every env query :meth:`build` reads.
+
+        ``build`` reads the clock, the free capacity, each running
+        task's id and finish time, the whole ready queue and the
+        finished set — which is what :meth:`SchedulingEnv.signature`
+        holds, so equal keys mean equal observations.
+        """
+        return env.signature()
+
     def build(self, env) -> GraphObservation:
         """Render one state (the batched form is ``node_state_batch``)."""
         arrays = self.arrays

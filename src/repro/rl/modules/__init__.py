@@ -28,6 +28,7 @@ from .activations import ReLU
 from .softmax import (
     masked_softmax,
     masked_softmax_row,
+    normalized_cdf,
     sample_index,
     entropy_dlogits,
     policy_entropy,
@@ -43,6 +44,7 @@ __all__ = [
     "ReLU",
     "masked_softmax",
     "masked_softmax_row",
+    "normalized_cdf",
     "sample_index",
     "entropy_dlogits",
     "policy_entropy",

@@ -16,6 +16,7 @@ from ...errors import ConfigError
 __all__ = [
     "masked_softmax",
     "masked_softmax_row",
+    "normalized_cdf",
     "sample_index",
     "entropy_dlogits",
     "policy_entropy",
@@ -73,6 +74,22 @@ def masked_softmax_row(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return row
 
 
+def normalized_cdf(probs: np.ndarray) -> np.ndarray:
+    """Cumulative distribution of ``probs``, normalized by its last entry.
+
+    Raises:
+        ValueError: if ``probs`` holds a NaN or infinity, or sums to 0.
+    """
+    cdf = probs.cumsum()
+    total = cdf[-1]
+    if not 0.0 < total < np.inf:
+        raise ValueError(
+            f"probabilities must be finite with a positive sum, got {total}"
+        )
+    cdf /= total
+    return cdf
+
+
 def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
     """Draw an index from the distribution ``probs`` with one uniform.
 
@@ -85,14 +102,7 @@ def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
     Raises:
         ValueError: if ``probs`` holds a NaN or infinity, or sums to 0.
     """
-    cdf = probs.cumsum()
-    total = cdf[-1]
-    if not 0.0 < total < np.inf:
-        raise ValueError(
-            f"probabilities must be finite with a positive sum, got {total}"
-        )
-    cdf /= total
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    return int(normalized_cdf(probs).searchsorted(rng.random(), side="right"))
 
 
 def policy_entropy(probs: np.ndarray) -> float:

@@ -151,6 +151,21 @@ class TestCloneAndEquality:
         b.start(1, (2, 2), 5)
         assert a.signature() == b.signature()
 
+    def test_occupancy_forgets_ids_and_the_clock(self):
+        """Sorted (remaining, demands): the same shapes with other task
+        ids, at another time, occupy the coming slots identically."""
+        a = ClusterState((10, 10))
+        a.start(1, (2, 2), 5)
+        a.start(2, (3, 3), 4)
+        b = ClusterState((10, 10), now=7)
+        b.start(9, (3, 3), 4)
+        b.start(4, (2, 2), 5)
+        assert a.occupancy() == b.occupancy() == ((4, (3, 3)), (5, (2, 2)))
+        assert a.signature() != b.signature()
+        a.advance(1)
+        assert a.occupancy() == ((3, (3, 3)), (4, (2, 2)))
+        assert ClusterState((10, 10)).occupancy() == ()
+
     def test_hashable(self, cluster):
         assert isinstance(hash(cluster), int)
 

@@ -78,6 +78,59 @@ class TestBatchedPlayouts:
                 usage[lane_starts[i] : finishes[i]] += arrays.demands[i]
             assert (usage <= np.asarray(CAPS)).all()
 
+    @pytest.mark.parametrize(
+        "capacities, packed",
+        [
+            ((511,) * 6, False),  # 60 bits: fits int64, not float64
+            ((1023,) * 4 + (511,), False),  # 4 x 11 + 10 = 54: one too many
+            ((1023,) * 4 + (255,), True),  # 4 x 11 + 9: exactly 53 bits
+        ],
+        ids=["60-bit-layout", "54-bit-layout", "53-bit-layout"],
+    )
+    def test_wide_resource_vectors_are_played_exactly(self, capacities, packed):
+        """Released demand is summed in float64, so a packed layout past
+        53 bits let the low fields of the free vector drift until a lane
+        could neither schedule nor process ("no legal actions")."""
+        from repro.analysis.verifier import verify_placements
+        from repro.envarr.batch import _pack_layout
+
+        workload = WorkloadConfig(
+            num_tasks=40,
+            max_demand=min(capacities),
+            demand_mean=min(capacities) / 2,
+            demand_std=min(capacities) / 4,
+        )
+        config = EnvConfig(
+            cluster=ClusterConfig(capacities=capacities, horizon=8),
+            process_until_completion=True,
+        )
+        for seed in range(6):
+            graph = random_layered_dag(
+                workload, seed=seed, num_resources=len(capacities)
+            )
+            kernel = BatchedPlayouts(graph, config)
+            lanes = [SchedulingEnv(graph, config) for _ in range(4)]
+            makespans, starts = kernel.run(
+                lanes, as_generator(seed), 100_000, record_starts=True
+            )
+            arrays = kernel.arrays
+            for lane in range(len(lanes)):
+                placements = [
+                    (
+                        int(arrays.ids[i]),
+                        int(starts[lane, i]),
+                        int(starts[lane, i] + arrays.durations[i]),
+                    )
+                    for i in range(arrays.num_tasks)
+                ]
+                report = verify_placements(placements, graph, capacities)
+                assert report.ok, report.summary()
+                assert max(p[2] for p in placements) == int(makespans[lane])
+            assert np.array_equal(
+                kernel.demands_packed_f.astype(np.int64), kernel.demands_packed
+            )
+        assert (_pack_layout(capacities) is not None) == packed
+
     def test_mid_episode_lanes_complete_consistently(self):
         base, lanes, kernel, limit = make_lanes(3, batch=6, advance=5)
         makespans, _ = kernel.run(lanes, as_generator(11), limit)
@@ -178,11 +231,10 @@ class TestVirtualLossBookkeeping:
             seed=0,
         )
         env = SchedulingEnv(graph, config)
-        kernel = BatchedPlayouts(graph, config)
         root = Node(env.clone(), untried=scheduler._candidates(env))
         stats = SearchStatistics()
-        limit = scheduler.rollout._step_limit(env)
-        scheduler._run_budget_batched(root, 1.4, stats, 48, kernel, limit)
+        limit = scheduler.rollout.step_limit(env)
+        scheduler._run_budget_batched(root, 1.4, stats, 48, limit)
 
         assert stats.iterations == 48
         stack = [root]
