@@ -329,11 +329,13 @@ def _setup_envarr_search_budget_unit(seed: int) -> Callable[[], None]:
 
     Same workload as ``mcts.search_budget_unit`` but at a wide-wave
     configuration (flat 512 budget, ``rollout_batch=512``) where the
-    fused playout kernel amortizes: most of each budget unit is rollout
-    work, which is exactly what the kernel batches.  Under the decayed
-    per-decision budgets of the sequential benchmark the waves are too
-    small to win — tree descent dominates — so this entry prices the
-    regime the kernel is built for.
+    fused playout kernel amortizes.  Tree nodes hold no environment, so
+    every descent of a wave re-walks its path with ``apply``/``undo``
+    (~16 edges for ~1.2 leaves per descent here): measured ~97 us per
+    unit against ~38 us while nodes held clones, and ~140 us for the
+    sequential search.  Under the decayed per-decision budgets of the
+    sequential benchmark the waves are too small to win — tree descent
+    dominates — so this entry prices the regime the kernel is built for.
     """
     from ..mcts.search import MctsScheduler
 

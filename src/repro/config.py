@@ -122,14 +122,9 @@ class MctsConfig:
             ``initial_budget`` iterations (ablation 3 in DESIGN.md).
         use_max_value_ucb: Eq. (5) max-value exploitation with mean tiebreak;
             ``False`` falls back to classic mean-value UCB (ablation 4).
-        state_restore: how the search re-materializes tree states.
-            ``"undo"`` (default) keeps a single environment and walks it
-            with ``apply``/``undo`` along the selection path — no clone per
-            expansion; ``"clone"`` stores an environment clone in every
-            node (the original, memory-hungrier design).  Both produce
-            bit-identical schedules; see DESIGN.md.
         rollout_batch: leaves collected per search round (DESIGN.md
-            Sec. 15).  ``1`` (default) is the sequential search; ``> 1``
+            Sec. 15) — the width of the one tree walk.  ``1`` (default)
+            is the sequential search, one rollout per round; ``> 1``
             collects that many leaves under virtual loss and simulates
             them in one batched call — the lockstep kernel
             :class:`repro.envarr.BatchedPlayouts` for random rollouts, the
@@ -141,7 +136,10 @@ class MctsConfig:
             ``ConfigError``, not a silent sequential search.
 
     Rollout truncation is a property of the rollout policy, not the
-    search: see :class:`repro.core.guidance.TruncatedRollout`.
+    search: see :class:`repro.core.guidance.TruncatedRollout`.  How tree
+    states are re-materialized is not a parameter: the search walks one
+    environment with ``apply``/``undo`` and clones it only into rollout
+    lanes (DESIGN.md Sec. 8).
     """
 
     initial_budget: int = 1000
@@ -150,7 +148,6 @@ class MctsConfig:
     use_expansion_filters: bool = True
     use_budget_decay: bool = True
     use_max_value_ucb: bool = True
-    state_restore: str = "undo"
     rollout_batch: int = 1
     #: Batched leaf guidance (DESIGN.md Sec. 16): ``"auto"`` lets a
     #: network-guided search batch-evaluate each wave's fresh leaves with
@@ -166,10 +163,6 @@ class MctsConfig:
         _require(self.initial_budget >= 1, "initial_budget must be >= 1")
         _require(1 <= self.min_budget, "min_budget must be >= 1")
         _require(self.exploration_scale > 0, "exploration_scale must be > 0")
-        _require(
-            self.state_restore in ("undo", "clone"),
-            f"state_restore must be 'undo' or 'clone', got {self.state_restore!r}",
-        )
         _require(self.rollout_batch >= 1, "rollout_batch must be >= 1")
         _require(
             self.leaf_policy in ("auto", "off"),

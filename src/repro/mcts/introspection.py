@@ -86,7 +86,7 @@ def tree_statistics(root: Node) -> TreeStatistics:
         max_depth = max(max_depth, depth)
         if node.fully_expanded:
             fully_expanded += 1
-        if node.is_terminal:
+        if node.terminal:
             terminals += 1
         for child in node.children.values():
             stack.append((child, depth + 1))

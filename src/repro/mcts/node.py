@@ -2,7 +2,9 @@
 
 Each node represents the environment state reached by a unique action
 history ("given the same initial state, we can always reach the same state
-given the same sequence of actions", Sec. III-C).  Per Sec. IV, every node
+given the same sequence of actions", Sec. III-C) — so a node stores
+statistics, not a state: the search re-materializes the state by walking
+its one environment down the action path.  Per Sec. IV, every node
 tracks **both** the maximum and the mean of the rollout values observed
 through it: selection exploits the maximum (Eq. 5) and breaks ties on the
 mean.
@@ -14,31 +16,24 @@ import math
 from typing import Dict, List, Optional
 
 from ..env.actions import Action
-from ..env.scheduling_env import SchedulingEnv
 
 __all__ = ["Node"]
 
 
 class Node:
-    """One state in the MCTS tree.
+    """One state in the MCTS tree, identified by its action history.
 
     Args:
-        env: the environment state this node represents (owned: callers
-            must pass a clone they will not mutate).  ``None`` in the
-            undo-log search mode, where the single search environment is
-            re-materialized at a node by replaying the action path — pass
-            ``terminal`` explicitly in that case.
         parent: parent node, ``None`` for the root.
         action: the action that led here from the parent.
         untried: expansion candidates not yet turned into children, in
             priority order (the expansion policy decides the order; the
             search pops from the front).
-        terminal: whether the node's state is terminal; required (and only
-            used) when ``env`` is ``None``.
+        terminal: whether the episode has finished in the node's state
+            (whoever expands the node knows; the node cannot look).
     """
 
     __slots__ = (
-        "env",
         "parent",
         "action",
         "children",
@@ -53,13 +48,11 @@ class Node:
 
     def __init__(
         self,
-        env: Optional[SchedulingEnv] = None,
         parent: Optional["Node"] = None,
         action: Optional[Action] = None,
         untried: Optional[List[Action]] = None,
         terminal: bool = False,
     ) -> None:
-        self.env = env
         self.parent = parent
         self.action = action
         self.children: Dict[Action, "Node"] = {}
@@ -79,13 +72,6 @@ class Node:
     # ------------------------------------------------------------------ #
 
     @property
-    def is_terminal(self) -> bool:
-        """True iff the underlying episode has finished."""
-        if self.env is not None:
-            return self.env.done
-        return self.terminal
-
-    @property
     def fully_expanded(self) -> bool:
         """True iff every candidate action has a child node."""
         return not self.untried
@@ -96,14 +82,6 @@ class Node:
         if self.visits == 0:
             return 0.0
         return self.sum_value / self.visits
-
-    def depth(self) -> int:
-        """Distance from the tree root (root = 0)."""
-        node, distance = self, 0
-        while node.parent is not None:
-            node = node.parent
-            distance += 1
-        return distance
 
     def ucb_score(self, child: "Node", c: float, use_max: bool = True) -> float:
         """Eq. (5): ``max_i + c * sqrt(ln n / n_i)``.
@@ -129,14 +107,14 @@ class Node:
         no per-child lambda frame is allocated — this runs once per edge
         of every selection descent.
 
-        With ``virtual_loss`` (batched leaf collection) each child's
+        With ``virtual_loss`` (how the search calls it) each child's
         pending in-flight count depresses its score: in-flight simulations
         inflate the exploration denominator, an unvisited child with
-        in-flight work scores ``-inf`` instead of ``inf`` (so one batch
+        in-flight work scores ``-inf`` instead of ``inf`` (so one wave
         fans out over distinct leaves), and each pending loss subtracts one
-        exploration-scale unit from the exploitation term.  With the flag
-        off (every sequential search path) the scoring is bit-identical to
-        the pre-virtual-loss implementation.
+        exploration-scale unit from the exploitation term.  While no loss
+        is pending — always, at ``rollout_batch=1`` — the flag changes
+        nothing: the score is :meth:`ucb_score`.
         """
         if not self.children:
             raise ValueError("node has no children")
@@ -214,13 +192,6 @@ class Node:
         self.sum_value += value
         if value > self.max_value:
             self.max_value = value
-
-    def tree_size(self) -> int:
-        """Number of nodes in the subtree rooted here (including self)."""
-        total = 1
-        for child in self.children.values():
-            total += child.tree_size()
-        return total
 
     def __repr__(self) -> str:
         return (

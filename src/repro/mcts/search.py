@@ -2,8 +2,10 @@
 
 For every decision of the episode the search spends the Eq. (4) budget
 building (or extending — the chosen child becomes the next root, so the
-relevant subtree is reused) a tree of states, then commits the action with
-the best exploitation score.  Per Sec. III-C/IV:
+relevant subtree is reused) a tree of action histories, then commits the
+action with the best exploitation score.  The tree holds statistics only:
+one environment is walked down each selected path with ``apply``, cloned
+where a leaf needs a rollout, and unwound with ``undo``.  Per Sec. III-C/IV:
 
 * **Selection** descends via Eq. (5) UCB — max value plus a scaled
   exploration term, mean value as tiebreaker.
@@ -111,7 +113,7 @@ class MctsScheduler(Scheduler):
         self.leaf_network = leaf_network
         self.name = name
         self.last_statistics: Optional[SearchStatistics] = None
-        # Telemetry scratch state, live only inside one schedule() call.
+        # Telemetry scratch state, live only inside one plan() call.
         self._tm_enabled = False
         self._filter_hits = 0
 
@@ -143,48 +145,34 @@ class MctsScheduler(Scheduler):
         env_config = _planning_config(self.env_config, request)
         stats = SearchStatistics()
         watch = Stopwatch()
-        undo_mode = self.config.state_restore == "undo"
         tm = _telemetry.active()
         self._tm_enabled = tm.enabled
         self._filter_hits = 0
         with watch, tm.span(
             "mcts.schedule",
             tasks=graph.num_tasks,
-            state_restore=self.config.state_restore,
             scheduler=self.name,
         ) as search_span:
             env = SchedulingEnv(graph, env_config)
             exploration = self._exploration_constant(graph, stats, env_config)
-            # Batched leaf evaluation: collect ``rollout_batch`` leaves
-            # under virtual loss, then play all their rollouts in one
-            # call of the rollout policy's ``rollout_many`` — the
-            # lockstep kernel for random rollouts, one forward per
-            # simulation step across the wave for network rollouts.
-            # Batched collection always works on clone-mode nodes (leaf
-            # lanes must be materialized environments), so it overrides
-            # ``state_restore="undo"``.
-            batched = self.config.rollout_batch > 1
+            # With ``rollout_batch > 1`` a network-guided search orders
+            # each wave's fresh leaves by one batched forward pass
+            # instead of one expansion-policy call per node.
             evaluator = None
-            rollout_limit = 0
-            if batched:
-                undo_mode = False
-                rollout_limit = self.rollout.step_limit(env)
-                if (
-                    self.leaf_network is not None
-                    and self.config.leaf_policy == "auto"
-                ):
-                    from ..rl.evaluator import PolicyEvaluator
+            if (
+                self.config.rollout_batch > 1
+                and self.leaf_network is not None
+                and self.config.leaf_policy == "auto"
+            ):
+                from ..rl.evaluator import PolicyEvaluator
 
-                    evaluator = PolicyEvaluator(
-                        self.leaf_network,
-                        env_config,
-                        graph,
-                        work_conserving=self.config.use_expansion_filters,
-                    )
-            root = Node(
-                None if undo_mode else env.clone(),
-                untried=self._candidates(env),
-            )
+                evaluator = PolicyEvaluator(
+                    self.leaf_network,
+                    env_config,
+                    graph,
+                    work_conserving=self.config.use_expansion_filters,
+                )
+            root = Node(untried=self._candidates(env))
             depth = 1
             try:
                 self.expansion.begin_search(env)
@@ -203,23 +191,9 @@ class MctsScheduler(Scheduler):
                     with tm.span(
                         "mcts.decision", depth=depth, budget=budget
                     ) as decision_span:
-                        if batched:
-                            self._run_budget_batched(
-                                root,
-                                exploration,
-                                stats,
-                                budget,
-                                rollout_limit,
-                                evaluator,
-                            )
-                        elif undo_mode:
-                            for _ in range(budget):
-                                self._iterate_undo(root, env, exploration, stats)
-                                stats.iterations += 1
-                        else:
-                            for _ in range(budget):
-                                self._iterate(root, exploration, stats)
-                                stats.iterations += 1
+                        self._run_budget(
+                            root, env, exploration, stats, budget, evaluator
+                        )
                         if not root.children:
                             # All candidates exhausted without one expansion —
                             # cannot happen while the env is live, but guard.
@@ -293,120 +267,72 @@ class MctsScheduler(Scheduler):
         estimate = GreedyRollout().rollout(probe)
         return self.config.exploration_scale * max(1, estimate)
 
-    def _iterate_undo(
+    # --------------------------- the tree walk ------------------------ #
+
+    def _run_budget(
         self,
         root: Node,
         env: SchedulingEnv,
         exploration: float,
         stats: SearchStatistics,
-    ) -> None:
-        """One budget unit in undo-log mode: the single search environment
-        walks down the selected path via ``apply`` and is restored to the
-        root state via LIFO ``undo`` — no clone per tree edge.
-
-        Behaviourally identical to :meth:`_iterate` (same node visit
-        sequence, same policy/RNG consumption), so the two state-restore
-        modes produce bit-identical schedules.
-        """
-        node = root
-        undo_stack = []
-        use_max = self.config.use_max_value_ucb
-        # Selection: descend while fully expanded and non-terminal.
-        while not node.terminal and not node.untried and node.children:
-            node = node.best_child(exploration, use_max)
-            undo_stack.append(env.apply(node.action))
-        # Expansion: realize the most promising untried action.
-        if not node.terminal and node.untried:
-            if len(node.untried) > 1:
-                node.untried = self.expansion.prioritize(env, node.untried)
-            action = node.untried.pop(0)
-            undo_stack.append(env.apply(action))
-            done = env.done
-            child = Node(
-                None,
-                parent=node,
-                action=action,
-                untried=self._candidates(env) if not done else [],
-                terminal=done,
-            )
-            node.children[action] = child
-            node = child
-        # Simulation: value = negative makespan.
-        if node.terminal:
-            value = float(-env.makespan)
-        else:
-            sim = env.clone()
-            value = float(-self.rollout.rollout(sim))
-            stats.rollouts += 1
-        # Backpropagation.
-        depth = 0
-        walker: Optional[Node] = node
-        while walker is not None:
-            walker.update(value)
-            walker = walker.parent
-            depth += 1
-        stats.max_tree_depth = max(stats.max_tree_depth, depth)
-        # Restore the environment to the root state.
-        while undo_stack:
-            env.undo(undo_stack.pop())
-
-    # ----------------------- batched leaf evaluation ------------------ #
-
-    def _run_budget_batched(
-        self,
-        root: Node,
-        exploration: float,
-        stats: SearchStatistics,
         budget: int,
-        rollout_limit: int,
         evaluator=None,
     ) -> None:
         """Spend one decision's budget ``rollout_batch`` leaves at a time.
 
         Each round collects up to ``rollout_batch`` distinct leaves by
         descending under virtual loss (each selected edge's pending count
-        rises, steering later descents elsewhere), then plays every
-        non-terminal leaf's rollout in one call of the rollout policy's
-        ``rollout_many`` and backpropagates the values, clearing the
-        virtual losses on the way up.  One collected leaf costs one
-        budget unit, exactly like one sequential iteration.
+        rises, steering later descents elsewhere), plays every
+        non-terminal leaf's rollout and backpropagates the values,
+        clearing the virtual losses on the way up.  One collected leaf
+        costs one budget unit.  At width 1 no virtual loss is pending
+        when a descent starts, so the round is the classic sequential
+        iteration: select, expand, simulate, backpropagate.
 
-        With a leaf ``evaluator``, each wave's fresh leaves also get
-        their ``untried`` candidates ordered by the policy's batched
-        priors before the rollouts run (the lanes still hold the leaf
-        states then) — one forward pass replaces per-node expansion
-        calls.
+        ``env`` is the search's one environment, at ``root``'s state on
+        entry and on return.  With a leaf ``evaluator``, each wave's
+        fresh leaves also get their ``untried`` candidates ordered by the
+        policy's batched priors before the rollouts run — one forward
+        pass replaces per-node expansion calls.
         """
+        width = self.config.rollout_batch
         spent = 0
         while spent < budget:
-            want = min(self.config.rollout_batch, budget - spent)
+            want = min(width, budget - spent)
             leaves: List[Node] = []
             lanes: List[SchedulingEnv] = []
             while want > 0:
-                taken = self._collect_wave(
-                    root, exploration, want, leaves, lanes, stats
+                taken = self._collect(
+                    root, env, exploration, want, leaves, lanes, stats
                 )
                 spent += taken
                 want -= taken
-            if lanes:
-                if evaluator is not None:
-                    priors = evaluator.action_probabilities(lanes)
-                    for node, prior in zip(leaves, priors):
-                        if len(node.untried) > 1:
-                            node.untried.sort(
-                                key=lambda a: (-prior.get(a, 0.0), a)
-                            )
-                        node.ordered = True
+            if not lanes:
+                continue
+            if evaluator is not None:
+                priors = evaluator.action_probabilities(lanes)
+                for node, prior in zip(leaves, priors):
+                    if len(node.untried) > 1:
+                        node.untried.sort(key=lambda a: (-prior.get(a, 0.0), a))
+                    node.ordered = True
+            # The one width-dependent line: a lone lane is played by the
+            # rollout policy itself, a wave by its batched entry point
+            # (the lockstep kernel for random rollouts, one forward per
+            # simulation step across the wave for network rollouts).
+            if width == 1:
+                makespans = [self.rollout.rollout(lanes[0])]
+            else:
                 makespans = self.rollout.rollout_many(  # type: ignore[attr-defined]
-                    lanes, rollout_limit
+                    lanes, self.rollout.step_limit(env)
                 )
-                stats.rollouts += len(lanes)
-                for node, makespan in zip(leaves, makespans):
-                    self._backpropagate(node, float(-int(makespan)), stats)
+            stats.rollouts += len(lanes)
+            for node, makespan in zip(leaves, makespans):
+                self._backpropagate(node, float(-makespan), stats)
 
-    def _collect_wave(
+    def _collect(
         self,
         root: Node,
+        env: SchedulingEnv,
         exploration: float,
         want: int,
         leaves: List[Node],
@@ -415,66 +341,70 @@ class MctsScheduler(Scheduler):
     ) -> int:
         """One virtual-loss descent collecting up to ``want`` leaves.
 
-        Descends to the most promising expandable node, then expands up to
-        ``want`` of its untried actions as sibling leaves in one go — the
-        same frontier repeated single-leaf descents would reach (virtual
-        loss steers consecutive descents into a node's remaining untried
-        actions anyway), at one descent's cost instead of ``k``.  Terminal
-        leaves are evaluated and backpropagated immediately; the rest are
-        appended to ``leaves`` / ``lanes`` for the batched rollout.
-        Returns the number of budget units consumed (= leaves collected).
+        Walks ``env`` down to the most promising expandable node with
+        ``apply``, then expands up to ``want`` of its untried actions as
+        sibling leaves in one go — the same frontier repeated single-leaf
+        descents would reach (virtual loss steers consecutive descents
+        into a node's remaining untried actions anyway), at one descent's
+        cost instead of ``k``.  Each sibling is ``apply`` -> record what
+        the node keeps (candidates, terminal) -> ``clone`` a lane if it
+        needs a rollout -> ``undo``.  Terminal leaves are evaluated and
+        backpropagated immediately; the rest are appended to ``leaves`` /
+        ``lanes``.  ``env`` is unwound to the root state before returning
+        the number of budget units consumed (= leaves collected).
         """
         use_max = self.config.use_max_value_ucb
         node = root
-        path: List[Node] = []  # nodes whose vloss this descent incremented
+        descent = []  # undo records of the selected path, root first
         while not node.terminal and not node.untried and node.children:
             node = node.best_child(exploration, use_max, virtual_loss=True)
             node.vloss += 1
-            path.append(node)
+            descent.append(env.apply(node.action))
         if node.terminal:
             # Re-selected terminal node: one more (immediate) evaluation.
-            stats.iterations += 1
-            self._backpropagate(node, float(-node.env.makespan), stats)
-            return 1
-        if not node.untried:
+            taken = 1
+            self._backpropagate(node, float(-env.makespan), stats)
+        elif not node.untried:
             # Dead end without being terminal cannot happen on a live
             # environment; guard so a livelock is loud, not silent.
             raise ConfigError("MCTS selection reached a non-terminal dead end")
-        if len(node.untried) > 1 and not node.ordered:
-            node.untried = self.expansion.prioritize(node.env, node.untried)
-        taken = 0
-        parent_env = node.env
-        terminal_children: List[Node] = []
-        while node.untried and taken < want:
-            action = node.untried.pop(0)
-            child_env = parent_env.clone()
-            child_env.step(action)
-            done = child_env.done
-            child = Node(
-                child_env,
-                parent=node,
-                action=action,
-                untried=self._candidates(child_env) if not done else [],
-                terminal=done,
-            )
-            node.children[action] = child
-            taken += 1
-            stats.iterations += 1
-            if done:
-                terminal_children.append(child)
-            else:
-                child.vloss += 1
-                leaves.append(child)
-                lanes.append(child_env)
-        # Each of the ``taken`` eventual backpropagations decrements every
-        # path node once; the descent incremented them once, so top the
-        # path up to keep pending counts balanced across the round.
-        if taken > 1 and path:
-            extra = taken - 1
-            for ancestor in path:
-                ancestor.vloss += extra
-        for child in terminal_children:
-            self._backpropagate(child, float(-child.env.makespan), stats)
+        else:
+            if len(node.untried) > 1 and not node.ordered:
+                node.untried = self.expansion.prioritize(env, node.untried)
+            taken = 0
+            finished = []  # (terminal child, its value)
+            while node.untried and taken < want:
+                action = node.untried.pop(0)
+                record = env.apply(action)
+                done = env.done
+                child = Node(
+                    parent=node,
+                    action=action,
+                    untried=[] if done else self._candidates(env),
+                    terminal=done,
+                )
+                node.children[action] = child
+                taken += 1
+                if done:
+                    finished.append((child, float(-env.makespan)))
+                else:
+                    child.vloss += 1
+                    leaves.append(child)
+                    lanes.append(env.clone())
+                env.undo(record)
+            # Each of the ``taken`` eventual backpropagations decrements
+            # every selected node once; the descent incremented them once,
+            # so top the path up to keep pending counts balanced.
+            if taken > 1:
+                ancestor: Optional[Node] = node
+                while ancestor is not None and ancestor is not root:
+                    ancestor.vloss += taken - 1
+                    ancestor = ancestor.parent
+            for child, value in finished:
+                self._backpropagate(child, value, stats)
+        stats.iterations += taken
+        while descent:
+            env.undo(descent.pop())
         return taken
 
     def _backpropagate(
@@ -498,41 +428,5 @@ class MctsScheduler(Scheduler):
                 walker.vloss -= 1
             walker = walker.parent
             depth += 1
-        stats.max_tree_depth = max(stats.max_tree_depth, depth)
-
-    def _iterate(self, root: Node, exploration: float, stats: SearchStatistics) -> None:
-        """One budget unit: select, expand, simulate, backpropagate."""
-        node = root
-        # Selection: descend while fully expanded and non-terminal.
-        while not node.is_terminal and node.fully_expanded and node.children:
-            node = node.best_child(exploration, self.config.use_max_value_ucb)
-        # Expansion: realize the most promising untried action.
-        if not node.is_terminal and node.untried:
-            if len(node.untried) > 1 and not node.ordered:
-                node.untried = self.expansion.prioritize(node.env, node.untried)
-            action = node.untried.pop(0)
-            child_env = node.env.clone()
-            child_env.step(action)
-            child = Node(
-                child_env,
-                parent=node,
-                action=action,
-                untried=self._candidates(child_env) if not child_env.done else [],
-            )
-            node.children[action] = child
-            node = child
-        # Simulation: value = negative makespan.
-        if node.is_terminal:
-            value = float(-node.env.makespan)
-        else:
-            sim = node.env.clone()
-            value = float(-self.rollout.rollout(sim))
-            stats.rollouts += 1
-        # Backpropagation.
-        depth = 0
-        walker: Optional[Node] = node
-        while walker is not None:
-            walker.update(value)
-            walker = walker.parent
-            depth += 1
-        stats.max_tree_depth = max(stats.max_tree_depth, depth)
+        if depth > stats.max_tree_depth:
+            stats.max_tree_depth = depth

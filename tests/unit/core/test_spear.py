@@ -7,6 +7,7 @@ from repro.core import NetworkExpansion, NetworkRollout, SpearScheduler, build_s
 from repro.dag import chain_dag
 from repro.env import SchedulingEnv
 from repro.metrics import validate_schedule
+from repro.schedulers.base import ScheduleRequest
 
 
 class TestGuidancePolicies:
@@ -52,7 +53,7 @@ class TestSpearScheduler:
             env_config,
             seed=0,
         )
-        schedule = spear.schedule(small_random_graph)
+        schedule = spear.plan(ScheduleRequest(small_random_graph))
         validate_schedule(
             schedule, small_random_graph, env_config.cluster.capacities
         )
@@ -64,7 +65,7 @@ class TestSpearScheduler:
         spear = SpearScheduler(
             network, MctsConfig(initial_budget=10, min_budget=5), env_config, seed=0
         )
-        assert spear.schedule(graph).makespan == 5
+        assert spear.plan(ScheduleRequest(graph)).makespan == 5
 
     def test_build_spear_convenience(self, tiny_training_setup, small_random_graph):
         network, env_config, _, _ = tiny_training_setup
@@ -72,7 +73,7 @@ class TestSpearScheduler:
             network, MctsConfig(initial_budget=10, min_budget=5), env_config, seed=1
         )
         assert isinstance(spear, SpearScheduler)
-        schedule = spear.schedule(small_random_graph)
+        schedule = spear.plan(ScheduleRequest(small_random_graph))
         assert schedule.num_tasks == small_random_graph.num_tasks
 
     def test_statistics_available(self, tiny_training_setup, small_random_graph):
@@ -80,7 +81,7 @@ class TestSpearScheduler:
         spear = SpearScheduler(
             network, MctsConfig(initial_budget=10, min_budget=5), env_config, seed=0
         )
-        spear.schedule(small_random_graph)
+        spear.plan(ScheduleRequest(small_random_graph))
         assert spear.last_statistics.rollouts > 0
 
     def test_never_worse_than_pure_policy(self, tiny_training_setup, small_random_graph):
@@ -94,8 +95,8 @@ class TestSpearScheduler:
         network, env_config, _, _ = tiny_training_setup
         greedy = PolicyScheduler(
             lambda: NetworkPolicy(network, mode="greedy"), env_config, name="drl"
-        ).schedule(small_random_graph)
+        ).plan(ScheduleRequest(small_random_graph))
         spear = SpearScheduler(
             network, MctsConfig(initial_budget=30, min_budget=10), env_config, seed=0
-        ).schedule(small_random_graph)
+        ).plan(ScheduleRequest(small_random_graph))
         assert spear.makespan <= greedy.makespan + 2  # small slack: sampling noise

@@ -213,38 +213,38 @@ class TestBatchedPlayouts:
 
 class TestVirtualLossBookkeeping:
     def test_vloss_returns_to_zero_after_budget(self):
-        """Every virtual loss taken during wave collection is repaid."""
-        from repro.envarr.batch import BatchedPlayouts
+        """Every virtual loss taken during wave collection is repaid —
+        at width 1 (the sequential search) as in a wave."""
         from repro.mcts.node import Node
         from repro.mcts.search import MctsScheduler, SearchStatistics
 
         graph = random_layered_dag(WORKLOAD, seed=8)
         config = make_config()
-        scheduler = MctsScheduler(
-            MctsConfig(
-                initial_budget=48,
-                min_budget=48,
-                use_budget_decay=False,
-                rollout_batch=12,
-            ),
-            config,
-            seed=0,
-        )
-        env = SchedulingEnv(graph, config)
-        root = Node(env.clone(), untried=scheduler._candidates(env))
-        stats = SearchStatistics()
-        limit = scheduler.rollout.step_limit(env)
-        scheduler._run_budget_batched(root, 1.4, stats, 48, limit)
+        for width in (1, 8):
+            scheduler = MctsScheduler(
+                MctsConfig(
+                    initial_budget=48,
+                    min_budget=48,
+                    use_budget_decay=False,
+                    rollout_batch=width,
+                ),
+                config,
+                seed=0,
+            )
+            env = SchedulingEnv(graph, config)
+            root = Node(untried=scheduler._candidates(env))
+            stats = SearchStatistics()
+            scheduler._run_budget(root, env, 1.4, stats, 48)
 
-        assert stats.iterations == 48
-        stack = [root]
-        visited = 0
-        while stack:
-            node = stack.pop()
-            visited += 1
-            assert node.vloss == 0, "virtual loss must be repaid by backprop"
-            stack.extend(node.children.values())
-        assert visited > 1, "the budget must have grown the tree"
+            assert stats.iterations == 48
+            stack = [root]
+            visited = 0
+            while stack:
+                node = stack.pop()
+                visited += 1
+                assert node.vloss == 0, "virtual loss must be repaid by backprop"
+                stack.extend(node.children.values())
+            assert visited > 1, "the budget must have grown the tree"
 
     def test_batched_and_sequential_search_visit_counts_agree(self):
         """Total root visits equal the spent budget in both modes."""

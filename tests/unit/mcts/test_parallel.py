@@ -8,6 +8,7 @@ from repro.dag.examples import MOTIVATING_CAPACITY, MOTIVATING_T
 from repro.errors import ConfigError
 from repro.mcts import MctsScheduler, RootParallelMcts
 from repro.metrics import validate_schedule
+from repro.schedulers.base import ScheduleRequest
 
 
 @pytest.fixture
@@ -27,7 +28,7 @@ class TestRootParallel:
             workers=3,
             seed=0,
         )
-        schedule = scheduler.schedule(small_random_graph)
+        schedule = scheduler.plan(ScheduleRequest(small_random_graph))
         validate_schedule(schedule, small_random_graph, (10, 10))
         assert schedule.scheduler == "mcts-parallel"
 
@@ -43,7 +44,7 @@ class TestRootParallel:
         parallel = RootParallelMcts(
             config, env_config, workers=3, seed=42
         )
-        best = parallel.schedule(small_random_graph).makespan
+        best = parallel.plan(ScheduleRequest(small_random_graph)).makespan
 
         from repro.utils.rng import as_generator, derive_seed
 
@@ -52,7 +53,8 @@ class TestRootParallel:
         for _ in range(3):
             seed = derive_seed(rng)
             single = MctsScheduler(config, env_config, seed=seed)
-            singles.append(single.schedule(small_random_graph).makespan)
+            schedule = single.plan(ScheduleRequest(small_random_graph))
+            singles.append(schedule.makespan)
         assert best == min(singles)
 
     def test_chain_forced(self, env_config):
@@ -63,7 +65,7 @@ class TestRootParallel:
             workers=2,
             seed=0,
         )
-        assert scheduler.schedule(graph).makespan == 5
+        assert scheduler.plan(ScheduleRequest(graph)).makespan == 5
 
     def test_finds_motivating_optimum_with_small_per_worker_budget(self):
         """Diversity pays: several small searches reach 2T reliably."""
@@ -78,7 +80,7 @@ class TestRootParallel:
             seed=1,
         )
         graph = motivating_example()
-        schedule = scheduler.schedule(graph)
+        schedule = scheduler.plan(ScheduleRequest(graph))
         validate_schedule(schedule, graph, MOTIVATING_CAPACITY)
         assert schedule.makespan == 2 * MOTIVATING_T
 
@@ -92,6 +94,6 @@ class TestRootParallel:
             seed=0,
             use_processes=True,
         )
-        schedule = scheduler.schedule(graph)
+        schedule = scheduler.plan(ScheduleRequest(graph))
         validate_schedule(schedule, graph, (10, 10))
         assert schedule.makespan == 2

@@ -7,6 +7,7 @@ from repro.dag import chain_dag, independent_tasks_dag, motivating_example
 from repro.dag.examples import MOTIVATING_CAPACITY, MOTIVATING_T
 from repro.mcts import GreedyRollout, MctsScheduler, RandomExpansion, RandomRollout
 from repro.metrics import validate_schedule
+from repro.schedulers.base import ScheduleRequest
 
 
 @pytest.fixture
@@ -29,24 +30,26 @@ def mcts(budget=50, min_budget=10, env_config=None, seed=0, **kwargs):
 class TestBasics:
     def test_chain_is_forced(self, env_config):
         graph = chain_dag([2, 3, 1], demands=[(1, 1)] * 3)
-        schedule = mcts(env_config=env_config).schedule(graph)
+        schedule = mcts(env_config=env_config).plan(ScheduleRequest(graph))
         assert schedule.makespan == 6
         assert schedule.scheduler == "mcts"
 
     def test_schedule_is_feasible(self, env_config, small_random_graph):
-        schedule = mcts(env_config=env_config).schedule(small_random_graph)
+        schedule = mcts(env_config=env_config).plan(
+            ScheduleRequest(small_random_graph)
+        )
         validate_schedule(
             schedule, small_random_graph, env_config.cluster.capacities
         )
 
     def test_single_task(self, env_config):
         graph = chain_dag([4], demands=[(2, 2)])
-        schedule = mcts(env_config=env_config).schedule(graph)
+        schedule = mcts(env_config=env_config).plan(ScheduleRequest(graph))
         assert schedule.makespan == 4
 
     def test_statistics_populated(self, env_config, small_random_graph):
         scheduler = mcts(budget=20, min_budget=5, env_config=env_config)
-        scheduler.schedule(small_random_graph)
+        scheduler.plan(ScheduleRequest(small_random_graph))
         stats = scheduler.last_statistics
         assert stats is not None
         assert stats.decisions > 0
@@ -56,7 +59,7 @@ class TestBasics:
 
     def test_budget_decay_recorded(self, env_config, small_random_graph):
         scheduler = mcts(budget=40, min_budget=5, env_config=env_config)
-        scheduler.schedule(small_random_graph)
+        scheduler.plan(ScheduleRequest(small_random_graph))
         budgets = scheduler.last_statistics.budgets
         assert budgets[0] == 40
         assert budgets[1] == 20
@@ -66,7 +69,7 @@ class TestBasics:
         scheduler = mcts(
             budget=15, min_budget=5, env_config=env_config, use_budget_decay=False
         )
-        scheduler.schedule(small_random_graph)
+        scheduler.plan(ScheduleRequest(small_random_graph))
         assert set(scheduler.last_statistics.budgets) == {15}
 
 
@@ -77,8 +80,8 @@ class TestOptimality:
             process_until_completion=True,
         )
         graph = motivating_example()
-        schedule = mcts(budget=300, min_budget=30, env_config=env_config).schedule(
-            graph
+        schedule = mcts(budget=300, min_budget=30, env_config=env_config).plan(
+            ScheduleRequest(graph)
         )
         validate_schedule(schedule, graph, MOTIVATING_CAPACITY)
         assert schedule.makespan == 2 * MOTIVATING_T
@@ -86,16 +89,17 @@ class TestOptimality:
     def test_packs_independent_tasks(self, env_config):
         # Four unit tasks, two fit at a time: optimum 2.
         graph = independent_tasks_dag([1] * 4, demands=[(5, 5)] * 4)
-        schedule = mcts(budget=100, min_budget=20, env_config=env_config).schedule(
-            graph
+        schedule = mcts(budget=100, min_budget=20, env_config=env_config).plan(
+            ScheduleRequest(graph)
         )
         assert schedule.makespan == 2
 
 
 class TestDeterminismAndSeeding:
     def test_same_seed_same_result(self, env_config, small_random_graph):
-        a = mcts(env_config=env_config, seed=3).schedule(small_random_graph)
-        b = mcts(env_config=env_config, seed=3).schedule(small_random_graph)
+        request = ScheduleRequest(small_random_graph)
+        a = mcts(env_config=env_config, seed=3).plan(request)
+        b = mcts(env_config=env_config, seed=3).plan(request)
         assert a.makespan == b.makespan
         assert a.as_dict() == b.as_dict()
 
@@ -105,14 +109,14 @@ class TestConfigKnobs:
         scheduler = mcts(
             env_config=env_config, use_expansion_filters=False
         )
-        schedule = scheduler.schedule(small_random_graph)
+        schedule = scheduler.plan(ScheduleRequest(small_random_graph))
         validate_schedule(
             schedule, small_random_graph, env_config.cluster.capacities
         )
 
     def test_mean_ucb_still_feasible(self, env_config, small_random_graph):
         scheduler = mcts(env_config=env_config, use_max_value_ucb=False)
-        schedule = scheduler.schedule(small_random_graph)
+        schedule = scheduler.plan(ScheduleRequest(small_random_graph))
         validate_schedule(
             schedule, small_random_graph, env_config.cluster.capacities
         )
@@ -124,7 +128,7 @@ class TestConfigKnobs:
             rollout=GreedyRollout(),
             seed=0,
         )
-        schedule = scheduler.schedule(small_random_graph)
+        schedule = scheduler.plan(ScheduleRequest(small_random_graph))
         validate_schedule(
             schedule, small_random_graph, env_config.cluster.capacities
         )
@@ -141,7 +145,7 @@ class TestRolloutBatch:
     SPEC = "spear:budget=20,min_budget=5,rollout_batch={batch}"
 
     def _spear_plan(self, batch):
-        from repro import ScheduleRequest, WorkloadConfig, make_scheduler
+        from repro import WorkloadConfig, make_scheduler
         from repro.dag import random_layered_dag
 
         graph = random_layered_dag(WorkloadConfig(num_tasks=20), seed=101)
@@ -186,7 +190,7 @@ class TestRolloutBatch:
         scheduler = mcts(
             budget=24, min_budget=8, env_config=env_config, rollout_batch=8
         )
-        schedule = scheduler.schedule(small_random_graph)
+        schedule = scheduler.plan(ScheduleRequest(small_random_graph))
         validate_schedule(
             schedule, small_random_graph, env_config.cluster.capacities
         )

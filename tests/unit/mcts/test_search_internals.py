@@ -5,8 +5,9 @@ import pytest
 from repro.config import ClusterConfig, EnvConfig, GrapheneConfig, MctsConfig
 from repro.dag import independent_tasks_dag
 from repro.env import SchedulingEnv
-from repro.mcts import MctsScheduler, Node
+from repro.mcts import MctsScheduler, Node, tree_statistics
 from repro.mcts.search import SearchStatistics
+from repro.schedulers.base import ScheduleRequest
 
 
 @pytest.fixture
@@ -18,63 +19,116 @@ def env_config():
     )
 
 
+def environment_state(env):
+    return env.signature(), list(env.legal_actions()), env.steps_taken
+
+
 class TestIterationMechanics:
+    """The one tree walk, driven a budget at a time: ``_run_budget`` on a
+    statistics-only root and the search's single environment.  Width 1
+    is the sequential search; the subclass below re-runs every test on
+    waves of 8."""
+
+    width = 1
+
+    def search(self, graph, env_config):
+        scheduler = MctsScheduler(
+            MctsConfig(initial_budget=10, min_budget=5, rollout_batch=self.width),
+            env_config,
+            seed=0,
+        )
+        env = SchedulingEnv(graph, env_config)
+        root = Node(untried=scheduler._candidates(env))
+        return scheduler, env, root, SearchStatistics()
+
     def test_iterations_add_one_node_or_hit_terminal(self, env_config):
         graph = independent_tasks_dag([2, 2, 2], demands=[(4, 4)] * 3)
-        env = SchedulingEnv(graph, env_config)
-        scheduler = MctsScheduler(
-            MctsConfig(initial_budget=10, min_budget=5), env_config, seed=0
-        )
-        root = Node(env.clone(), untried=scheduler._candidates(env))
-        stats = SearchStatistics()
-        sizes = [root.tree_size()]
+        scheduler, env, root, stats = self.search(graph, env_config)
+        sizes = [tree_statistics(root).nodes]
         for _ in range(8):
-            scheduler._iterate(root, 100.0, stats)
-            sizes.append(root.tree_size())
-        # Tree grows by at most one node per iteration.
+            scheduler._run_budget(root, env, 100.0, stats, self.width)
+            sizes.append(tree_statistics(root).nodes)
+        # Tree grows by at most one node per budget unit.
         for before, after in zip(sizes, sizes[1:]):
-            assert after - before in (0, 1)
-        assert root.visits == 8
+            assert 0 <= after - before <= self.width
+        assert root.visits == stats.iterations == 8 * self.width
 
     def test_backpropagation_reaches_root(self, env_config):
         graph = independent_tasks_dag([2, 2], demands=[(4, 4)] * 2)
-        env = SchedulingEnv(graph, env_config)
-        scheduler = MctsScheduler(
-            MctsConfig(initial_budget=5, min_budget=2), env_config, seed=0
-        )
-        root = Node(env.clone(), untried=scheduler._candidates(env))
-        stats = SearchStatistics()
-        scheduler._iterate(root, 100.0, stats)
+        scheduler, env, root, stats = self.search(graph, env_config)
+        scheduler._run_budget(root, env, 100.0, stats, 1)
         assert root.visits == 1
         assert root.max_value <= 0  # value is a negative makespan
 
     def test_root_visits_equal_child_visit_sum(self, env_config):
         graph = independent_tasks_dag([2, 2, 2], demands=[(4, 4)] * 3)
-        env = SchedulingEnv(graph, env_config)
-        scheduler = MctsScheduler(
-            MctsConfig(initial_budget=10, min_budget=5), env_config, seed=0
-        )
-        root = Node(env.clone(), untried=scheduler._candidates(env))
-        stats = SearchStatistics()
-        for _ in range(12):
-            scheduler._iterate(root, 100.0, stats)
+        scheduler, env, root, stats = self.search(graph, env_config)
+        scheduler._run_budget(root, env, 100.0, stats, 12)
         child_visits = sum(ch.visits for ch in root.children.values())
         # Every iteration passes through exactly one child (no terminals at
         # the root of this instance).
-        assert child_visits == root.visits
+        assert child_visits == root.visits == 12
 
     def test_values_are_negative_makespans(self, env_config):
         graph = independent_tasks_dag([3, 3], demands=[(4, 4)] * 2)
-        env = SchedulingEnv(graph, env_config)
-        scheduler = MctsScheduler(
-            MctsConfig(initial_budget=10, min_budget=5), env_config, seed=0
-        )
-        root = Node(env.clone(), untried=scheduler._candidates(env))
-        stats = SearchStatistics()
-        for _ in range(10):
-            scheduler._iterate(root, 100.0, stats)
+        scheduler, env, root, stats = self.search(graph, env_config)
+        scheduler._run_budget(root, env, 100.0, stats, 10)
         # Both tasks fit together: the only achievable makespan is 3.
         assert root.max_value == -3.0
+
+    def test_every_apply_is_undone(self, env_config):
+        """After each budget the walked environment is back at the root
+        state — also once the tree is exhausted and descents end in
+        re-selected terminal nodes."""
+        graph = independent_tasks_dag([2, 2], demands=[(4, 4)] * 2)
+        scheduler, env, _, stats = self.search(graph, env_config)
+        env.step(scheduler._candidates(env)[0])  # a root below the initial state
+        root = Node(untried=scheduler._candidates(env))
+        at_root = environment_state(env)
+        reselected_terminal = False
+        for _ in range(12):
+            before = tree_statistics(root)
+            scheduler._run_budget(root, env, 100.0, stats, self.width)
+            assert environment_state(env) == at_root
+            after = tree_statistics(root)
+            if after.terminals and after.nodes == before.nodes:
+                reselected_terminal = True
+        assert reselected_terminal, "the budget must outlast this tiny tree"
+        assert root.visits == stats.iterations == 12 * self.width
+
+
+class TestIterationMechanicsInWaves(TestIterationMechanics):
+    width = 8
+
+
+class TestBackpropagation:
+    def test_folds_like_update_and_releases_virtual_loss(self, env_config):
+        """The inlined fold equals ``Node.update`` on every ancestor;
+        pending virtual losses drop by one, never below zero."""
+        scheduler = MctsScheduler(MctsConfig(), env_config, seed=0)
+
+        def chain():
+            root = Node()
+            child = root.children[0] = Node(parent=root, action=0)
+            leaf = child.children[1] = Node(parent=child, action=1)
+            return [root, child, leaf]
+
+        walked, reference = chain(), chain()
+        for node, pending in zip(walked, (0, 2, 1)):
+            node.vloss = pending
+        stats = SearchStatistics()
+        for value in (-9.0, -4.0, -6.0):
+            scheduler._backpropagate(walked[-1], value, stats)
+            for node in reference:
+                node.update(value)
+        for node, twin in zip(walked, reference):
+            assert (node.visits, node.sum_value, node.max_value) == (
+                twin.visits,
+                twin.sum_value,
+                twin.max_value,
+            )
+        assert [node.vloss for node in walked] == [0, 0, 0]
+        assert stats.max_tree_depth == 3
 
 
 class TestSubtreeReuse:
@@ -87,7 +141,7 @@ class TestSubtreeReuse:
         scheduler = MctsScheduler(
             MctsConfig(initial_budget=30, min_budget=10), env_config, seed=0
         )
-        schedule = scheduler.schedule(graph)
+        schedule = scheduler.plan(ScheduleRequest(graph))
         stats = scheduler.last_statistics
         assert stats.decisions >= 4  # at least one per task + processing
         # Budget decays by depth while the subtree carries prior visits;
@@ -115,5 +169,5 @@ class TestGrapheneBackwardHorizonGrowth:
         plan = scheduler.build_plan(graph, 0.5, "backward")
         assert sorted(plan.order) == list(graph.task_ids)
         assert plan.virtual_makespan >= 10
-        schedule = scheduler.schedule(graph)
+        schedule = scheduler.plan(ScheduleRequest(graph))
         assert schedule.makespan == 10

@@ -6,6 +6,8 @@ emit the spans, counters and series DESIGN.md Sec. 9 documents — and
 that with telemetry off they emit nothing.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import (
@@ -24,6 +26,7 @@ from repro.mcts.parallel import RootParallelMcts
 from repro.mcts.search import MctsScheduler
 from repro.online import ArrivingJob, OnlineSimulator, fifo_ranker, sjf_ranker
 from repro.rl import ImitationTrainer, PolicyNetwork, ReinforceTrainer
+from repro.schedulers.base import ScheduleRequest
 from repro.telemetry import TelemetryConfig as TC
 from repro.telemetry import disable, session, summarize
 
@@ -98,9 +101,35 @@ class TestEnvInstrumentation:
             MctsScheduler(MCTS, seed=0).schedule(graph)
             assert tm.metrics.counter("env.episodes").total >= 1
             assert tm.metrics.counter("env.steps").total > 0
-            assert tm.metrics.counter("env.undos").total > 0  # undo mode
+            assert tm.metrics.counter("env.undos").total > 0  # the tree walk
             episodes = [e for e in tm.events() if e.name == "env.episode"]
         assert episodes and episodes[-1].attrs["steps"] > 0
+
+    @pytest.mark.parametrize("width", [1, 8])
+    def test_search_environment_owns_its_clones_and_undos(
+        self, graph, width, monkeypatch
+    ):
+        """The one walked environment makes every clone (one per rollout
+        lane) and undoes every ``apply``; only committed moves remain as
+        steps — in a sequential search and in waves alike."""
+        from repro.env.scheduling_env import SchedulingEnv
+
+        applies = []
+        inner = SchedulingEnv.apply
+
+        def counting(self, action):
+            applies.append(action)
+            return inner(self, action)
+
+        monkeypatch.setattr(SchedulingEnv, "apply", counting)
+        scheduler = MctsScheduler(replace(MCTS, rollout_batch=width), seed=0)
+        with session(TC(enabled=True)) as tm:
+            scheduler.plan(ScheduleRequest(graph))
+            counter = tm.metrics.counter
+            stats = scheduler.last_statistics
+            assert counter("env.clones").total == stats.rollouts > 0
+            assert counter("env.undos").total == len(applies) > 0
+            assert counter("env.steps").total == stats.decisions
 
 
 class TestTrainingInstrumentation:
