@@ -442,10 +442,12 @@ def _setup_rl_gnn_forward(seed: int) -> Callable[[], None]:
 def _setup_rl_policy_select(seed: int) -> Callable[[], None]:
     """The single-state policy step over one sampled episode's states.
 
-    This is the inner loop of network-guided rollouts
-    (``NetworkRollout.rollout``).  The states are those of one sampled
-    work-conserving episode, so forced states (one candidate action: no
-    observation, no forward) and unforced ones occur in their real mix.
+    This is the step of the standalone ``drl`` scheduler and, with
+    recording on, of the trainers; network-guided rollouts no longer take
+    it (``NetworkRollout.rollout`` is one fused playout per episode).
+    The states are those of one sampled work-conserving episode, so
+    forced states (one candidate action: no observation, no forward)
+    and unforced ones occur in their real mix.
     """
     from ..core.pipeline import default_network
 

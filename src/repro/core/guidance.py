@@ -24,7 +24,6 @@ from typing import List
 
 from ..env.actions import Action
 from ..env.scheduling_env import SchedulingEnv
-from ..errors import EnvironmentStateError
 from ..mcts.policies import ExpansionPolicy, RolloutPolicy
 from ..rl.agent import NetworkPolicy, PolicyMemo
 from ..rl.network import PolicyNetwork
@@ -85,6 +84,10 @@ class NetworkExpansion(_MemoizedGuidance, ExpansionPolicy):
 class NetworkRollout(_MemoizedGuidance, RolloutPolicy):
     """Simulate to termination with the trained policy.
 
+    One rollout is one fused playout
+    (:meth:`repro.rl.agent.NetworkPolicyBase.playout`): the environment
+    plays the forced moves, the policy decides the rest.
+
     Args:
         network: the trained policy network.
         seed: sampling RNG (ignored in greedy mode).
@@ -115,14 +118,7 @@ class NetworkRollout(_MemoizedGuidance, RolloutPolicy):
         self._evaluator = None
 
     def rollout(self, env: SchedulingEnv) -> int:
-        limit = self.step_limit(env)
-        steps = 0
-        while not env.done:
-            if steps >= limit:
-                raise EnvironmentStateError("network rollout livelocked")
-            env.step(self._policy.select(env))
-            steps += 1
-        return env.makespan
+        return self._policy.playout(env, self.step_limit(env))
 
     def rollout_many(self, envs: List, limit: int) -> List[int]:
         """Batched-MCTS hook: play clones of all lanes to completion with

@@ -15,12 +15,19 @@
 
 Determinism + cheap :meth:`clone` are what make the same class usable as
 the MCTS simulation model and the DRL training environment.
+
+Besides the single-action dynamics (:meth:`~SchedulingEnv.step`, and
+:meth:`~SchedulingEnv.apply` / :meth:`~SchedulingEnv.undo` for the tree
+walk) the class plays whole episodes in one call, because a search
+spends its time in rollouts: :meth:`~SchedulingEnv.random_playout` for
+pure MCTS and :meth:`~SchedulingEnv.policy_playout`, which calls a
+policy back only in states that offer a choice, for Spear.
 """
 
 from __future__ import annotations
 
 import heapq  # repro: noqa[REP107] -- audited rollout hot loop; kernel dispatch measured too slow
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..cluster.state import ClusterState, RunningTask
 from ..cluster.resources import validate_demands
@@ -531,12 +538,16 @@ class SchedulingEnv:
         of per step, with the dynamics of :meth:`step` inlined and every
         loop-invariant attribute hoisted into a local.  Semantically this
         is exactly ``while not done: step(choice(expansion_actions()))``
-        with choices drawn as ``rng.integers(0, n)`` — the same draw count,
-        bounds and order as ``RandomPolicy(work_conserving=True)``, so the
-        RNG stream and the trajectory are bit-identical to the unfused
-        loop (the equivalence tests compare final states *and* generator
-        states).  MCTS runs one of these per budget unit; it is the
-        hottest loop in the library.
+        with a choice among ``n > 1`` candidates drawn as
+        ``rng.integers(0, n)`` — the same draws, bounds and order as
+        ``RandomPolicy(work_conserving=True)``, so the RNG stream and the
+        trajectory are bit-identical to the unfused loop (the equivalence
+        tests compare final states *and* generator states).  A single
+        candidate is taken without a draw: ``integers(0, 1)`` returns 0
+        and leaves the bit generator where it was (pinned by
+        ``test_integers_0_1_consumes_no_state``), yet costs as much as a
+        real draw, and most steps of a playout are forced.  MCTS runs one
+        of these per budget unit; it is the hottest loop in the library.
 
         Args:
             rng: ``numpy.random.Generator`` to draw action choices from.
@@ -592,7 +603,7 @@ class SchedulingEnv:
             if n:
                 # Schedule a uniformly random fitting task (PROCESS is
                 # filtered out whenever something fits: work conservation).
-                chosen = actions[int(integers(0, n))]
+                chosen = actions[int(integers(0, n))] if n > 1 else actions[0]
                 tid = ready[chosen]
                 demands = demands_of[tid]
                 for r, demand in enumerate(demands):
@@ -601,11 +612,9 @@ class SchedulingEnv:
                 del ready[chosen]
                 starts[tid] = cluster.now
                 continue
-            # Nothing fits: PROCESS is the only candidate (the draw still
-            # happens so the stream matches the unfused policy loop).
+            # Nothing fits: PROCESS is the only candidate.
             if not heap:
                 raise EnvironmentStateError("no legal actions")
-            integers(0, 1)
             now = heap[0][0] if until_completion else cluster.now + 1
             cluster.now = now
             while heap and heap[0][0] <= now:
@@ -624,6 +633,165 @@ class SchedulingEnv:
                     ready.extend(newly_ready)
         self.steps_taken += steps
         self._version += steps
+        if self._verify_terminal:
+            self.verify_terminal_state()
+        return cluster.now
+
+    def policy_playout(
+        self,
+        decide: Callable[[List[Action]], Action],
+        forced: Optional[Callable[[], object]],
+        limit: int,
+        work_conserving: bool = True,
+    ) -> int:
+        """Play a callback policy until done, one call per *real* decision.
+
+        The guided twin of :meth:`random_playout`: semantically
+        ``while not done: step(select(self))`` for a policy that chooses
+        among :meth:`expansion_actions` (``work_conserving=True``) or
+        :meth:`legal_actions` (``False``), with the candidate set, the
+        schedule step and the process step inlined.  Most decisions of a
+        playout have exactly one candidate; those never leave this loop —
+        the move is applied after calling ``forced()``, the hook through
+        which a sampling policy spends the one uniform its draw would
+        have.  Only a state with two or more candidates costs a call into
+        the policy (DESIGN.md Sec. 16.7).
+
+        The two playout loops share no code on purpose: routed through
+        this callback loop a random playout, whose whole step is a
+        microsecond or two, was measured ~15 % slower (DESIGN.md Sec. 16.7).
+
+        Args:
+            decide: called with the candidate actions (fitting visible
+                indices ascending, then ``PROCESS`` when it is one) of
+                every state that has more than one; returns the action to
+                take.  The environment is consistent while it runs —
+                ``legal_actions()``, ``steps_taken``, ``signature()`` and
+                every other query read the state being decided — and it
+                must only read.  The returned action gets :meth:`step`'s
+                checks (index range, free capacity, ``PROCESS`` on an idle
+                cluster).
+            forced: called with no arguments before every single-candidate
+                move, or ``None`` for a policy that draws nothing there.
+            limit: step cap, counted over forced and decided moves alike.
+            work_conserving: drop ``PROCESS`` from the candidates whenever
+                some visible task fits.
+
+        Returns:
+            The episode makespan.
+
+        Raises:
+            EnvironmentStateError: when ``limit`` is exceeded (a livelocked
+                rollout is a bug, not a result), when a state has no legal
+                action, or on an illegal action from ``decide``.
+            CapacityError: when ``decide`` starts a task that does not fit.
+        """
+        cluster = self.cluster
+        heap = cluster._running
+        available = cluster._available
+        ready = self._ready
+        finished = self._finished
+        unmet = self._unmet
+        starts = self._starts
+        demands_of = self._demands
+        runtimes = self._runtimes
+        children = self.graph.children
+        num_tasks = self._num_tasks
+        max_ready = self._max_ready
+        until_completion = self._until_completion
+        two_dim = len(available) == 2
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        steps_before = self.steps_taken
+        version_before = self._version
+        steps = 0
+        try:
+            while len(finished) != num_tasks:
+                if steps >= limit:
+                    raise EnvironmentStateError("network rollout livelocked")
+                visible = ready if len(ready) <= max_ready else ready[:max_ready]
+                actions: List[Action] = []
+                index = 0
+                if two_dim:
+                    free0, free1 = available
+                    for tid in visible:
+                        demands = demands_of[tid]
+                        if demands[0] <= free0 and demands[1] <= free1:
+                            actions.append(index)
+                        index += 1
+                else:
+                    for tid in visible:
+                        for demand, free in zip(demands_of[tid], available):
+                            if demand > free:
+                                break
+                        else:
+                            actions.append(index)
+                        index += 1
+                if heap and not (work_conserving and actions):
+                    actions.append(PROCESS)
+                if len(actions) == 1:
+                    action = actions[0]
+                    if forced is not None:
+                        forced()
+                elif actions:
+                    # Publish the counters the inlined steps keep in locals
+                    # before the policy looks at the environment.
+                    self.steps_taken = steps_before + steps
+                    self._version = version_before + steps
+                    action = decide(actions)
+                    if action == PROCESS:
+                        if not heap:
+                            raise EnvironmentStateError(
+                                "PROCESS on an idle cluster"
+                            )
+                    elif not 0 <= action < len(visible):
+                        raise EnvironmentStateError(
+                            f"schedule index {action} out of range "
+                            f"(visible={len(visible)})"
+                        )
+                    else:
+                        tid = ready[action]
+                        demands = demands_of[tid]
+                        for demand, free in zip(demands, available):
+                            if demand > free:
+                                raise CapacityError(
+                                    f"task {tid}: demands {demands} exceed "
+                                    f"free capacity {cluster.available}"
+                                )
+                else:
+                    raise EnvironmentStateError("no legal actions")
+                steps += 1
+                if action != PROCESS:
+                    tid = ready[action]
+                    demands = demands_of[tid]
+                    for r, demand in enumerate(demands):
+                        available[r] -= demand
+                    heappush(
+                        heap,
+                        RunningTask(cluster.now + runtimes[tid], tid, demands),
+                    )
+                    del ready[action]
+                    starts[tid] = cluster.now
+                    continue
+                now = heap[0][0] if until_completion else cluster.now + 1
+                cluster.now = now
+                while heap and heap[0][0] <= now:
+                    finish, tid, demands = heappop(heap)
+                    for r, demand in enumerate(demands):
+                        available[r] += demand
+                    finished.add(tid)
+                    newly_ready = []
+                    for child in children(tid):
+                        remaining = unmet[child] - 1
+                        unmet[child] = remaining
+                        if remaining == 0:
+                            newly_ready.append(child)
+                    if newly_ready:
+                        newly_ready.sort()
+                        ready.extend(newly_ready)
+        finally:
+            self.steps_taken = steps_before + steps
+            self._version = version_before + steps
         if self._verify_terminal:
             self.verify_terminal_state()
         return cluster.now

@@ -8,14 +8,18 @@ it will draw one action from the distribution of the actions in the output
 layer" (Sec. III-D).
 
 The step itself lives in :class:`NetworkPolicyBase`, shared with the
-graph policy adapter (:class:`repro.rl.gnn.GraphNetworkPolicy`).  Inside
-Spear it runs once per rollout decision, and in most of those states the
-work-conserving filter leaves exactly one legal action: the masked
-softmax is then exactly one-hot, so the step returns that action without
-featurizing the state or running the network (DESIGN.md Sec. 16.4).
-The remaining states repeat: one plan reaches a few hundred distinct
-featurized states in thousands of visits, so inside a search the step
-reads its distribution from a :class:`PolicyMemo` (DESIGN.md Sec. 16.6).
+graph policy adapter (:class:`repro.rl.gnn.GraphNetworkPolicy`).  In
+most states of an episode the work-conserving filter leaves exactly one
+legal action: the masked softmax is then exactly one-hot, so the step
+returns that action without featurizing the state or running the
+network (DESIGN.md Sec. 16.4).  The remaining states repeat: one plan
+reaches a few hundred distinct featurized states in thousands of visits,
+so inside a search the distribution is read from a :class:`PolicyMemo`
+(DESIGN.md Sec. 16.6).  A Spear rollout does not take the step at all:
+:meth:`NetworkPolicyBase.playout` hands the environment a callback for
+the states with a choice and lets it apply the forced moves itself
+(DESIGN.md Sec. 16.7); ``select`` is the step of the standalone ``drl``
+scheduler, the trainers and the depth-limited rollout.
 """
 
 from __future__ import annotations
@@ -138,7 +142,9 @@ class NetworkPolicyBase(Policy):
     A subclass supplies the featurizer (:meth:`begin_episode` installs a
     per-graph builder), the state's action-space width and the network
     forward; everything else — candidate actions, mask, masked softmax,
-    the draw, the forced-move short-circuit — is written once here.
+    the draw, the forced-move short-circuit — is written once here, as
+    one decision (:meth:`select`, :meth:`select_with_trace`) and as a
+    whole episode (:meth:`playout`).
 
     Args:
         network: the policy network.
@@ -302,6 +308,41 @@ class NetworkPolicyBase(Policy):
 
     def select(self, env) -> Action:
         return self._step(env, record=False)[0]
+
+    def playout(self, env, limit: int) -> int:
+        """Play ``env`` to termination; return the makespan.
+
+        ``while not env.done: env.step(self.select(env))`` action for
+        action and draw for draw, run as
+        :meth:`SchedulingEnv.policy_playout`: the environment applies
+        forced moves itself (a sampling policy still spends its one
+        uniform on each) and calls back only in states with a choice to
+        make.  What :meth:`select` checks on every step is checked here
+        once per episode — the builder's graph, window and input size —
+        because an episode cannot change them (DESIGN.md Sec. 16.7).
+        """
+        builder = self._ensure_builder(env)
+        memo = self.memo
+        random = self._rng.random if self.mode == "sample" else None
+
+        def decide(actions: List[Action]) -> Action:
+            if memo is None:
+                _, mask, probs = self._probabilities(env, actions)
+                cdf = None
+            else:
+                probs, cdf, mask = self._memoized(builder, env, actions)
+            if random is None:
+                index = int(probs.argmax())
+            else:
+                if cdf is None:
+                    cdf = normalized_cdf(probs)
+                # The draw of :meth:`_step`: one uniform against the CDF.
+                index = int(cdf.searchsorted(random(), side="right"))
+            if not mask[index]:
+                raise EnvironmentStateError("network selected a masked action")
+            return PROCESS if index == len(mask) - 1 else index
+
+        return env.policy_playout(decide, random, limit, self.work_conserving)
 
     def select_with_trace(self, env) -> Tuple[Action, Any, np.ndarray, int]:
         """Like :meth:`select` but also returns (observation, mask,

@@ -37,7 +37,10 @@ class RandomPolicy(Policy):
     strawman of Sec. IV.  With ``work_conserving=True`` (default) it picks
     uniformly among fitting tasks and only processes when nothing fits,
     which keeps rollouts short; with ``False`` it samples the full legal
-    action set, including voluntary processing.
+    action set, including voluntary processing.  A single candidate is
+    returned without a draw (``integers(0, 1)`` would leave the generator
+    where it was anyway), so the stream is the one
+    :meth:`SchedulingEnv.random_playout` consumes.
     """
 
     name = "random"
@@ -54,6 +57,8 @@ class RandomPolicy(Policy):
         )
         if not actions:
             raise EnvironmentStateError("no legal actions")
+        if len(actions) == 1:
+            return actions[0]
         return actions[int(self._rng.integers(0, len(actions)))]
 
 

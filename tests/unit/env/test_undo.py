@@ -121,6 +121,49 @@ class TestRandomPlayout:
         assert fork_env.done and makespan == fork_env.makespan
         fork_env.verify_terminal_state()
 
+    @pytest.mark.parametrize("buffered", [False, True], ids=["even", "odd"])
+    def test_integers_0_1_consumes_no_state(self, buffered):
+        """NumPy canary.  ``random_playout`` and ``RandomPolicy`` take a
+        single candidate without calling ``integers(0, 1)`` because that
+        call returns 0 and leaves the bit generator untouched — in both
+        states of its 32-bit buffer.  If a NumPy release ever changes
+        that, every seeded MCTS plan moves; this test says why."""
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            if buffered:
+                rng.integers(0, 5)  # consumes half of a 64-bit output
+            before = rng.bit_generator.state
+            assert before["has_uint32"] == int(buffered)
+            assert rng.integers(0, 1) == 0
+            assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("until_completion", [True, False])
+    def test_single_candidate_moves_draw_nothing(self, until_completion):
+        class Spy:
+            """``integers`` of a seeded generator, bounds recorded."""
+
+            def __init__(self, seed):
+                self._rng = np.random.default_rng(seed)
+                self.highs = []
+
+            def integers(self, low, high):
+                self.highs.append(high)
+                return self._rng.integers(low, high)
+
+        spy = Spy(5)
+        fused = make_env(fork_join_dag(4), until_completion)
+        fused.random_playout(spy, limit=10_000)
+        assert spy.highs and min(spy.highs) > 1
+        assert len(spy.highs) < fused.steps_taken
+        # Same episode as a loop that draws ``integers(0, 1)`` as well.
+        reference = make_env(fork_join_dag(4), until_completion)
+        rng = np.random.default_rng(5)
+        while not reference.done:
+            actions = reference.expansion_actions(work_conserving=True)
+            reference.step(actions[int(rng.integers(0, len(actions)))])
+        assert fused.start_times() == reference.start_times()
+        assert spy._rng.bit_generator.state == rng.bit_generator.state
+
     def test_slot_granularity_playout_matches_generic(self):
         graph = fork_join_dag(4)
         fused = make_env(graph, until_completion=False)

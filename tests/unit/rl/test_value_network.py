@@ -9,7 +9,7 @@ from repro.dag.generators import random_layered_dag
 from repro.config import WorkloadConfig
 from repro.errors import ConfigError
 from repro.rl import ValueNetwork, collect_value_dataset, train_value_network
-from repro.schedulers import SjfPolicy
+from repro.schedulers import ScheduleRequest, SjfPolicy
 
 
 @pytest.fixture
@@ -160,5 +160,5 @@ class TestTruncatedRollout:
             seed=0,
             name="spear-truncated",
         )
-        schedule = scheduler.schedule(graphs[0])
+        schedule = scheduler.plan(ScheduleRequest(graphs[0]))
         validate_schedule(schedule, graphs[0], env_config.cluster.capacities)

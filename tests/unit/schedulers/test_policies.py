@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import ClusterConfig, EnvConfig
-from repro.dag import Task, TaskGraph, independent_tasks_dag
+from repro.dag import Task, TaskGraph, chain_dag, independent_tasks_dag
 from repro.env import PROCESS, SchedulingEnv
 from repro.schedulers import (
     CriticalPathPolicy,
@@ -41,6 +41,16 @@ class TestRandomPolicy:
         env = env_for(graph)
         policy = RandomPolicy(seed=0, work_conserving=True)
         assert policy.select(env) != PROCESS
+
+    @pytest.mark.parametrize("work_conserving", [True, False])
+    def test_single_candidate_is_taken_without_a_draw(self, work_conserving):
+        env = env_for(chain_dag([2, 3]))
+        policy = RandomPolicy(seed=3, work_conserving=work_conserving)
+        before = policy._rng.bit_generator.state
+        assert policy.select(env) == 0  # the chain head is the only move
+        env.step(0)
+        assert policy.select(env) == PROCESS  # nothing else is ready
+        assert policy._rng.bit_generator.state == before
 
     def test_seeded_reproducibility(self, small_random_graph):
         def play(seed):

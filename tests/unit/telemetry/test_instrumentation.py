@@ -52,7 +52,7 @@ MCTS = MctsConfig(initial_budget=15, min_budget=5)
 class TestMctsInstrumentation:
     def test_search_emits_spans_and_counters(self, graph):
         with session(TC(enabled=True)) as tm:
-            MctsScheduler(MCTS, seed=0).schedule(graph)
+            MctsScheduler(MCTS, seed=0).plan(ScheduleRequest(graph))
             events = tm.events()
         summary = summarize(events)
         assert summary.spans["mcts.schedule"].count == 1
@@ -63,7 +63,7 @@ class TestMctsInstrumentation:
 
     def test_decision_spans_carry_tree_shape(self, graph):
         with session(TC(enabled=True)) as tm:
-            MctsScheduler(MCTS, seed=0).schedule(graph)
+            MctsScheduler(MCTS, seed=0).plan(ScheduleRequest(graph))
             decisions = [e for e in tm.events() if e.name == "mcts.decision"]
         for event in decisions:
             assert event.attrs["tree_nodes"] >= 1
@@ -72,9 +72,9 @@ class TestMctsInstrumentation:
             assert event.parent == "mcts.schedule"
 
     def test_telemetry_does_not_change_the_schedule(self, graph):
-        baseline = MctsScheduler(MCTS, seed=0).schedule(graph)
+        baseline = MctsScheduler(MCTS, seed=0).plan(ScheduleRequest(graph))
         with session(TC(enabled=True)):
-            traced = MctsScheduler(MCTS, seed=0).schedule(graph)
+            traced = MctsScheduler(MCTS, seed=0).plan(ScheduleRequest(graph))
         assert traced.makespan == baseline.makespan
         assert [p.start for p in traced.placements] == [
             p.start for p in baseline.placements
@@ -82,7 +82,7 @@ class TestMctsInstrumentation:
 
     def test_parallel_search_reports_workers(self, graph):
         with session(TC(enabled=True)) as tm:
-            RootParallelMcts(MCTS, workers=2, seed=0).schedule(graph)
+            RootParallelMcts(MCTS, workers=2, seed=0).plan(ScheduleRequest(graph))
             events = tm.events()
         workers = [e for e in tm.events() if e.name == "mcts.worker"]
         assert len(workers) == 2
@@ -91,14 +91,14 @@ class TestMctsInstrumentation:
 
     def test_disabled_emits_nothing(self, graph):
         scheduler = MctsScheduler(MCTS, seed=0)
-        scheduler.schedule(graph)  # global pipeline is the disabled no-op
+        scheduler.plan(ScheduleRequest(graph))  # global pipeline is the disabled no-op
         assert scheduler._tm_enabled is False
 
 
 class TestEnvInstrumentation:
     def test_episode_counters_flushed_at_to_schedule(self, graph):
         with session(TC(enabled=True)) as tm:
-            MctsScheduler(MCTS, seed=0).schedule(graph)
+            MctsScheduler(MCTS, seed=0).plan(ScheduleRequest(graph))
             assert tm.metrics.counter("env.episodes").total >= 1
             assert tm.metrics.counter("env.steps").total > 0
             assert tm.metrics.counter("env.undos").total > 0  # the tree walk
