@@ -18,7 +18,7 @@ Architecture (DESIGN.md Sec. 16):
 2. **K message-passing rounds** — ``h' = relu(h W_s + C(h) W_c +
    P(h) W_p + b)`` where ``C``/``P`` sum child/parent embeddings over
    the CSR adjacency of :mod:`repro.envarr.graphdata`.  ``C`` and ``P``
-   are adjoint, so backprop reuses the same scatter kernels with the
+   are adjoint, so backprop reuses the same two aggregations with the
    directions swapped.
 3. **Global readout** — mean-pooled node embeddings joined with cluster
    features (free capacity, progress, backlog, clock) through
@@ -57,6 +57,7 @@ from .modules import (
     masked_softmax,
     replace_params,
 )
+from .network import StepWeights
 
 __all__ = [
     "GraphPolicyNetwork",
@@ -428,32 +429,49 @@ class GraphPolicyNetwork:
         self,
         steps: Sequence,
         actions: Sequence[int],
-        weights: Sequence[float],
+        weights: StepWeights,
     ) -> Tuple[Dict[str, np.ndarray], float]:
         """Gradients of ``-sum_i weights_i * log pi(actions_i | states_i)``,
-        averaged over the whole step batch (groups sum into one update)."""
+        averaged over the whole step batch (groups sum into one update).
+
+        A ``weights`` function is called once per graph group, between
+        that group's forward and its backward pass, with the group's
+        positions in ``steps`` and ``pi(actions_i | states_i)`` there
+        (see :data:`repro.rl.network.StepWeights`)."""
         total = len(steps)
         if total == 0:
             raise ConfigError("empty step batch")
         actions_arr = np.asarray(actions, dtype=int)
-        weights_arr = np.asarray(weights, dtype=np.float64)
-        if actions_arr.shape[0] != total or weights_arr.shape[0] != total:
+        if actions_arr.shape[0] != total:
             raise ConfigError("steps, actions and weights must align")
+        if not callable(weights):
+            weights_arr = np.asarray(weights, dtype=np.float64)
+            if weights_arr.shape != (total,):
+                raise ConfigError("steps, actions and weights must align")
         grads = {key: np.zeros_like(value) for key, value in self.params.items()}
         nll_sum = 0.0
         for positions in self._group_positions(steps):
             sub = [steps[i] for i in positions]
+            index = np.asarray(positions)
             probs = self._group_probabilities(sub, keep_cache=True)
             rows = np.arange(len(sub))
-            acts = actions_arr[positions]
+            acts = actions_arr[index]
             chosen = probs[rows, acts]
             if np.any(chosen <= 0.0):
                 raise ConfigError(
                     "an illegal (zero-probability) action was taken"
                 )
+            if callable(weights):
+                group_weights = np.asarray(
+                    weights(index, chosen), dtype=np.float64
+                )
+                if group_weights.shape != chosen.shape:
+                    raise ConfigError("steps, actions and weights must align")
+            else:
+                group_weights = weights_arr[index]
             onehot = np.zeros_like(probs)
             onehot[rows, acts] = 1.0
-            dlogits = weights_arr[positions][:, None] * (probs - onehot) / total
+            dlogits = group_weights[:, None] * (probs - onehot) / total
             group_grads = self.backward_group(dlogits)
             for key in grads:
                 grads[key] += group_grads[key]

@@ -34,7 +34,7 @@ from .softmax import (
     policy_entropy,
 )
 from .mlp import MLPStack
-from .message_passing import EdgeList, segment_sum, segment_sum_batch
+from .message_passing import EdgeList
 
 __all__ = [
     "Module",
@@ -50,6 +50,4 @@ __all__ = [
     "policy_entropy",
     "MLPStack",
     "EdgeList",
-    "segment_sum",
-    "segment_sum_batch",
 ]

@@ -3,7 +3,7 @@
 A DAG's precedence edges are held as flat ``(parent, child)`` index
 arrays (built once per graph from the memoized CSR adjacency of
 :mod:`repro.envarr.graphdata`).  Message passing then reduces to two
-scatter-sums per round:
+sparse sums per round:
 
 * **child aggregation** — node ``i`` receives the sum of its children's
   embeddings: ``out[parent[k]] += h[child[k]]``;
@@ -13,19 +13,61 @@ scatter-sums per round:
 The two are adjoint (``A_childᵀ = A_parent``), which is exactly what the
 backward pass needs: the gradient of a child aggregation is a parent
 aggregation of the upstream gradient, and vice versa.
+
+Each sum is defined as the sequential scatter over the edges in list
+order, every accumulator starting from ``+0.0`` — floating-point
+addition is not associative, and the golden traces pin these bits.  It
+is *computed* as an order-preserving rank-sliced gather
+(DESIGN.md Sec. 16.2): edge ``k`` has rank ``d`` when it is the
+``d``-th edge into its destination, so the rank-``d`` edges have
+pairwise distinct destinations and can all be added in one vectorised
+pass; running the passes in rank order gives every accumulator the same
+addends in the same order as the scatter.  With the accumulator rows
+held in order of decreasing in-degree, the destinations of rank ``d``
+are a *prefix* of the rows, so a pass is one ``take`` and one add into
+a slice — no scatter, no index that depends on the batch size, and the
+same code for ``(N, H)`` and ``(B, N, H)`` inputs.  The scatter itself
+survives only as the oracle in ``tests/unit/rl/test_modules.py``.
 """
 
 from __future__ import annotations
 
+from typing import List, Tuple
+
 import numpy as np
 
-__all__ = ["EdgeList", "segment_sum", "segment_sum_batch"]
+__all__ = ["EdgeList"]
+
+
+def _rank_slices(
+    num_nodes: int, put: np.ndarray, take: np.ndarray
+) -> Tuple[List[np.ndarray], np.ndarray]:
+    """Plan ``out[put[k]] += h[take[k]]`` (in edge order) as rank passes.
+
+    Returns ``(sources, restore)``: ``sources[d][j]`` is the node whose
+    row is the ``d``-th addend of the ``j``-th accumulator row, rows
+    being ordered by decreasing in-degree (so ``sources[d]`` covers
+    exactly the rows with more than ``d`` addends, a prefix);
+    ``restore[i]`` is the accumulator row of node ``i``.
+    """
+    counts = np.bincount(put, minlength=num_nodes)
+    starts = np.cumsum(counts) - counts
+    # Stable: the edges into one node keep their list order.
+    addends = take[np.argsort(put, kind="stable")]
+    order = np.argsort(-counts, kind="stable")
+    restore = np.empty(num_nodes, dtype=np.int64)
+    restore[order] = np.arange(num_nodes, dtype=np.int64)
+    sources = [
+        addends[starts[order[: np.count_nonzero(counts > rank)]] + rank]
+        for rank in range(int(counts.max(initial=0)))
+    ]
+    return sources, restore
 
 
 class EdgeList:
     """Flat precedence edges ``parent[k] -> child[k]`` of one DAG."""
 
-    __slots__ = ("num_nodes", "parent", "child")
+    __slots__ = ("num_nodes", "parent", "child", "_children", "_parents")
 
     def __init__(
         self, num_nodes: int, parent: np.ndarray, child: np.ndarray
@@ -33,10 +75,17 @@ class EdgeList:
         self.num_nodes = int(num_nodes)
         self.parent = np.ascontiguousarray(parent, dtype=np.int64)
         self.child = np.ascontiguousarray(child, dtype=np.int64)
+        self._children = _rank_slices(self.num_nodes, self.parent, self.child)
+        self._parents = _rank_slices(self.num_nodes, self.child, self.parent)
 
     @classmethod
     def from_graph_arrays(cls, arrays) -> "EdgeList":
-        """Edges from a :class:`repro.envarr.graphdata.GraphArrays`."""
+        """Edges from a :class:`repro.envarr.graphdata.GraphArrays`.
+
+        The list runs through the child CSR rows, so each node's
+        children — and, the sort being by ``(parent, child)``, each
+        node's parents — are summed in ascending dense order.
+        """
         n = len(arrays.ids)
         counts = np.diff(arrays.child_indptr)
         parent = np.repeat(np.arange(n, dtype=np.int64), counts)
@@ -50,31 +99,22 @@ class EdgeList:
 
     def aggregate_children(self, h: np.ndarray) -> np.ndarray:
         """``out[i] = sum_{j in children(i)} h[j]`` (batched or not)."""
-        if h.ndim == 3:
-            return segment_sum_batch(h, self.child, self.parent, self.num_nodes)
-        return segment_sum(h, self.child, self.parent, self.num_nodes)
+        return _aggregate(h, *self._children)
 
     def aggregate_parents(self, h: np.ndarray) -> np.ndarray:
         """``out[i] = sum_{j in parents(i)} h[j]`` — the adjoint of
         :meth:`aggregate_children`."""
-        if h.ndim == 3:
-            return segment_sum_batch(h, self.parent, self.child, self.num_nodes)
-        return segment_sum(h, self.parent, self.child, self.num_nodes)
+        return _aggregate(h, *self._parents)
 
 
-def segment_sum(
-    h: np.ndarray, take: np.ndarray, put: np.ndarray, num_nodes: int
+def _aggregate(
+    h: np.ndarray, sources: List[np.ndarray], restore: np.ndarray
 ) -> np.ndarray:
-    """``out[put[k]] += h[take[k]]`` over all edges; ``h`` is ``(N, H)``."""
-    out = np.zeros((num_nodes, h.shape[1]))
-    np.add.at(out, put, h[take])
-    return out
-
-
-def segment_sum_batch(
-    h: np.ndarray, take: np.ndarray, put: np.ndarray, num_nodes: int
-) -> np.ndarray:
-    """Batched :func:`segment_sum` over ``h`` of shape ``(B, N, H)``."""
-    out = np.zeros((h.shape[0], num_nodes, h.shape[2]))
-    np.add.at(out, (slice(None), put), h[:, take])
-    return out
+    """Run the rank passes of :func:`_rank_slices` over ``h`` of shape
+    ``(N, H)`` or ``(B, N, H)``."""
+    nodes = h.ndim - 2
+    acc = np.zeros(h.shape)
+    for source in sources:
+        head = acc[..., : len(source), :]
+        np.add(head, h.take(source, axis=nodes), out=head)
+    return acc.take(restore, axis=nodes)

@@ -24,7 +24,7 @@ gradient.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,7 +34,16 @@ from ..utils.rng import SeedLike, as_generator
 from .modules import MLPStack, replace_params
 from .modules import masked_softmax as _masked_softmax
 
-__all__ = ["PolicyNetwork"]
+__all__ = ["PolicyNetwork", "StepWeights"]
+
+#: Per-step loss weights of a policy-gradient batch: one float per step,
+#: or a function ``(positions, chosen_probabilities) -> weights`` that
+#: the network calls between a forward pass and its backward pass with
+#: the batch positions that pass covered and ``pi(action | state)`` at
+#: each of them.
+StepWeights = Union[
+    Sequence[float], Callable[[np.ndarray, np.ndarray], np.ndarray]
+]
 
 
 class PolicyNetwork:
@@ -123,32 +132,43 @@ class PolicyNetwork:
         states: np.ndarray,
         masks: np.ndarray,
         actions: Sequence[int],
-        weights: Sequence[float],
+        weights: StepWeights,
     ) -> Tuple[Dict[str, np.ndarray], float]:
         """Gradients of ``-sum_i weights_i * log pi(actions_i | states_i)``.
 
         With ``weights = advantages`` this is the REINFORCE update of
         Eq. (3); with ``weights = 1`` it is the imitation cross-entropy.
+        ``weights`` may also be a function ``(positions,
+        chosen_probabilities) -> weights``, called once between the
+        forward and the backward pass with ``positions = arange(B)`` and
+        ``pi(actions_i | states_i)`` — for losses such as PPO's clipped
+        surrogate whose (detached) weights depend on the current
+        probabilities, so they need no forward pass of their own.
 
         Returns:
             ``(grads, mean_negative_log_likelihood)``.
         """
         probs = self.probabilities(states, masks, keep_cache=True)
         batch = probs.shape[0]
+        rows = np.arange(batch)
         actions = np.asarray(actions, dtype=int)
-        weights_arr = np.asarray(weights, dtype=np.float64)
-        if actions.shape[0] != batch or weights_arr.shape[0] != batch:
+        if actions.shape[0] != batch:
+            raise ConfigError("states, actions and weights must align")
+        chosen = probs[rows, actions]
+        if np.any(chosen <= 0.0):
+            raise ConfigError("an illegal (zero-probability) action was taken")
+        weights_arr = np.asarray(
+            weights(rows, chosen) if callable(weights) else weights,
+            dtype=np.float64,
+        )
+        if weights_arr.shape != (batch,):
             raise ConfigError("states, actions and weights must align")
         onehot = np.zeros_like(probs)
-        onehot[np.arange(batch), actions] = 1.0
-        if np.any(probs[np.arange(batch), actions] <= 0.0):
-            raise ConfigError("an illegal (zero-probability) action was taken")
+        onehot[rows, actions] = 1.0
         # d(-w log pi_a)/dlogits = w * (probs - onehot); average over batch.
         dlogits = weights_arr[:, None] * (probs - onehot) / batch
         grads = self.backward_from_dlogits(dlogits)
-        nll = float(
-            -np.mean(np.log(probs[np.arange(batch), actions]))
-        )
+        nll = float(-np.mean(np.log(chosen)))
         return grads, nll
 
     # ------------------------------------------------------------------ #
@@ -178,7 +198,7 @@ class PolicyNetwork:
         self,
         steps: Sequence,
         actions: Sequence[int],
-        weights: Sequence[float],
+        weights: StepWeights,
     ) -> Tuple[Dict[str, np.ndarray], float]:
         """:meth:`policy_gradient` over recorded trajectory steps."""
         states, masks = self._stack_steps(steps)

@@ -12,13 +12,17 @@ the model's ``value_features``) instead of the cross-rollout mean
 baseline.
 
 The exact surrogate gradient is obtained through
-``policy_gradient_steps`` without new machinery: for active samples
-(clip not binding) the per-sample gradient of ``-r_t A_t`` is
+``policy_gradient_steps`` without a backward pass of its own: for active
+samples (clip not binding) the per-sample gradient of ``-r_t A_t`` is
 ``-A_t r_t d log pi``, i.e. a weighted NLL gradient with the *detached*
-weight ``A_t r_t``; clipped samples contribute zero.  The trainer
-therefore masks clipped samples out of the weight vector and reuses the
-same backward pass REINFORCE uses — so PPO automatically works for
-every model implementing the step-batch interface (MLP and GNN alike).
+weight ``A_t r_t``; clipped samples contribute zero.  Those weights
+depend on ``pi(a_t|s_t)`` at the *current* parameters, which only a
+forward pass knows — so the trainer hands ``policy_gradient_steps`` the
+clip rule as a function of the chosen-action probabilities instead of a
+weight vector, and the network evaluates it between the forward pass it
+has to run anyway and the backward pass REINFORCE uses.  One forward per
+minibatch (per graph group, for the GNN), and PPO still works for every
+model implementing the step-batch interface (MLP and GNN alike).
 """
 
 from __future__ import annotations
@@ -132,8 +136,7 @@ class PpoTrainer(Trainer):
         # pi_old: the collection-time distribution.  Parameters have not
         # moved since the rollouts, so recomputing it here is exact.
         old_probs = self.network.step_probabilities(steps)
-        rows = np.arange(len(steps))
-        old_chosen = old_probs[rows, actions]
+        old_chosen = old_probs[np.arange(len(steps)), actions]
         clip = training.ppo_clip
         losses: List[float] = []
         for _ in range(training.ppo_epochs):
@@ -141,29 +144,33 @@ class PpoTrainer(Trainer):
                 self._rng, len(steps), training.ppo_minibatch
             ):
                 sub = [steps[i] for i in batch]
-                sub_actions = actions[batch]
                 sub_adv = advantages[batch]
-                probs = self.network.step_probabilities(sub)
-                ratio = (
-                    probs[np.arange(len(batch)), sub_actions]
-                    / old_chosen[batch]
+                sub_old = old_chosen[batch]
+                ratio = np.empty(len(batch), dtype=np.float64)
+
+                def clip_rule(
+                    positions: np.ndarray, chosen: np.ndarray
+                ) -> np.ndarray:
+                    """Detached surrogate weights of the steps one forward
+                    pass covered: ``A_t r_t`` where the clip is not
+                    binding, zero where it is (see module docstring)."""
+                    r = chosen / sub_old[positions]
+                    ratio[positions] = r
+                    adv = sub_adv[positions]
+                    active = ~(
+                        ((adv > 0) & (r > 1.0 + clip))
+                        | ((adv < 0) & (r < 1.0 - clip))
+                    )
+                    return np.where(active, adv * r, 0.0)
+
+                grads, _ = self.network.policy_gradient_steps(
+                    sub, actions[batch], clip_rule
                 )
                 surrogate = np.minimum(
                     ratio * sub_adv,
                     np.clip(ratio, 1.0 - clip, 1.0 + clip) * sub_adv,
                 )
                 losses.append(float(-surrogate.mean()))
-                # Clip binding => zero gradient for that sample; active
-                # samples get the detached weight A_t * r_t (see module
-                # docstring), making this a weighted-NLL backward pass.
-                active = ~(
-                    ((sub_adv > 0) & (ratio > 1.0 + clip))
-                    | ((sub_adv < 0) & (ratio < 1.0 - clip))
-                )
-                weights = np.where(active, sub_adv * ratio, 0.0)
-                grads, _ = self.network.policy_gradient_steps(
-                    sub, sub_actions, weights
-                )
                 if training.entropy_bonus > 0.0:
                     entropy_grads = self.network.entropy_gradient_steps(sub)
                     for key in grads:

@@ -84,6 +84,3 @@ class ReinforceTrainer(Trainer):
                 grads[key] -= self.training.entropy_bonus * entropy_grads[key]
         self.apply_gradients(grads)
         return self.mean_entropy(steps), float(nll)
-
-    # Backwards-compatible alias for the historical private name.
-    _apply_update = _update_batch

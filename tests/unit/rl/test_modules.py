@@ -1,8 +1,18 @@
 """Unit tests for the differentiable module stack (repro.rl.modules)."""
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from repro.config import WorkloadConfig
+from repro.dag.generators import (
+    chain_dag,
+    independent_tasks_dag,
+    random_layered_dag,
+)
+from repro.dag.mapreduce import mapreduce_dag
+from repro.envarr.graphdata import graph_arrays
 from repro.errors import ConfigError
 from repro.rl.modules import (
     EdgeList,
@@ -13,9 +23,34 @@ from repro.rl.modules import (
     init_linear,
     masked_softmax,
     policy_entropy,
-    segment_sum,
-    segment_sum_batch,
 )
+
+
+def scatter_sum(h, take, put, num_nodes):
+    """``out[put[k]] += h[take[k]]`` edge by edge, from ``+0.0``.
+
+    This unbuffered ``np.add.at`` scatter *defines* both aggregations of
+    :class:`EdgeList` (it is what they were until the rank-sliced gather
+    replaced it); the tests below compare against it by bytes.
+    """
+    if h.ndim == 3:
+        out = np.zeros((h.shape[0], num_nodes, h.shape[2]))
+        np.add.at(out, (slice(None), put), h[:, take])
+    else:
+        out = np.zeros((num_nodes, h.shape[1]))
+        np.add.at(out, put, h[take])
+    return out
+
+
+def assert_matches_scatter(edges, h):
+    """Both directions of ``edges`` equal the scatter bit for bit."""
+    for got, take, put in (
+        (edges.aggregate_children(h), edges.child, edges.parent),
+        (edges.aggregate_parents(h), edges.parent, edges.child),
+    ):
+        want = scatter_sum(h, take, put, edges.num_nodes)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestLinear:
@@ -239,10 +274,6 @@ class TestEdgeList:
             assert np.allclose(batched[b], edges.aggregate_children(h[b]))
 
     def test_from_graph_arrays(self):
-        from repro.config import WorkloadConfig
-        from repro.dag.generators import random_layered_dag
-        from repro.envarr.graphdata import graph_arrays
-
         graph = random_layered_dag(WorkloadConfig(num_tasks=12), seed=3)
         arrays = graph_arrays(graph)
         edges = EdgeList.from_graph_arrays(arrays)
@@ -255,11 +286,124 @@ class TestEdgeList:
 
 class TestSegmentSum:
     def test_scatter_accumulates_duplicates(self):
+        # Nodes 0 and 1 both feed node 1; node 2 feeds node 0.
+        edges = EdgeList(3, parent=np.array([1, 1, 0]), child=np.array([0, 1, 2]))
         h = np.array([[1.0], [2.0], [4.0]])
-        out = segment_sum(h, np.array([0, 1, 2]), np.array([1, 1, 0]), 3)
+        out = edges.aggregate_children(h)
         assert np.array_equal(out, [[4.0], [3.0], [0.0]])
+        assert_matches_scatter(edges, h)
 
     def test_batch_variant(self):
+        edges = EdgeList(2, parent=np.array([1, 1]), child=np.array([0, 1]))
         h = np.array([[[1.0], [2.0]], [[3.0], [5.0]]])
-        out = segment_sum_batch(h, np.array([0, 1]), np.array([1, 1]), 2)
+        out = edges.aggregate_children(h)
         assert np.array_equal(out, [[[0.0], [3.0]], [[0.0], [8.0]]])
+        assert_matches_scatter(edges, h)
+
+
+def _awkward_values(rng, shape):
+    """Mixed magnitudes (1e-8..1e8), 30 % exact zeros, 10 % ``-0.0``: the
+    inputs on which a re-ordered or re-associated sum shows."""
+    values = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+    kind = rng.random(size=shape)
+    values[kind < 0.3] = 0.0
+    values[kind < 0.1] = -0.0
+    return values
+
+
+@st.composite
+def _dags(draw):
+    kind = draw(st.sampled_from(["layered", "mapreduce", "chain", "edgeless"]))
+    if kind == "layered":
+        return random_layered_dag(
+            WorkloadConfig(num_tasks=draw(st.integers(2, 40))),
+            seed=draw(st.integers(0, 2**16)),
+        )
+    if kind == "mapreduce":
+        return mapreduce_dag(
+            [1] * draw(st.integers(1, 12)),
+            [1] * draw(st.integers(1, 6)),
+            shuffle=draw(st.sampled_from(["full", "striped"])),
+        )
+    if kind == "chain":
+        return chain_dag([1] * draw(st.integers(1, 6)))
+    # No edge at all, down to a single node.
+    return independent_tasks_dag([1] * draw(st.integers(1, 5)))
+
+
+class TestAggregationIsTheScatter:
+    """The rank-sliced gather adds the same addends to the same
+    accumulators in the same order as ``np.add.at`` — bytes, not
+    tolerance.  Every example runs 2-D, ``B = 1`` and ``B > 1`` inputs
+    through one :class:`EdgeList`, so nothing a call might keep for the
+    next one (an index sized for another batch) can go unnoticed."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graph=_dags(),
+        batch=st.integers(2, 9),
+        width=st.sampled_from([1, 7, 16, 33]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_dag_aggregations(self, graph, batch, width, seed):
+        edges = EdgeList.from_graph_arrays(graph_arrays(graph))
+        n = edges.num_nodes
+        rng = np.random.default_rng(seed)
+        for shape in ((batch, n, width), (n, width), (1, n, width)):
+            assert_matches_scatter(edges, _awkward_values(rng, shape))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_nodes=st.integers(1, 12),
+        num_edges=st.integers(0, 40),
+        seed=st.integers(0, 2**16),
+    )
+    def test_any_edge_list_in_list_order(self, num_nodes, num_edges, seed):
+        # Not a DAG's CSR order: unsorted, with parallel edges and
+        # self-loops.  The sum over one node's edges still runs in list
+        # order.
+        rng = np.random.default_rng(seed)
+        edges = EdgeList(
+            num_nodes,
+            rng.integers(0, num_nodes, size=num_edges),
+            rng.integers(0, num_nodes, size=num_edges),
+        )
+        for shape in ((num_nodes, 3), (4, num_nodes, 3), (1, num_nodes, 3)):
+            assert_matches_scatter(edges, _awkward_values(rng, shape))
+
+    def test_order_of_addends_is_observable(self):
+        # 1e16 + 1 + 1 - 1e16 depends on the order; the CSR order (and
+        # np.add.at's) is ascending dense index.
+        graph = mapreduce_dag([1, 1, 1, 1], [1])
+        edges = EdgeList.from_graph_arrays(graph_arrays(graph))
+        h = np.array([[1e16], [1.0], [1.0], [-1e16], [0.0]])
+        assert edges.aggregate_parents(h)[4, 0] == ((1e16 + 1.0) + 1.0) - 1e16
+        assert_matches_scatter(edges, h)
+        assert_matches_scatter(edges, h[::-1].copy())
+
+    def test_negative_zero_addend_sums_to_positive_zero(self):
+        # Accumulators start from +0.0 (as np.zeros does), so a lone
+        # -0.0 child gives +0.0, not a copy of the child.
+        edges = EdgeList(2, parent=np.array([0]), child=np.array([1]))
+        out = edges.aggregate_children(np.array([[1.0], [-0.0]]))
+        assert not np.signbit(out[0, 0])
+        assert_matches_scatter(edges, np.array([[1.0], [-0.0]]))
+
+    def test_non_finite_activation_stays_in_its_neighbourhood(self):
+        # 0 -> {1, 2} -> 3 plus an isolated node 4.
+        edges = EdgeList(5, np.array([0, 0, 1, 2]), np.array([1, 2, 3, 3]))
+        h = np.ones((2, 5, 2))
+        h[0, 1, 0] = np.inf
+        h[1, 2, 1] = np.nan
+        out = edges.aggregate_children(h)
+        assert np.isfinite(out).sum() == out.size - 2
+        assert out[0, 0, 0] == np.inf and np.isnan(out[1, 0, 1])
+        assert np.array_equal(out[:, 4], np.zeros((2, 2)))
+        assert_matches_scatter(edges, h)
+
+    def test_non_contiguous_input(self, rng):
+        graph = random_layered_dag(WorkloadConfig(num_tasks=15), seed=4)
+        edges = EdgeList.from_graph_arrays(graph_arrays(graph))
+        h = rng.normal(size=(6, 15, 8))[::2, :, ::2]
+        assert not h.flags["C_CONTIGUOUS"]
+        assert_matches_scatter(edges, h)

@@ -154,6 +154,57 @@ class TestPpoTrainer:
         for key, grad in grads.items():
             assert np.all(grad == 0.0), key
 
+    @pytest.mark.parametrize("policy", ["mlp", "gnn"])
+    def test_weight_function_equals_weight_array(self, policy):
+        """A weight function that returns slices of an array gives the
+        gradients of that array, byte for byte, and is shown each step's
+        chosen-action probability exactly once."""
+        network, graphs, env_config, training = _setup(policy)
+        trainer = PpoTrainer(
+            network, graphs, env_config=env_config, training=training, seed=5
+        )
+        trajectories = [
+            t for graph in graphs for t in trainer.sample_trajectories(graph)
+        ]
+        steps, actions = trainer.flatten_steps(trajectories)
+        weights = np.random.default_rng(3).normal(size=len(steps))
+        seen = np.full(len(steps), np.nan)
+
+        def by_position(positions, chosen):
+            assert np.all(np.isnan(seen[positions]))
+            seen[positions] = chosen
+            return weights[positions]
+
+        from_array, nll_array = network.policy_gradient_steps(
+            steps, actions, weights
+        )
+        from_function, nll_function = network.policy_gradient_steps(
+            steps, actions, by_position
+        )
+        assert nll_array == nll_function
+        for key in from_array:
+            assert from_array[key].tobytes() == from_function[key].tobytes()
+        probs = network.step_probabilities(steps)
+        assert np.array_equal(seen, probs[np.arange(len(steps)), actions])
+
+    @pytest.mark.parametrize("policy", ["mlp", "gnn"])
+    def test_misaligned_weights_raise_either_way(self, policy):
+        network, graphs, env_config, training = _setup(policy)
+        trainer = PpoTrainer(
+            network, graphs, env_config=env_config, training=training, seed=5
+        )
+        steps, actions = trainer.flatten_steps(
+            trainer.sample_trajectories(graphs[0])
+        )
+        with pytest.raises(ConfigError, match="must align"):
+            network.policy_gradient_steps(
+                steps, actions, np.ones(len(steps) + 1)
+            )
+        with pytest.raises(ConfigError, match="must align"):
+            network.policy_gradient_steps(
+                steps, actions, lambda positions, chosen: np.ones(len(positions) + 1)
+            )
+
     def test_pipeline_exposes_ppo(self):
         from repro.core.pipeline import TRAINER_CLASSES, train_spear_network
 
@@ -162,3 +213,68 @@ class TestPpoTrainer:
             train_spear_network(algo="nope")
         with pytest.raises(ConfigError, match="unknown policy family"):
             train_spear_network(policy="transformer")
+
+
+class TestOneForwardPerMinibatch:
+    """The clip rule needs pi(a|s) at the current parameters; it gets it
+    from the forward pass of the backward it feeds, not from one of its
+    own."""
+
+    @pytest.mark.parametrize("policy", ["mlp", "gnn"])
+    def test_update_batch_forwards_each_group_once(self, policy, monkeypatch):
+        network, graphs, env_config, training = _setup(policy)
+        trainer = PpoTrainer(
+            network, graphs, env_config=env_config, training=training, seed=5
+        )
+        trajectories = [
+            t for graph in graphs for t in trainer.sample_trajectories(graph)
+        ]
+        advantages = trainer._advantages(trajectories)
+        steps, _ = trainer.flatten_steps(trajectories)
+
+        def groups(batch):
+            """Graph groups in a step batch (the MLP stacks any batch)."""
+            if policy == "mlp":
+                return 1
+            return len({id(step.observation.arrays) for step in batch})
+
+        forward_name = "logits" if policy == "mlp" else "forward_group"
+        forward = getattr(network, forward_name)
+        backward = network.policy_gradient_steps
+        # Forwards are counted per policy_gradient_steps call while one is
+        # running ("open") and in "elsewhere" otherwise.
+        counts = {"open": None, "elsewhere": 0}
+        minibatches = []  # (forwards seen, graph groups given) per call
+
+        def spy_forward(*args, **kwargs):
+            counts["elsewhere" if counts["open"] is None else "open"] += 1
+            return forward(*args, **kwargs)
+
+        def spy_backward(sub, actions, weights):
+            counts["open"] = 0
+            try:
+                return backward(sub, actions, weights)
+            finally:
+                minibatches.append((counts["open"], groups(sub)))
+                counts["open"] = None
+
+        monkeypatch.setattr(network, forward_name, spy_forward)
+        monkeypatch.setattr(network, "policy_gradient_steps", spy_backward)
+        trainer._update_batch(trajectories, advantages)
+
+        assert len(minibatches) == training.ppo_epochs * -(
+            -len(steps) // training.ppo_minibatch
+        )
+        assert all(forwards == given for forwards, given in minibatches)
+        if policy == "gnn":
+            # ...and a minibatch does span several graphs.
+            assert max(given for _, given in minibatches) > 1
+        # pi_old before the loop and the entropy report after it: one
+        # pass over the batch each, and nothing else forwards.
+        assert counts["elsewhere"] == 2 * groups(steps)
+
+    def test_one_loop_for_every_network_kind(self):
+        import inspect
+
+        source = inspect.getsource(PpoTrainer)
+        assert "hasattr(" not in source and "isinstance(" not in source
