@@ -22,9 +22,24 @@ from ..errors import TraceError
 from .graph import TaskGraph
 from .task import Task
 
-__all__ = ["graph_to_dict", "graph_from_dict", "save_graph", "load_graph"]
+__all__ = [
+    "graph_to_dict",
+    "graph_from_dict",
+    "is_integer_list",
+    "save_graph",
+    "load_graph",
+]
 
 SCHEMA_VERSION = 1
+
+_INT_ONLY = frozenset((int,))
+
+
+def is_integer_list(raw: Any) -> bool:
+    """True iff ``raw`` is a JSON array of JSON integers: a ``list`` whose
+    every element is an exact ``int`` — not a ``bool``, not a float, not a
+    numeric string (no Python-level loop: loaders call this per task)."""
+    return type(raw) is list and _INT_ONLY.issuperset(map(type, raw))
 
 
 def graph_to_dict(graph: TaskGraph) -> Dict[str, Any]:
@@ -48,8 +63,19 @@ def graph_to_dict(graph: TaskGraph) -> Dict[str, Any]:
 def graph_from_dict(payload: Dict[str, Any]) -> TaskGraph:
     """Reconstruct a :class:`TaskGraph` from :func:`graph_to_dict` output.
 
+    Numbers must be JSON integers — ``id``, ``runtime``, every demand and
+    both endpoints of every edge; a float (``2.7``, ``NaN``, ``1e999``), a
+    boolean or a numeric string is rejected rather than truncated or
+    coerced.  ``name`` is a string or null.
+
     Raises:
-        TraceError: if the payload is missing fields or has a wrong version.
+        TraceError: if the payload is missing fields, has a wrong version,
+            holds a value of the wrong type, or describes a task
+            :class:`Task` refuses (runtime < 1, negative id or demand, no
+            demands).
+        GraphError: if the tasks and edges do not form a DAG (duplicate
+            ids, unknown endpoints, self-loops, cycles, mixed
+            dimensionality).
     """
 
     if not isinstance(payload, dict):
@@ -58,17 +84,33 @@ def graph_from_dict(payload: Dict[str, Any]) -> TaskGraph:
     if version != SCHEMA_VERSION:
         raise TraceError(f"unsupported graph schema version {version!r}")
     try:
-        tasks = [
-            Task(
-                task_id=entry["id"],
-                runtime=entry["runtime"],
-                demands=tuple(entry["demands"]),
-                name=entry.get("name"),
-            )
-            for entry in payload["tasks"]
-        ]
-        edges = [(int(u), int(v)) for u, v in payload.get("edges", [])]
-    except (KeyError, TypeError) as exc:
+        tasks = []
+        for entry in payload["tasks"]:
+            task_id, runtime, demands = entry["id"], entry["runtime"], entry["demands"]
+            name = entry.get("name")
+            if (
+                type(task_id) is not int
+                or type(runtime) is not int
+                or not is_integer_list(demands)
+            ):
+                raise TraceError(
+                    f"task #{len(tasks)}: id and runtime must be JSON "
+                    "integers, demands a list of them"
+                )
+            if name is not None and type(name) is not str:
+                raise TraceError(f"task {task_id}: name must be a string or null")
+            tasks.append(Task(task_id, runtime, tuple(demands), name))
+        edges = []
+        for edge in payload.get("edges", []):
+            up, down = edge
+            if type(up) is not int or type(down) is not int:
+                raise TraceError(
+                    f"edge #{len(edges)}: endpoints must be JSON integers"
+                )
+            edges.append((up, down))
+    except (KeyError, TypeError, ValueError) as exc:
+        # ValueError: an edge that is not a pair, or what ``Task`` refuses
+        # (``ConfigError`` is one).
         raise TraceError(f"malformed graph payload: {exc}") from exc
     return TaskGraph(tasks, edges)
 

@@ -37,22 +37,32 @@ class Task:
     name: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.task_id < 0:
-            raise ConfigError(f"task_id must be >= 0, got {self.task_id}")
-        if self.runtime < 1:
+        task_id, runtime, demands = self.task_id, self.runtime, self.demands
+        if task_id < 0:
+            raise ConfigError(f"task_id must be >= 0, got {task_id}")
+        if runtime < 1:
             raise ConfigError(
-                f"task {self.task_id}: runtime must be >= 1, got {self.runtime}"
+                f"task {task_id}: runtime must be >= 1, got {runtime}"
             )
-        if not self.demands:
-            raise ConfigError(f"task {self.task_id}: needs >= 1 resource dimension")
-        if any(d < 0 for d in self.demands):
-            raise ConfigError(
-                f"task {self.task_id}: demands must be >= 0, got {self.demands}"
-            )
-        # Normalize to a plain tuple of ints so hashing/serialization is stable.
-        object.__setattr__(self, "demands", tuple(int(d) for d in self.demands))
-        object.__setattr__(self, "runtime", int(self.runtime))
-        object.__setattr__(self, "task_id", int(self.task_id))
+        if not demands:
+            raise ConfigError(f"task {task_id}: needs >= 1 resource dimension")
+        exact = type(demands) is tuple
+        for demand in demands:
+            if demand < 0:
+                raise ConfigError(
+                    f"task {task_id}: demands must be >= 0, got {demands}"
+                )
+            if type(demand) is not int:
+                exact = False
+        # Normalize to a plain tuple of ints so hashing/serialization is
+        # stable.  What already is one (a loader hands over what
+        # ``json.loads`` produced) is kept as the very objects passed.
+        if not exact:
+            object.__setattr__(self, "demands", tuple(int(d) for d in demands))
+        if type(runtime) is not int:
+            object.__setattr__(self, "runtime", int(runtime))
+        if type(task_id) is not int:
+            object.__setattr__(self, "task_id", int(task_id))
 
     @property
     def num_resources(self) -> int:

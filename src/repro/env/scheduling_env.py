@@ -21,7 +21,8 @@ Besides the single-action dynamics (:meth:`~SchedulingEnv.step`, and
 walk) the class plays whole episodes in one call, because a search
 spends its time in rollouts: :meth:`~SchedulingEnv.random_playout` for
 pure MCTS and :meth:`~SchedulingEnv.policy_playout`, which calls a
-policy back only in states that offer a choice, for Spear.
+policy back only in states that offer a choice, for Spear and for the
+list heuristics.
 """
 
 from __future__ import annotations
@@ -38,7 +39,14 @@ from ..metrics.schedule import Schedule
 from ..telemetry import runtime as _telemetry
 from .actions import PROCESS, Action
 
-__all__ = ["SchedulingEnv", "StepResult", "StepUndo"]
+__all__ = ["SchedulingEnv", "StepResult", "StepUndo", "step_limit_exceeded"]
+
+
+def step_limit_exceeded(limit: int) -> EnvironmentStateError:
+    """The error every policy episode loop raises at its step cap."""
+    return EnvironmentStateError(
+        f"episode exceeded its step limit ({limit}); livelocked policy"
+    )
 
 
 class StepResult(NamedTuple):
@@ -708,7 +716,7 @@ class SchedulingEnv:
         try:
             while len(finished) != num_tasks:
                 if steps >= limit:
-                    raise EnvironmentStateError("network rollout livelocked")
+                    raise step_limit_exceeded(limit)
                 visible = ready if len(ready) <= max_ready else ready[:max_ready]
                 actions: List[Action] = []
                 index = 0

@@ -25,7 +25,7 @@ from ..dag.generators import random_layered_dag
 from ..dag.graph import TaskGraph
 from ..env.scheduling_env import SchedulingEnv
 from ..metrics.comparison import ComparisonRow, compare_makespans
-from ..schedulers.base import ScheduleRequest
+from ..schedulers.base import ScheduleRequest, episode_step_limit
 from ..schedulers.registry import make_scheduler
 from ..utils.rng import as_generator, spawn
 from .reporting import format_table
@@ -100,9 +100,7 @@ class GeneralizationResult:
 
 def _greedy_makespan(policy, graph: TaskGraph, env_config: EnvConfig) -> int:
     env = SchedulingEnv(graph, env_config)
-    while not env.done:
-        env.step(policy.select(env))
-    return env.makespan
+    return policy.playout(env, episode_step_limit(graph))
 
 
 def generalization_study(

@@ -108,14 +108,7 @@ class _PolicyRollout(RolloutPolicy):
     def rollout(self, env: SchedulingEnv) -> int:
         policy = self._factory()
         policy.begin_episode(env)
-        limit = self.step_limit(env)
-        steps = 0
-        while not env.done:
-            if steps >= limit:
-                raise RuntimeError("rollout exceeded step limit; livelocked policy")
-            env.step(policy.select(env))
-            steps += 1
-        return env.makespan
+        return policy.playout(env, self.step_limit(env))
 
 
 class RandomRollout(_PolicyRollout):

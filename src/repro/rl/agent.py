@@ -312,7 +312,8 @@ class NetworkPolicyBase(Policy):
     def playout(self, env, limit: int) -> int:
         """Play ``env`` to termination; return the makespan.
 
-        ``while not env.done: env.step(self.select(env))`` action for
+        Overrides the default :meth:`Policy.playout` and equals it —
+        ``while not env.done: env.step(self.select(env))`` — action for
         action and draw for draw, run as
         :meth:`SchedulingEnv.policy_playout`: the environment applies
         forced moves itself (a sampling policy still spends its one

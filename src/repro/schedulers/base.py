@@ -3,8 +3,12 @@
 Two complementary interfaces coexist:
 
 * :class:`Policy` — a *dynamic* decision rule: given the live environment,
-  pick one action.  All greedy baselines (Tetris, SJF, CP) and the DRL
-  agent are policies.
+  pick one action (:meth:`Policy.select`), or play a whole episode
+  (:meth:`Policy.playout`, the entry point every episode runner calls).
+  All greedy baselines (Tetris, SJF, CP, ...) are :class:`GreedyPolicy`
+  ranking rules and the DRL agent is a policy; both override ``playout``
+  with :meth:`SchedulingEnv.policy_playout`, which calls them only where
+  they have a choice to make (DESIGN.md Sec. 16.7).
 * :class:`Scheduler` — anything that turns a scheduling *request* into a
   :class:`Schedule`.  :class:`PolicyScheduler` adapts a policy factory into
   a scheduler by rolling an episode; planners like Graphene and search
@@ -35,13 +39,14 @@ from __future__ import annotations
 import abc
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Optional, Tuple, Union
+from functools import partial
+from typing import TYPE_CHECKING, Callable, List, Mapping, Optional, Tuple, Union
 
 from ..config import EnvConfig
 from ..dag.graph import TaskGraph
-from ..env.actions import Action
-from ..env.scheduling_env import SchedulingEnv
-from ..errors import ConfigError, EnvironmentStateError
+from ..env.actions import PROCESS, Action
+from ..env.scheduling_env import SchedulingEnv, step_limit_exceeded
+from ..errors import ConfigError
 from ..metrics.schedule import Schedule
 from ..utils.timing import Stopwatch
 
@@ -50,18 +55,26 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 __all__ = [
     "Policy",
+    "GreedyPolicy",
     "Scheduler",
     "SchedulerWrapper",
     "PolicyScheduler",
     "ClusterSnapshot",
     "ScheduleRequest",
     "as_schedule_request",
+    "episode_step_limit",
     "run_policy",
 ]
 
 #: Hard cap on episode length as a multiple of the episode's work volume;
 #: tripping it indicates a livelocked policy, which is a bug worth raising.
 _STEP_LIMIT_FACTOR = 20
+
+
+def episode_step_limit(graph: TaskGraph) -> int:
+    """The step cap :func:`run_policy` gives an episode on ``graph``."""
+    total_runtime = sum(task.runtime for task in graph)
+    return _STEP_LIMIT_FACTOR * (total_runtime + graph.num_tasks)
 
 
 class Policy(abc.ABC):
@@ -76,6 +89,63 @@ class Policy(abc.ABC):
     @abc.abstractmethod
     def select(self, env: SchedulingEnv) -> Action:
         """Choose one action from ``env.legal_actions()``."""
+
+    def playout(self, env: SchedulingEnv, limit: int) -> int:
+        """Play ``env`` (mutating it) to termination; return the makespan.
+
+        The episode-level entry point: :func:`run_policy`, the MCTS
+        rollouts and the experiments call this, never ``select`` in a loop
+        of their own.  This default *is* that loop — one ``select`` and
+        one ``step`` per move, forced or not — and so the reference
+        semantics: a custom or non-work-conserving policy keeps it, and an
+        override (:class:`GreedyPolicy`, the network policies) must end in
+        the same state, step count and makespan.  Callers that record or
+        truncate per step (``rl/value_training.py``, ``rl/imitation.py``,
+        ``TruncatedRollout``) have no episode to hand over and keep
+        calling ``select``.
+
+        Args:
+            env: a fresh or mid-episode environment.
+            limit: step cap, counted over forced and decided moves alike.
+
+        Raises:
+            EnvironmentStateError: when ``limit`` is exceeded (a livelocked
+                policy is a bug, not a result) or on an illegal action.
+        """
+        steps = 0
+        while not env.done:
+            if steps >= limit:
+                raise step_limit_exceeded(limit)
+            env.step(self.select(env))
+            steps += 1
+        return env.makespan
+
+
+class GreedyPolicy(Policy):
+    """A work-conserving list heuristic, reduced to its ranking rule.
+
+    Whenever a visible ready task fits in free capacity one is started;
+    only when nothing fits is the cluster processed.  List heuristics
+    differ purely in *which* fitting task goes first, so that is all a
+    subclass writes (:meth:`choose`); a state with a single candidate —
+    two thirds of an episode — never reaches it.  Subclasses define
+    neither ``select`` nor ``playout``.
+    """
+
+    @abc.abstractmethod
+    def choose(self, env: SchedulingEnv, fitting: List[Action]) -> Action:
+        """Pick one of ``fitting``: the visible-window indices, ascending,
+        of two or more ready tasks that fit now (never ``PROCESS``).
+        ``env`` is in the state being decided and must only be read."""
+
+    def select(self, env: SchedulingEnv) -> Action:
+        candidates = env.expansion_actions()
+        if len(candidates) > 1:
+            return self.choose(env, candidates)
+        return candidates[0] if candidates else PROCESS
+
+    def playout(self, env: SchedulingEnv, limit: int) -> int:
+        return env.policy_playout(partial(self.choose, env), None, limit)
 
 
 @dataclass(frozen=True)
@@ -261,20 +331,11 @@ def run_policy(
     """
 
     if max_steps is None:
-        total_runtime = sum(task.runtime for task in env.graph)
-        max_steps = _STEP_LIMIT_FACTOR * (total_runtime + env.graph.num_tasks)
+        max_steps = episode_step_limit(env.graph)
     policy.begin_episode(env)
     watch = Stopwatch()
     with watch:
-        steps = 0
-        while not env.done:
-            if steps >= max_steps:
-                raise EnvironmentStateError(
-                    f"policy {policy.name!r} exceeded {max_steps} steps; "
-                    "likely livelocked"
-                )
-            env.step(policy.select(env))
-            steps += 1
+        policy.playout(env, max_steps)
     return env.to_schedule(scheduler=policy.name, wall_time=watch.elapsed)
 
 

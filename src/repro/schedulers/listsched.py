@@ -21,16 +21,16 @@ they are directly comparable with Spear:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
-from ..env.actions import PROCESS, Action
+from ..env.actions import Action
 from ..env.scheduling_env import SchedulingEnv
-from .base import Policy
+from .base import GreedyPolicy
 
 __all__ = ["HeftPolicy", "LptPolicy", "FifoPolicy"]
 
 
-class HeftPolicy(Policy):
+class HeftPolicy(GreedyPolicy):
     """HEFT-style upward-rank list scheduling.
 
     The upward rank of a task is its runtime plus the maximum over
@@ -64,13 +64,10 @@ class HeftPolicy(Policy):
         self._rank = rank
         self._mean_rank = mean_rank
 
-    def select(self, env: SchedulingEnv) -> Action:
+    def choose(self, env: SchedulingEnv, fitting: List[Action]) -> Action:
         if self._rank is None:
             self.begin_episode(env)
         assert self._rank is not None and self._mean_rank is not None
-        fitting = [a for a in env.legal_actions() if a != PROCESS]
-        if not fitting:
-            return PROCESS
         visible = env.visible_ready()
         return min(
             fitting,
@@ -82,15 +79,12 @@ class HeftPolicy(Policy):
         )
 
 
-class LptPolicy(Policy):
+class LptPolicy(GreedyPolicy):
     """Longest Processing Time first (greedy makespan heuristic)."""
 
     name = "lpt"
 
-    def select(self, env: SchedulingEnv) -> Action:
-        fitting = [a for a in env.legal_actions() if a != PROCESS]
-        if not fitting:
-            return PROCESS
+    def choose(self, env: SchedulingEnv, fitting: List[Action]) -> Action:
         visible = env.visible_ready()
         return min(
             fitting,
@@ -98,14 +92,11 @@ class LptPolicy(Policy):
         )
 
 
-class FifoPolicy(Policy):
+class FifoPolicy(GreedyPolicy):
     """Arrival (ready-queue) order — Hadoop's default FIFO behaviour."""
 
     name = "fifo"
 
-    def select(self, env: SchedulingEnv) -> Action:
-        fitting = [a for a in env.legal_actions() if a != PROCESS]
-        if not fitting:
-            return PROCESS
+    def choose(self, env: SchedulingEnv, fitting: List[Action]) -> Action:
         # The visible window is already in arrival order.
         return min(fitting)

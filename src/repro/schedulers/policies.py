@@ -3,7 +3,8 @@
 All of these are *work-conserving*: whenever a visible ready task fits in
 free capacity, one is started; only when nothing fits does the policy
 process the cluster.  They differ purely in how they rank the fitting
-tasks, which isolates exactly the axis the paper compares.
+tasks, which isolates exactly the axis the paper compares — and which is
+all a :class:`~repro.schedulers.base.GreedyPolicy` subclass spells out.
 """
 
 from __future__ import annotations
@@ -11,11 +12,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..dag.features import GraphFeatures, compute_features
-from ..env.actions import PROCESS, Action
+from ..env.actions import Action
 from ..env.scheduling_env import SchedulingEnv
 from ..errors import EnvironmentStateError
 from ..utils.rng import SeedLike, as_generator
-from .base import Policy
+from .base import GreedyPolicy, Policy
 
 __all__ = [
     "RandomPolicy",
@@ -23,11 +24,6 @@ __all__ = [
     "CriticalPathPolicy",
     "PriorityListPolicy",
 ]
-
-
-def _fitting_indices(env: SchedulingEnv) -> List[int]:
-    """Indices (into the visible window) of ready tasks that fit now."""
-    return [a for a in env.legal_actions() if a != PROCESS]
 
 
 class RandomPolicy(Policy):
@@ -62,7 +58,7 @@ class RandomPolicy(Policy):
         return actions[int(self._rng.integers(0, len(actions)))]
 
 
-class SjfPolicy(Policy):
+class SjfPolicy(GreedyPolicy):
     """Shortest Job First: start the fitting task with the least runtime.
 
     Ties break on smaller task id.  Dependency- and packing-blind; one of
@@ -71,10 +67,7 @@ class SjfPolicy(Policy):
 
     name = "sjf"
 
-    def select(self, env: SchedulingEnv) -> Action:
-        fitting = _fitting_indices(env)
-        if not fitting:
-            return PROCESS
+    def choose(self, env: SchedulingEnv, fitting: List[Action]) -> Action:
         visible = env.visible_ready()
         return min(
             fitting,
@@ -82,7 +75,7 @@ class SjfPolicy(Policy):
         )
 
 
-class CriticalPathPolicy(Policy):
+class CriticalPathPolicy(GreedyPolicy):
     """Largest b-level first (the "CP" baseline of Sec. V).
 
     Ranks fitting tasks by descending b-level, breaking ties by descending
@@ -98,12 +91,9 @@ class CriticalPathPolicy(Policy):
     def begin_episode(self, env: SchedulingEnv) -> None:
         self._features = compute_features(env.graph)
 
-    def select(self, env: SchedulingEnv) -> Action:
+    def choose(self, env: SchedulingEnv, fitting: List[Action]) -> Action:
         if self._features is None:
             self._features = compute_features(env.graph)
-        fitting = _fitting_indices(env)
-        if not fitting:
-            return PROCESS
         visible = env.visible_ready()
         features = self._features
         return min(
@@ -116,7 +106,7 @@ class CriticalPathPolicy(Policy):
         )
 
 
-class PriorityListPolicy(Policy):
+class PriorityListPolicy(GreedyPolicy):
     """Execute tasks according to a fixed total priority order.
 
     Used to realize planner outputs (Graphene's derived order) as an online
@@ -133,10 +123,7 @@ class PriorityListPolicy(Policy):
         self.name = name
         self._rank: Dict[int, int] = {tid: i for i, tid in enumerate(order)}
 
-    def select(self, env: SchedulingEnv) -> Action:
-        fitting = _fitting_indices(env)
-        if not fitting:
-            return PROCESS
+    def choose(self, env: SchedulingEnv, fitting: List[Action]) -> Action:
         visible = env.visible_ready()
         fallback = len(self._rank)
         return min(

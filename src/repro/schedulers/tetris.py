@@ -10,9 +10,11 @@ Fig. 3 of the Spear paper exploits.
 
 from __future__ import annotations
 
-from ..env.actions import PROCESS, Action
+from typing import List
+
+from ..env.actions import Action
 from ..env.scheduling_env import SchedulingEnv
-from .base import Policy
+from .base import GreedyPolicy
 
 __all__ = ["TetrisPolicy", "alignment_score"]
 
@@ -26,7 +28,7 @@ def alignment_score(demands, available) -> int:
     return sum(d * a for d, a in zip(demands, available))
 
 
-class TetrisPolicy(Policy):
+class TetrisPolicy(GreedyPolicy):
     """Greedy alignment-score packing (dependency-blind).
 
     Among the visible ready tasks that fit, start the one with the highest
@@ -36,16 +38,21 @@ class TetrisPolicy(Policy):
 
     name = "tetris"
 
-    def select(self, env: SchedulingEnv) -> Action:
-        fitting = [a for a in env.legal_actions() if a != PROCESS]
-        if not fitting:
-            return PROCESS
+    def choose(self, env: SchedulingEnv, fitting: List[Action]) -> Action:
+        # ``min(fitting, key=(-alignment_score(...), task id))`` as a plain
+        # loop: this is the served heuristic, and the key tuples, the
+        # lambda and the generator frames of the ``min`` form were a sixth
+        # of a 100-task plan (DESIGN.md Sec. 16.7).
         visible = env.visible_ready()
         available = env.cluster.available
-        return min(
-            fitting,
-            key=lambda a: (
-                -alignment_score(env.graph.task(visible[a]).demands, available),
-                visible[a],
-            ),
-        )
+        task = env.graph.task
+        best = fitting[0]
+        best_score = best_tid = -1
+        for action in fitting:
+            tid = visible[action]
+            score = 0
+            for demand, free in zip(task(tid).demands, available):
+                score += demand * free
+            if score > best_score or (score == best_score and tid < best_tid):
+                best, best_score, best_tid = action, score, tid
+        return best

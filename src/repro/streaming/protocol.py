@@ -27,6 +27,17 @@ inherits their compatibility story.  All malformed input surfaces as
 :class:`~repro.errors.ProtocolError` — the daemon answers an ``error``
 frame and keeps the connection alive (one bad client frame must not
 take down a shared scheduler).
+
+Numbers in a ``schedule`` frame are **JSON integers** (an exact ``int``
+after decoding: not ``true``, not ``2.0``, not ``"2"``): a task's ``id``
+and ``runtime``, every demand, both endpoints of every edge,
+``cluster.capacities`` / ``available`` / ``now``, ``deadline`` and both
+ends of every ``frozen`` / ``pinned`` span, whose *keys* are decimal
+strings because JSON object keys are strings.  Anything else — ``2.7``,
+``NaN``, ``1e999``, a negative demand, a runtime of 0 — is refused with
+an ``error`` frame, never truncated or coerced, and nothing but
+``ProtocolError`` leaves :func:`parse_schedule` (DESIGN.md Sec. 13.6
+lists what used to).
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
-from ..dag.io import graph_from_dict, graph_to_dict
+from ..dag.io import graph_from_dict, graph_to_dict, is_integer_list
 from ..errors import ConfigError, GraphError, ProtocolError, TraceError
 from ..metrics.export import schedule_to_dict
 from ..metrics.schedule import Schedule
@@ -133,6 +144,12 @@ def schedule_frame(
     return frame
 
 
+def _integers(raw: Any, what: str) -> Tuple[int, ...]:
+    if not is_integer_list(raw):
+        raise ProtocolError(f"{what} must be a list of JSON integers")
+    return tuple(raw)
+
+
 def _parse_placements(raw: Any, field: str) -> Dict[int, Tuple[int, int]]:
     if not isinstance(raw, dict):
         raise ProtocolError(f"{field} must be an object of task_id -> [start, finish]")
@@ -140,22 +157,25 @@ def _parse_placements(raw: Any, field: str) -> Dict[int, Tuple[int, int]]:
     for key, value in raw.items():
         try:
             tid = int(key)
-            begin, end = value
-            spans[tid] = (int(begin), int(end))
         except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed {field} entry {key!r}: {exc}") from exc
+            raise ProtocolError(f"malformed {field} key {key!r}: {exc}") from exc
+        span = _integers(value, f"{field} entry {key!r}")
+        if len(span) != 2:
+            raise ProtocolError(f"{field} entry {key!r} must be [start, finish]")
+        spans[tid] = (span[0], span[1])
     return spans
 
 
 def _parse_cluster(raw: Any) -> ClusterSnapshot:
     if not isinstance(raw, dict):
         raise ProtocolError("cluster must be an object")
-    try:
-        capacities = tuple(int(c) for c in raw["capacities"])
-        available = tuple(int(a) for a in raw.get("available", raw["capacities"]))
-        at = int(raw.get("now", 0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"malformed cluster snapshot: {exc}") from exc
+    capacities = _integers(raw.get("capacities"), "cluster capacities")
+    available = capacities
+    if "available" in raw:
+        available = _integers(raw["available"], "cluster available")
+    at = raw.get("now", 0)
+    if type(at) is not int:
+        raise ProtocolError("cluster now must be a JSON integer")
     try:
         return ClusterSnapshot(capacities=capacities, available=available, now=at)
     except ConfigError as exc:
@@ -167,7 +187,9 @@ def parse_schedule(frame: Mapping[str, Any]) -> Tuple[str, ScheduleRequest]:
 
     Raises:
         ProtocolError: on a wrong type, a missing/empty id, or any
-            malformed graph/cluster/placement field.
+            malformed graph/cluster/placement field — and nothing else:
+            a number that is not a JSON integer, or one a ``Task`` or a
+            ``ClusterSnapshot`` refuses, is this error too.
     """
     if frame.get("type") != SCHEDULE:
         raise ProtocolError(f"expected a {SCHEDULE!r} frame, got {frame.get('type')!r}")
@@ -185,11 +207,8 @@ def parse_schedule(frame: Mapping[str, Any]) -> Tuple[str, ScheduleRequest]:
     if "cluster" in frame:
         cluster = _parse_cluster(frame["cluster"])
     deadline = frame.get("deadline")
-    if deadline is not None:
-        try:
-            deadline = int(deadline)
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"bad deadline: {exc}") from exc
+    if deadline is not None and type(deadline) is not int:
+        raise ProtocolError("deadline must be a JSON integer")
     request = ScheduleRequest(
         graph=graph,
         cluster=cluster,

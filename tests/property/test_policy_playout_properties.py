@@ -9,6 +9,11 @@ the sampling generator in the same state.  States come from random legal
 prefixes of random layered DAGs, under unit-slot and event processing,
 with and without the work-conserving filter, through a window of 3 so
 that a backlog exists; both featurizers, both modes, memo on and off.
+
+The seven list heuristics ride the same loop through
+``GreedyPolicy.playout`` and are held to the same standard, on 2- and
+3-resource DAGs, with Hypothesis drawing the priority lists (tasks
+missing from the order included).
 """
 
 import hypothesis.strategies as st
@@ -20,14 +25,21 @@ from repro.core.pipeline import default_graph_network, default_network
 from repro.dag import random_layered_dag
 from repro.env.scheduling_env import SchedulingEnv
 from repro.rl.agent import PolicyMemo
+from repro.schedulers.listsched import FifoPolicy, HeftPolicy, LptPolicy
+from repro.schedulers.policies import (
+    CriticalPathPolicy,
+    PriorityListPolicy,
+    SjfPolicy,
+)
+from repro.schedulers.tetris import TetrisPolicy
 
 MAX_READY = 3
 LIMIT = 10_000
 
 
-def env_config(until_completion: bool) -> EnvConfig:
+def env_config(until_completion: bool, num_resources: int = 2) -> EnvConfig:
     return EnvConfig(
-        cluster=ClusterConfig(capacities=(10, 10), horizon=6),
+        cluster=ClusterConfig(capacities=(10,) * num_resources, horizon=6),
         max_ready=MAX_READY,
         process_until_completion=until_completion,
     )
@@ -47,7 +59,7 @@ NETWORKS = {
 }
 
 
-def make_graph(seed, num_tasks):
+def make_graph(seed, num_tasks, num_resources=2):
     workload = WorkloadConfig(
         num_tasks=num_tasks,
         max_runtime=4,
@@ -57,7 +69,7 @@ def make_graph(seed, num_tasks):
         demand_mean=3,
         demand_std=2,
     )
-    return random_layered_dag(workload, seed=seed)
+    return random_layered_dag(workload, seed=seed, num_resources=num_resources)
 
 
 def play(policy, env, fused: bool):
@@ -119,3 +131,58 @@ def test_fused_playout_equals_select_step_loop(
             outcomes[fused].append(play(policy, env, fused))
             assert env.done
     assert outcomes[True] == outcomes[False]
+
+
+HEURISTICS = {
+    "tetris": TetrisPolicy,
+    "sjf": SjfPolicy,
+    "cp": CriticalPathPolicy,
+    "heft": HeftPolicy,
+    "lpt": LptPolicy,
+    "fifo": FifoPolicy,
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    num_tasks=st.integers(1, 14),
+    num_resources=st.sampled_from([2, 3]),
+    play_seed=st.integers(0, 10_000),
+    prefix=st.integers(0, 30),
+    until_completion=st.booleans(),
+    name=st.sampled_from(sorted(HEURISTICS) + ["priority-list"]),
+    # Ids past the graph's and ids left out both occur: a task missing
+    # from the order ranks last, by id.
+    order=st.lists(st.integers(0, 16), unique=True, max_size=17),
+)
+def test_heuristic_playout_equals_select_step_loop(
+    seed, num_tasks, num_resources, play_seed, prefix, until_completion, name, order
+):
+    graph = make_graph(seed, num_tasks, num_resources)
+    config = env_config(until_completion, num_resources)
+    outcomes = []
+    for fused in (True, False):
+        env = SchedulingEnv(graph, config)
+        prefix_rng = np.random.default_rng(play_seed)
+        for _ in range(prefix):
+            if env.done:
+                break
+            actions = env.legal_actions()
+            env.step(actions[int(prefix_rng.integers(len(actions)))])
+        if name == "priority-list":
+            policy = PriorityListPolicy(order)
+        else:
+            policy = HEURISTICS[name]()
+        policy.begin_episode(env)
+        if fused:
+            makespan = policy.playout(env, LIMIT)
+        else:
+            while not env.done:
+                env.step(policy.select(env))
+            makespan = env.makespan
+        assert env.done
+        outcomes.append(
+            (makespan, env.start_times(), env.signature(), env.steps_taken)
+        )
+    assert outcomes[0] == outcomes[1]

@@ -1,5 +1,7 @@
 """Unit tests for the motivating example, graph I/O and analysis."""
 
+import json
+
 import pytest
 
 from repro.dag import (
@@ -13,7 +15,7 @@ from repro.dag import (
 )
 from repro.dag.analysis import makespan_lower_bound, summarize
 from repro.dag.examples import MOTIVATING_CAPACITY, MOTIVATING_T
-from repro.errors import TraceError
+from repro.errors import GraphError, TraceError
 
 
 class TestMotivatingExample:
@@ -87,6 +89,82 @@ class TestGraphIO:
         path.write_text("{not json")
         with pytest.raises(TraceError):
             load_graph(path)
+
+
+NAN, INF = float("nan"), float("inf")
+
+#: (field of task 0 or "edges", value) — the protocol tests' payloads, at
+#: the loader.  At the parent the first group left ``graph_from_dict`` as
+#: ``ConfigError`` / ``ValueError`` / ``OverflowError`` and most of the
+#: second loaded, truncated or coerced.
+MALFORMED_NUMBERS = [
+    pytest.param("runtime", 0, id="runtime-zero"),
+    pytest.param("id", -1, id="negative-id"),
+    pytest.param("demands", [], id="no-demands"),
+    pytest.param("demands", [2, -1], id="negative-demand"),
+    pytest.param("runtime", NAN, id="runtime-nan"),
+    pytest.param("edges", [[0]], id="edge-one-endpoint"),
+    pytest.param("edges", "ab", id="edges-string"),
+    pytest.param("edges", [["a", "b"]], id="edge-of-strings"),
+    pytest.param("edges", [[0, NAN]], id="edge-nan"),
+    pytest.param("edges", 7, id="edges-number"),
+    pytest.param("runtime", INF, id="runtime-inf"),
+    pytest.param("demands", [INF, 1], id="demand-inf"),
+    pytest.param("runtime", 2.7, id="runtime-float"),
+    pytest.param("demands", [1.5, 1], id="demand-float"),
+    pytest.param("edges", [[0, 0.5]], id="edge-float"),
+    pytest.param("runtime", True, id="runtime-bool"),
+    pytest.param("id", 0.0, id="id-integral-float"),
+    pytest.param("id", "0", id="id-string"),
+    pytest.param("name", {"a": 1}, id="name-object"),
+    pytest.param("name", 7, id="name-number"),
+]
+
+
+class TestMalformedNumbers:
+    @staticmethod
+    def payload(field, value):
+        graph = TaskGraph(
+            [Task(0, 3, (2, 1), name="a"), Task(1, 2, (1, 2))], [(0, 1)]
+        )
+        payload = graph_to_dict(graph)
+        if field == "edges":
+            payload["edges"] = value
+        else:
+            payload["tasks"][0][field] = value
+        return payload
+
+    @pytest.mark.parametrize("field, value", MALFORMED_NUMBERS)
+    def test_graph_from_dict_raises_trace_error(self, field, value):
+        with pytest.raises(TraceError):
+            graph_from_dict(self.payload(field, value))
+
+    @pytest.mark.parametrize("field, value", MALFORMED_NUMBERS)
+    def test_load_graph_raises_trace_error(self, tmp_path, field, value):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(self.payload(field, value)))
+        with pytest.raises(TraceError):
+            load_graph(path)
+
+    @pytest.mark.parametrize("entry", [7, "ab", None, [0, 3, [2, 1]]])
+    def test_task_entry_must_be_an_object(self, entry):
+        payload = self.payload("runtime", 3)
+        payload["tasks"][0] = entry
+        with pytest.raises(TraceError):
+            graph_from_dict(payload)
+
+    def test_structural_errors_stay_graph_errors(self):
+        """What only the assembled DAG can show is ``TaskGraph``'s to say."""
+        for edges in ([[0, 0]], [[0, 5]], [[0, 1], [1, 0]]):
+            with pytest.raises(GraphError):
+                graph_from_dict(self.payload("edges", edges))
+
+    def test_loaded_demands_are_plain_int_tuples(self):
+        graph = graph_from_dict(self.payload("runtime", 10**20))
+        assert graph.task(0) == Task(0, 10**20, (2, 1))
+        for task in graph:
+            assert type(task.demands) is tuple
+            assert all(type(d) is int for d in task.demands)
 
 
 class TestAnalysis:

@@ -2,12 +2,14 @@
 
 ``SchedulingEnv.policy_playout`` applies single-candidate moves itself
 and calls the policy only where there is a choice to make;
-``NetworkPolicyBase.playout`` is the policy's half of it and
-``NetworkRollout.rollout`` its only caller.  The reference everywhere
-below is the loop that call replaced — ``while not env.done:
-env.step(policy.select(env))`` — over the unchanged ``select`` and
-``step``: same actions, same counters, same memo traffic and the same
-generator state, from the first state of an episode or the middle of one.
+``NetworkPolicyBase.playout`` and ``GreedyPolicy.playout`` are the
+policies' half of it, behind ``NetworkRollout.rollout``, ``run_policy``
+and ``GreedyRollout.rollout``.  The reference everywhere below is the
+loop those calls replaced — ``while not env.done:
+env.step(policy.select(env))``, which the default ``Policy.playout``
+still is — over the unchanged ``select`` and ``step``: same actions, same
+counters, same memo traffic and the same generator state, from the first
+state of an episode or the middle of one.
 """
 
 import importlib.util
@@ -23,9 +25,19 @@ from repro.core.guidance import NetworkRollout
 from repro.core.pipeline import default_graph_network, default_network
 from repro.dag.generators import chain_dag, independent_tasks_dag, random_layered_dag
 from repro.env.actions import PROCESS
-from repro.env.scheduling_env import SchedulingEnv
+from repro.env.scheduling_env import SchedulingEnv, step_limit_exceeded
 from repro.errors import CapacityError, ConfigError, EnvironmentStateError
+from repro.mcts.policies import GreedyRollout
 from repro.rl.agent import NetworkPolicyBase, PolicyMemo, candidate_actions
+from repro.schedulers.base import GreedyPolicy, Policy, run_policy
+from repro.schedulers.listsched import FifoPolicy, HeftPolicy, LptPolicy
+from repro.schedulers.policies import (
+    CriticalPathPolicy,
+    PriorityListPolicy,
+    RandomPolicy,
+    SjfPolicy,
+)
+from repro.schedulers.tetris import TetrisPolicy, alignment_score
 
 MAX_READY = 3  # narrower than the DAGs' layers, so a backlog exists
 WORKLOAD = WorkloadConfig(
@@ -60,14 +72,21 @@ def make_network(model: str):
 
 
 def reference_playout(policy, env, limit=LIMIT) -> int:
-    """``NetworkRollout.rollout`` as it was before the loop was fused."""
+    """The episode loop as every caller spelled it before ``playout``."""
     steps = 0
     while not env.done:
         if steps >= limit:
-            raise EnvironmentStateError("network rollout livelocked")
+            raise step_limit_exceeded(limit)
         env.step(policy.select(env))
         steps += 1
     return env.makespan
+
+
+def _cap_message(limit: int) -> str:
+    """The one message every playout raises at its step cap, as a regex."""
+    message = str(step_limit_exceeded(limit))
+    assert "livelocked policy" in message and "network" not in message
+    return re.escape(message)
 
 
 def random_prefix(env, rng, moves: int) -> None:
@@ -216,7 +235,7 @@ def test_limit_counts_forced_and_decided_moves(until_completion):
     assert exact.policy_playout(first, None, needed) == env.makespan
 
     short = SchedulingEnv(graph, config)
-    with pytest.raises(EnvironmentStateError, match="network rollout livelocked"):
+    with pytest.raises(EnvironmentStateError, match=_cap_message(needed - 1)):
         short.policy_playout(first, None, needed - 1)
     assert short.steps_taken == needed - 1 and not short.done
     stepped = SchedulingEnv(graph, config)
@@ -385,6 +404,256 @@ def test_a_masked_choice_is_refused(memoized, monkeypatch):
     with pytest.raises(EnvironmentStateError, match="masked action"):
         policy.playout(env, LIMIT)
     assert env.steps_taken == 0
+
+
+# ---------------------------------------------------------------------- #
+# the heuristics' half: GreedyPolicy.playout == select/step, per episode
+# ---------------------------------------------------------------------- #
+
+
+def _half_order(graph):
+    """A priority order naming every other task, shuffled: the rest rank
+    last by id, which is the fallback Graphene's online pass relies on."""
+    ids = sorted(graph.tasks())
+    order = [int(t) for t in np.random.default_rng(len(ids)).permutation(ids)]
+    return order[::2]
+
+
+HEURISTICS = {
+    "tetris": lambda graph: TetrisPolicy(),
+    "sjf": lambda graph: SjfPolicy(),
+    "cp": lambda graph: CriticalPathPolicy(),
+    "priority-list": lambda graph: PriorityListPolicy(_half_order(graph)),
+    "heft": lambda graph: HeftPolicy(),
+    "lpt": lambda graph: LptPolicy(),
+    "fifo": lambda graph: FifoPolicy(),
+}
+
+
+def test_the_seven_heuristics_are_the_greedy_policies():
+    """One ``select`` and one ``playout`` for all of them: a subclass
+    writes its ranking rule and nothing else."""
+    classes = {type(make(chain_dag([1]))) for make in HEURISTICS.values()}
+    assert len(classes) == 7
+    for cls in classes:
+        assert issubclass(cls, GreedyPolicy)
+        assert cls.select is GreedyPolicy.select
+        assert cls.playout is GreedyPolicy.playout
+        assert "choose" in vars(cls)
+    assert not issubclass(RandomPolicy, GreedyPolicy)
+    assert RandomPolicy.playout is Policy.playout
+
+
+def decided_states(env, policy):
+    """Step a clone through the reference loop; the (signature,
+    candidates) of every state that offers a choice, in order."""
+    twin = env.clone()
+    states = []
+    while not twin.done:
+        candidates = candidate_actions(twin, True)
+        if len(candidates) > 1:
+            states.append((twin.signature(), candidates))
+        twin.step(policy.select(twin))
+    return states
+
+
+@pytest.mark.parametrize("capacities", [(10, 10), (10, 10, 10)], ids=["2d", "3d"])
+@pytest.mark.parametrize("until_completion", [True, False], ids=["event", "slot"])
+@pytest.mark.parametrize("name", sorted(HEURISTICS))
+def test_heuristic_playout_is_the_select_step_loop(name, until_completion, capacities):
+    config = env_config(until_completion, capacities)
+    decided = 0
+    for graph_seed in GRAPH_SEEDS:
+        graph = random_layered_dag(
+            WORKLOAD, seed=graph_seed, num_resources=len(capacities)
+        )
+        for prefix in (0, 6):
+            outcomes = []
+            for play in (
+                lambda policy, env: policy.playout(env, LIMIT),
+                reference_playout,
+                lambda policy, env: Policy.playout(policy, env, LIMIT),
+            ):
+                env = SchedulingEnv(graph, config)
+                random_prefix(env, np.random.default_rng(prefix), prefix)
+                policy = HEURISTICS[name](graph)
+                policy.begin_episode(env)
+                before = env.steps_taken
+                makespan = play(policy, env)
+                assert env.done and env.steps_taken > before
+                outcomes.append(
+                    (makespan, env.start_times(), env.signature(), env.steps_taken)
+                )
+            assert outcomes[0] == outcomes[1] == outcomes[2]
+            probe = SchedulingEnv(graph, config)
+            random_prefix(probe, np.random.default_rng(prefix), prefix)
+            decided += len(decided_states(probe, HEURISTICS[name](graph)))
+    assert decided > 0
+
+
+def _spied(cls, calls):
+    class Spy(cls):
+        def choose(self, env, fitting):
+            calls.append((env.signature(), list(fitting)))
+            return super().choose(env, fitting)
+
+        def select(self, env):
+            raise AssertionError("an episode runner called select")
+
+    return Spy
+
+
+@pytest.mark.parametrize(
+    "runner",
+    [
+        pytest.param(lambda make, env: make().playout(env, LIMIT), id="playout"),
+        pytest.param(lambda make, env: run_policy(env, make()), id="run_policy"),
+        pytest.param(
+            lambda make, env: GreedyRollout(make).rollout(env), id="greedy-rollout"
+        ),
+    ],
+)
+@pytest.mark.parametrize("name", sorted(HEURISTICS))
+def test_choose_runs_once_per_real_decision_and_select_never(name, runner):
+    config = env_config()
+    for graph_seed in GRAPH_SEEDS:
+        graph = random_layered_dag(WORKLOAD, seed=graph_seed)
+        plain = HEURISTICS[name](graph)
+        env = SchedulingEnv(graph, config)
+        random_prefix(env, np.random.default_rng(graph_seed), 4)
+        expected = decided_states(env, plain)
+        calls = []
+        spy_class = _spied(type(plain), calls)
+        if name == "priority-list":
+            make = lambda: spy_class(_half_order(graph))
+        else:
+            make = spy_class
+        runner(make, env)
+        assert env.done
+        assert calls == expected and len(calls) > 0
+        for _, fitting in calls:
+            assert len(fitting) >= 2 and PROCESS not in fitting
+            assert fitting == sorted(fitting)
+
+
+def test_select_returns_a_single_candidate_without_ranking():
+    class NoRanking(GreedyPolicy):
+        def choose(self, env, fitting):
+            raise AssertionError("nothing to rank")
+
+    policy = NoRanking()
+    env = SchedulingEnv(chain_dag([2, 3], demands=[(2, 1)] * 2), env_config())
+    assert policy.select(env) == 0  # one task fits, nothing runs
+    env.step(0)
+    assert policy.select(env) == PROCESS  # nothing fits, one task runs
+    env.step(PROCESS)
+    assert env.legal_actions() == [0] and policy.select(env) == 0
+    env.step(0)
+    env.step(PROCESS)
+    # A finished episode has no legal action; ``step`` is what refuses.
+    assert env.done and policy.select(env) == PROCESS
+    # One task fits while another runs: PROCESS is legal, not a candidate.
+    graph = independent_tasks_dag([2, 2], demands=[(6, 6), (3, 3)])
+    env = SchedulingEnv(graph, env_config())
+    env.step(0)
+    assert env.legal_actions() == [0, PROCESS] and policy.select(env) == 0
+
+
+@pytest.mark.parametrize("capacities", [(10, 10), (10, 10, 10)], ids=["2d", "3d"])
+def test_tetris_choose_is_the_argmax_of_alignment_score(capacities):
+    """``choose`` is a hand-rolled loop; ``alignment_score`` stays the
+    public definition of what it maximizes (ties to the smaller id)."""
+    workload = WorkloadConfig(
+        num_tasks=40, max_runtime=5, max_demand=3,
+        runtime_mean=3, runtime_std=1, demand_mean=2, demand_std=1,
+    )
+    config = EnvConfig(
+        cluster=ClusterConfig(capacities=capacities, horizon=8),
+        max_ready=6,
+        process_until_completion=True,
+    )
+    policy = TetrisPolicy()
+    decided = ties = 0
+    for graph_seed in range(12):
+        graph = random_layered_dag(
+            workload, seed=graph_seed, num_resources=len(capacities)
+        )
+        env = SchedulingEnv(graph, config)
+        chooser = np.random.default_rng(graph_seed)
+        while not env.done:
+            fitting = candidate_actions(env, True)
+            if len(fitting) > 1:
+                visible = env.visible_ready()
+                available = env.cluster.available
+                keys = {
+                    a: (
+                        -alignment_score(graph.task(visible[a]).demands, available),
+                        visible[a],
+                    )
+                    for a in fitting
+                }
+                assert policy.choose(env, list(fitting)) == min(fitting, key=keys.get)
+                assert policy.select(env) == min(fitting, key=keys.get)
+                decided += 1
+                ties += len({score for score, _ in keys.values()}) < len(keys)
+            # Wander: any legal move, so odd states are ranked too.
+            actions = env.legal_actions()
+            env.step(actions[int(chooser.integers(len(actions)))])
+    assert decided > 50 and ties > 10
+
+
+class _ViaSelect(Policy):
+    """A custom policy: only ``select``, so the default ``playout``."""
+
+    def __init__(self) -> None:
+        self._inner = SjfPolicy()
+
+    def select(self, env):
+        return self._inner.select(env)
+
+
+@pytest.mark.parametrize("until_completion", [True, False], ids=["event", "slot"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(_ViaSelect, id="default"),
+        pytest.param(SjfPolicy, id="greedy"),
+        pytest.param(
+            lambda: make_network("mlp").make_policy(mode="greedy", seed=0),
+            id="network",
+        ),
+    ],
+)
+def test_every_playout_raises_the_same_error_at_the_exact_cap(make, until_completion):
+    config = env_config(until_completion)
+    graph = random_layered_dag(WORKLOAD, seed=GRAPH_SEEDS[0])
+    env = SchedulingEnv(graph, config)
+    makespan = make().playout(env, LIMIT)
+    needed = env.steps_taken
+
+    exact = SchedulingEnv(graph, config)
+    assert make().playout(exact, needed) == makespan
+
+    short = SchedulingEnv(graph, config)
+    with pytest.raises(EnvironmentStateError, match=_cap_message(needed - 1)):
+        make().playout(short, needed - 1)
+    assert short.steps_taken == needed - 1 and not short.done
+
+    mid = SchedulingEnv(graph, config)
+    random_prefix(mid, np.random.default_rng(1), 4)
+    with pytest.raises(EnvironmentStateError, match=_cap_message(0)):
+        make().playout(mid, 0)
+    assert mid.steps_taken == 4
+
+
+def test_episode_runners_pass_their_cap_to_playout():
+    graph = random_layered_dag(WORKLOAD, seed=GRAPH_SEEDS[1])
+    with pytest.raises(EnvironmentStateError, match=_cap_message(3)):
+        run_policy(SchedulingEnv(graph, env_config()), TetrisPolicy(), max_steps=3)
+    rollout = GreedyRollout()
+    rollout.max_steps_factor = 0
+    with pytest.raises(EnvironmentStateError, match=_cap_message(0)):
+        rollout.rollout(SchedulingEnv(graph, env_config()))
 
 
 # ---------------------------------------------------------------------- #

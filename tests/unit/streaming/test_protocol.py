@@ -1,9 +1,14 @@
 """Unit tests for the NDJSON wire protocol of the scheduling service."""
 
+import copy
 import json
+import math
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from repro.dag import Task, TaskGraph
 from repro.errors import ProtocolError
 from repro.schedulers.base import ClusterSnapshot, ScheduleRequest
 from repro.streaming import layered_job_factory
@@ -108,6 +113,254 @@ class TestScheduleFrames:
         mutate(frame)
         with pytest.raises(ProtocolError):
             parse_schedule(frame)
+
+
+# ---------------------------------------------------------------------- #
+# hostile numbers: a schedule frame carries JSON integers or is refused
+# ---------------------------------------------------------------------- #
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _full_frame():
+    """A valid frame with a number in every place the protocol has one,
+    as it comes off the wire."""
+    graph = TaskGraph(
+        [
+            Task(0, 3, (2, 1), name="a"),
+            Task(1, 2, (1, 2)),
+            Task(2, 4, (3, 3)),
+            Task(3, 1, (4, 2)),
+        ],
+        [(0, 1), (0, 2), (1, 3)],
+    )
+    request = ScheduleRequest(
+        graph=graph,
+        cluster=ClusterSnapshot(capacities=(20, 20), available=(12, 7), now=5),
+        frozen={7: (0, 3)},
+        pinned={8: (4, 9), 9: (2, 6)},
+        deadline=40,
+    )
+    return decode_frame(encode_frame(schedule_frame("job", request)))
+
+
+def _put(frame, path, value):
+    """``frame`` with ``value`` at ``path`` (a tuple of keys / indices)."""
+    frame = copy.deepcopy(frame)
+    target = frame
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return frame
+
+
+def _wire(frame):
+    return decode_frame(encode_frame(frame))
+
+
+TASK0 = ("graph", "tasks", 0)
+
+#: (path, value): at the parent these left ``parse_schedule`` as
+#: ``ConfigError``, ``ValueError`` and ``OverflowError`` — the handler
+#: died and the client read EOF.
+ESCAPED = [
+    pytest.param(TASK0 + ("runtime",), 0, id="runtime-zero"),
+    pytest.param(TASK0 + ("id",), -1, id="negative-id"),
+    pytest.param(TASK0 + ("demands",), [], id="no-demands"),
+    pytest.param(TASK0 + ("demands",), [2, -1], id="negative-demand"),
+    pytest.param(TASK0 + ("runtime",), NAN, id="runtime-nan"),
+    pytest.param(("graph", "edges"), [[0]], id="edge-one-endpoint"),
+    pytest.param(("graph", "edges"), "ab", id="edges-string"),
+    pytest.param(("graph", "edges"), [["a", "b"]], id="edge-of-strings"),
+    pytest.param(("graph", "edges"), [[0, NAN]], id="edge-nan"),
+    pytest.param(TASK0 + ("runtime",), INF, id="runtime-inf"),
+    pytest.param(TASK0 + ("demands",), [INF, 1], id="demand-inf"),
+    pytest.param(("cluster", "capacities"), [INF, 20], id="capacity-inf"),
+    pytest.param(("cluster", "available"), [12, -INF], id="available-inf"),
+    pytest.param(("cluster", "now"), INF, id="now-inf"),
+    pytest.param(("deadline",), INF, id="deadline-inf"),
+    pytest.param(("frozen", "7"), [0, INF], id="frozen-inf"),
+    pytest.param(("pinned", "8"), [INF, 9], id="pinned-inf"),
+]
+
+#: Accepted at the parent, silently: truncated, coerced or misreported.
+SILENTLY_WRONG = [
+    pytest.param(TASK0 + ("runtime",), 2.7, id="runtime-float"),
+    pytest.param(TASK0 + ("demands",), [1.5, 1], id="demand-float"),
+    pytest.param(("graph", "edges"), [[0, 0.5]], id="edge-float"),
+    pytest.param(("cluster", "capacities"), [20.9, 20.9], id="capacity-float"),
+    pytest.param(TASK0 + ("runtime",), True, id="runtime-bool"),
+    pytest.param(TASK0 + ("name",), {"a": 1}, id="name-object"),
+    pytest.param(TASK0 + ("id",), 0.0, id="id-integral-float"),
+    pytest.param(TASK0 + ("runtime",), "3", id="runtime-string"),
+    pytest.param(TASK0 + ("demands",), "21", id="demands-string"),
+    pytest.param(("cluster", "now"), 5.0, id="now-integral-float"),
+    pytest.param(("cluster", "available"), [True, 7], id="available-bool"),
+    pytest.param(("deadline",), 40.5, id="deadline-float"),
+    pytest.param(("deadline",), "40", id="deadline-string"),
+    pytest.param(("deadline",), False, id="deadline-bool"),
+    pytest.param(("frozen", "7"), [0.2, 3], id="frozen-float"),
+    pytest.param(("frozen", "7"), ["0", "3"], id="frozen-strings"),
+    pytest.param(("pinned", "8"), "49", id="pinned-string"),
+    pytest.param(("pinned", "8"), [4, 9, 11], id="pinned-three-numbers"),
+]
+
+
+class TestHostileNumbers:
+    def test_the_full_frame_is_valid(self):
+        request_id, request = parse_schedule(_full_frame())
+        assert request_id == "job" and request.deadline == 40
+        assert request.cluster == ClusterSnapshot((20, 20), (12, 7), 5)
+        assert request.frozen == {7: (0, 3)}
+        assert request.pinned == {8: (4, 9), 9: (2, 6)}
+        assert request.graph.task(0) == Task(0, 3, (2, 1))
+
+    @pytest.mark.parametrize("path, value", ESCAPED + SILENTLY_WRONG)
+    def test_malformed_number_is_a_protocol_error(self, path, value):
+        frame = _put(_full_frame(), path, value)
+        with pytest.raises(ProtocolError):
+            parse_schedule(frame)
+        # And after a trip over the wire (NaN and Infinity survive it).
+        with pytest.raises(ProtocolError):
+            parse_schedule(_wire(frame))
+
+    def test_an_overflowing_literal_decodes_to_infinity_and_is_refused(self):
+        line = encode_frame(_full_frame()).replace(b'"deadline":40', b'"deadline":1e999')
+        frame = decode_frame(line)
+        assert math.isinf(frame["deadline"])
+        with pytest.raises(ProtocolError, match="deadline"):
+            parse_schedule(frame)
+
+    def test_placement_keys_stay_decimal_strings(self):
+        _, request = parse_schedule(_put(_full_frame(), ("frozen",), {"12": [1, 2]}))
+        assert request.frozen == {12: (1, 2)}
+        for key in ("1.5", "x", "", "1e3"):
+            with pytest.raises(ProtocolError):
+                parse_schedule(_put(_full_frame(), ("frozen",), {key: [1, 2]}))
+
+    def test_name_may_be_null_or_a_string(self):
+        for name in (None, "map-0", ""):
+            _, request = parse_schedule(_put(_full_frame(), TASK0 + ("name",), name))
+            assert request.graph.task(0).name == name
+
+    def test_big_integers_are_integers(self):
+        frame = _put(_full_frame(), ("deadline",), 10**40)
+        assert parse_schedule(_wire(frame))[1].deadline == 10**40
+
+
+def _numeric_paths(node, prefix=()):
+    """Every position of the full frame that holds a number, and every
+    list of numbers as a whole (``demands``, an edge, a span, ...)."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _numeric_paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        yield prefix
+        for index, value in enumerate(node):
+            yield from _numeric_paths(value, prefix + (index,))
+    elif type(node) is int:
+        yield prefix
+
+
+NUMERIC_PATHS = sorted(_numeric_paths(_full_frame()), key=repr)
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=5),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=8,
+)
+
+
+def _leaves(node):
+    if isinstance(node, (list, tuple)):
+        for value in node:
+            yield from _leaves(value)
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield key
+            yield from _leaves(value)
+    else:
+        yield node
+
+
+def _numbers_of_frame(frame):
+    graph = frame["graph"]
+    cluster = frame["cluster"]
+    return {
+        "tasks": sorted(
+            (t["id"], t["runtime"], tuple(t["demands"])) for t in graph["tasks"]
+        ),
+        "edges": sorted({(up, down) for up, down in graph["edges"]}),
+        "capacities": tuple(cluster["capacities"]),
+        "available": tuple(cluster.get("available", cluster["capacities"])),
+        "now": cluster.get("now", 0),
+        "deadline": frame.get("deadline"),
+        "frozen": {int(k): tuple(v) for k, v in frame.get("frozen", {}).items()},
+        "pinned": {int(k): tuple(v) for k, v in frame.get("pinned", {}).items()},
+    }
+
+
+def _numbers_of_request(request):
+    graph = request.graph
+    return {
+        "tasks": sorted((t.task_id, t.runtime, t.demands) for t in graph),
+        "edges": sorted(graph.edges()),
+        "capacities": request.cluster.capacities,
+        "available": request.cluster.available,
+        "now": request.cluster.now,
+        "deadline": request.deadline,
+        "frozen": dict(request.frozen),
+        "pinned": dict(request.pinned),
+    }
+
+
+class TestArbitraryJsonAtNumericPositions:
+    def test_the_positions_cover_the_frame(self):
+        paths = set(NUMERIC_PATHS)
+        for path in [
+            ("graph", "version"),
+            ("graph", "tasks"),
+            TASK0 + ("id",),
+            TASK0 + ("runtime",),
+            TASK0 + ("demands",),
+            TASK0 + ("demands", 1),
+            ("graph", "edges"),
+            ("graph", "edges", 2),
+            ("graph", "edges", 2, 0),
+            ("cluster", "capacities"),
+            ("cluster", "capacities", 0),
+            ("cluster", "available", 1),
+            ("cluster", "now"),
+            ("deadline",),
+            ("frozen", "7"),
+            ("frozen", "7", 1),
+            ("pinned", "9", 0),
+        ]:
+            assert path in paths, path
+
+    @settings(max_examples=600, deadline=None)
+    @given(path=st.sampled_from(NUMERIC_PATHS), value=JSON_VALUES, wire=st.booleans())
+    def test_outcome_is_the_payloads_numbers_or_a_protocol_error(self, path, value, wire):
+        """Nothing but ``ProtocolError`` leaves ``parse_schedule``, and a
+        request that comes back says what the payload said: no
+        truncation, no coercion, every number an exact ``int``."""
+        frame = _put(_full_frame(), path, value)
+        if wire:
+            frame = _wire(frame)
+        try:
+            request_id, request = parse_schedule(frame)
+        except ProtocolError:
+            return
+        assert request_id == "job"
+        got = _numbers_of_request(request)
+        assert got == _numbers_of_frame(frame)
+        for leaf in _leaves(list(got.values())):
+            assert leaf is None or type(leaf) is int, (path, value, leaf)
 
 
 class TestReplies:

@@ -130,6 +130,50 @@ class TestServiceProtocol:
         assert reply["type"] == protocol.ERROR and reply["id"] == "bad"
         assert errors == 1
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            # At the parent: ConfigError, ValueError, OverflowError out of
+            # the handler (the client read EOF), then two silent coercions.
+            pytest.param(("graph", "tasks", 0, "runtime"), 0, id="runtime-zero"),
+            pytest.param(("graph", "tasks", 0, "demands"), [2, -1], id="negative-demand"),
+            pytest.param(("graph", "edges"), [[0]], id="edge-one-endpoint"),
+            pytest.param(("graph", "tasks", 0, "runtime"), float("nan"), id="runtime-nan"),
+            pytest.param(("cluster", "capacities"), [float("inf"), 20], id="capacity-inf"),
+            pytest.param(("graph", "tasks", 0, "runtime"), 2.7, id="runtime-float"),
+            pytest.param(("cluster", "capacities"), [20.9, 20.9], id="capacity-float"),
+        ],
+    )
+    def test_malformed_number_gets_an_error_frame_on_a_connection_that_lives(
+        self, path, value
+    ):
+        good = protocol.schedule_frame("good", _smoke_request())
+        bad = protocol.decode_frame(protocol.encode_frame(good))
+        bad["id"] = "bad"
+        target = bad
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+
+        async def scenario(service, port):
+            async with _Client(port) as client:
+                await client.send(bad)
+                error = await client.recv()
+                errors = service.stats.errors
+                await client.send({"type": protocol.PING})
+                pong = await client.recv()
+                await client.send(good)
+                reply = await client.recv()
+                return error, errors, pong, reply, service.stats.as_dict()
+
+        error, errors, pong, reply, stats = _serve(scenario)
+        assert error["type"] == protocol.ERROR and error["id"] == "bad"
+        assert errors == 1
+        assert pong["type"] == protocol.PONG
+        assert reply["type"] == protocol.REPLY and reply["id"] == "good"
+        assert len(reply["schedule"]["placements"]) == len(good["graph"]["tasks"])
+        assert stats["errors"] == 1 and stats["served"] == 1 and stats["accepted"] == 1
+
     def test_draining_rejects_new_schedules(self):
         async def scenario(service, port):
             service._draining = True
