@@ -362,81 +362,9 @@ def _setup_envarr_search_budget_unit(seed: int) -> Callable[[], None]:
     return thunk
 
 
-def _setup_envarr_observation_batch(seed: int) -> Callable[[], None]:
-    """Batched observation build over clones along one episode."""
-    from ..envarr.observation import BatchObservationBuilder
-
-    env = _env(seed)
-    graph, config = env.graph, env.config
-    rng = as_generator(seed + 50_000)
-    lanes = []
-    sim = env.clone()
-    while not sim.done and len(lanes) < 128:
-        lanes.append(sim.clone())
-        actions = sim.expansion_actions(work_conserving=True)
-        sim.step(actions[int(rng.integers(0, len(actions)))])
-    builder = BatchObservationBuilder(graph, config)
-
-    def thunk() -> None:
-        builder.build_batch(lanes)
-
-    thunk.ops = len(lanes)  # type: ignore[attr-defined]
-    return thunk
-
-
 # --------------------------------------------------------------------- #
 # rl group
 # --------------------------------------------------------------------- #
-
-
-def _rl_lanes(seed: int, count: int = 64):
-    """Mid-episode lanes for batched policy evaluation."""
-    env = _env(seed)
-    graph, config = env.graph, env.config
-    rng = as_generator(seed + 70_000)
-    lanes = []
-    sim = env.clone()
-    while not sim.done and len(lanes) < count:
-        lanes.append(sim.clone())
-        actions = sim.expansion_actions(work_conserving=True)
-        sim.step(actions[int(rng.integers(0, len(actions)))])
-    return graph, config, lanes
-
-
-def _setup_rl_policy_forward_batch(seed: int) -> Callable[[], None]:
-    """Batched MLP leaf evaluation: one forward over all lanes.
-
-    This is the inner loop of batched-MCTS leaf priors and network
-    rollouts (``PolicyEvaluator.distributions``).
-    """
-    from ..core.pipeline import default_network
-    from ..rl.evaluator import PolicyEvaluator
-
-    graph, config, lanes = _rl_lanes(seed)
-    network = default_network(config, seed=seed)
-    evaluator = PolicyEvaluator(network, config, graph)
-
-    def thunk() -> None:
-        evaluator.distributions(lanes)
-
-    thunk.ops = len(lanes)  # type: ignore[attr-defined]
-    return thunk
-
-
-def _setup_rl_gnn_forward(seed: int) -> Callable[[], None]:
-    """Batched GNN leaf evaluation: message passing over all lanes."""
-    from ..core.pipeline import default_graph_network
-    from ..rl.evaluator import PolicyEvaluator
-
-    graph, config, lanes = _rl_lanes(seed)
-    network = default_graph_network(config, seed=seed)
-    evaluator = PolicyEvaluator(network, config, graph)
-
-    def thunk() -> None:
-        evaluator.distributions(lanes)
-
-    thunk.ops = len(lanes)  # type: ignore[attr-defined]
-    return thunk
 
 
 def _setup_rl_policy_select(seed: int) -> Callable[[], None]:
@@ -798,30 +726,6 @@ def default_suite() -> List[BenchmarkSpec]:
             "envarr",
             _setup_envarr_search_budget_unit,
             repeats=10,
-            quick_repeats=3,
-            warmup=1,
-        ),
-        BenchmarkSpec(
-            "envarr.observation_batch",
-            "envarr",
-            _setup_envarr_observation_batch,
-            repeats=20,
-            quick_repeats=3,
-            warmup=1,
-        ),
-        BenchmarkSpec(
-            "rl.policy_forward_batch",
-            "rl",
-            _setup_rl_policy_forward_batch,
-            repeats=20,
-            quick_repeats=3,
-            warmup=1,
-        ),
-        BenchmarkSpec(
-            "rl.gnn_forward",
-            "rl",
-            _setup_rl_gnn_forward,
-            repeats=20,
             quick_repeats=3,
             warmup=1,
         ),

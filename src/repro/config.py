@@ -123,17 +123,17 @@ class MctsConfig:
         use_max_value_ucb: Eq. (5) max-value exploitation with mean tiebreak;
             ``False`` falls back to classic mean-value UCB (ablation 4).
         rollout_batch: leaves collected per search round (DESIGN.md
-            Sec. 15) — the width of the one tree walk.  ``1`` (default)
-            is the sequential search, one rollout per round; ``> 1``
-            collects that many leaves under virtual loss and simulates
-            them in one batched call — the lockstep kernel
-            :class:`repro.envarr.BatchedPlayouts` for random rollouts, the
-            rollout policy's ``rollout_many`` otherwise (network rollouts
-            share one forward pass per step).  Schedules stay valid and
+            Sec. 15) — the width of the one tree walk, a pure-MCTS option.
+            ``1`` (default) is the sequential search, one rollout per
+            round; ``> 1`` collects that many leaves under virtual loss
+            and plays them in one call of the lockstep kernel
+            :class:`repro.envarr.BatchedPlayouts`, which implements
+            random rollouts only.  Schedules stay valid and
             seed-deterministic but differ from the sequential search's.
-            Works under every ``EnvConfig``; a rollout policy that cannot
-            be batched (``GreedyRollout``, ``TruncatedRollout``) is a
-            ``ConfigError``, not a silent sequential search.
+            Works under every ``EnvConfig``; any other rollout policy
+            (``NetworkRollout`` — so Spear —, ``GreedyRollout``,
+            ``TruncatedRollout``) is a ``ConfigError``, not a silent
+            sequential search.
 
     Rollout truncation is a property of the rollout policy, not the
     search: see :class:`repro.core.guidance.TruncatedRollout`.  How tree
@@ -149,25 +149,12 @@ class MctsConfig:
     use_budget_decay: bool = True
     use_max_value_ucb: bool = True
     rollout_batch: int = 1
-    #: Batched leaf guidance (DESIGN.md Sec. 16): ``"auto"`` lets a
-    #: network-guided search batch-evaluate each wave's fresh leaves with
-    #: a :class:`repro.rl.evaluator.PolicyEvaluator` (one forward pass
-    #: orders every new leaf's expansion candidates); ``"off"`` keeps the
-    #: per-node sequential prioritization.  Only takes effect in the
-    #: batched collection mode (``rollout_batch > 1``) when the scheduler
-    #: carries a leaf network; sequential searches are unaffected either
-    #: way.
-    leaf_policy: str = "auto"
 
     def __post_init__(self) -> None:
         _require(self.initial_budget >= 1, "initial_budget must be >= 1")
         _require(1 <= self.min_budget, "min_budget must be >= 1")
         _require(self.exploration_scale > 0, "exploration_scale must be > 0")
         _require(self.rollout_batch >= 1, "rollout_batch must be >= 1")
-        _require(
-            self.leaf_policy in ("auto", "off"),
-            f"leaf_policy must be 'auto' or 'off', got {self.leaf_policy!r}",
-        )
 
 
 @dataclass(frozen=True)

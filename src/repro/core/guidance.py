@@ -111,37 +111,9 @@ class NetworkRollout(_MemoizedGuidance, RolloutPolicy):
             )
         )
         self.max_steps_factor = max_steps_factor
-        self._evaluator = None
-
-    def begin_search(self, env: SchedulingEnv) -> None:
-        super().begin_search(env)
-        self._evaluator = None
 
     def rollout(self, env: SchedulingEnv) -> int:
         return self._policy.playout(env, self.step_limit(env))
-
-    def rollout_many(self, envs: List, limit: int) -> List[int]:
-        """Batched-MCTS hook: play clones of all lanes to completion with
-        one network forward per simulation step (see
-        :class:`repro.rl.evaluator.PolicyEvaluator`).  Never mutates the
-        input environments."""
-        from ..rl.evaluator import PolicyEvaluator
-
-        evaluator = self._evaluator
-        if (
-            evaluator is None
-            or evaluator.graph is not envs[0].graph
-            or evaluator.env_config is not envs[0].config
-        ):
-            evaluator = self._evaluator = PolicyEvaluator(
-                self._policy.network,
-                envs[0].config,
-                envs[0].graph,
-                work_conserving=self._policy.work_conserving,
-            )
-        return evaluator.rollout_many(
-            envs, limit, mode=self._policy.mode, rng=self._policy._rng
-        )
 
 
 class TruncatedRollout(RolloutPolicy):

@@ -74,7 +74,6 @@ class SpearScheduler(MctsScheduler):
             rollout=rollout,
             seed=rng,
             name="spear",
-            leaf_network=network,
         )
         self.network = network
 
@@ -84,21 +83,12 @@ class SpearScheduler(MctsScheduler):
 # ---------------------------------------------------------------------- #
 
 
-def _mcts_config(
-    budget: Optional[int],
-    min_budget: Optional[int],
-    rollout_batch: Optional[int] = None,
-    leaf_policy: Optional[str] = None,
-) -> MctsConfig:
+def _mcts_config(budget: Optional[int], min_budget: Optional[int]) -> MctsConfig:
     cfg = MctsConfig()
     if budget is not None:
         cfg = replace(cfg, initial_budget=budget)
     if min_budget is not None:
         cfg = replace(cfg, min_budget=min_budget)
-    if rollout_batch is not None:
-        cfg = replace(cfg, rollout_batch=rollout_batch)
-    if leaf_policy is not None:
-        cfg = replace(cfg, leaf_policy=leaf_policy)
     return cfg
 
 
@@ -130,8 +120,6 @@ def _make_spear(
     seed: int = 0,
     network: Union[str, AnyPolicyNetwork, None] = None,
     rollout_mode: str = "sample",
-    rollout_batch: Optional[int] = None,
-    leaf_policy: Optional[str] = None,
 ) -> SpearScheduler:
     """Registry factory: ``make_scheduler("spear:budget=100,fallback=heft")``.
 
@@ -161,8 +149,6 @@ def _make_spear(
     cfg = _mcts_config(
         budget if budget is not None else 100,
         min_budget if min_budget is not None else 20,
-        rollout_batch,
-        leaf_policy,
     )
     return SpearScheduler(
         net,
@@ -190,8 +176,6 @@ def _register() -> None:
             "seed": int,
             "network": checkpoint,
             "rollout_mode": str,
-            "rollout_batch": int,
-            "leaf_policy": str,
         },
     )
 

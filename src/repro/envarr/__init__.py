@@ -1,8 +1,8 @@
 """Batched kernels over the one scheduling environment.
 
 There is one environment, :class:`repro.env.SchedulingEnv`.  What lives
-here is what wins *in batches* — kernels that advance or render many
-same-graph states per NumPy call — and the dense data they run on:
+here is the lockstep random-playout kernel of pure-MCTS waves and the
+dense data it and the graph policy run on:
 
 * :class:`GraphArrays` — a :class:`~repro.dag.graph.TaskGraph` compiled to
   CSR adjacency (``child_indptr``/``child_indices``) plus flat duration /
@@ -15,10 +15,8 @@ same-graph states per NumPy call — and the dense data they run on:
 * :class:`BatchedPlayouts` — many random playouts advanced in NumPy
   lockstep per call, the rollout kernel of batched MCTS
   (``MctsConfig.rollout_batch``).
-* :class:`BatchObservationBuilder` /
-  :func:`~repro.envarr.observation.node_state_batch` — ``B``
-  states rendered into one observation matrix per call, the input of
-  batched policy evaluation (:class:`repro.rl.evaluator.PolicyEvaluator`).
+* :func:`~repro.envarr.observation.task_feature_table` — the static
+  per-task feature matrix the graph policy's node encoder reads.
 
 See DESIGN.md Sec. 15 for why there is no second environment, the lane
 format and the measurements.
@@ -27,10 +25,8 @@ format and the measurements.
 from .batch import BatchedPlayouts, batch_random_playouts
 from .graphdata import GraphArrays, graph_arrays
 from .lanes import LaneSnapshot, lane_snapshot
-from .observation import BatchObservationBuilder
 
 __all__ = [
-    "BatchObservationBuilder",
     "BatchedPlayouts",
     "GraphArrays",
     "LaneSnapshot",

@@ -2,10 +2,8 @@
 
 There is one scheduling environment, :class:`repro.env.SchedulingEnv`; it
 keeps its state in the shapes a scalar step wants (a running-task heap, a
-ready list of task ids, an unmet-parents dict).  The batched kernels —
-:class:`~repro.envarr.batch.BatchedPlayouts`,
-:class:`~repro.envarr.observation.BatchObservationBuilder`,
-:func:`~repro.envarr.observation.node_state_batch` — want ``B`` states as
+ready list of task ids, an unmet-parents dict).  The lockstep playout
+kernel, :class:`~repro.envarr.batch.BatchedPlayouts`, wants ``B`` states as
 rows of dense matrices indexed by :class:`GraphArrays`' dense task index.
 :func:`lane_snapshot` is the only conversion between the two, and the only
 code outside :mod:`repro.env` / :mod:`repro.cluster` that reads the

@@ -43,7 +43,6 @@ class Node:
         "sum_value",
         "terminal",
         "vloss",
-        "ordered",
     )
 
     def __init__(
@@ -64,10 +63,6 @@ class Node:
         #: Pending virtual losses: number of in-flight (collected but not
         #: yet backpropagated) batched simulations through this node.
         self.vloss: int = 0
-        #: True once ``untried`` has been priority-ordered (batched leaf
-        #: evaluation sets priors for a whole wave at once; the flag stops
-        #: the expansion policy from re-ordering per node).
-        self.ordered: bool = False
 
     # ------------------------------------------------------------------ #
 

@@ -89,7 +89,6 @@ class MctsScheduler(Scheduler):
         rollout: Optional[RolloutPolicy] = None,
         seed: SeedLike = None,
         name: str = "mcts",
-        leaf_network=None,
     ) -> None:
         self.config = config if config is not None else MctsConfig()
         if env_config is None:
@@ -107,10 +106,6 @@ class MctsScheduler(Scheduler):
                 f"one with rollout_many); {type(self.rollout).__name__} "
                 f"cannot — use rollout_batch=1"
             )
-        #: Policy network whose batched evaluation sets leaf priors in
-        #: batched mode (``config.leaf_policy="auto"``); ``None`` keeps
-        #: leaf ordering with the expansion policy.
-        self.leaf_network = leaf_network
         self.name = name
         self.last_statistics: Optional[SearchStatistics] = None
         # Telemetry scratch state, live only inside one plan() call.
@@ -155,23 +150,6 @@ class MctsScheduler(Scheduler):
         ) as search_span:
             env = SchedulingEnv(graph, env_config)
             exploration = self._exploration_constant(graph, stats, env_config)
-            # With ``rollout_batch > 1`` a network-guided search orders
-            # each wave's fresh leaves by one batched forward pass
-            # instead of one expansion-policy call per node.
-            evaluator = None
-            if (
-                self.config.rollout_batch > 1
-                and self.leaf_network is not None
-                and self.config.leaf_policy == "auto"
-            ):
-                from ..rl.evaluator import PolicyEvaluator
-
-                evaluator = PolicyEvaluator(
-                    self.leaf_network,
-                    env_config,
-                    graph,
-                    work_conserving=self.config.use_expansion_filters,
-                )
             root = Node(untried=self._candidates(env))
             depth = 1
             try:
@@ -191,9 +169,7 @@ class MctsScheduler(Scheduler):
                     with tm.span(
                         "mcts.decision", depth=depth, budget=budget
                     ) as decision_span:
-                        self._run_budget(
-                            root, env, exploration, stats, budget, evaluator
-                        )
+                        self._run_budget(root, env, exploration, stats, budget)
                         if not root.children:
                             # All candidates exhausted without one expansion —
                             # cannot happen while the env is live, but guard.
@@ -276,7 +252,6 @@ class MctsScheduler(Scheduler):
         exploration: float,
         stats: SearchStatistics,
         budget: int,
-        evaluator=None,
     ) -> None:
         """Spend one decision's budget ``rollout_batch`` leaves at a time.
 
@@ -290,10 +265,7 @@ class MctsScheduler(Scheduler):
         iteration: select, expand, simulate, backpropagate.
 
         ``env`` is the search's one environment, at ``root``'s state on
-        entry and on return.  With a leaf ``evaluator``, each wave's
-        fresh leaves also get their ``untried`` candidates ordered by the
-        policy's batched priors before the rollouts run — one forward
-        pass replaces per-node expansion calls.
+        entry and on return.
         """
         width = self.config.rollout_batch
         spent = 0
@@ -309,16 +281,9 @@ class MctsScheduler(Scheduler):
                 want -= taken
             if not lanes:
                 continue
-            if evaluator is not None:
-                priors = evaluator.action_probabilities(lanes)
-                for node, prior in zip(leaves, priors):
-                    if len(node.untried) > 1:
-                        node.untried.sort(key=lambda a: (-prior.get(a, 0.0), a))
-                    node.ordered = True
             # The one width-dependent line: a lone lane is played by the
             # rollout policy itself, a wave by its batched entry point
-            # (the lockstep kernel for random rollouts, one forward per
-            # simulation step across the wave for network rollouts).
+            # (the lockstep kernel of random rollouts).
             if width == 1:
                 makespans = [self.rollout.rollout(lanes[0])]
             else:
@@ -369,7 +334,7 @@ class MctsScheduler(Scheduler):
             # environment; guard so a livelock is loud, not silent.
             raise ConfigError("MCTS selection reached a non-terminal dead end")
         else:
-            if len(node.untried) > 1 and not node.ordered:
+            if len(node.untried) > 1:
                 node.untried = self.expansion.prioritize(env, node.untried)
             taken = 0
             finished = []  # (terminal child, its value)

@@ -20,8 +20,9 @@ The package is organized as three pluggable layers (DESIGN.md Sec. 16):
 * **trainers** — the :class:`Trainer` skeleton with
   :class:`ReinforceTrainer`, :class:`PpoTrainer` and
   :class:`ImitationTrainer` as thin loss definitions;
-* **inference** — the per-episode policy adapters plus
-  :class:`PolicyEvaluator`, the batched leaf/rollout evaluator MCTS uses.
+* **inference** — the per-episode policy adapters; inside a search
+  their single-state step reads a per-plan memo and rides the fused
+  playout (DESIGN.md Sec. 16.4, 16.6, 16.7).
 """
 
 from .network import PolicyNetwork
@@ -32,7 +33,6 @@ from .trainer import Trainer, TrainerBase
 from .imitation import ImitationTrainer
 from .reinforce import ReinforceTrainer, EpochStats
 from .ppo import PpoTrainer
-from .evaluator import PolicyEvaluator
 from .checkpoints import (
     save_checkpoint,
     load_checkpoint,
@@ -55,7 +55,6 @@ __all__ = [
     "ImitationTrainer",
     "ReinforceTrainer",
     "PpoTrainer",
-    "PolicyEvaluator",
     "EpochStats",
     "save_checkpoint",
     "load_checkpoint",

@@ -49,7 +49,7 @@ from ..envarr.observation import (
 )
 from ..errors import ConfigError
 from ..utils.rng import SeedLike, as_generator
-from .agent import NetworkPolicyBase, candidate_actions, mask_from_actions
+from .agent import NetworkPolicyBase
 from .modules import (
     EdgeList,
     entropy_dlogits,
@@ -64,7 +64,6 @@ __all__ = [
     "GraphObservation",
     "GraphObservationBuilder",
     "GraphNetworkPolicy",
-    "build_graph_action_mask",
 ]
 
 
@@ -82,13 +81,6 @@ class GraphObservation:
     node_state: np.ndarray
     globals_vec: np.ndarray
     ready: Tuple[int, ...]
-
-
-def build_graph_action_mask(env, work_conserving: bool = True) -> np.ndarray:
-    """Legality mask over ``[ready slots..., PROCESS]`` for one state."""
-    return mask_from_actions(
-        candidate_actions(env, work_conserving), len(env.visible_ready()) + 1
-    )
 
 
 class GraphObservationBuilder:
@@ -122,7 +114,8 @@ class GraphObservationBuilder:
         return env.signature()
 
     def build(self, env) -> GraphObservation:
-        """Render one state (the batched form is ``node_state_batch``)."""
+        """Render one state: the dynamic channels of every node plus the
+        global vector (the static table is shared by reference)."""
         arrays = self.arrays
         index_of = arrays.index_of
         n = arrays.num_tasks

@@ -92,8 +92,9 @@ def decode_frame(line: Union[bytes, str]) -> Dict[str, Any]:
     """Parse one wire line into a frame dict.
 
     Raises:
-        ProtocolError: on undecodable bytes, invalid JSON, a non-object
-            payload, or a missing/non-string ``type``.
+        ProtocolError: on undecodable bytes, invalid JSON, nesting deeper
+            than the parser's recursion allows, a non-object payload, or
+            a missing/non-string ``type``.
     """
     if isinstance(line, bytes):
         try:
@@ -104,6 +105,8 @@ def decode_frame(line: Union[bytes, str]) -> Dict[str, Any]:
         frame = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ProtocolError(f"frame is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ProtocolError("frame is nested too deeply") from exc
     if not isinstance(frame, dict):
         raise ProtocolError(
             f"frame must be a JSON object, got {type(frame).__name__}"

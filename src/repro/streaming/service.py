@@ -258,12 +258,12 @@ class SchedulerService:
         self._handlers.add(task)
         try:
             while not self._stopping:
-                line = await reader.readline()
-                if not line:
-                    break
-                if not line.strip():
-                    continue
                 try:
+                    line = await self._read_line(reader)
+                    if not line:
+                        break
+                    if not line.strip():
+                        continue
                     frame = protocol.decode_frame(line)
                 except ProtocolError as exc:
                     await self._send(writer, protocol.error_frame(None, str(exc)))
@@ -297,6 +297,34 @@ class SchedulerService:
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
+
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader) -> bytes:
+        """The next wire line, ``b""`` at end of stream.
+
+        ``StreamReader.readline`` without its ``ValueError``: a line over
+        the stream's limit (asyncio's default, 64 KiB) is dropped up to
+        and including its newline — however many reads that takes — and
+        reported once.
+
+        Raises:
+            ProtocolError: the line was over the limit; the next call
+                starts at the line after it.
+        """
+        dropped = 0
+        while True:
+            try:
+                line = await reader.readuntil(b"\n")
+            except asyncio.IncompleteReadError as exc:
+                line = exc.partial
+            except asyncio.LimitOverrunError as exc:
+                dropped += len(await reader.readexactly(exc.consumed))
+                continue
+            if dropped:
+                raise ProtocolError(
+                    f"frame of {dropped + len(line)} bytes is over the line limit"
+                )
+            return line
 
     async def _on_schedule(
         self, frame: Dict[str, Any], writer: asyncio.StreamWriter

@@ -1,0 +1,63 @@
+"""The settable surface, pinned in one table.
+
+Every field of the two configs a search reads and every spec key a
+scheduler accepts is an option that tests and benchmarks must cover, so
+adding or losing one is a decision, not a side effect: it shows up as a
+diff of this table.  (These pins used to be three inline-Python steps of
+``.github/workflows/ci.yml`` that only CI could run.)
+"""
+
+from dataclasses import fields
+
+import pytest
+
+from repro import EnvConfig, MctsConfig
+from repro.schedulers.registry import scheduler_options
+
+CONFIG_FIELDS = {
+    MctsConfig: (
+        "exploration_scale initial_budget min_budget rollout_batch "
+        "use_budget_decay use_expansion_filters use_max_value_ucb"
+    ),
+    EnvConfig: (
+        "cluster include_graph_features max_ready process_until_completion "
+        "telemetry verify_terminal"
+    ),
+}
+
+SCHEDULER_OPTIONS = {
+    "cp": "",
+    "fifo": "",
+    "graphene": "",
+    "heft": "",
+    "lpt": "",
+    "random": "",
+    "sjf": "",
+    "tetris": "",
+    "mcts": "budget min_budget seed",
+    "optimal": "max_nodes",
+    "spear": "budget min_budget network rollout_mode seed",
+}
+
+#: How Spear evaluates its network (the per-plan memo, the fused playout)
+#: is the design, not a choice: nothing settable may name it.
+MECHANISM_WORDS = ("memo", "cache", "playout", "fused")
+
+
+@pytest.mark.parametrize("config", CONFIG_FIELDS, ids=lambda c: c.__name__)
+def test_config_fields(config):
+    assert {f.name for f in fields(config)} == set(CONFIG_FIELDS[config].split())
+
+
+def test_scheduler_option_keys():
+    options = {name: sorted(keys) for name, keys in scheduler_options().items()}
+    assert options == {
+        name: sorted(keys.split()) for name, keys in SCHEDULER_OPTIONS.items()
+    }
+
+
+def test_no_option_names_a_mechanism():
+    names = SCHEDULER_OPTIONS["spear"].split() + [
+        name for spec in CONFIG_FIELDS.values() for name in spec.split()
+    ]
+    assert not [n for n in names if any(w in n.lower() for w in MECHANISM_WORDS)]

@@ -2,14 +2,12 @@
 
 The committed ``wave_search_golden.json`` holds the makespan, every
 task's start time and the search statistics (iterations, rollouts,
-decisions) of batched searches on three seeded 20-task layered DAGs:
-
-* pure MCTS (random expansion, the lockstep playout kernel);
-* Spear guided by the windowed MLP and by a seeded
-  :class:`~repro.rl.gnn.GraphPolicyNetwork`, each with batched leaf
-  priors (``leaf_policy=auto``) and without (``off``);
-* one replan request whose cluster snapshot carries degraded capacities
-  (pure MCTS and MLP-guided Spear).
+decisions) of batched pure-MCTS searches (random expansion, the
+lockstep playout kernel) on three seeded 20-task layered DAGs, plus one
+replan request whose cluster snapshot carries degraded capacities.  The
+``model`` / ``leaf_policy`` keys of a case are always ``None``: the file
+also held network-guided waves until batched leaf evaluation was
+deleted, and its remaining cases are kept byte for byte.
 
 It was generated at the last commit that still had two environments,
 by this script with ``EnvConfig(..., backend="array")`` — the only
@@ -34,18 +32,12 @@ ROLLOUT_BATCH = 8
 GRAPH_SEEDS = (101, 202, 303)
 NUM_TASKS = 20
 #: (scheduler, model, leaf_policy) of every search run on every DAG.
-SEARCHES = (
-    ("mcts", None, None),
-    ("spear", "mlp", "auto"),
-    ("spear", "mlp", "off"),
-    ("spear", "gnn", "auto"),
-    ("spear", "gnn", "off"),
-)
+SEARCHES = (("mcts", None, None),)
 #: The replan case: tasks small enough to fit the degraded cluster, so
 #: the search really plans against the snapshot's capacities.
 DEGRADED_SEED = 404
 DEGRADED_CAPACITIES = (14, 14)
-DEGRADED_SEARCHES = (("mcts", None, None), ("spear", "mlp", "auto"))
+DEGRADED_SEARCHES = (("mcts", None, None),)
 
 
 def _env_config():
@@ -54,28 +46,16 @@ def _env_config():
     return EnvConfig(process_until_completion=True)
 
 
-def _scheduler(kind: str, model, leaf_policy, seed: int):
-    from repro import MctsConfig, make_scheduler
-    from repro.core.pipeline import default_graph_network, default_network
+def _scheduler(seed: int):
+    from repro import MctsConfig
     from repro.mcts.search import MctsScheduler
 
-    env = _env_config()
-    if kind == "mcts":
-        config = MctsConfig(
-            initial_budget=24, min_budget=8, rollout_batch=ROLLOUT_BATCH
-        )
-        return MctsScheduler(config, env, seed=seed)
-    make_network = default_network if model == "mlp" else default_graph_network
-    spec = (
-        f"spear:budget=20,min_budget=5,rollout_batch={ROLLOUT_BATCH},"
-        f"leaf_policy={leaf_policy}"
-    )
-    return make_scheduler(spec, env, network=make_network(env, seed=seed), seed=seed)
+    config = MctsConfig(initial_budget=24, min_budget=8, rollout_batch=ROLLOUT_BATCH)
+    return MctsScheduler(config, _env_config(), seed=seed)
 
 
 def _record(case: dict, scheduler, request) -> dict:
     schedule = scheduler.plan(request)
-    # Wrappers added by make_scheduler forward attribute reads.
     stats = scheduler.last_statistics
     graph = request.graph
     return {
@@ -102,9 +82,7 @@ def _plan(kind: str, model, leaf_policy, seed: int) -> dict:
         "leaf_policy": leaf_policy,
         "graph_seed": seed,
     }
-    return _record(
-        case, _scheduler(kind, model, leaf_policy, seed), ScheduleRequest(graph)
-    )
+    return _record(case, _scheduler(seed), ScheduleRequest(graph))
 
 
 def _degraded_plan(kind: str, model, leaf_policy) -> dict:
@@ -131,9 +109,7 @@ def _degraded_plan(kind: str, model, leaf_policy) -> dict:
         "graph_seed": DEGRADED_SEED,
         "capacities": list(DEGRADED_CAPACITIES),
     }
-    return _record(
-        case, _scheduler(kind, model, leaf_policy, DEGRADED_SEED), request
-    )
+    return _record(case, _scheduler(DEGRADED_SEED), request)
 
 
 def compute_golden() -> dict:

@@ -60,7 +60,7 @@ def test_sample_index_is_generator_choice(row, seed, draws):
 @settings(max_examples=100, deadline=None)
 @given(row=masked_rows(), seed=st.integers(0, 2**32 - 1))
 def test_sample_index_over_legal_entries_only(row, seed):
-    """The batched evaluator samples over the compressed legal entries."""
+    """Over the compressed legal entries alone it is ``choice`` too."""
     logits, mask = row
     probs = masked_softmax(logits[None, :], mask[None, :])[0][mask]
     ours = np.random.default_rng(seed)

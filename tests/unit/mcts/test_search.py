@@ -139,40 +139,35 @@ class TestConfigKnobs:
 
 
 class TestRolloutBatch:
-    """``rollout_batch > 1`` batches under every ``EnvConfig`` and from
-    spec strings, or fails loudly — never a silent sequential search."""
+    """``rollout_batch > 1`` batches pure MCTS under every ``EnvConfig``
+    or fails loudly — never a silent sequential search."""
 
-    SPEC = "spear:budget=20,min_budget=5,rollout_batch={batch}"
+    def test_spear_spec_has_no_rollout_batch_key(self):
+        from repro import make_scheduler
+        from repro.errors import ConfigError
 
-    def _spear_plan(self, batch):
-        from repro import WorkloadConfig, make_scheduler
-        from repro.dag import random_layered_dag
-
-        graph = random_layered_dag(WorkloadConfig(num_tasks=20), seed=101)
-        scheduler = make_scheduler(
-            self.SPEC.format(batch=batch),
-            EnvConfig(process_until_completion=True),
-            seed=101,
+        with pytest.raises(ConfigError) as error:
+            make_scheduler(
+                "spear:rollout_batch=8", EnvConfig(process_until_completion=True)
+            )
+        message = str(error.value)
+        assert "unknown option 'rollout_batch' for scheduler 'spear'" in message
+        assert (
+            "known: ['budget', 'min_budget', 'network', 'rollout_mode', 'seed', "
+            in message
         )
-        schedule = scheduler.plan(ScheduleRequest(graph))
-        return [schedule.start_of(tid) for tid in sorted(graph.tasks())]
 
-    def test_spec_key_batches_on_a_default_env_config(self, monkeypatch):
-        from repro.core.guidance import NetworkRollout
+    def test_spear_scheduler_rejects_a_wave_config(self, env_config):
+        from repro.core import SpearScheduler
+        from repro.core.pipeline import default_network
+        from repro.errors import ConfigError
 
-        waves = []
-        inner = NetworkRollout.rollout_many
-
-        def counting(self, envs, limit):
-            waves.append(len(envs))
-            return inner(self, envs, limit)
-
-        monkeypatch.setattr(NetworkRollout, "rollout_many", counting)
-        sequential = self._spear_plan(1)
-        assert waves == []
-        batched = self._spear_plan(8)
-        assert waves and 1 < max(waves) <= 8, "no leaf wave was simulated"
-        assert batched != sequential
+        with pytest.raises(ConfigError, match="NetworkRollout"):
+            SpearScheduler(
+                default_network(env_config, seed=0),
+                MctsConfig(rollout_batch=8),
+                env_config,
+            )
 
     def test_pure_mcts_waves_use_the_lockstep_kernel(
         self, env_config, small_random_graph, monkeypatch

@@ -4,7 +4,9 @@
 that still carried the array environment twin, on that twin (the only
 place ``rollout_batch > 1`` batched then).  An identical plan *and*
 identical search statistics mean the batched kernels read the same lanes
-from the one environment: no wave, no RNG draw and no leaf prior moved.
+from the one environment: no wave and no RNG draw moved.  (The file's
+network-guided cases went with batched leaf evaluation; the pure-MCTS
+cases are the original bytes.)
 Case definitions live in ``tests/data/make_wave_search_golden.py`` (also
 the regeneration script).
 """

@@ -9,13 +9,12 @@ from repro.dag.graph import TaskGraph
 from repro.dag.task import Task
 from repro.env.scheduling_env import SchedulingEnv
 from repro.envarr.graphdata import graph_arrays
-from repro.envarr.observation import node_state_batch, task_feature_table
+from repro.envarr.observation import task_feature_table
 from repro.errors import ConfigError
 from repro.rl.gnn import (
     GraphNetworkPolicy,
     GraphObservationBuilder,
     GraphPolicyNetwork,
-    build_graph_action_mask,
 )
 
 SMALL_GNN = GnnConfig(hidden_size=8, rounds=2, head_hidden=4, global_hidden=8)
@@ -165,31 +164,6 @@ class TestGradients:
         network = GraphPolicyNetwork(2, SMALL_GNN, seed=0)
         with pytest.raises(ConfigError, match="no cached forward"):
             network.backward_group(np.zeros((1, 2)))
-
-
-class TestBatchedNodeStates:
-    def test_node_state_batch_matches_the_single_state_builder(self):
-        """Every lane of ``node_state_batch`` is the single-state
-        builder's observation, at every state of an episode (including
-        the terminal one) and with the lanes in any order."""
-        graph = _graph(num_tasks=12, seed=6)
-        env = _env(graph)
-        builder = GraphObservationBuilder(graph, env.config)
-        rng = np.random.default_rng(11)
-        lanes = [env.clone()]
-        while not env.done:
-            actions = env.expansion_actions(work_conserving=True)
-            env.step(actions[int(rng.integers(0, len(actions)))])
-            lanes.append(env.clone())
-        lanes.reverse()
-        node_states, globals_vec, ready_lists = node_state_batch(
-            builder.arrays, env.config, lanes
-        )
-        for b, lane in enumerate(lanes):
-            expected = builder.build(lane)
-            assert np.array_equal(node_states[b], expected.node_state)
-            assert np.array_equal(globals_vec[b], expected.globals_vec)
-            assert tuple(ready_lists[b]) == expected.ready
 
 
 class TestGraphNetworkPolicy:

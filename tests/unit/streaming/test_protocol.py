@@ -59,6 +59,10 @@ class TestFraming:
             b"{}",  # no type
             b'{"type": 7}',  # non-string type
             b'{"type": ""}',  # empty type
+            pytest.param(  # RecursionError inside json.loads
+                b'{"type":"x","a":' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+                id="nested-100000-deep",
+            ),
         ],
     )
     def test_malformed_lines_rejected(self, line):

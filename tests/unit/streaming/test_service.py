@@ -109,6 +109,38 @@ class TestServiceProtocol:
         assert error["type"] == protocol.ERROR
         assert pong["type"] == protocol.PONG
 
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            pytest.param(  # 60 KB: under the line limit, so it reaches the parser
+                b'{"type":"x","a":' + b"[" * 30_000 + b"]" * 30_000 + b"}\n",
+                "nested too deeply",
+                id="nested-30000-deep",
+            ),
+            pytest.param(
+                b'{"type":"x","a":"' + b"a" * 200_000 + b'"}\n',
+                "over the line limit",
+                id="line-over-64KiB",
+            ),
+        ],
+    )
+    def test_hostile_line_gets_one_error_frame_and_the_connection_lives(
+        self, line, reason
+    ):
+        """Each used to end the handler (``RecursionError`` out of
+        ``json.loads``, ``ValueError`` out of ``readline``) and so drop
+        the connection without a reply."""
+
+        async def scenario(service, port):
+            async with _Client(port) as client:
+                client.writer.write(line)
+                await client.send({"type": protocol.PING})
+                return await client.recv(), await client.recv()
+
+        error, pong = _serve(scenario)
+        assert error["type"] == protocol.ERROR and reason in error["error"]
+        assert pong["type"] == protocol.PONG
+
     def test_unknown_frame_type_reports_error(self):
         async def scenario(service, port):
             async with _Client(port) as client:
