@@ -9,7 +9,7 @@ from repro.dag import motivating_example
 from repro.dag.examples import MOTIVATING_CAPACITY, MOTIVATING_T
 from repro.mcts import MctsScheduler
 from repro.metrics import validate_schedule
-from repro.schedulers import make_scheduler
+from repro.schedulers import ScheduleRequest, make_scheduler
 
 
 def _run_all():
@@ -20,13 +20,13 @@ def _run_all():
     )
     results = {}
     for name in ("optimal", "tetris", "sjf", "cp", "graphene"):
-        schedule = make_scheduler(name, env_config).schedule(graph)
+        schedule = make_scheduler(name, env_config).plan(ScheduleRequest(graph))
         validate_schedule(schedule, graph, MOTIVATING_CAPACITY)
         results[name] = schedule.makespan
     mcts = MctsScheduler(
         MctsConfig(initial_budget=300, min_budget=50), env_config, seed=0
     )
-    results["mcts"] = mcts.schedule(graph).makespan
+    results["mcts"] = mcts.plan(ScheduleRequest(graph)).makespan
     return results
 
 

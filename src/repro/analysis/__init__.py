@@ -6,39 +6,32 @@ Two independent halves share this package:
   emitted :class:`repro.metrics.Schedule` respects every feasibility
   invariant of its :class:`repro.dag.TaskGraph` and cluster capacity,
   returning structured :class:`Violation` records instead of booleans.
-* :mod:`repro.analysis.linter` — a *syntactic* AST rule engine encoding
-  repo-specific reproducibility rules (unseeded RNG calls, float
-  equality on time values, mutable default arguments, ...), runnable as
-  ``repro lint``.  On top of it, :mod:`repro.analysis.flow` adds
-  *whole-program* dataflow rules (REP201–REP205) that trace contracts
-  through helpers and across modules — ``repro lint --flow``.
+* :mod:`repro.analysis.linter` — one whole-program lint pass
+  (``repro lint``) over a :class:`~repro.analysis.modgraph.ProjectGraph`
+  of the source tree, running the two repo-specific rules of
+  :mod:`repro.analysis.rules`: REP203 (no wall clock or float time in
+  the simulation packages) and REP205 (no module-state write reachable
+  from a process-pool worker).
 
-Both are wired into the CLI (``repro verify`` / ``repro lint``), the
-scheduler registry (``make_scheduler(name, validate=True)``) and the
-environment's terminal states (``EnvConfig(verify_terminal=True)``).
-Supporting toolchain pieces: :mod:`repro.analysis.baseline` (committed
-violation baselines for incremental adoption) and
-:mod:`repro.analysis.sarif` (SARIF 2.1.0 export for CI annotation).
+Both are wired into the CLI (``repro verify`` / ``repro lint``); the
+verifier also backs the scheduler registry
+(``make_scheduler(name, validate=True)``) and the environment's terminal
+states (``EnvConfig(verify_terminal=True)``).
 """
 
-from .baseline import apply_baseline, load_baseline, write_baseline
-from .flow import analyze_project, available_flow_rules, flow_rule_ids
 from .linter import (
     LintInternalError,
-    LintRule,
-    LintViolation,
-    all_rule_ids,
     available_rules,
     collect_suppressions,
     filter_suppressed,
     format_json,
     format_text,
+    lint_graph,
     lint_paths,
     lint_source,
-    register_rule,
-    validate_rule_ids,
 )
-from .sarif import format_sarif
+from .modgraph import ProjectGraph
+from .rules import LintViolation, Rule
 from .verifier import (
     SCHEDULE_INVARIANTS,
     verify_payload,
@@ -55,24 +48,16 @@ __all__ = [
     "verify_schedule",
     "verify_placements",
     "verify_payload",
-    "LintRule",
+    "Rule",
     "LintViolation",
     "LintInternalError",
-    "register_rule",
+    "ProjectGraph",
     "available_rules",
-    "all_rule_ids",
-    "validate_rule_ids",
     "collect_suppressions",
     "filter_suppressed",
+    "lint_graph",
     "lint_source",
     "lint_paths",
     "format_text",
     "format_json",
-    "format_sarif",
-    "analyze_project",
-    "available_flow_rules",
-    "flow_rule_ids",
-    "load_baseline",
-    "write_baseline",
-    "apply_baseline",
 ]

@@ -1,39 +1,37 @@
-"""AST-based lint engine with a pluggable rule registry.
+"""The lint engine: one pass of every rule over one project graph.
 
-A :class:`LintRule` inspects one parsed module and yields
-:class:`LintViolation` records.  Rules register themselves with
-:func:`register_rule` (the built-ins live in
-:mod:`repro.analysis.rules`); ``repro lint`` runs every registered rule
-over the given paths and renders text or JSON output.
+``repro lint`` reads the given files, parses them once into a
+:class:`~repro.analysis.modgraph.ProjectGraph`, runs each rule of
+:data:`repro.analysis.rules.RULES` over it and renders text or JSON.
+A file that does not parse is reported as ``REP000`` rather than
+aborting the run; a hit on a line carrying ``# repro: noqa[REPnnn]`` is
+dropped; a rule that crashes or a file that cannot be read raises
+:class:`LintInternalError`, so the CLI can exit 2 (broken gate) instead
+of 1 (violations found).
 
-The rules are deliberately repo-specific: they encode the
-reproducibility discipline this library depends on (all randomness
-flows through :mod:`repro.utils.rng`, times are integer slots, ...)
-rather than generic style.
+The rules are deliberately repo-specific: they encode the discipline
+this library's reproducibility rests on (sim time is an integer slot
+count, pool workers return results instead of writing module state)
+rather than generic style, which ruff covers.
 """
 
 from __future__ import annotations
 
-import abc
-import ast
 import json
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Type, Union
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Union
 
 from ..errors import ConfigError, ReproError
+from .modgraph import ProjectGraph
+from .rules import RULES, LintViolation, Rule
 
 __all__ = [
-    "LintViolation",
-    "LintRule",
     "LintInternalError",
-    "register_rule",
     "available_rules",
-    "all_rule_ids",
+    "lint_graph",
     "lint_source",
     "lint_paths",
-    "validate_rule_ids",
     "collect_suppressions",
     "filter_suppressed",
     "format_text",
@@ -53,138 +51,16 @@ class LintInternalError(ReproError):
     """
 
 
-@dataclass(frozen=True)
-class LintViolation:
-    """One rule hit at one source location."""
-
-    rule_id: str
-    path: str
-    line: int
-    col: int
-    message: str
-    severity: str = "error"
-
-    def format(self) -> str:
-        """``path:line:col: RULE message`` (editor-clickable)."""
-        return f"{self.path}:{self.line}:{self.col}: {self.rule_id} {self.message}"
-
-    def as_dict(self) -> Dict[str, Union[str, int]]:
-        """JSON-compatible representation for ``repro lint --format json``."""
-        return {
-            "rule": self.rule_id,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "severity": self.severity,
-        }
-
-
-class LintRule(abc.ABC):
-    """One lint check over a parsed module.
-
-    Subclasses set ``rule_id`` (stable, ``REPnnn``) and ``description``,
-    and implement :meth:`check`.  Register with :func:`register_rule`.
-    """
-
-    rule_id: str = "REP???"
-    description: str = ""
-
-    @abc.abstractmethod
-    def check(
-        self, tree: ast.Module, source: str, path: Path
-    ) -> Iterable[LintViolation]:
-        """Yield every violation of this rule in ``tree``."""
-
-    def violation(self, node: ast.AST, path: Path, message: str) -> LintViolation:
-        """Convenience constructor anchored at ``node``'s location."""
-        return LintViolation(
-            rule_id=self.rule_id,
-            path=str(path),
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            message=message,
-        )
-
-
-_REGISTRY: Dict[str, Type[LintRule]] = {}
-
-
-def register_rule(cls: Type[LintRule]) -> Type[LintRule]:
-    """Class decorator adding ``cls`` to the global rule registry.
-
-    Raises:
-        ConfigError: on a duplicate ``rule_id`` (ids are stable API).
-    """
-    if cls.rule_id in _REGISTRY:
-        raise ConfigError(f"lint rule {cls.rule_id!r} already registered")
-    _REGISTRY[cls.rule_id] = cls
-    return cls
-
-
-def _ensure_builtin_rules() -> None:
-    from . import rules  # noqa: F401  (importing registers the built-ins)
-
-
 def available_rules() -> Dict[str, str]:
-    """Mapping ``rule_id -> description`` of every registered rule.
-
-    Covers both families: the per-module AST rules and the whole-program
-    flow rules (``REP2xx``, run by ``repro lint --flow``).
-    """
-    _ensure_builtin_rules()
-    from .flow.engine import available_flow_rules  # local: one-way cycle
-
-    merged = {rid: _REGISTRY[rid].description for rid in _REGISTRY}
-    merged.update(available_flow_rules())
-    return {rid: merged[rid] for rid in sorted(merged)}
-
-
-def all_rule_ids() -> FrozenSet[str]:
-    """Every valid rule id: AST rules, flow rules, and ``REP000``."""
-    return frozenset(available_rules()) | {PARSE_ERROR_RULE}
-
-
-def validate_rule_ids(
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-) -> None:
-    """Reject unknown ids in ``select``/``ignore``.
-
-    A typo like ``REP20`` used to silently select or ignore nothing;
-    both directions now fail fast with the known ids listed.
-
-    Raises:
-        ConfigError: on any id that is neither an AST nor a flow rule.
-    """
-    known = all_rule_ids()
-    for label, ids in (("--select", select), ("--ignore", ignore)):
-        unknown = sorted(set(ids or ()) - known)
-        if unknown:
-            raise ConfigError(
-                f"unknown lint rules {unknown} in {label}; "
-                f"available: {sorted(known)}"
-            )
-
-
-def _resolve_rules(
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-) -> List[LintRule]:
-    _ensure_builtin_rules()
-    validate_rule_ids(select, ignore)
-    chosen = set(select) if select else set(_REGISTRY)
-    chosen &= set(_REGISTRY)  # flow ids are valid but run elsewhere
-    if ignore:
-        chosen -= set(ignore)
-    return [_REGISTRY[rid]() for rid in sorted(chosen)]
+    """Mapping ``rule_id -> description`` of every rule a pass runs."""
+    return {rule.rule_id: rule.description for rule in RULES}
 
 
 # ---------------------------------------------------------------------- #
 # inline suppressions
 # ---------------------------------------------------------------------- #
 
-#: matches ``# repro: noqa`` and ``# repro: noqa[REP101,REP202]``.
+#: matches ``# repro: noqa`` and ``# repro: noqa[REP203,REP205]``.
 _NOQA_RE = re.compile(
     r"#\s*repro:\s*noqa(?:\[(?P<ids>[A-Za-z0-9_,\s]+)\])?"
 )
@@ -197,9 +73,7 @@ def collect_suppressions(source: str) -> Dict[int, FrozenSet[str]]:
     """Per-line inline suppressions declared in ``source``.
 
     Returns ``{line_number: rule_ids}`` (1-based); the special set
-    :data:`ALL_RULES` marks a bare ``# repro: noqa``.  The scan is
-    line-based, so suppressions survive even in files the AST rules
-    cannot fully parse.
+    :data:`ALL_RULES` marks a bare ``# repro: noqa``.
     """
     suppressions: Dict[int, FrozenSet[str]] = {}
     for lineno, line in enumerate(source.splitlines(), start=1):
@@ -230,42 +104,55 @@ def filter_suppressed(
     return kept
 
 
-def lint_source(
-    source: str,
-    path: Union[str, Path] = "<string>",
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-) -> List[LintViolation]:
-    """Lint one module's source text; returns violations sorted by location.
+# ---------------------------------------------------------------------- #
+# the pass
+# ---------------------------------------------------------------------- #
 
-    A syntactically invalid module yields a single ``REP000`` violation
-    rather than raising, so one broken file cannot abort a tree-wide run.
+
+def lint_graph(
+    project: ProjectGraph, rules: Sequence[Rule] = RULES
+) -> List[LintViolation]:
+    """Run ``rules`` over an already-built project graph.
+
+    Returns the unsuppressed violations sorted by location, the
+    ``REP000`` of every source the graph could not parse among them.
+
+    Raises:
+        LintInternalError: when a rule itself crashes (analyzer bug).
     """
-    path = Path(path)
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return [
-            LintViolation(
-                rule_id=PARSE_ERROR_RULE,
-                path=str(path),
-                line=exc.lineno or 1,
-                col=exc.offset or 0,
-                message=f"syntax error: {exc.msg}",
-            )
-        ]
-    violations: List[LintViolation] = []
-    for rule in _resolve_rules(select, ignore):
+    violations: List[LintViolation] = [
+        LintViolation(
+            rule_id=PARSE_ERROR_RULE,
+            path=path,
+            line=getattr(exc, "lineno", None) or 1,
+            col=getattr(exc, "offset", None) or 0,
+            message=f"syntax error: {getattr(exc, 'msg', exc)}",
+        )
+        for path, exc in project.unparsable
+    ]
+    by_path: Dict[str, List[LintViolation]] = {}
+    for rule in rules:
         try:
-            violations.extend(rule.check(tree, source, path))
-        except Exception as exc:  # noqa: BLE001 - surfaced as exit-code-2 error
+            for violation in rule.check(project):
+                by_path.setdefault(violation.path, []).append(violation)
+        except Exception as exc:  # noqa: BLE001 - converted to exit-code-2 error
             raise LintInternalError(
-                f"rule {rule.rule_id} crashed on {path}: "
-                f"{type(exc).__name__}: {exc}"
+                f"rule {rule.rule_id} crashed: {type(exc).__name__}: {exc}"
             ) from exc
-    violations = filter_suppressed(violations, collect_suppressions(source))
+    for path, hits in by_path.items():
+        module = project.module_for_path(path)
+        if module is not None:
+            hits = filter_suppressed(hits, collect_suppressions(module.source))
+        violations.extend(hits)
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
     return violations
+
+
+def lint_source(
+    source: str, path: Union[str, Path] = "<string>"
+) -> List[LintViolation]:
+    """Lint one module's source text as a one-module project."""
+    return lint_graph(ProjectGraph.from_sources({str(path): source}))
 
 
 def iter_python_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
@@ -283,45 +170,23 @@ def iter_python_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
             files.append(path)
         else:
             raise ConfigError(f"lint path {str(path)!r} does not exist")
-    unique: List[Path] = []
-    seen: set[Path] = set()
-    for f in files:
-        if f not in seen:
-            seen.add(f)
-            unique.append(f)
-    return unique
+    return list(dict.fromkeys(files))
 
 
-def lint_paths(
-    paths: Sequence[Union[str, Path]],
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-    flow: bool = False,
-) -> List[LintViolation]:
-    """Lint every ``.py`` file under ``paths`` with the chosen rules.
-
-    With ``flow=True`` — or when ``select`` names a flow rule — the
-    whole-program flow analysis (:mod:`repro.analysis.flow`, REP2xx)
-    runs over the same paths and its violations are merged in.
+def lint_paths(paths: Sequence[Union[str, Path]]) -> List[LintViolation]:
+    """Lint every ``.py`` file under ``paths`` as one project.
 
     Raises:
-        ConfigError: on a missing path or unknown rule id.
+        ConfigError: on a missing path.
         LintInternalError: on an unreadable file or a crashing rule.
     """
-    validate_rule_ids(select, ignore)
-    violations: List[LintViolation] = []
+    sources: Dict[str, str] = {}
     for file in iter_python_files(paths):
         try:
-            source = file.read_text(encoding="utf-8")
+            sources[str(file)] = file.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise LintInternalError(f"cannot read {file}: {exc}") from exc
-        violations.extend(lint_source(source, file, select=select, ignore=ignore))
-    from .flow.engine import analyze_project, flow_rule_ids  # one-way cycle
-
-    if flow or (select and set(select) & set(flow_rule_ids())):
-        violations.extend(analyze_project(paths, select=select, ignore=ignore))
-        violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
-    return violations
+    return lint_graph(ProjectGraph.from_sources(sources))
 
 
 def format_text(violations: Sequence[LintViolation]) -> str:

@@ -1,11 +1,11 @@
 """Project import graph and per-module symbol tables.
 
-:class:`ProjectGraph` is the whole-program view every flow rule starts
+:class:`ProjectGraph` is the whole-program view every lint rule starts
 from: all modules of a package parsed once, imports resolved to dotted
-targets, functions and methods indexed by qualified name, frozen
-dataclasses identified, and a project-local call graph with just enough
-local type inference (``x = SomeClass(...)`` makes ``x.method()``
-resolvable) to trace contracts through helpers.
+targets, functions and methods indexed by qualified name, and a
+project-local call graph with just enough local type inference
+(``x = SomeClass(...)`` makes ``x.method()`` resolvable) to trace
+contracts through helpers.
 
 Resolution is deliberately *syntactic* and conservative: a call that
 cannot be resolved to a project symbol simply contributes no edge, so
@@ -17,7 +17,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 __all__ = ["ModuleInfo", "FunctionInfo", "ClassInfo", "ProjectGraph", "dotted_name"]
 
@@ -48,41 +48,13 @@ class FunctionInfo:
     def name(self) -> str:
         return self.node.name
 
-    @property
-    def params(self) -> List[str]:
-        args = self.node.args
-        names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
-        return names
-
-    @property
-    def has_kwargs(self) -> bool:
-        return self.node.args.kwarg is not None
-
 
 @dataclass
 class ClassInfo:
-    """One class: name, AST, and whether it is a frozen dataclass."""
+    """One class: qualified name and its methods by simple name."""
 
     qualname: str
-    module: str
-    node: ast.ClassDef
-    frozen_dataclass: bool = False
     methods: Dict[str, FunctionInfo] = field(default_factory=dict)
-
-
-def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
-    for deco in node.decorator_list:
-        if isinstance(deco, ast.Call):
-            name = dotted_name(deco.func)
-            if name and name.split(".")[-1] == "dataclass":
-                for kw in deco.keywords:
-                    if (
-                        kw.arg == "frozen"
-                        and isinstance(kw.value, ast.Constant)
-                        and kw.value.value is True
-                    ):
-                        return True
-    return False
 
 
 @dataclass
@@ -90,7 +62,7 @@ class ModuleInfo:
     """One parsed module plus its resolved symbol tables."""
 
     name: str  #: dotted module name, e.g. ``repro.utils.rng``
-    path: str  #: source path as given to the builder (display/baseline key)
+    path: str  #: source path as given to the builder (what violations display)
     tree: ast.Module
     source: str
     #: local alias -> dotted target (``np`` -> ``numpy``,
@@ -98,8 +70,8 @@ class ModuleInfo:
     imports: Dict[str, str] = field(default_factory=dict)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
-    #: module-level assigned names -> the value node of their *first* binding.
-    module_assigns: Dict[str, ast.expr] = field(default_factory=dict)
+    #: names assigned at module level (the module's state).
+    module_assigns: Set[str] = field(default_factory=set)
 
     def resolve_local(self, name: str) -> Optional[str]:
         """Resolve a bare name used in this module to a dotted target."""
@@ -160,12 +132,7 @@ def _index_module(name: str, path: str, source: str, tree: ast.Module) -> Module
                 qualname=f"{name}.{node.name}", module=name, node=node
             )
         elif isinstance(node, ast.ClassDef):
-            cls = ClassInfo(
-                qualname=f"{name}.{node.name}",
-                module=name,
-                node=node,
-                frozen_dataclass=_is_frozen_dataclass(node),
-            )
+            cls = ClassInfo(qualname=f"{name}.{node.name}")
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     cls.methods[item.name] = FunctionInfo(
@@ -178,18 +145,24 @@ def _index_module(name: str, path: str, source: str, tree: ast.Module) -> Module
         elif isinstance(node, ast.Assign):
             for target in node.targets:
                 if isinstance(target, ast.Name):
-                    info.module_assigns.setdefault(target.id, node.value)
+                    info.module_assigns.add(target.id)
         elif isinstance(node, ast.AnnAssign):
             if isinstance(node.target, ast.Name) and node.value is not None:
-                info.module_assigns.setdefault(node.target.id, node.value)
+                info.module_assigns.add(node.target.id)
     return info
 
 
 class ProjectGraph:
     """All modules of a project, indexed for whole-program queries."""
 
-    def __init__(self, modules: Iterable[ModuleInfo]) -> None:
+    def __init__(
+        self,
+        modules: Iterable[ModuleInfo],
+        unparsable: Iterable[Tuple[str, Exception]] = (),
+    ) -> None:
         self.modules: Dict[str, ModuleInfo] = {m.name: m for m in modules}
+        #: ``(path, error)`` of every source that failed to parse.
+        self.unparsable: List[Tuple[str, Exception]] = list(unparsable)
         self._by_path: Dict[str, ModuleInfo] = {m.path: m for m in self.modules.values()}
         #: every function/method by qualified name.
         self.functions: Dict[str, FunctionInfo] = {}
@@ -208,42 +181,27 @@ class ProjectGraph:
     # ------------------------------------------------------------------ #
 
     @classmethod
-    def from_paths(cls, paths: Sequence[Union[str, Path]]) -> "ProjectGraph":
-        """Parse every ``.py`` file under ``paths`` into a project graph.
-
-        Unreadable or syntactically invalid files are skipped — the
-        linter already reports them as ``REP000``; flow analysis runs on
-        what parses.
-        """
-        from ..linter import iter_python_files  # local: avoid import cycle
-
-        modules: List[ModuleInfo] = []
-        for file in iter_python_files(paths):
-            try:
-                source = file.read_text(encoding="utf-8")
-                tree = ast.parse(source)
-            except (OSError, SyntaxError, ValueError):
-                continue
-            modules.append(
-                _index_module(_module_name(file), str(file), source, tree)
-            )
-        return cls(modules)
-
-    @classmethod
     def from_sources(cls, sources: Mapping[str, str]) -> "ProjectGraph":
-        """Build a graph from ``{path: source}`` (tests and tools).
+        """Build a graph from ``{path: source}``.
 
         The dotted module name is derived from the path with any leading
         ``src/`` stripped: ``"src/pkg/mod.py"`` and ``"pkg/mod.py"``
-        both become ``pkg.mod``.
+        both become ``pkg.mod``.  A source that does not parse is left
+        out of the graph and recorded in :attr:`unparsable` (the linter
+        reports it as ``REP000``); the rules run on what parses.
         """
         modules: List[ModuleInfo] = []
+        unparsable: List[Tuple[str, Exception]] = []
         for path, source in sources.items():
-            tree = ast.parse(source)
+            try:
+                tree = ast.parse(source)
+            except (SyntaxError, ValueError) as exc:  # ValueError: NUL bytes, 3.10
+                unparsable.append((path, exc))
+                continue
             modules.append(
                 _index_module(_module_name(Path(path)), path, source, tree)
             )
-        return cls(modules)
+        return cls(modules, unparsable)
 
     # ------------------------------------------------------------------ #
     # queries
@@ -297,20 +255,12 @@ class ProjectGraph:
             return cls.methods.get("__init__")
         return None
 
-    def frozen_class_names(self) -> Set[str]:
-        """Simple names of every ``@dataclass(frozen=True)`` in the project."""
-        return {
-            cls.node.name
-            for cls in self.classes.values()
-            if cls.frozen_dataclass
-        }
-
     def infer_local_types(self, fn: FunctionInfo) -> Dict[str, str]:
         """Map local names to project-class qualnames for obvious bindings.
 
         Only the transparent case is handled: ``x = SomeClass(...)``
         where ``SomeClass`` resolves to a project class.  Enough to
-        follow ``scheduler = MctsScheduler(...); scheduler.schedule(g)``.
+        follow ``scheduler = MctsScheduler(...); scheduler.plan(request)``.
         """
         module = self.modules[fn.module]
         types: Dict[str, str] = {}

@@ -1,31 +1,22 @@
-"""Built-in lint rules.
+"""The lint rules ``repro lint`` runs, one contract per module.
 
-Importing this package registers every built-in rule with the engine in
-:mod:`repro.analysis.linter`.  Each module holds one rule; third-party
-rules can join the registry the same way::
+* REP203 (:mod:`.sim_time`) — sim-time discipline: no wall clock and no
+  float time inside the simulation packages;
+* REP205 (:mod:`.parallel_escape`) — no module-state write reachable
+  from a process-pool worker.
 
-    from repro.analysis import LintRule, register_rule
-
-    @register_rule
-    class MyRule(LintRule):
-        rule_id = "X001"
-        ...
+These are the two rules with a record of findings on this repository;
+DESIGN.md Sec. 7 lists the rules that were deleted and what checks
+their contract now.
 """
 
-from .bare_except import BareExceptRule
-from .event_loops import AdHocEventLoopRule
-from .float_equality import FloatTimeEqualityRule
-from .exports import MissingAllRule
-from .mutable_defaults import MutableDefaultRule
-from .printing import NoPrintRule
-from .seeding import UnseededRngRule
+from typing import Tuple
 
-__all__ = [
-    "UnseededRngRule",
-    "FloatTimeEqualityRule",
-    "MutableDefaultRule",
-    "BareExceptRule",
-    "MissingAllRule",
-    "NoPrintRule",
-    "AdHocEventLoopRule",
-]
+from .base import LintViolation, Rule
+from .parallel_escape import ParallelEscapeRule
+from .sim_time import SimTimeRule
+
+__all__ = ["RULES", "Rule", "LintViolation", "SimTimeRule", "ParallelEscapeRule"]
+
+#: every rule of a ``repro lint`` pass, in rule-id order.
+RULES: Tuple[Rule, ...] = (SimTimeRule(), ParallelEscapeRule())

@@ -30,9 +30,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ...linter import LintViolation
-from ..engine import FlowRule, register_flow_rule
 from ..modgraph import FunctionInfo, ModuleInfo, ProjectGraph
+from .base import LintViolation, Rule
 
 __all__ = ["ParallelEscapeRule"]
 
@@ -125,8 +124,7 @@ def _local_bindings(fn: FunctionInfo) -> Set[str]:
     return bound
 
 
-@register_flow_rule
-class ParallelEscapeRule(FlowRule):
+class ParallelEscapeRule(Rule):
     rule_id = "REP205"
     description = (
         "write to module-level state reachable from a process-pool worker; "
@@ -220,7 +218,7 @@ class ParallelEscapeRule(FlowRule):
         self, project: ProjectGraph, fn: FunctionInfo, entry: str
     ) -> Iterable[LintViolation]:
         module = project.modules[fn.module]
-        module_state = set(module.module_assigns)
+        module_state = module.module_assigns
         locals_ = _local_bindings(fn)
         globals_declared: Set[str] = set()
         for node in ast.walk(fn.node):

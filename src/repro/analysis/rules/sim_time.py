@@ -20,11 +20,11 @@ Inside the simulation packages this rule flags:
   ``sim_time``, ...) with a float literal, and true division (``/``) of
   time-named operands where floor division keeps the clock integral.
 
-Scope is by module name (``repro.sim``, ``repro.online``,
-``repro.cluster``, ``repro.streaming`` — the streaming package hosts an
-asyncio daemon, where a stray ``time.time()`` would leak wall time into
-request sim-times), which per-module AST rules cannot express reliably;
-the project graph gives every file its dotted name.
+Scope is by dotted module name (``repro.sim``, ``repro.online``,
+``repro.cluster``, ``repro.streaming``, ``repro.federation`` — the
+streaming package hosts an asyncio daemon, where a stray ``time.time()``
+would leak wall time into request sim-times), which the project graph
+gives every file.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from __future__ import annotations
 import ast
 from typing import Iterable, List, Optional
 
-from ...linter import LintViolation
-from ..engine import FlowRule, register_flow_rule
 from ..modgraph import ModuleInfo, ProjectGraph
+from .base import LintViolation, Rule
 
 __all__ = ["SimTimeRule"]
 
@@ -76,8 +75,7 @@ def _is_float_literal(expr: ast.expr) -> bool:
     return False
 
 
-@register_flow_rule
-class SimTimeRule(FlowRule):
+class SimTimeRule(Rule):
     rule_id = "REP203"
     description = (
         "wall-clock read or float time arithmetic inside repro.sim/"

@@ -623,36 +623,6 @@ def _setup_federation_steady_2shard(seed: int) -> Callable[[], None]:
 
 
 # --------------------------------------------------------------------- #
-# lint group
-# --------------------------------------------------------------------- #
-
-
-def _setup_lint_flow_full_repo(seed: int) -> Callable[[], None]:
-    """Whole-program flow analysis (REP201-205) over all of src/repro.
-
-    One thunk is the complete CI gate — parse every module, build the
-    project graph, run every flow rule to its interprocedural fixed
-    point — so per-file time is what a contributor pays per repo file
-    at commit time.  The budget here keeps the analyzer honest as both
-    the repo and the rule set grow.
-    """
-    from pathlib import Path
-
-    import repro
-
-    from ..analysis.flow.engine import analyze_project
-
-    root = Path(repro.__file__).resolve().parent
-    num_files = sum(1 for _ in root.rglob("*.py"))
-
-    def thunk() -> None:
-        analyze_project([root])
-
-    thunk.ops = num_files  # type: ignore[attr-defined]
-    return thunk
-
-
-# --------------------------------------------------------------------- #
 # registry
 # --------------------------------------------------------------------- #
 
@@ -801,13 +771,5 @@ def default_suite() -> List[BenchmarkSpec]:
             "telemetry",
             _setup_telemetry_span_enabled,
             inner_ops=1000,
-        ),
-        BenchmarkSpec(
-            "lint.flow_full_repo",
-            "lint",
-            _setup_lint_flow_full_repo,
-            repeats=3,
-            quick_repeats=1,
-            warmup=1,
         ),
     ]

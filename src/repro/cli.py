@@ -19,8 +19,7 @@ Subcommands::
     repro serve      --scheduler tetris --port 7077 [--batch-max 16]
     repro serve      --smoke --requests 3 [--frames-out frames.jsonl]
     repro verify     schedule.json --graph graph.json [--capacities 20,20]
-    repro lint       src/repro [--flow] [--format json|sarif]
-                     [--select REP101,REP205] [--baseline lint-baseline.json]
+    repro lint       src/repro [--format text|json] | --list-rules
     repro bench      [--quick] [--filter mcts] [--baseline benchmarks/baselines.json]
 
 Every command prints a plain-text report to stdout and exits non-zero on
@@ -467,29 +466,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--json", action="store_true", help="JSON report")
 
-    lint = sub.add_parser("lint", help="run the repro-specific AST lint rules")
+    lint = sub.add_parser(
+        "lint", help="run the repo-specific lint rules (REP203, REP205)"
+    )
     lint.add_argument("paths", nargs="*", help="files or directories to lint")
-    lint.add_argument("--format", choices=["text", "json", "sarif"], default="text")
-    lint.add_argument("--select", default=None, help="comma-separated rule ids")
-    lint.add_argument("--ignore", default=None, help="comma-separated rule ids")
-    lint.add_argument(
-        "--flow",
-        action="store_true",
-        help="also run the whole-program dataflow rules (REP201-REP205)",
-    )
-    lint.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="suppress violations recorded in this baseline file; "
-        "only new findings fail the run",
-    )
-    lint.add_argument(
-        "--update-baseline",
-        default=None,
-        metavar="FILE",
-        help="write the current findings to FILE as the new baseline and exit 0",
-    )
+    lint.add_argument("--format", choices=["text", "json"], default="text")
     lint.add_argument(
         "--list-rules", action="store_true", help="list rules and exit"
     )
@@ -1282,7 +1263,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from .analysis.baseline import apply_baseline, load_baseline, write_baseline
     from .analysis.linter import (
         LintInternalError,
         available_rules,
@@ -1290,7 +1270,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         format_text,
         lint_paths,
     )
-    from .analysis.sarif import format_sarif
     from .errors import ConfigError
 
     if args.list_rules:
@@ -1300,27 +1279,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if not args.paths:
         print("lint: no paths given (try: repro lint src/repro)", file=sys.stderr)
         return 2
-    def split(raw: Optional[str]) -> Optional[List[str]]:
-        if not raw:
-            return None
-        return [r.strip() for r in raw.split(",") if r.strip()]
-
     try:
-        violations = lint_paths(
-            args.paths,
-            select=split(args.select),
-            ignore=split(args.ignore),
-            flow=args.flow,
-        )
-        if args.update_baseline:
-            write_baseline(violations, args.update_baseline)
-            print(
-                f"lint: wrote baseline with {len(violations)} violation(s) "
-                f"to {args.update_baseline}"
-            )
-            return 0
-        if args.baseline:
-            violations = apply_baseline(violations, load_baseline(args.baseline))
+        violations = lint_paths(args.paths)
     except ConfigError as exc:
         print(f"lint: {exc}", file=sys.stderr)
         return 2
@@ -1329,8 +1289,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         return 2
     if args.format == "json":
         print(format_json(violations))
-    elif args.format == "sarif":
-        print(format_sarif(violations))
     else:
         print(format_text(violations))
     return 1 if violations else 0

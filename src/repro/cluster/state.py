@@ -17,7 +17,7 @@ prior").
 
 from __future__ import annotations
 
-import heapq  # repro: noqa[REP107] -- audited running-task heap, cloned per MCTS decision
+import heapq  # running-task heap, cloned per MCTS decision
 from typing import List, NamedTuple, Sequence, Tuple
 
 from ..errors import CapacityError, EnvironmentStateError

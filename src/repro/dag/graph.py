@@ -98,7 +98,7 @@ class TaskGraph:
         # Sorted container keeps the order deterministic across runs.
         ready = sorted(tid for tid, deg in indegree.items() if deg == 0)
         order: List[int] = []
-        import heapq  # repro: noqa[REP107] -- min-heap for deterministic topo order, not an event loop
+        import heapq
 
         heapq.heapify(ready)
         while ready:

@@ -27,7 +27,7 @@ list heuristics.
 
 from __future__ import annotations
 
-import heapq  # repro: noqa[REP107] -- audited rollout hot loop; kernel dispatch measured too slow
+import heapq  # own heap: kernel dispatch measured too slow for rollouts
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..cluster.state import ClusterState, RunningTask

@@ -243,6 +243,6 @@ def graph_arrays(graph: Union[TaskGraph, GraphArrays]) -> GraphArrays:
     # Per-process memo: a pool worker filling its own private cache is the
     # intended behaviour, not cross-process state sharing.
     if len(_CACHE) >= _CACHE_MAX:
-        _CACHE.pop(next(iter(_CACHE)))  # repro: noqa[REP205] -- per-process memo
-    _CACHE[key] = (graph, compiled)  # repro: noqa[REP205] -- per-process memo
+        _CACHE.pop(next(iter(_CACHE)))
+    _CACHE[key] = (graph, compiled)
     return compiled

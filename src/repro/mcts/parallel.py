@@ -86,11 +86,9 @@ class RootParallelMcts(Scheduler):
     def plan(self, request: ScheduleRequest) -> Schedule:
         """Run all workers and return the best schedule found.
 
-        The canonical entrypoint (``schedule(graph)`` routes here through
-        the base shim).  Replan context is honoured the same way
-        :class:`MctsScheduler` honours it: the request's cluster snapshot
-        resolves the planning capacities, and every worker searches
-        against them.  Workers inherit the full search/env configuration —
+        Replan context is honoured the same way :class:`MctsScheduler`
+        honours it: the request's cluster snapshot resolves the planning
+        capacities, and every worker searches against them.  Workers inherit the full search/env configuration —
         including ``MctsConfig.rollout_batch``, so each worker runs the
         batched-leaf search under virtual loss when that is set.
 

@@ -123,8 +123,7 @@ class MctsScheduler(Scheduler):
         search plans against them, so the plan stays executable on the
         degraded cluster (see
         :func:`repro.schedulers.base._planning_config` for the fallback
-        rules).  ``schedule(graph)`` remains available through the base
-        shim.
+        rules).
 
         When telemetry is active (:mod:`repro.telemetry`), the search
         emits one ``mcts.schedule`` span, one ``mcts.decision`` span per

@@ -19,7 +19,6 @@ from .base import (
     PolicyScheduler,
     ClusterSnapshot,
     ScheduleRequest,
-    as_schedule_request,
     run_policy,
 )
 from .policies import (
@@ -50,7 +49,6 @@ __all__ = [
     "PolicyScheduler",
     "ClusterSnapshot",
     "ScheduleRequest",
-    "as_schedule_request",
     "run_policy",
     "RandomPolicy",
     "SjfPolicy",

@@ -17,30 +17,18 @@ Two complementary interfaces coexist:
 The scheduler entry point is founded on :class:`ScheduleRequest` — a DAG
 plus the *context* a production replanner needs: the live cluster
 snapshot, placements that are already frozen (completed) or pinned
-(running), an optional deadline, and the active fault context.  The
-canonical method is :meth:`Scheduler.plan`; the historical
-``schedule(graph)`` signature survives as a shim that wraps the graph in
-a context-free request, so every pre-existing call site keeps working.
-
-Migration notes (see DESIGN.md Sec. 10.4):
-
-* New schedulers override ``plan(request)`` and may read the context.
-* Legacy schedulers that override ``schedule(graph)`` keep working: the
-  base ``plan`` detects the override and delegates with ``request.graph``
-  (the context is ignored, which is exactly the legacy behaviour).
-* Callers must migrate to ``plan(ScheduleRequest(graph))`` (or
-  ``plan(as_schedule_request(...))``); the ``schedule(graph)`` shim still
-  works but now emits a :class:`DeprecationWarning`.  Every internal call
-  site — CLI, experiments, benches, examples — goes through ``plan``.
+(running), an optional deadline, and the active fault context.  Every
+scheduler implements :meth:`Scheduler.plan`, and every caller — CLI,
+experiments, benches, examples, tests — calls
+``plan(ScheduleRequest(graph))`` (DESIGN.md Sec. 10.4).
 """
 
 from __future__ import annotations
 
 import abc
-import warnings
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Callable, List, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Mapping, Optional, Tuple
 
 from ..config import EnvConfig
 from ..dag.graph import TaskGraph
@@ -61,7 +49,6 @@ __all__ = [
     "PolicyScheduler",
     "ClusterSnapshot",
     "ScheduleRequest",
-    "as_schedule_request",
     "episode_step_limit",
     "run_policy",
 ]
@@ -206,69 +193,14 @@ class ScheduleRequest:
         return bool(self.frozen) or bool(self.pinned) or self.cluster is not None
 
 
-def as_schedule_request(
-    target: Union[TaskGraph, ScheduleRequest], **context: object
-) -> ScheduleRequest:
-    """Normalize a bare graph or an existing request into a request.
-
-    Extra keyword arguments become request fields when ``target`` is a
-    graph; passing both a ready request and context is an error (the
-    caller should build the request directly).
-    """
-
-    if isinstance(target, ScheduleRequest):
-        if context:
-            raise ConfigError(
-                "cannot combine an existing ScheduleRequest with extra context"
-            )
-        return target
-    if isinstance(target, TaskGraph):
-        return ScheduleRequest(graph=target, **context)  # type: ignore[arg-type]
-    raise ConfigError(
-        f"expected TaskGraph or ScheduleRequest, got {type(target).__name__}"
-    )
-
-
 class Scheduler(abc.ABC):
-    """Anything that produces a complete schedule for a job DAG.
-
-    Override :meth:`plan` (canonical, context-aware) *or* the legacy
-    ``schedule(graph)`` — at least one.  ``schedule`` also serves as the
-    backward-compatible entry shim: it accepts a bare graph or a full
-    :class:`ScheduleRequest` and routes through :meth:`plan`.
-    """
+    """Anything that produces a complete schedule for a job DAG."""
 
     name: str = "scheduler"
 
+    @abc.abstractmethod
     def plan(self, request: ScheduleRequest) -> Schedule:
-        """Plan and return a feasible schedule for ``request``.
-
-        The default implementation supports legacy subclasses: when the
-        subclass overrides ``schedule(graph)`` (and not ``plan``), the
-        request's graph is delegated to it and any context is ignored.
-        """
-
-        legacy = type(self).schedule
-        if legacy is not Scheduler.schedule:
-            return legacy(self, request.graph)
-        raise NotImplementedError(
-            f"{type(self).__name__} must override plan() or schedule()"
-        )
-
-    def schedule(self, graph: Union[TaskGraph, ScheduleRequest]) -> Schedule:
-        """Deprecated shim: accept a graph (or request), call :meth:`plan`.
-
-        ``plan(ScheduleRequest(graph))`` is the sole canonical entrypoint;
-        this shim survives for old callers and warns them once per site.
-        """
-
-        warnings.warn(
-            "Scheduler.schedule(graph) is deprecated; call "
-            "plan(ScheduleRequest(graph)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.plan(as_schedule_request(graph))
+        """Plan and return a feasible schedule for ``request``."""
 
 
 class SchedulerWrapper(Scheduler):

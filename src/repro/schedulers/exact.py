@@ -29,7 +29,7 @@ from ..env.scheduling_env import SchedulingEnv
 from ..errors import ScheduleError
 from ..metrics.schedule import Schedule
 from ..utils.timing import Stopwatch
-from .base import Scheduler
+from .base import Scheduler, ScheduleRequest, _planning_config
 
 __all__ = ["BranchAndBoundScheduler"]
 
@@ -54,10 +54,13 @@ class BranchAndBoundScheduler(Scheduler):
         self.env_config = env_config if env_config is not None else EnvConfig()
         self.max_nodes = max_nodes
 
-    def schedule(self, graph: TaskGraph) -> Schedule:
+    def plan(self, request: ScheduleRequest) -> Schedule:
+        graph = request.graph
         watch = Stopwatch()
         with watch:
-            makespan, starts = self._search(graph)
+            makespan, starts = self._search(
+                graph, _planning_config(self.env_config, request)
+            )
         if starts is None:
             raise ScheduleError("branch and bound failed to find any schedule")
         return Schedule.from_starts(
@@ -66,9 +69,11 @@ class BranchAndBoundScheduler(Scheduler):
 
     # ------------------------------------------------------------------ #
 
-    def _search(self, graph: TaskGraph) -> Tuple[int, Optional[Dict[int, int]]]:
+    def _search(
+        self, graph: TaskGraph, env_config: EnvConfig
+    ) -> Tuple[int, Optional[Dict[int, int]]]:
         features = compute_features(graph)
-        capacities = self.env_config.cluster.capacities
+        capacities = env_config.cluster.capacities
         b_level = features.b_level
         runtimes = {task.task_id: task.runtime for task in graph}
         work = {
@@ -76,7 +81,7 @@ class BranchAndBoundScheduler(Scheduler):
             for r in range(graph.num_resources)
         }
 
-        root = SchedulingEnv(graph, self.env_config)
+        root = SchedulingEnv(graph, env_config)
         best_makespan = math.inf
         best_starts: Optional[Dict[int, int]] = None
         seen: Dict[Tuple, int] = {}

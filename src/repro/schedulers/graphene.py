@@ -38,7 +38,7 @@ from ..dag.graph import TaskGraph
 from ..env.scheduling_env import SchedulingEnv
 from ..metrics.schedule import Schedule
 from ..utils.timing import Stopwatch
-from .base import Scheduler, run_policy
+from .base import Scheduler, ScheduleRequest, _planning_config, run_policy
 from .policies import PriorityListPolicy
 
 __all__ = ["GrapheneScheduler", "GraphenePlan"]
@@ -195,8 +195,22 @@ class GrapheneScheduler(Scheduler):
     # scheduling
     # ------------------------------------------------------------------ #
 
-    def schedule(self, graph: TaskGraph) -> Schedule:
-        """Plan, execute every candidate online, return the best schedule."""
+    def plan(self, request: ScheduleRequest) -> Schedule:
+        """Plan, execute every candidate online, return the best schedule.
+
+        A request whose cluster snapshot carries other capacities (a
+        degraded cluster) is planned — virtual space, troublesome set and
+        online pass alike — by this planner configured for them.
+        """
+        env_config = _planning_config(self.env_config, request)
+        planner = (
+            self
+            if env_config is self.env_config
+            else GrapheneScheduler(self.config, env_config)
+        )
+        return planner._best_schedule(request.graph)
+
+    def _best_schedule(self, graph: TaskGraph) -> Schedule:
         watch = Stopwatch()
         best: Optional[Schedule] = None
         with watch:

@@ -12,7 +12,7 @@ the serving path.
 
 The wrapper is a :class:`~repro.schedulers.base.SchedulerWrapper`: it
 keeps the planner's ``name``, forwards attribute access, and works as a
-plain offline scheduler too (``schedule(graph)`` plans the whole DAG).
+plain offline scheduler too (a context-free request plans the whole DAG).
 """
 
 from __future__ import annotations

@@ -16,8 +16,7 @@ one ``(time, class)`` bucket the monotonically increasing push sequence
 number breaks the tie, so a run's realized event order is a pure
 function of what was scheduled.  The online executor
 (:mod:`repro.online`), the fault layer and dynamic rescheduling are all
-layered on this kernel; ad-hoc ``heapq`` event loops outside it are
-lint-rejected (REP107).
+layered on this kernel.
 """
 
 from .clock import SimClock

@@ -1,8 +1,7 @@
 """The stable-ordered event queue.
 
 A binary min-heap over ``(time, priority_class, seq)`` — the one
-sanctioned ``heapq`` event structure in the library (REP107 fences off
-ad-hoc copies).  ``seq`` is a push counter, so equal ``(time, class)``
+event heap in the library.  ``seq`` is a push counter, so equal ``(time, class)``
 events pop in insertion order and the queue is totally ordered with no
 reliance on payload comparability.
 
@@ -13,7 +12,7 @@ O(n) heap rebuild.
 
 from __future__ import annotations
 
-import heapq  # repro: noqa[REP107] -- this IS the sanctioned event heap
+import heapq
 from typing import Any, List, Optional, Tuple
 
 from ..errors import EnvironmentStateError

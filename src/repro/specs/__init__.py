@@ -12,10 +12,7 @@ signatures:
 * :func:`repro.federation.routing.parse_router_spec`
 
 Import from here to *extend* a grammar (a new arrival kind, a new router
-policy) or to build a new spec family on the shared machinery.  The
-closed-kind schemas in :mod:`repro.specs.catalog` are also read
-statically by the REP204 flow rule, which checks every spec-looking
-string literal in the codebase against them.
+policy) or to build a new spec family on the shared machinery.
 """
 
 from .catalog import (

@@ -3,22 +3,17 @@
 Scheduler schemas are *dynamic* — declared per name at
 :func:`repro.schedulers.registry.register` time — but the arrival-process
 and federation-router grammars have a closed set of kinds, so their
-schemas live here as plain literals.  Three consumers read them:
+schemas live here as plain literals.  Two consumers read them:
 
 * the parsers (:func:`repro.streaming.arrivals.parse_arrival_spec`,
   :func:`repro.federation.routing.parse_router_spec`) validate option
   keys and coerce values against these tables;
 * ``repro.specs.grammar`` derives did-you-mean suggestions and the
   ``expected ...`` phrase of unknown-kind errors from the insertion
-  order;
-* the REP204 flow rule reads the dict literals **statically** (AST) and
-  cross-checks every ``"kind:key=value"`` string literal in the codebase
-  against them — drift between a docstring example and the parser is a
-  lint failure, not a runtime surprise.
+  order.
 
-Keep the dicts literal (string keys, bare type names) so the AST reader
-keeps working, and keep kinds in their documented order — error messages
-enumerate them in insertion order.
+Keep kinds in their documented order — error messages enumerate them in
+insertion order.
 """
 
 from __future__ import annotations

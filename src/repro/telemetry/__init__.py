@@ -6,7 +6,7 @@ serving paths (DESIGN.md Sec. 9).  Quick tour::
     from repro.telemetry import TelemetryConfig, session, active
 
     with session(TelemetryConfig(enabled=True, jsonl_path="run.jsonl")):
-        MctsScheduler(...).schedule(graph)      # spans + counters land
+        MctsScheduler(...).plan(request)        # spans + counters land
     # run.jsonl now holds the versioned JSONL trace
 
     # library code (always on, no-op while disabled):

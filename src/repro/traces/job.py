@@ -14,8 +14,8 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Union
 
 from ..dag.graph import TaskGraph
-from ..dag.io import graph_from_dict, graph_to_dict
-from ..errors import TraceError
+from ..dag.io import graph_from_dict, graph_to_dict, is_integer_list
+from ..errors import GraphError, TraceError
 
 __all__ = ["TraceJob", "Trace"]
 
@@ -113,6 +113,10 @@ class Trace:
     def from_dict(payload: Dict[str, Any]) -> "Trace":
         """Inverse of :meth:`to_dict`.
 
+        Numbers must be JSON integers — ``job_id``, the two stage sizes
+        and every runtime (which is also >= 1); a float, a boolean or a
+        numeric string is rejected rather than truncated or coerced.
+
         Raises:
             TraceError: on schema mismatches or malformed entries.
         """
@@ -122,20 +126,38 @@ class Trace:
             raise TraceError(
                 f"unsupported trace schema version {payload.get('version')!r}"
             )
-        jobs = []
+        jobs: List[TraceJob] = []
         try:
             for entry in payload["jobs"]:
+                job_id, num_map, num_reduce = (
+                    entry["job_id"], entry["num_map"], entry["num_reduce"]
+                )
+                maps, reduces = entry["map_runtimes"], entry["reduce_runtimes"]
+                if not is_integer_list([job_id, num_map, num_reduce]):
+                    raise TraceError(
+                        f"job #{len(jobs)}: job_id, num_map and num_reduce "
+                        "must be JSON integers"
+                    )
+                if not (
+                    is_integer_list(maps)
+                    and is_integer_list(reduces)
+                    and all(runtime >= 1 for runtime in maps + reduces)
+                ):
+                    raise TraceError(
+                        f"job {job_id}: runtimes must be lists of JSON "
+                        "integers >= 1"
+                    )
                 jobs.append(
                     TraceJob(
-                        job_id=int(entry["job_id"]),
+                        job_id=job_id,
                         graph=graph_from_dict(entry["graph"]),
-                        num_map=int(entry["num_map"]),
-                        num_reduce=int(entry["num_reduce"]),
-                        map_runtimes=tuple(entry["map_runtimes"]),
-                        reduce_runtimes=tuple(entry["reduce_runtimes"]),
+                        num_map=num_map,
+                        num_reduce=num_reduce,
+                        map_runtimes=tuple(maps),
+                        reduce_runtimes=tuple(reduces),
                     )
                 )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, GraphError) as exc:
             raise TraceError(f"malformed trace job entry: {exc}") from exc
         return Trace(jobs=jobs, name=str(payload.get("name", "trace")))
 

@@ -1,17 +1,20 @@
 """The settable surface, pinned in one table.
 
-Every field of the two configs a search reads and every spec key a
-scheduler accepts is an option that tests and benchmarks must cover, so
-adding or losing one is a decision, not a side effect: it shows up as a
-diff of this table.  (These pins used to be three inline-Python steps of
-``.github/workflows/ci.yml`` that only CI could run.)
+Every field of the configs a search or a trainer reads and every spec
+key a scheduler accepts is an option that tests and benchmarks must
+cover, so adding or losing one is a decision, not a side effect: it
+shows up as a diff of this table.  (These pins used to be inline-Python
+steps of ``.github/workflows/ci.yml`` that only CI could run.)
 """
 
+import inspect
 from dataclasses import fields
 
 import pytest
 
 from repro import EnvConfig, MctsConfig
+from repro.config import GnnConfig, TrainingConfig
+from repro.core.spear import SpearScheduler
 from repro.schedulers.registry import scheduler_options
 
 CONFIG_FIELDS = {
@@ -22,6 +25,13 @@ CONFIG_FIELDS = {
     EnvConfig: (
         "cluster include_graph_features max_ready process_until_completion "
         "telemetry verify_terminal"
+    ),
+    GnnConfig: "global_hidden head_hidden hidden_size rounds",
+    TrainingConfig: (
+        "batch_size entropy_bonus epochs eps example_num_tasks gae_lambda gamma "
+        "learning_rate max_episode_steps max_grad_norm normalize_advantages "
+        "num_examples ppo_clip ppo_epochs ppo_minibatch rho rollouts_per_example "
+        "seed supervised_epochs value_epochs value_learning_rate"
     ),
 }
 
@@ -57,7 +67,9 @@ def test_scheduler_option_keys():
 
 
 def test_no_option_names_a_mechanism():
-    names = SCHEDULER_OPTIONS["spear"].split() + [
-        name for spec in CONFIG_FIELDS.values() for name in spec.split()
-    ]
+    names = (
+        SCHEDULER_OPTIONS["spear"].split()
+        + [name for spec in CONFIG_FIELDS.values() for name in spec.split()]
+        + list(inspect.signature(SpearScheduler).parameters)
+    )
     assert not [n for n in names if any(w in n.lower() for w in MECHANISM_WORDS)]

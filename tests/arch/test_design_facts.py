@@ -1,0 +1,133 @@
+"""Design facts, pinned where a session can run them.
+
+Each test states one decision the code base made by *deleting* the
+alternative — one environment, one tree walk, one episode loop, one
+time-advancing loop — and fails when the alternative comes back.  (These
+used to be inline-Python and grep steps of ``.github/workflows/ci.yml``
+that only CI could run; the settable surface itself is pinned by
+``test_config_surface.py``.)
+"""
+
+import ast
+import inspect
+import re
+import textwrap
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[2]
+SRC = REPO / "src" / "repro"
+
+
+def grep(pattern, *roots):
+    """``path:line`` of every match of ``pattern`` in the ``.py`` files
+    under ``roots`` (a root that is a file is searched whatever its
+    suffix)."""
+    regex = re.compile(pattern)
+    hits = []
+    for root in roots:
+        for path in sorted(root.rglob("*.py")) if root.is_dir() else [root]:
+            lines = path.read_text(encoding="utf-8").splitlines()
+            hits += [
+                f"{path.relative_to(REPO)}:{number}"
+                for number, line in enumerate(lines, start=1)
+                if regex.search(line)
+            ]
+    return hits
+
+
+def files_of(hits):
+    return sorted({hit.rsplit(":", 1)[0] for hit in hits})
+
+
+def test_one_environment_no_backend_switch():
+    assert not grep(r"make_env\(|available_backends|ArrayClusterState", REPO / "src")
+    assert files_of(grep("ArraySchedulingEnv", REPO / "src")) == [
+        "src/repro/envarr/env.py"
+    ]
+
+
+def test_one_tree_walk():
+    # Nodes store statistics, the search owns the one environment and has
+    # one select/expand/backpropagate loop; nothing selects another.
+    from repro.mcts import Node, search
+
+    assert not grep("state_restore", REPO / "src", REPO / "README.md", REPO / "examples")
+    assert "env" not in Node.__slots__
+    callers = [
+        fn.name
+        for fn in ast.walk(ast.parse(inspect.getsource(search)))
+        if isinstance(fn, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Attribute) and node.attr == "best_child"
+            for node in ast.walk(fn)
+        )
+    ]
+    assert len(callers) == 1, callers
+
+
+def test_policy_memo_and_fused_playout_are_not_options():
+    # The memo is always on inside a Spear search and off everywhere else;
+    # a network-guided rollout is always the fused playout.  No environment
+    # variable selects either (config fields, spec keys and constructor
+    # arguments: test_config_surface.py), and the select -> step loop the
+    # playout replaced is gone from the rollout.
+    from repro.core.guidance import NetworkRollout
+
+    assert ".select(" not in inspect.getsource(NetworkRollout.rollout)
+    assert not grep(r"os\.environ|getenv", SRC / "rl", SRC / "core", SRC / "env")
+    # ...and the search talks to its policies through their public hooks.
+    assert not grep(r"self\.(rollout|expansion)\._", SRC / "mcts" / "search.py")
+
+
+def test_a_list_heuristic_is_a_ranking_rule_on_the_one_episode_loop():
+    from repro.mcts.policies import _PolicyRollout
+    from repro.schedulers import base, listsched, policies, tetris
+
+    for runner in (base.run_policy, _PolicyRollout.rollout, base.GreedyPolicy.playout):
+        assert ".select(" not in inspect.getsource(runner), runner
+    heuristics = [
+        cls
+        for module in (policies, tetris, listsched)
+        for cls in vars(module).values()
+        if inspect.isclass(cls)
+        and issubclass(cls, base.GreedyPolicy)
+        and cls is not base.GreedyPolicy
+    ]
+    assert len(heuristics) == 7, heuristics
+    for cls in heuristics:
+        assert "choose" in vars(cls), cls
+        assert not {"select", "playout"} & set(vars(cls)), cls
+    # The default Policy.playout is the only select -> step episode loop
+    # left where episodes are run (the trainers record per step).
+    loops = grep(
+        r"step\(.*\.select\(",
+        SRC / "schedulers",
+        SRC / "mcts" / "policies.py",
+        SRC / "experiments",
+    )
+    assert files_of(loops) == ["src/repro/schedulers/base.py"] and len(loops) == 1
+    assert not grep("_fitting_indices", REPO / "src")
+
+
+def test_message_passing_has_no_scatter_and_ppo_one_forward():
+    # The np.add.at scatter lives only in the tests that compare against
+    # it, and a PPO minibatch reads its ratios off the forward pass of the
+    # backward it feeds (no second forward in the loop).
+    from repro.rl.ppo import PpoTrainer
+
+    assert not grep(r"add\.at|ufunc\.at", SRC / "rl")
+    update = ast.parse(textwrap.dedent(inspect.getsource(PpoTrainer._update_batch)))
+    in_loops = [
+        node.attr
+        for loop in ast.walk(update)
+        if isinstance(loop, ast.For)
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Attribute)
+    ]
+    assert "policy_gradient_steps" in in_loops, in_loops
+    assert "step_probabilities" not in in_loops, in_loops
+
+
+def test_exactly_one_loop_advances_simulated_time():
+    hits = grep(r"\.tick_to\(", SRC / "online", SRC / "streaming", SRC / "federation")
+    assert len(hits) == 1, hits

@@ -20,9 +20,12 @@ order with every other task missing so the rank fallback is exercised):
 
 It was generated at the last commit whose heuristics each spelled out
 their own ``select`` and whose ``run_policy`` / ``GreedyRollout.rollout``
-stepped the environment one ``select`` at a time, and has not been
-regenerated since: routing the episode through one ``Policy.playout``
-must change no start time, no step count and no makespan.
+stepped the environment one ``select`` at a time: routing the episode
+through one ``Policy.playout`` must change no start time, no step count
+and no makespan.  Regenerated once since, for the four
+``plan/graphene/...`` rows only: Graphene used to ignore the request's
+cluster snapshot and those rows pinned plans that overran the degraded
+capacities.
 
 Regenerate (only when an intentional behaviour change lands) with::
 

@@ -20,7 +20,13 @@ from repro.dag.generators import random_layered_dag
 from repro.config import WorkloadConfig
 from repro.env import SchedulingEnv
 from repro.online import ArrivingJob, OnlineSimulator, fifo_ranker, sjf_ranker, tetris_ranker
-from repro.schedulers import FifoPolicy, SjfPolicy, TetrisPolicy, run_policy
+from repro.schedulers import (
+    FifoPolicy,
+    ScheduleRequest,
+    SjfPolicy,
+    TetrisPolicy,
+    run_policy,
+)
 
 
 def workload(seed, num_tasks=10):
@@ -105,7 +111,7 @@ class TestGrapheneVirtualVsOnline:
             plan.virtual_makespan
             for plan in scheduler.candidate_plans(graph)
         )
-        executed = scheduler.schedule(graph).makespan
+        executed = scheduler.plan(ScheduleRequest(graph)).makespan
         assert executed <= best_virtual + 1  # online pass can only tie or
         # improve (it re-packs greedily); the +1 covers rounding at window
         # boundaries in backward plans.

@@ -9,7 +9,7 @@ from repro.dag.generators import random_layered_dag
 from repro.metrics import validate_schedule, win_rate
 from repro.mcts import MctsScheduler
 from repro.rl import load_checkpoint, save_checkpoint
-from repro.schedulers import make_scheduler
+from repro.schedulers import ScheduleRequest, make_scheduler
 
 
 @pytest.fixture(scope="module")
@@ -32,8 +32,8 @@ class TestCheckpointDeployment:
         reloaded = SpearScheduler(restored, config, env_config, seed=9)
         for graph in eval_graphs[:2]:
             assert (
-                original.schedule(graph).makespan
-                == reloaded.schedule(graph).makespan
+                original.plan(ScheduleRequest(graph)).makespan
+                == reloaded.plan(ScheduleRequest(graph)).makespan
             )
 
 
@@ -52,10 +52,10 @@ class TestSpearVsBaselines:
         makespans = {"spear": [], "sjf": [], "random": [], "tetris": []}
         for graph in eval_graphs:
             for name in ("sjf", "random", "tetris"):
-                schedule = make_scheduler(name, env_config).schedule(graph)
+                schedule = make_scheduler(name, env_config).plan(ScheduleRequest(graph))
                 validate_schedule(schedule, graph, capacities)
                 makespans[name].append(schedule.makespan)
-            schedule = spear.schedule(graph)
+            schedule = spear.plan(ScheduleRequest(graph))
             validate_schedule(schedule, graph, capacities)
             makespans["spear"].append(schedule.makespan)
 
@@ -79,9 +79,9 @@ class TestSpearVsBaselines:
             network, MctsConfig(initial_budget=40, min_budget=10), env_config, seed=1
         )
         greedy_mean = np.mean(
-            [greedy.schedule(g).makespan for g in eval_graphs]
+            [greedy.plan(ScheduleRequest(g)).makespan for g in eval_graphs]
         )
-        spear_mean = np.mean([spear.schedule(g).makespan for g in eval_graphs])
+        spear_mean = np.mean([spear.plan(ScheduleRequest(g)).makespan for g in eval_graphs])
         assert spear_mean <= greedy_mean
 
 
@@ -96,8 +96,8 @@ class TestMctsBudgetMonotonicity:
         large = MctsScheduler(
             MctsConfig(initial_budget=60, min_budget=15), env_config, seed=3
         )
-        small_mean = np.mean([small.schedule(g).makespan for g in eval_graphs])
-        large_mean = np.mean([large.schedule(g).makespan for g in eval_graphs])
+        small_mean = np.mean([small.plan(ScheduleRequest(g)).makespan for g in eval_graphs])
+        large_mean = np.mean([large.plan(ScheduleRequest(g)).makespan for g in eval_graphs])
         assert large_mean <= small_mean + 2
 
 
@@ -121,5 +121,5 @@ class TestTraceEndToEnd:
                 make_scheduler("tetris", env_config),
                 spear,
             ):
-                schedule = scheduler.schedule(job.graph)
+                schedule = scheduler.plan(ScheduleRequest(job.graph))
                 validate_schedule(schedule, job.graph, capacities)

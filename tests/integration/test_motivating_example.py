@@ -20,7 +20,7 @@ from repro.dag import motivating_example
 from repro.dag.examples import MOTIVATING_CAPACITY, MOTIVATING_T
 from repro.mcts import MctsScheduler
 from repro.metrics import validate_schedule
-from repro.schedulers import make_scheduler
+from repro.schedulers import ScheduleRequest, make_scheduler
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +34,7 @@ def setup():
 
 
 def run(scheduler, graph):
-    schedule = scheduler.schedule(graph)
+    schedule = scheduler.plan(ScheduleRequest(graph))
     validate_schedule(schedule, graph, MOTIVATING_CAPACITY)
     return schedule.makespan
 

@@ -16,7 +16,7 @@ from repro.env import PROCESS, SchedulingEnv
 from repro.errors import CapacityError
 from repro.mcts import MctsScheduler
 from repro.metrics import validate_schedule
-from repro.schedulers import make_scheduler
+from repro.schedulers import ScheduleRequest, make_scheduler
 
 
 class TestNarrowVisibilityWindow:
@@ -29,8 +29,8 @@ class TestNarrowVisibilityWindow:
             process_until_completion=True,
         )
         for name in ("tetris", "sjf", "cp", "fifo"):
-            schedule = make_scheduler(name, env_config).schedule(
-                small_random_graph
+            schedule = make_scheduler(name, env_config).plan(
+                ScheduleRequest(small_random_graph)
             )
             validate_schedule(schedule, small_random_graph, (10, 10))
 
@@ -43,7 +43,7 @@ class TestNarrowVisibilityWindow:
         scheduler = MctsScheduler(
             MctsConfig(initial_budget=10, min_budget=3), env_config, seed=0
         )
-        schedule = scheduler.schedule(small_random_graph)
+        schedule = scheduler.plan(ScheduleRequest(small_random_graph))
         validate_schedule(schedule, small_random_graph, (10, 10))
 
 
@@ -55,7 +55,7 @@ class TestWideGraphsAndBacklog:
             max_ready=5,
             process_until_completion=True,
         )
-        schedule = make_scheduler("tetris", env_config).schedule(graph)
+        schedule = make_scheduler("tetris", env_config).plan(ScheduleRequest(graph))
         validate_schedule(schedule, graph, (10, 10))
         # 100 unit tasks, 10 concurrently (CPU-bound): exactly 10 slots.
         assert schedule.makespan == 10
@@ -70,7 +70,7 @@ class TestWideGraphsAndBacklog:
             max_ready=3,
             process_until_completion=True,
         )
-        schedule = make_scheduler("sjf", env_config).schedule(graph)
+        schedule = make_scheduler("sjf", env_config).plan(ScheduleRequest(graph))
         validate_schedule(schedule, graph, (10, 10))
 
 
@@ -81,7 +81,7 @@ class TestDegenerateTasks:
             cluster=ClusterConfig(capacities=(10, 10), horizon=8),
             process_until_completion=True,
         )
-        schedule = make_scheduler("tetris", env_config).schedule(graph)
+        schedule = make_scheduler("tetris", env_config).plan(ScheduleRequest(graph))
         validate_schedule(schedule, graph, (10, 10))
         assert schedule.makespan == 5  # all six run at once
 
@@ -91,7 +91,7 @@ class TestDegenerateTasks:
             cluster=ClusterConfig(capacities=(10, 10), horizon=8),
             process_until_completion=True,
         )
-        schedule = make_scheduler("tetris", env_config).schedule(graph)
+        schedule = make_scheduler("tetris", env_config).plan(ScheduleRequest(graph))
         validate_schedule(schedule, graph, (10, 10))
         assert schedule.makespan == 8
 
@@ -102,7 +102,7 @@ class TestDegenerateTasks:
             process_until_completion=True,
         )
         for name in ("tetris", "graphene", "optimal"):
-            schedule = make_scheduler(name, env_config).schedule(graph)
+            schedule = make_scheduler(name, env_config).plan(ScheduleRequest(graph))
             assert schedule.makespan == 7
 
     def test_oversized_task_fails_fast_everywhere(self):
@@ -111,11 +111,11 @@ class TestDegenerateTasks:
             cluster=ClusterConfig(capacities=(10, 10), horizon=8)
         )
         with pytest.raises(CapacityError):
-            make_scheduler("tetris", env_config).schedule(graph)
+            make_scheduler("tetris", env_config).plan(ScheduleRequest(graph))
         with pytest.raises(CapacityError):
             MctsScheduler(
                 MctsConfig(initial_budget=5, min_budget=2), env_config
-            ).schedule(graph)
+            ).plan(ScheduleRequest(graph))
 
 
 class TestDeepChains:
@@ -128,7 +128,7 @@ class TestDeepChains:
         )
         expected = sum(runtimes)
         for name in ("tetris", "sjf", "cp", "graphene", "heft"):
-            schedule = make_scheduler(name, env_config).schedule(graph)
+            schedule = make_scheduler(name, env_config).plan(ScheduleRequest(graph))
             assert schedule.makespan == expected
 
 
@@ -141,11 +141,11 @@ class TestBatchWorkloads:
         )
         batch = disjoint_union(trace.graphs())
         env_config = EnvConfig(process_until_completion=True)
-        schedule = make_scheduler("tetris", env_config).schedule(batch)
+        schedule = make_scheduler("tetris", env_config).plan(ScheduleRequest(batch))
         validate_schedule(schedule, batch, env_config.cluster.capacities)
         # Batch completion is bounded below by the slowest job alone.
         slowest = max(
-            make_scheduler("tetris", env_config).schedule(g).makespan
+            make_scheduler("tetris", env_config).plan(ScheduleRequest(g)).makespan
             for g in trace.graphs()
         )
         assert schedule.makespan >= slowest
@@ -159,7 +159,7 @@ class TestBatchWorkloads:
             cluster=ClusterConfig(capacities=(10, 10), horizon=8),
             process_until_completion=True,
         )
-        schedule = make_scheduler("tetris", env_config).schedule(batch)
+        schedule = make_scheduler("tetris", env_config).plan(ScheduleRequest(batch))
         assert schedule.makespan == 12  # strict barriers: 3 x 4 slots
 
 
@@ -169,7 +169,7 @@ class TestLargePaperScaleGraphSanity:
         env_config = EnvConfig(process_until_completion=True)
         makespans = {}
         for name in ("tetris", "sjf", "cp", "graphene", "heft", "lpt", "fifo"):
-            schedule = make_scheduler(name, env_config).schedule(graph)
+            schedule = make_scheduler(name, env_config).plan(ScheduleRequest(graph))
             validate_schedule(schedule, graph, env_config.cluster.capacities)
             makespans[name] = schedule.makespan
         from repro.dag import makespan_lower_bound

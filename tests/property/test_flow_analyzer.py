@@ -2,31 +2,26 @@
 
 Two guarantees the CI gate depends on:
 
-* the flow analyzer never raises on any file of ``src/repro`` — a
-  crashing rule would turn every future commit's gate red for the wrong
-  reason (and is exactly what ``LintInternalError``/exit 2 is reserved
-  for);
-* a clean re-run of the full gate against the committed baseline finds
-  nothing new, i.e. the repository as committed satisfies its own
-  contracts.
+* the lint pass never raises on any file of ``src/repro`` — a crashing
+  rule would turn every future commit's gate red for the wrong reason
+  (and is exactly what ``LintInternalError``/exit 2 is reserved for);
+* a clean re-run of the full gate finds nothing, i.e. the repository as
+  committed satisfies its own contracts.
 """
 
 from pathlib import Path
 
-from repro.analysis import apply_baseline, lint_paths, load_baseline
-from repro.analysis.flow.engine import analyze_graph, analyze_project
-from repro.analysis.flow.modgraph import ProjectGraph
+from repro.analysis import ProjectGraph, lint_graph, lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 REPO_SRC = REPO_ROOT / "src" / "repro"
-BASELINE = REPO_ROOT / "lint-baseline.json"
 
 
 class TestNeverRaises:
     def test_whole_tree_analyzes_without_error(self):
         # LintInternalError (or anything else) escaping here means an
         # analyzer bug, not a lint finding.
-        analyze_project([REPO_SRC])
+        lint_paths([REPO_SRC])
 
     def test_every_file_analyzes_in_isolation(self):
         # Per-file graphs exercise unresolved-import paths the whole-tree
@@ -34,15 +29,10 @@ class TestNeverRaises:
         for file in sorted(REPO_SRC.rglob("*.py")):
             source = file.read_text(encoding="utf-8")
             graph = ProjectGraph.from_sources({str(file): source})
-            analyze_graph(graph)
+            lint_graph(graph)
 
 
 class TestRepositoryIsClean:
-    def test_full_gate_against_committed_baseline_is_empty(self):
-        violations = lint_paths([REPO_SRC], flow=True)
-        fresh = apply_baseline(violations, load_baseline(BASELINE))
-        assert not fresh, "\n".join(v.format() for v in fresh)
-
-    def test_analyzer_package_is_clean_without_baseline(self):
-        # The dogfood gate from CI: the flow analyzer lints itself.
-        assert not lint_paths([REPO_SRC / "analysis" / "flow"], flow=True)
+    def test_full_gate_is_empty(self):
+        violations = lint_paths([REPO_SRC])
+        assert not violations, "\n".join(v.format() for v in violations)

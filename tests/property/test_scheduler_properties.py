@@ -19,6 +19,7 @@ from repro.metrics import validate_schedule
 from repro.schedulers import (
     BranchAndBoundScheduler,
     GrapheneScheduler,
+    ScheduleRequest,
     make_scheduler,
 )
 
@@ -46,9 +47,9 @@ def tiny_graph(seed, num_tasks):
 @given(seed=st.integers(0, 2**32 - 1), num_tasks=st.integers(2, 7))
 def test_no_heuristic_beats_the_certified_optimum(seed, num_tasks):
     graph = tiny_graph(seed, num_tasks)
-    optimal = BranchAndBoundScheduler(ENV).schedule(graph).makespan
+    optimal = BranchAndBoundScheduler(ENV).plan(ScheduleRequest(graph)).makespan
     for name in ("tetris", "sjf", "cp", "graphene", "heft", "lpt", "fifo"):
-        heuristic = make_scheduler(name, ENV).schedule(graph)
+        heuristic = make_scheduler(name, ENV).plan(ScheduleRequest(graph))
         validate_schedule(heuristic, graph, ENV.cluster.capacities)
         assert heuristic.makespan >= optimal
 
@@ -57,11 +58,11 @@ def test_no_heuristic_beats_the_certified_optimum(seed, num_tasks):
 @given(seed=st.integers(0, 2**32 - 1), num_tasks=st.integers(2, 6))
 def test_mcts_tracks_the_optimum_on_tiny_instances(seed, num_tasks):
     graph = tiny_graph(seed, num_tasks)
-    optimal = BranchAndBoundScheduler(ENV).schedule(graph).makespan
+    optimal = BranchAndBoundScheduler(ENV).plan(ScheduleRequest(graph)).makespan
     mcts = MctsScheduler(
         MctsConfig(initial_budget=60, min_budget=15), ENV, seed=seed % 1000
     )
-    found = mcts.schedule(graph).makespan
+    found = mcts.plan(ScheduleRequest(graph)).makespan
     assert found >= optimal
     # Tiny search spaces: a 60-iteration budget should land within 25%.
     assert found <= optimal * 1.25 + 1
@@ -97,7 +98,7 @@ def test_every_registered_scheduler_is_verifier_clean(seed, num_tasks):
 
     graph = tiny_graph(seed, num_tasks)
     for name in available_schedulers():
-        schedule = make_scheduler(name, ENV, validate=True).schedule(graph)
+        schedule = make_scheduler(name, ENV, validate=True).plan(ScheduleRequest(graph))
         report = verify_schedule(schedule, graph, ENV.cluster.capacities)
         assert report.ok, f"{name}: {report.summary()}"
         assert not report.violations
@@ -111,7 +112,7 @@ def test_graphene_best_of_candidates_is_minimal(seed, num_tasks):
 
     graph = tiny_graph(seed, num_tasks)
     scheduler = GrapheneScheduler(env_config=ENV)
-    best = scheduler.schedule(graph).makespan
+    best = scheduler.plan(ScheduleRequest(graph)).makespan
     singles = []
     for plan in scheduler.candidate_plans(graph):
         env = SchedulingEnv(graph, ENV)

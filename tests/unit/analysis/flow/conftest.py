@@ -1,11 +1,10 @@
-"""Shared fixture helper: run one flow rule over in-memory sources."""
+"""Shared fixture helper: run the lint pass over in-memory sources."""
 
 import textwrap
 
 import pytest
 
-from repro.analysis.flow.engine import analyze_graph
-from repro.analysis.flow.modgraph import ProjectGraph
+from repro.analysis import ProjectGraph, lint_graph
 
 
 @pytest.fixture
@@ -14,7 +13,6 @@ def flow_hits():
         graph = ProjectGraph.from_sources(
             {path: textwrap.dedent(src) for path, src in sources.items()}
         )
-        violations = analyze_graph(graph, select=[rule_id])
-        return [v for v in violations if v.rule_id == rule_id]
+        return [v for v in lint_graph(graph) if v.rule_id == rule_id]
 
     return run

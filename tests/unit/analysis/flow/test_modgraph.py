@@ -2,7 +2,7 @@
 
 import textwrap
 
-from repro.analysis.flow.modgraph import ProjectGraph, dotted_name
+from repro.analysis.modgraph import ProjectGraph, dotted_name
 
 
 def graph(**sources):
@@ -66,10 +66,6 @@ class TestSymbols:
         assert "pkg.a.helper" in g.functions
         assert "pkg.a.Plain.method" in g.functions
         assert g.functions["pkg.a.Plain.method"].class_name == "Plain"
-
-    def test_frozen_dataclasses_detected(self):
-        g = graph(pkg__a=self.SRC)
-        assert g.frozen_class_names() == {"Snapshot"}
 
 
 class TestResolveCall:

@@ -1,5 +1,5 @@
-"""Toolchain around the analyzers: suppressions, baselines, SARIF,
-exit codes, and the engine's error discipline."""
+"""Toolchain around the lint pass: suppressions, exit codes, and the
+engine's error discipline."""
 
 import json
 import textwrap
@@ -9,24 +9,32 @@ import pytest
 from repro.analysis import (
     LintInternalError,
     LintViolation,
-    apply_baseline,
+    ProjectGraph,
+    Rule,
     collect_suppressions,
     filter_suppressed,
+    lint_graph,
     lint_source,
-    load_baseline,
-    validate_rule_ids,
-    write_baseline,
 )
-from repro.analysis.flow.engine import (
-    FlowRule,
-    analyze_graph,
-    available_flow_rules,
-    flow_rule_ids,
-)
-from repro.analysis.flow.modgraph import ProjectGraph
-from repro.analysis.sarif import format_sarif
 from repro.cli import main
-from repro.errors import ConfigError
+
+#: REP203 fires on the wall-clock read when linted as a ``repro.sim`` module.
+WALL_CLOCK = "import time\n\n\ndef f():\n    return time.time(){noqa}\n"
+
+#: REP205 fires on the worker's write to module state, whatever the path.
+POOL_WORKER = """
+    import multiprocessing
+
+    _CACHE = {{}}
+
+    def _worker(x):
+        _CACHE[x] = x{noqa}
+        return x
+
+    def run(items):
+        with multiprocessing.Pool(2) as pool:
+            return pool.map(_worker, items)
+    """
 
 
 def v(rule="REP101", path="a.py", line=1, message="m"):
@@ -54,121 +62,34 @@ class TestSuppressions:
         assert filter_suppressed([v(line=2)], sup)
 
     def test_lint_source_honours_noqa(self):
-        src = "import numpy as np\n\n\ndef f():\n    return np.random.default_rng()  # repro: noqa[REP101]\n"
-        assert not lint_source(src, select=["REP101"])
+        path = "repro/sim/x.py"
+        assert lint_source(WALL_CLOCK.format(noqa=""), path)
+        assert not lint_source(
+            WALL_CLOCK.format(noqa="  # repro: noqa[REP203]"), path
+        )
 
     def test_flow_analysis_honours_noqa(self):
-        source = textwrap.dedent(
-            """
-            import numpy as np
+        def hits(noqa):
+            source = textwrap.dedent(POOL_WORKER.format(noqa=noqa))
+            return lint_graph(ProjectGraph.from_sources({"pkg/a.py": source}))
 
-            def make():
-                return np.random.default_rng()  # repro: noqa[REP201]
-            """
-        )
-        graph = ProjectGraph.from_sources({"pkg/a.py": source})
-        assert not analyze_graph(graph, select=["REP201"])
-
-
-class TestRuleIdValidation:
-    def test_unknown_select_rejected(self):
-        with pytest.raises(ConfigError, match="--select"):
-            validate_rule_ids(select=["REP999"])
-
-    def test_unknown_ignore_rejected(self):
-        with pytest.raises(ConfigError, match="--ignore"):
-            validate_rule_ids(ignore=["REP999"])
-
-    def test_flow_ids_are_known(self):
-        validate_rule_ids(select=flow_rule_ids())
-
-    def test_rep000_is_known(self):
-        validate_rule_ids(select=["REP000"])
+        assert [h.rule_id for h in hits("")] == ["REP205"]
+        assert not hits("  # repro: noqa[REP205]")
+        assert hits("  # repro: noqa[REP203]"), "another rule's id suppresses nothing"
 
 
 class TestFlowRegistry:
-    def test_all_five_builtin_rules_registered(self):
-        assert flow_rule_ids() == [
-            "REP201",
-            "REP202",
-            "REP203",
-            "REP204",
-            "REP205",
-        ]
-        assert all(available_flow_rules().values())
-
     def test_crashing_rule_becomes_internal_error(self):
-        class Broken(FlowRule):
-            rule_id = "REP201"  # masquerade; instantiated directly below
+        class Broken(Rule):
+            rule_id = "REP999"
             description = "boom"
 
             def check(self, project):
                 raise RuntimeError("kaboom")
 
         graph = ProjectGraph.from_sources({"pkg/a.py": "x = 1\n"})
-        import repro.analysis.flow.engine as engine
-
-        original = engine._FLOW_REGISTRY.copy()
-        engine._FLOW_REGISTRY["REP201"] = Broken
-        try:
-            with pytest.raises(LintInternalError, match="kaboom"):
-                analyze_graph(graph, select=["REP201"])
-        finally:
-            engine._FLOW_REGISTRY.clear()
-            engine._FLOW_REGISTRY.update(original)
-
-
-class TestBaseline:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline([v(), v(rule="REP105", line=9)], path)
-        baseline = load_baseline(path)
-        assert sum(baseline.values()) == 2
-
-    def test_apply_subtracts_per_occurrence(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline([v(line=3)], path)
-        baseline = load_baseline(path)
-        # Same fingerprint at a different line still matches (line-free);
-        # a second occurrence beyond the baselined count survives.
-        fresh = apply_baseline([v(line=7), v(line=8)], baseline)
-        assert len(fresh) == 1
-
-    def test_new_violation_survives(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline([v()], path)
-        fresh = apply_baseline([v(rule="REP107")], load_baseline(path))
-        assert [f.rule_id for f in fresh] == ["REP107"]
-
-    def test_missing_file_is_config_error(self, tmp_path):
-        with pytest.raises(ConfigError, match="cannot read"):
-            load_baseline(tmp_path / "nope.json")
-
-    def test_malformed_file_is_config_error(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("[]", encoding="utf-8")
-        with pytest.raises(ConfigError, match="violations"):
-            load_baseline(path)
-
-
-class TestSarif:
-    def test_minimal_structure(self):
-        log = json.loads(format_sarif([v(), v(rule="REP105", line=2)]))
-        run = log["runs"][0]
-        assert log["version"] == "2.1.0"
-        assert [r["id"] for r in run["tool"]["driver"]["rules"]] == [
-            "REP101",
-            "REP105",
-        ]
-        result = run["results"][0]
-        assert result["ruleId"] == "REP101"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"] == "a.py"
-        assert location["region"]["startLine"] == 1
-
-    def test_empty_log_valid(self):
-        log = json.loads(format_sarif([]))
-        assert log["runs"][0]["results"] == []
+        with pytest.raises(LintInternalError, match="kaboom"):
+            lint_graph(graph, rules=(Broken(),))
 
 
 class TestCliExitCodes:
@@ -179,20 +100,11 @@ class TestCliExitCodes:
 
     def test_clean_run_exits_zero(self, tmp_path, capsys):
         self._write(tmp_path, "ok.py", '"""Doc."""\n\n__all__ = []\n')
-        assert main(["lint", "--flow", str(tmp_path)]) == 0
+        assert main(["lint", str(tmp_path)]) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_violations_exit_one(self, tmp_path, capsys):
-        self._write(
-            tmp_path,
-            "bad.py",
-            """
-            import numpy as np
-
-            def f():
-                return np.random.default_rng()
-            """,
-        )
+        self._write(tmp_path, "bad.py", POOL_WORKER.format(noqa=""))
         assert main(["lint", str(tmp_path)]) == 1
 
     def test_parse_failure_reports_rep000_in_json(self, tmp_path, capsys):
@@ -203,11 +115,6 @@ class TestCliExitCodes:
         assert entry["rule"] == "REP000"
         assert "syntax error" in entry["message"]
 
-    def test_unknown_rule_exits_two(self, tmp_path, capsys):
-        self._write(tmp_path, "ok.py", "__all__ = []\n")
-        assert main(["lint", "--select", "REP999", str(tmp_path)]) == 2
-        assert main(["lint", "--ignore", "REP999", str(tmp_path)]) == 2
-
     def test_missing_path_exits_two(self, tmp_path):
         assert main(["lint", str(tmp_path / "ghost.py")]) == 2
 
@@ -215,86 +122,3 @@ class TestCliExitCodes:
         bad = tmp_path / "binary.py"
         bad.write_bytes(b"\xff\xfe\x00garbage")
         assert main(["lint", str(bad)]) == 2
-
-    def test_flow_select_runs_flow_without_flag(self, tmp_path, capsys):
-        self._write(
-            tmp_path,
-            "deep.py",
-            """
-            import numpy as np
-
-            def make():
-                return np.random.default_rng()
-            """,
-        )
-        assert main(["lint", "--select", "REP201", str(tmp_path)]) == 1
-        assert "REP201" in capsys.readouterr().out
-
-    def test_sarif_format(self, tmp_path, capsys):
-        self._write(tmp_path, "ok.py", '"""Doc."""\n\n__all__ = []\n')
-        assert main(["lint", "--format", "sarif", str(tmp_path)]) == 0
-        log = json.loads(capsys.readouterr().out)
-        assert log["runs"][0]["tool"]["driver"]["name"] == "repro-lint"
-
-    def test_baseline_gates_and_updates(self, tmp_path, capsys):
-        self._write(
-            tmp_path,
-            "bad.py",
-            """
-            import numpy as np
-
-            def f():
-                return np.random.default_rng()
-            """,
-        )
-        baseline = tmp_path / "baseline.json"
-        assert (
-            main(
-                [
-                    "lint",
-                    "--flow",
-                    "--update-baseline",
-                    str(baseline),
-                    str(tmp_path),
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        # Same debt, now baselined: gate passes.
-        assert (
-            main(["lint", "--flow", "--baseline", str(baseline), str(tmp_path)])
-            == 0
-        )
-        # New debt on top: gate fails.
-        self._write(
-            tmp_path,
-            "worse.py",
-            """
-            import numpy as np
-
-            def g():
-                return np.random.default_rng()
-            """,
-        )
-        capsys.readouterr()
-        assert (
-            main(["lint", "--flow", "--baseline", str(baseline), str(tmp_path)])
-            == 1
-        )
-        out = capsys.readouterr().out
-        assert "worse.py" in out and "bad.py" not in out
-
-    def test_missing_baseline_exits_two(self, tmp_path):
-        self._write(tmp_path, "ok.py", "__all__ = []\n")
-        assert (
-            main(
-                [
-                    "lint",
-                    "--baseline",
-                    str(tmp_path / "ghost.json"),
-                    str(tmp_path),
-                ]
-            )
-            == 2
-        )

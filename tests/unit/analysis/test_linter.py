@@ -1,70 +1,53 @@
-"""Engine-level tests for the lint registry, file walking and output."""
+"""Engine-level tests for the rule table, file walking and output."""
 
 import json
 
 import pytest
 
 from repro.analysis import (
-    LintRule,
     available_rules,
     format_json,
     format_text,
     lint_paths,
     lint_source,
-    register_rule,
 )
 from repro.analysis.linter import PARSE_ERROR_RULE, iter_python_files
 from repro.errors import ConfigError
 
+#: trips REP205 anywhere, and REP203 when linted as a ``repro.sim`` module.
 BAD_MODULE = """\
-import random
+import multiprocessing
+import time
 
-def pick(xs=[]):
-    try:
-        return random.choice(xs)
-    except:
-        return None
+_SEEN = []
+
+def _worker(x):
+    _SEEN.append(x)
+    return time.time()
+
+def run(xs):
+    with multiprocessing.Pool(2) as pool:
+        return pool.map(_worker, xs)
 """
 
 
 class TestRegistry:
     def test_builtin_rules_registered(self):
         rules = available_rules()
-        assert {"REP101", "REP102", "REP103", "REP104", "REP105"} <= set(rules)
+        assert list(rules) == ["REP203", "REP205"]
         assert all(desc for desc in rules.values())
-
-    def test_duplicate_rule_id_rejected(self):
-        with pytest.raises(ConfigError, match="already registered"):
-
-            @register_rule
-            class Clashing(LintRule):  # pragma: no cover - registration fails
-                rule_id = "REP101"
-                description = "duplicate"
-
-                def check(self, tree, source, path):
-                    return []
-
-    def test_unknown_select_rejected(self):
-        with pytest.raises(ConfigError, match="unknown lint rules"):
-            lint_source("x = 1", select=["REP999"])
 
 
 class TestLintSource:
     def test_bad_module_trips_multiple_rules(self):
-        violations = lint_source(BAD_MODULE, "bad.py")
+        violations = lint_source(BAD_MODULE, "repro/sim/bad.py")
         rules = {v.rule_id for v in violations}
-        assert {"REP101", "REP103", "REP104", "REP105"} <= rules
+        assert {"REP203", "REP205"} <= rules
 
     def test_violations_sorted_by_location(self):
-        violations = lint_source(BAD_MODULE, "bad.py")
+        violations = lint_source(BAD_MODULE, "repro/sim/bad.py")
         locations = [(v.line, v.col) for v in violations]
-        assert locations == sorted(locations)
-
-    def test_ignore_filters_rules(self):
-        violations = lint_source(
-            BAD_MODULE, "bad.py", ignore=["REP101", "REP103", "REP104", "REP105"]
-        )
-        assert violations == []
+        assert len(locations) > 1 and locations == sorted(locations)
 
     def test_syntax_error_becomes_violation(self):
         violations = lint_source("def broken(:\n", "oops.py")

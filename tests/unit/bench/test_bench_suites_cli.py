@@ -19,7 +19,6 @@ EXPECTED_GROUPS = {
     "streaming",
     "federation",
     "telemetry",
-    "lint",
 }
 
 

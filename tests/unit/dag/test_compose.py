@@ -13,6 +13,7 @@ from repro.dag import (
 )
 from repro.dag.compose import relabel
 from repro.errors import GraphError
+from repro.schedulers import ScheduleRequest
 
 
 @pytest.fixture
@@ -128,5 +129,5 @@ class TestBarrierTask:
         env_config = EnvConfig(
             cluster=ClusterConfig(capacities=(10, 10), horizon=8)
         )
-        schedule = make_scheduler("tetris", env_config).schedule(workload)
+        schedule = make_scheduler("tetris", env_config).plan(ScheduleRequest(workload))
         validate_schedule(schedule, workload, (10, 10))

@@ -9,6 +9,7 @@ from repro.dag import (
     stencil_dag,
 )
 from repro.errors import ConfigError
+from repro.schedulers import ScheduleRequest
 
 
 class TestGaussianElimination:
@@ -47,7 +48,7 @@ class TestGaussianElimination:
         env_config = EnvConfig(
             cluster=ClusterConfig(capacities=(10, 10), horizon=8)
         )
-        schedule = make_scheduler("cp", env_config).schedule(graph)
+        schedule = make_scheduler("cp", env_config).plan(ScheduleRequest(graph))
         validate_schedule(schedule, graph, (10, 10))
 
 
@@ -145,6 +146,6 @@ class TestCholesky:
         env_config = EnvConfig(
             cluster=ClusterConfig(capacities=(10, 10), horizon=8)
         )
-        schedule = make_scheduler("tetris", env_config).schedule(graph)
+        schedule = make_scheduler("tetris", env_config).plan(ScheduleRequest(graph))
         validate_schedule(schedule, graph, (10, 10))
         assert schedule.makespan >= makespan_lower_bound(graph, (10, 10))

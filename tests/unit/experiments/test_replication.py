@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.replication import ReplicationResult, replicate
+from repro.schedulers import ScheduleRequest
 
 
 class TestReplicate:
@@ -75,7 +76,7 @@ class TestWithRealExperiment:
             )
             return {
                 name: float(
-                    make_scheduler(name, env_config).schedule(graph).makespan
+                    make_scheduler(name, env_config).plan(ScheduleRequest(graph)).makespan
                 )
                 for name in ("tetris", "sjf")
             }

@@ -11,6 +11,7 @@ from repro.metrics import (
     schedule_from_dict,
     schedule_to_dict,
 )
+from repro.schedulers import ScheduleRequest
 
 
 @pytest.fixture
@@ -76,8 +77,8 @@ class TestEndToEnd:
         env_config = EnvConfig(
             cluster=ClusterConfig(capacities=(10, 10), horizon=8)
         )
-        schedule = make_scheduler("tetris", env_config).schedule(
-            small_random_graph
+        schedule = make_scheduler("tetris", env_config).plan(
+            ScheduleRequest(small_random_graph)
         )
         path = tmp_path / "out.json"
         save_schedule(schedule, path)

@@ -9,6 +9,7 @@ from repro.errors import ConfigError, ScheduleError
 from repro.metrics import validate_schedule
 from repro.schedulers import (
     BranchAndBoundScheduler,
+    ScheduleRequest,
     available_schedulers,
     make_scheduler,
 )
@@ -24,40 +25,40 @@ def env_config():
 class TestBranchAndBound:
     def test_chain_optimum_is_serial(self, env_config):
         graph = chain_dag([2, 3, 1], demands=[(1, 1)] * 3)
-        schedule = BranchAndBoundScheduler(env_config).schedule(graph)
+        schedule = BranchAndBoundScheduler(env_config).plan(ScheduleRequest(graph))
         assert schedule.makespan == 6
 
     def test_parallel_tasks_packed(self, env_config):
         graph = independent_tasks_dag([4, 4], demands=[(5, 5), (5, 5)])
-        schedule = BranchAndBoundScheduler(env_config).schedule(graph)
+        schedule = BranchAndBoundScheduler(env_config).plan(ScheduleRequest(graph))
         assert schedule.makespan == 4
 
     def test_capacity_forces_serialization(self, env_config):
         graph = independent_tasks_dag([4, 4], demands=[(6, 6), (6, 6)])
-        schedule = BranchAndBoundScheduler(env_config).schedule(graph)
+        schedule = BranchAndBoundScheduler(env_config).plan(ScheduleRequest(graph))
         assert schedule.makespan == 8
 
     def test_reaches_lower_bound_when_tight(self, env_config):
         # Three unit tasks each filling half the cluster: LB = 2, optimal 2.
         graph = independent_tasks_dag([1, 1, 1, 1], demands=[(5, 5)] * 4)
-        schedule = BranchAndBoundScheduler(env_config).schedule(graph)
+        schedule = BranchAndBoundScheduler(env_config).plan(ScheduleRequest(graph))
         assert schedule.makespan == makespan_lower_bound(graph, (10, 10))
 
     def test_schedule_is_feasible(self, env_config, small_random_graph):
-        schedule = BranchAndBoundScheduler(env_config).schedule(
-            small_random_graph
+        schedule = BranchAndBoundScheduler(env_config).plan(
+            ScheduleRequest(small_random_graph)
         )
         validate_schedule(
             schedule, small_random_graph, env_config.cluster.capacities
         )
 
     def test_beats_every_heuristic(self, env_config, small_random_graph):
-        optimal = BranchAndBoundScheduler(env_config).schedule(
-            small_random_graph
+        optimal = BranchAndBoundScheduler(env_config).plan(
+            ScheduleRequest(small_random_graph)
         ).makespan
         for name in ("tetris", "sjf", "cp", "graphene"):
-            heuristic = make_scheduler(name, env_config).schedule(
-                small_random_graph
+            heuristic = make_scheduler(name, env_config).plan(
+                ScheduleRequest(small_random_graph)
             ).makespan
             assert optimal <= heuristic
 
@@ -65,7 +66,7 @@ class TestBranchAndBound:
         graph = independent_tasks_dag([1] * 8, demands=[(2, 2)] * 8)
         scheduler = BranchAndBoundScheduler(env_config, max_nodes=5)
         with pytest.raises(ScheduleError, match="exceeded"):
-            scheduler.schedule(graph)
+            scheduler.plan(ScheduleRequest(graph))
 
     def test_waiting_can_beat_work_conservation(self, env_config):
         """B&B explores voluntary PROCESS actions, so it must find optima
@@ -82,7 +83,7 @@ class TestBranchAndBound:
             Task(2, 3, (6, 6)),
         ]
         graph = TaskGraph(tasks, [(1, 2)])
-        schedule = BranchAndBoundScheduler(env_config).schedule(graph)
+        schedule = BranchAndBoundScheduler(env_config).plan(ScheduleRequest(graph))
         # Serial anyway (every pair conflicts): 6 + 3 + 3 = 12.
         assert schedule.makespan == 12
 
@@ -102,7 +103,7 @@ class TestRegistry:
     ):
         for name in ("sjf", "cp", "tetris"):
             scheduler = make_scheduler(name, env_config)
-            schedule = scheduler.schedule(small_random_graph)
+            schedule = scheduler.plan(ScheduleRequest(small_random_graph))
             validate_schedule(
                 schedule, small_random_graph, env_config.cluster.capacities
             )
@@ -122,7 +123,7 @@ class TestVerifyingScheduler:
         scheduler = make_scheduler("tetris", env_config, validate=True)
         assert isinstance(scheduler, VerifyingScheduler)
         assert scheduler.name == "tetris"
-        schedule = scheduler.schedule(small_random_graph)
+        schedule = scheduler.plan(ScheduleRequest(small_random_graph))
         validate_schedule(
             schedule, small_random_graph, env_config.cluster.capacities
         )
@@ -136,11 +137,12 @@ class TestVerifyingScheduler:
         class BrokenScheduler(Scheduler):
             name = "broken"
 
-            def schedule(self, graph):
+            def plan(self, request):
                 # Ignores dependencies: every task starts at t=0.
                 return Schedule(
                     tuple(
-                        ScheduledTask(t.task_id, 0, t.runtime) for t in graph
+                        ScheduledTask(t.task_id, 0, t.runtime)
+                        for t in request.graph
                     ),
                     scheduler=self.name,
                 )
@@ -148,4 +150,4 @@ class TestVerifyingScheduler:
         graph = chain_dag([2, 3], demands=[(1, 1)] * 2)
         wrapped = VerifyingScheduler(BrokenScheduler(), env_config)
         with pytest.raises(ScheduleError, match="dependency"):
-            wrapped.schedule(graph)
+            wrapped.plan(ScheduleRequest(graph))

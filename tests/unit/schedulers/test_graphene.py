@@ -7,7 +7,7 @@ from repro.dag import Task, TaskGraph, chain_dag
 from repro.dag.generators import random_layered_dag
 from repro.config import WorkloadConfig
 from repro.metrics import validate_schedule
-from repro.schedulers import GrapheneScheduler
+from repro.schedulers import GrapheneScheduler, ScheduleRequest
 
 
 @pytest.fixture
@@ -81,7 +81,7 @@ class TestPlanBuilding:
 
 class TestScheduling:
     def test_schedule_is_feasible(self, scheduler, small_random_graph, env_config):
-        schedule = scheduler.schedule(small_random_graph)
+        schedule = scheduler.plan(ScheduleRequest(small_random_graph))
         validate_schedule(
             schedule, small_random_graph, env_config.cluster.capacities
         )
@@ -89,7 +89,7 @@ class TestScheduling:
 
     def test_chain_is_serial(self, scheduler):
         graph = chain_dag([2, 3, 1], demands=[(1, 1)] * 3)
-        schedule = scheduler.schedule(graph)
+        schedule = scheduler.plan(ScheduleRequest(graph))
         assert schedule.makespan == 6
 
     def test_beats_or_matches_worst_plan(self, scheduler, small_random_graph):
@@ -97,7 +97,7 @@ class TestScheduling:
         from repro.env import SchedulingEnv
         from repro.schedulers import PriorityListPolicy, run_policy
 
-        best = scheduler.schedule(small_random_graph).makespan
+        best = scheduler.plan(ScheduleRequest(small_random_graph)).makespan
         for plan in scheduler.candidate_plans(small_random_graph):
             env = SchedulingEnv(small_random_graph, scheduler.env_config)
             single = run_policy(env, PriorityListPolicy(plan.order))
@@ -122,6 +122,6 @@ class TestScheduling:
                 ),
                 seed=seed,
             )
-            schedule = scheduler.schedule(graph)
+            schedule = scheduler.plan(ScheduleRequest(graph))
             bound = makespan_lower_bound(graph, env_config.cluster.capacities)
             assert schedule.makespan <= 2 * bound

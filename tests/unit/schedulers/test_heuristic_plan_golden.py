@@ -17,6 +17,9 @@ from pathlib import Path
 
 import pytest
 
+from repro import ScheduleRequest, WorkloadConfig, make_scheduler, random_layered_dag
+from repro.schedulers import ClusterSnapshot
+
 
 def _load_generator():
     path = (
@@ -63,3 +66,32 @@ def test_the_cases_are_not_all_forced():
             for policy in generator.POLICIES
         }
         assert len(makespans) > 2, graph
+
+
+def degraded_request(graph):
+    capacities = generator.DEGRADED_CAPACITIES
+    return ScheduleRequest(
+        graph, cluster=ClusterSnapshot(capacities=capacities, available=capacities)
+    )
+
+
+@pytest.mark.parametrize("graph_name", generator.DEGRADED_GRAPHS)
+@pytest.mark.parametrize("name", generator.SCHEDULERS)
+def test_degraded_plan_fits_the_degraded_cluster(name, graph_name):
+    """Every planner reads the request's cluster snapshot: the verifier
+    (``ScheduleError`` on any violation) checks the plan against the
+    degraded capacities, not the configured ones."""
+    graph = generator.make_graph(graph_name)
+    schedule = make_scheduler(name, validate=True).plan(degraded_request(graph))
+    assert len(schedule.placements) == graph.num_tasks
+
+
+def test_optimal_plans_the_degraded_request():
+    graph = random_layered_dag(
+        WorkloadConfig(num_tasks=8, max_demand=12, demand_mean=6.0), seed=404
+    )
+    request = degraded_request(graph)
+    schedule = make_scheduler("optimal", validate=True).plan(request)
+    # The degraded optimum can be no shorter than the full-cluster one.
+    full = make_scheduler("optimal").plan(ScheduleRequest(graph))
+    assert schedule.makespan >= full.makespan

@@ -6,7 +6,14 @@ from repro.config import ClusterConfig, EnvConfig
 from repro.dag import Task, TaskGraph, independent_tasks_dag
 from repro.env import PROCESS, SchedulingEnv
 from repro.metrics import validate_schedule
-from repro.schedulers import FifoPolicy, HeftPolicy, LptPolicy, make_scheduler, run_policy
+from repro.schedulers import (
+    FifoPolicy,
+    HeftPolicy,
+    LptPolicy,
+    ScheduleRequest,
+    make_scheduler,
+    run_policy,
+)
 
 
 def env_for(graph, capacities=(10, 10)):
@@ -86,7 +93,7 @@ class TestRegistryIntegration:
         env_config = EnvConfig(
             cluster=ClusterConfig(capacities=(10, 10), horizon=8), max_ready=8
         )
-        schedule = make_scheduler(name, env_config).schedule(small_random_graph)
+        schedule = make_scheduler(name, env_config).plan(ScheduleRequest(small_random_graph))
         validate_schedule(schedule, small_random_graph, (10, 10))
         assert schedule.scheduler == name
 
@@ -97,5 +104,5 @@ class TestRegistryIntegration:
             cluster=ClusterConfig(capacities=(10, 10), horizon=8)
         )
         graph = chain_dag([2, 3, 4], demands=[(1, 1)] * 3)
-        schedule = make_scheduler("heft", env_config).schedule(graph)
+        schedule = make_scheduler("heft", env_config).plan(ScheduleRequest(graph))
         assert schedule.makespan == 9

@@ -17,7 +17,6 @@ from repro.schedulers import (
     ScheduleRequest,
     TelemetryScheduler,
     VerifyingScheduler,
-    as_schedule_request,
     available_schedulers,
     compose_scheduler,
     make_scheduler,
@@ -67,7 +66,7 @@ class TestMakeScheduler:
 
     def test_spec_options_reach_factory(self, env_config, chain3):
         scheduler = make_scheduler("mcts:budget=30,min_budget=10,seed=1", env_config)
-        schedule = scheduler.schedule(chain3)
+        schedule = scheduler.plan(ScheduleRequest(chain3))
         assert schedule.makespan >= 6  # serial chain of 2+3+1
 
     def test_programmatic_options_merge_over_spec(self, env_config):
@@ -114,11 +113,11 @@ class TestComposeScheduler:
 
 
 class _Broken(Scheduler):
-    """Legacy-style scheduler (overrides schedule) that emits garbage."""
+    """A scheduler that emits garbage."""
 
     name = "broken"
 
-    def schedule(self, graph):
+    def plan(self, request):
         return Schedule(placements=(), scheduler=self.name)
 
 
@@ -130,17 +129,6 @@ class _Failing(Scheduler):
 
 
 class TestScheduleRequestApi:
-    def test_as_schedule_request_wraps_graph(self, chain3):
-        request = as_schedule_request(chain3)
-        assert request.graph is chain3
-        assert not request.is_replan
-
-    def test_as_schedule_request_passthrough(self, chain3):
-        request = ScheduleRequest(graph=chain3)
-        assert as_schedule_request(request) is request
-        with pytest.raises(ConfigError, match="extra context"):
-            as_schedule_request(request, deadline=10)
-
     def test_replan_detection(self, chain3):
         snap = ClusterSnapshot(capacities=(10, 10), available=(4, 4), now=7)
         assert ScheduleRequest(graph=chain3, cluster=snap).is_replan
@@ -152,23 +140,12 @@ class TestScheduleRequestApi:
         with pytest.raises(ConfigError, match="capacity"):
             ClusterSnapshot(capacities=(10, 10), available=(11, 0))
 
-    def test_legacy_schedule_override_served_by_plan(self, chain3):
-        # _Broken overrides schedule(graph) only; plan() must delegate.
-        schedule = _Broken().plan(as_schedule_request(chain3))
-        assert schedule.placements == ()
-
-    def test_plan_required_somewhere(self, chain3):
+    def test_plan_required_somewhere(self):
         class Nothing(Scheduler):
             pass
 
-        with pytest.raises(NotImplementedError):
-            Nothing().plan(as_schedule_request(chain3))
-
-    def test_shim_routes_request_through_plan(self, env_config, chain3):
-        scheduler = make_scheduler("cp", env_config)
-        via_shim = scheduler.schedule(chain3)
-        via_plan = scheduler.plan(as_schedule_request(chain3))
-        assert via_shim.makespan == via_plan.makespan
+        with pytest.raises(TypeError, match="abstract"):
+            Nothing()
 
 
 class TestWrapperGetattr:
@@ -201,23 +178,23 @@ class TestReschedulingScheduler:
     def test_verifier_rejects_broken_schedules(self, env_config, chain3):
         wrapper = VerifyingScheduler(_Broken(), env_config)
         with pytest.raises(ScheduleError, match="dependency|placement|missing"):
-            wrapper.schedule(chain3)
+            wrapper.plan(ScheduleRequest(chain3))
 
     def test_planner_error_degrades_to_fallback(self, env_config, chain3):
         fallback = make_scheduler("fifo", env_config)
         wrapper = ReschedulingScheduler(_Failing(), fallback=fallback)
-        schedule = wrapper.schedule(chain3)
+        schedule = wrapper.plan(ScheduleRequest(chain3))
         assert schedule.makespan == 6
         assert wrapper.degraded
         assert wrapper.fallback_replans == 1
         # Once degraded, the fallback serves directly.
-        wrapper.schedule(chain3)
+        wrapper.plan(ScheduleRequest(chain3))
         assert wrapper.fallback_replans == 2
 
     def test_planner_error_without_fallback_propagates(self, chain3):
         wrapper = ReschedulingScheduler(_Failing())
         with pytest.raises(ScheduleError, match="exploded"):
-            wrapper.schedule(chain3)
+            wrapper.plan(ScheduleRequest(chain3))
 
     def test_budget_overrun_degrades_after_result(self, env_config, chain3):
         fallback = make_scheduler("fifo", env_config)
@@ -225,11 +202,11 @@ class TestReschedulingScheduler:
         wrapper = ReschedulingScheduler(
             planner, fallback=fallback, replan_budget=1e-12
         )
-        schedule = wrapper.schedule(chain3)  # over budget but still valid
+        schedule = wrapper.plan(ScheduleRequest(chain3))  # over budget but still valid
         assert schedule.makespan == 6
         assert wrapper.degraded
         assert wrapper.fallback_replans == 0
-        wrapper.schedule(chain3)
+        wrapper.plan(ScheduleRequest(chain3))
         assert wrapper.fallback_replans == 1
 
     def test_reset_clears_degradation(self, env_config, chain3):
@@ -238,7 +215,7 @@ class TestReschedulingScheduler:
             fallback=make_scheduler("fifo", env_config),
             replan_budget=1e-12,
         )
-        wrapper.schedule(chain3)
+        wrapper.plan(ScheduleRequest(chain3))
         assert wrapper.degraded
         wrapper.reset()
         assert not wrapper.degraded
@@ -252,6 +229,6 @@ class TestReschedulingScheduler:
 
     def test_priority_order_matches_planned_starts(self, env_config, chain3):
         wrapper = ReschedulingScheduler(make_scheduler("cp", env_config))
-        order = wrapper.priority_order(as_schedule_request(chain3))
+        order = wrapper.priority_order(ScheduleRequest(chain3))
         assert sorted(order) == [t.task_id for t in chain3]
         assert order[0] == 0  # chain head starts first

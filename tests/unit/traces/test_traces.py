@@ -1,5 +1,7 @@
 """Unit tests for the trace substrate (jobs, generator, filters, stats)."""
 
+import json
+
 import pytest
 
 from repro.dag import mapreduce_dag
@@ -93,6 +95,37 @@ class TestTraceContainer:
     def test_malformed_job_rejected(self):
         with pytest.raises(TraceError):
             Trace.from_dict({"version": 1, "jobs": [{"job_id": 0}]})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("job_id", '"abc"'),
+            ("job_id", "NaN"),
+            ("job_id", "Infinity"),
+            ("job_id", "2.9"),
+            ("num_map", "6.5"),
+            ("job_id", "true"),
+            ("map_runtimes", '["x", 3, 3, 3, 3, 3]'),
+            ("map_runtimes", "[-5, 3, 3, 3, 3, 3]"),
+            ("map_runtimes", '"333333"'),
+        ],
+    )
+    def test_numbers_are_checked_not_coerced(self, tmp_path, field, value):
+        # Spliced into the JSON text: NaN, Infinity and true reach the
+        # loader the way a file on disk delivers them.
+        entry = Trace(jobs=[make_job()]).to_dict()["jobs"][0]
+        entry[field] = "@"
+        text = json.dumps({"version": 1, "jobs": [entry]}).replace('"@"', value)
+        path = tmp_path / "trace.json"
+        path.write_text(text)
+        with pytest.raises(TraceError):
+            Trace.load(path)
+
+    def test_generated_trace_roundtrips(self, tmp_path):
+        trace = generate_production_trace(TraceConfig(num_jobs=5), seed=3)
+        path = tmp_path / "trace.json"
+        trace.save(path)
+        assert Trace.load(path).to_dict() == trace.to_dict()
 
 
 class TestSynthesizeJob:
