@@ -1,38 +1,27 @@
-"""Microbenchmark harness for the library's hot paths.
+"""Microbenchmarks for the three calls perfbench cannot price.
 
-``repro bench`` runs the registered suite (:mod:`repro.bench.suites`) with
-warmup and repeated timing (:mod:`repro.bench.runner`), exports
-``BENCH_<group>.json`` artifacts, and optionally gates against the
-committed time budgets in ``benchmarks/baselines.json``
-(:mod:`repro.bench.export`).
+``repro bench`` runs the registered suite (:mod:`repro.bench.suites`:
+``telemetry.span_disabled``, ``observation.build``,
+``rl.policy_select``) with warmup and repeated timing and optionally
+gates against the committed rows of ``benchmarks/baselines.json``
+(:mod:`repro.bench.runner`).  Everything else is timed end to end, layer
+by layer, by ``perfbench``.
 """
 
-from .export import (
-    BaselineComparison,
-    compare_to_baselines,
-    export_groups,
-    load_baselines,
-    write_baselines,
-)
 from .runner import (
     BenchmarkSpec,
-    BenchResult,
-    BenchRun,
-    machine_metadata,
+    compare_to_baselines,
+    load_baselines,
     run_benchmarks,
+    write_baselines,
 )
 from .suites import default_suite
 
 __all__ = [
     "BenchmarkSpec",
-    "BenchResult",
-    "BenchRun",
-    "BaselineComparison",
     "compare_to_baselines",
     "default_suite",
-    "export_groups",
     "load_baselines",
-    "machine_metadata",
     "run_benchmarks",
     "write_baselines",
 ]

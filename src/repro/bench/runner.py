@@ -1,43 +1,50 @@
-"""Microbenchmark runner: warmup, repeated timing, statistical summary.
+"""Microbenchmark runner and the regression gate over committed baselines.
 
-The perf work in this repository (undo-log search, fused rollouts, cached
-action masks) is only defensible if the hot paths are *measured*, so the
-runner is deliberately boring and reproducible:
+Every benchmark's ``setup`` builds a thunk over fixed inputs; ``WARMUP``
+invocations are discarded, then ``REPEATS`` are timed one by one with
+``time.perf_counter`` and folded into per-operation microseconds.
 
-* every benchmark declares a ``setup`` that builds a thunk over a fixed
-  seed — no benchmark ever shares mutable state with another;
-* the thunk performs ``inner_ops`` operations per invocation so that one
-  timed invocation is comfortably above timer resolution;
-* ``warmup`` invocations are discarded (allocator/caches settle), then
-  ``repeats`` invocations are timed individually, giving a distribution
-  rather than a single number;
-* results carry machine and seed metadata so an exported JSON artifact is
-  interpretable months later on different hardware.
-
-Timing uses ``time.perf_counter`` directly (one call before and after each
-invocation); per-operation figures are reported in microseconds because
-that is the natural scale of this library's hot paths.
+``benchmarks/baselines.json`` holds one row per benchmark: the recorded
+``mean_us`` and a ``budget_us`` of ``HEADROOM`` times it.  A run
+regresses when a mean exceeds its budget: a ceiling that catches
+order-of-magnitude regressions (a dropped cache, a quadratic loop), not
+machine noise.  Rows and suite must name the same benchmarks, so a
+rename cannot drop a benchmark out of the gate.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import os
 import platform
 import statistics
 import sys
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import ConfigError
 
 __all__ = [
+    "BaselineComparison",
     "BenchmarkSpec",
     "BenchResult",
     "BenchRun",
+    "compare_to_baselines",
+    "load_baselines",
     "machine_metadata",
     "run_benchmarks",
+    "write_baselines",
 ]
+
+#: Timed invocations per benchmark.
+REPEATS = 30
+#: Untimed invocations before measurement starts.
+WARMUP = 3
+#: Budget multiplier applied to measured means by ``write_baselines``.
+HEADROOM = 2.5
 
 
 @dataclass(frozen=True)
@@ -45,28 +52,17 @@ class BenchmarkSpec:
     """One registered microbenchmark.
 
     Attributes:
-        name: unique dotted identifier, e.g. ``"mcts.search_budget_unit"``.
-        group: export group; results land in ``BENCH_<group>.json``.
-        setup: called once per run with the seed; returns the thunk to
-            time.  Everything expensive (DAG generation, env construction)
-            belongs in ``setup``, only the measured hot path in the thunk.
-        inner_ops: operations one thunk invocation performs; per-op times
-            divide by this.  A setup whose op count depends on the
-            generated workload (trajectory length, iteration count) sets
-            an ``ops`` attribute on the returned thunk instead, which
-            overrides this field.
-        quick_repeats / repeats: timed invocations in ``--quick`` and full
-            mode respectively.
-        warmup: untimed invocations before measurement starts.
+        name: unique dotted identifier, e.g. ``"observation.build"``.
+        setup: called once per run; returns the thunk to time.  Input
+            construction belongs here, only the measured call in the thunk.
+        inner_ops: operations one thunk invocation performs; an ``ops``
+            attribute on the returned thunk overrides it when the count
+            depends on the generated inputs.
     """
 
     name: str
-    group: str
-    setup: Callable[[int], Callable[[], Any]]
+    setup: Callable[[], Callable[[], Any]]
     inner_ops: int = 1
-    repeats: int = 30
-    quick_repeats: int = 5
-    warmup: int = 3
 
 
 @dataclass(frozen=True)
@@ -74,10 +70,8 @@ class BenchResult:
     """Summary statistics of one benchmark's timed invocations."""
 
     name: str
-    group: str
     inner_ops: int
     repeats: int
-    warmup: int
     mean_us: float
     median_us: float
     stdev_us: float
@@ -86,20 +80,14 @@ class BenchResult:
 
     @classmethod
     def from_samples(
-        cls,
-        spec: BenchmarkSpec,
-        samples_s: List[float],
-        warmup: int,
-        inner_ops: int,
+        cls, spec: BenchmarkSpec, samples_s: List[float], inner_ops: int
     ) -> "BenchResult":
         """Fold raw per-invocation seconds into per-op microseconds."""
         per_op_us = [s / inner_ops * 1e6 for s in samples_s]
         return cls(
             name=spec.name,
-            group=spec.group,
             inner_ops=inner_ops,
             repeats=len(per_op_us),
-            warmup=warmup,
             mean_us=statistics.fmean(per_op_us),
             median_us=statistics.median(per_op_us),
             stdev_us=statistics.stdev(per_op_us) if len(per_op_us) > 1 else 0.0,
@@ -107,37 +95,13 @@ class BenchResult:
             max_us=max(per_op_us),
         )
 
-    def as_dict(self) -> Dict[str, Any]:
-        """JSON-ready representation."""
-        return {
-            "name": self.name,
-            "group": self.group,
-            "inner_ops": self.inner_ops,
-            "repeats": self.repeats,
-            "warmup": self.warmup,
-            "mean_us": self.mean_us,
-            "median_us": self.median_us,
-            "stdev_us": self.stdev_us,
-            "min_us": self.min_us,
-            "max_us": self.max_us,
-        }
-
 
 @dataclass
 class BenchRun:
-    """All results of one runner invocation plus shared metadata."""
+    """All results of one runner invocation plus machine metadata."""
 
-    seed: int
-    quick: bool
     meta: Dict[str, Any]
     results: List[BenchResult] = field(default_factory=list)
-
-    def by_group(self) -> Dict[str, List[BenchResult]]:
-        """Results bucketed by export group, insertion-ordered."""
-        groups: Dict[str, List[BenchResult]] = {}
-        for result in self.results:
-            groups.setdefault(result.group, []).append(result)
-        return groups
 
     def result(self, name: str) -> BenchResult:
         """Look up one result by benchmark name."""
@@ -147,8 +111,8 @@ class BenchRun:
         raise ConfigError(f"no benchmark result named {name!r}")
 
 
-def machine_metadata(seed: int, quick: bool) -> Dict[str, Any]:
-    """Reproducibility metadata recorded with every export."""
+def machine_metadata() -> Dict[str, Any]:
+    """Reproducibility metadata recorded with every baseline."""
     return {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "platform": platform.platform(),
@@ -156,50 +120,26 @@ def machine_metadata(seed: int, quick: bool) -> Dict[str, Any]:
         "python": sys.version.split()[0],
         "implementation": platform.python_implementation(),
         "cpu_count": os.cpu_count(),
-        "seed": seed,
-        "quick": quick,
     }
 
 
 def run_benchmarks(
     specs: List[BenchmarkSpec],
-    seed: int = 0,
-    quick: bool = False,
-    name_filter: Optional[str] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> BenchRun:
-    """Execute ``specs`` in order and return the collected results.
-
-    Args:
-        specs: benchmarks to run (see :mod:`repro.bench.suites`).
-        seed: forwarded to each spec's ``setup`` for deterministic inputs.
-        quick: use each spec's ``quick_repeats`` (the CI smoke setting).
-        name_filter: substring filter on benchmark names.
-        progress: optional per-benchmark callback (the CLI prints a line).
-
-    Raises:
-        ConfigError: if the filter matches nothing.
-    """
-    selected = [
-        spec
-        for spec in specs
-        if name_filter is None or name_filter in spec.name
-    ]
-    if not selected:
-        raise ConfigError(f"no benchmark matches filter {name_filter!r}")
-    run = BenchRun(seed=seed, quick=quick, meta=machine_metadata(seed, quick))
-    for spec in selected:
-        thunk = spec.setup(seed)
+    """Execute ``specs`` in order; ``progress`` gets one line per result."""
+    run = BenchRun(meta=machine_metadata())
+    for spec in specs:
+        thunk = spec.setup()
         inner_ops = getattr(thunk, "ops", spec.inner_ops)
-        for _ in range(spec.warmup):
+        for _ in range(WARMUP):
             thunk()
-        repeats = spec.quick_repeats if quick else spec.repeats
         samples: List[float] = []
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             start = time.perf_counter()
             thunk()
             samples.append(time.perf_counter() - start)
-        result = BenchResult.from_samples(spec, samples, spec.warmup, inner_ops)
+        result = BenchResult.from_samples(spec, samples, inner_ops)
         run.results.append(result)
         if progress is not None:
             progress(
@@ -207,3 +147,112 @@ def run_benchmarks(
                 f"(median {result.median_us:.2f}, n={result.repeats})"
             )
     return run
+
+
+def _is_positive_number(value: Any) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value > 0
+    )
+
+
+def load_baselines(path: str | Path) -> Dict[str, float]:
+    """Read a baselines file; returns ``{benchmark_name: budget_us}``.
+
+    Raises:
+        ConfigError: on unreadable or malformed input, including a
+            ``mean_us`` or ``budget_us`` that is not a finite positive
+            number (``true``, ``NaN`` and ``Infinity`` are all rejected).
+    """
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot load baselines from {path}: {exc}") from exc
+    rows = payload.get("benchmarks") if isinstance(payload, dict) else None
+    if not isinstance(rows, dict):
+        raise ConfigError(f"baselines file {path} must map 'benchmarks' to rows")
+    budgets: Dict[str, float] = {}
+    for name, row in rows.items():
+        if not isinstance(row, dict) or not all(
+            _is_positive_number(row.get(key)) for key in ("mean_us", "budget_us")
+        ):
+            raise ConfigError(
+                f"baselines row {name!r} in {path} needs finite positive "
+                f"'mean_us' and 'budget_us' numbers, got {row!r}"
+            )
+        budgets[name] = float(row["budget_us"])
+    return budgets
+
+
+def write_baselines(run: BenchRun, path: str | Path) -> Path:
+    """Write one row per result: its mean and a ``HEADROOM`` x budget."""
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    payload = {
+        "meta": {
+            **run.meta,
+            "headroom": HEADROOM,
+            "note": (
+                "budget_us is mean_us times the headroom factor; "
+                "regenerate with: repro bench --baseline "
+                "benchmarks/baselines.json --update-baselines"
+            ),
+        },
+        "benchmarks": {
+            result.name: {
+                "mean_us": round(result.mean_us, 2),
+                "budget_us": round(result.mean_us * HEADROOM, 2),
+            }
+            for result in sorted(run.results, key=lambda r: r.name)
+        },
+    }
+    target.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    return target
+
+
+@dataclass(frozen=True)
+class BaselineComparison:
+    """Verdict of one benchmark against its committed budget."""
+
+    name: str
+    mean_us: float
+    budget_us: float
+    ratio: float
+    ok: bool
+
+    def line(self) -> str:
+        """One human-readable report row."""
+        verdict = "ok" if self.ok else "REGRESSION"
+        return (
+            f"{self.name:<32} {self.mean_us:>10.2f} us vs budget "
+            f"{self.budget_us:.2f} us ({self.ratio:.2f}x)  {verdict}"
+        )
+
+
+def compare_to_baselines(
+    run: BenchRun, baselines: Dict[str, float]
+) -> List[BaselineComparison]:
+    """Check every result against its budget; fails when ``mean > budget``.
+
+    Raises:
+        ConfigError: if a result has no budget or a budget names no result.
+    """
+    measured = {result.name for result in run.results}
+    missing = sorted(measured - set(baselines))
+    stale = sorted(set(baselines) - measured)
+    if missing or stale:
+        raise ConfigError(
+            "baselines do not match the suite: "
+            f"no budget for {missing}, budget for no benchmark {stale}"
+        )
+    comparisons: List[BaselineComparison] = []
+    for result in run.results:
+        budget = baselines[result.name]
+        ratio = result.mean_us / budget if budget > 0 else float("inf")
+        ok = result.mean_us <= budget
+        comparisons.append(
+            BaselineComparison(result.name, result.mean_us, budget, ratio, ok)
+        )
+    return comparisons

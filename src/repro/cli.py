@@ -20,7 +20,7 @@ Subcommands::
     repro serve      --smoke --requests 3 [--frames-out frames.jsonl]
     repro verify     schedule.json --graph graph.json [--capacities 20,20]
     repro lint       src/repro [--format text|json] | --list-rules
-    repro bench      [--quick] [--filter mcts] [--baseline benchmarks/baselines.json]
+    repro bench      [--baseline benchmarks/baselines.json [--update-baselines]]
 
 Every command prints a plain-text report to stdout and exits non-zero on
 error.
@@ -476,37 +476,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     bench = sub.add_parser(
-        "bench", help="run hot-path microbenchmarks; export BENCH_*.json"
+        "bench", help="time the microbenchmarks perfbench cannot see"
     )
-    bench.add_argument(
-        "--quick", action="store_true", help="few repeats (CI smoke setting)"
-    )
-    bench.add_argument(
-        "--filter", default=None, help="substring filter on benchmark names"
-    )
-    bench.add_argument("--out-dir", default=".", help="BENCH_*.json directory")
-    bench.add_argument("--seed", type=int, default=0)
     bench.add_argument(
         "--baseline",
         default=None,
-        help="baselines JSON to gate against (exit 1 on regression)",
-    )
-    bench.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.25,
-        help="allowed fraction above a baseline budget (default 0.25)",
+        help="baselines JSON to gate against (exit 1 on regression, "
+        "2 on a missing, stale or malformed row)",
     )
     bench.add_argument(
         "--update-baselines",
         action="store_true",
         help="rewrite the --baseline file from this run's means",
-    )
-    bench.add_argument(
-        "--json", action="store_true", help="print the full run as JSON"
-    )
-    bench.add_argument(
-        "--list", action="store_true", help="list benchmarks and exit"
     )
     return parser
 
@@ -1295,68 +1276,36 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
     from .bench import (
         compare_to_baselines,
         default_suite,
-        export_groups,
         load_baselines,
         run_benchmarks,
         write_baselines,
     )
     from .errors import ConfigError
 
-    suite = default_suite()
-    if args.list:
-        for spec in suite:
-            print(f"{spec.name:<32} group={spec.group}")
-        return 0
     if args.update_baselines and not args.baseline:
         print("bench: --update-baselines requires --baseline", file=sys.stderr)
         return 2
+    gate = args.baseline and not args.update_baselines
     try:
-        run = run_benchmarks(
-            suite,
-            seed=args.seed,
-            quick=args.quick,
-            name_filter=args.filter,
-            progress=None if args.json else print,
-        )
+        # A malformed file fails before the suite spends its seconds.
+        baselines = load_baselines(args.baseline) if gate else {}
+        run = run_benchmarks(default_suite(), progress=print)
+        comparisons = compare_to_baselines(run, baselines) if gate else []
     except ConfigError as exc:
         print(f"bench: {exc}", file=sys.stderr)
         return 2
-    paths = export_groups(run, args.out_dir)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "meta": run.meta,
-                    "results": [result.as_dict() for result in run.results],
-                },
-                indent=2,
-            )
-        )
-    else:
-        print("wrote " + ", ".join(str(path) for path in paths))
     if args.update_baselines:
         target = write_baselines(run, args.baseline)
         print(f"updated baselines in {target}")
         return 0
-    if args.baseline:
-        try:
-            baselines = load_baselines(args.baseline)
-        except ConfigError as exc:
-            print(f"bench: {exc}", file=sys.stderr)
-            return 2
-        comparisons = compare_to_baselines(
-            run, baselines, max_regression=args.max_regression
-        )
-        for comparison in comparisons:
-            print(comparison.line())
-        if any(not comparison.ok for comparison in comparisons):
-            print("bench: performance regression detected", file=sys.stderr)
-            return 1
+    for comparison in comparisons:
+        print(comparison.line())
+    if any(not comparison.ok for comparison in comparisons):
+        print("bench: performance regression detected", file=sys.stderr)
+        return 1
     return 0
 
 

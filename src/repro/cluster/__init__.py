@@ -5,8 +5,7 @@ resource-time space of Sec. III-B.
   environment and MCTS: which tasks are running, what capacity is free,
   and event-driven time advancement.
 * :class:`ResourceTimeSpace` — the two-dimensional (resource x time)
-  occupancy grid used for Graphene's forward/backward placement and for
-  rendering the DRL agent's state image.
+  occupancy grid used for Graphene's forward/backward placement.
 """
 
 from .resources import ResourceVector, fits, subtract, add

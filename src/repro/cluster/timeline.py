@@ -4,14 +4,10 @@
 width representing the capacity and the height denoting the time span."
 
 :class:`ResourceTimeSpace` models exactly that: a usage grid indexed by
-``(resource, time_slot)`` holding how many slots are occupied.  It serves
-two distinct consumers:
-
-* **Graphene's planner** places tasks at arbitrary future times, both
-  forward (earliest feasible start) and backward (latest feasible start
-  below a deadline), to derive its task ordering.
-* **The DRL observation builder** renders the occupancy of the next
-  ``horizon`` slots as a normalized image fed to the policy network.
+``(resource, time_slot)`` holding how many slots are occupied.  Its one
+consumer is Graphene's planner, which places tasks at arbitrary future
+times, both forward (earliest feasible start) and backward (latest
+feasible start below a deadline), to derive its task ordering.
 
 The grid grows on demand along the time axis, so callers never have to
 pre-size the horizon.
@@ -192,55 +188,11 @@ class ResourceTimeSpace:
             )
         self._usage[:, start:end] = window
 
-    def shift(self, dt: int) -> None:
-        """Advance the origin by ``dt`` slots (drop the past).
-
-        "When the cluster is processed for a certain number of time steps,
-        the resource-time space will shift accordingly." (Sec. III-B)
-        """
-        if dt < 0:
-            raise ValueError("dt must be >= 0")
-        if dt == 0:
-            return
-        dt = min(dt, self.horizon)
-        self._usage = np.concatenate(
-            [
-                self._usage[:, dt:],
-                np.zeros((self.num_resources, dt), dtype=np.int64),
-            ],
-            axis=1,
-        )
-
-    # ------------------------------------------------------------------ #
-    # rendering
-    # ------------------------------------------------------------------ #
-
-    def image(self, horizon: int) -> np.ndarray:
-        """Occupancy of the next ``horizon`` slots, normalized to [0, 1].
-
-        Returns:
-            Array of shape ``(num_resources, horizon)`` where entry
-            ``(r, t)`` is the occupied fraction of resource ``r`` at
-            ``t`` slots in the future.
-        """
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        self._ensure_horizon(horizon)
-        window = self._usage[:, :horizon].astype(np.float64)
-        caps = np.asarray(self.capacities, dtype=np.float64)[:, None]
-        return window / caps
-
     def makespan(self) -> int:
         """Index one past the last occupied slot (0 if the grid is empty)."""
         occupied = np.any(self._usage > 0, axis=0)
         nonzero = np.nonzero(occupied)[0]
         return int(nonzero[-1]) + 1 if nonzero.size else 0
-
-    def copy(self) -> "ResourceTimeSpace":
-        """Independent deep copy of the grid."""
-        duplicate = ResourceTimeSpace(self.capacities, self.horizon)
-        duplicate._usage = self._usage.copy()
-        return duplicate
 
     def __repr__(self) -> str:
         return (

@@ -2,11 +2,12 @@
 
 Metric objects are plain mutable accumulators — incrementing a counter
 is one integer add, observing a histogram sample is one bisect — so the
-*enabled* instrumentation cost stays far below the hot-path budgets in
-``benchmarks/baselines.json``.  The registry snapshots everything into
-:class:`~repro.telemetry.events.TelemetryEvent` records when the owning
-pipeline flushes; series samples are additionally emitted as they are
-recorded so training curves appear in a streamed JSONL trace in order.
+*enabled* instrumentation cost stays small next to the spans around it
+(~8 us per enabled span, DESIGN.md Sec. 9).  The registry snapshots
+everything into :class:`~repro.telemetry.events.TelemetryEvent` records
+when the owning pipeline flushes; series samples are additionally
+emitted as they are recorded so training curves appear in a streamed
+JSONL trace in order.
 
 Histograms use *fixed* buckets (configurable bounds) and estimate
 percentiles by linear interpolation inside the bucket that contains the

@@ -10,8 +10,8 @@ The disabled path matters more than the enabled one here: when the
 owning pipeline is off, ``span()`` returns one shared pre-allocated
 no-op object whose ``__enter__``/``__exit__`` do nothing — no
 allocation, no clock read — which is what keeps instrumented hot loops
-inside their bench budgets (see the ``telemetry.span_disabled``
-benchmark).
+cheap with telemetry off.  ``repro bench`` prices that no-op
+(``telemetry.span_disabled``, gated by ``benchmarks/baselines.json``).
 """
 
 from __future__ import annotations

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.bench.runner import (
+    REPEATS,
+    WARMUP,
     BenchmarkSpec,
     BenchResult,
     BenchRun,
@@ -12,63 +14,43 @@ from repro.bench.runner import (
 from repro.errors import ConfigError
 
 
-def counting_spec(name="demo.count", group="demo", **kwargs):
+def counting_spec(name="demo.count", **kwargs):
     """A spec whose thunk just counts invocations into ``calls``."""
     calls = []
 
-    def setup(seed):
+    def setup():
         def thunk():
-            calls.append(seed)
+            calls.append(None)
 
         return thunk
 
-    spec = BenchmarkSpec(name, group, setup, **kwargs)
+    spec = BenchmarkSpec(name, setup, **kwargs)
     return spec, calls
 
 
 class TestRunBenchmarks:
     def test_warmup_plus_repeats_invocations(self):
-        spec, calls = counting_spec(warmup=2, repeats=7, quick_repeats=3)
-        run = run_benchmarks([spec], seed=5)
-        assert len(calls) == 2 + 7
-        assert calls[0] == 5  # setup saw the run seed
-        assert run.result("demo.count").repeats == 7
-
-    def test_quick_uses_quick_repeats(self):
-        spec, calls = counting_spec(warmup=1, repeats=9, quick_repeats=2)
-        run = run_benchmarks([spec], quick=True)
-        assert len(calls) == 1 + 2
-        assert run.quick and run.meta["quick"] is True
-        assert run.result("demo.count").repeats == 2
+        spec, calls = counting_spec()
+        run = run_benchmarks([spec])
+        assert len(calls) == WARMUP + REPEATS
+        assert run.result("demo.count").repeats == REPEATS
 
     def test_thunk_ops_attribute_overrides_inner_ops(self):
-        def setup(seed):
+        def setup():
             def thunk():
                 pass
 
             thunk.ops = 42
             return thunk
 
-        spec = BenchmarkSpec("demo.ops", "demo", setup, inner_ops=7)
+        spec = BenchmarkSpec("demo.ops", setup, inner_ops=7)
         run = run_benchmarks([spec])
         assert run.result("demo.ops").inner_ops == 42
 
-    def test_name_filter_selects_substring(self):
-        hit, hit_calls = counting_spec("env.step", "env", repeats=1, warmup=0)
-        miss, miss_calls = counting_spec("mcts.search", "mcts")
-        run = run_benchmarks([hit, miss], name_filter="env")
-        assert [r.name for r in run.results] == ["env.step"]
-        assert hit_calls and not miss_calls
-
-    def test_empty_filter_raises(self):
-        spec, _ = counting_spec()
-        with pytest.raises(ConfigError):
-            run_benchmarks([spec], name_filter="nonexistent")
-
     def test_progress_callback_called_per_benchmark(self):
         lines = []
-        a, _ = counting_spec("demo.a", repeats=1, warmup=0)
-        b, _ = counting_spec("demo.b", repeats=1, warmup=0)
+        a, _ = counting_spec("demo.a")
+        b, _ = counting_spec("demo.b")
         run_benchmarks([a, b], progress=lines.append)
         assert len(lines) == 2
         assert "demo.a" in lines[0] and "demo.b" in lines[1]
@@ -76,11 +58,9 @@ class TestRunBenchmarks:
 
 class TestBenchResult:
     def test_from_samples_statistics(self):
-        spec, _ = counting_spec("demo.stats", warmup=1)
+        spec, _ = counting_spec("demo.stats")
         # 10 ops per invocation, samples in seconds.
-        result = BenchResult.from_samples(
-            spec, [1e-3, 2e-3, 3e-3], warmup=1, inner_ops=10
-        )
+        result = BenchResult.from_samples(spec, [1e-3, 2e-3, 3e-3], inner_ops=10)
         assert result.mean_us == pytest.approx(200.0)
         assert result.median_us == pytest.approx(200.0)
         assert result.min_us == pytest.approx(100.0)
@@ -90,47 +70,18 @@ class TestBenchResult:
 
     def test_single_sample_has_zero_stdev(self):
         spec, _ = counting_spec("demo.one")
-        result = BenchResult.from_samples(spec, [5e-6], warmup=0, inner_ops=1)
+        result = BenchResult.from_samples(spec, [5e-6], inner_ops=1)
         assert result.stdev_us == 0.0
-
-    def test_as_dict_round_trips_fields(self):
-        spec, _ = counting_spec("demo.dict")
-        result = BenchResult.from_samples(spec, [1e-6], warmup=0, inner_ops=1)
-        payload = result.as_dict()
-        assert payload["name"] == "demo.dict"
-        assert payload["group"] == "demo"
-        assert set(payload) == {
-            "name",
-            "group",
-            "inner_ops",
-            "repeats",
-            "warmup",
-            "mean_us",
-            "median_us",
-            "stdev_us",
-            "min_us",
-            "max_us",
-        }
 
 
 class TestBenchRun:
-    def test_by_group_preserves_order(self):
-        a, _ = counting_spec("env.a", "env", repeats=1, warmup=0)
-        b, _ = counting_spec("mcts.b", "mcts", repeats=1, warmup=0)
-        c, _ = counting_spec("env.c", "env", repeats=1, warmup=0)
-        run = run_benchmarks([a, b, c])
-        groups = run.by_group()
-        assert list(groups) == ["env", "mcts"]
-        assert [r.name for r in groups["env"]] == ["env.a", "env.c"]
-
     def test_result_lookup_unknown_raises(self):
-        run = BenchRun(seed=0, quick=False, meta={})
+        run = BenchRun(meta={})
         with pytest.raises(ConfigError):
             run.result("missing")
 
 
 def test_machine_metadata_fields():
-    meta = machine_metadata(seed=3, quick=True)
-    assert meta["seed"] == 3 and meta["quick"] is True
+    meta = machine_metadata()
     for key in ("timestamp", "platform", "python", "cpu_count"):
         assert key in meta

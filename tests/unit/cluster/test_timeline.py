@@ -120,40 +120,3 @@ class TestLatestStart:
         assert space.latest_start((1, 1), 2, deadline=10, not_before=5) == 8
         space.place((10, 10), 6, 4)
         assert space.latest_start((3, 3), 2, deadline=10, not_before=5) is None
-
-
-class TestShiftAndImage:
-    def test_shift_drops_past(self, space):
-        space.place((4, 4), 0, 3)
-        space.place((2, 2), 5, 2)
-        space.shift(3)
-        assert space.usage(0, 0) == 0
-        assert space.usage(0, 2) == 2
-
-    def test_shift_zero_noop(self, space):
-        space.place((4, 4), 0, 3)
-        space.shift(0)
-        assert space.usage(0, 0) == 4
-
-    def test_shift_negative_rejected(self, space):
-        with pytest.raises(ValueError):
-            space.shift(-1)
-
-    def test_image_normalized(self, space):
-        space.place((5, 10), 0, 2)
-        image = space.image(4)
-        assert image.shape == (2, 4)
-        assert image[0, 0] == pytest.approx(0.5)
-        assert image[1, 1] == pytest.approx(1.0)
-        assert image[0, 3] == pytest.approx(0.0)
-
-    def test_image_invalid_horizon(self, space):
-        with pytest.raises(ValueError):
-            space.image(0)
-
-    def test_copy_independent(self, space):
-        space.place((4, 4), 0, 2)
-        copy = space.copy()
-        copy.place((4, 4), 0, 2)
-        assert space.usage(0, 0) == 4
-        assert copy.usage(0, 0) == 8
