@@ -126,11 +126,11 @@ class MctsConfig:
             Sec. 15) — the width of the one tree walk, a pure-MCTS option.
             ``1`` (default) is the sequential search, one rollout per
             round; ``> 1`` collects that many leaves under virtual loss
-            and plays them in one call of the lockstep kernel
-            :class:`repro.envarr.BatchedPlayouts`, which implements
-            random rollouts only.  Schedules stay valid and
-            seed-deterministic but differ from the sequential search's.
-            Works under every ``EnvConfig``; any other rollout policy
+            and then plays each with the fused random playout
+            (:meth:`repro.env.SchedulingEnv.random_playout`), in
+            collection order.  Schedules stay valid and seed-deterministic
+            but differ from the sequential search's.  Works under every
+            ``EnvConfig`` with ``RandomRollout``; any other rollout policy
             (``NetworkRollout`` — so Spear —, ``GreedyRollout``,
             ``TruncatedRollout``) is a ``ConfigError``, not a silent
             sequential search.

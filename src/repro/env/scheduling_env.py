@@ -559,11 +559,15 @@ class SchedulingEnv:
 
         Args:
             rng: ``numpy.random.Generator`` to draw action choices from.
-            limit: step cap; exceeding it raises ``RuntimeError`` (a
-                livelocked rollout is a bug, not a result).
+            limit: step cap.
 
         Returns:
             The episode makespan.
+
+        Raises:
+            EnvironmentStateError: when ``limit`` is exceeded (a livelocked
+                rollout is a bug, not a result) or a state has no legal
+                action.  ``steps_taken`` then counts the steps played.
         """
         cluster = self.cluster
         heap = cluster._running
@@ -582,65 +586,73 @@ class SchedulingEnv:
         integers = rng.integers
         heappush = heapq.heappush
         heappop = heapq.heappop
+        steps_before = self.steps_taken
+        version_before = self._version
         steps = 0
-        while len(finished) != num_tasks:
-            if steps >= limit:
-                raise RuntimeError("rollout exceeded step limit; livelocked policy")
-            steps += 1
-            # Fitting visible-window indices (the work-conserving candidate
-            # set); free capacity is loop-invariant within one decision.
-            visible = ready if len(ready) <= max_ready else ready[:max_ready]
-            actions: List[int] = []
-            index = 0
-            if two_dim:
-                free0, free1 = available
-                for tid in visible:
+        try:
+            while len(finished) != num_tasks:
+                if steps >= limit:
+                    raise step_limit_exceeded(limit)
+                # Fitting visible-window indices (the work-conserving
+                # candidate set); free capacity is loop-invariant within one
+                # decision.
+                visible = ready if len(ready) <= max_ready else ready[:max_ready]
+                actions: List[int] = []
+                index = 0
+                if two_dim:
+                    free0, free1 = available
+                    for tid in visible:
+                        demands = demands_of[tid]
+                        if demands[0] <= free0 and demands[1] <= free1:
+                            actions.append(index)
+                        index += 1
+                else:
+                    for tid in visible:
+                        for demand, free in zip(demands_of[tid], available):
+                            if demand > free:
+                                break
+                        else:
+                            actions.append(index)
+                        index += 1
+                n = len(actions)
+                if n:
+                    # Schedule a uniformly random fitting task (PROCESS is
+                    # filtered out whenever something fits: work conservation).
+                    chosen = actions[int(integers(0, n))] if n > 1 else actions[0]
+                    tid = ready[chosen]
                     demands = demands_of[tid]
-                    if demands[0] <= free0 and demands[1] <= free1:
-                        actions.append(index)
-                    index += 1
-            else:
-                for tid in visible:
-                    for demand, free in zip(demands_of[tid], available):
-                        if demand > free:
-                            break
-                    else:
-                        actions.append(index)
-                    index += 1
-            n = len(actions)
-            if n:
-                # Schedule a uniformly random fitting task (PROCESS is
-                # filtered out whenever something fits: work conservation).
-                chosen = actions[int(integers(0, n))] if n > 1 else actions[0]
-                tid = ready[chosen]
-                demands = demands_of[tid]
-                for r, demand in enumerate(demands):
-                    available[r] -= demand
-                heappush(heap, RunningTask(cluster.now + runtimes[tid], tid, demands))
-                del ready[chosen]
-                starts[tid] = cluster.now
-                continue
-            # Nothing fits: PROCESS is the only candidate.
-            if not heap:
-                raise EnvironmentStateError("no legal actions")
-            now = heap[0][0] if until_completion else cluster.now + 1
-            cluster.now = now
-            while heap and heap[0][0] <= now:
-                finish, tid, demands = heappop(heap)
-                for r, demand in enumerate(demands):
-                    available[r] += demand
-                finished.add(tid)
-                newly_ready = []
-                for child in children(tid):
-                    remaining = unmet[child] - 1
-                    unmet[child] = remaining
-                    if remaining == 0:
-                        newly_ready.append(child)
-                if newly_ready:
-                    newly_ready.sort()
-                    ready.extend(newly_ready)
-        self.steps_taken += steps
-        self._version += steps
+                    for r, demand in enumerate(demands):
+                        available[r] -= demand
+                    heappush(
+                        heap, RunningTask(cluster.now + runtimes[tid], tid, demands)
+                    )
+                    del ready[chosen]
+                    starts[tid] = cluster.now
+                    steps += 1
+                    continue
+                # Nothing fits: PROCESS is the only candidate.
+                if not heap:
+                    raise EnvironmentStateError("no legal actions")
+                steps += 1
+                now = heap[0][0] if until_completion else cluster.now + 1
+                cluster.now = now
+                while heap and heap[0][0] <= now:
+                    finish, tid, demands = heappop(heap)
+                    for r, demand in enumerate(demands):
+                        available[r] += demand
+                    finished.add(tid)
+                    newly_ready = []
+                    for child in children(tid):
+                        remaining = unmet[child] - 1
+                        unmet[child] = remaining
+                        if remaining == 0:
+                            newly_ready.append(child)
+                    if newly_ready:
+                        newly_ready.sort()
+                        ready.extend(newly_ready)
+        finally:
+            self.steps_taken = steps_before + steps
+            self._version = version_before + steps
         if self._verify_terminal:
             self.verify_terminal_state()
         return cluster.now

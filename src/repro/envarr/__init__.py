@@ -1,36 +1,22 @@
-"""Batched kernels over the one scheduling environment.
+"""Dense graph data over the one scheduling environment.
 
-There is one environment, :class:`repro.env.SchedulingEnv`.  What lives
-here is the lockstep random-playout kernel of pure-MCTS waves and the
-dense data it and the graph policy run on:
+There is one environment, :class:`repro.env.SchedulingEnv`, and one
+playout loop, :meth:`~repro.env.SchedulingEnv.random_playout` (it also
+plays the lanes of pure-MCTS waves).  What lives here is the dense data
+the graph policy runs on:
 
 * :class:`GraphArrays` — a :class:`~repro.dag.graph.TaskGraph` compiled to
   CSR adjacency (``child_indptr``/``child_indices``) plus flat duration /
   demand / indegree vectors, with the Sec. III-D graph features (b-level,
   t-level, b-load) computed as level-bucketed NumPy segment sweeps rather
   than per-node recursion.
-* :func:`lane_snapshot` — ``B`` environment states copied into dense
-  matrices (free capacity, finish times, unmet-parent countdown, ready
-  queues): the one place an env state becomes kernel input.
-* :class:`BatchedPlayouts` — many random playouts advanced in NumPy
-  lockstep per call, the rollout kernel of batched MCTS
-  (``MctsConfig.rollout_batch``).
 * :func:`~repro.envarr.observation.task_feature_table` — the static
   per-task feature matrix the graph policy's node encoder reads.
 
-See DESIGN.md Sec. 15 for why there is no second environment, the lane
-format and the measurements.
+See DESIGN.md Sec. 15 for why there is no second environment and no
+batched playout kernel.
 """
 
-from .batch import BatchedPlayouts, batch_random_playouts
 from .graphdata import GraphArrays, graph_arrays
-from .lanes import LaneSnapshot, lane_snapshot
 
-__all__ = [
-    "BatchedPlayouts",
-    "GraphArrays",
-    "LaneSnapshot",
-    "batch_random_playouts",
-    "graph_arrays",
-    "lane_snapshot",
-]
+__all__ = ["GraphArrays", "graph_arrays"]

@@ -7,8 +7,8 @@ dense index, not by id.  :class:`GraphArrays` compiles a graph once into:
 
 * ``ids`` — sorted task ids; dense index ``i`` ↔ id ``ids[i]``.  Because
   the dense order is the id order, every id-based tie-break of the
-  environment (sorted newly-ready appends, completion order) is reproduced
-  by the corresponding index-based tie-break in the batched kernels.
+  environment (sorted newly-ready appends, completion order) is an
+  index-based tie-break over these arrays.
 * CSR adjacency — ``child_indptr``/``child_indices`` (and the parent
   mirror), indices ascending within each row.
 * flat vectors — ``durations``, ``demands`` ``(N, R)``, ``indegree``.

@@ -7,17 +7,19 @@ give the pure-MCTS baseline of Sec. V-B2, :class:`GreedyRollout` wraps any
 heuristic policy (used both as a rollout and to produce the greedy
 makespan estimate that scales the exploration constant), and
 :mod:`repro.core.spear` provides the network-guided implementations.
+:class:`RandomRollout` is the one rollout a pure-MCTS wave
+(``MctsConfig.rollout_batch > 1``) accepts; it plays the wave's lanes one
+call at a time, exactly as it plays a sequential search's single lane.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from ..dag.graph import TaskGraph
 from ..env.actions import Action
 from ..env.scheduling_env import SchedulingEnv
-from ..envarr.batch import BatchedPlayouts
 from ..schedulers.base import Policy
 from ..utils.rng import SeedLike, as_generator
 
@@ -119,7 +121,6 @@ class RandomRollout(_PolicyRollout):
 
         rng = as_generator(seed)
         self._rng = rng
-        self._kernel: Optional[BatchedPlayouts] = None
         super().__init__(lambda: RandomPolicy(seed=rng))
 
     def rollout(self, env: SchedulingEnv) -> int:
@@ -130,28 +131,11 @@ class RandomRollout(_PolicyRollout):
         ``RandomPolicy(work_conserving=True)`` — same action trajectory
         and the exact same RNG stream — but fuses the whole episode into
         one call (the equivalence tests compare final states and generator
-        states).  MCTS runs thousands of these per decision; it is the
+        states).  MCTS runs thousands of these per decision — one per
+        collected leaf, in waves as in the sequential search; it is the
         single hottest path in the library.
         """
         return env.random_playout(self._rng, self.step_limit(env))
-
-    def begin_search(self, env: SchedulingEnv) -> None:
-        self._kernel = None
-
-    def rollout_many(self, envs: Sequence[SchedulingEnv], limit: int):
-        """Batched-MCTS hook: play all lanes to completion in the
-        lockstep kernel (:class:`repro.envarr.batch.BatchedPlayouts`,
-        which implements exactly this policy), drawing from this
-        policy's generator.  Never mutates the input environments."""
-        kernel = self._kernel
-        graph, config = envs[0].graph, envs[0].config
-        if (
-            kernel is None
-            or kernel.arrays.graph is not graph
-            or kernel.config is not config
-        ):
-            kernel = self._kernel = BatchedPlayouts(graph, config)
-        return kernel.run(envs, self._rng, limit)[0]
 
 
 class GreedyRollout(_PolicyRollout):

@@ -131,3 +131,11 @@ def test_message_passing_has_no_scatter_and_ppo_one_forward():
 def test_exactly_one_loop_advances_simulated_time():
     hits = grep(r"\.tick_to\(", SRC / "online", SRC / "streaming", SRC / "federation")
     assert len(hits) == 1, hits
+
+
+def test_waves_play_their_lanes_with_the_scalar_playout():
+    # A pure-MCTS wave plays each collected lane with the one fused
+    # random playout; the NumPy lockstep kernel, its lane snapshot and the
+    # batched rollout hook were deleted after losing on every measured
+    # shape (DESIGN.md Sec. 15.4).
+    assert not grep(r"BatchedPlayouts|lane_snapshot|rollout_many", REPO / "src")

@@ -15,6 +15,7 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
+from repro.analysis.verifier import verify_placements
 from repro.config import ClusterConfig, EnvConfig, WorkloadConfig
 from repro.dag.generators import random_layered_dag
 from repro.env.scheduling_env import SchedulingEnv
@@ -35,11 +36,11 @@ def make_graph(seed, num_tasks):
     return random_layered_dag(workload, seed=seed)
 
 
-def make_env(graph, until_completion=True):
+def make_env(graph, until_completion=True, capacities=CAPS):
     return SchedulingEnv(
         graph,
         EnvConfig(
-            cluster=ClusterConfig(capacities=CAPS, horizon=8),
+            cluster=ClusterConfig(capacities=capacities, horizon=8),
             max_ready=6,
             process_until_completion=until_completion,
         ),
@@ -105,24 +106,48 @@ def test_apply_matches_step_exactly(
     via_apply.verify_terminal_state()
 
 
-@settings(max_examples=30, deadline=None)
+#: Cluster shapes for the fused playout: the two-resource fast path and
+#: the general R-dimension fit test, with wide layouts (60 and 53 bits of
+#: capacity) that a packed fit test could not hold exactly.
+PLAYOUT_CAPACITIES = [
+    CAPS,
+    (10,),
+    (10, 10, 10),
+    (511,) * 6,
+    (1023,) * 4 + (255,),
+]
+
+
+@settings(max_examples=50, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     num_tasks=st.integers(1, 14),
     play_seed=st.integers(0, 1000),
     until_completion=st.booleans(),
+    capacities=st.sampled_from(PLAYOUT_CAPACITIES),
 )
 def test_random_playout_matches_generic_loop(
-    seed, num_tasks, play_seed, until_completion
+    seed, num_tasks, play_seed, until_completion, capacities
 ):
-    """The fused rollout equals a step-by-step loop, RNG stream included.
+    """The fused rollout equals a step-by-step loop, RNG stream included,
+    and its schedule passes the independent verifier.
 
     Comparing ``bit_generator.state`` proves ``random_playout`` consumed
     exactly the same draws — the property that keeps MCTS schedules
     bit-identical to the pre-optimization implementation.
     """
-    graph = make_graph(seed, num_tasks)
-    reference = make_env(graph, until_completion)
+    low = min(capacities)
+    workload = WorkloadConfig(
+        num_tasks=num_tasks,
+        max_runtime=6,
+        max_demand=low,
+        runtime_mean=3,
+        runtime_std=2,
+        demand_mean=low / 2,
+        demand_std=low / 4,
+    )
+    graph = random_layered_dag(workload, seed=seed, num_resources=len(capacities))
+    reference = make_env(graph, until_completion, capacities)
     fused = reference.clone()
     rng_ref = np.random.default_rng(play_seed)
     rng_fused = np.random.default_rng(play_seed)
@@ -137,6 +162,13 @@ def test_random_playout_matches_generic_loop(
     assert fused.signature() == reference.signature()
     assert fused.start_times() == reference.start_times()
     assert rng_fused.bit_generator.state == rng_ref.bit_generator.state
+    placements = [
+        (tid, start, start + graph.task(tid).runtime)
+        for tid, start in fused.start_times().items()
+    ]
+    report = verify_placements(placements, graph, capacities)
+    assert report.ok, report.summary()
+    assert makespan == max(finish for _, _, finish in placements)
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.config import ClusterConfig, EnvConfig
-from repro.dag.generators import chain_dag, fork_join_dag
+from repro.config import ClusterConfig, EnvConfig, WorkloadConfig
+from repro.dag.generators import chain_dag, fork_join_dag, random_layered_dag
 from repro.env import PROCESS, SchedulingEnv
 from repro.errors import EnvironmentStateError
 
@@ -104,9 +104,31 @@ class TestStepResultCache:
 
 
 class TestRandomPlayout:
-    def test_zero_limit_raises_runtime_error(self, fork_env):
-        with pytest.raises(RuntimeError):
+    def test_zero_limit_raises_step_limit_error(self, fork_env):
+        with pytest.raises(EnvironmentStateError, match="step limit"):
             fork_env.random_playout(np.random.default_rng(0), limit=0)
+
+    def test_step_limit_publishes_the_steps_played(self):
+        """A playout stopped at its cap leaves a consistent environment:
+        ``steps_taken`` counts the steps it played, and ``legal_actions()``
+        is recomputed for the state it stopped in (not served from the
+        cache of the state it started from)."""
+        workload = WorkloadConfig(num_tasks=20, max_demand=8, demand_mean=4)
+        graph = random_layered_dag(workload, seed=3)
+        env = make_env(graph)
+        env.legal_actions()  # memoize the pre-playout state
+        with pytest.raises(EnvironmentStateError, match="step limit"):
+            env.random_playout(np.random.default_rng(0), limit=8)
+        # The same eight steps taken one at a time, same draws.
+        reference = make_env(graph)
+        rng = np.random.default_rng(0)
+        for _ in range(8):
+            actions = reference.expansion_actions(work_conserving=True)
+            choice = int(rng.integers(0, len(actions))) if len(actions) > 1 else 0
+            reference.step(actions[choice])
+        assert env.start_times() and env.start_times() == reference.start_times()
+        assert env.steps_taken == reference.steps_taken == 8
+        assert env.legal_actions() == reference.legal_actions()
 
     def test_finished_episode_returns_makespan_unchanged(self):
         env = make_env(chain_dag([2]))

@@ -169,30 +169,43 @@ class TestRolloutBatch:
                 env_config,
             )
 
-    def test_pure_mcts_waves_use_the_lockstep_kernel(
+    def test_wave_rollouts_are_random_playouts_of_its_lanes(
         self, env_config, small_random_graph, monkeypatch
     ):
-        from repro.envarr.batch import BatchedPlayouts
+        """A wave plays its lanes one ``random_playout`` call each, from
+        the policy's one generator, after all of them are collected."""
+        from repro.env import SchedulingEnv
 
-        lanes_per_call = []
-        inner = BatchedPlayouts.run
-
-        def counting(self, envs, *args, **kwargs):
-            lanes_per_call.append(len(envs))
-            return inner(self, envs, *args, **kwargs)
-
-        monkeypatch.setattr(BatchedPlayouts, "run", counting)
         scheduler = mcts(
             budget=24, min_budget=8, env_config=env_config, rollout_batch=8
         )
+        lanes_per_round = []
+        new_round = [True]
+        inner_playout = SchedulingEnv.random_playout
+        inner_collect = MctsScheduler._collect
+
+        def playout(env, rng, limit):
+            assert rng is scheduler.rollout._rng
+            if new_round[0]:
+                lanes_per_round.append(0)
+                new_round[0] = False
+            lanes_per_round[-1] += 1
+            return inner_playout(env, rng, limit)
+
+        def collect(self, *args):
+            new_round[0] = True
+            return inner_collect(self, *args)
+
+        monkeypatch.setattr(SchedulingEnv, "random_playout", playout)
+        monkeypatch.setattr(MctsScheduler, "_collect", collect)
         schedule = scheduler.plan(ScheduleRequest(small_random_graph))
         validate_schedule(
             schedule, small_random_graph, env_config.cluster.capacities
         )
-        assert lanes_per_call and max(lanes_per_call) > 1
+        assert lanes_per_round and max(lanes_per_round) > 1
         stats = scheduler.last_statistics
         assert stats.iterations == sum(stats.budgets)
-        assert stats.rollouts == sum(lanes_per_call)
+        assert stats.rollouts == sum(lanes_per_round)
 
     def test_unbatchable_rollout_policy_is_a_config_error(self, env_config):
         from repro.core import TruncatedRollout

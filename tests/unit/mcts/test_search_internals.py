@@ -2,8 +2,14 @@
 
 import pytest
 
-from repro.config import ClusterConfig, EnvConfig, GrapheneConfig, MctsConfig
-from repro.dag import independent_tasks_dag
+from repro.config import (
+    ClusterConfig,
+    EnvConfig,
+    GrapheneConfig,
+    MctsConfig,
+    WorkloadConfig,
+)
+from repro.dag import independent_tasks_dag, random_layered_dag
 from repro.env import SchedulingEnv
 from repro.mcts import MctsScheduler, Node, tree_statistics
 from repro.mcts.search import SearchStatistics
@@ -129,6 +135,57 @@ class TestBackpropagation:
             )
         assert [node.vloss for node in walked] == [0, 0, 0]
         assert stats.max_tree_depth == 3
+
+
+class TestVirtualLossBookkeeping:
+    """Every virtual loss a round places is repaid, and every collected
+    leaf costs exactly one budget unit — sequentially and in waves."""
+
+    WORKLOAD = WorkloadConfig(
+        num_tasks=20, max_runtime=6, max_demand=8, runtime_mean=3, demand_mean=4
+    )
+
+    @staticmethod
+    def scheduler(env_config, width, budget):
+        return MctsScheduler(
+            MctsConfig(
+                initial_budget=budget,
+                min_budget=budget,
+                use_budget_decay=False,
+                rollout_batch=width,
+            ),
+            env_config,
+            seed=0,
+        )
+
+    def test_vloss_returns_to_zero_after_budget(self, env_config):
+        graph = random_layered_dag(self.WORKLOAD, seed=8)
+        for width in (1, 8):
+            scheduler = self.scheduler(env_config, width, 48)
+            env = SchedulingEnv(graph, env_config)
+            root = Node(untried=scheduler._candidates(env))
+            stats = SearchStatistics()
+            scheduler._run_budget(root, env, 1.4, stats, 48)
+
+            assert stats.iterations == 48
+            stack = [root]
+            visited = 0
+            while stack:
+                node = stack.pop()
+                visited += 1
+                assert node.vloss == 0, "virtual loss must be repaid by backprop"
+                stack.extend(node.children.values())
+            assert visited > 1, "the budget must have grown the tree"
+
+    def test_batched_and_sequential_search_visit_counts_agree(self, env_config):
+        """Total iterations equal the spent budget in both modes."""
+        graph = random_layered_dag(self.WORKLOAD, seed=9)
+        for width in (1, 8):
+            scheduler = self.scheduler(env_config, width, 32)
+            scheduler.plan(ScheduleRequest(graph))
+            stats = scheduler.last_statistics
+            assert stats is not None
+            assert stats.iterations == sum(stats.budgets)
 
 
 class TestSubtreeReuse:
