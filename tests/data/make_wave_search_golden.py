@@ -2,19 +2,20 @@
 
 The committed ``wave_search_golden.json`` holds the makespan, every
 task's start time and the search statistics (iterations, rollouts,
-decisions) of batched pure-MCTS searches (random expansion, the
-lockstep playout kernel) on three seeded 20-task layered DAGs, plus one
+decisions) of batched pure-MCTS searches (random expansion; each wave's
+lanes played one by one with ``SchedulingEnv.random_playout`` from the
+policy's one generator) on three seeded 20-task layered DAGs, plus one
 replan request whose cluster snapshot carries degraded capacities.  The
 ``model`` / ``leaf_policy`` keys of a case are always ``None``: the file
 also held network-guided waves until batched leaf evaluation was
-deleted, and its remaining cases are kept byte for byte.
+deleted.
 
-It was generated at the last commit that still had two environments,
-by this script with ``EnvConfig(..., backend="array")`` — the only
-configuration in which ``rollout_batch > 1`` batched there — and has not
-been regenerated since: the one remaining environment must feed the
-batched kernels the same lanes, so every wave, every RNG draw and every
-plan is unchanged.
+This script generates the file with the ``EnvConfig`` and ``MctsConfig``
+below; every recorded plan is checked with ``validate_schedule`` before
+it is written.  It was last regenerated when waves stopped using a NumPy
+lockstep playout kernel: the lanes now draw from the generator one
+episode at a time, so the start times of every case moved (the four
+makespans did not).
 
 Regenerate (only when an intentional behaviour change lands) with::
 
@@ -54,10 +55,13 @@ def _scheduler(seed: int):
     return MctsScheduler(config, _env_config(), seed=seed)
 
 
-def _record(case: dict, scheduler, request) -> dict:
+def _record(case: dict, scheduler, request, capacities) -> dict:
+    from repro.metrics import validate_schedule
+
     schedule = scheduler.plan(request)
     stats = scheduler.last_statistics
     graph = request.graph
+    validate_schedule(schedule, graph, capacities)
     return {
         **case,
         "makespan": schedule.makespan,
@@ -82,7 +86,8 @@ def _plan(kind: str, model, leaf_policy, seed: int) -> dict:
         "leaf_policy": leaf_policy,
         "graph_seed": seed,
     }
-    return _record(case, _scheduler(seed), ScheduleRequest(graph))
+    capacities = _env_config().cluster.capacities
+    return _record(case, _scheduler(seed), ScheduleRequest(graph), capacities)
 
 
 def _degraded_plan(kind: str, model, leaf_policy) -> dict:
@@ -109,7 +114,7 @@ def _degraded_plan(kind: str, model, leaf_policy) -> dict:
         "graph_seed": DEGRADED_SEED,
         "capacities": list(DEGRADED_CAPACITIES),
     }
-    return _record(case, _scheduler(DEGRADED_SEED), request)
+    return _record(case, _scheduler(DEGRADED_SEED), request, DEGRADED_CAPACITIES)
 
 
 def compute_golden() -> dict:

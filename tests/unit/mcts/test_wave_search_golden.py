@@ -1,12 +1,10 @@
 """Golden wave searches: whole batched searches pinned exactly.
 
-``tests/data/wave_search_golden.json`` was generated at the last commit
-that still carried the array environment twin, on that twin (the only
-place ``rollout_batch > 1`` batched then).  An identical plan *and*
-identical search statistics mean the batched kernels read the same lanes
-from the one environment: no wave and no RNG draw moved.  (The file's
-network-guided cases went with batched leaf evaluation; the pure-MCTS
-cases are the original bytes.)
+``tests/data/wave_search_golden.json`` holds batched pure-MCTS plans whose
+lanes are played one by one with the fused random playout.  An identical
+plan *and* identical search statistics mean no wave, no collection order
+and no RNG draw moved; every plan also passes ``validate_schedule`` as it
+is recomputed.
 Case definitions live in ``tests/data/make_wave_search_golden.py`` (also
 the regeneration script).
 """
