@@ -75,16 +75,6 @@ class ClusterState:
         """Currently free slots per resource."""
         return tuple(self._available)
 
-    def available_ref(self) -> List[int]:
-        """The live free-capacity list — borrow only, never mutate.
-
-        Hot-path accessor: :attr:`available` allocates a defensive tuple
-        per call, which the environment's per-candidate fit checks cannot
-        afford.  The returned list aliases internal state and is updated
-        in place by ``start``/``advance``.
-        """
-        return self._available
-
     @property
     def num_resources(self) -> int:
         """Resource dimensionality."""
@@ -145,25 +135,12 @@ class ClusterState:
     # mutation
     # ------------------------------------------------------------------ #
 
-    def start(
-        self,
-        task_id: int,
-        demands: Sequence[int],
-        runtime: int,
-        precleared: bool = False,
-    ) -> RunningTask:
+    def start(self, task_id: int, demands: Sequence[int], runtime: int) -> RunningTask:
         """Begin running a task now, occupying its demands.
-
-        Args:
-            precleared: skip the per-call demand-shape validation.  Safe
-                only when the caller has already validated ``demands``
-                against :attr:`capacities` (the scheduling environment does
-                this once per task at construction); the free-capacity fit
-                check always runs.
 
         Returns:
             The :class:`RunningTask` entry recorded for the task — keep it
-            to revert the call with :meth:`undo_start`.
+            to remove the task again with :meth:`kill`.
 
         Raises:
             CapacityError: if the demands exceed free capacity (or can never
@@ -174,8 +151,7 @@ class ClusterState:
             raise EnvironmentStateError(
                 f"task {task_id}: runtime must be >= 1, got {runtime}"
             )
-        if not precleared:
-            validate_demands(demands, self.capacities, label=f"task {task_id}")
+        validate_demands(demands, self.capacities, label=f"task {task_id}")
         available = self._available
         for r, demand in enumerate(demands):
             if demand > available[r]:
@@ -189,32 +165,11 @@ class ClusterState:
         heapq.heappush(self._running, entry)
         return entry
 
-    def undo_start(self, entry: RunningTask) -> None:
-        """Revert a prior :meth:`start` call, releasing its demands.
-
-        Args:
-            entry: the exact :class:`RunningTask` that :meth:`start`
-                returned.  The entry must still be running.
-
-        Raises:
-            EnvironmentStateError: if ``entry`` is not currently running.
-        """
-        try:
-            self._running.remove(entry)
-        except ValueError:
-            raise EnvironmentStateError(
-                f"undo_start: task {entry.task_id} is not running"
-            ) from None
-        heapq.heapify(self._running)
-        for r, demand in enumerate(entry.demands):
-            self._available[r] += demand
-
     def kill(self, entry: RunningTask) -> None:
         """Remove a running task *without* completing it (fault handling).
 
-        Mechanically identical to :meth:`undo_start` — the entry leaves
-        the heap and its demands are released — but semantically distinct:
-        the occupied slot-time is lost, not refunded, and the caller is
+        The entry leaves the heap and its demands are released; the
+        occupied slot-time is lost, not refunded, and the caller is
         expected to re-enqueue the work.
 
         Raises:
@@ -281,7 +236,7 @@ class ClusterState:
         """Like :meth:`advance` but return the full released entries.
 
         The returned entries (in completion order) carry the demands and
-        finish times needed to revert the call with :meth:`undo_advance`.
+        finish times of the released tasks.
 
         Raises:
             EnvironmentStateError: if ``dt`` is not positive.
@@ -298,21 +253,6 @@ class ClusterState:
                 available[r] += demand
             completed.append(entry)
         return completed
-
-    def undo_advance(self, dt: int, completed: Sequence[RunningTask]) -> None:
-        """Revert a prior ``advance``/``advance_entries`` call.
-
-        Args:
-            dt: the time delta that was advanced.
-            completed: the entries that call released (as returned by
-                :meth:`advance_entries`); they are re-occupied.
-        """
-        self.now -= int(dt)
-        available = self._available
-        for entry in completed:
-            for r, demand in enumerate(entry.demands):
-                available[r] -= demand
-            heapq.heappush(self._running, entry)
 
     def advance_to_next_event(self) -> Tuple[int, List[int]]:
         """Jump time to the earliest finish and release finished tasks.

@@ -137,9 +137,9 @@ class MctsConfig:
 
     Rollout truncation is a property of the rollout policy, not the
     search: see :class:`repro.core.guidance.TruncatedRollout`.  How tree
-    states are re-materialized is not a parameter: the search walks one
-    environment with ``apply``/``undo`` and clones it only into rollout
-    lanes (DESIGN.md Sec. 8).
+    states are re-materialized is not a parameter: a descent clones the
+    search's environment once, replays its path with ``step`` and rolls
+    the copy out (DESIGN.md Sec. 8).
     """
 
     initial_budget: int = 1000
@@ -301,7 +301,7 @@ class EnvConfig:
             :mod:`repro.analysis.verifier`) whenever an episode reaches a
             terminal state; opt-in because it costs an event sweep per
             episode.
-        telemetry: where episode counters (steps, undos, clones) report.
+        telemetry: where episode counters (steps, clones) report.
             ``None`` (the default) defers to the globally active pipeline
             (:func:`repro.telemetry.active`); an enabled config binds all
             environments sharing this ``EnvConfig`` to one dedicated

@@ -159,10 +159,16 @@ class TaskGraph:
         return dict(self._tasks)
 
     def children(self, task_id: int) -> Tuple[int, ...]:
-        """Ids of tasks that directly depend on ``task_id``."""
+        """Ids of tasks that directly depend on ``task_id``, ascending."""
         if task_id not in self._children:
             raise UnknownTaskError(f"no task with id {task_id}")
         return self._children[task_id]
+
+    def child_table(self) -> Mapping[int, Tuple[int, ...]]:
+        """Every task's :meth:`children` in one mapping — borrow only,
+        never mutate.  The hot-path form for a caller that looks up
+        children once per completed task: a dict lookup, no call."""
+        return self._children
 
     def parents(self, task_id: int) -> Tuple[int, ...]:
         """Ids of tasks that ``task_id`` directly depends on."""

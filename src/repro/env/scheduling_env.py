@@ -14,21 +14,21 @@
 * **Termination** — every task has finished.
 
 Determinism + cheap :meth:`clone` are what make the same class usable as
-the MCTS simulation model and the DRL training environment.
+the MCTS simulation model and the DRL training environment: a search
+reaches a tree node by cloning its root and replaying the node's action
+history with :meth:`~SchedulingEnv.step`.
 
-Besides the single-action dynamics (:meth:`~SchedulingEnv.step`, and
-:meth:`~SchedulingEnv.apply` / :meth:`~SchedulingEnv.undo` for the tree
-walk) the class plays whole episodes in one call, because a search
-spends its time in rollouts: :meth:`~SchedulingEnv.random_playout` for
-pure MCTS and :meth:`~SchedulingEnv.policy_playout`, which calls a
-policy back only in states that offer a choice, for Spear and for the
-list heuristics.
+Besides that single-action dynamics the class plays whole episodes in
+one call, because a search spends its time in rollouts:
+:meth:`~SchedulingEnv.random_playout` for pure MCTS and
+:meth:`~SchedulingEnv.policy_playout`, which calls a policy back only in
+states that offer a choice, for Spear and for the list heuristics.
 """
 
 from __future__ import annotations
 
 import heapq  # own heap: kernel dispatch measured too slow for rollouts
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from ..cluster.state import ClusterState, RunningTask
 from ..cluster.resources import validate_demands
@@ -39,7 +39,7 @@ from ..metrics.schedule import Schedule
 from ..telemetry import runtime as _telemetry
 from .actions import PROCESS, Action
 
-__all__ = ["SchedulingEnv", "StepResult", "StepUndo", "step_limit_exceeded"]
+__all__ = ["SchedulingEnv", "StepResult", "step_limit_exceeded"]
 
 
 def step_limit_exceeded(limit: int) -> EnvironmentStateError:
@@ -62,58 +62,19 @@ class StepResult(NamedTuple):
     scheduled: Optional[int] = None
 
 
-class StepUndo:
-    """Undo record for one :meth:`SchedulingEnv.apply` call.
-
-    Opaque to callers: hand it back to :meth:`SchedulingEnv.undo` (in
-    strict LIFO order) to restore the pre-step state exactly.  Every record
-    snapshots the cluster's running-heap list and free-capacity list as
-    they were *before* the step — restoring them is then two O(1) rebinds
-    instead of heap surgery, and the heap layout is reproduced bit-exactly
-    (``heapify`` after an interior removal can produce a different — if
-    equally valid — layout).  The remaining payload depends on the step
-    kind:
-
-    * a *schedule* step stores the :class:`RunningTask` entry it pushed and
-      the ready-queue index it removed the task from;
-    * a *process* step stores the time delta, the released entries, and the
-      ready-queue length before newly ready tasks were appended.
-    """
-
-    __slots__ = (
-        "result",
-        "entry",
-        "ready_index",
-        "dt",
-        "released",
-        "ready_len",
-        "running",
-        "available",
-    )
-
-    def __init__(
-        self,
-        result: StepResult,
-        running: List[RunningTask],
-        available: List[int],
-        entry: Optional[RunningTask] = None,
-        ready_index: int = 0,
-        dt: int = 0,
-        released: Optional[List[RunningTask]] = None,
-        ready_len: int = 0,
-    ) -> None:
-        self.result = result
-        self.running = running
-        self.available = available
-        self.entry = entry
-        self.ready_index = ready_index
-        self.dt = dt
-        self.released = released
-        self.ready_len = ready_len
+#: Builds a :class:`RunningTask` from one ``(finish, task_id, demands)``
+#: tuple without the namedtuple's Python-level ``__new__``: every start
+#: pushes one, on the rollout hot path.
+_running_task = tuple.__new__
 
 
 class SchedulingEnv:
     """Deterministic scheduling MDP over one job DAG.
+
+    State only moves forward: :meth:`step` and the two playouts mutate
+    it, and a caller that needs an earlier state keeps a :meth:`clone`
+    (the per-graph lookup tables are shared, so a copy costs the mutable
+    bookkeeping only) and replays actions on it.
 
     Args:
         graph: the job to schedule.  Every task's demand vector must fit
@@ -156,6 +117,10 @@ class SchedulingEnv:
         self._runtimes: Dict[int, int] = {
             task.task_id: task.runtime for task in graph
         }
+        # Ascending, so the children one completion makes ready join the
+        # ready queue in id order (the deterministic arrival order)
+        # without a sort.
+        self._children: Mapping[int, Tuple[int, ...]] = graph.child_table()
         self._num_tasks: int = graph.num_tasks
         # Schedule-step results are fully determined by the started task id,
         # so one immutable StepResult per task covers every schedule step of
@@ -193,11 +158,10 @@ class SchedulingEnv:
         # (an integer add is far below timer noise on these paths) and
         # flushed to the telemetry pipeline once per episode by
         # :meth:`to_schedule` — never per step.
-        self.undos_taken: int = 0
         self.clones_made: int = 0
         # State-version counter for the memoized legal-action set: bumped by
-        # every mutation (step, apply, undo), so a cached computation is
-        # reused only while the state is untouched.
+        # every step, so a cached computation is reused only while the
+        # state is untouched.
         self._version: int = 0
         self._actions_cache: List[Action] = []
         self._actions_version: int = -1
@@ -346,9 +310,9 @@ class SchedulingEnv:
     def step(self, action: Action) -> StepResult:
         """Apply ``action``; return reward, termination and side effects.
 
-        The non-recording twin of :meth:`apply`: identical dynamics (the
-        undo-equivalence property tests pin this down), but no undo record
-        is allocated — this is the rollout hot path.
+        The reference dynamics: the two playout loops inline it, and
+        ``tests/property/test_dynamics_differential.py`` holds the three
+        to the same schedules.
 
         Raises:
             EnvironmentStateError: on an illegal action (episode done,
@@ -368,26 +332,19 @@ class SchedulingEnv:
             else:
                 dt = 1
                 released = cluster.advance_entries(1)
-            # Inlined _on_completions (same dynamics, fused id collection):
-            # this is the busiest branch of the rollout hot path.
             completed = []
             ready = self._ready
             unmet = self._unmet
-            children = self.graph.children
+            children = self._children
             for entry in released:
                 tid = entry.task_id
                 completed.append(tid)
                 finished.add(tid)
-                newly_ready = []
-                for child in children(tid):
+                for child in children[tid]:
                     remaining = unmet[child] - 1
                     unmet[child] = remaining
                     if remaining == 0:
-                        newly_ready.append(child)
-                if newly_ready:
-                    # Deterministic arrival order within one completion.
-                    newly_ready.sort()
-                    ready.extend(newly_ready)
+                        ready.append(child)
             self._version += 1
             done = len(finished) == self._num_tasks
             if done and self._verify_terminal:
@@ -402,8 +359,8 @@ class SchedulingEnv:
                 f"schedule index {action} out of range (visible={num_visible})"
             )
         tid = ready[action]
-        # Inlined ClusterState.start (precleared: demand shapes and runtime
-        # were validated once at construction); the free-capacity fit check
+        # Inlined ClusterState.start (demand shapes and runtimes were
+        # validated once at construction); the free-capacity fit check
         # always runs and raises the same CapacityError.
         cluster = self.cluster
         demands = self._demands[tid]
@@ -418,126 +375,14 @@ class SchedulingEnv:
             available[r] -= demand
         heapq.heappush(
             cluster._running,
-            RunningTask(cluster.now + self._runtimes[tid], tid, demands),
+            _running_task(
+                RunningTask, (cluster.now + self._runtimes[tid], tid, demands)
+            ),
         )
         del ready[action]
         self._starts[tid] = cluster.now
         self._version += 1
         return self._sched_results[tid]
-
-    def apply(self, action: Action) -> StepUndo:
-        """Like :meth:`step`, but also return an undo record.
-
-        Handing the record back to :meth:`undo` (strict LIFO order when
-        several are outstanding) restores the pre-step state exactly —
-        same :meth:`signature`, same legal actions, same start times.
-        This is the state-restore primitive behind the clone-free MCTS
-        search: applying and undoing an action is far cheaper than cloning
-        the whole environment per tree edge.
-
-        Raises:
-            EnvironmentStateError: on an illegal action, as :meth:`step`.
-        """
-        if self.done:
-            raise EnvironmentStateError("episode already finished")
-        self.steps_taken += 1
-        if action == PROCESS:
-            return self._process()
-        return self._schedule(action)
-
-    def undo(self, record: StepUndo) -> None:
-        """Revert one :meth:`apply` call.
-
-        Records must be undone in reverse application order; handing back
-        anything else corrupts the state (this is an internal search
-        primitive, so no cross-checking is done on the hot path).
-        """
-        cluster = self.cluster
-        cluster._running = record.running
-        cluster._available = record.available
-        entry = record.entry
-        if entry is not None:  # schedule step
-            tid = entry.task_id
-            self._ready.insert(record.ready_index, tid)
-            del self._starts[tid]
-        else:  # process step
-            cluster.now -= record.dt
-            released = record.released or ()
-            del self._ready[record.ready_len:]
-            unmet = self._unmet
-            children = self.graph.children
-            for released_entry in released:
-                tid = released_entry.task_id
-                self._finished.discard(tid)
-                for child in children(tid):
-                    unmet[child] += 1
-        self.steps_taken -= 1
-        self.undos_taken += 1
-        self._version += 1
-
-    def _schedule(self, index: int) -> StepUndo:
-        ready = self._ready
-        num_visible = min(len(ready), self._max_ready)
-        if not 0 <= index < num_visible:
-            raise EnvironmentStateError(
-                f"schedule index {index} out of range (visible={num_visible})"
-            )
-        tid = ready[index]
-        # Inlined ClusterState.start, mirroring :meth:`step`'s schedule
-        # branch exactly (the undo-equivalence tests pin the two together);
-        # the pre-step heap/capacity snapshots become the undo payload.
-        cluster = self.cluster
-        demands = self._demands[tid]
-        available = cluster._available
-        for demand, free in zip(demands, available):
-            if demand > free:
-                raise CapacityError(
-                    f"task {tid}: demands {demands} exceed free "
-                    f"capacity {cluster.available}"
-                )
-        running_snapshot = list(cluster._running)
-        available_snapshot = list(available)
-        for r, demand in enumerate(demands):
-            available[r] -= demand
-        entry = RunningTask(cluster.now + self._runtimes[tid], tid, demands)
-        heapq.heappush(cluster._running, entry)
-        del ready[index]
-        self._starts[tid] = cluster.now
-        self._version += 1
-        return StepUndo(
-            self._sched_results[tid],
-            running_snapshot,
-            available_snapshot,
-            entry=entry,
-            ready_index=index,
-        )
-
-    def _process(self) -> StepUndo:
-        cluster = self.cluster
-        if cluster.is_idle:
-            raise EnvironmentStateError("PROCESS on an idle cluster")
-        ready_len = len(self._ready)
-        running_snapshot = list(cluster._running)
-        available_snapshot = list(cluster._available)
-        if self._until_completion:
-            dt, released = cluster.advance_to_next_event_entries()
-        else:
-            dt = 1
-            released = cluster.advance_entries(1)
-        completed = [released_entry.task_id for released_entry in released]
-        self._on_completions(completed)
-        self._version += 1
-        done = len(self._finished) == self._num_tasks
-        if done and self._verify_terminal:
-            self.verify_terminal_state()
-        return StepUndo(
-            StepResult(-dt, done, tuple(completed)),
-            running_snapshot,
-            available_snapshot,
-            dt=dt,
-            released=released,
-            ready_len=ready_len,
-        )
 
     def random_playout(self, rng, limit: int) -> int:
         """Play uniformly random work-conserving actions until done.
@@ -556,6 +401,14 @@ class SchedulingEnv:
         ``test_integers_0_1_consumes_no_state``), yet costs as much as a
         real draw, and most steps of a playout are forced.  MCTS runs one
         of these per budget unit; it is the hottest loop in the library.
+
+        The candidate set is kept incrementally.  A start only shrinks
+        free capacity, so after starting window index ``c`` the next
+        candidates are the previous ones other than ``c`` that still fit
+        (indices above ``c`` shift down by one), plus the last window slot
+        when the removal pulled a backlog task into it and it fits.  Only
+        a process step rescans the window.  The list stays ascending, so
+        every draw picks what a rescan's list would.
 
         Args:
             rng: ``numpy.random.Generator`` to draw action choices from.
@@ -578,7 +431,7 @@ class SchedulingEnv:
         starts = self._starts
         demands_of = self._demands
         runtimes = self._runtimes
-        children = self.graph.children
+        children = self._children
         num_tasks = self._num_tasks
         max_ready = self._max_ready
         until_completion = self._until_completion
@@ -586,34 +439,37 @@ class SchedulingEnv:
         integers = rng.integers
         heappush = heapq.heappush
         heappop = heapq.heappop
+        now = cluster.now
+        unfinished = num_tasks - len(finished)
         steps_before = self.steps_taken
         version_before = self._version
         steps = 0
+        # Fitting window indices (the work-conserving candidate set), or
+        # ``None`` when the window must be rescanned.
+        actions: Optional[List[int]] = None
         try:
-            while len(finished) != num_tasks:
+            while unfinished:
                 if steps >= limit:
                     raise step_limit_exceeded(limit)
-                # Fitting visible-window indices (the work-conserving
-                # candidate set); free capacity is loop-invariant within one
-                # decision.
-                visible = ready if len(ready) <= max_ready else ready[:max_ready]
-                actions: List[int] = []
-                index = 0
-                if two_dim:
-                    free0, free1 = available
-                    for tid in visible:
-                        demands = demands_of[tid]
-                        if demands[0] <= free0 and demands[1] <= free1:
-                            actions.append(index)
-                        index += 1
-                else:
-                    for tid in visible:
-                        for demand, free in zip(demands_of[tid], available):
-                            if demand > free:
-                                break
-                        else:
-                            actions.append(index)
-                        index += 1
+                if actions is None:
+                    actions = []
+                    visible = ready if len(ready) <= max_ready else ready[:max_ready]
+                    index = 0
+                    if two_dim:
+                        free0, free1 = available
+                        for tid in visible:
+                            demands = demands_of[tid]
+                            if demands[0] <= free0 and demands[1] <= free1:
+                                actions.append(index)
+                            index += 1
+                    else:
+                        for tid in visible:
+                            for demand, free in zip(demands_of[tid], available):
+                                if demand > free:
+                                    break
+                            else:
+                                actions.append(index)
+                            index += 1
                 n = len(actions)
                 if n:
                     # Schedule a uniformly random fitting task (PROCESS is
@@ -621,35 +477,69 @@ class SchedulingEnv:
                     chosen = actions[int(integers(0, n))] if n > 1 else actions[0]
                     tid = ready[chosen]
                     demands = demands_of[tid]
-                    for r, demand in enumerate(demands):
-                        available[r] -= demand
                     heappush(
-                        heap, RunningTask(cluster.now + runtimes[tid], tid, demands)
+                        heap,
+                        _running_task(RunningTask, (now + runtimes[tid], tid, demands)),
                     )
                     del ready[chosen]
-                    starts[tid] = cluster.now
+                    starts[tid] = now
                     steps += 1
+                    # The next candidates: the survivors that still fit,
+                    # shifted past the removed slot, then the backlog task
+                    # the removal pulled into the last slot, if it fits.
+                    if len(ready) >= max_ready:
+                        actions.append(max_ready)  # shifts onto the last slot
+                    survivors = []
+                    if two_dim:
+                        free0 -= demands[0]
+                        free1 -= demands[1]
+                        available[0] = free0
+                        available[1] = free1
+                        for index in actions:
+                            if index != chosen:
+                                if index > chosen:
+                                    index -= 1
+                                demands = demands_of[ready[index]]
+                                if demands[0] <= free0 and demands[1] <= free1:
+                                    survivors.append(index)
+                    else:
+                        for r, demand in enumerate(demands):
+                            available[r] -= demand
+                        for index in actions:
+                            if index != chosen:
+                                if index > chosen:
+                                    index -= 1
+                                for demand, free in zip(
+                                    demands_of[ready[index]], available
+                                ):
+                                    if demand > free:
+                                        break
+                                else:
+                                    survivors.append(index)
+                    actions = survivors
                     continue
                 # Nothing fits: PROCESS is the only candidate.
                 if not heap:
                     raise EnvironmentStateError("no legal actions")
                 steps += 1
-                now = heap[0][0] if until_completion else cluster.now + 1
+                now = heap[0][0] if until_completion else now + 1
                 cluster.now = now
+                actions = None
                 while heap and heap[0][0] <= now:
                     finish, tid, demands = heappop(heap)
-                    for r, demand in enumerate(demands):
-                        available[r] += demand
+                    if two_dim:
+                        available[0] += demands[0]
+                        available[1] += demands[1]
+                    else:
+                        for r, demand in enumerate(demands):
+                            available[r] += demand
                     finished.add(tid)
-                    newly_ready = []
-                    for child in children(tid):
+                    unfinished -= 1
+                    for child in children[tid]:
                         remaining = unmet[child] - 1
                         unmet[child] = remaining
                         if remaining == 0:
-                            newly_ready.append(child)
-                    if newly_ready:
-                        newly_ready.sort()
-                        ready.extend(newly_ready)
+                            ready.append(child)
         finally:
             self.steps_taken = steps_before + steps
             self._version = version_before + steps
@@ -715,7 +605,7 @@ class SchedulingEnv:
         starts = self._starts
         demands_of = self._demands
         runtimes = self._runtimes
-        children = self.graph.children
+        children = self._children
         num_tasks = self._num_tasks
         max_ready = self._max_ready
         until_completion = self._until_completion
@@ -788,7 +678,9 @@ class SchedulingEnv:
                         available[r] -= demand
                     heappush(
                         heap,
-                        RunningTask(cluster.now + runtimes[tid], tid, demands),
+                        _running_task(
+                            RunningTask, (cluster.now + runtimes[tid], tid, demands)
+                        ),
                     )
                     del ready[action]
                     starts[tid] = cluster.now
@@ -800,37 +692,17 @@ class SchedulingEnv:
                     for r, demand in enumerate(demands):
                         available[r] += demand
                     finished.add(tid)
-                    newly_ready = []
-                    for child in children(tid):
+                    for child in children[tid]:
                         remaining = unmet[child] - 1
                         unmet[child] = remaining
                         if remaining == 0:
-                            newly_ready.append(child)
-                    if newly_ready:
-                        newly_ready.sort()
-                        ready.extend(newly_ready)
+                            ready.append(child)
         finally:
             self.steps_taken = steps_before + steps
             self._version = version_before + steps
         if self._verify_terminal:
             self.verify_terminal_state()
         return cluster.now
-
-    def _on_completions(self, completed: Sequence[int]) -> None:
-        unmet = self._unmet
-        children = self.graph.children
-        for tid in completed:
-            self._finished.add(tid)
-            newly_ready = []
-            for child in children(tid):
-                remaining = unmet[child] - 1
-                unmet[child] = remaining
-                if remaining == 0:
-                    newly_ready.append(child)
-            if newly_ready:
-                # Deterministic arrival order within one completion.
-                newly_ready.sort()
-                self._ready.extend(newly_ready)
 
     # ------------------------------------------------------------------ #
     # copying / export
@@ -847,7 +719,6 @@ class SchedulingEnv:
         copy._finished = set(self._finished)
         copy._starts = dict(self._starts)
         copy.steps_taken = self.steps_taken
-        copy.undos_taken = self.undos_taken
         copy.clones_made = 0
         self.clones_made += 1
         copy._max_ready = self._max_ready
@@ -856,6 +727,7 @@ class SchedulingEnv:
         # Immutable per-graph tables: shared by reference.
         copy._demands = self._demands
         copy._runtimes = self._runtimes
+        copy._children = self._children
         copy._num_tasks = self._num_tasks
         copy._sched_results = self._sched_results
         # The memoized action list is valid for the identical state; cache
@@ -927,9 +799,9 @@ class SchedulingEnv:
         """Export the finished episode as a validated-shape :class:`Schedule`.
 
         The per-episode telemetry flush point: the environment's plain-int
-        counters (steps, undos, clones) land in the active pipeline here,
-        once per completed episode, so the step/undo hot paths carry no
-        emit-time work at all.
+        counters (steps, clones) land in the active pipeline here, once
+        per completed episode, so the step hot paths carry no emit-time
+        work at all.
 
         Raises:
             EnvironmentStateError: if the episode has not terminated.
@@ -940,14 +812,12 @@ class SchedulingEnv:
         if tm.enabled:
             tm.inc("env.episodes")
             tm.inc("env.steps", self.steps_taken)
-            tm.inc("env.undos", self.undos_taken)
             tm.inc("env.clones", self.clones_made)
             tm.event(
                 "env.episode",
                 scheduler=scheduler,
                 makespan=self.cluster.now,
                 steps=self.steps_taken,
-                undos=self.undos_taken,
                 clones=self.clones_made,
                 tasks=self._num_tasks,
             )

@@ -33,8 +33,10 @@ def render_tree(
 ) -> str:
     """Render the subtree under ``node`` as an indented text outline.
 
-    Children are shown best-max-value first, at most ``max_children`` per
-    node, down to ``max_depth`` levels; elided siblings are summarized.
+    Children are shown in the order the search would commit them
+    (:meth:`Node.commit_key`: max value, then mean value, visits and the
+    lower action), at most ``max_children`` per node, down to
+    ``max_depth`` levels; elided siblings are summarized.
     """
 
     lines: List[str] = []
@@ -46,11 +48,7 @@ def render_tree(
     )
     if max_depth <= 0 or not node.children:
         return "\n".join(lines)
-    ranked = sorted(
-        node.children.values(),
-        key=lambda ch: (ch.max_value, ch.visits),
-        reverse=True,
-    )
+    ranked = sorted(node.children.values(), key=Node.commit_key, reverse=True)
     for child in ranked[:max_children]:
         lines.append(
             render_tree(child, max_depth - 1, max_children, _indent + "  ")

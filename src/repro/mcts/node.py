@@ -3,17 +3,17 @@
 Each node represents the environment state reached by a unique action
 history ("given the same initial state, we can always reach the same state
 given the same sequence of actions", Sec. III-C) — so a node stores
-statistics, not a state: the search re-materializes the state by walking
-its one environment down the action path.  Per Sec. IV, every node
-tracks **both** the maximum and the mean of the rollout values observed
-through it: selection exploits the maximum (Eq. 5) and breaks ties on the
-mean.
+statistics, not a state: the search re-materializes the state by cloning
+the root's environment and replaying the action path on the copy.  Per
+Sec. IV, every node tracks **both** the maximum and the mean of the
+rollout values observed through it: selection exploits the maximum
+(Eq. 5) and breaks ties on the mean.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..env.actions import Action
 
@@ -161,20 +161,23 @@ class Node:
         assert best is not None
         return best
 
+    def commit_key(self, use_max: bool = True) -> Tuple[float, float, int, int]:
+        """This node's rank among its siblings when the search commits:
+        exploitation score (no exploration term), then mean value, visits
+        and the lower action."""
+        return (
+            self.max_value if use_max else self.mean_value,
+            self.mean_value,
+            self.visits,
+            -(self.action if self.action is not None else 0),
+        )
+
     def exploitation_child(self, use_max: bool = True) -> "Node":
-        """Child with the best exploitation score (no exploration term) —
-        the action actually committed after the budget is spent."""
+        """Child with the best :meth:`commit_key` — the action actually
+        committed after the budget is spent."""
         if not self.children:
             raise ValueError("node has no children")
-        return max(
-            self.children.values(),
-            key=lambda ch: (
-                (ch.max_value if use_max else ch.mean_value),
-                ch.mean_value,
-                ch.visits,
-                -(ch.action if ch.action is not None else 0),
-            ),
-        )
+        return max(self.children.values(), key=lambda ch: ch.commit_key(use_max))
 
     def update(self, value: float) -> None:
         """Fold one rollout outcome into this node's statistics.

@@ -3,9 +3,12 @@
 For every decision of the episode the search spends the Eq. (4) budget
 building (or extending — the chosen child becomes the next root, so the
 relevant subtree is reused) a tree of action histories, then commits the
-action with the best exploitation score.  The tree holds statistics only:
-one environment is walked down each selected path with ``apply``, cloned
-where a leaf needs a rollout, and unwound with ``undo``.  Per Sec. III-C/IV:
+action with the best exploitation score.  The tree holds statistics only
+(a node *is* its action history, Sec. III-C): selection descends on them
+alone, and the selected node's state is rebuilt by cloning the search's
+environment once and replaying the path with ``step``; that copy becomes
+the rollout lane.  The search's own environment only takes the committed
+moves.  Per Sec. III-C/IV:
 
 * **Selection** descends via Eq. (5) UCB — max value plus a scaled
   exploration term, mean value as tiebreaker.
@@ -266,8 +269,8 @@ class MctsScheduler(Scheduler):
         when a descent starts, so the round is the classic sequential
         iteration: select, expand, simulate, backpropagate.
 
-        ``env`` is the search's one environment, at ``root``'s state on
-        entry and on return.
+        ``env`` is the search's environment at ``root``'s state; the
+        round only reads and clones it.
         """
         width = self.config.rollout_batch
         spent = 0
@@ -300,57 +303,66 @@ class MctsScheduler(Scheduler):
     ) -> int:
         """One virtual-loss descent collecting up to ``want`` leaves.
 
-        Walks ``env`` down to the most promising expandable node with
-        ``apply``, then expands up to ``want`` of its untried actions as
-        sibling leaves in one go — the same frontier repeated single-leaf
-        descents would reach (virtual loss steers consecutive descents
-        into a node's remaining untried actions anyway), at one descent's
-        cost instead of ``k``.  Each sibling is ``apply`` -> record what
-        the node keeps (candidates, terminal) -> ``clone`` a lane if it
-        needs a rollout -> ``undo``.  Terminal leaves are evaluated and
-        backpropagated immediately; the rest are appended to ``leaves`` /
-        ``lanes``.  ``env`` is unwound to the root state before returning
-        the number of budget units consumed (= leaves collected).
+        Descends on node statistics alone to the most promising
+        expandable node, then expands up to ``want`` of its untried
+        actions as sibling leaves in one go — the same frontier repeated
+        single-leaf descents would reach (virtual loss steers consecutive
+        descents into a node's remaining untried actions anyway), at one
+        descent's cost instead of ``k``.  The node's state is rebuilt by
+        cloning ``env`` once and replaying the path with ``step``; each
+        sibling but the last steps its own clone of that state, the last
+        steps the replayed one, so every expanded leaf costs one copy.
+        Terminal leaves are evaluated and backpropagated immediately; the
+        rest are appended to ``leaves`` / ``lanes``.  A re-selected
+        terminal node is backpropagated with the value its first
+        evaluation recorded, without touching an environment.  ``env`` is
+        only read.  Returns the number of budget units consumed (= leaves
+        collected).
         """
         use_max = self.config.use_max_value_ucb
         node = root
-        descent = []  # undo records of the selected path, root first
+        path = []  # actions of the selected edges, root first
         while not node.terminal and not node.untried and node.children:
             node = node.best_child(exploration, use_max, virtual_loss=True)
             node.vloss += 1
-            descent.append(env.apply(node.action))
+            path.append(node.action)
         if node.terminal:
-            # Re-selected terminal node: one more (immediate) evaluation.
+            # Re-selected terminal node: one more (immediate) evaluation of
+            # its deterministic value.
             taken = 1
-            self._backpropagate(node, float(-env.makespan), stats)
+            self._backpropagate(node, node.max_value, stats)
         elif not node.untried:
             # Dead end without being terminal cannot happen on a live
             # environment; guard so a livelock is loud, not silent.
             raise ConfigError("MCTS selection reached a non-terminal dead end")
         else:
+            walk = env.clone()
+            for action in path:
+                walk.step(action)
             if len(node.untried) > 1:
-                node.untried = self.expansion.prioritize(env, node.untried)
-            taken = 0
+                node.untried = self.expansion.prioritize(walk, node.untried)
+            taken = min(want, len(node.untried))
             finished = []  # (terminal child, its value)
-            while node.untried and taken < want:
+            for sibling in range(taken):
                 action = node.untried.pop(0)
-                record = env.apply(action)
-                done = env.done
+                lane = walk if sibling == taken - 1 else walk.clone()
+                lane.step(action)
+                done = lane.done
                 child = Node(
                     parent=node,
                     action=action,
-                    untried=[] if done else self._candidates(env),
+                    untried=[] if done else self._candidates(lane),
                     terminal=done,
                 )
                 node.children[action] = child
-                taken += 1
                 if done:
-                    finished.append((child, float(-env.makespan)))
+                    finished.append((child, float(-lane.makespan)))
                 else:
                     child.vloss += 1
                     leaves.append(child)
-                    lanes.append(env.clone())
-                env.undo(record)
+                    lanes.append(lane)
+            # The sibling copies are the search's too: one per leaf.
+            env.clones_made += walk.clones_made
             # Each of the ``taken`` eventual backpropagations decrements
             # every selected node once; the descent incremented them once,
             # so top the path up to keep pending counts balanced.
@@ -362,8 +374,6 @@ class MctsScheduler(Scheduler):
             for child, value in finished:
                 self._backpropagate(child, value, stats)
         stats.iterations += taken
-        while descent:
-            env.undo(descent.pop())
         return taken
 
     def _backpropagate(

@@ -48,10 +48,16 @@ def test_one_environment_no_backend_switch():
 
 def test_one_tree_walk():
     # Nodes store statistics, the search owns the one environment and has
-    # one select/expand/backpropagate loop; nothing selects another.
+    # one select/expand/backpropagate loop; nothing selects another.  A
+    # descent replays its path on a clone of the root, so no undo log
+    # exists to restore one.
     from repro.mcts import Node, search
 
     assert not grep("state_restore", REPO / "src", REPO / "README.md", REPO / "examples")
+    assert not grep(
+        r"StepUndo|def apply\(|def undo\(|undo_start|undo_advance|undos_taken",
+        REPO / "src",
+    )
     assert "env" not in Node.__slots__
     callers = [
         fn.name

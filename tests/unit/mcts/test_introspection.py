@@ -30,6 +30,20 @@ class TestRenderTree:
         assert "schedule[0]" in lines[1]  # max -9 beats max -10
         assert "schedule[1]" in lines[2]
 
+    def test_max_value_tie_ranks_like_the_commit(self):
+        """On a max-value tie the first child shown is the one the search
+        commits: mean value breaks the tie before visit count."""
+        root = Node(untried=[])
+        for action, values in ((0, [-10.0] * 3), (1, [-10.0] + [-14.0] * 4)):
+            child = root.children[action] = Node(parent=root, action=action)
+            for value in values:
+                child.update(value)
+        committed = root.exploitation_child()
+        assert committed.action == 0  # mean -10 over 3 beats -13.2 over 5
+        lines = render_tree(root).splitlines()
+        assert lines[1].strip().startswith("schedule[0]:")
+        assert lines[2].strip().startswith("schedule[1]:")
+
     def test_depth_limit(self):
         root = build_small_tree()
         out = render_tree(root, max_depth=0)

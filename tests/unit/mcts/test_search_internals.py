@@ -10,7 +10,7 @@ from repro.config import (
     WorkloadConfig,
 )
 from repro.dag import independent_tasks_dag, random_layered_dag
-from repro.env import SchedulingEnv
+from repro.env import PROCESS, SchedulingEnv
 from repro.mcts import MctsScheduler, Node, tree_statistics
 from repro.mcts.search import SearchStatistics
 from repro.schedulers.base import ScheduleRequest
@@ -26,14 +26,19 @@ def env_config():
 
 
 def environment_state(env):
-    return env.signature(), list(env.legal_actions()), env.steps_taken
+    return (
+        env.signature(),
+        list(env.legal_actions()),
+        env.steps_taken,
+        env._version,
+    )
 
 
 class TestIterationMechanics:
     """The one tree walk, driven a budget at a time: ``_run_budget`` on a
-    statistics-only root and the search's single environment.  Width 1
-    is the sequential search; the subclass below re-runs every test on
-    waves of 8."""
+    statistics-only root and the search's environment, which a descent
+    clones and replays its path on.  Width 1 is the sequential search;
+    the subclass below re-runs every test on waves of 8."""
 
     width = 1
 
@@ -82,9 +87,10 @@ class TestIterationMechanics:
         # Both tasks fit together: the only achievable makespan is 3.
         assert root.max_value == -3.0
 
-    def test_every_apply_is_undone(self, env_config):
-        """After each budget the walked environment is back at the root
-        state — also once the tree is exhausted and descents end in
+    def test_budget_leaves_the_search_environment_untouched(self, env_config):
+        """A budget only reads and clones the search's environment: its
+        state, legal actions, step count and state version are those of
+        the root — also once the tree is exhausted and descents end in
         re-selected terminal nodes."""
         graph = independent_tasks_dag([2, 2], demands=[(4, 4)] * 2)
         scheduler, env, _, stats = self.search(graph, env_config)
@@ -101,6 +107,33 @@ class TestIterationMechanics:
                 reselected_terminal = True
         assert reselected_terminal, "the budget must outlast this tiny tree"
         assert root.visits == stats.iterations == 12 * self.width
+
+    def test_reselected_terminal_costs_no_clone_and_no_step(
+        self, env_config, monkeypatch
+    ):
+        """Once a one-task tree is exhausted (schedule, then process to
+        the end), every budget unit re-selects its terminal leaf and
+        backpropagates the value its first evaluation recorded, without
+        copying or stepping an environment."""
+        graph = independent_tasks_dag([2], demands=[(4, 4)])
+        scheduler, env, root, stats = self.search(graph, env_config)
+        scheduler._run_budget(root, env, 100.0, stats, 2)
+        terminal = root.children[0].children[PROCESS]
+        assert terminal.terminal and terminal.visits == 1
+        calls = []
+        for name in ("clone", "step"):
+            inner = getattr(SchedulingEnv, name)
+
+            def counting(self, *args, _inner=inner, _name=name):
+                calls.append(_name)
+                return _inner(self, *args)
+
+            monkeypatch.setattr(SchedulingEnv, name, counting)
+        scheduler._run_budget(root, env, 100.0, stats, 3 * self.width)
+        assert calls == []
+        assert terminal.visits == 1 + 3 * self.width
+        assert root.visits == stats.iterations == 2 + 3 * self.width
+        assert terminal.max_value == terminal.mean_value == -2.0
 
 
 class TestIterationMechanicsInWaves(TestIterationMechanics):

@@ -101,34 +101,34 @@ class TestEnvInstrumentation:
             MctsScheduler(MCTS, seed=0).plan(ScheduleRequest(graph))
             assert tm.metrics.counter("env.episodes").total >= 1
             assert tm.metrics.counter("env.steps").total > 0
-            assert tm.metrics.counter("env.undos").total > 0  # the tree walk
+            assert tm.metrics.counter("env.clones").total > 0  # the tree walk
             episodes = [e for e in tm.events() if e.name == "env.episode"]
         assert episodes and episodes[-1].attrs["steps"] > 0
+        assert "undos" not in episodes[-1].attrs
 
     @pytest.mark.parametrize("width", [1, 8])
-    def test_search_environment_owns_its_clones_and_undos(
-        self, graph, width, monkeypatch
-    ):
-        """The one walked environment makes every clone (one per rollout
-        lane) and undoes every ``apply``; only committed moves remain as
-        steps — in a sequential search and in waves alike."""
+    def test_search_environment_owns_its_clones(self, graph, width, monkeypatch):
+        """Every copy a search makes — the root clone a descent replays
+        its path on, one more per extra sibling — is counted on the
+        search's environment, one per expanded leaf; only committed moves
+        remain as its steps — in a sequential search and in waves alike."""
         from repro.env.scheduling_env import SchedulingEnv
 
-        applies = []
-        inner = SchedulingEnv.apply
+        clones = []
+        inner = SchedulingEnv.clone
 
-        def counting(self, action):
-            applies.append(action)
-            return inner(self, action)
+        def counting(self):
+            clones.append(self)
+            return inner(self)
 
-        monkeypatch.setattr(SchedulingEnv, "apply", counting)
+        monkeypatch.setattr(SchedulingEnv, "clone", counting)
         scheduler = MctsScheduler(replace(MCTS, rollout_batch=width), seed=0)
         with session(TC(enabled=True)) as tm:
             scheduler.plan(ScheduleRequest(graph))
             counter = tm.metrics.counter
             stats = scheduler.last_statistics
-            assert counter("env.clones").total == stats.rollouts > 0
-            assert counter("env.undos").total == len(applies) > 0
+            assert counter("env.clones").total == len(clones) > 0
+            assert stats.rollouts <= len(clones) <= stats.iterations
             assert counter("env.steps").total == stats.decisions
 
 
