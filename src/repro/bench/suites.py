@@ -76,11 +76,12 @@ def _setup_observation_build() -> Callable[[], None]:
 def _setup_rl_policy_select() -> Callable[[], None]:
     """``NetworkPolicy.select`` over one sampled episode's states.
 
-    The unmemoised step ``TruncatedRollout`` and value training take,
-    and — as ``select_with_trace`` — the trainers' trajectory sampler;
-    Spear's rollouts take the fused, memoised playout instead.  Forced
-    states (one candidate: no observation, no forward) and unforced ones
-    occur in their real mix.
+    The unmemoised step of callers that act one state at a time
+    (``TruncatedRollout``'s depth-limited prefix, value-dataset
+    collection with a network policy); Spear's rollouts take the fused,
+    memoised playout, and the trainers the fused playout with a recorder
+    attached.  Forced states (one candidate: no observation, no forward)
+    and unforced ones occur in their real mix.
     """
     from ..core.pipeline import default_network
 

@@ -423,23 +423,27 @@ class GraphPolicyNetwork:
         steps: Sequence,
         actions: Sequence[int],
         weights: StepWeights,
+        total: Optional[int] = None,
     ) -> Tuple[Dict[str, np.ndarray], float]:
-        """Gradients of ``-sum_i weights_i * log pi(actions_i | states_i)``,
-        averaged over the whole step batch (groups sum into one update).
+        """Gradients of ``-sum_i weights_i * log pi(actions_i | states_i)``
+        over the whole step batch (groups sum into one update), divided
+        by ``total`` (default: the number of steps; see
+        :meth:`repro.rl.network.PolicyNetwork.policy_gradient`).
 
         A ``weights`` function is called once per graph group, between
         that group's forward and its backward pass, with the group's
         positions in ``steps`` and ``pi(actions_i | states_i)`` there
         (see :data:`repro.rl.network.StepWeights`)."""
-        total = len(steps)
+        count = len(steps)
+        total = count if total is None else total
         if total == 0:
             raise ConfigError("empty step batch")
         actions_arr = np.asarray(actions, dtype=int)
-        if actions_arr.shape[0] != total:
+        if actions_arr.shape[0] != count:
             raise ConfigError("steps, actions and weights must align")
         if not callable(weights):
             weights_arr = np.asarray(weights, dtype=np.float64)
-            if weights_arr.shape != (total,):
+            if weights_arr.shape != (count,):
                 raise ConfigError("steps, actions and weights must align")
         grads = {key: np.zeros_like(value) for key, value in self.params.items()}
         nll_sum = 0.0
@@ -474,7 +478,7 @@ class GraphPolicyNetwork:
     def step_probabilities(self, steps: Sequence) -> np.ndarray:
         """``(B, A)`` distributions over recorded steps, zero-padded to
         the widest action space in the batch."""
-        width = max(len(step.mask) for step in steps)
+        width = max((len(step.mask) for step in steps), default=1)
         out = np.zeros((len(steps), width), dtype=np.float64)
         for positions in self._group_positions(steps):
             sub = [steps[i] for i in positions]
@@ -482,16 +486,17 @@ class GraphPolicyNetwork:
             out[np.asarray(positions), : probs.shape[1]] = probs
         return out
 
-    def entropy_gradient_steps(self, steps: Sequence) -> Dict[str, np.ndarray]:
-        """Gradients of mean policy entropy over recorded steps."""
-        total = len(steps)
+    def entropy_gradient_steps(
+        self, steps: Sequence, total: Optional[int] = None
+    ) -> Dict[str, np.ndarray]:
+        """Gradients of the policy entropy summed over recorded steps and
+        divided by ``total`` (default: their number)."""
+        total = len(steps) if total is None else total
         grads = {key: np.zeros_like(value) for key, value in self.params.items()}
         for positions in self._group_positions(steps):
             sub = [steps[i] for i in positions]
             probs = self._group_probabilities(sub, keep_cache=True)
-            # entropy_dlogits averages over the group; rescale to the batch.
-            dlogits = entropy_dlogits(probs) * (len(sub) / total)
-            group_grads = self.backward_group(dlogits)
+            group_grads = self.backward_group(entropy_dlogits(probs, total))
             for key in grads:
                 grads[key] += group_grads[key]
         return grads
@@ -501,13 +506,15 @@ class GraphPolicyNetwork:
     def value_feature_size(self) -> int:
         return self.global_features + NODE_STATE_CHANNELS
 
-    def value_features(self, steps: Sequence) -> np.ndarray:
-        """``(B, value_feature_size)`` critic inputs for recorded steps:
-        the global cluster features joined with the mean per-node state
-        channels (a size-invariant summary of episode progress)."""
-        out = np.empty((len(steps), self.value_feature_size), dtype=np.float64)
-        for b, step in enumerate(steps):
-            obs = step.observation
+    def value_features(self, observations: Sequence) -> np.ndarray:
+        """``(B, value_feature_size)`` critic inputs for recorded
+        observations: the global cluster features joined with the mean
+        per-node state channels (a size-invariant summary of episode
+        progress)."""
+        out = np.empty(
+            (len(observations), self.value_feature_size), dtype=np.float64
+        )
+        for b, obs in enumerate(observations):
             out[b, : self.global_features] = obs.globals_vec
             out[b, self.global_features :] = obs.node_state.mean(axis=0)
         return out

@@ -38,7 +38,7 @@ from ..utils.rng import SeedLike
 from .agent import build_action_mask
 from .network import PolicyNetwork
 from .trainer import TrainerBase, iterate_minibatches
-from .trajectories import Step
+from .trajectories import Decision
 
 __all__ = ["ImitationTrainer", "ImitationDataset"]
 
@@ -127,18 +127,19 @@ class ImitationTrainer(TrainerBase):
             actions=np.asarray(actions, dtype=int),
         )
 
-    def collect_steps(self, graphs: Sequence[TaskGraph]) -> List[Step]:
-        """Model-agnostic teacher decisions as trajectory :class:`Step`\\ s.
+    def collect_steps(self, graphs: Sequence[TaskGraph]) -> List[Decision]:
+        """Model-agnostic teacher decisions as trajectory :class:`Decision`\\ s.
 
         The network's own policy adapter featurizes each state, so the
         recorded observations match what the model consumes — for the
         graph policy that is a per-node graph observation, not a stacked
-        window.
+        window.  Every state is recorded, forced or not: imitation
+        shuffles minibatches over all of them.
         """
         # Full legal-action masks (not work-conserving), matching the
         # stacked MLP dataset: any teacher decision must be in-mask.
         observer = self.network.make_policy(mode="greedy", work_conserving=False)
-        records: List[Step] = []
+        records: List[Decision] = []
         for graph in graphs:
             env = SchedulingEnv(graph, self.env_config)
             observer.begin_episode(env)
@@ -151,7 +152,7 @@ class ImitationTrainer(TrainerBase):
                 action = teacher.select(env)
                 observation, mask = observer.observe(env)
                 index = len(mask) - 1 if action == PROCESS else int(action)
-                records.append(Step(observation, mask, index, 0))
+                records.append(Decision(observation, mask, index, steps))
                 env.step(action)
                 steps += 1
         return records
@@ -174,7 +175,7 @@ class ImitationTrainer(TrainerBase):
             losses.append(nll)
         return float(np.mean(losses))
 
-    def train_epoch_steps(self, records: Sequence[Step]) -> float:
+    def train_epoch_steps(self, records: Sequence[Decision]) -> float:
         """Model-agnostic variant of :meth:`train_epoch` over steps."""
         losses: List[float] = []
         for batch in iterate_minibatches(

@@ -9,6 +9,8 @@ giving them exactly zero probability and exactly zero gradient.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from ...errors import ConfigError
@@ -105,20 +107,29 @@ def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
     return int(normalized_cdf(probs).searchsorted(rng.random(), side="right"))
 
 
-def policy_entropy(probs: np.ndarray) -> float:
-    """Mean per-row entropy of a batch of distributions (0 log 0 = 0)."""
+def policy_entropy(probs: np.ndarray, rows: Optional[int] = None) -> float:
+    """Per-row entropy of a batch of distributions (0 log 0 = 0), summed
+    and divided by ``rows`` (default: the batch's rows, i.e. the mean).
+
+    A ``rows`` above the batch's counts rows left out because their
+    distribution is one-hot, whose entropy is exactly 0.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(probs > 0, probs * np.log(probs), 0.0)
-    return float(-plogp.sum(axis=1).mean())
+    rows = probs.shape[0] if rows is None else rows
+    return float(-plogp.sum(axis=1).sum() / rows)
 
 
-def entropy_dlogits(probs: np.ndarray) -> np.ndarray:
-    """``d(mean entropy)/dlogits`` for a batch of masked distributions.
+def entropy_dlogits(probs: np.ndarray, rows: Optional[int] = None) -> np.ndarray:
+    """``d(summed entropy / rows)/dlogits`` for a batch of masked
+    distributions (default ``rows``: the batch's, i.e. the mean).
 
-    Zero-probability (masked) entries receive exactly zero gradient.
+    Zero-probability (masked) entries receive exactly zero gradient, and
+    so does every entry of a one-hot row.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         logp = np.where(probs > 0, np.log(probs), 0.0)
     inner = -(logp + 1.0)
     expected = (probs * inner).sum(axis=1, keepdims=True)
-    return probs * (inner - expected) / probs.shape[0]
+    rows = probs.shape[0] if rows is None else rows
+    return probs * (inner - expected) / rows

@@ -24,7 +24,7 @@ gradient.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -133,8 +133,10 @@ class PolicyNetwork:
         masks: np.ndarray,
         actions: Sequence[int],
         weights: StepWeights,
+        total: Optional[int] = None,
     ) -> Tuple[Dict[str, np.ndarray], float]:
-        """Gradients of ``-sum_i weights_i * log pi(actions_i | states_i)``.
+        """Gradients of ``-sum_i weights_i * log pi(actions_i | states_i)``
+        divided by ``total`` (default: the batch size ``B``).
 
         With ``weights = advantages`` this is the REINFORCE update of
         Eq. (3); with ``weights = 1`` it is the imitation cross-entropy.
@@ -145,11 +147,16 @@ class PolicyNetwork:
         surrogate whose (detached) weights depend on the current
         probabilities, so they need no forward pass of their own.
 
+        A ``total`` above ``B`` stands for steps left out of the batch
+        because their terms are exactly 0 (forced steps, DESIGN.md
+        Sec. 16.3): the result is that of the whole batch.
+
         Returns:
-            ``(grads, mean_negative_log_likelihood)``.
+            ``(grads, negative_log_likelihood / total)``.
         """
         probs = self.probabilities(states, masks, keep_cache=True)
         batch = probs.shape[0]
+        total = batch if total is None else total
         rows = np.arange(batch)
         actions = np.asarray(actions, dtype=int)
         if actions.shape[0] != batch:
@@ -165,10 +172,10 @@ class PolicyNetwork:
             raise ConfigError("states, actions and weights must align")
         onehot = np.zeros_like(probs)
         onehot[rows, actions] = 1.0
-        # d(-w log pi_a)/dlogits = w * (probs - onehot); average over batch.
-        dlogits = weights_arr[:, None] * (probs - onehot) / batch
+        # d(-w log pi_a)/dlogits = w * (probs - onehot); average over total.
+        dlogits = weights_arr[:, None] * (probs - onehot) / total
         grads = self.backward_from_dlogits(dlogits)
-        nll = float(-np.mean(np.log(chosen)))
+        nll = float(-np.log(chosen).sum() / total)
         return grads, nll
 
     # ------------------------------------------------------------------ #
@@ -188,8 +195,12 @@ class PolicyNetwork:
             self, mode=mode, seed=seed, work_conserving=work_conserving
         )
 
-    @staticmethod
-    def _stack_steps(steps: Sequence) -> Tuple[np.ndarray, np.ndarray]:
+    def _stack_steps(self, steps: Sequence) -> Tuple[np.ndarray, np.ndarray]:
+        if not steps:  # a batch whose every step was forced
+            return (
+                np.empty((0, self.input_size)),
+                np.empty((0, self.num_actions), dtype=bool),
+            )
         states = np.stack([step.observation for step in steps])
         masks = np.stack([step.mask for step in steps])
         return states, masks
@@ -199,33 +210,38 @@ class PolicyNetwork:
         steps: Sequence,
         actions: Sequence[int],
         weights: StepWeights,
+        total: Optional[int] = None,
     ) -> Tuple[Dict[str, np.ndarray], float]:
         """:meth:`policy_gradient` over recorded trajectory steps."""
         states, masks = self._stack_steps(steps)
-        return self.policy_gradient(states, masks, actions, weights)
+        return self.policy_gradient(states, masks, actions, weights, total)
 
     def step_probabilities(self, steps: Sequence) -> np.ndarray:
         """``(B, num_actions)`` action distributions for recorded steps."""
         states, masks = self._stack_steps(steps)
         return self.probabilities(states, masks)
 
-    def entropy_gradient_steps(self, steps: Sequence) -> Dict[str, np.ndarray]:
-        """Gradients of mean policy entropy over recorded steps."""
+    def entropy_gradient_steps(
+        self, steps: Sequence, total: Optional[int] = None
+    ) -> Dict[str, np.ndarray]:
+        """Gradients of the policy entropy summed over recorded steps and
+        divided by ``total`` (default: their number; see
+        :meth:`policy_gradient`)."""
         from .modules import entropy_dlogits
 
         states, masks = self._stack_steps(steps)
         probs = self.probabilities(states, masks, keep_cache=True)
-        return self.backward_from_dlogits(entropy_dlogits(probs))
+        return self.backward_from_dlogits(entropy_dlogits(probs, total))
 
     #: Critic input width (the PPO value head trains on these features).
     @property
     def value_feature_size(self) -> int:
         return self.input_size
 
-    def value_features(self, steps: Sequence) -> np.ndarray:
-        """``(B, value_feature_size)`` critic inputs for recorded steps —
-        for the window model, the observation itself."""
-        return np.stack([step.observation for step in steps])
+    def value_features(self, observations: Sequence) -> np.ndarray:
+        """``(B, value_feature_size)`` critic inputs for recorded
+        observations — for the window model, the observation itself."""
+        return np.stack(observations)
 
     # ------------------------------------------------------------------ #
     # parameter plumbing

@@ -74,13 +74,19 @@ class ReinforceTrainer(Trainer):
         advantage_arrays: Sequence[np.ndarray],
     ) -> Tuple[float, float]:
         """One policy-gradient step over all steps of all trajectories;
-        returns (mean policy entropy, weighted NLL surrogate loss)."""
-        steps, actions = self.flatten_steps(trajectories)
-        weights = np.concatenate(advantage_arrays)
-        grads, nll = self.network.policy_gradient_steps(steps, actions, weights)
+        returns (mean policy entropy, weighted NLL surrogate loss).
+
+        Only the decisions are forwarded: a forced step adds exactly 0 to
+        every sum, and the step count stays the divisor."""
+        decisions, actions, rows = self.flatten_decisions(trajectories)
+        advantages = np.concatenate(advantage_arrays)
+        total = len(advantages)
+        grads, nll = self.network.policy_gradient_steps(
+            decisions, actions, advantages[rows], total
+        )
         if self.training.entropy_bonus > 0.0:
-            entropy_grads = self.network.entropy_gradient_steps(steps)
+            entropy_grads = self.network.entropy_gradient_steps(decisions, total)
             for key in grads:
                 grads[key] -= self.training.entropy_bonus * entropy_grads[key]
         self.apply_gradients(grads)
-        return self.mean_entropy(steps), float(nll)
+        return self.mean_entropy(decisions, total), float(nll)

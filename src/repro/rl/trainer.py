@@ -12,9 +12,15 @@ The skeleton is model-agnostic: it talks to the policy network only
 through the step-batch interface (``make_policy``,
 ``policy_gradient_steps``, ``step_probabilities``,
 ``entropy_gradient_steps``), which both :class:`PolicyNetwork` (MLP) and
-:class:`GraphPolicyNetwork` (GNN) implement.  The refactored REINFORCE
-path is bit-identical to the historical monolithic trainer (pinned by
-the golden trace in ``tests/data/rl_golden.json``).
+:class:`GraphPolicyNetwork` (GNN) implement.
+
+Episodes are played through the fused playout, which records only the
+*decisions* — states with more than one candidate action; a forced
+step's policy terms are exactly 0 (:mod:`repro.rl.trajectories`).  So
+every policy pass runs on decided rows only, and every normaliser stays
+the full step count: the same estimator as training on every step
+(DESIGN.md Sec. 16.3; ``tests/unit/rl/test_train_on_decisions.py``
+keeps the all-row update as its oracle).
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from ..telemetry.sinks import stderr_line
 from ..utils.rng import SeedLike, as_generator, spawn
 from .modules import policy_entropy
 from .optimizers import RmsProp, clip_global_norm
-from .trajectories import Step, Trajectory, returns_to_go, rollout_trajectory
+from .trajectories import Decision, Trajectory, returns_to_go, rollout_trajectory
 
 __all__ = ["Trainer", "TrainerBase", "EpochStats", "iterate_minibatches"]
 
@@ -112,6 +118,10 @@ class Trainer(TrainerBase, abc.ABC):
     via :meth:`_update_batch`.
     """
 
+    #: A trainer with a critic reads every state, forced ones included,
+    #: so its episodes also record the observation of every step.
+    has_critic: ClassVar[bool] = False
+
     def __init__(
         self,
         network,
@@ -139,7 +149,12 @@ class Trainer(TrainerBase, abc.ABC):
             env = SchedulingEnv(graph, self.env_config)
             policy = self.make_policy("sample", seed=child)
             trajectories.append(
-                rollout_trajectory(env, policy, self.training.max_episode_steps)
+                rollout_trajectory(
+                    env,
+                    policy,
+                    self.training.max_episode_steps,
+                    every_state=self.has_critic,
+                )
             )
         return trajectories
 
@@ -271,10 +286,9 @@ class Trainer(TrainerBase, abc.ABC):
             env = SchedulingEnv(graph, self.env_config)
             mode = "greedy" if greedy else "sample"
             policy = self.make_policy(mode, seed=self._rng)
-            trajectory = rollout_trajectory(
-                env, policy, self.training.max_episode_steps
+            results.append(
+                policy.playout(env, self.training.max_episode_steps)
             )
-            results.append(trajectory.makespan)
         return results
 
     # ------------------------------------------------------------------ #
@@ -282,14 +296,23 @@ class Trainer(TrainerBase, abc.ABC):
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def flatten_steps(
+    def flatten_decisions(
         trajectories: Sequence[Trajectory],
-    ) -> Tuple[List[Step], np.ndarray]:
-        """All steps of a trajectory batch plus their action indices."""
-        steps = [step for t in trajectories for step in t.steps]
-        actions = np.asarray([step.action_index for step in steps], dtype=int)
-        return steps, actions
+    ) -> Tuple[List[Decision], np.ndarray, np.ndarray]:
+        """All decisions of a trajectory batch, their action indices, and
+        their rows among the batch's steps (trajectory after trajectory,
+        the order of the concatenated per-step advantages)."""
+        decisions: List[Decision] = []
+        rows: List[int] = []
+        offset = 0
+        for trajectory in trajectories:
+            decisions.extend(trajectory.decisions)
+            rows.extend(offset + d.position for d in trajectory.decisions)
+            offset += len(trajectory)
+        actions = np.asarray([d.action_index for d in decisions], dtype=int)
+        return decisions, actions, np.asarray(rows, dtype=int)
 
-    def mean_entropy(self, steps: Sequence[Step]) -> float:
-        """Mean policy entropy over recorded steps (current parameters)."""
-        return policy_entropy(self.network.step_probabilities(steps))
+    def mean_entropy(self, decisions: Sequence[Decision], total: int) -> float:
+        """Mean policy entropy over ``total`` steps whose unforced ones are
+        ``decisions`` (current parameters; a forced step's is 0)."""
+        return policy_entropy(self.network.step_probabilities(decisions), total)

@@ -86,10 +86,12 @@ class Policy(abc.ABC):
         one ``step`` per move, forced or not — and so the reference
         semantics: a custom or non-work-conserving policy keeps it, and an
         override (:class:`GreedyPolicy`, the network policies) must end in
-        the same state, step count and makespan.  Callers that record or
-        truncate per step (``rl/value_training.py``, ``rl/imitation.py``,
-        ``TruncatedRollout``) have no episode to hand over and keep
-        calling ``select``.
+        the same state, step count and makespan.  The trainers record
+        through the network policies' override (a recorder sees forced
+        moves and decisions apart); callers that record every state of an
+        arbitrary policy or truncate per step (``rl/value_training.py``,
+        ``rl/imitation.py``, ``TruncatedRollout``) have no episode to hand
+        over and keep calling ``select``.
 
         Args:
             env: a fresh or mid-episode environment.

@@ -104,7 +104,7 @@ def test_a_list_heuristic_is_a_ranking_rule_on_the_one_episode_loop():
         assert "choose" in vars(cls), cls
         assert not {"select", "playout"} & set(vars(cls)), cls
     # The default Policy.playout is the only select -> step episode loop
-    # left where episodes are run (the trainers record per step).
+    # left where episodes are run.
     loops = grep(
         r"step\(.*\.select\(",
         SRC / "schedulers",
@@ -113,6 +113,16 @@ def test_a_list_heuristic_is_a_ranking_rule_on_the_one_episode_loop():
     )
     assert files_of(loops) == ["src/repro/schedulers/base.py"] and len(loops) == 1
     assert not grep("_fitting_indices", REPO / "src")
+
+
+def test_trainers_record_through_the_fused_playout():
+    # Rollout trainers collect through NetworkPolicyBase.playout with a
+    # recorder; the per-step recording select is gone.
+    from repro.rl import trainer, trajectories
+
+    assert not grep(r"select_with_trace|record=", REPO / "src")
+    assert ".select(" not in inspect.getsource(trajectories)
+    assert ".select(" not in inspect.getsource(trainer)
 
 
 def test_message_passing_has_no_scatter_and_ppo_one_forward():

@@ -21,9 +21,15 @@ digests of the policy (and critic) parameters, and the trainer
 generator's final ``bit_generator.state``.
 
 It was generated on the commit before the message-passing scatter and
-the PPO minibatch forward were rewritten and has not been regenerated
-since.  Regenerate (only when an intentional numeric change lands)
-with::
+the PPO minibatch forward were rewritten.  ``forward_backward`` has
+stayed byte-identical since (it picks its three states out of every
+state of the episode, forced ones included).  The three training cases
+were regenerated once, when the trainers moved to decided rows (forced
+steps are no longer forwarded; the same estimator, DESIGN.md
+Sec. 16.3): every integer field, makespan, generator state and critic
+digest stayed, and only mean entropies, mean losses and policy digests
+moved, by float summation order.  Regenerate (only when an intentional
+numeric change lands) with::
 
     PYTHONPATH=src python tests/data/make_gnn_golden.py
 """
@@ -85,20 +91,21 @@ def _forward_backward_case() -> dict:
         seed=GRAPH_SEED,
     )
     network = _gnn(NETWORK_SEED)
-    trajectory = rollout_trajectory(
+    # Every state of the episode, forced ones included (as a critic sees it).
+    states = rollout_trajectory(
         SchedulingEnv(graph, _env_config()),
         network.make_policy("sample", seed=7),
         max_steps=500,
-    )
-    steps = trajectory.steps
-    picked = [steps[0], steps[len(steps) // 2], steps[-2]]
-    first = picked[0].observation
-    ready_lists = [list(step.observation.ready) for step in picked]
+        every_state=True,
+    ).states
+    picked = [states[0], states[len(states) // 2], states[-2]]
+    first = picked[0]
+    ready_lists = [list(state.ready) for state in picked]
     logits = network.forward_group(
         first.arrays,
         first.static_table,
-        np.stack([step.observation.node_state for step in picked]),
-        np.stack([step.observation.globals_vec for step in picked]),
+        np.stack([state.node_state for state in picked]),
+        np.stack([state.globals_vec for state in picked]),
         ready_lists,
         keep_cache=True,
     )
@@ -109,7 +116,7 @@ def _forward_backward_case() -> dict:
         dlogits[row, len(ready) + 1 :] = 0.0
     grads = network.backward_group(dlogits)
     return {
-        "num_steps": len(steps),
+        "num_steps": len(states),
         "ready_lists": ready_lists,
         "params_digest": _params_digest(network.params),
         "logits": _hex_array(logits),

@@ -14,8 +14,14 @@ module stack and both trainers *before* the pluggable-policy refactor:
   :class:`EpochStats` field plus a SHA-256 digest of the final
   parameters (params are large; the digest pins them exactly).
 
-Any refactor of ``repro.rl`` must leave all of these byte-identical.
-Regenerate (only when an intentional numeric change lands) with::
+The ``reinforce`` case was regenerated once, on purpose, when the
+trainers moved to decided rows (forced steps are no longer forwarded;
+the same estimator, DESIGN.md Sec. 16.3): every makespan, trajectory
+count and greedy evaluation stayed, and only the mean entropies, the
+mean losses and the parameter digest moved, by float summation order.
+Any other refactor of ``repro.rl`` must leave all of these
+byte-identical.  Regenerate (only when an intentional numeric change
+lands) with::
 
     PYTHONPATH=src python tests/data/make_rl_golden.py
 """

@@ -268,17 +268,16 @@ def test_trainers_and_standalone_policies_never_memoize(memo_spy):
     assert memo_spy["memos"] == 2 and memo_spy["lookups"] > 0
 
 
-def test_select_with_trace_bypasses_an_installed_memo(memo_spy):
+def test_recording_playout_bypasses_an_installed_memo(memo_spy):
     """Recording is the trainers' path: it needs the observation, and its
-    parameters move between steps."""
+    parameters move between episodes."""
     graph = random_layered_dag(WORKLOAD, seed=GRAPH_SEEDS[0])
     policy = make_network("mlp").make_policy(mode="sample", seed=0)
     policy.memo = PolicyMemo()
-    env = SchedulingEnv(graph, ENV)
-    while not env.done:
-        action, observation, mask, _ = policy.select_with_trace(env)
-        assert observation is not None and mask is not None
-        env.step(action)
+    trajectory = rollout_trajectory(SchedulingEnv(graph, ENV), policy, 10_000)
+    assert trajectory.decisions
+    for decision in trajectory.decisions:
+        assert decision.observation is not None and decision.mask is not None
     assert memo_spy["lookups"] == 0 and not policy.memo.rows
 
 

@@ -10,7 +10,7 @@ from repro.env.observation import observation_size
 from repro.errors import ConfigError
 from repro.rl import NetworkPolicy, PolicyNetwork
 from repro.rl.agent import build_action_mask
-from repro.rl.trajectories import returns_to_go, rollout_trajectory
+from repro.rl.trajectories import Trajectory, returns_to_go, rollout_trajectory
 
 
 @pytest.fixture
@@ -108,7 +108,21 @@ class TestTrajectories:
         trajectory = rollout_trajectory(env, policy, max_steps=100)
         assert trajectory.makespan == env.makespan
         assert trajectory.total_reward == -trajectory.makespan
-        assert len(trajectory.steps) >= 2  # two schedules + processes
+        assert len(trajectory) >= 2  # two schedules + processes
+        # A chain never offers a choice: every step is forced, and only
+        # the rewards are recorded.
+        assert trajectory.decisions == [] and trajectory.states == []
+
+    def test_decisions_carry_their_step_positions(
+        self, cfg, net, small_random_graph
+    ):
+        env = SchedulingEnv(small_random_graph, cfg)
+        policy = NetworkPolicy(net, mode="sample", seed=1)
+        trajectory = rollout_trajectory(env, policy, max_steps=1000)
+        positions = [d.position for d in trajectory.decisions]
+        assert positions == sorted(set(positions))
+        assert 0 < len(positions) < len(trajectory) == env.steps_taken
+        assert all(d.mask.sum() > 1 for d in trajectory.decisions)
 
     def test_rollout_step_cap(self, cfg, net, small_random_graph):
         from repro.errors import EnvironmentStateError
@@ -125,6 +139,11 @@ class TestTrajectories:
         trajectory = rollout_trajectory(env, policy, max_steps=100)
         returns = returns_to_go(trajectory)
         assert returns[0] == trajectory.total_reward
-        assert returns[-1] == trajectory.steps[-1].reward
+        assert returns[-1] == trajectory.rewards[-1]
         # Monotone non-decreasing (rewards are all <= 0).
         assert all(b >= a for a, b in zip(returns, returns[1:]))
+
+    def test_discounted_returns_to_go(self):
+        trajectory = Trajectory([], np.array([-2.0, 0.0, -3.0]), 5)
+        assert returns_to_go(trajectory).tolist() == [-5.0, -3.0, -3.0]
+        assert returns_to_go(trajectory, 0.5).tolist() == [-2.75, -1.5, -3.0]

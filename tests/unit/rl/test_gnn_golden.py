@@ -4,9 +4,12 @@
 message-passing scatter (``np.add.at``) became a rank-sliced gather and
 before PPO stopped forwarding each minibatch twice.  Identical logits,
 gradients, ``EpochStats``, parameter digests *and* final generator
-states mean neither rewrite moved a bit or a random draw.  Case
-definitions and serialization live in ``tests/data/make_gnn_golden.py``
-(also the regeneration script).
+states meant neither rewrite moved a bit or a random draw.  The three
+training cases were regenerated once since, when the trainers moved to
+decided rows: integers, makespans, generator states and critic digests
+stayed; entropies, losses and policy digests moved by float summation
+order.  Case definitions and serialization live in
+``tests/data/make_gnn_golden.py`` (also the regeneration script).
 """
 
 import importlib.util

@@ -9,7 +9,7 @@ from repro.dag.generators import random_layered_dag
 from repro.config import WorkloadConfig
 from repro.env.observation import observation_size
 from repro.rl import ImitationTrainer, PolicyNetwork, ReinforceTrainer
-from repro.rl.trajectories import Trajectory, Step
+from repro.rl.trajectories import Trajectory
 
 
 @pytest.fixture
@@ -94,10 +94,11 @@ class TestImitation:
 
 class TestAdvantages:
     def _fake_trajectory(self, rewards):
-        steps = [
-            Step(np.zeros(1), np.ones(1, dtype=bool), 0, r) for r in rewards
-        ]
-        return Trajectory(steps=steps, makespan=-sum(rewards))
+        return Trajectory(
+            decisions=[],
+            rewards=np.asarray(rewards, dtype=np.float64),
+            makespan=-sum(rewards),
+        )
 
     def test_equal_trajectories_have_zero_advantage(self):
         trajectories = [self._fake_trajectory([-1, -1])] * 3

@@ -1,12 +1,12 @@
 """The fused single-state policy step against the step it replaced.
 
-``select`` / ``select_with_trace`` skip the network (and, when nothing
-records them, observation and mask) in states with exactly one candidate
-action.  The reference policies below keep the old step — featurize,
-batch-form masked softmax, ``Generator.choice``, in *every* state — and
-the observation as the concatenation it used to be; whole episodes must
-agree action for action, record for record, and end on the same RNG
-state.
+``select`` and the trainers' recording playout skip the network (and,
+unless a critic asks for every state, observation and mask) in states
+with exactly one candidate action.  The reference policies below keep
+the old step — featurize, batch-form masked softmax,
+``Generator.choice``, in *every* state — and the observation as the
+concatenation it used to be; whole episodes must agree action for
+action, decision for decision, and end on the same RNG state.
 """
 
 import numpy as np
@@ -22,6 +22,7 @@ from repro.env.scheduling_env import SchedulingEnv
 from repro.errors import ConfigError
 from repro.rl.gnn import GraphObservationBuilder
 from repro.rl.modules import masked_softmax
+from repro.rl.trajectories import rollout_trajectory
 from repro.rl.value_network import ValueNetwork
 
 CLUSTER = ClusterConfig(capacities=(10, 10), horizon=8)
@@ -150,6 +151,9 @@ def assert_same_observation(got, expected, mlp: bool) -> None:
 
 
 @pytest.mark.parametrize("work_conserving", [True, False])
+# The "with_trace" id dates from when trainers recorded through a
+# per-step ``select_with_trace``; the cases now hold the recording
+# playout to the reference and keep their ids.
 @pytest.mark.parametrize("traced", [False, True], ids=["select", "with_trace"])
 # The "object" id segment dates from when an "array" environment ran the
 # same cases beside it; it stays so the surviving cases keep their ids.
@@ -171,29 +175,42 @@ def test_episodes_match_the_unfused_step(
         )
         env = SchedulingEnv(graph, config)
         twin = SchedulingEnv(graph, config)
-        while not env.done:
+        if traced:
+            trajectory = rollout_trajectory(env, policy, 10_000)
+        decided = []  # (position, reference step) of every unforced state
+        rewards = []
+        while not twin.done:
             candidates = (
-                env.expansion_actions(work_conserving=True)
+                twin.expansion_actions(work_conserving=True)
                 if work_conserving
-                else env.legal_actions()
+                else twin.legal_actions()
             )
             if len(candidates) == 1:
                 forced += 1
             else:
                 unforced += 1
             expected = reference.step(twin)
-            if traced:
-                action, observation, mask, index = policy.select_with_trace(env)
-                assert action == expected[0]
-                assert_same_observation(observation, expected[1], model == "mlp")
-                assert mask.dtype == bool and np.array_equal(mask, expected[2])
-                assert index == expected[3] and isinstance(index, int)
-            else:
+            if len(candidates) > 1:
+                decided.append((len(rewards), expected))
+            if not traced:
                 action = policy.select(env)
-                assert action == expected[0]
-            assert isinstance(action, int)
-            env.step(action)
-            twin.step(expected[0])
+                assert action == expected[0] and isinstance(action, int)
+                env.step(action)
+            rewards.append(twin.step(expected[0]).reward)
+        if traced:
+            assert trajectory.rewards.tolist() == rewards
+            assert len(trajectory.decisions) == len(decided)
+            for decision, (position, expected) in zip(
+                trajectory.decisions, decided
+            ):
+                assert decision.position == position
+                assert_same_observation(
+                    decision.observation, expected[1], model == "mlp"
+                )
+                assert decision.mask.dtype == bool
+                assert np.array_equal(decision.mask, expected[2])
+                index = decision.action_index
+                assert index == expected[3] and isinstance(index, int)
         assert env.makespan == twin.makespan
         assert (
             policy._rng.bit_generator.state == reference.rng.bit_generator.state
@@ -215,17 +232,14 @@ class CountingCalls:
         return self._inner(*args, **kwargs)
 
 
-def play(policy, env, traced: bool):
+def play(policy, env):
     """Run an episode; returns (steps, steps with > 1 candidate)."""
     steps = unforced = 0
     while not env.done:
         candidates = env.expansion_actions(work_conserving=True)
         steps += 1
         unforced += len(candidates) > 1
-        if traced:
-            env.step(policy.select_with_trace(env)[0])
-        else:
-            env.step(policy.select(env))
+        env.step(policy.select(env))
     return steps, unforced
 
 
@@ -240,19 +254,22 @@ def test_forced_moves_skip_forward_and_featurization(model):
     env = SchedulingEnv(graph, config)
     builds = CountingCalls(policy._ensure_builder(env), "build")
     forwards = CountingCalls(network, forward_name)
-    steps, unforced = play(policy, env, traced=False)
+    steps, unforced = play(policy, env)
     assert 0 < unforced < steps
     assert forwards.calls == unforced
     assert builds.calls == unforced
 
-    # Recording keeps every observation but still skips forced forwards.
-    policy = network.make_policy(mode="sample", seed=0)
-    env = SchedulingEnv(graph, config)
-    builds = CountingCalls(policy._ensure_builder(env), "build")
-    before = forwards.calls
-    steps, unforced = play(policy, env, traced=True)
-    assert forwards.calls - before == unforced
-    assert builds.calls == steps
+    # Recording for a trainer featurizes the decisions only, unless a
+    # critic asks for every state; a forced move never forwards.
+    for every_state in (False, True):
+        policy = network.make_policy(mode="sample", seed=0)
+        env = SchedulingEnv(graph, config)
+        builds = CountingCalls(policy._ensure_builder(env), "build")
+        before = forwards.calls
+        trajectory = rollout_trajectory(env, policy, 10_000, every_state)
+        assert forwards.calls - before == len(trajectory.decisions) == unforced
+        assert builds.calls == (steps if every_state else unforced)
+        assert len(trajectory.states) == (steps if every_state else 0)
 
 
 @pytest.mark.parametrize("model", ["mlp", "gnn"])
@@ -262,7 +279,6 @@ def test_greedy_mode_never_draws(model):
     play(
         policy,
         SchedulingEnv(random_layered_dag(WORKLOAD, seed=GRAPH_SEEDS[1]), env_config()),
-        traced=False,
     )
     assert policy._rng.bit_generator.state == before
 
@@ -288,7 +304,7 @@ def test_forced_move_still_validates_the_environment():
     with pytest.raises(ConfigError, match="max_ready"):
         policy.select(env)
     with pytest.raises(ConfigError, match="max_ready"):
-        policy.select_with_trace(env)
+        rollout_trajectory(env, policy, 100)
 
 
 def test_prioritize_returns_at_once_for_a_single_candidate():

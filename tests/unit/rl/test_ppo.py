@@ -147,7 +147,7 @@ class TestPpoTrainer:
             network, graphs, env_config=env_config, training=training, seed=5
         )
         trajectories = trainer.sample_trajectories(graphs[0])
-        steps, actions = trainer.flatten_steps(trajectories)
+        steps, actions, _ = trainer.flatten_decisions(trajectories)
         grads, _ = network.policy_gradient_steps(
             steps, actions, np.zeros(len(steps))
         )
@@ -166,7 +166,7 @@ class TestPpoTrainer:
         trajectories = [
             t for graph in graphs for t in trainer.sample_trajectories(graph)
         ]
-        steps, actions = trainer.flatten_steps(trajectories)
+        steps, actions, _ = trainer.flatten_decisions(trajectories)
         weights = np.random.default_rng(3).normal(size=len(steps))
         seen = np.full(len(steps), np.nan)
 
@@ -193,7 +193,7 @@ class TestPpoTrainer:
         trainer = PpoTrainer(
             network, graphs, env_config=env_config, training=training, seed=5
         )
-        steps, actions = trainer.flatten_steps(
+        steps, actions, _ = trainer.flatten_decisions(
             trainer.sample_trajectories(graphs[0])
         )
         with pytest.raises(ConfigError, match="must align"):
@@ -204,6 +204,37 @@ class TestPpoTrainer:
             network.policy_gradient_steps(
                 steps, actions, lambda positions, chosen: np.ones(len(positions) + 1)
             )
+
+    def test_critic_fits_the_discounted_return(self, monkeypatch):
+        """GAE bootstraps with ``gamma``, so the critic must learn the
+        return discounted by that same ``gamma``."""
+        from dataclasses import replace
+
+        network, graphs, env_config, training = _setup("mlp")
+        gamma = 0.5
+        trainer = PpoTrainer(
+            network, graphs, env_config=env_config,
+            training=replace(training, gamma=gamma), seed=5,
+        )
+        fit = trainer.value_network.fit
+        targets = []
+
+        def spy(features, values, **kwargs):
+            targets.append(values)
+            return fit(features, values, **kwargs)
+
+        monkeypatch.setattr(trainer.value_network, "fit", spy)
+        trajectories = trainer.sample_trajectories(graphs[0])
+        trainer._update_batch(trajectories, trainer._advantages(trajectories))
+        expected = []
+        for trajectory in trajectories:
+            rewards = trajectory.rewards.tolist()
+            expected += [
+                sum(gamma ** (k - t) * rewards[k] for k in range(t, len(rewards)))
+                for t in range(len(rewards))
+            ]
+        assert len(targets) == 1
+        assert np.allclose(targets[0], -np.asarray(expected), rtol=0, atol=1e-9)
 
     def test_pipeline_exposes_ppo(self):
         from repro.core.pipeline import TRAINER_CLASSES, train_spear_network
@@ -230,7 +261,8 @@ class TestOneForwardPerMinibatch:
             t for graph in graphs for t in trainer.sample_trajectories(graph)
         ]
         advantages = trainer._advantages(trajectories)
-        steps, _ = trainer.flatten_steps(trajectories)
+        steps, _, _ = trainer.flatten_decisions(trajectories)
+        total = sum(len(t) for t in trajectories)
 
         def groups(batch):
             """Graph groups in a step batch (the MLP stacks any batch)."""
@@ -250,10 +282,10 @@ class TestOneForwardPerMinibatch:
             counts["elsewhere" if counts["open"] is None else "open"] += 1
             return forward(*args, **kwargs)
 
-        def spy_backward(sub, actions, weights):
+        def spy_backward(sub, *args):
             counts["open"] = 0
             try:
-                return backward(sub, actions, weights)
+                return backward(sub, *args)
             finally:
                 minibatches.append((counts["open"], groups(sub)))
                 counts["open"] = None
@@ -262,15 +294,16 @@ class TestOneForwardPerMinibatch:
         monkeypatch.setattr(network, "policy_gradient_steps", spy_backward)
         trainer._update_batch(trajectories, advantages)
 
+        # Minibatches cover every step; only their decisions forward.
         assert len(minibatches) == training.ppo_epochs * -(
-            -len(steps) // training.ppo_minibatch
+            -total // training.ppo_minibatch
         )
         assert all(forwards == given for forwards, given in minibatches)
         if policy == "gnn":
             # ...and a minibatch does span several graphs.
             assert max(given for _, given in minibatches) > 1
         # pi_old before the loop and the entropy report after it: one
-        # pass over the batch each, and nothing else forwards.
+        # pass over the batch's decisions each, and nothing else forwards.
         assert counts["elsewhere"] == 2 * groups(steps)
 
     def test_one_loop_for_every_network_kind(self):

@@ -5,8 +5,11 @@ differentiable module stack and both historical trainers as they were
 before the pluggable-policy refactor: fixed-seed logits, masked
 probabilities, policy gradients, value-network fits, imitation loss
 curves and three epochs of REINFORCE (every float via ``float.hex()``,
-final parameters via SHA-256 digest).  Any refactor of ``repro.rl``
-must leave all of these byte-identical.
+final parameters via SHA-256 digest).  The REINFORCE case was
+regenerated once, when the trainers moved to decided rows (only
+entropies, losses and the digest moved; ``test_train_on_decisions.py``
+holds the new update to the old one).  Any other refactor of
+``repro.rl`` must leave all of these byte-identical.
 
 Case definitions and serialization live in
 ``tests/data/make_rl_golden.py`` (also the regeneration script), so
