@@ -15,7 +15,8 @@ Both evaluate one network whose parameters no code path changes while a
 ``plan()`` runs, on states that mostly repeat, so for the length of one
 search (``begin_search`` .. ``end_search``) their policies read a shared
 :class:`~repro.rl.agent.PolicyMemo` (DESIGN.md Sec. 16.6).  Outside a
-search — a rollout called directly, a trainer — nothing is memoized.
+search — a rollout called directly — nothing is memoized; a trainer
+scopes its own memo to one graph's rollout group.
 """
 
 from __future__ import annotations

@@ -20,9 +20,10 @@ The package is organized as three pluggable layers (DESIGN.md Sec. 16):
 * **trainers** — the :class:`Trainer` skeleton with
   :class:`ReinforceTrainer`, :class:`PpoTrainer` and
   :class:`ImitationTrainer` as thin loss definitions;
-* **inference** — the per-episode policy adapters; inside a search
-  their single-state step reads a per-plan memo and rides the fused
-  playout (DESIGN.md Sec. 16.4, 16.6, 16.7).
+* **inference** — the per-episode policy adapters; inside a search, and
+  inside a trainer's rollout group on one graph, their single-state
+  step reads a memo scoped to that extent and rides the fused playout
+  (DESIGN.md Sec. 16.4, 16.6, 16.7).
 """
 
 from .network import PolicyNetwork

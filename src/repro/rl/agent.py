@@ -14,8 +14,10 @@ legal action: the masked softmax is then exactly one-hot, so the step
 returns that action without featurizing the state or running the
 network (DESIGN.md Sec. 16.4).  The remaining states repeat: one plan
 reaches a few hundred distinct featurized states in thousands of visits,
-so inside a search the distribution is read from a :class:`PolicyMemo`
-(DESIGN.md Sec. 16.6).  A whole episode does not take the step at all:
+and the rollouts a trainer samples on one graph revisit each other's,
+so inside a search and inside one rollout group the distribution is
+read from a :class:`PolicyMemo` (DESIGN.md Sec. 16.6).  A whole episode
+does not take the step at all:
 :meth:`NetworkPolicyBase.playout` hands the environment a callback for
 the states with a choice and lets it apply the forced moves itself
 (DESIGN.md Sec. 16.7) — for Spear's rollouts, the standalone ``drl``
@@ -102,15 +104,16 @@ def build_action_mask(
 
 #: Entries a :class:`PolicyMemo` holds before it drops them all.  The
 #: memo is exact, so eviction can cost time but never change a result;
-#: the largest plan measured (100 tasks, budget 100/20) stores ~1100.
+#: the largest plan measured (100 tasks, budget 100/20) stores 2 068.
 _MEMO_CAP = 8192
 
-#: One memoized state: (probabilities, normalized CDF, mask).
-MemoRow = Tuple[np.ndarray, np.ndarray, np.ndarray]
+#: One memoized state: (probabilities, normalized CDF, mask, observation).
+#: Nothing writes an observation after ``build``, so rows share it.
+MemoRow = Tuple[np.ndarray, np.ndarray, np.ndarray, Any]
 
 
 class PolicyMemo:
-    """Policy distributions of the states one search has evaluated.
+    """Policy distributions of the states one extent has evaluated.
 
     Keyed by the featurizer's ``state_key`` plus the candidate-action
     tuple — every input of observation and mask — so a stored row is
@@ -118,8 +121,10 @@ class PolicyMemo:
     as the network's parameters do not move*.  Nothing here can see them
     move: whoever installs a memo on a policy guarantees it for the
     memo's lifetime and clears it afterwards.  Network guidance does so
-    for the length of one ``plan()`` (:mod:`repro.core.guidance`);
-    trainers and standalone policies never install one.
+    for the length of one ``plan()`` (:mod:`repro.core.guidance`), a
+    rollout trainer for one graph's rollout group
+    (:meth:`repro.rl.trainer.Trainer.sample_trajectories`); standalone
+    policies never install one.
 
     ``evaluations`` counts lookups, ``hits`` the ones served from the
     store.
@@ -171,7 +176,8 @@ class NetworkPolicyBase(Policy):
         self.network = network
         self.mode = mode
         self.work_conserving = work_conserving
-        #: Installed by a search for its duration (see :class:`PolicyMemo`);
+        #: Installed by a search or a rollout group for its duration (see
+        #: :class:`PolicyMemo`);
         #: ``None`` evaluates every state afresh.
         self.memo: Optional[PolicyMemo] = None
         self._rng = as_generator(seed)
@@ -236,8 +242,8 @@ class NetworkPolicyBase(Policy):
         if row is not None:
             memo.hits += 1
             return row
-        _, mask, probs = self._probabilities(env, actions)
-        row = (probs, normalized_cdf(probs), mask)
+        observation, mask, probs = self._probabilities(env, actions)
+        row = (probs, normalized_cdf(probs), mask, observation)
         if len(memo.rows) >= _MEMO_CAP:
             memo.rows.clear()
         memo.rows[key] = row
@@ -255,7 +261,7 @@ class NetworkPolicyBase(Policy):
         if self.memo is None:
             _, mask, probs = self._probabilities(env, actions)
         else:
-            probs, _, mask = self._memoized(
+            probs, _, mask, _ = self._memoized(
                 self._ensure_builder(env), env, actions
             )
         width = len(mask)
@@ -289,7 +295,7 @@ class NetworkPolicyBase(Policy):
                 _, mask, probs = self._probabilities(env, actions)
                 cdf = None
             else:
-                probs, cdf, mask = self._memoized(builder, env, actions)
+                probs, cdf, mask, _ = self._memoized(builder, env, actions)
             if self.mode == "greedy":
                 index = int(probs.argmax())
             else:
@@ -318,11 +324,12 @@ class NetworkPolicyBase(Policy):
 
         A trainer passes a ``recorder``: it is told of every forced move,
         after the draw, and of every decision with its observation, mask
-        and chosen index.  Recording bypasses the memo: it needs the
-        observation, and a trainer's parameters move between episodes.
+        and chosen index.  With a memo installed, a decision whose state
+        the memo holds records the stored observation and mask — the
+        ones evaluating it again would build.
         """
         builder = self._ensure_builder(env)
-        memo = self.memo if recorder is None else None
+        memo = self.memo
         random = self._rng.random if self.mode == "sample" else None
         forced: Optional[Callable[[], object]] = random
         if recorder is not None:
@@ -339,7 +346,9 @@ class NetworkPolicyBase(Policy):
                 observation, mask, probs = self._probabilities(env, actions)
                 cdf = None
             else:
-                probs, cdf, mask = self._memoized(builder, env, actions)
+                probs, cdf, mask, observation = self._memoized(
+                    builder, env, actions
+                )
             if random is None:
                 index = int(probs.argmax())
             else:
@@ -349,7 +358,7 @@ class NetworkPolicyBase(Policy):
                 index = int(cdf.searchsorted(random(), side="right"))
             if not mask[index]:
                 raise EnvironmentStateError("network selected a masked action")
-            if recorder is not None:  # recording implies no memo
+            if recorder is not None:
                 recorder.decided(env, observation, mask, index)
             return PROCESS if index == len(mask) - 1 else index
 

@@ -140,7 +140,9 @@ class PpoTrainer(Trainer):
                 advantages.std() + 1e-8
             )
         # pi_old: the collection-time distribution.  Parameters have not
-        # moved since the rollouts, so recomputing it here is exact.
+        # moved since the rollouts, so recomputing it here is exact in
+        # value; it is one batched forward, not the rows the rollouts
+        # drew from, so its last bits may differ from theirs.
         old_probs = self.network.step_probabilities(decisions)
         old_chosen = old_probs[np.arange(len(decisions)), actions]
         # Each step's index in ``decisions``; -1 marks a forced step.

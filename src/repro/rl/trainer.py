@@ -21,6 +21,12 @@ every policy pass runs on decided rows only, and every normaliser stays
 the full step count: the same estimator as training on every step
 (DESIGN.md Sec. 16.3; ``tests/unit/rl/test_train_on_decisions.py``
 keeps the all-row update as its oracle).
+
+The rollouts of one graph are sampled at fixed parameters and revisit
+each other's states, so :meth:`Trainer.sample_trajectories` installs one
+:class:`~repro.rl.agent.PolicyMemo` on the group's policies: a state an
+earlier rollout evaluated is read back, observation included, instead
+of being featurized and forwarded again (DESIGN.md Sec. 16.6).
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from ..telemetry import runtime as _telemetry
 from ..telemetry.config import TelemetryConfig
 from ..telemetry.sinks import stderr_line
 from ..utils.rng import SeedLike, as_generator, spawn
+from .agent import PolicyMemo
 from .modules import policy_entropy
 from .optimizers import RmsProp, clip_global_norm
 from .trajectories import Decision, Trajectory, returns_to_go, rollout_trajectory
@@ -136,26 +143,51 @@ class Trainer(TrainerBase, abc.ABC):
         super().__init__(network, env_config, training, seed, telemetry)
         self.graphs = list(graphs)
         self.history: List[EpochStats] = []
+        #: The rollout-group memo; empty and installed on no policy
+        #: outside :meth:`sample_trajectories`.
+        self.memo = PolicyMemo()
+        # The memo's lookups and hits since the epoch began.
+        self._policy_evaluations = 0
+        self._policy_memo_hits = 0
 
     # ------------------------------------------------------------------ #
     # experience collection
     # ------------------------------------------------------------------ #
 
     def sample_trajectories(self, graph: TaskGraph) -> List[Trajectory]:
-        """``rollouts_per_example`` sampled episodes on one graph."""
+        """``rollouts_per_example`` sampled episodes on one graph.
+
+        Each rollout draws from its own spawned generator and plays a
+        clone of one environment.  The group shares :attr:`memo`: no
+        update runs in here, so the parameters cannot move while it is
+        installed, and every rollout records what it would record
+        without it.  The memo is emptied and taken off however the
+        group ends.
+        """
         children = spawn(self._rng, self.training.rollouts_per_example)
+        template = SchedulingEnv(graph, self.env_config)
+        memo = self.memo
+        policies = []
         trajectories = []
-        for child in children:
-            env = SchedulingEnv(graph, self.env_config)
-            policy = self.make_policy("sample", seed=child)
-            trajectories.append(
-                rollout_trajectory(
-                    env,
-                    policy,
-                    self.training.max_episode_steps,
-                    every_state=self.has_critic,
+        try:
+            for child in children:
+                policy = self.make_policy("sample", seed=child)
+                policy.memo = memo
+                policies.append(policy)
+                trajectories.append(
+                    rollout_trajectory(
+                        template.clone(),
+                        policy,
+                        self.training.max_episode_steps,
+                        every_state=self.has_critic,
+                    )
                 )
-            )
+        finally:
+            self._policy_evaluations += memo.evaluations
+            self._policy_memo_hits += memo.hits
+            memo.clear()
+            for policy in policies:
+                policy.memo = None
         return trajectories
 
     @staticmethod
@@ -203,8 +235,11 @@ class Trainer(TrainerBase, abc.ABC):
         ``{algo}.entropy``, ``{algo}.return`` (best return achieved,
         i.e. negated best makespan) and ``{algo}.baseline`` (the
         trajectory-average return the advantage is centered on, i.e.
-        negated mean makespan).
+        negated mean makespan).  The ``{algo}.policy_evaluations`` /
+        ``{algo}.policy_memo_hits`` counters take the epoch's memo
+        lookups and hits.
         """
+        self._policy_evaluations = self._policy_memo_hits = 0
         makespans: List[int] = []
         entropies: List[float] = []
         losses: List[float] = []
@@ -240,6 +275,8 @@ class Trainer(TrainerBase, abc.ABC):
             tm.record(f"{self.algo}.return", epoch, -float(stats.best_makespan))
             tm.record(f"{self.algo}.baseline", epoch, -stats.mean_makespan)
             tm.inc(f"{self.algo}.trajectories", stats.num_trajectories)
+            tm.inc(f"{self.algo}.policy_evaluations", self._policy_evaluations)
+            tm.inc(f"{self.algo}.policy_memo_hits", self._policy_memo_hits)
         return stats
 
     def train(

@@ -15,6 +15,8 @@ import pytest
 from repro import EnvConfig, MctsConfig
 from repro.config import GnnConfig, TrainingConfig
 from repro.core.spear import SpearScheduler
+from repro.rl.ppo import PpoTrainer
+from repro.rl.reinforce import ReinforceTrainer
 from repro.schedulers.registry import scheduler_options
 
 CONFIG_FIELDS = {
@@ -49,8 +51,9 @@ SCHEDULER_OPTIONS = {
     "spear": "budget min_budget network rollout_mode seed",
 }
 
-#: How Spear evaluates its network (the per-plan memo, the fused playout)
-#: is the design, not a choice: nothing settable may name it.
+#: How Spear and the trainers evaluate their network (the per-plan and
+#: per-rollout-group memo, the fused playout) is the design, not a
+#: choice: nothing settable may name it.
 MECHANISM_WORDS = ("memo", "cache", "playout", "fused")
 
 
@@ -70,6 +73,10 @@ def test_no_option_names_a_mechanism():
     names = (
         SCHEDULER_OPTIONS["spear"].split()
         + [name for spec in CONFIG_FIELDS.values() for name in spec.split()]
-        + list(inspect.signature(SpearScheduler).parameters)
+        + [
+            name
+            for cls in (SpearScheduler, ReinforceTrainer, PpoTrainer)
+            for name in inspect.signature(cls).parameters
+        ]
     )
     assert not [n for n in names if any(w in n.lower() for w in MECHANISM_WORDS)]

@@ -72,8 +72,9 @@ def test_one_tree_walk():
 
 
 def test_policy_memo_and_fused_playout_are_not_options():
-    # The memo is always on inside a Spear search and off everywhere else;
-    # a network-guided rollout is always the fused playout.  No environment
+    # The memo is always on inside a Spear search and inside a trainer's
+    # rollout group, and off everywhere else; a network-guided rollout is
+    # always the fused playout.  No environment
     # variable selects either (config fields, spec keys and constructor
     # arguments: test_config_surface.py), and the select -> step loop the
     # playout replaced is gone from the rollout.

@@ -1,5 +1,6 @@
 """The per-plan policy memo: exact, scoped to one plan, bounded, and off
-everywhere outside a Spear search.
+everywhere outside a Spear search and a trainer's rollout group (whose
+memo ``tests/unit/rl/test_rollout_group_memo.py`` pins).
 
 The reference is the same scheduler with the memo never installed — the
 guidance policies then take the fresh-evaluation branch of the policy
@@ -241,15 +242,9 @@ def memo_spy(monkeypatch):
     return seen
 
 
-def test_trainers_and_standalone_policies_never_memoize(memo_spy):
+def test_standalone_policies_never_memoize(memo_spy):
     workload = WorkloadConfig(num_tasks=8)
     graphs = [random_layered_dag(workload, seed=s) for s in (1, 2)]
-    training = TrainingConfig(
-        rollouts_per_example=2, batch_size=2, ppo_epochs=1, value_epochs=1
-    )
-    ReinforceTrainer(make_network("mlp"), graphs, ENV, training, seed=0).train_epoch(0)
-    PpoTrainer(make_network("gnn"), graphs, ENV, training, seed=0).train_epoch(0)
-
     network = make_network("mlp")
     policy = network.make_policy(mode="sample", seed=0)
     rollout_trajectory(SchedulingEnv(graphs[0], ENV), policy, 10_000)
@@ -268,17 +263,78 @@ def test_trainers_and_standalone_policies_never_memoize(memo_spy):
     assert memo_spy["memos"] == 2 and memo_spy["lookups"] > 0
 
 
-def test_recording_playout_bypasses_an_installed_memo(memo_spy):
-    """Recording is the trainers' path: it needs the observation, and its
-    parameters move between episodes."""
+@pytest.mark.parametrize(
+    "trainer_cls, model", [(ReinforceTrainer, "mlp"), (PpoTrainer, "gnn")]
+)
+def test_a_trainers_memo_is_live_only_inside_sample_trajectories(
+    trainer_cls, model, memo_spy, monkeypatch
+):
+    workload = WorkloadConfig(num_tasks=8)
+    graphs = [random_layered_dag(workload, seed=s) for s in (1, 2)]
+    training = TrainingConfig(
+        rollouts_per_example=3, batch_size=2, ppo_epochs=1, value_epochs=1
+    )
+    trainer = trainer_cls(make_network(model), graphs, ENV, training, seed=0)
+    assert memo_spy["memos"] == 1
+    inside = []
+    policies = []
+    sample = trainer_cls.sample_trajectories
+    make_policy = trainer.make_policy
+    lookup = NetworkPolicyBase._memoized
+
+    def sampling(self, graph):
+        inside.append(True)
+        try:
+            return sample(self, graph)
+        finally:
+            inside.pop()
+
+    def making(mode, seed=None):
+        policies.append(make_policy(mode, seed=seed))
+        return policies[-1]
+
+    def checked_lookup(self, builder, env, actions):
+        assert inside and self.memo is trainer.memo
+        return lookup(self, builder, env, actions)
+
+    monkeypatch.setattr(trainer_cls, "sample_trajectories", sampling)
+    monkeypatch.setattr(trainer, "make_policy", making)
+    monkeypatch.setattr(NetworkPolicyBase, "_memoized", checked_lookup)
+    trainer.train_epoch(0)
+    assert len(policies) == len(graphs) * training.rollouts_per_example
+    assert all(policy.memo is None for policy in policies)
+    memo = trainer.memo
+    assert not memo.rows and memo.evaluations == memo.hits == 0
+    # Evaluating after training memoizes nothing.
+    trainer.evaluate(graphs)
+    assert memo_spy["memos"] == 1 and not memo.rows
+
+
+def test_recording_through_a_memo_records_what_it_records_without():
+    """A hit records the observation and mask the miss stored — the ones
+    evaluating the state again would build."""
     graph = random_layered_dag(WORKLOAD, seed=GRAPH_SEEDS[0])
-    policy = make_network("mlp").make_policy(mode="sample", seed=0)
-    policy.memo = PolicyMemo()
-    trajectory = rollout_trajectory(SchedulingEnv(graph, ENV), policy, 10_000)
-    assert trajectory.decisions
-    for decision in trajectory.decisions:
-        assert decision.observation is not None and decision.mask is not None
-    assert memo_spy["lookups"] == 0 and not policy.memo.rows
+    network = make_network("mlp")
+    memo = PolicyMemo()
+    for seed in range(4):
+        policy = network.make_policy(mode="sample", seed=seed)
+        policy.memo = memo
+        got = rollout_trajectory(SchedulingEnv(graph, ENV), policy, 10_000)
+        reference = network.make_policy(mode="sample", seed=seed)
+        want = rollout_trajectory(SchedulingEnv(graph, ENV), reference, 10_000)
+        assert got.decisions
+        assert len(got.decisions) == len(want.decisions)
+        for mine, theirs in zip(got.decisions, want.decisions):
+            assert mine.observation.tobytes() == theirs.observation.tobytes()
+            assert mine.mask.tobytes() == theirs.mask.tobytes()
+            assert (mine.action_index, mine.position) == (
+                theirs.action_index,
+                theirs.position,
+            )
+        assert got.rewards.tobytes() == want.rewards.tobytes()
+        assert got.makespan == want.makespan
+        assert policy._rng.bit_generator.state == reference._rng.bit_generator.state
+    assert memo.hits > 0 and memo.rows
 
 
 # ---------------------------------------------------------------------- #

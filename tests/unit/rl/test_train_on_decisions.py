@@ -26,7 +26,7 @@ from repro.core.pipeline import (
 from repro.env.actions import PROCESS
 from repro.env.observation import ObservationBuilder
 from repro.env.scheduling_env import SchedulingEnv
-from repro.rl.agent import candidate_actions, mask_from_actions
+from repro.rl.agent import NetworkPolicyBase, candidate_actions, mask_from_actions
 from repro.rl.gnn import GraphObservationBuilder
 from repro.rl.modules import policy_entropy
 from repro.rl.ppo import PpoTrainer
@@ -278,21 +278,44 @@ def count_builds(monkeypatch, builder_cls):
     return calls
 
 
-def test_reinforce_featurizes_each_decision_once(monkeypatch):
-    training = TrainingConfig(rollouts_per_example=3, batch_size=2)
+def decision_keys(monkeypatch):
+    """The ``(state_key, candidates)`` of every decision looked up."""
+    keys = []
+    lookup = NetworkPolicyBase._memoized
+
+    def keyed(self, builder, env, actions):
+        keys.append((builder.state_key(env), tuple(actions)))
+        return lookup(self, builder, env, actions)
+
+    monkeypatch.setattr(NetworkPolicyBase, "_memoized", keyed)
+    return keys
+
+
+def test_reinforce_featurizes_each_distinct_decision_once(monkeypatch):
+    """One rollout group builds one observation per distinct
+    ``(state_key, candidates)`` and none for a forced move."""
+    training = TrainingConfig(rollouts_per_example=6, batch_size=2)
     trainer = ReinforceTrainer(make_network("mlp"), make_graphs(), ENV, training, seed=0)
     builds = count_builds(monkeypatch, ObservationBuilder)
+    keys = decision_keys(monkeypatch)
     trajectories = trainer.sample_trajectories(trainer.graphs[0])
     decisions = sum(len(t.decisions) for t in trajectories)
-    assert len(builds) == decisions < sum(len(t) for t in trajectories)
+    assert len(keys) == decisions
+    assert len(builds) == len(set(keys)) < decisions
 
 
-def test_a_critic_featurizes_every_state(monkeypatch):
-    training = TrainingConfig(rollouts_per_example=3, batch_size=2)
+def test_a_critic_builds_forced_states_and_distinct_decisions(monkeypatch):
+    """A critic reads every state: each forced one is built, and each
+    distinct decision once per rollout group."""
+    training = TrainingConfig(rollouts_per_example=6, batch_size=2)
     trainer = PpoTrainer(make_network("gnn"), make_graphs(), ENV, training, seed=0)
     builds = count_builds(monkeypatch, GraphObservationBuilder)
+    keys = decision_keys(monkeypatch)
     trajectories = trainer.sample_trajectories(trainer.graphs[0])
-    assert len(builds) == sum(len(t) for t in trajectories)
+    assert all(len(t.states) == len(t) for t in trajectories)
+    forced = sum(len(t) - len(t.decisions) for t in trajectories)
+    assert len(keys) == sum(len(t.decisions) for t in trajectories)
+    assert len(builds) == forced + len(set(keys)) < forced + len(keys)
 
 
 # ---------------------------------------------------------------------- #
