@@ -323,10 +323,11 @@ class NetworkPolicyBase(Policy):
         because an episode cannot change them (DESIGN.md Sec. 16.7).
 
         A trainer passes a ``recorder``: it is told of every forced move,
-        after the draw, and of every decision with its observation, mask
-        and chosen index.  With a memo installed, a decision whose state
-        the memo holds records the stored observation and mask — the
-        ones evaluating it again would build.
+        after the draw, and of every decision with its observation, mask,
+        chosen index and that index's probability.  With a memo
+        installed, a decision whose state the memo holds records the
+        stored observation, mask and probabilities — the ones evaluating
+        it again would give.
         """
         builder = self._ensure_builder(env)
         memo = self.memo
@@ -359,7 +360,9 @@ class NetworkPolicyBase(Policy):
             if not mask[index]:
                 raise EnvironmentStateError("network selected a masked action")
             if recorder is not None:
-                recorder.decided(env, observation, mask, index)
+                recorder.decided(
+                    env, observation, mask, index, float(probs[index])
+                )
             return PROCESS if index == len(mask) - 1 else index
 
         return env.policy_playout(decide, forced, limit, self.work_conserving)

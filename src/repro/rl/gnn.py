@@ -29,6 +29,12 @@ Architecture (DESIGN.md Sec. 16):
    The masked softmax runs over ``[ready..., PROCESS]`` — variable
    width per state, padded only transiently inside a batch.
 
+A batch of states — a trainer's minibatch, whatever graphs its states
+come from — runs as one graph: the disjoint union of the states' graphs
+(:class:`GraphUnion`), one forward and one backward pass, each dense
+layer one GEMM over all nodes.  A one-state pass is the same code with a
+union of one, and gives the logits the per-state pass always gave.
+
 Everything is pure NumPy with hand-derived gradients, matching the rest
 of :mod:`repro.rl.modules`.
 """
@@ -55,6 +61,7 @@ from .modules import (
     entropy_dlogits,
     init_linear,
     masked_softmax,
+    policy_gradient_dlogits,
     replace_params,
 )
 from .network import StepWeights
@@ -64,6 +71,7 @@ __all__ = [
     "GraphObservation",
     "GraphObservationBuilder",
     "GraphNetworkPolicy",
+    "GraphUnion",
 ]
 
 
@@ -148,6 +156,106 @@ class GraphObservationBuilder:
         )
 
 
+def _stacked_means(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """``(B, C)``: the column means of each ``(n_b, C)`` block.
+
+    Blocks of one size are stacked and averaged in one ``mean(axis=1)``,
+    which gives each block's row the bits its own ``mean(axis=0)`` has
+    (a segment sum such as ``np.add.reduceat`` adds in another order).
+    """
+    by_size: Dict[int, List[int]] = {}
+    for position, block in enumerate(blocks):
+        by_size.setdefault(block.shape[0], []).append(position)
+    out = np.empty((len(blocks), blocks[0].shape[1]), dtype=np.float64)
+    for positions in by_size.values():
+        out[positions] = np.stack([blocks[b] for b in positions]).mean(axis=1)
+    return out
+
+
+class GraphUnion:
+    """A batch of states laid out as one graph: the disjoint union of
+    their graphs (DESIGN.md Sec. 16.2).
+
+    State ``b``'s ``sizes[b]`` nodes follow those of the states before
+    it, and ``edges`` is every state's edge list shifted by that offset.
+    ``ready_rows`` holds the union row of every visible ready slot, state
+    after state in slot order.  The padded ``(B, width)`` logits put
+    state ``b``'s ``counts[b]`` ready slots in columns ``0 .. counts[b]
+    - 1`` and PROCESS in column ``counts[b]``; ``ready_cells`` and
+    ``process_cells`` are those cells as flat indices.
+
+    Args:
+        edges: the union's edge list.
+        sizes: node count of each state.
+        ready_lists: each state's ready slots as dense node indices.
+    """
+
+    __slots__ = (
+        "edges",
+        "sizes",
+        "counts",
+        "width",
+        "ready_rows",
+        "ready_cells",
+        "process_cells",
+        "_uniform",
+    )
+
+    def __init__(
+        self,
+        edges: EdgeList,
+        sizes: Sequence[int],
+        ready_lists: Sequence[Sequence[int]],
+    ) -> None:
+        counts = [len(ready) for ready in ready_lists]
+        width = max(counts) + 1
+        rows: List[int] = []
+        cells: List[int] = []
+        offset = 0
+        for b, ready in enumerate(ready_lists):
+            rows += [offset + node for node in ready]
+            cells += range(b * width, b * width + counts[b])
+            offset += sizes[b]
+        self.edges = edges
+        self.sizes = np.asarray(sizes, dtype=np.int64)
+        self.counts = np.asarray(counts, dtype=np.int64)
+        self.width = width
+        self.ready_rows = np.asarray(rows, dtype=np.int64)
+        self.ready_cells = np.asarray(cells, dtype=np.int64)
+        self.process_cells = np.arange(0, len(counts) * width, width) + self.counts
+        self._uniform = len(set(sizes)) == 1
+
+    @property
+    def batch(self) -> int:
+        return self.counts.shape[0]
+
+    def action_cells(self) -> np.ndarray:
+        """Every state's ``[ready..., PROCESS]`` cells, state after state:
+        where its action mask goes."""
+        widths = self.counts + 1
+        # State b's cells run from b * width; its mask from firsts[b].
+        firsts = np.cumsum(widths) - widths
+        shift = np.arange(0, self.batch * self.width, self.width) - firsts
+        return np.repeat(shift, widths) + np.arange(int(widths.sum()))
+
+    def pool(self, h: np.ndarray) -> np.ndarray:
+        """``(B, H)``: the mean of each state's rows of ``h``."""
+        sizes = self.sizes
+        if self._uniform:
+            return h.reshape(sizes.shape[0], sizes[0], h.shape[1]).mean(axis=1)
+        return _stacked_means(np.split(h, np.cumsum(sizes)[:-1]))
+
+    def state_sums(self, values: np.ndarray) -> np.ndarray:
+        """``(B, C)``: the sum of each state's rows of the ``(R, C)``
+        ready-row ``values`` (zero for a state with no ready slot)."""
+        out = np.zeros((self.batch, values.shape[1]), dtype=np.float64)
+        scored = np.flatnonzero(self.counts)
+        if scored.shape[0]:
+            firsts = np.cumsum(self.counts) - self.counts
+            out[scored] = np.add.reduceat(values, firsts[scored], axis=0)
+        return out
+
+
 class GraphPolicyNetwork:
     """Scale-invariant DAG policy (see module docstring).
 
@@ -221,7 +329,7 @@ class GraphPolicyNetwork:
         self._cache: Optional[dict] = None
 
     # ------------------------------------------------------------------ #
-    # forward / backward over one graph group
+    # forward / backward over one step batch
     # ------------------------------------------------------------------ #
 
     def _edges(self, arrays: GraphArrays) -> EdgeList:
@@ -235,31 +343,57 @@ class GraphPolicyNetwork:
         self._edge_cache[key] = (arrays, edges)
         return edges
 
+    def batch_inputs(
+        self, observations: Sequence[GraphObservation]
+    ) -> Tuple[GraphUnion, np.ndarray, np.ndarray]:
+        """``(union, x, globals_vec)`` of a batch of states, the arguments
+        of :meth:`forward_group`: the layout of their disjoint union, the
+        ``(N, node_features)`` features of its nodes, state after state,
+        and the ``(B, global_features)`` cluster features."""
+        if len(observations) == 1:
+            edges = self._edges(observations[0].arrays)
+        else:
+            edges = EdgeList.disjoint_union(
+                [self._edges(obs.arrays) for obs in observations]
+            )
+        union = GraphUnion(
+            edges,
+            [obs.node_state.shape[0] for obs in observations],
+            [obs.ready for obs in observations],
+        )
+        x = np.concatenate(
+            [
+                np.concatenate([obs.static_table for obs in observations]),
+                np.concatenate([obs.node_state for obs in observations]),
+            ],
+            axis=1,
+        )
+        globals_vec = np.array([obs.globals_vec for obs in observations])
+        return union, x, globals_vec
+
     def forward_group(
         self,
-        arrays: GraphArrays,
-        static_table: np.ndarray,
-        node_states: np.ndarray,
+        union: GraphUnion,
+        x: np.ndarray,
         globals_vec: np.ndarray,
-        ready_lists: Sequence[Sequence[int]],
         keep_cache: bool = False,
     ) -> np.ndarray:
-        """Padded logits ``(B, max_ready_count + 1)`` for ``B`` states of
-        one graph.  Column ``len(ready_lists[b])`` is PROCESS; columns
-        beyond it are padding (mask them out)."""
-        if static_table.shape[1] + NODE_STATE_CHANNELS != self.node_features:
+        """Padded logits ``(B, max_ready_count + 1)`` for the ``B`` states
+        of ``union`` (see :meth:`batch_inputs`).  Column
+        ``len(ready_b)`` is state ``b``'s PROCESS; columns beyond it are
+        padding (mask them out).
+
+        Each node keeps its aggregation addends and each state its mean
+        pool, so a state's logits equal those of a one-state pass to
+        float summation order, and are those bits when ``B = 1``."""
+        if x.shape[1] != self.node_features:
             raise ConfigError(
-                f"node features {static_table.shape[1] + NODE_STATE_CHANNELS}"
-                f" do not match network width {self.node_features}"
+                f"node features {x.shape[1]} do not match network width "
+                f"{self.node_features}"
             )
         p = self.params
         cfg = self.config
-        batch, n, _ = node_states.shape
-        edges = self._edges(arrays)
-        static = np.broadcast_to(
-            static_table, (batch, n, static_table.shape[1])
-        )
-        x = np.concatenate([static, node_states], axis=2)
+        edges = union.edges
         enc_pre = x @ p["enc.W"] + p["enc.b"]
         h = np.maximum(enc_pre, 0.0)
         round_cache: List[Tuple[np.ndarray, ...]] = []
@@ -272,48 +406,53 @@ class GraphPolicyNetwork:
                 + parents @ p[f"mp{k}.Wp"]
                 + p[f"mp{k}.b"]
             )
-            round_cache.append((h, children, parents, z))
+            if keep_cache:
+                round_cache.append((h, children, parents, z))
             h = np.maximum(z, 0.0)
-        pooled = h.mean(axis=1)
+        pooled = union.pool(h)
         g_in = np.concatenate([pooled, globals_vec], axis=1)
         g_pre = g_in @ p["glob.W"] + p["glob.b"]
         g = np.maximum(g_pre, 0.0)
-        q_pre = h @ p["head.Wn"] + (g @ p["head.Wg"])[:, None, :] + p["head.b"]
+        # The per-node head scores every node: BLAS gives a row of a
+        # matrix-vector product bits that depend on the row's position,
+        # so a one-state pass keeps its logits only over all of the
+        # state's rows.  The backward reads the ready rows alone.
+        q_pre = (
+            h @ p["head.Wn"]
+            + np.repeat(g @ p["head.Wg"], union.sizes, axis=0)
+            + p["head.b"]
+        )
         q = np.maximum(q_pre, 0.0)
-        scores = (q @ p["head.w"])[:, :, 0] + p["head.c"][0]
+        scores = (q @ p["head.w"])[union.ready_rows, 0] + p["head.c"][0]
         proc_pre = g @ p["proc.W"] + p["proc.b"]
         proc = np.maximum(proc_pre, 0.0)
         pscores = (proc @ p["proc.w"])[:, 0] + p["proc.c"][0]
-        width = max(len(r) for r in ready_lists) + 1
-        logits = np.zeros((batch, width), dtype=np.float64)
-        for b, ready in enumerate(ready_lists):
-            if ready:
-                logits[b, : len(ready)] = scores[b, list(ready)]
-            logits[b, len(ready)] = pscores[b]
+        logits = np.zeros(union.batch * union.width, dtype=np.float64)
+        logits[union.ready_cells] = scores
+        logits[union.process_cells] = pscores
         if keep_cache:
+            ready = union.ready_rows
             self._cache = {
-                "edges": edges,
+                "union": union,
                 "x": x,
                 "enc_pre": enc_pre,
                 "rounds": round_cache,
-                "h": h,
+                "h_ready": h[ready],
                 "g_in": g_in,
                 "g_pre": g_pre,
                 "g": g,
-                "q_pre": q_pre,
-                "q": q,
+                "q_pre": q_pre[ready],
+                "q": q[ready],
                 "proc_pre": proc_pre,
                 "proc": proc,
-                "ready_lists": [list(r) for r in ready_lists],
-                "n": n,
             }
-        return logits
+        return logits.reshape(union.batch, union.width)
 
     def backward_group(self, dlogits: np.ndarray) -> Dict[str, np.ndarray]:
         """Backprop padded ``dLoss/dlogits`` through the cached forward.
 
-        Padded columns must carry zero gradient (masked-softmax losses
-        guarantee this).  The cache is consumed.
+        Padded columns are never read (masked-softmax losses give them
+        zero gradient anyway).  The cache is consumed.
         """
         if self._cache is None:
             raise ConfigError(
@@ -322,16 +461,11 @@ class GraphPolicyNetwork:
         c, self._cache = self._cache, None
         p = self.params
         cfg = self.config
-        ready_lists = c["ready_lists"]
-        batch = dlogits.shape[0]
-        n = c["n"]
+        union = c["union"]
         hidden = cfg.hidden_size
-        dscores = np.zeros((batch, n), dtype=np.float64)
-        dpscores = np.empty(batch, dtype=np.float64)
-        for b, ready in enumerate(ready_lists):
-            if ready:
-                dscores[b, ready] = dlogits[b, : len(ready)]
-            dpscores[b] = dlogits[b, len(ready)]
+        flat = dlogits.reshape(-1)
+        dscores = flat[union.ready_cells]
+        dpscores = flat[union.process_cells]
         grads: Dict[str, np.ndarray] = {}
         # PROCESS head.
         proc, proc_pre, g = c["proc"], c["proc_pre"], c["g"]
@@ -342,37 +476,37 @@ class GraphPolicyNetwork:
         grads["proc.W"] = g.T @ dproc_pre
         grads["proc.b"] = dproc_pre.sum(axis=0)
         dg = dproc_pre @ p["proc.W"].T
-        # Per-node score head (shared weights over every scored node).
-        q, q_pre, h = c["q"], c["q_pre"], c["h"]
-        grads["head.w"] = (q * dscores[:, :, None]).sum(axis=(0, 1))[:, None]
+        # Per-node score head (shared weights over every ready row).
+        q, q_pre, h_ready = c["q"], c["q_pre"], c["h_ready"]
+        grads["head.w"] = (q * dscores[:, None]).sum(axis=0)[:, None]
         grads["head.c"] = np.asarray([dscores.sum()])
-        dq = dscores[:, :, None] * p["head.w"][:, 0][None, None, :]
+        dq = dscores[:, None] * p["head.w"][:, 0][None, :]
         dq_pre = dq * (q_pre > 0)
-        flat_h = h.reshape(batch * n, hidden)
-        flat_dq = dq_pre.reshape(batch * n, -1)
-        grads["head.Wn"] = flat_h.T @ flat_dq
-        grads["head.b"] = flat_dq.sum(axis=0)
-        dq_glob = dq_pre.sum(axis=1)
+        grads["head.Wn"] = h_ready.T @ dq_pre
+        grads["head.b"] = dq_pre.sum(axis=0)
+        dq_glob = union.state_sums(dq_pre)
         grads["head.Wg"] = g.T @ dq_glob
         dg += dq_glob @ p["head.Wg"].T
-        dh = dq_pre @ p["head.Wn"].T
-        # Global readout.
+        # Global readout: each node gets its state's pooled gradient / n,
+        # a ready node its head gradient too.
         g_pre, g_in = c["g_pre"], c["g_in"]
         dg_pre = dg * (g_pre > 0)
         grads["glob.W"] = g_in.T @ dg_pre
         grads["glob.b"] = dg_pre.sum(axis=0)
         dg_in = dg_pre @ p["glob.W"].T
-        dh += dg_in[:, None, :hidden] / n
+        dh = np.repeat(
+            dg_in[:, :hidden] / union.sizes[:, None], union.sizes, axis=0
+        )
+        dh[union.ready_rows] += dq_pre @ p["head.Wn"].T
         # Message-passing rounds, reversed (C and P are adjoint).
-        edges = c["edges"]
+        edges = union.edges
         for k in reversed(range(cfg.rounds)):
             h_prev, children, parents, z = c["rounds"][k]
             dz = dh * (z > 0)
-            flat_dz = dz.reshape(batch * n, hidden)
-            grads[f"mp{k}.Ws"] = h_prev.reshape(batch * n, hidden).T @ flat_dz
-            grads[f"mp{k}.Wc"] = children.reshape(batch * n, hidden).T @ flat_dz
-            grads[f"mp{k}.Wp"] = parents.reshape(batch * n, hidden).T @ flat_dz
-            grads[f"mp{k}.b"] = flat_dz.sum(axis=0)
+            grads[f"mp{k}.Ws"] = h_prev.T @ dz
+            grads[f"mp{k}.Wc"] = children.T @ dz
+            grads[f"mp{k}.Wp"] = parents.T @ dz
+            grads[f"mp{k}.b"] = dz.sum(axis=0)
             dh = (
                 dz @ p[f"mp{k}.Ws"].T
                 + edges.aggregate_parents(dz @ p[f"mp{k}.Wc"].T)
@@ -380,8 +514,8 @@ class GraphPolicyNetwork:
             )
         # Encoder.
         enc_pre, x = c["enc_pre"], c["x"]
-        denc_pre = (dh * (enc_pre > 0)).reshape(batch * n, hidden)
-        grads["enc.W"] = x.reshape(batch * n, -1).T @ denc_pre
+        denc_pre = dh * (enc_pre > 0)
+        grads["enc.W"] = x.T @ denc_pre
         grads["enc.b"] = denc_pre.sum(axis=0)
         return grads
 
@@ -389,34 +523,21 @@ class GraphPolicyNetwork:
     # step-batch interface (what the trainers consume)
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _group_positions(steps: Sequence) -> List[List[int]]:
-        """Step positions grouped by graph (stacking needs a common N)."""
-        groups: Dict[int, List[int]] = {}
-        for position, step in enumerate(steps):
-            groups.setdefault(id(step.observation.arrays), []).append(position)
-        return list(groups.values())
-
-    def _group_probabilities(
+    def _probabilities(
         self, steps: Sequence, keep_cache: bool = False
     ) -> np.ndarray:
-        """Masked probabilities ``(B, width)`` for same-graph steps."""
-        first = steps[0].observation
-        node_states = np.stack([s.observation.node_state for s in steps])
-        globals_vec = np.stack([s.observation.globals_vec for s in steps])
-        ready_lists = [list(s.observation.ready) for s in steps]
-        logits = self.forward_group(
-            first.arrays,
-            first.static_table,
-            node_states,
-            globals_vec,
-            ready_lists,
-            keep_cache=keep_cache,
+        """Masked probabilities ``(B, width)`` of recorded steps, from one
+        forward pass over the union of their graphs."""
+        union, x, globals_vec = self.batch_inputs(
+            [step.observation for step in steps]
         )
-        masks = np.zeros(logits.shape, dtype=bool)
-        for b, step in enumerate(steps):
-            masks[b, : len(step.mask)] = step.mask
-        return masked_softmax(logits, masks)
+        logits = self.forward_group(union, x, globals_vec, keep_cache)
+        masks = np.zeros(logits.size, dtype=bool)
+        masks[union.action_cells()] = np.concatenate([step.mask for step in steps])
+        return masked_softmax(logits, masks.reshape(logits.shape))
+
+    def _zero_grads(self) -> Dict[str, np.ndarray]:
+        return {key: np.zeros_like(value) for key, value in self.params.items()}
 
     def policy_gradient_steps(
         self,
@@ -426,80 +547,37 @@ class GraphPolicyNetwork:
         total: Optional[int] = None,
     ) -> Tuple[Dict[str, np.ndarray], float]:
         """Gradients of ``-sum_i weights_i * log pi(actions_i | states_i)``
-        over the whole step batch (groups sum into one update), divided
-        by ``total`` (default: the number of steps; see
-        :meth:`repro.rl.network.PolicyNetwork.policy_gradient`).
+        over the step batch, divided by ``total`` (default: the number of
+        steps; see :meth:`repro.rl.network.PolicyNetwork.policy_gradient`).
 
-        A ``weights`` function is called once per graph group, between
-        that group's forward and its backward pass, with the group's
-        positions in ``steps`` and ``pi(actions_i | states_i)`` there
+        One forward and one backward pass over the union of the steps'
+        graphs; a ``weights`` function is called once, between them
         (see :data:`repro.rl.network.StepWeights`)."""
-        count = len(steps)
-        total = count if total is None else total
-        if total == 0:
-            raise ConfigError("empty step batch")
-        actions_arr = np.asarray(actions, dtype=int)
-        if actions_arr.shape[0] != count:
-            raise ConfigError("steps, actions and weights must align")
-        if not callable(weights):
-            weights_arr = np.asarray(weights, dtype=np.float64)
-            if weights_arr.shape != (count,):
-                raise ConfigError("steps, actions and weights must align")
-        grads = {key: np.zeros_like(value) for key, value in self.params.items()}
-        nll_sum = 0.0
-        for positions in self._group_positions(steps):
-            sub = [steps[i] for i in positions]
-            index = np.asarray(positions)
-            probs = self._group_probabilities(sub, keep_cache=True)
-            rows = np.arange(len(sub))
-            acts = actions_arr[index]
-            chosen = probs[rows, acts]
-            if np.any(chosen <= 0.0):
-                raise ConfigError(
-                    "an illegal (zero-probability) action was taken"
-                )
-            if callable(weights):
-                group_weights = np.asarray(
-                    weights(index, chosen), dtype=np.float64
-                )
-                if group_weights.shape != chosen.shape:
-                    raise ConfigError("steps, actions and weights must align")
-            else:
-                group_weights = weights_arr[index]
-            onehot = np.zeros_like(probs)
-            onehot[rows, acts] = 1.0
-            dlogits = group_weights[:, None] * (probs - onehot) / total
-            group_grads = self.backward_group(dlogits)
-            for key in grads:
-                grads[key] += group_grads[key]
-            nll_sum += float(-np.log(chosen).sum())
-        return grads, nll_sum / total
+        if not steps:  # a batch whose every step was forced
+            _, nll = policy_gradient_dlogits(
+                np.zeros((0, 1)), actions, weights, total
+            )
+            return self._zero_grads(), nll
+        probs = self._probabilities(steps, keep_cache=True)
+        dlogits, nll = policy_gradient_dlogits(probs, actions, weights, total)
+        return self.backward_group(dlogits), nll
 
     def step_probabilities(self, steps: Sequence) -> np.ndarray:
         """``(B, A)`` distributions over recorded steps, zero-padded to
         the widest action space in the batch."""
-        width = max((len(step.mask) for step in steps), default=1)
-        out = np.zeros((len(steps), width), dtype=np.float64)
-        for positions in self._group_positions(steps):
-            sub = [steps[i] for i in positions]
-            probs = self._group_probabilities(sub)
-            out[np.asarray(positions), : probs.shape[1]] = probs
-        return out
+        if not steps:
+            return np.zeros((0, 1), dtype=np.float64)
+        return self._probabilities(steps)
 
     def entropy_gradient_steps(
         self, steps: Sequence, total: Optional[int] = None
     ) -> Dict[str, np.ndarray]:
         """Gradients of the policy entropy summed over recorded steps and
         divided by ``total`` (default: their number)."""
-        total = len(steps) if total is None else total
-        grads = {key: np.zeros_like(value) for key, value in self.params.items()}
-        for positions in self._group_positions(steps):
-            sub = [steps[i] for i in positions]
-            probs = self._group_probabilities(sub, keep_cache=True)
-            group_grads = self.backward_group(entropy_dlogits(probs, total))
-            for key in grads:
-                grads[key] += group_grads[key]
-        return grads
+        if not steps:
+            return self._zero_grads()
+        probs = self._probabilities(steps, keep_cache=True)
+        return self.backward_group(entropy_dlogits(probs, total))
 
     #: Critic input width (the PPO value head trains on these features).
     @property
@@ -511,13 +589,13 @@ class GraphPolicyNetwork:
         observations: the global cluster features joined with the mean
         per-node state channels (a size-invariant summary of episode
         progress)."""
-        out = np.empty(
-            (len(observations), self.value_feature_size), dtype=np.float64
+        return np.concatenate(
+            [
+                np.stack([obs.globals_vec for obs in observations]),
+                _stacked_means([obs.node_state for obs in observations]),
+            ],
+            axis=1,
         )
-        for b, obs in enumerate(observations):
-            out[b, : self.global_features] = obs.globals_vec
-            out[b, self.global_features :] = obs.node_state.mean(axis=0)
-        return out
 
     # ------------------------------------------------------------------ #
     # policy construction and parameter plumbing
@@ -574,10 +652,5 @@ class GraphNetworkPolicy(NetworkPolicyBase):
         return len(env.visible_ready()) + 1
 
     def _logits(self, observation: GraphObservation) -> np.ndarray:
-        return self.network.forward_group(
-            observation.arrays,
-            observation.static_table,
-            observation.node_state[None, :, :],
-            observation.globals_vec[None, :],
-            [list(observation.ready)],
-        )[0]
+        network = self.network
+        return network.forward_group(*network.batch_inputs([observation]))[0]

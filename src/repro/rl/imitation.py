@@ -152,7 +152,10 @@ class ImitationTrainer(TrainerBase):
                 action = teacher.select(env)
                 observation, mask = observer.observe(env)
                 index = len(mask) - 1 if action == PROCESS else int(action)
-                records.append(Decision(observation, mask, index, steps))
+                # A teacher's choice has no policy probability.
+                records.append(
+                    Decision(observation, mask, index, steps, float("nan"))
+                )
                 env.step(action)
                 steps += 1
         return records

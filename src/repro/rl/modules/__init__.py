@@ -32,6 +32,7 @@ from .softmax import (
     sample_index,
     entropy_dlogits,
     policy_entropy,
+    policy_gradient_dlogits,
 )
 from .mlp import MLPStack
 from .message_passing import EdgeList
@@ -48,6 +49,7 @@ __all__ = [
     "sample_index",
     "entropy_dlogits",
     "policy_entropy",
+    "policy_gradient_dlogits",
     "MLPStack",
     "EdgeList",
 ]

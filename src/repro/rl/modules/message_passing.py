@@ -28,21 +28,41 @@ are a *prefix* of the rows, so a pass is one ``take`` and one add into
 a slice — no scatter, no index that depends on the batch size, and the
 same code for ``(N, H)`` and ``(B, N, H)`` inputs.  The scatter itself
 survives only as the oracle in ``tests/unit/rl/test_modules.py``.
+
+A batch of states of different graphs is one graph: the disjoint union
+of their edge lists, each shifted by its state's node offset
+(:meth:`EdgeList.disjoint_union`).  Every node keeps its addends in
+their order, so the union's sums are the parts' sums bit for bit; the
+union is composed from the parts' per-node rows, and only its rank
+order is planned again.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 __all__ = ["EdgeList"]
 
+#: One direction's sums as per-node rows: ``(degrees, addends)``, node
+#: ``i``'s addends being the next ``degrees[i]`` entries of ``addends``
+#: in the order they are added.
+NodeRows = Tuple[np.ndarray, np.ndarray]
 
-def _rank_slices(
-    num_nodes: int, put: np.ndarray, take: np.ndarray
-) -> Tuple[List[np.ndarray], np.ndarray]:
-    """Plan ``out[put[k]] += h[take[k]]`` (in edge order) as rank passes.
+#: One direction's rank passes (see :func:`_rank_plan`).
+RankPlan = Tuple[List[np.ndarray], np.ndarray]
+
+
+def _node_rows(num_nodes: int, put: np.ndarray, take: np.ndarray) -> NodeRows:
+    """``out[put[k]] += h[take[k]]`` (in edge order) as per-node rows."""
+    degrees = np.bincount(put, minlength=num_nodes)
+    # Stable: the edges into one node keep their list order.
+    return degrees, take[np.argsort(put, kind="stable")]
+
+
+def _rank_plan(degrees: np.ndarray, addends: np.ndarray) -> RankPlan:
+    """Plan per-node rows as rank passes.
 
     Returns ``(sources, restore)``: ``sources[d][j]`` is the node whose
     row is the ``d``-th addend of the ``j``-th accumulator row, rows
@@ -50,16 +70,17 @@ def _rank_slices(
     exactly the rows with more than ``d`` addends, a prefix);
     ``restore[i]`` is the accumulator row of node ``i``.
     """
-    counts = np.bincount(put, minlength=num_nodes)
-    starts = np.cumsum(counts) - counts
-    # Stable: the edges into one node keep their list order.
-    addends = take[np.argsort(put, kind="stable")]
-    order = np.argsort(-counts, kind="stable")
+    num_nodes = degrees.shape[0]
+    starts = np.cumsum(degrees) - degrees
+    order = np.argsort(-degrees, kind="stable")
     restore = np.empty(num_nodes, dtype=np.int64)
     restore[order] = np.arange(num_nodes, dtype=np.int64)
+    row_starts = starts[order]
+    # above[d]: the rows with more than d addends.
+    above = num_nodes - np.cumsum(np.bincount(degrees))
     sources = [
-        addends[starts[order[: np.count_nonzero(counts > rank)]] + rank]
-        for rank in range(int(counts.max(initial=0)))
+        addends[row_starts[: above[rank]] + rank]
+        for rank in range(above.shape[0] - 1)
     ]
     return sources, restore
 
@@ -67,7 +88,7 @@ def _rank_slices(
 class EdgeList:
     """Flat precedence edges ``parent[k] -> child[k]`` of one DAG."""
 
-    __slots__ = ("num_nodes", "parent", "child", "_children", "_parents")
+    __slots__ = ("num_nodes", "parent", "child", "_rows", "_children", "_parents")
 
     def __init__(
         self, num_nodes: int, parent: np.ndarray, child: np.ndarray
@@ -75,8 +96,46 @@ class EdgeList:
         self.num_nodes = int(num_nodes)
         self.parent = np.ascontiguousarray(parent, dtype=np.int64)
         self.child = np.ascontiguousarray(child, dtype=np.int64)
-        self._children = _rank_slices(self.num_nodes, self.parent, self.child)
-        self._parents = _rank_slices(self.num_nodes, self.child, self.parent)
+        self._plan(
+            _node_rows(self.num_nodes, self.parent, self.child),
+            _node_rows(self.num_nodes, self.child, self.parent),
+        )
+
+    def _plan(self, children: NodeRows, parents: NodeRows) -> None:
+        self._rows = (children, parents)
+        self._children = _rank_plan(*children)
+        self._parents = _rank_plan(*parents)
+
+    @classmethod
+    def disjoint_union(cls, parts: Sequence["EdgeList"]) -> "EdgeList":
+        """One edge list holding ``parts`` side by side: part ``k``'s
+        nodes follow those of the parts before it, and its edges are
+        shifted by that many nodes.
+
+        Built from the parts' per-node rows, which are concatenated and
+        shifted; no edge is sorted again.
+        """
+        sizes = np.fromiter(
+            (part.num_nodes for part in parts), dtype=np.int64, count=len(parts)
+        )
+        edge_counts = np.fromiter(
+            (part.num_edges for part in parts), dtype=np.int64, count=len(parts)
+        )
+        # The node offset of every edge's part.
+        shift = np.repeat(np.cumsum(sizes) - sizes, edge_counts)
+        union = cls.__new__(cls)
+        union.num_nodes = int(sizes.sum())
+        union.parent = np.concatenate([part.parent for part in parts]) + shift
+        union.child = np.concatenate([part.child for part in parts]) + shift
+        rows = [
+            (
+                np.concatenate([part._rows[d][0] for part in parts]),
+                np.concatenate([part._rows[d][1] for part in parts]) + shift,
+            )
+            for d in (0, 1)
+        ]
+        union._plan(*rows)
+        return union
 
     @classmethod
     def from_graph_arrays(cls, arrays) -> "EdgeList":
@@ -110,7 +169,7 @@ class EdgeList:
 def _aggregate(
     h: np.ndarray, sources: List[np.ndarray], restore: np.ndarray
 ) -> np.ndarray:
-    """Run the rank passes of :func:`_rank_slices` over ``h`` of shape
+    """Run the rank passes of :func:`_rank_plan` over ``h`` of shape
     ``(N, H)`` or ``(B, N, H)``."""
     nodes = h.ndim - 2
     acc = np.zeros(h.shape)

@@ -9,7 +9,7 @@ giving them exactly zero probability and exactly zero gradient.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -22,6 +22,7 @@ __all__ = [
     "sample_index",
     "entropy_dlogits",
     "policy_entropy",
+    "policy_gradient_dlogits",
 ]
 
 _NEG_INF = -1e30
@@ -118,6 +119,46 @@ def policy_entropy(probs: np.ndarray, rows: Optional[int] = None) -> float:
         plogp = np.where(probs > 0, probs * np.log(probs), 0.0)
     rows = probs.shape[0] if rows is None else rows
     return float(-plogp.sum(axis=1).sum() / rows)
+
+
+def policy_gradient_dlogits(
+    probs: np.ndarray,
+    actions,
+    weights,
+    total: Optional[int] = None,
+) -> Tuple[np.ndarray, float]:
+    """``dLoss/dlogits`` and ``NLL / total`` of the weighted NLL
+    ``-sum_i weights_i * log probs[i, actions_i] / total`` (default
+    ``total``: the batch's rows).
+
+    ``weights`` is one float per row or a function ``(rows,
+    chosen_probabilities) -> weights``, called once here (see
+    :data:`repro.rl.network.StepWeights`).
+
+    Raises:
+        ConfigError: if actions or weights do not align with the rows,
+            or an action has probability 0.
+    """
+    batch = probs.shape[0]
+    total = batch if total is None else total
+    rows = np.arange(batch)
+    actions = np.asarray(actions, dtype=int)
+    if actions.shape[0] != batch:
+        raise ConfigError("steps, actions and weights must align")
+    chosen = probs[rows, actions]
+    if np.any(chosen <= 0.0):
+        raise ConfigError("an illegal (zero-probability) action was taken")
+    weights_arr = np.asarray(
+        weights(rows, chosen) if callable(weights) else weights,
+        dtype=np.float64,
+    )
+    if weights_arr.shape != (batch,):
+        raise ConfigError("steps, actions and weights must align")
+    onehot = np.zeros_like(probs)
+    onehot[rows, actions] = 1.0
+    # d(-w log pi_a)/dlogits = w * (probs - onehot); average over total.
+    dlogits = weights_arr[:, None] * (probs - onehot) / total
+    return dlogits, float(-np.log(chosen).sum() / total)
 
 
 def entropy_dlogits(probs: np.ndarray, rows: Optional[int] = None) -> np.ndarray:

@@ -31,7 +31,7 @@ import numpy as np
 from ..config import NetworkConfig
 from ..errors import ConfigError
 from ..utils.rng import SeedLike, as_generator
-from .modules import MLPStack, replace_params
+from .modules import MLPStack, policy_gradient_dlogits, replace_params
 from .modules import masked_softmax as _masked_softmax
 
 __all__ = ["PolicyNetwork", "StepWeights"]
@@ -155,28 +155,8 @@ class PolicyNetwork:
             ``(grads, negative_log_likelihood / total)``.
         """
         probs = self.probabilities(states, masks, keep_cache=True)
-        batch = probs.shape[0]
-        total = batch if total is None else total
-        rows = np.arange(batch)
-        actions = np.asarray(actions, dtype=int)
-        if actions.shape[0] != batch:
-            raise ConfigError("states, actions and weights must align")
-        chosen = probs[rows, actions]
-        if np.any(chosen <= 0.0):
-            raise ConfigError("an illegal (zero-probability) action was taken")
-        weights_arr = np.asarray(
-            weights(rows, chosen) if callable(weights) else weights,
-            dtype=np.float64,
-        )
-        if weights_arr.shape != (batch,):
-            raise ConfigError("states, actions and weights must align")
-        onehot = np.zeros_like(probs)
-        onehot[rows, actions] = 1.0
-        # d(-w log pi_a)/dlogits = w * (probs - onehot); average over total.
-        dlogits = weights_arr[:, None] * (probs - onehot) / total
-        grads = self.backward_from_dlogits(dlogits)
-        nll = float(-np.log(chosen).sum() / total)
-        return grads, nll
+        dlogits, nll = policy_gradient_dlogits(probs, actions, weights, total)
+        return self.backward_from_dlogits(dlogits), nll
 
     # ------------------------------------------------------------------ #
     # trainer-facing batch interface (shared with GraphPolicyNetwork)

@@ -21,8 +21,11 @@ forward pass knows — so the trainer hands ``policy_gradient_steps`` the
 clip rule as a function of the chosen-action probabilities instead of a
 weight vector, and the network evaluates it between the forward pass it
 has to run anyway and the backward pass REINFORCE uses.  One forward per
-minibatch (per graph group, for the GNN), and PPO still works for every
-model implementing the step-batch interface (MLP and GNN alike).
+minibatch (for the GNN, over the disjoint union of its states' graphs),
+and PPO still works for every model implementing the step-batch
+interface (MLP and GNN alike).  ``pi_old`` needs no forward at all: each
+decision recorded the probability its rollout drew the action with, at
+the parameters the update starts from.
 
 Minibatches are drawn over every step, but only their decisions are
 forwarded: a forced step's probability is exactly 1 under any
@@ -139,12 +142,14 @@ class PpoTrainer(Trainer):
             advantages = (advantages - advantages.mean()) / (
                 advantages.std() + 1e-8
             )
-        # pi_old: the collection-time distribution.  Parameters have not
-        # moved since the rollouts, so recomputing it here is exact in
-        # value; it is one batched forward, not the rows the rollouts
-        # drew from, so its last bits may differ from theirs.
-        old_probs = self.network.step_probabilities(decisions)
-        old_chosen = old_probs[np.arange(len(decisions)), actions]
+        # pi_old: the probability each rollout drew its action with, at
+        # the parameters the update starts from (a batched recompute is
+        # equal in value, not in its last bits).
+        old_chosen = np.fromiter(
+            (d.probability for d in decisions),
+            dtype=np.float64,
+            count=len(decisions),
+        )
         # Each step's index in ``decisions``; -1 marks a forced step.
         decision_of = np.full(len(advantages), -1)
         decision_of[rows] = np.arange(len(decisions))
@@ -169,9 +174,9 @@ class PpoTrainer(Trainer):
                 def clip_rule(
                     positions: np.ndarray, chosen: np.ndarray
                 ) -> np.ndarray:
-                    """Detached surrogate weights of the decisions one
-                    forward pass covered: ``A_t r_t`` where the clip is not
-                    binding, zero where it is (see module docstring)."""
+                    """Detached surrogate weights of the minibatch's
+                    decisions: ``A_t r_t`` where the clip is not binding,
+                    zero where it is (see module docstring)."""
                     r = chosen / sub_old[positions]
                     ratio[decided[positions]] = r
                     adv = sub_adv[positions]

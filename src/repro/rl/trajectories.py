@@ -7,11 +7,11 @@ A trainer plays each episode through the fused playout
 exactly one-hot, so the step's log-probability, entropy and every
 gradient of them are exactly 0 (paper Eq. 3 sums terms that vanish).  A
 forced move therefore records only the clock; a *decision* records
-observation, mask, chosen index and its position among the episode's
-steps.  Rewards still cover every step (``-dt`` per processing step, 0
-per start), and follow from the clocks.  The trainers run every policy
-pass on decisions only and keep the full step count as the normaliser
-(DESIGN.md Sec. 16.3).
+observation, mask, chosen index, the probability the policy drew it
+with and its position among the episode's steps.  Rewards still cover
+every step (``-dt`` per processing step, 0 per start), and follow from
+the clocks.  The trainers run every policy pass on decisions only and
+keep the full step count as the normaliser (DESIGN.md Sec. 16.3).
 """
 
 from __future__ import annotations
@@ -35,12 +35,15 @@ __all__ = [
 @dataclass(frozen=True)
 class Decision:
     """One recorded state: observation, mask, the chosen network-action
-    index, and the position of the step in its episode."""
+    index, the position of the step in its episode, and the probability
+    the policy gave that action when it drew it (PPO's ``pi_old``; NaN
+    for a teacher's choice)."""
 
     observation: Any
     mask: np.ndarray
     action_index: int
     position: int
+    probability: float
 
 
 @dataclass(frozen=True)
@@ -93,10 +96,15 @@ class EpisodeRecorder:
             self.states.append(builder.build(env))
 
     def decided(
-        self, env: SchedulingEnv, observation, mask: np.ndarray, index: int
+        self,
+        env: SchedulingEnv,
+        observation,
+        mask: np.ndarray,
+        index: int,
+        probability: float,
     ) -> None:
         self.decisions.append(
-            Decision(observation, mask, index, len(self.clocks))
+            Decision(observation, mask, index, len(self.clocks), probability)
         )
         self.clocks.append(env.now)
         if self.every_state:

@@ -145,6 +145,18 @@ def test_message_passing_has_no_scatter_and_ppo_one_forward():
     assert "step_probabilities" not in in_loops, in_loops
 
 
+def test_a_step_batch_is_one_graph_and_pi_old_is_recorded():
+    # The graph policy runs a step batch as one pass over the disjoint
+    # union of its states' graphs; the per-graph grouping is gone, and
+    # PPO reads pi_old from the rows its rollouts drew from instead of
+    # forwarding the batch for it.
+    from repro.rl.ppo import PpoTrainer
+
+    assert not grep(r"_group_positions|_group_probabilities", SRC)
+    assert not grep(r"id\(.*\.arrays\)", SRC / "rl")
+    assert "step_probabilities" not in inspect.getsource(PpoTrainer._update_batch)
+
+
 def test_exactly_one_loop_advances_simulated_time():
     hits = grep(r"\.tick_to\(", SRC / "online", SRC / "streaming", SRC / "federation")
     assert len(hits) == 1, hits

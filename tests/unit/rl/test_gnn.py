@@ -13,11 +13,21 @@ from repro.envarr.observation import task_feature_table
 from repro.errors import ConfigError
 from repro.rl.gnn import (
     GraphNetworkPolicy,
+    GraphObservation,
     GraphObservationBuilder,
     GraphPolicyNetwork,
 )
 
 SMALL_GNN = GnnConfig(hidden_size=8, rounds=2, head_hidden=4, global_hidden=8)
+
+
+def forward(network, arrays, static, node_states, globals_vec, ready_lists, **kw):
+    """Padded logits of ``B`` states of one graph, as one batch."""
+    observations = [
+        GraphObservation(arrays, static, node_states[b], globals_vec[b], tuple(r))
+        for b, r in enumerate(ready_lists)
+    ]
+    return network.forward_group(*network.batch_inputs(observations), **kw)
 
 
 def _graph(num_tasks=10, seed=0):
@@ -71,11 +81,11 @@ class TestPermutationInvariance:
         globals_vec = rng.normal(size=(batch, a1.num_resources + 3))
         ready1 = [[0, 3, 5], [1], [2, 4]]
         ready2 = [[int(to2[i]) for i in ready] for ready in ready1]
-        logits1 = network.forward_group(
-            a1, static1, node_state1, globals_vec, ready1
+        logits1 = forward(
+            network, a1, static1, node_state1, globals_vec, ready1
         )
-        logits2 = network.forward_group(
-            a2, static2, node_state2, globals_vec, ready2
+        logits2 = forward(
+            network, a2, static2, node_state2, globals_vec, ready2
         )
         assert np.allclose(logits1, logits2, rtol=1e-10, atol=1e-10)
 
@@ -100,7 +110,8 @@ class TestScaleInvariance:
         config = EnvConfig()
         static = task_feature_table(arrays, config)
         ready = [list(range(25))]
-        logits = network.forward_group(
+        logits = forward(
+            network,
             arrays,
             static,
             np.zeros((1, 30, 5)),
@@ -126,8 +137,8 @@ class TestGradients:
         actions = np.array([0, 2])
 
         def nll():
-            logits = network.forward_group(
-                arrays, static, node_state, globals_vec, ready
+            logits = forward(
+                network, arrays, static, node_state, globals_vec, ready
             )
             from repro.rl.modules import masked_softmax
 
@@ -137,8 +148,9 @@ class TestGradients:
 
         from repro.rl.modules import masked_softmax
 
-        logits = network.forward_group(
-            arrays, static, node_state, globals_vec, ready, keep_cache=True
+        logits = forward(
+            network, arrays, static, node_state, globals_vec, ready,
+            keep_cache=True,
         )
         probs = masked_softmax(logits, masks)
         dlogits = probs.copy()

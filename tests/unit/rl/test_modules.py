@@ -336,7 +336,9 @@ class TestAggregationIsTheScatter:
     accumulators in the same order as ``np.add.at`` — bytes, not
     tolerance.  Every example runs 2-D, ``B = 1`` and ``B > 1`` inputs
     through one :class:`EdgeList`, so nothing a call might keep for the
-    next one (an index sized for another batch) can go unnoticed."""
+    next one (an index sized for another batch) can go unnoticed.  The
+    disjoint union of shifted edge lists (a step batch's graph) is held
+    to the same scatter, and to each part's own sums."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -370,6 +372,48 @@ class TestAggregationIsTheScatter:
         )
         for shape in ((num_nodes, 3), (4, num_nodes, 3), (1, num_nodes, 3)):
             assert_matches_scatter(edges, _awkward_values(rng, shape))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graphs=st.lists(_dags(), min_size=1, max_size=5),
+        random_parts=st.lists(
+            st.tuples(st.integers(1, 8), st.integers(0, 20)), max_size=2
+        ),
+        width=st.sampled_from([1, 7, 16, 33]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_unions_of_shifted_edge_lists(
+        self, graphs, random_parts, width, seed
+    ):
+        # A step batch's graph: the disjoint union of its states' edge
+        # lists, here DAGs mixed with unsorted lists with parallel edges.
+        rng = np.random.default_rng(seed)
+        parts = [EdgeList.from_graph_arrays(graph_arrays(g)) for g in graphs]
+        parts += [
+            EdgeList(n, rng.integers(0, n, size=e), rng.integers(0, n, size=e))
+            for n, e in random_parts
+        ]
+        parts = [parts[i] for i in rng.permutation(len(parts))]
+        union = EdgeList.disjoint_union(parts)
+        offsets = np.cumsum([0] + [part.num_nodes for part in parts])
+        assert union.num_nodes == offsets[-1]
+        for name in ("parent", "child"):
+            assert np.array_equal(
+                getattr(union, name),
+                np.concatenate(
+                    [getattr(p, name) + o for p, o in zip(parts, offsets)]
+                ),
+            )
+        n = union.num_nodes
+        for shape in ((n, width), (3, n, width), (1, n, width)):
+            assert_matches_scatter(union, _awkward_values(rng, shape))
+        # Each part's rows are that part's own sums, bit for bit.
+        h = _awkward_values(rng, (n, width))
+        for part, lo, hi in zip(parts, offsets, offsets[1:]):
+            for direction in ("aggregate_children", "aggregate_parents"):
+                got = getattr(union, direction)(h)[lo:hi]
+                want = getattr(part, direction)(h[lo:hi])
+                assert got.tobytes() == want.tobytes()
 
     def test_order_of_addends_is_observable(self):
         # 1e16 + 1 + 1 - 1e16 depends on the order; the CSR order (and

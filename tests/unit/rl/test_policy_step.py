@@ -121,11 +121,7 @@ class ReferencePolicy:
             observation = self.builder.build(env)
             mask = reference_mask(env, width, self.work_conserving)
             logits = self.network.forward_group(
-                observation.arrays,
-                observation.static_table,
-                observation.node_state[None, :, :],
-                observation.globals_vec[None, :],
-                [list(observation.ready)],
+                *self.network.batch_inputs([observation])
             )
             probs = masked_softmax(logits, mask[None, :])[0]
         if self.mode == "greedy":

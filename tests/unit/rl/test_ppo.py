@@ -249,10 +249,11 @@ class TestPpoTrainer:
 class TestOneForwardPerMinibatch:
     """The clip rule needs pi(a|s) at the current parameters; it gets it
     from the forward pass of the backward it feeds, not from one of its
-    own."""
+    own.  pi_old comes from the recorded rows, so no pass precedes the
+    loop."""
 
     @pytest.mark.parametrize("policy", ["mlp", "gnn"])
-    def test_update_batch_forwards_each_group_once(self, policy, monkeypatch):
+    def test_update_batch_forwards_each_minibatch_once(self, policy, monkeypatch):
         network, graphs, env_config, training = _setup(policy)
         trainer = PpoTrainer(
             network, graphs, env_config=env_config, training=training, seed=5
@@ -261,22 +262,14 @@ class TestOneForwardPerMinibatch:
             t for graph in graphs for t in trainer.sample_trajectories(graph)
         ]
         advantages = trainer._advantages(trajectories)
-        steps, _, _ = trainer.flatten_decisions(trajectories)
         total = sum(len(t) for t in trajectories)
 
-        def groups(batch):
-            """Graph groups in a step batch (the MLP stacks any batch)."""
-            if policy == "mlp":
-                return 1
-            return len({id(step.observation.arrays) for step in batch})
-
-        forward_name = "logits" if policy == "mlp" else "forward_group"
-        forward = getattr(network, forward_name)
+        forward = network.forward_group if policy == "gnn" else network.logits
         backward = network.policy_gradient_steps
         # Forwards are counted per policy_gradient_steps call while one is
         # running ("open") and in "elsewhere" otherwise.
         counts = {"open": None, "elsewhere": 0}
-        minibatches = []  # (forwards seen, graph groups given) per call
+        minibatches = []  # (forwards seen, decisions, graphs) per call
 
         def spy_forward(*args, **kwargs):
             counts["elsewhere" if counts["open"] is None else "open"] += 1
@@ -287,24 +280,35 @@ class TestOneForwardPerMinibatch:
             try:
                 return backward(sub, *args)
             finally:
-                minibatches.append((counts["open"], groups(sub)))
+                given = (
+                    len({id(step.observation.arrays) for step in sub})
+                    if policy == "gnn"
+                    else 1
+                )
+                minibatches.append((counts["open"], len(sub), given))
                 counts["open"] = None
 
-        monkeypatch.setattr(network, forward_name, spy_forward)
+        monkeypatch.setattr(
+            network, "forward_group" if policy == "gnn" else "logits", spy_forward
+        )
         monkeypatch.setattr(network, "policy_gradient_steps", spy_backward)
         trainer._update_batch(trajectories, advantages)
 
-        # Minibatches cover every step; only their decisions forward.
+        # Minibatches cover every step; one forward each, whatever the
+        # number of graphs its decisions come from (an all-forced one
+        # needs none).
         assert len(minibatches) == training.ppo_epochs * -(
             -total // training.ppo_minibatch
         )
-        assert all(forwards == given for forwards, given in minibatches)
+        assert all(
+            forwards == 1 if decisions else forwards <= 1
+            for forwards, decisions, _ in minibatches
+        )
         if policy == "gnn":
             # ...and a minibatch does span several graphs.
-            assert max(given for _, given in minibatches) > 1
-        # pi_old before the loop and the entropy report after it: one
-        # pass over the batch's decisions each, and nothing else forwards.
-        assert counts["elsewhere"] == 2 * groups(steps)
+            assert max(given for _, _, given in minibatches) > 1
+        # The entropy report after the loop is the one whole-batch pass.
+        assert counts["elsewhere"] == 1
 
     def test_one_loop_for_every_network_kind(self):
         import inspect
