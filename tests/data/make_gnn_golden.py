@@ -7,12 +7,11 @@ committed ``gnn_golden.json`` pins those (every float serialized via
 ``float.hex()``, so equality is bit equality, not tolerance):
 
 * ``forward_backward`` — a fixed-seed :class:`GraphPolicyNetwork` on
-  three recorded states (early, middle, late) of one 12-task DAG: the
-  padded ``forward_group`` logits and every ``backward_group`` gradient
-  array for a fixed upstream gradient.
+  three recorded states (early, middle, late) of one 12-task DAG, run
+  as one batch: the padded ``forward_group`` logits and every
+  ``backward_group`` gradient array for a fixed upstream gradient.
 * ``ppo_gnn`` — two PPO epochs on the GNN over 3 graphs x 2 rollouts
-  with a minibatch of 16 steps, so a minibatch spans several graph
-  groups.
+  with a minibatch of 16 steps, so a minibatch spans several graphs.
 * ``reinforce_gnn`` — two REINFORCE epochs on the GNN.
 * ``ppo_mlp`` — two PPO epochs on the MLP with ``entropy_bonus > 0``.
 
@@ -21,15 +20,20 @@ digests of the policy (and critic) parameters, and the trainer
 generator's final ``bit_generator.state``.
 
 It was generated on the commit before the message-passing scatter and
-the PPO minibatch forward were rewritten.  ``forward_backward`` has
-stayed byte-identical since (it picks its three states out of every
-state of the episode, forced ones included).  The three training cases
-were regenerated once, when the trainers moved to decided rows (forced
-steps are no longer forwarded; the same estimator, DESIGN.md
-Sec. 16.3): every integer field, makespan, generator state and critic
-digest stayed, and only mean entropies, mean losses and policy digests
-moved, by float summation order.  Regenerate (only when an intentional
-numeric change lands) with::
+the PPO minibatch forward were rewritten.  The three training cases
+were regenerated when the trainers moved to decided rows (forced steps
+are no longer forwarded; the same estimator, DESIGN.md Sec. 16.3):
+every integer field, makespan, generator state and critic digest
+stayed, and only mean entropies, mean losses and policy digests moved,
+by float summation order.  The whole file was regenerated once more
+when a step batch became one pass over the disjoint union of its
+states' graphs and PPO began reading ``pi_old`` from the recorded rows
+(DESIGN.md Sec. 16.2, 16.3): ``forward_backward`` kept its logits and
+every gradient array but ``head.c`` (one ulp, the head's gradient now
+sums over ready rows only); the training cases kept every integer
+field, makespan, generator state and critic digest, and moved only
+mean entropies, mean losses and policy digests.  Regenerate (only when
+an intentional numeric change lands) with::
 
     PYTHONPATH=src python tests/data/make_gnn_golden.py
 """
@@ -99,15 +103,9 @@ def _forward_backward_case() -> dict:
         every_state=True,
     ).states
     picked = [states[0], states[len(states) // 2], states[-2]]
-    first = picked[0]
     ready_lists = [list(state.ready) for state in picked]
     logits = network.forward_group(
-        first.arrays,
-        first.static_table,
-        np.stack([state.node_state for state in picked]),
-        np.stack([state.globals_vec for state in picked]),
-        ready_lists,
-        keep_cache=True,
+        *network.batch_inputs(picked), keep_cache=True
     )
     # Upstream gradient: fixed values on the real columns, exactly zero
     # on the padding (what every masked-softmax loss produces).

@@ -5,11 +5,17 @@ message-passing scatter (``np.add.at``) became a rank-sliced gather and
 before PPO stopped forwarding each minibatch twice.  Identical logits,
 gradients, ``EpochStats``, parameter digests *and* final generator
 states meant neither rewrite moved a bit or a random draw.  The three
-training cases were regenerated once since, when the trainers moved to
-decided rows: integers, makespans, generator states and critic digests
-stayed; entropies, losses and policy digests moved by float summation
-order.  Case definitions and serialization live in
-``tests/data/make_gnn_golden.py`` (also the regeneration script).
+training cases were regenerated when the trainers moved to decided rows:
+integers, makespans, generator states and critic digests stayed;
+entropies, losses and policy digests moved by float summation order.
+The file was regenerated once more when a step batch became one pass
+over the disjoint union of its states' graphs and PPO began reading
+``pi_old`` from the recorded rows: ``forward_backward`` kept its logits
+and every gradient but ``head.c`` (one ulp); the training cases kept
+every integer, makespan, generator state and critic digest, and moved
+only mean entropies, mean losses and policy digests.  Case definitions
+and serialization live in ``tests/data/make_gnn_golden.py`` (also the
+regeneration script).
 """
 
 import importlib.util
