@@ -11,15 +11,18 @@ Subcommands::
                      [--paper-scale] [--seed N] [--trace-out run.jsonl]
     repro ablation   expansion-filters|budget-decay|max-value-ucb|...
     repro motivating
+    repro compare    --schedulers tetris,sjf,cp,graphene,heft --jobs 5 \
+                     --tasks 30 [--reference tetris] [--trace-out run.jsonl]
     repro online     --jobs 10 --faults crashes=2,transient=0.05 \
                      --reschedule heft [--verify-executed] [--check-recoveries]
     repro stream     --arrival poisson:rate=0.05,n=1000 --seed 0 \
                      [--max-concurrent 32 --max-queue 64] [--horizon 5000] \
                      [--metrics-out m.json] [--gate-p99 400] [--verify-executed]
+    repro federate   --shards 2 --router least-load --scheduler heft \
+                     [--steal-threshold 2] [--faults crashes=1] [--compare-global]
     repro serve      --scheduler tetris --port 7077 [--batch-max 16]
     repro serve      --smoke --requests 3 [--frames-out frames.jsonl]
     repro verify     schedule.json --graph graph.json [--capacities 20,20]
-    repro lint       src/repro [--format text|json] | --list-rules
     repro bench      [--baseline benchmarks/baselines.json [--update-baselines]]
 
 Every command prints a plain-text report to stdout and exits non-zero on
@@ -465,15 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated per-resource capacities (default: cluster default)",
     )
     verify.add_argument("--json", action="store_true", help="JSON report")
-
-    lint = sub.add_parser(
-        "lint", help="run the repo-specific lint rules (REP203, REP205)"
-    )
-    lint.add_argument("paths", nargs="*", help="files or directories to lint")
-    lint.add_argument("--format", choices=["text", "json"], default="text")
-    lint.add_argument(
-        "--list-rules", action="store_true", help="list rules and exit"
-    )
 
     bench = sub.add_parser(
         "bench", help="time the microbenchmarks perfbench cannot see"
@@ -1243,38 +1237,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from .analysis.linter import (
-        LintInternalError,
-        available_rules,
-        format_json,
-        format_text,
-        lint_paths,
-    )
-    from .errors import ConfigError
-
-    if args.list_rules:
-        for rule_id, description in available_rules().items():
-            print(f"{rule_id}  {description}")
-        return 0
-    if not args.paths:
-        print("lint: no paths given (try: repro lint src/repro)", file=sys.stderr)
-        return 2
-    try:
-        violations = lint_paths(args.paths)
-    except ConfigError as exc:
-        print(f"lint: {exc}", file=sys.stderr)
-        return 2
-    except LintInternalError as exc:
-        print(f"lint: internal error: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(format_json(violations))
-    else:
-        print(format_text(violations))
-    return 1 if violations else 0
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .bench import (
         compare_to_baselines,
@@ -1323,7 +1285,6 @@ _COMMANDS = {
     "federate": _cmd_federate,
     "serve": _cmd_serve,
     "verify": _cmd_verify,
-    "lint": _cmd_lint,
     "bench": _cmd_bench,
 }
 

@@ -19,9 +19,10 @@ snapshot), and receive ``schedule.reply`` frames.  Three design points:
   request to be answered, acknowledges with the final counts, and shuts
   the server down.  Nothing accepted is ever dropped.
 
-Sim-time discipline (REP203 guards this package): the daemon never
-reads a wall clock — ticks are batch sequence numbers and every time in
-a request/reply is the *client's* sim-time, passed through verbatim.
+Sim-time discipline (``tests/arch/test_sim_time.py`` guards this
+package): the daemon never reads a wall clock — ticks are batch sequence
+numbers and every time in a request/reply is the *client's* sim-time,
+passed through verbatim.
 
 :func:`run_smoke` runs the full loop in-process — real server, real
 sockets on an ephemeral port, concurrent clients, drain — and returns

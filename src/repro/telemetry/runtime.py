@@ -319,5 +319,5 @@ def for_config(config: Optional[TelemetryConfig]) -> TelemetryLike:
         pipeline = Telemetry(config)
         # A pool worker gets its own pipeline: worker-side episode counters
         # stay in the worker (mcts/parallel.py reports from the parent).
-        _per_config[config] = pipeline  # repro: noqa[REP205] -- per-process memo
+        _per_config[config] = pipeline
     return pipeline

@@ -162,6 +162,15 @@ def test_exactly_one_loop_advances_simulated_time():
     assert len(hits) == 1, hits
 
 
+def test_one_process_pool_site():
+    # Root-parallel MCTS is the only code that fans work out to other
+    # processes, and tests/unit/mcts/test_parallel.py pins that its pool
+    # plans what its sequential loop plans.  A second pool site brings
+    # its own pin.
+    hits = grep(r"multiprocessing|ProcessPoolExecutor", REPO / "src")
+    assert files_of(hits) == ["src/repro/mcts/parallel.py"], hits
+
+
 def test_waves_play_their_lanes_with_the_scalar_playout():
     # A pure-MCTS wave plays each collected lane with the one fused
     # random playout; the NumPy lockstep kernel, its lane snapshot and the

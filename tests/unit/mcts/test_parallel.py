@@ -9,6 +9,7 @@ from repro.errors import ConfigError
 from repro.mcts import MctsScheduler, RootParallelMcts
 from repro.metrics import validate_schedule
 from repro.schedulers.base import ScheduleRequest
+from repro.telemetry import TelemetryConfig, session
 
 
 @pytest.fixture
@@ -18,6 +19,12 @@ def env_config():
         max_ready=8,
         process_until_completion=True,
     )
+
+
+MOTIVATING_ENV = EnvConfig(
+    cluster=ClusterConfig(capacities=MOTIVATING_CAPACITY, horizon=20),
+    process_until_completion=True,
+)
 
 
 class TestRootParallel:
@@ -69,13 +76,9 @@ class TestRootParallel:
 
     def test_finds_motivating_optimum_with_small_per_worker_budget(self):
         """Diversity pays: several small searches reach 2T reliably."""
-        env_config = EnvConfig(
-            cluster=ClusterConfig(capacities=MOTIVATING_CAPACITY, horizon=20),
-            process_until_completion=True,
-        )
         scheduler = RootParallelMcts(
             MctsConfig(initial_budget=100, min_budget=20),
-            env_config,
+            MOTIVATING_ENV,
             workers=4,
             seed=1,
         )
@@ -83,6 +86,39 @@ class TestRootParallel:
         schedule = scheduler.plan(ScheduleRequest(graph))
         validate_schedule(schedule, graph, MOTIVATING_CAPACITY)
         assert schedule.makespan == 2 * MOTIVATING_T
+
+    @pytest.mark.parametrize("rollout_batch", [1, 4])
+    @pytest.mark.parametrize("instance", ["small_random", "motivating"])
+    def test_processes_plan_what_the_sequential_path_plans(
+        self, instance, rollout_batch, env_config, small_random_graph
+    ):
+        """A worker's outcome reaches the parent only through its return
+        value, so the pool and the in-process loop agree byte for byte:
+        start maps, makespans, and the parent's ``mcts.worker`` events."""
+        if instance == "motivating":
+            graph, env_config = motivating_example(), MOTIVATING_ENV
+        else:
+            graph = small_random_graph
+        config = MctsConfig(
+            initial_budget=10, min_budget=3, rollout_batch=rollout_batch
+        )
+        runs = []
+        for use_processes in (False, True):
+            scheduler = RootParallelMcts(
+                config, env_config, workers=3, seed=7, use_processes=use_processes
+            )
+            with session(TelemetryConfig(enabled=True)) as tm:
+                schedule = scheduler.plan(ScheduleRequest(graph))
+                workers = [
+                    (e.attrs["seed"], e.attrs["makespan"], e.attrs["best"])
+                    for e in tm.events()
+                    if e.name == "mcts.worker"
+                ]
+            starts = sorted((p.task_id, p.start) for p in schedule.placements)
+            runs.append((starts, schedule.makespan, workers))
+        sequential, processes = runs
+        assert len(sequential[2]) == 3
+        assert processes == sequential
 
     def test_multiprocessing_path(self, env_config):
         """The process-pool path produces a valid schedule too."""

@@ -1,7 +1,11 @@
 """Unit tests for the command-line interface."""
 
+import argparse
+import re
+
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -18,6 +22,15 @@ class TestParser:
     def test_experiment_choices_enforced(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
+
+    def test_docstring_lists_exactly_the_subcommands(self):
+        documented = set(re.findall(r"^\s+repro (\S+)", cli.__doc__, re.MULTILINE))
+        subparsers = next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert documented == set(subparsers.choices)
 
 
 class TestCommands:
