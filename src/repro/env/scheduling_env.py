@@ -37,6 +37,7 @@ from ..dag.graph import TaskGraph
 from ..errors import CapacityError, EnvironmentStateError
 from ..metrics.schedule import Schedule
 from ..telemetry import runtime as _telemetry
+from ..utils.rng import bounded_draw
 from .actions import PROCESS, Action
 
 __all__ = ["SchedulingEnv", "StepResult", "step_limit_exceeded"]
@@ -395,12 +396,14 @@ class SchedulingEnv:
         ``rng.integers(0, n)`` — the same draws, bounds and order as
         ``RandomPolicy(work_conserving=True)``, so the RNG stream and the
         trajectory are bit-identical to the unfused loop (the equivalence
-        tests compare final states *and* generator states).  A single
-        candidate is taken without a draw: ``integers(0, 1)`` returns 0
-        and leaves the bit generator where it was (pinned by
-        ``test_integers_0_1_consumes_no_state``), yet costs as much as a
-        real draw, and most steps of a playout are forced.  MCTS runs one
-        of these per budget unit; it is the hottest loop in the library.
+        tests compare final states *and* generator states).  The draw is
+        made by :func:`~repro.utils.rng.bounded_draw`, which equals
+        ``integers(0, n)`` bit for bit without NumPy's per-call overhead.
+        A single candidate is taken without a draw: ``integers(0, 1)``
+        returns 0 and leaves the bit generator where it was (pinned by
+        ``test_integers_0_1_consumes_no_state``), and most steps of a
+        playout are forced.  MCTS runs one of these per budget unit; it
+        is the hottest loop in the library.
 
         The candidate set is kept incrementally.  A start only shrinks
         free capacity, so after starting window index ``c`` the next
@@ -436,7 +439,7 @@ class SchedulingEnv:
         max_ready = self._max_ready
         until_completion = self._until_completion
         two_dim = len(available) == 2
-        integers = rng.integers
+        draw = bounded_draw(rng)
         heappush = heapq.heappush
         heappop = heapq.heappop
         now = cluster.now
@@ -474,7 +477,7 @@ class SchedulingEnv:
                 if n:
                     # Schedule a uniformly random fitting task (PROCESS is
                     # filtered out whenever something fits: work conservation).
-                    chosen = actions[int(integers(0, n))] if n > 1 else actions[0]
+                    chosen = actions[draw(n)] if n > 1 else actions[0]
                     tid = ready[chosen]
                     demands = demands_of[tid]
                     heappush(

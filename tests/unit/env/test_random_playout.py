@@ -10,8 +10,9 @@ from repro.dag.generators import (
     independent_tasks_dag,
     random_layered_dag,
 )
-from repro.env import PROCESS, SchedulingEnv
+from repro.env import PROCESS, SchedulingEnv, scheduling_env
 from repro.errors import EnvironmentStateError
+from repro.utils.rng import bounded_draw
 
 
 def make_env(graph, until_completion=True, max_ready=5):
@@ -98,23 +99,25 @@ class TestRandomPlayout:
             assert rng.bit_generator.state == before
 
     @pytest.mark.parametrize("until_completion", [True, False])
-    def test_single_candidate_moves_draw_nothing(self, until_completion):
-        class Spy:
-            """``integers`` of a seeded generator, bounds recorded."""
+    def test_single_candidate_moves_draw_nothing(self, until_completion, monkeypatch):
+        highs = []
 
-            def __init__(self, seed):
-                self._rng = np.random.default_rng(seed)
-                self.highs = []
+        def recording_draw(rng):
+            """The real ``bounded_draw``, bounds recorded."""
+            draw = bounded_draw(rng)
 
-            def integers(self, low, high):
-                self.highs.append(high)
-                return self._rng.integers(low, high)
+            def recorded(n):
+                highs.append(n)
+                return draw(n)
 
-        spy = Spy(5)
+            return recorded
+
+        monkeypatch.setattr(scheduling_env, "bounded_draw", recording_draw)
+        fused_rng = np.random.default_rng(5)
         fused = make_env(fork_join_dag(4), until_completion)
-        fused.random_playout(spy, limit=10_000)
-        assert spy.highs and min(spy.highs) > 1
-        assert len(spy.highs) < fused.steps_taken
+        fused.random_playout(fused_rng, limit=10_000)
+        assert highs and min(highs) > 1
+        assert len(highs) < fused.steps_taken
         # Same episode as a loop that draws ``integers(0, 1)`` as well.
         reference = make_env(fork_join_dag(4), until_completion)
         rng = np.random.default_rng(5)
@@ -122,7 +125,7 @@ class TestRandomPlayout:
             actions = reference.expansion_actions(work_conserving=True)
             reference.step(actions[int(rng.integers(0, len(actions)))])
         assert fused.start_times() == reference.start_times()
-        assert spy._rng.bit_generator.state == rng.bit_generator.state
+        assert fused_rng.bit_generator.state == rng.bit_generator.state
 
     def test_slot_granularity_playout_matches_generic(self):
         graph = fork_join_dag(4)
