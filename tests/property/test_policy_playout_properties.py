@@ -7,8 +7,11 @@ reachable state of any DAG both end on the same makespan, start times,
 state signature and step count, with the same memo traffic, and leave
 the sampling generator in the same state.  States come from random legal
 prefixes of random layered DAGs, under unit-slot and event processing,
-with and without the work-conserving filter, through a window of 3 so
-that a backlog exists; both featurizers, both modes, memo on and off.
+with and without the work-conserving filter, on 1 to 3 resources and
+through windows of 1 to 4 (so that a backlog exists); both featurizers,
+both modes, memo on and off.  Each schedule must also pass
+:func:`repro.analysis.verifier.verify_placements`, an event sweep that
+shares no code with either loop.
 
 The seven list heuristics ride the same loop through
 ``GreedyPolicy.playout`` and are held to the same standard, on 2- and
@@ -16,10 +19,13 @@ The seven list heuristics ride the same loop through
 missing from the order included).
 """
 
+from functools import lru_cache
+
 import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
+from repro.analysis.verifier import verify_placements
 from repro.config import ClusterConfig, EnvConfig, GnnConfig, NetworkConfig, WorkloadConfig
 from repro.core.pipeline import default_graph_network, default_network
 from repro.dag import random_layered_dag
@@ -37,26 +43,27 @@ MAX_READY = 3
 LIMIT = 10_000
 
 
-def env_config(until_completion: bool, num_resources: int = 2) -> EnvConfig:
+def env_config(
+    until_completion: bool, num_resources: int = 2, max_ready: int = MAX_READY
+) -> EnvConfig:
     return EnvConfig(
         cluster=ClusterConfig(capacities=(10,) * num_resources, horizon=6),
-        max_ready=MAX_READY,
+        max_ready=max_ready,
         process_until_completion=until_completion,
     )
 
 
-NETWORKS = {
-    "mlp": default_network(
-        env_config(True),
-        NetworkConfig(hidden_sizes=(16, 8), max_ready=MAX_READY),
-        seed=7,
-    ),
-    "gnn": default_graph_network(
-        env_config(True),
+@lru_cache(maxsize=None)
+def network(model, num_resources, max_ready):
+    """A seeded random network for the cluster shape and window."""
+    config = env_config(True, num_resources, max_ready)
+    if model == "mlp":
+        return default_network(config, NetworkConfig(hidden_sizes=(16, 8)), seed=7)
+    return default_graph_network(
+        config,
         GnnConfig(hidden_size=8, rounds=2, head_hidden=4, global_hidden=4),
         seed=7,
-    ),
-}
+    )
 
 
 def make_graph(seed, num_tasks, num_resources=2):
@@ -80,6 +87,16 @@ def play(policy, env, fused: bool):
         while not env.done:
             env.step(policy.select(env))
         makespan = env.makespan
+    graph = env.graph
+    report = verify_placements(
+        [
+            (tid, start, start + graph.task(tid).runtime)
+            for tid, start in env.start_times().items()
+        ],
+        graph,
+        env.config.cluster.capacities,
+    )
+    assert report.ok, report.summary()
     memo = policy.memo
     return {
         "makespan": makespan,
@@ -97,6 +114,8 @@ def play(policy, env, fused: bool):
 @given(
     seed=st.integers(0, 10_000),
     num_tasks=st.integers(1, 14),
+    num_resources=st.integers(1, 3),
+    max_ready=st.integers(1, 4),
     play_seed=st.integers(0, 10_000),
     prefixes=st.lists(st.integers(0, 30), min_size=1, max_size=3),
     until_completion=st.booleans(),
@@ -106,15 +125,15 @@ def play(policy, env, fused: bool):
     memoized=st.booleans(),
 )
 def test_fused_playout_equals_select_step_loop(
-    seed, num_tasks, play_seed, prefixes, until_completion, work_conserving,
-    model, mode, memoized,
+    seed, num_tasks, num_resources, max_ready, play_seed, prefixes,
+    until_completion, work_conserving, model, mode, memoized,
 ):
-    graph = make_graph(seed, num_tasks)
-    config = env_config(until_completion)
+    graph = make_graph(seed, num_tasks, num_resources)
+    config = env_config(until_completion, num_resources, max_ready)
     outcomes = {}
     for fused in (True, False):
         # One policy (and one memo) across the episodes, as in a search.
-        policy = NETWORKS[model].make_policy(
+        policy = network(model, num_resources, max_ready).make_policy(
             mode=mode, seed=play_seed, work_conserving=work_conserving
         )
         if memoized:
