@@ -76,9 +76,10 @@ class ObservationBuilder:
         self.features: GraphFeatures = compute_features(graph)
         self._capacities = config.cluster.capacities
         self._horizon = config.cluster.horizon
-        # Normalizers (>= 1 so zero-division is impossible).
-        self._max_runtime = max(task.runtime for task in graph)
-        self._critical_path = max(1, self.features.critical_path)
+        # Normalizers (>= 1 so zero-division is impossible); the graph
+        # policy's builder reads the first two.
+        self.max_runtime = max(task.runtime for task in graph)
+        self.critical_path = max(1, self.features.critical_path)
         self._max_children = max(
             1, max(self.features.num_children.values(), default=1)
         )
@@ -140,8 +141,8 @@ class ObservationBuilder:
         ]
         if self.config.include_graph_features:
             scalars = [
-                task.runtime / self._max_runtime,
-                self.features.b_level[task_id] / self._critical_path,
+                task.runtime / self.max_runtime,
+                self.features.b_level[task_id] / self.critical_path,
                 self.features.num_children[task_id] / self._max_children,
             ]
             bloads = [
@@ -151,7 +152,7 @@ class ObservationBuilder:
         else:
             # Demand-only ablation: the runtime stays (Tetris-style states
             # know durations) but every graph-topology feature is zeroed.
-            scalars = [task.runtime / self._max_runtime, 0.0, 0.0]
+            scalars = [task.runtime / self.max_runtime, 0.0, 0.0]
             bloads = [0.0] * self.graph.num_resources
         vector = np.asarray(demands + scalars + bloads, dtype=np.float64)
         self._task_feature_cache[task_id] = vector

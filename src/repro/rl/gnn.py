@@ -11,15 +11,15 @@ network evaluates a 10-task and a 250-task job.
 
 Architecture (DESIGN.md Sec. 16):
 
-1. **Encoder** — static per-task features (the same demand/runtime/
-   b-level/children/b-load table the window builder uses) concatenated
+1. **Encoder** — static per-task features (the window builder's own
+   demand/runtime/b-level/children/b-load rows) concatenated
    with 5 dynamic state channels (visible-ready, ready, running,
    finished, remaining-runtime), through linear+ReLU to ``hidden_size``.
 2. **K message-passing rounds** — ``h' = relu(h W_s + C(h) W_c +
    P(h) W_p + b)`` where ``C``/``P`` sum child/parent embeddings over
-   the CSR adjacency of :mod:`repro.envarr.graphdata`.  ``C`` and ``P``
-   are adjoint, so backprop reuses the same two aggregations with the
-   directions swapped.
+   the precedence edges (``graph.children`` in ascending id).  ``C`` and
+   ``P`` are adjoint, so backprop reuses the same two aggregations with
+   the directions swapped.
 3. **Global readout** — mean-pooled node embeddings joined with cluster
    features (free capacity, progress, backlog, clock) through
    linear+ReLU.
@@ -47,12 +47,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..config import EnvConfig, GnnConfig
-from ..envarr.graphdata import GraphArrays, graph_arrays
-from ..envarr.observation import (
-    GLOBAL_EXTRA_CHANNELS,
-    NODE_STATE_CHANNELS,
-    task_feature_table,
-)
+from ..dag.graph import TaskGraph
+from ..env.observation import ObservationBuilder
 from ..errors import ConfigError
 from ..utils.rng import SeedLike, as_generator
 from .agent import NetworkPolicyBase
@@ -74,6 +70,14 @@ __all__ = [
     "GraphUnion",
 ]
 
+#: Dynamic per-node state channels of a graph observation:
+#: visible-ready, ready (incl. backlog), running, finished, remaining-runtime.
+NODE_STATE_CHANNELS = 5
+
+#: Global feature channels beyond the per-resource free fractions:
+#: progress, backlog, normalized clock.
+GLOBAL_EXTRA_CHANNELS = 3
+
 
 @dataclass(frozen=True)
 class GraphObservation:
@@ -84,7 +88,7 @@ class GraphObservation:
     slot order — the action layout is ``[ready..., PROCESS]``.
     """
 
-    arrays: GraphArrays
+    graph: TaskGraph
     static_table: np.ndarray
     node_state: np.ndarray
     globals_vec: np.ndarray
@@ -94,22 +98,28 @@ class GraphObservation:
 class GraphObservationBuilder:
     """Featurize one environment state at a time for the graph policy.
 
+    Dense node ``i`` is the ``i``-th smallest task id.  The static table
+    holds the window builder's task rows
+    (:meth:`~repro.env.observation.ObservationBuilder.task_features`) in
+    that order, and the dynamic channels share its normalisers.
+
     Args:
-        graph_or_arrays: the job (or its compiled arrays).
+        graph: the job.
         config: environment configuration (cluster shape, feature flags).
     """
 
-    def __init__(self, graph_or_arrays, config: EnvConfig) -> None:
-        arrays = graph_arrays(graph_or_arrays)
-        self.arrays = arrays
-        self.graph = arrays.graph
+    def __init__(self, graph: TaskGraph, config: EnvConfig) -> None:
+        window = ObservationBuilder(graph, config)
+        ids = sorted(graph.task_ids)
+        self.graph = graph
         self.config = config
-        self.static_table = task_feature_table(arrays, config)
+        self.index_of = {tid: i for i, tid in enumerate(ids)}
+        self.static_table = np.stack([window.task_features(tid) for tid in ids])
         self._capacities = np.asarray(
             config.cluster.capacities, dtype=np.float64
         )
-        self._max_runtime = max(1, int(arrays.durations.max()))
-        self._critical_path = max(1, arrays.critical_path)
+        self._max_runtime = window.max_runtime
+        self._critical_path = window.critical_path
 
     def state_key(self, env) -> tuple:
         """Hashable of every env query :meth:`build` reads.
@@ -124,10 +134,10 @@ class GraphObservationBuilder:
     def build(self, env) -> GraphObservation:
         """Render one state: the dynamic channels of every node plus the
         global vector (the static table is shared by reference)."""
-        arrays = self.arrays
-        index_of = arrays.index_of
-        n = arrays.num_tasks
-        resources = arrays.num_resources
+        graph = self.graph
+        index_of = self.index_of
+        n = graph.num_tasks
+        resources = graph.num_resources
         node_state = np.zeros((n, NODE_STATE_CHANNELS), dtype=np.float64)
         visible = [index_of[tid] for tid in env.visible_ready()]
         if visible:
@@ -152,7 +162,7 @@ class GraphObservationBuilder:
         globals_vec[resources + 1] = env.backlog_size / max(1, n)
         globals_vec[resources + 2] = now / self._critical_path
         return GraphObservation(
-            arrays, self.static_table, node_state, globals_vec, tuple(visible)
+            graph, self.static_table, node_state, globals_vec, tuple(visible)
         )
 
 
@@ -325,22 +335,22 @@ class GraphPolicyNetwork:
         params["proc.c"] = np.zeros(1)
         #: Shared live parameter dict (the optimizer mutates it in place).
         self.params = params
-        self._edge_cache: Dict[int, Tuple[GraphArrays, EdgeList]] = {}
+        self._edge_cache: Dict[int, Tuple[TaskGraph, EdgeList]] = {}
         self._cache: Optional[dict] = None
 
     # ------------------------------------------------------------------ #
     # forward / backward over one step batch
     # ------------------------------------------------------------------ #
 
-    def _edges(self, arrays: GraphArrays) -> EdgeList:
-        key = id(arrays)
+    def _edges(self, graph: TaskGraph) -> EdgeList:
+        key = id(graph)
         cached = self._edge_cache.get(key)
-        if cached is not None and cached[0] is arrays:
+        if cached is not None and cached[0] is graph:
             return cached[1]
-        edges = EdgeList.from_graph_arrays(arrays)
+        edges = EdgeList.from_graph(graph)
         if len(self._edge_cache) >= 16:
             self._edge_cache.pop(next(iter(self._edge_cache)))
-        self._edge_cache[key] = (arrays, edges)
+        self._edge_cache[key] = (graph, edges)
         return edges
 
     def batch_inputs(
@@ -351,10 +361,10 @@ class GraphPolicyNetwork:
         ``(N, node_features)`` features of its nodes, state after state,
         and the ``(B, global_features)`` cluster features."""
         if len(observations) == 1:
-            edges = self._edges(observations[0].arrays)
+            edges = self._edges(observations[0].graph)
         else:
             edges = EdgeList.disjoint_union(
-                [self._edges(obs.arrays) for obs in observations]
+                [self._edges(obs.graph) for obs in observations]
             )
         union = GraphUnion(
             edges,
@@ -641,9 +651,9 @@ class GraphNetworkPolicy(NetworkPolicyBase):
 
     def begin_episode(self, env) -> None:
         builder = GraphObservationBuilder(env.graph, env.config)
-        if builder.arrays.num_resources != self.network.num_resources:
+        if builder.graph.num_resources != self.network.num_resources:
             raise ConfigError(
-                f"graph has {builder.arrays.num_resources} resources, "
+                f"graph has {builder.graph.num_resources} resources, "
                 f"network expects {self.network.num_resources}"
             )
         self._builder = builder

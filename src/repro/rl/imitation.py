@@ -11,15 +11,13 @@ The trainer rolls the teacher policy over the training graphs, records
 cross-entropy of the network's masked softmax against the teacher's
 choices with rmsprop mini-batches.  The optimizer/minibatch plumbing is
 shared with the rollout trainers (:mod:`repro.rl.trainer`); this class
-is just the cross-entropy loss.  Works with any policy model: the MLP
-keeps its historical stacked-array dataset (bit-identical numerics), the
-graph policy records per-step graph observations via the model's own
-policy adapter.
+is just the cross-entropy loss.  Works with any policy model, one way:
+the model's own policy adapter featurizes every teacher state, and the
+records are trajectory decisions, as a rollout trainer's are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -27,32 +25,18 @@ import numpy as np
 from ..config import EnvConfig, TrainingConfig
 from ..dag.graph import TaskGraph
 from ..env.actions import PROCESS
-from ..env.observation import ObservationBuilder
 from ..env.scheduling_env import SchedulingEnv
-from ..errors import ConfigError, EnvironmentStateError
+from ..errors import EnvironmentStateError
 from ..schedulers.base import Policy
 from ..schedulers.policies import CriticalPathPolicy
 from ..telemetry import runtime as _telemetry
 from ..telemetry.config import TelemetryConfig
 from ..utils.rng import SeedLike
-from .agent import build_action_mask
 from .network import PolicyNetwork
 from .trainer import TrainerBase, iterate_minibatches
 from .trajectories import Decision
 
-__all__ = ["ImitationTrainer", "ImitationDataset"]
-
-
-@dataclass
-class ImitationDataset:
-    """Stacked supervised examples: states, masks and teacher actions."""
-
-    states: np.ndarray
-    masks: np.ndarray
-    actions: np.ndarray
-
-    def __len__(self) -> int:
-        return self.states.shape[0]
+__all__ = ["ImitationTrainer"]
 
 
 class ImitationTrainer(TrainerBase):
@@ -88,56 +72,18 @@ class ImitationTrainer(TrainerBase):
 
     # ------------------------------------------------------------------ #
 
-    def collect(self, graphs: Sequence[TaskGraph]) -> ImitationDataset:
-        """Roll the teacher over ``graphs`` and record every decision.
-
-        Only available for fixed-window (MLP) policies, whose decisions
-        stack into dense arrays; graph policies record via
-        :meth:`collect_steps`.
-        """
-        if getattr(self.network, "kind", "policy_mlp") != "policy_mlp":
-            raise ConfigError(
-                "stacked imitation datasets need a fixed action window; "
-                "use collect_steps() for graph policies"
-            )
-        states: List[np.ndarray] = []
-        masks: List[np.ndarray] = []
-        actions: List[int] = []
-        process_index = self.network.num_actions - 1
-        for graph in graphs:
-            env = SchedulingEnv(graph, self.env_config)
-            builder = ObservationBuilder(graph, self.env_config)
-            teacher = self.teacher_factory()
-            teacher.begin_episode(env)
-            steps = 0
-            while not env.done:
-                if steps >= self.training.max_episode_steps:
-                    raise EnvironmentStateError("teacher rollout livelocked")
-                action = teacher.select(env)
-                states.append(builder.build(env))
-                masks.append(
-                    build_action_mask(env, self.network.num_actions)
-                )
-                actions.append(process_index if action == PROCESS else action)
-                env.step(action)
-                steps += 1
-        return ImitationDataset(
-            states=np.stack(states),
-            masks=np.stack(masks),
-            actions=np.asarray(actions, dtype=int),
-        )
-
-    def collect_steps(self, graphs: Sequence[TaskGraph]) -> List[Decision]:
-        """Model-agnostic teacher decisions as trajectory :class:`Decision`\\ s.
+    def collect(self, graphs: Sequence[TaskGraph]) -> List[Decision]:
+        """Roll the teacher over ``graphs`` and record every decision as
+        a trajectory :class:`Decision`.
 
         The network's own policy adapter featurizes each state, so the
-        recorded observations match what the model consumes — for the
-        graph policy that is a per-node graph observation, not a stacked
-        window.  Every state is recorded, forced or not: imitation
+        recorded observations match what the model consumes — a window
+        vector for the MLP, a per-node graph observation for the graph
+        policy.  Every state is recorded, forced or not: imitation
         shuffles minibatches over all of them.
         """
-        # Full legal-action masks (not work-conserving), matching the
-        # stacked MLP dataset: any teacher decision must be in-mask.
+        # Full legal-action masks (not work-conserving): any teacher
+        # decision must be in-mask.
         observer = self.network.make_policy(mode="greedy", work_conserving=False)
         records: List[Decision] = []
         for graph in graphs:
@@ -162,24 +108,8 @@ class ImitationTrainer(TrainerBase):
 
     # ------------------------------------------------------------------ #
 
-    def train_epoch(self, dataset: ImitationDataset) -> float:
+    def train_epoch(self, records: Sequence[Decision]) -> float:
         """One pass of shuffled mini-batch cross-entropy; returns mean NLL."""
-        losses: List[float] = []
-        for batch in iterate_minibatches(
-            self._rng, len(dataset), self.training.batch_size
-        ):
-            grads, nll = self.network.policy_gradient(
-                dataset.states[batch],
-                dataset.masks[batch],
-                dataset.actions[batch],
-                np.ones(len(batch)),
-            )
-            self.apply_gradients(grads)
-            losses.append(nll)
-        return float(np.mean(losses))
-
-    def train_epoch_steps(self, records: Sequence[Decision]) -> float:
-        """Model-agnostic variant of :meth:`train_epoch` over steps."""
         losses: List[float] = []
         for batch in iterate_minibatches(
             self._rng, len(records), self.training.batch_size
@@ -206,26 +136,21 @@ class ImitationTrainer(TrainerBase):
         """
         tm = _telemetry.for_config(self.telemetry)
         total = epochs if epochs is not None else self.training.supervised_epochs
-        mlp = getattr(self.network, "kind", "policy_mlp") == "policy_mlp"
         with tm.span(
             "imitation.fit", graphs=len(graphs), epochs=total
         ) as span:
-            dataset = self.collect(graphs) if mlp else self.collect_steps(graphs)
+            records = self.collect(graphs)
             losses: List[float] = []
             for epoch in range(total):
-                loss = (
-                    self.train_epoch(dataset)
-                    if mlp
-                    else self.train_epoch_steps(dataset)
-                )
+                loss = self.train_epoch(records)
                 losses.append(loss)
                 if tm.enabled:
                     tm.record("imitation.loss", epoch, loss)
-            span.set(examples=len(dataset))
+            span.set(examples=len(records))
         return losses
 
-    def accuracy(self, dataset: ImitationDataset) -> float:
+    def accuracy(self, records: Sequence[Decision]) -> float:
         """Fraction of states where the network's argmax matches the teacher."""
-        probs = self.network.probabilities(dataset.states, dataset.masks)
-        predicted = probs.argmax(axis=1)
-        return float(np.mean(predicted == dataset.actions))
+        predicted = self.network.step_probabilities(records).argmax(axis=1)
+        teacher = [record.action_index for record in records]
+        return float(np.mean(predicted == teacher))

@@ -1,8 +1,8 @@
 """Sparse DAG aggregation primitives for graph-structured policies.
 
 A DAG's precedence edges are held as flat ``(parent, child)`` index
-arrays (built once per graph from the memoized CSR adjacency of
-:mod:`repro.envarr.graphdata`).  Message passing then reduces to two
+arrays (built once per graph from ``graph.children`` in ascending id,
+:meth:`EdgeList.from_graph`).  Message passing then reduces to two
 sparse sums per round:
 
 * **child aggregation** — node ``i`` receives the sum of its children's
@@ -138,17 +138,24 @@ class EdgeList:
         return union
 
     @classmethod
-    def from_graph_arrays(cls, arrays) -> "EdgeList":
-        """Edges from a :class:`repro.envarr.graphdata.GraphArrays`.
+    def from_graph(cls, graph) -> "EdgeList":
+        """Edges of a :class:`~repro.dag.graph.TaskGraph`, node ``i``
+        being its ``i``-th smallest task id.
 
-        The list runs through the child CSR rows, so each node's
-        children — and, the sort being by ``(parent, child)``, each
-        node's parents — are summed in ascending dense order.
+        The list runs parent by parent in ascending id, each parent's
+        children ascending, so each node's children — and, the sort
+        being by ``(parent, child)``, each node's parents — are summed
+        in ascending dense order.
         """
-        n = len(arrays.ids)
-        counts = np.diff(arrays.child_indptr)
-        parent = np.repeat(np.arange(n, dtype=np.int64), counts)
-        return cls(n, parent, arrays.child_indices)
+        ids = sorted(graph.task_ids)
+        index_of = {tid: i for i, tid in enumerate(ids)}
+        pairs = [
+            (i, index_of[child])
+            for i, tid in enumerate(ids)
+            for child in graph.children(tid)
+        ]
+        edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        return cls(len(ids), edges[:, 0], edges[:, 1])
 
     @property
     def num_edges(self) -> int:

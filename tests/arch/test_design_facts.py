@@ -153,7 +153,7 @@ def test_a_step_batch_is_one_graph_and_pi_old_is_recorded():
     from repro.rl.ppo import PpoTrainer
 
     assert not grep(r"_group_positions|_group_probabilities", SRC)
-    assert not grep(r"id\(.*\.arrays\)", SRC / "rl")
+    assert not grep(r"id\(.*\.(arrays|graph)\)", SRC / "rl")
     assert "step_probabilities" not in inspect.getsource(PpoTrainer._update_batch)
 
 
@@ -186,3 +186,20 @@ def test_native_draws_live_in_utils_rng():
     # No other module reaches a bit generator's native functions.
     hits = grep(r"\bctypes\b|next_uint(32|64)|next_double", REPO / "src")
     assert files_of(hits) == ["src/repro/utils/rng.py"], hits
+
+
+def test_one_graph_featurisation():
+    # The graph policy's node table is the window builder's task rows and
+    # its edges come from graph.children in ascending id; the NumPy copy
+    # of the Sec. III-D features and the stacked-MLP imitation dataset are
+    # gone.  repro.envarr is only the import alias perfbench's frozen
+    # targets name.
+    assert not grep(r"^\s*(from|import)\s+\S*envarr", REPO / "src")
+    assert sorted(path.name for path in (SRC / "envarr").glob("*.py")) == [
+        "__init__.py",
+        "env.py",
+    ]
+    assert files_of(grep(r'"policy_mlp"', SRC)) == [
+        "src/repro/rl/checkpoints.py",
+        "src/repro/rl/network.py",
+    ]

@@ -119,10 +119,10 @@ def _imitation_case() -> dict:
         network, env_config=env_config, training=training, seed=5
     )
     losses = trainer.fit(graphs)
-    dataset = trainer.collect(graphs)
+    records = trainer.collect(graphs)
     return {
         "losses": [float(x).hex() for x in losses],
-        "accuracy": float(trainer.accuracy(dataset)).hex(),
+        "accuracy": float(trainer.accuracy(records)).hex(),
         "params_digest": _params_digest(network.params),
     }
 

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.config import EnvConfig, GnnConfig, WorkloadConfig
+from repro.config import ClusterConfig, EnvConfig, GnnConfig, WorkloadConfig
 from repro.dag.generators import random_layered_dag
 from repro.dag.graph import TaskGraph
 from repro.dag.task import Task
+from repro.env.observation import ObservationBuilder
 from repro.env.scheduling_env import SchedulingEnv
-from repro.envarr.graphdata import graph_arrays
-from repro.envarr.observation import task_feature_table
 from repro.errors import ConfigError
 from repro.rl.gnn import (
     GraphNetworkPolicy,
@@ -21,10 +20,10 @@ from repro.rl.gnn import (
 SMALL_GNN = GnnConfig(hidden_size=8, rounds=2, head_hidden=4, global_hidden=8)
 
 
-def forward(network, arrays, static, node_states, globals_vec, ready_lists, **kw):
+def forward(network, graph, static, node_states, globals_vec, ready_lists, **kw):
     """Padded logits of ``B`` states of one graph, as one batch."""
     observations = [
-        GraphObservation(arrays, static, node_states[b], globals_vec[b], tuple(r))
+        GraphObservation(graph, static, node_states[b], globals_vec[b], tuple(r))
         for b, r in enumerate(ready_lists)
     ]
     return network.forward_group(*network.batch_inputs(observations), **kw)
@@ -39,6 +38,25 @@ def _graph(num_tasks=10, seed=0):
 
 def _env(graph):
     return SchedulingEnv(graph, EnvConfig(process_until_completion=True))
+
+
+class TestObservationBuilder:
+    def test_static_table_is_the_window_rows_in_id_order(self):
+        graph = _graph(num_tasks=12, seed=3)
+        config = EnvConfig()
+        builder = GraphObservationBuilder(graph, config)
+        window = ObservationBuilder(graph, config)
+        ids = sorted(graph.task_ids)
+        assert [builder.index_of[tid] for tid in ids] == list(range(len(ids)))
+        for i, tid in enumerate(ids):
+            assert builder.static_table[i].tobytes() == (
+                window.task_features(tid).tobytes()
+            )
+
+    def test_mismatched_cluster_rejected(self):
+        config = EnvConfig(cluster=ClusterConfig(capacities=(20, 20, 20)))
+        with pytest.raises(ConfigError, match="resources"):
+            GraphObservationBuilder(_graph(seed=1), config)
 
 
 class TestPermutationInvariance:
@@ -60,32 +78,29 @@ class TestPermutationInvariance:
                 for v in base.children(u)
             ],
         )
-        a1, a2 = graph_arrays(base), graph_arrays(relabeled)
         config = EnvConfig()
-        static1 = task_feature_table(a1, config)
-        static2 = task_feature_table(a2, config)
+        b1 = GraphObservationBuilder(base, config)
+        b2 = GraphObservationBuilder(relabeled, config)
+        static1, static2 = b1.static_table, b2.static_table
         # Dense index i of the base graph maps to this dense index of the
         # relabeled one.
-        to2 = np.array(
-            [a2.index_of[int(perm[a1.ids[i]])] for i in range(n)]
-        )
+        ids1 = sorted(base.task_ids)
+        to2 = np.array([b2.index_of[int(perm[ids1[i]])] for i in range(n)])
         assert np.allclose(static2[to2], static1)
 
-        network = GraphPolicyNetwork(
-            a1.num_resources, SMALL_GNN, seed=7
-        )
+        network = GraphPolicyNetwork(base.num_resources, SMALL_GNN, seed=7)
         batch = 3
         node_state1 = rng.normal(size=(batch, n, 5))
         node_state2 = np.empty_like(node_state1)
         node_state2[:, to2] = node_state1
-        globals_vec = rng.normal(size=(batch, a1.num_resources + 3))
+        globals_vec = rng.normal(size=(batch, base.num_resources + 3))
         ready1 = [[0, 3, 5], [1], [2, 4]]
         ready2 = [[int(to2[i]) for i in ready] for ready in ready1]
         logits1 = forward(
-            network, a1, static1, node_state1, globals_vec, ready1
+            network, base, static1, node_state1, globals_vec, ready1
         )
         logits2 = forward(
-            network, a2, static2, node_state2, globals_vec, ready2
+            network, relabeled, static2, node_state2, globals_vec, ready2
         )
         assert np.allclose(logits1, logits2, rtol=1e-10, atol=1e-10)
 
@@ -106,13 +121,11 @@ class TestScaleInvariance:
         """A ready set wider than any MLP window still scores directly."""
         network = GraphPolicyNetwork(2, SMALL_GNN, seed=1)
         graph = _graph(num_tasks=30, seed=9)
-        arrays = graph_arrays(graph)
-        config = EnvConfig()
-        static = task_feature_table(arrays, config)
+        static = GraphObservationBuilder(graph, EnvConfig()).static_table
         ready = [list(range(25))]
         logits = forward(
             network,
-            arrays,
+            graph,
             static,
             np.zeros((1, 30, 5)),
             np.zeros((1, 5)),
@@ -125,9 +138,7 @@ class TestGradients:
     def test_backward_matches_finite_differences(self, rng):
         network = GraphPolicyNetwork(2, SMALL_GNN, seed=3)
         graph = _graph(num_tasks=8, seed=2)
-        arrays = graph_arrays(graph)
-        config = EnvConfig()
-        static = task_feature_table(arrays, config)
+        static = GraphObservationBuilder(graph, EnvConfig()).static_table
         node_state = rng.normal(size=(2, 8, 5))
         globals_vec = rng.normal(size=(2, 5))
         ready = [[0, 2], [1, 3, 4]]
@@ -138,7 +149,7 @@ class TestGradients:
 
         def nll():
             logits = forward(
-                network, arrays, static, node_state, globals_vec, ready
+                network, graph, static, node_state, globals_vec, ready
             )
             from repro.rl.modules import masked_softmax
 
@@ -149,7 +160,7 @@ class TestGradients:
         from repro.rl.modules import masked_softmax
 
         logits = forward(
-            network, arrays, static, node_state, globals_vec, ready,
+            network, graph, static, node_state, globals_vec, ready,
             keep_cache=True,
         )
         probs = masked_softmax(logits, masks)

@@ -100,12 +100,12 @@ def legal_actions(rng, rows) -> np.ndarray:
 # ---------------------------------------------------------------------- #
 
 
-def group_forward(network, arrays, static_table, node_states, globals_vec, ready_lists):
+def group_forward(network, graph, static_table, node_states, globals_vec, ready_lists):
     """The per-graph forward: ``(padded logits, cache)`` for ``B`` states
     of one graph stacked as ``(B, N, F)``."""
     p = network.params
     batch, n, _ = node_states.shape
-    edges = EdgeList.from_graph_arrays(arrays)
+    edges = EdgeList.from_graph(graph)
     static = np.broadcast_to(static_table, (batch, n, static_table.shape[1]))
     x = np.concatenate([static, node_states], axis=2)
     enc_pre = x @ p["enc.W"] + p["enc.b"]
@@ -206,7 +206,7 @@ def oracle_groups(rows):
     """Row positions grouped by graph, as the per-graph batches were."""
     groups: Dict[int, List[int]] = {}
     for position, row in enumerate(rows):
-        groups.setdefault(id(row.observation.arrays), []).append(position)
+        groups.setdefault(id(row.observation.graph), []).append(position)
     return list(groups.values())
 
 
@@ -217,7 +217,7 @@ def oracle_group_pass(network, rows):
         sub = [rows[i].observation for i in positions]
         logits, cache = group_forward(
             network,
-            sub[0].arrays,
+            sub[0].graph,
             sub[0].static_table,
             np.stack([o.node_state for o in sub]),
             np.stack([o.globals_vec for o in sub]),
@@ -307,7 +307,7 @@ def test_a_one_state_pass_is_the_oracles_bytes(network, states):
         got = network.forward_group(*network.batch_inputs([observation]))
         want, _ = group_forward(
             network,
-            observation.arrays,
+            observation.graph,
             observation.static_table,
             observation.node_state[None],
             observation.globals_vec[None],
@@ -445,13 +445,13 @@ def test_union_edges_come_from_the_cached_graph_pieces(monkeypatch, states):
     """Each graph's edge list is built once; a batch composes them."""
     network = make_network()
     built = []
-    inner = EdgeList.from_graph_arrays.__func__
+    inner = EdgeList.from_graph.__func__
 
-    def counting(cls, arrays):
-        built.append(id(arrays))
-        return inner(cls, arrays)
+    def counting(cls, graph):
+        built.append(id(graph))
+        return inner(cls, graph)
 
-    monkeypatch.setattr(EdgeList, "from_graph_arrays", classmethod(counting))
+    monkeypatch.setattr(EdgeList, "from_graph", classmethod(counting))
     rng = np.random.default_rng(4)
     for _ in range(5):
         network.step_probabilities(random_rows(rng, states, 20))

@@ -56,17 +56,17 @@ def graphs():
 class TestImitation:
     def test_collect_shapes(self, net, cfg, training, graphs):
         trainer = ImitationTrainer(net, cfg, training=training, seed=0)
-        dataset = trainer.collect(graphs)
-        assert len(dataset) > 0
-        assert dataset.states.shape == (len(dataset), net.input_size)
-        assert dataset.masks.shape == (len(dataset), net.num_actions)
-        assert dataset.actions.max() < net.num_actions
+        records = trainer.collect(graphs)
+        assert len(records) > 0
+        for record in records:
+            assert record.observation.shape == (net.input_size,)
+            assert record.mask.shape == (net.num_actions,)
+            assert record.action_index < net.num_actions
 
     def test_teacher_actions_are_legal(self, net, cfg, training, graphs):
         trainer = ImitationTrainer(net, cfg, training=training, seed=0)
-        dataset = trainer.collect(graphs)
-        chosen = dataset.masks[np.arange(len(dataset)), dataset.actions]
-        assert chosen.all()
+        records = trainer.collect(graphs)
+        assert all(record.mask[record.action_index] for record in records)
 
     def test_loss_decreases(self, net, cfg, training, graphs):
         trainer = ImitationTrainer(net, cfg, training=training, seed=0)
@@ -75,11 +75,11 @@ class TestImitation:
 
     def test_accuracy_improves_over_chance(self, net, cfg, training, graphs):
         trainer = ImitationTrainer(net, cfg, training=training, seed=0)
-        dataset = trainer.collect(graphs)
-        before = trainer.accuracy(dataset)
+        records = trainer.collect(graphs)
+        before = trainer.accuracy(records)
         for _ in range(25):
-            trainer.train_epoch(dataset)
-        after = trainer.accuracy(dataset)
+            trainer.train_epoch(records)
+        after = trainer.accuracy(records)
         assert after >= before
 
     def test_custom_teacher(self, net, cfg, training, graphs):
@@ -88,8 +88,8 @@ class TestImitation:
         trainer = ImitationTrainer(
             net, cfg, teacher_factory=SjfPolicy, training=training, seed=0
         )
-        dataset = trainer.collect(graphs[:1])
-        assert len(dataset) > 0
+        records = trainer.collect(graphs[:1])
+        assert len(records) > 0
 
 
 class TestAdvantages:

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 
 from repro.config import WorkloadConfig
+from repro.dag.examples import motivating_example
 from repro.dag.generators import (
     chain_dag,
     independent_tasks_dag,
     random_layered_dag,
 )
 from repro.dag.mapreduce import mapreduce_dag
-from repro.envarr.graphdata import graph_arrays
 from repro.errors import ConfigError
 from repro.rl.modules import (
     EdgeList,
@@ -273,15 +273,34 @@ class TestEdgeList:
         for b in range(3):
             assert np.allclose(batched[b], edges.aggregate_children(h[b]))
 
-    def test_from_graph_arrays(self):
-        graph = random_layered_dag(WorkloadConfig(num_tasks=12), seed=3)
-        arrays = graph_arrays(graph)
-        edges = EdgeList.from_graph_arrays(arrays)
-        assert edges.num_nodes == 12
+    @pytest.mark.parametrize(
+        "graph",
+        [motivating_example()]
+        + [
+            random_layered_dag(
+                WorkloadConfig(num_tasks=30, max_runtime=8, max_demand=8),
+                seed=seed,
+            )
+            for seed in (0, 1, 7)
+        ]
+        # No edge at all: one task, and three.
+        + [independent_tasks_dag([3]), independent_tasks_dag([1, 2, 3])],
+        ids=["motivating", "layered0", "layered1", "layered7", "single", "edgeless"],
+    )
+    def test_from_graph(self, graph):
+        # Node i is the i-th smallest id; the list runs parent by parent
+        # in ascending id, each parent's children ascending, so both
+        # directions sum their addends in ascending id.
+        edges = EdgeList.from_graph(graph)
+        ids = sorted(graph.task_ids)
+        assert edges.num_nodes == graph.num_tasks
         assert edges.num_edges == graph.num_edges
-        # Every (parent, child) pair is a real precedence edge.
-        for p, c in zip(edges.parent, edges.child):
-            assert arrays.ids[c] in graph.children(arrays.ids[p])
+        for i, tid in enumerate(ids):
+            children = [ids[c] for c in edges.child[edges.parent == i]]
+            parents = [ids[p] for p in edges.parent[edges.child == i]]
+            assert children == sorted(graph.children(tid))
+            assert parents == sorted(graph.parents(tid))
+        assert np.all(np.diff(edges.parent) >= 0)
 
 
 class TestSegmentSum:
@@ -348,7 +367,7 @@ class TestAggregationIsTheScatter:
         seed=st.integers(0, 2**16),
     )
     def test_dag_aggregations(self, graph, batch, width, seed):
-        edges = EdgeList.from_graph_arrays(graph_arrays(graph))
+        edges = EdgeList.from_graph(graph)
         n = edges.num_nodes
         rng = np.random.default_rng(seed)
         for shape in ((batch, n, width), (n, width), (1, n, width)):
@@ -388,7 +407,7 @@ class TestAggregationIsTheScatter:
         # A step batch's graph: the disjoint union of its states' edge
         # lists, here DAGs mixed with unsorted lists with parallel edges.
         rng = np.random.default_rng(seed)
-        parts = [EdgeList.from_graph_arrays(graph_arrays(g)) for g in graphs]
+        parts = [EdgeList.from_graph(g) for g in graphs]
         parts += [
             EdgeList(n, rng.integers(0, n, size=e), rng.integers(0, n, size=e))
             for n, e in random_parts
@@ -419,7 +438,7 @@ class TestAggregationIsTheScatter:
         # 1e16 + 1 + 1 - 1e16 depends on the order; the CSR order (and
         # np.add.at's) is ascending dense index.
         graph = mapreduce_dag([1, 1, 1, 1], [1])
-        edges = EdgeList.from_graph_arrays(graph_arrays(graph))
+        edges = EdgeList.from_graph(graph)
         h = np.array([[1e16], [1.0], [1.0], [-1e16], [0.0]])
         assert edges.aggregate_parents(h)[4, 0] == ((1e16 + 1.0) + 1.0) - 1e16
         assert_matches_scatter(edges, h)
@@ -447,7 +466,7 @@ class TestAggregationIsTheScatter:
 
     def test_non_contiguous_input(self, rng):
         graph = random_layered_dag(WorkloadConfig(num_tasks=15), seed=4)
-        edges = EdgeList.from_graph_arrays(graph_arrays(graph))
+        edges = EdgeList.from_graph(graph)
         h = rng.normal(size=(6, 15, 8))[::2, :, ::2]
         assert not h.flags["C_CONTIGUOUS"]
         assert_matches_scatter(edges, h)

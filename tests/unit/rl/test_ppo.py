@@ -281,7 +281,7 @@ class TestOneForwardPerMinibatch:
                 return backward(sub, *args)
             finally:
                 given = (
-                    len({id(step.observation.arrays) for step in sub})
+                    len({id(step.observation.graph) for step in sub})
                     if policy == "gnn"
                     else 1
                 )

@@ -101,7 +101,7 @@ def observation_bytes(observation):
     if isinstance(observation, np.ndarray):
         return observation.tobytes()
     return (
-        observation.arrays.graph,
+        observation.graph,
         observation.static_table.tobytes(),
         observation.node_state.tobytes(),
         observation.globals_vec.tobytes(),
