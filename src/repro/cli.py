@@ -520,20 +520,13 @@ def _default_mcts_spec(spec: str, args: argparse.Namespace) -> str:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from .dag.generators import random_layered_dag
-    from .errors import ConfigError
     from .metrics.schedule import validate_schedule
     from .schedulers.base import ScheduleRequest
     from .schedulers.registry import make_scheduler
 
     graph = random_layered_dag(WorkloadConfig(num_tasks=args.tasks), seed=args.seed)
     env_config = EnvConfig(process_until_completion=True)
-    try:
-        scheduler = make_scheduler(
-            _default_mcts_spec(args.scheduler, args), env_config
-        )
-    except ConfigError as exc:
-        print(f"simulate: {exc}", file=sys.stderr)
-        return 2
+    scheduler = make_scheduler(_default_mcts_spec(args.scheduler, args), env_config)
     schedule = scheduler.plan(ScheduleRequest(graph))
     validate_schedule(schedule, graph, env_config.cluster.capacities)
     print(
@@ -630,14 +623,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_trace_telemetry(args: argparse.Namespace) -> int:
     """``repro trace summary|export|top-spans`` over a telemetry JSONL."""
-    from .errors import ConfigError
     from .telemetry import load_trace, summarize, top_spans, write_trace
 
-    try:
-        loaded = load_trace(args.path)
-    except ConfigError as exc:
-        print(f"trace: {exc}", file=sys.stderr)
-        return 2
+    loaded = load_trace(args.path)
     if args.trace_command == "summary":
         print(summarize(loaded.events).report())
     elif args.trace_command == "export":
@@ -733,7 +721,6 @@ def _cmd_motivating(_: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     from .dag.generators import random_layered_dag
-    from .errors import ConfigError
     from .experiments.tournament import run_tournament
     from .schedulers.registry import make_scheduler, parse_scheduler_spec
     from .utils.rng import as_generator, spawn
@@ -741,14 +728,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     env_config = EnvConfig(process_until_completion=True)
     schedulers = {}
     for spec in _split_spec_list(args.schedulers):
-        try:
-            label = parse_scheduler_spec(spec)[0]
-            schedulers[label] = make_scheduler(
-                _default_mcts_spec(spec, args), env_config
-            )
-        except ConfigError as exc:
-            print(f"compare: {exc}", file=sys.stderr)
-            return 2
+        label = parse_scheduler_spec(spec)[0]
+        schedulers[label] = make_scheduler(_default_mcts_spec(spec, args), env_config)
     rng = as_generator(args.seed)
     graphs = [
         random_layered_dag(WorkloadConfig(num_tasks=args.tasks), seed=child)
@@ -801,13 +782,7 @@ def _cmd_online(args: argparse.Namespace) -> int:
             if args.fault_horizon is not None
             else max(2, int(args.jobs * args.mean_interarrival * 2))
         )
-        try:
-            faults = parse_fault_spec(
-                args.faults, capacities, horizon, seed=args.seed
-            )
-        except ConfigError as exc:
-            print(f"online: {exc}", file=sys.stderr)
-            return 2
+        faults = parse_fault_spec(args.faults, capacities, horizon, seed=args.seed)
 
     def build_rescheduler():
         """Fresh per-ranker wrapper so degradation state never leaks."""
@@ -832,14 +807,9 @@ def _cmd_online(args: argparse.Namespace) -> int:
     violations = 0
     recovered = 0
     for name in names:
-        try:
-            rescheduler = build_rescheduler()
-            result = simulator.run(
-                stream, known[name], faults=faults, rescheduler=rescheduler
-            )
-        except ConfigError as exc:
-            print(f"online: {exc}", file=sys.stderr)
-            return 2
+        result = simulator.run(
+            stream, known[name], faults=faults, rescheduler=build_rescheduler()
+        )
         cpu, mem = result.mean_utilization
         row = [name, result.mean_jct, result.max_jct, result.makespan,
                f"{cpu:.0%}/{mem:.0%}"]
@@ -907,51 +877,47 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         return 2
     env_config = EnvConfig(process_until_completion=True)
     capacities = env_config.cluster.capacities
-    try:
-        factory = layered_job_factory(streaming_workload(num_tasks=args.tasks))
-        arrivals = parse_arrival_spec(args.arrival, factory, seed=args.seed)
-        admission = None
-        if args.max_concurrent is not None or args.max_queue is not None:
-            admission = AdmissionConfig(
-                max_concurrent=args.max_concurrent, max_queue=args.max_queue
-            )
-        faults = None
-        if args.faults:
-            from .faults import parse_fault_spec
-
-            fault_horizon = (
-                args.fault_horizon
-                if args.fault_horizon is not None
-                else (args.horizon if args.horizon is not None else 1000)
-            )
-            faults = parse_fault_spec(
-                args.faults, capacities, fault_horizon, seed=args.seed
-            )
-        rescheduler = None
-        if args.reschedule:
-            from .schedulers.registry import compose_scheduler
-
-            rescheduler = compose_scheduler(
-                args.reschedule,
-                env_config,
-                reschedule=True,
-                fallback=args.fallback,
-                replan_budget=args.replan_budget,
-            )
-        elif args.fallback or args.replan_budget is not None:
-            raise ConfigError("--fallback/--replan-budget require --reschedule")
-        simulator = StreamingSimulator(cluster=env_config.cluster)
-        result = simulator.run(
-            arrivals,
-            ranker,
-            admission=admission,
-            horizon=args.horizon,
-            faults=faults,
-            rescheduler=rescheduler,
+    factory = layered_job_factory(streaming_workload(num_tasks=args.tasks))
+    arrivals = parse_arrival_spec(args.arrival, factory, seed=args.seed)
+    admission = None
+    if args.max_concurrent is not None or args.max_queue is not None:
+        admission = AdmissionConfig(
+            max_concurrent=args.max_concurrent, max_queue=args.max_queue
         )
-    except ConfigError as exc:
-        print(f"stream: {exc}", file=sys.stderr)
-        return 2
+    faults = None
+    if args.faults:
+        from .faults import parse_fault_spec
+
+        fault_horizon = (
+            args.fault_horizon
+            if args.fault_horizon is not None
+            else (args.horizon if args.horizon is not None else 1000)
+        )
+        faults = parse_fault_spec(
+            args.faults, capacities, fault_horizon, seed=args.seed
+        )
+    rescheduler = None
+    if args.reschedule:
+        from .schedulers.registry import compose_scheduler
+
+        rescheduler = compose_scheduler(
+            args.reschedule,
+            env_config,
+            reschedule=True,
+            fallback=args.fallback,
+            replan_budget=args.replan_budget,
+        )
+    elif args.fallback or args.replan_budget is not None:
+        raise ConfigError("--fallback/--replan-budget require --reschedule")
+    simulator = StreamingSimulator(cluster=env_config.cluster)
+    result = simulator.run(
+        arrivals,
+        ranker,
+        admission=admission,
+        horizon=args.horizon,
+        faults=faults,
+        rescheduler=rescheduler,
+    )
     print(f"Streaming: {args.arrival} | ranker {args.ranker} | seed {args.seed}")
     print(result.report())
     if args.metrics_out:
@@ -1012,105 +978,101 @@ def _cmd_federate(args: argparse.Namespace) -> int:
         return 2
     env_config = EnvConfig(process_until_completion=True)
     total = env_config.cluster.capacities
-    try:
-        router = parse_router_spec(args.router)
-        slices = split_capacities(total, args.shards)
-        scheduler_specs = list(args.scheduler or [])
-        if len(scheduler_specs) not in (0, 1, args.shards):
-            raise ConfigError(
-                f"--scheduler given {len(scheduler_specs)} times; give it "
-                f"once for all shards or once per shard ({args.shards})"
-            )
-        if len(scheduler_specs) == 1:
-            scheduler_specs = scheduler_specs * args.shards
-        admission = None
-        if args.max_concurrent is not None or args.max_queue is not None:
-            admission = AdmissionConfig(
-                max_concurrent=args.max_concurrent, max_queue=args.max_queue
-            )
-        fault_horizon = (
-            args.fault_horizon
-            if args.fault_horizon is not None
-            else (args.horizon if args.horizon is not None else 1000)
+    router = parse_router_spec(args.router)
+    slices = split_capacities(total, args.shards)
+    scheduler_specs = list(args.scheduler or [])
+    if len(scheduler_specs) not in (0, 1, args.shards):
+        raise ConfigError(
+            f"--scheduler given {len(scheduler_specs)} times; give it "
+            f"once for all shards or once per shard ({args.shards})"
         )
-
-        def build_rescheduler(spec_str, capacities):
-            if not spec_str or spec_str == "none":
-                return None
-            import dataclasses
-
-            from .config import ClusterConfig
-            from .schedulers.registry import compose_scheduler
-
-            shard_env = dataclasses.replace(
-                env_config,
-                cluster=ClusterConfig(
-                    capacities=capacities, horizon=env_config.cluster.horizon
-                ),
-            )
-            return compose_scheduler(spec_str, shard_env, reschedule=True)
-
-        def build_faults(capacities, seed):
-            if not args.faults:
-                return None
-            from .faults import parse_fault_spec
-
-            return parse_fault_spec(args.faults, capacities, fault_horizon, seed=seed)
-
-        specs = []
-        for k, capacities in enumerate(slices):
-            specs.append(
-                ShardSpec(
-                    capacities=capacities,
-                    ranker=ranker,
-                    rescheduler=build_rescheduler(
-                        scheduler_specs[k] if scheduler_specs else None, capacities
-                    ),
-                    admission=admission,
-                    # seed + k: each shard is its own seeded fault domain.
-                    faults=build_faults(capacities, args.seed + k),
-                )
-            )
-        factory = layered_job_factory(streaming_workload(num_tasks=args.tasks))
-        arrivals = parse_arrival_spec(args.arrival, factory, seed=args.seed)
-        simulator = FederatedStreamingSimulator(
-            specs, router=router, steal_threshold=args.steal_threshold
+    if len(scheduler_specs) == 1:
+        scheduler_specs = scheduler_specs * args.shards
+    admission = None
+    if args.max_concurrent is not None or args.max_queue is not None:
+        admission = AdmissionConfig(
+            max_concurrent=args.max_concurrent, max_queue=args.max_queue
         )
-        result = simulator.run(arrivals, horizon=args.horizon)
+    fault_horizon = (
+        args.fault_horizon
+        if args.fault_horizon is not None
+        else (args.horizon if args.horizon is not None else 1000)
+    )
 
-        comparison = None
-        if args.compare_global:
-            # Equal-total-capacity single scheduler on the *same* stream:
-            # per-shard admission limits scale by the shard count so the
-            # two systems admit the same aggregate load.
-            global_admission = None
-            if admission is not None:
-                global_admission = AdmissionConfig(
-                    max_concurrent=(
-                        None
-                        if admission.max_concurrent is None
-                        else admission.max_concurrent * args.shards
-                    ),
-                    max_queue=(
-                        None
-                        if admission.max_queue is None
-                        else admission.max_queue * args.shards
-                    ),
-                )
-            global_run = StreamingSimulator(cluster=env_config.cluster).run(
-                parse_arrival_spec(args.arrival, factory, seed=args.seed),
-                ranker,
-                admission=global_admission,
-                horizon=args.horizon,
-                faults=build_faults(total, args.seed),
+    def build_rescheduler(spec_str, capacities):
+        if not spec_str or spec_str == "none":
+            return None
+        import dataclasses
+
+        from .config import ClusterConfig
+        from .schedulers.registry import compose_scheduler
+
+        shard_env = dataclasses.replace(
+            env_config,
+            cluster=ClusterConfig(
+                capacities=capacities, horizon=env_config.cluster.horizon
+            ),
+        )
+        return compose_scheduler(spec_str, shard_env, reschedule=True)
+
+    def build_faults(capacities, seed):
+        if not args.faults:
+            return None
+        from .faults import parse_fault_spec
+
+        return parse_fault_spec(args.faults, capacities, fault_horizon, seed=seed)
+
+    specs = []
+    for k, capacities in enumerate(slices):
+        specs.append(
+            ShardSpec(
+                capacities=capacities,
+                ranker=ranker,
                 rescheduler=build_rescheduler(
-                    scheduler_specs[0] if scheduler_specs else None, total
+                    scheduler_specs[k] if scheduler_specs else None, capacities
+                ),
+                admission=admission,
+                # seed + k: each shard is its own seeded fault domain.
+                faults=build_faults(capacities, args.seed + k),
+            )
+        )
+    factory = layered_job_factory(streaming_workload(num_tasks=args.tasks))
+    arrivals = parse_arrival_spec(args.arrival, factory, seed=args.seed)
+    simulator = FederatedStreamingSimulator(
+        specs, router=router, steal_threshold=args.steal_threshold
+    )
+    result = simulator.run(arrivals, horizon=args.horizon)
+
+    comparison = None
+    if args.compare_global:
+        # Equal-total-capacity single scheduler on the *same* stream:
+        # per-shard admission limits scale by the shard count so the
+        # two systems admit the same aggregate load.
+        global_admission = None
+        if admission is not None:
+            global_admission = AdmissionConfig(
+                max_concurrent=(
+                    None
+                    if admission.max_concurrent is None
+                    else admission.max_concurrent * args.shards
+                ),
+                max_queue=(
+                    None
+                    if admission.max_queue is None
+                    else admission.max_queue * args.shards
                 ),
             )
-            comparison = FederationComparison(result, global_run)
-    except ConfigError as exc:
-        print(f"federate: {exc}", file=sys.stderr)
-        return 2
+        global_run = StreamingSimulator(cluster=env_config.cluster).run(
+            parse_arrival_spec(args.arrival, factory, seed=args.seed),
+            ranker,
+            admission=global_admission,
+            horizon=args.horizon,
+            faults=build_faults(total, args.seed),
+            rescheduler=build_rescheduler(
+                scheduler_specs[0] if scheduler_specs else None, total
+            ),
+        )
+        comparison = FederationComparison(result, global_run)
     print(
         f"Federation: {args.shards} shards of {total} | router {args.router} "
         f"| ranker {args.ranker} | seed {args.seed}"
@@ -1144,16 +1106,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from .errors import ConfigError, ProtocolError
+    from .errors import ProtocolError
     from .schedulers.registry import make_scheduler
     from .streaming.service import run_serve, run_smoke
 
     env_config = EnvConfig(process_until_completion=True)
-    try:
-        scheduler = make_scheduler(args.scheduler, env_config)
-    except ConfigError as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
+    scheduler = make_scheduler(args.scheduler, env_config)
     if args.smoke:
         try:
             summary = run_smoke(
@@ -1245,20 +1203,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         run_benchmarks,
         write_baselines,
     )
-    from .errors import ConfigError
 
     if args.update_baselines and not args.baseline:
         print("bench: --update-baselines requires --baseline", file=sys.stderr)
         return 2
     gate = args.baseline and not args.update_baselines
-    try:
-        # A malformed file fails before the suite spends its seconds.
-        baselines = load_baselines(args.baseline) if gate else {}
-        run = run_benchmarks(default_suite(), progress=print)
-        comparisons = compare_to_baselines(run, baselines) if gate else []
-    except ConfigError as exc:
-        print(f"bench: {exc}", file=sys.stderr)
-        return 2
+    # A malformed file fails before the suite spends its seconds.
+    baselines = load_baselines(args.baseline) if gate else {}
+    run = run_benchmarks(default_suite(), progress=print)
+    comparisons = compare_to_baselines(run, baselines) if gate else []
     if args.update_baselines:
         target = write_baselines(run, args.baseline)
         print(f"updated baselines in {target}")
@@ -1297,17 +1250,27 @@ def main(argv: Optional[List[str]] = None) -> int:
     trace at the given path; everything else runs with telemetry off.
     """
     args = build_parser().parse_args(argv)
-    handler = _COMMANDS[args.command]
     trace_out = getattr(args, "trace_out", None)
     if trace_out:
         from .telemetry import TelemetryConfig, session
 
         config = TelemetryConfig(enabled=True, jsonl_path=trace_out)
         with session(config):
-            code = handler(args)
+            code = _run(args)
         print(f"wrote telemetry trace to {trace_out}", file=sys.stderr)
         return code
-    return handler(args)
+    return _run(args)
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run the command; an invalid argument is a one-line error, exit 2."""
+    from .errors import ConfigError
+
+    try:
+        return _COMMANDS[args.command](args)
+    except ConfigError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -123,8 +123,11 @@ class TruncatedRollout(RolloutPolicy):
     Plays the guidance policy for at most ``depth_limit`` decisions; if
     the episode has not terminated, the remaining makespan is estimated by
     the value network and added to the elapsed time.  This extension of
-    Spear caps rollout cost on deep DAGs at the price of estimator bias —
-    ablate it against full rollouts before trusting it on a new workload.
+    Spear caps rollout cost at the price of estimator bias.  Measured
+    against full rollouts (DESIGN.md Sec. 16.8), it only ties them, at
+    more plan time: late truncation (20 of 30 decisions) with a value
+    net trained on the guiding policy's own samples.  Everywhere else a
+    full rollout at the same or a smaller budget is better.
 
     Args:
         policy_network: the trained policy used to play the prefix.

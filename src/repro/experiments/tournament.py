@@ -18,6 +18,7 @@ from scipy import stats
 
 from ..config import EnvConfig
 from ..dag.graph import TaskGraph
+from ..errors import ConfigError
 from ..metrics.comparison import ComparisonRow, compare_makespans, win_rate
 from ..metrics.schedule import validate_schedule
 from ..schedulers.base import Scheduler, ScheduleRequest
@@ -105,17 +106,17 @@ def run_tournament(
             ``"graphene"`` when present, else the first name.
 
     Raises:
-        ValueError: on empty inputs or an unknown reference.
+        ConfigError: on empty inputs or an unknown reference.
     """
 
     if not schedulers or not graphs:
-        raise ValueError("need at least one scheduler and one graph")
+        raise ConfigError("need at least one scheduler and one graph")
     env_config = env_config if env_config is not None else EnvConfig()
     capacities = env_config.cluster.capacities
     if reference is None:
         reference = "graphene" if "graphene" in schedulers else next(iter(schedulers))
     if reference not in schedulers:
-        raise ValueError(f"reference {reference!r} is not a competitor")
+        raise ConfigError(f"reference {reference!r} is not a competitor")
 
     makespans: Dict[str, List[int]] = {name: [] for name in schedulers}
     wall_times: Dict[str, List[float]] = {name: [] for name in schedulers}

@@ -249,12 +249,6 @@ class NetworkPolicyBase(Policy):
         memo.rows[key] = row
         return row
 
-    def distribution(self, env) -> Tuple[Any, np.ndarray, np.ndarray]:
-        """(observation, mask, probabilities) for the current state."""
-        return self._probabilities(
-            env, candidate_actions(env, self.work_conserving)
-        )
-
     def action_probabilities(self, env) -> Dict[Action, float]:
         """Env-action -> probability map (used by MCTS expansion/rollout)."""
         actions = candidate_actions(env, self.work_conserving)

@@ -6,6 +6,8 @@ The Spear paper keeps full rollouts; this module implements the natural
 extension: a small MLP regressor trained on (state, observed
 remaining-makespan) pairs from policy rollouts, used by
 :class:`repro.core.guidance.TruncatedRollout` to cap rollout depth.
+:class:`repro.rl.ppo.PpoTrainer` uses the same regressor as its GAE
+critic.
 
 Architecture mirrors the policy trunk (ReLU MLP) with a single linear
 output, expressed over the shared :class:`repro.rl.modules.MLPStack`;

@@ -94,7 +94,7 @@ def reference_mask(env, num_actions: int, work_conserving: bool) -> np.ndarray:
 
 
 class ReferencePolicy:
-    """distribution() + ``rng.choice`` in every state, forced or not."""
+    """Observe, forward and ``rng.choice`` in every state, forced or not."""
 
     def __init__(self, network, graph, config, mode, seed, work_conserving):
         self.network = network

@@ -397,3 +397,32 @@ class TestServeCommand:
     def test_unknown_scheduler_exits_2(self, capsys):
         assert main(["serve", "--smoke", "--scheduler", "warp"]) == 2
         assert capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--grad-clip", "-1"],
+        ["train", "--examples", "0"],
+        ["simulate", "--tasks", "0"],
+        ["online", "--jobs", "0"],
+        ["compare", "--jobs", "0"],
+    ],
+    ids=["train-grad-clip", "train-examples", "simulate-tasks", "online-jobs",
+         "compare-jobs"],
+)
+def test_invalid_argument_is_a_one_line_error(argv, capsys):
+    # A ConfigError from any command is `<command>: <message>`, exit 2;
+    # `train` fails on its config before it would write a checkpoint.
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith(f"{argv[0]}: ")
+
+
+def test_invalid_argument_still_writes_the_trace(tmp_path, capsys):
+    trace = tmp_path / "run.jsonl"
+    assert main(["compare", "--jobs", "0", "--trace-out", str(trace)]) == 2
+    assert capsys.readouterr().err.startswith("compare: ")
+    assert trace.exists()

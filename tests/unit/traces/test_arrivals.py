@@ -72,39 +72,3 @@ class TestPoissonArrivals:
         stream = poisson_arrivals(trace, 30.0, seed=0)
         result = OnlineSimulator().run(stream, fifo_ranker)
         assert len(result.outcomes) == len(trace)
-
-
-class TestValueCheckpoints:
-    def test_roundtrip(self, tmp_path, rng):
-        from repro.rl import (
-            ValueNetwork,
-            load_value_checkpoint,
-            save_value_checkpoint,
-        )
-        import numpy as np
-
-        net = ValueNetwork(6, hidden_sizes=(8, 4), seed=0)
-        states = rng.normal(size=(50, 6))
-        targets = 5 + states[:, 0]
-        net.fit(states, targets, epochs=5, seed=1)
-        path = tmp_path / "value.npz"
-        save_value_checkpoint(net, path)
-        restored = load_value_checkpoint(path)
-        assert np.allclose(restored.predict(states), net.predict(states))
-
-    def test_missing_file(self, tmp_path):
-        from repro.errors import CheckpointError
-        from repro.rl import load_value_checkpoint
-
-        with pytest.raises(CheckpointError):
-            load_value_checkpoint(tmp_path / "none.npz")
-
-    def test_nan_gradient_guard(self):
-        import numpy as np
-
-        from repro.errors import ConfigError
-        from repro.rl import RmsProp
-
-        params = {"x": np.zeros(2)}
-        with pytest.raises(ConfigError, match="non-finite"):
-            RmsProp(0.01).step(params, {"x": np.array([np.nan, 1.0])})
