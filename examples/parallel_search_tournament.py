@@ -6,7 +6,7 @@ Demonstrates two library extensions beyond the paper's headline pipeline:
 * :class:`repro.mcts.RootParallelMcts` — the "MCTS can easily be
   parallelized" remark of Sec. V-B1, as best-of-k independent searches;
 * :func:`repro.experiments.run_tournament` — a round-robin over every
-  baseline with win rates and sign-test p-values against Graphene.
+  baseline with win rates and paired verdicts against Graphene.
 
 Run (takes ~1 minute):
     python examples/parallel_search_tournament.py

@@ -31,9 +31,8 @@ from .fig8 import budget_reduction, learning_curve
 from .fig9 import trace_characteristics, reduction_cdf
 from .table1 import runtime_grid
 from .ablations import run_ablation, feature_ablation, exploration_sensitivity, ABLATIONS
-from .tournament import TournamentResult, run_tournament, sign_test
+from .tournament import TournamentResult, run_tournament
 from .diversity import DiversityResult, diversity_study, workload_families
-from .replication import ReplicationResult, replicate
 from .generalization import GeneralizationResult, generalization_study
 
 __all__ = [
@@ -56,12 +55,9 @@ __all__ = [
     "ABLATIONS",
     "TournamentResult",
     "run_tournament",
-    "sign_test",
     "DiversityResult",
     "diversity_study",
     "workload_families",
-    "ReplicationResult",
-    "replicate",
     "GeneralizationResult",
     "generalization_study",
 ]

@@ -1,12 +1,12 @@
-"""Round-robin scheduler tournaments with significance testing.
+"""Round-robin scheduler tournaments with a paired verdict per competitor.
 
 Beyond reproducing individual figures, a downstream user wants one
 command that answers "which scheduler should I run on my workload?".
 :func:`run_tournament` schedules every job with every competitor, then
-reports mean makespans, pairwise win matrices, and a sign-test p-value
-against the chosen reference scheduler (the paper's comparisons are
-exactly pairwise win counts, e.g. "Spear outperforms Graphene in 90% of
-the cases").
+reports mean makespans, pairwise win matrices, and each competitor's
+:func:`~repro.metrics.stats.paired_verdict` against the chosen reference
+scheduler (the paper's comparisons are pairwise per DAG, e.g. "Spear
+outperforms Graphene in 90% of the cases").
 """
 
 from __future__ import annotations
@@ -14,35 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from scipy import stats
-
 from ..config import EnvConfig
 from ..dag.graph import TaskGraph
 from ..errors import ConfigError
 from ..metrics.comparison import ComparisonRow, compare_makespans, win_rate
 from ..metrics.schedule import validate_schedule
+from ..metrics.stats import PairedVerdict, paired_verdict
 from ..schedulers.base import Scheduler, ScheduleRequest
 from ..telemetry import runtime as _telemetry
 from .reporting import format_table
 
-__all__ = ["TournamentResult", "run_tournament", "sign_test"]
-
-
-def sign_test(ours: Sequence[int], baseline: Sequence[int]) -> float:
-    """Two-sided sign-test p-value that ``ours`` and ``baseline`` differ.
-
-    Ties are discarded (the standard sign-test convention); with no
-    informative pairs the p-value is 1.0.
-    """
-
-    if len(ours) != len(baseline):
-        raise ValueError("series must be equally long")
-    wins = sum(1 for a, b in zip(ours, baseline) if a < b)
-    losses = sum(1 for a, b in zip(ours, baseline) if a > b)
-    informative = wins + losses
-    if informative == 0:
-        return 1.0
-    return float(stats.binomtest(wins, informative, 0.5).pvalue)
+__all__ = ["TournamentResult", "run_tournament"]
 
 
 @dataclass
@@ -67,23 +49,49 @@ class TournamentResult:
             if a != b
         }
 
-    def p_value_vs_reference(self, name: str) -> float:
-        """Sign-test p-value of ``name`` against the reference scheduler."""
-        return sign_test(self.makespans[name], self.makespans[self.reference])
+    def verdict(self, name: str) -> PairedVerdict:
+        """``name`` against the reference scheduler, job by job."""
+        ref = self.reference
+        return paired_verdict(
+            self.makespans[name],
+            self.makespans[ref],
+            self.wall_times[name],
+            self.wall_times[ref],
+        )
 
     def report(self) -> str:
-        """Ranking table with per-scheduler win rate and p-value against
+        """Ranking table with per-scheduler win rate and verdict against
         the reference."""
         rows = []
         for row in self.ranking():
             if row.scheduler == self.reference:
-                win, p = "-", "-"
-            else:
-                win = f"{win_rate(self.makespans[row.scheduler], self.makespans[self.reference]):.0%}"
-                p = f"{self.p_value_vs_reference(row.scheduler):.3f}"
-            rows.append((row.scheduler, row.mean, row.median, win, p))
+                rows.append((row.scheduler, row.mean, row.median) + ("-",) * 5)
+                continue
+            v = self.verdict(row.scheduler)
+            win = win_rate(
+                self.makespans[row.scheduler], self.makespans[self.reference]
+            )
+            rows.append((
+                row.scheduler,
+                row.mean,
+                row.median,
+                f"{win:.0%}",
+                f"{v.difference:+.1f} [{v.ci[0]:+.1f}, {v.ci[1]:+.1f}]",
+                f"{v.p_value:.3f}",
+                v.makespan,
+                v.at_equal_cost,
+            ))
         return format_table(
-            ["scheduler", "mean", "median", f"beats {self.reference}", "p (sign)"],
+            [
+                "scheduler",
+                "mean",
+                "median",
+                f"beats {self.reference}",
+                "diff [95% CI]",
+                "p (perm)",
+                "verdict",
+                "at equal cost",
+            ],
             rows,
             title=f"Tournament over {len(next(iter(self.makespans.values())))} jobs",
         )
@@ -102,7 +110,7 @@ def run_tournament(
         graphs: the common workload.
         env_config: capacities used for validation (defaults to the
             standard cluster).
-        reference: baseline for win rates/p-values; defaults to
+        reference: baseline for win rates and verdicts; defaults to
             ``"graphene"`` when present, else the first name.
 
     Raises:

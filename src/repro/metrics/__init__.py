@@ -16,7 +16,12 @@ from .export import (
     load_schedule,
     to_chrome_trace,
 )
-from .stats import bootstrap_ci, paired_permutation_test
+from .stats import (
+    PairedVerdict,
+    bootstrap_ci,
+    paired_permutation_test,
+    paired_verdict,
+)
 
 __all__ = [
     "ScheduledTask",
@@ -36,4 +41,6 @@ __all__ = [
     "to_chrome_trace",
     "bootstrap_ci",
     "paired_permutation_test",
+    "PairedVerdict",
+    "paired_verdict",
 ]

@@ -8,6 +8,7 @@ from repro.metrics import (
     Schedule,
     bootstrap_ci,
     paired_permutation_test,
+    paired_verdict,
     to_chrome_trace,
 )
 
@@ -68,6 +69,65 @@ class TestPairedPermutationTest:
             paired_permutation_test([], [])
         with pytest.raises(ValueError):
             paired_permutation_test([1], [1, 2])
+
+
+class TestPairedVerdict:
+    # (makespans, reference makespans, wall times, reference wall times)
+    # -> (call at equal budget, call at equal cost).  The reference mean
+    # makespan is ~100, so the 0.5 % margin is ~0.5 slots.
+    BASE = [100.0, 96.0, 104.0, 99.0, 101.0, 97.0, 103.0, 100.0] * 5
+    WALL = [1.0] * 40
+
+    @pytest.mark.parametrize(
+        "shift, wall_shift, expected",
+        [
+            (-3.0, 0.0, ("win", "win")),
+            (3.0, 0.0, ("loss", "loss")),
+            (0.0, 0.0, ("tie", "tie")),
+            # Below the margin, with a degenerate (tight) CI.
+            (-0.3, 0.0, ("tie", "tie")),
+            (0.3, 0.0, ("tie", "tie")),
+            # Same makespans, more plan time.
+            (0.0, 0.5, ("tie", "loss")),
+            (0.0, -0.5, ("tie", "win")),
+        ],
+    )
+    def test_calls(self, shift, wall_shift, expected):
+        verdict = paired_verdict(
+            [m + shift for m in self.BASE],
+            self.BASE,
+            [w + wall_shift for w in self.WALL],
+            self.WALL,
+        )
+        assert (verdict.makespan, verdict.at_equal_cost) == expected
+        assert verdict.difference == pytest.approx(shift)
+
+    def test_noisy_difference_inside_the_ci_is_a_tie(self, rng):
+        noise = rng.normal(0.0, 20.0, size=len(self.BASE))
+        verdict = paired_verdict(
+            [m + n for m, n in zip(self.BASE, noise)],
+            self.BASE,
+            self.WALL,
+            self.WALL,
+        )
+        low, high = verdict.ci
+        assert low < 0.0 < high
+        assert verdict.makespan == "tie"
+
+    def test_deterministic(self, rng):
+        ours = list(self.BASE + rng.normal(-1.0, 2.0, size=len(self.BASE)))
+        walls = list(rng.uniform(0.5, 1.5, size=len(self.BASE)))
+        calls = {
+            paired_verdict(ours, self.BASE, walls, self.WALL)
+            for _ in range(3)
+        }
+        assert len(calls) == 1
+
+    def test_invalid_inputs(self):
+        with pytest.raises(ValueError):
+            paired_verdict([], [], [], [])
+        with pytest.raises(ValueError):
+            paired_verdict([1.0], [1.0, 2.0], [1.0], [1.0])
 
 
 class TestChromeTrace:
