@@ -76,11 +76,10 @@ def _setup_observation_build() -> Callable[[], None]:
 def _setup_rl_policy_select() -> Callable[[], None]:
     """``NetworkPolicy.select`` over one sampled episode's states.
 
-    The unmemoised step of callers that act one state at a time
-    (``TruncatedRollout``'s depth-limited prefix, value-dataset
-    collection with a network policy); Spear's rollouts take the fused,
-    memoised playout, and the trainers the fused playout with a recorder
-    attached.  Forced states (one candidate: no observation, no forward)
+    The unfused, unmemoised reference step that the fused-playout tests
+    compare against; Spear's rollouts take the fused, memoised playout,
+    and the trainers the fused playout with a recorder attached.  Forced
+    states (one candidate: no observation, no forward)
     and unforced ones occur in their real mix.
     """
     from ..core.pipeline import default_network

@@ -131,12 +131,10 @@ class MctsConfig:
             collection order.  Schedules stay valid and seed-deterministic
             but differ from the sequential search's.  Works under every
             ``EnvConfig`` with ``RandomRollout``; any other rollout policy
-            (``NetworkRollout`` — so Spear —, ``GreedyRollout``,
-            ``TruncatedRollout``) is a ``ConfigError``, not a silent
-            sequential search.
+            (``NetworkRollout`` — so Spear —, ``GreedyRollout``) is a
+            ``ConfigError``, not a silent sequential search.
 
-    Rollout truncation is a property of the rollout policy, not the
-    search: see :class:`repro.core.guidance.TruncatedRollout`.  How tree
+    Every rollout plays to termination, as in the paper.  How tree
     states are re-materialized is not a parameter: a descent clones the
     search's environment once, replays its path with ``step`` and rolls
     the copy out (DESIGN.md Sec. 8).

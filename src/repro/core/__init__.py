@@ -1,7 +1,7 @@
 """Spear: the paper's primary contribution — MCTS guided by a trained DRL
 policy in both the expansion and rollout steps (Sec. III)."""
 
-from .guidance import NetworkExpansion, NetworkRollout, TruncatedRollout
+from .guidance import NetworkExpansion, NetworkRollout
 from .spear import SpearScheduler
 from .pipeline import (
     default_network,
@@ -14,7 +14,6 @@ from .pipeline import (
 __all__ = [
     "NetworkExpansion",
     "NetworkRollout",
-    "TruncatedRollout",
     "SpearScheduler",
     "default_network",
     "training_graphs",

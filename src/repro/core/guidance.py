@@ -26,11 +26,10 @@ from typing import List
 from ..env.actions import Action
 from ..env.scheduling_env import SchedulingEnv
 from ..mcts.policies import ExpansionPolicy, RolloutPolicy
-from ..rl.agent import NetworkPolicy, PolicyMemo
-from ..rl.network import PolicyNetwork
+from ..rl.agent import PolicyMemo
 from ..utils.rng import SeedLike
 
-__all__ = ["NetworkExpansion", "NetworkRollout", "TruncatedRollout"]
+__all__ = ["NetworkExpansion", "NetworkRollout"]
 
 
 class _MemoizedGuidance:
@@ -115,60 +114,3 @@ class NetworkRollout(_MemoizedGuidance, RolloutPolicy):
 
     def rollout(self, env: SchedulingEnv) -> int:
         return self._policy.playout(env, self.step_limit(env))
-
-
-class TruncatedRollout(RolloutPolicy):
-    """Depth-limited rollout scored by a value network (AlphaZero-style).
-
-    Plays the guidance policy for at most ``depth_limit`` decisions; if
-    the episode has not terminated, the remaining makespan is estimated by
-    the value network and added to the elapsed time.  This extension of
-    Spear caps rollout cost at the price of estimator bias.  Measured
-    against full rollouts (DESIGN.md Sec. 16.8), it only ties them, at
-    more plan time: late truncation (20 of 30 decisions) with a value
-    net trained on the guiding policy's own samples.  Everywhere else a
-    full rollout at the same or a smaller budget is better.
-
-    Args:
-        policy_network: the trained policy used to play the prefix.
-        value_network: :class:`repro.rl.value_network.ValueNetwork`
-            predicting remaining makespan from an observation.
-        depth_limit: decisions to play before consulting the value net
-            (>= 1).
-        seed: sampling RNG for the prefix.
-        work_conserving: action-filter setting (match the search's).
-    """
-
-    def __init__(
-        self,
-        policy_network: PolicyNetwork,
-        value_network,
-        depth_limit: int,
-        seed: SeedLike = None,
-        work_conserving: bool = True,
-    ) -> None:
-        if depth_limit < 1:
-            raise ValueError("depth_limit must be >= 1")
-        self._policy = NetworkPolicy(
-            policy_network, mode="sample", seed=seed,
-            work_conserving=work_conserving,
-        )
-        self._value = value_network
-        self._depth_limit = depth_limit
-
-    def rollout(self, env: SchedulingEnv) -> int:
-        steps = 0
-        while not env.done and steps < self._depth_limit:
-            env.step(self._policy.select(env))
-            steps += 1
-        if env.done:
-            return env.makespan
-        # The policy's per-graph builder: a new one would recompute the
-        # whole DAG's features on every rollout.
-        builder = self._policy._ensure_builder(env)
-        remaining = float(self._value.predict(builder.build(env))[0])
-        # A terminal state can never precede the running tasks' finishes.
-        floor = 0
-        if not env.cluster.is_idle:
-            floor = env.cluster.earliest_finish_time() - env.now
-        return env.now + max(int(round(remaining)), floor, 1)

@@ -38,11 +38,8 @@ from .checkpoints import (
     save_checkpoint,
     load_checkpoint,
     load_policy_checkpoint,
-    save_value_checkpoint,
-    load_value_checkpoint,
 )
 from .value_network import ValueNetwork
-from .value_training import collect_value_dataset, train_value_network
 
 __all__ = [
     "PolicyNetwork",
@@ -60,9 +57,5 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "load_policy_checkpoint",
-    "save_value_checkpoint",
-    "load_value_checkpoint",
     "ValueNetwork",
-    "collect_value_dataset",
-    "train_value_network",
 ]

@@ -5,7 +5,7 @@ identical network (input size, hidden sizes, action count), so loading
 never silently mismatches an observation layout.
 
 Schema v2 adds a ``meta_kind`` discriminator (``policy_mlp`` /
-``policy_gnn`` / ``value``) so one loader can route any policy
+``policy_gnn``) so one loader can route any policy
 checkpoint to the right model class and mismatches fail with a clear
 :class:`~repro.errors.CheckpointError` instead of a shape error deep in
 ``set_params``.  v1 files (no ``meta_kind``) are still read and treated
@@ -30,12 +30,9 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "load_policy_checkpoint",
-    "save_value_checkpoint",
-    "load_value_checkpoint",
 ]
 
 _FORMAT_VERSION = 2
-_VALUE_FORMAT_VERSION = 1
 
 #: Model kinds the policy writer knows how to serialize.
 _POLICY_KINDS = ("policy_mlp", "policy_gnn")
@@ -169,65 +166,4 @@ def load_checkpoint(path: Union[str, Path]) -> PolicyNetwork:
             f"checkpoint {path} holds model kind {network.kind!r}, expected "
             f"'policy_mlp'; use load_policy_checkpoint() for other models"
         )
-    return network
-
-
-def save_value_checkpoint(network, path: Union[str, Path]) -> None:
-    """Write a :class:`repro.rl.value_network.ValueNetwork` to ``path``."""
-
-    payload = {f"param_{k}": v for k, v in network.params.items()}
-    payload["meta_value_version"] = np.asarray([_VALUE_FORMAT_VERSION])
-    payload["meta_input_size"] = np.asarray([network.input_size])
-    payload["meta_hidden_sizes"] = np.asarray(network.hidden_sizes)
-    payload["meta_target_stats"] = np.asarray(
-        [network._target_mean, network._target_std, float(network._fitted)]
-    )
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(path, **payload)
-
-
-def load_value_checkpoint(path: Union[str, Path]):
-    """Rebuild the value network stored at ``path``.
-
-    Raises:
-        CheckpointError: on missing files, corrupted payloads or
-            non-finite parameters.
-    """
-
-    from .value_network import ValueNetwork
-
-    path = Path(path)
-    if not path.exists():
-        raise CheckpointError(f"checkpoint {path} does not exist")
-    try:
-        with np.load(path) as data:
-            version = int(data["meta_value_version"][0])
-            if version != _VALUE_FORMAT_VERSION:
-                raise CheckpointError(
-                    f"unsupported value-checkpoint version {version}"
-                )
-            input_size = int(data["meta_input_size"][0])
-            hidden_sizes = tuple(int(h) for h in data["meta_hidden_sizes"])
-            network = ValueNetwork(input_size, hidden_sizes, seed=0)
-            for key in data.files:
-                if key.startswith("param_"):
-                    name = key[len("param_") :]
-                    if name not in network.params:
-                        raise CheckpointError(f"unexpected parameter {name}")
-                    if network.params[name].shape != data[key].shape:
-                        raise CheckpointError(f"shape mismatch for {name}")
-                    if not np.all(np.isfinite(data[key])):
-                        raise CheckpointError(
-                            f"parameter {name} holds a non-finite value"
-                        )
-                    network.params[name] = data[key].copy()
-            mean, std, fitted = data["meta_target_stats"]
-            if not (np.isfinite(mean) and np.isfinite(std)):
-                raise CheckpointError("non-finite target statistics")
-            network._target_mean = float(mean)
-            network._target_std = float(std)
-            network._fitted = bool(fitted)
-    except (KeyError, ValueError, OSError, zipfile.BadZipFile) as exc:
-        raise CheckpointError(f"corrupt value checkpoint {path}: {exc}") from exc
     return network

@@ -1,13 +1,9 @@
 """A value network: state -> predicted remaining makespan.
 
-AlphaZero (which inspired Spear, Sec. I) pairs its policy with a *value*
-head so rollouts can be truncated and scored without playing to the end.
-The Spear paper keeps full rollouts; this module implements the natural
-extension: a small MLP regressor trained on (state, observed
-remaining-makespan) pairs from policy rollouts, used by
-:class:`repro.core.guidance.TruncatedRollout` to cap rollout depth.
-:class:`repro.rl.ppo.PpoTrainer` uses the same regressor as its GAE
-critic.
+:class:`repro.rl.ppo.PpoTrainer`'s GAE critic: a small MLP regressor
+fitted on (state, observed remaining-makespan) pairs from the trainer's
+own rollouts.  Spear itself plays every rollout to termination
+(Sec. III-A) and uses no value estimate (DESIGN.md Sec. 16.8).
 
 Architecture mirrors the policy trunk (ReLU MLP) with a single linear
 output, expressed over the shared :class:`repro.rl.modules.MLPStack`;
@@ -38,9 +34,6 @@ class ValueNetwork:
             value targets are smoother than action preferences).
         seed: weight-initialization seed.
     """
-
-    #: Checkpoint discriminator (see ``rl.checkpoints``).
-    kind = "value"
 
     def __init__(
         self,

@@ -88,10 +88,9 @@ class Policy(abc.ABC):
         override (:class:`GreedyPolicy`, the network policies) must end in
         the same state, step count and makespan.  The trainers record
         through the network policies' override (a recorder sees forced
-        moves and decisions apart); callers that record every state of an
-        arbitrary policy or truncate per step (``rl/value_training.py``,
-        ``rl/imitation.py``, ``TruncatedRollout``) have no episode to hand
-        over and keep calling ``select``.
+        moves and decisions apart).  Imitation (``rl/imitation.py``)
+        records every state of an arbitrary teacher, has no episode to
+        hand over and keeps calling ``select``.
 
         Args:
             env: a fresh or mid-episode environment.

@@ -208,16 +208,12 @@ class TestRolloutBatch:
         assert stats.rollouts == sum(lanes_per_round)
 
     def test_unbatchable_rollout_policy_is_a_config_error(self, env_config):
-        from repro.core import NetworkRollout, TruncatedRollout
+        from repro.core import NetworkRollout
         from repro.core.pipeline import default_network
         from repro.errors import ConfigError
-        from repro.rl.value_network import ValueNetwork
 
         network = default_network(env_config, seed=0)
-        truncated = TruncatedRollout(
-            network, ValueNetwork(network.input_size, seed=0), depth_limit=3
-        )
-        for rollout in (GreedyRollout(), NetworkRollout(network), truncated):
+        for rollout in (GreedyRollout(), NetworkRollout(network)):
             with pytest.raises(ConfigError, match=type(rollout).__name__):
                 MctsScheduler(
                     MctsConfig(initial_budget=20, min_budget=5, rollout_batch=8),

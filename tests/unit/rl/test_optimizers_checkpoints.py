@@ -110,26 +110,6 @@ class TestCheckpoints:
         assert path.exists()
 
 
-class TestValueCheckpoints:
-    def test_roundtrip(self, tmp_path, rng):
-        from repro.rl import ValueNetwork, load_value_checkpoint, save_value_checkpoint
-
-        net = ValueNetwork(6, hidden_sizes=(8, 4), seed=0)
-        states = rng.normal(size=(50, 6))
-        targets = 5 + states[:, 0]
-        net.fit(states, targets, epochs=5, seed=1)
-        path = tmp_path / "value.npz"
-        save_value_checkpoint(net, path)
-        restored = load_value_checkpoint(path)
-        assert np.allclose(restored.predict(states), net.predict(states))
-
-    def test_missing_file(self, tmp_path):
-        from repro.rl import load_value_checkpoint
-
-        with pytest.raises(CheckpointError):
-            load_value_checkpoint(tmp_path / "none.npz")
-
-
 class TestClipGlobalNorm:
     def test_noop_below_threshold(self):
         from repro.rl import clip_global_norm
@@ -305,17 +285,6 @@ class TestNonFiniteParametersRejected:
         self._poison(path, "param_head.w")
         with pytest.raises(CheckpointError, match="non-finite"):
             load_policy_checkpoint(path)
-
-    @pytest.mark.parametrize("key", ["param_W0", "meta_target_stats"])
-    def test_poisoned_value_checkpoint(self, tmp_path, key):
-        from repro.rl import load_value_checkpoint, save_value_checkpoint
-        from repro.rl.value_network import ValueNetwork
-
-        path = tmp_path / "value.npz"
-        save_value_checkpoint(ValueNetwork(6, hidden_sizes=(8, 4), seed=3), path)
-        self._poison(path, key)
-        with pytest.raises(CheckpointError, match="non-finite"):
-            load_value_checkpoint(path)
 
     def test_set_params_rejects_non_finite(self):
         from repro.config import GnnConfig

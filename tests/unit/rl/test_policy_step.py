@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.config import ClusterConfig, EnvConfig, GnnConfig, NetworkConfig, WorkloadConfig
-from repro.core import NetworkExpansion, NetworkRollout, TruncatedRollout
+from repro.core import NetworkExpansion, NetworkRollout
 from repro.core.pipeline import default_graph_network, default_network
 from repro.dag.generators import chain_dag, random_layered_dag
 from repro.env.actions import PROCESS
@@ -23,7 +23,6 @@ from repro.errors import ConfigError
 from repro.rl.gnn import GraphObservationBuilder
 from repro.rl.modules import masked_softmax
 from repro.rl.trajectories import rollout_trajectory
-from repro.rl.value_network import ValueNetwork
 
 CLUSTER = ClusterConfig(capacities=(10, 10), horizon=8)
 WORKLOAD = WorkloadConfig(
@@ -336,30 +335,3 @@ def test_network_rollout_matches_reference_stream():
         rollout._policy._rng.bit_generator.state
         == reference.rng.bit_generator.state
     )
-
-
-def test_truncated_rollout_computes_graph_features_once(monkeypatch):
-    import repro.env.observation as observation_module
-
-    calls = []
-    inner = observation_module.compute_features
-
-    def counting(graph):
-        calls.append(graph)
-        return inner(graph)
-
-    monkeypatch.setattr(observation_module, "compute_features", counting)
-    network = make_network("mlp")
-    config = env_config()
-    value = ValueNetwork(network.input_size, hidden_sizes=(8, 4), seed=0)
-    rollout = TruncatedRollout(network, value, depth_limit=2, seed=0)
-    first = random_layered_dag(WORKLOAD, seed=GRAPH_SEEDS[0])
-    for _ in range(12):
-        env = SchedulingEnv(first, config)
-        assert rollout.rollout(env) >= 1
-        assert not env.done  # the value network was consulted
-    assert calls == [first]
-    second = random_layered_dag(WORKLOAD, seed=GRAPH_SEEDS[1])
-    for _ in range(3):
-        rollout.rollout(SchedulingEnv(second, config))
-    assert calls == [first, second]
