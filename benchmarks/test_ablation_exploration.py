@@ -10,14 +10,14 @@ paper's 1x setting is never beaten by more than 5% by any other scale —
 the greedy-makespan estimate puts c in the right regime.
 """
 
-from repro.experiments.ablations import exploration_sensitivity
+from repro.experiments.ablations import exploration_sensitivity, report
 
 
 def test_exploration_scale_sensitivity(benchmark, scale):
     result = benchmark.pedantic(
         lambda: exploration_sensitivity(seed=0), rounds=1, iterations=1
     )
-    print("\n" + result.report())
+    print("\n" + report("exploration-scale", result))
     means = {variant: result.mean(variant) for variant in result.makespans}
     benchmark.extra_info.update(means)
 

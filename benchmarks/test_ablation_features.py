@@ -12,14 +12,14 @@ asserted shape: the featured agent never regresses by more than 10% and
 typically wins.
 """
 
-from repro.experiments.ablations import feature_ablation
+from repro.experiments.ablations import feature_ablation, report
 
 
 def test_graph_feature_ablation(benchmark, scale):
     result = benchmark.pedantic(
         lambda: feature_ablation(seed=0), rounds=1, iterations=1
     )
-    print("\n" + result.report())
+    print("\n" + report("graph-features", result))
     on, off = result.mean("on"), result.mean("off")
     benchmark.extra_info.update({"mean_with_features": on, "mean_without": off})
 

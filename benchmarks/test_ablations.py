@@ -8,7 +8,7 @@ noise is real; the regenerated rows are the variant means.
 
 import pytest
 
-from repro.experiments.ablations import run_ablation
+from repro.experiments.ablations import report, run_ablation
 
 
 @pytest.mark.parametrize(
@@ -19,7 +19,7 @@ def test_ablation(benchmark, scale, shared_network, name):
     result = benchmark.pedantic(
         lambda: run_ablation(name, seed=0), rounds=1, iterations=1
     )
-    print("\n" + result.report())
+    print("\n" + report(name, result))
     on, off = result.mean("on"), result.mean("off")
     benchmark.extra_info.update({"mean_on": on, "mean_off": off})
 

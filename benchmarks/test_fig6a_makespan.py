@@ -7,7 +7,7 @@ for search noise at reduced scale) and its no-worse rate vs Graphene is
 at least 60%.
 """
 
-from repro.experiments.fig6 import makespan_comparison
+from repro.experiments.fig6 import makespan_comparison, report
 
 
 def test_fig6a_makespan_comparison(benchmark, scale, shared_network):
@@ -16,8 +16,8 @@ def test_fig6a_makespan_comparison(benchmark, scale, shared_network):
         rounds=1,
         iterations=1,
     )
-    print("\n" + result.report())
-    rows = {row.scheduler: row.mean for row in result.rows()}
+    print("\n" + report(result))
+    rows = {row.scheduler: row.mean for row in result.ranking()}
     benchmark.extra_info.update({f"mean_{k}": v for k, v in rows.items()})
 
     # Spear leads (tolerance: 2% of the best baseline mean).
@@ -26,4 +26,4 @@ def test_fig6a_makespan_comparison(benchmark, scale, shared_network):
 
     # "Spear performs no worse than Graphene in 90% of the jobs" — allow
     # slack at reduced scale, but the majority must hold.
-    assert result.no_worse_rate_over("graphene") >= 0.6
+    assert result.win_rate("spear", "graphene", strict=False) >= 0.6

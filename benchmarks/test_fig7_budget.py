@@ -8,27 +8,28 @@ Reproduced shape: the largest budget's mean makespan is no worse than the
 smallest budget's, and its Tetris win rate is no lower.
 """
 
-from repro.experiments.fig7 import budget_sweep
+from repro.experiments.fig7 import budget_sweep, report
 
 
 def test_fig7_budget_sweep(benchmark, scale):
     result = benchmark.pedantic(
         lambda: budget_sweep(seed=0), rounds=1, iterations=1
     )
-    print("\n" + result.report())
+    print("\n" + report(result))
 
-    first, last = result.points[0], result.points[-1]
+    first = f"mcts@{scale.sweep_budgets[0]}"
+    last = f"mcts@{scale.sweep_budgets[-1]}"
     benchmark.extra_info.update(
         {
-            "makespan_at_min_budget": first.mean_makespan,
-            "makespan_at_max_budget": last.mean_makespan,
-            "winrate_at_min_budget": first.win_rate_vs_tetris,
-            "winrate_at_max_budget": last.win_rate_vs_tetris,
+            "makespan_at_min_budget": result.mean(first),
+            "makespan_at_max_budget": result.mean(last),
+            "winrate_at_min_budget": result.win_rate(first, "tetris"),
+            "winrate_at_max_budget": result.win_rate(last, "tetris"),
         }
     )
 
     # Fig. 7(a): more budget helps (small tolerance for search noise).
-    assert last.mean_makespan <= first.mean_makespan * 1.01
+    assert result.mean(last) <= result.mean(first) * 1.01
 
     # Fig. 7(b): the win rate against Tetris does not degrade with budget.
-    assert last.win_rate_vs_tetris >= first.win_rate_vs_tetris
+    assert result.win_rate(last, "tetris") >= result.win_rate(first, "tetris")

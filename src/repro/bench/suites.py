@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from typing import Callable, List
 
-from ..config import EnvConfig
+from ..config import EnvConfig, WorkloadConfig
+from ..dag.generators import random_layered_dags
 from ..env.actions import PROCESS
 from ..env.scheduling_env import SchedulingEnv
-from ..experiments.fig6 import generate_dags
 from ..experiments.scale import resolve_scale
 from .runner import BenchmarkSpec
 
@@ -33,7 +33,9 @@ SEED = 0
 
 def _env() -> SchedulingEnv:
     """The first fig6 DAG at laptop scale, even under REPRO_PAPER_SCALE."""
-    graph = generate_dags(resolve_scale(False), seed=SEED)[0]
+    scale = resolve_scale(False)
+    workload = WorkloadConfig(num_tasks=scale.num_tasks)
+    graph = random_layered_dags(workload, scale.num_dags, SEED)[0]
     return SchedulingEnv(graph, EnvConfig(process_until_completion=True))
 
 

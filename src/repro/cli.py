@@ -647,46 +647,50 @@ def _cmd_trace_telemetry(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from . import experiments
+    from .experiments import fig6, fig7, fig8, fig9, generalization, table1
     from .experiments.reporting import format_cdf
+    from .experiments.scale import resolve_scale
 
     scale = args.paper_scale or None
     name = args.name
     if name == "fig6a":
-        print(experiments.makespan_comparison(scale, seed=args.seed).report())
+        print(fig6.report(fig6.makespan_comparison(scale, seed=args.seed)))
     elif name == "fig6b":
-        times = experiments.runtime_comparison(scale, seed=args.seed)
-        for scheduler, series in times.items():
+        result = fig6.makespan_comparison(scale, seed=args.seed)
+        for scheduler in ("spear", "graphene"):
+            series = result.wall_times[scheduler]
             mean = sum(series) / len(series)
             print(f"{scheduler}: mean {mean:.2f}s, max {max(series):.2f}s")
     elif name == "fig7":
-        print(experiments.budget_sweep(scale, seed=args.seed).report())
+        print(fig7.report(fig7.budget_sweep(scale, seed=args.seed)))
     elif name == "fig8a":
-        print(experiments.budget_reduction(scale, seed=args.seed).report())
+        result = fig8.budget_reduction(scale, seed=args.seed)
+        print(fig8.report(result, resolve_scale(scale)))
     elif name == "fig8b":
-        print(experiments.learning_curve(scale, seed=args.seed).report())
+        print(fig8.learning_curve(scale, seed=args.seed).report())
     elif name == "fig9ab":
-        stats = experiments.trace_characteristics(scale, seed=args.seed)
+        stats = fig9.trace_characteristics(scale, seed=args.seed)
         map_cdf, reduce_cdf = stats.count_cdfs()
         print(format_cdf(map_cdf, "#map", title="Fig 9(a) map tasks"))
         print(format_cdf(reduce_cdf, "#reduce", title="Fig 9(a) reduce tasks"))
     elif name == "fig9c":
-        print(experiments.reduction_cdf(scale, seed=args.seed).report())
+        print(fig9.report(fig9.reduction_cdf(scale, seed=args.seed)))
     elif name == "table1":
-        print(experiments.runtime_grid(scale, seed=args.seed).report())
+        print(table1.report(table1.runtime_grid(scale, seed=args.seed)))
     elif name == "generalization":
-        print(experiments.generalization_study(scale, seed=args.seed).report())
+        study = generalization.generalization_study(scale, seed=args.seed)
+        print(generalization.report(study))
     else:  # pragma: no cover - argparse restricts choices
         return 2
     return 0
 
 
 def _cmd_ablation(args: argparse.Namespace) -> int:
-    from .experiments.ablations import ABLATIONS, feature_ablation, run_ablation
+    from .experiments.ablations import ABLATIONS, feature_ablation, report, run_ablation
 
     scale = args.paper_scale or None
     if args.name == "graph-features":
-        print(feature_ablation(scale, seed=args.seed).report())
+        print(report(args.name, feature_ablation(scale, seed=args.seed)))
         return 0
     if args.name not in ABLATIONS:
         print(
@@ -695,7 +699,7 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    print(run_ablation(args.name, scale, seed=args.seed).report())
+    print(report(args.name, run_ablation(args.name, scale, seed=args.seed)))
     return 0
 
 
@@ -720,21 +724,18 @@ def _cmd_motivating(_: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from .dag.generators import random_layered_dag
+    from .dag.generators import random_layered_dags
     from .experiments.tournament import run_tournament
     from .schedulers.registry import make_scheduler, parse_scheduler_spec
-    from .utils.rng import as_generator, spawn
 
     env_config = EnvConfig(process_until_completion=True)
     schedulers = {}
     for spec in _split_spec_list(args.schedulers):
         label = parse_scheduler_spec(spec)[0]
         schedulers[label] = make_scheduler(_default_mcts_spec(spec, args), env_config)
-    rng = as_generator(args.seed)
-    graphs = [
-        random_layered_dag(WorkloadConfig(num_tasks=args.tasks), seed=child)
-        for child in spawn(rng, args.jobs)
-    ]
+    graphs = random_layered_dags(
+        WorkloadConfig(num_tasks=args.tasks), args.jobs, args.seed
+    )
     result = run_tournament(
         schedulers, graphs, env_config, reference=args.reference
     )

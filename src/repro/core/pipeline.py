@@ -24,7 +24,7 @@ from ..config import (
     TrainingConfig,
     WorkloadConfig,
 )
-from ..dag.generators import random_layered_dag
+from ..dag.generators import random_layered_dags
 from ..dag.graph import TaskGraph
 from ..env.observation import observation_size
 from ..errors import ConfigError
@@ -95,11 +95,7 @@ def training_graphs(
     training = training if training is not None else TrainingConfig()
     base = workload if workload is not None else WorkloadConfig()
     workload = replace(base, num_tasks=training.example_num_tasks)
-    rng = as_generator(seed)
-    return [
-        random_layered_dag(workload, seed=child)
-        for child in spawn(rng, training.num_examples)
-    ]
+    return random_layered_dags(workload, training.num_examples, seed)
 
 
 def pretrain_network(

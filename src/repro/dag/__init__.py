@@ -8,7 +8,7 @@ resource demand (Sec. II-C of the paper).
 from .task import Task
 from .graph import TaskGraph
 from .features import GraphFeatures, compute_features
-from .generators import random_layered_dag, chain_dag, fork_join_dag, independent_tasks_dag
+from .generators import random_layered_dag, random_layered_dags, chain_dag, fork_join_dag, independent_tasks_dag
 from .mapreduce import mapreduce_dag
 from .examples import motivating_example
 from .io import graph_to_dict, graph_from_dict, save_graph, load_graph
@@ -22,6 +22,7 @@ __all__ = [
     "GraphFeatures",
     "compute_features",
     "random_layered_dag",
+    "random_layered_dags",
     "chain_dag",
     "fork_join_dag",
     "independent_tasks_dag",

@@ -3,7 +3,8 @@
 :func:`random_layered_dag` reproduces the simulation workload of Sec. V-A:
 DAGs with a fixed number of tasks, layer widths drawn uniformly from a small
 range (paper: 2..5), and task runtimes / per-resource demands drawn from
-normal distributions truncated to ``[1, max]`` (paper: max 20 for both).
+normal distributions truncated to ``[1, max]`` (paper: max 20 for both);
+:func:`random_layered_dags` draws a batch of them from one seed.
 
 The remaining generators build canonical topologies (chains, fork-join
 diamonds, independent task bags) used by tests, examples and ablations.
@@ -17,12 +18,13 @@ import numpy as np
 
 from ..config import WorkloadConfig
 from ..errors import ConfigError
-from ..utils.rng import SeedLike, as_generator
+from ..utils.rng import SeedLike, as_generator, spawn
 from .graph import TaskGraph
 from .task import Task
 
 __all__ = [
     "random_layered_dag",
+    "random_layered_dags",
     "chain_dag",
     "fork_join_dag",
     "independent_tasks_dag",
@@ -146,6 +148,20 @@ def random_layered_dag(
                 edge_set.add((u, v))
 
     return TaskGraph(tasks, edges)
+
+
+def random_layered_dags(
+    workload: WorkloadConfig, count: int, seed: SeedLike = None
+) -> List[TaskGraph]:
+    """``count`` :func:`random_layered_dag` draws, one per child of ``seed``.
+
+    A generator passed as ``seed`` is advanced (once per DAG), so repeated
+    calls on it yield fresh batches.
+    """
+    return [
+        random_layered_dag(workload, seed=child)
+        for child in spawn(as_generator(seed), count)
+    ]
 
 
 def chain_dag(

@@ -1,22 +1,11 @@
 """Experiment harness: one module per table/figure of the paper.
 
-Every experiment is a plain function returning a dataclass of results, so
-benchmarks, tests, examples and the CLI all share the same entry points:
-
-==========  =========================================================
-Paper item  Harness entry point
-==========  =========================================================
-Fig. 3      ``repro.dag.motivating_example`` (+ tests/benchmarks)
-Fig. 6(a)   :func:`repro.experiments.fig6.makespan_comparison`
-Fig. 6(b)   :func:`repro.experiments.fig6.runtime_comparison`
-Fig. 7(a,b) :func:`repro.experiments.fig7.budget_sweep`
-Table I     :func:`repro.experiments.table1.runtime_grid`
-Fig. 8(a)   :func:`repro.experiments.fig8.budget_reduction`
-Fig. 8(b)   :func:`repro.experiments.fig8.learning_curve`
-Fig. 9(a,b) :func:`repro.experiments.fig9.trace_characteristics`
-Fig. 9(c)   :func:`repro.experiments.fig9.reduction_cdf`
-Ablations   :mod:`repro.experiments.ablations`
-==========  =========================================================
+Every figure schedules its DAGs through one loop,
+:func:`~repro.experiments.tournament.run_tournament`, and returns its
+:class:`TournamentResult` (or a dict of them keyed by the figure's axis);
+each module's ``report`` renders what the figure plots.  Benchmarks,
+tests, examples and the CLI share these entry points; DESIGN.md Sec. 4
+indexes them by paper figure.
 
 Default parameters are laptop-scale; set ``REPRO_PAPER_SCALE=1`` (or pass
 ``paper_scale=True``) to run the published configuration.
@@ -25,15 +14,15 @@ Default parameters are laptop-scale; set ``REPRO_PAPER_SCALE=1`` (or pass
 from .scale import ExperimentScale, resolve_scale
 from .networks import cached_network
 from .reporting import format_table, format_cdf
-from .fig6 import makespan_comparison, runtime_comparison
+from .tournament import TournamentResult, run_tournament
+from .fig6 import makespan_comparison
 from .fig7 import budget_sweep
 from .fig8 import budget_reduction, learning_curve
 from .fig9 import trace_characteristics, reduction_cdf
 from .table1 import runtime_grid
 from .ablations import run_ablation, feature_ablation, exploration_sensitivity, ABLATIONS
-from .tournament import TournamentResult, run_tournament
-from .diversity import DiversityResult, diversity_study, workload_families
-from .generalization import GeneralizationResult, generalization_study
+from .diversity import diversity_study, workload_families
+from .generalization import generalization_study
 
 __all__ = [
     "ExperimentScale",
@@ -42,7 +31,6 @@ __all__ = [
     "format_table",
     "format_cdf",
     "makespan_comparison",
-    "runtime_comparison",
     "budget_sweep",
     "budget_reduction",
     "learning_curve",
@@ -55,9 +43,7 @@ __all__ = [
     "ABLATIONS",
     "TournamentResult",
     "run_tournament",
-    "DiversityResult",
     "diversity_study",
     "workload_families",
-    "GeneralizationResult",
     "generalization_study",
 ]

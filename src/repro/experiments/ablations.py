@@ -15,125 +15,77 @@ mean makespan over a shared DAG batch:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import replace
+from typing import Callable, Dict, Optional, Sequence
 
-from ..config import EnvConfig, MctsConfig, WorkloadConfig
+from ..config import EnvConfig, WorkloadConfig
 from ..core.pipeline import train_spear_network
 from ..core.spear import SpearScheduler
+from ..dag.generators import random_layered_dags
 from ..dag.graph import TaskGraph
 from ..mcts.search import MctsScheduler
-from ..metrics.schedule import validate_schedule
-from ..rl.network import PolicyNetwork
-from ..schedulers.base import Scheduler, ScheduleRequest
-from .fig6 import generate_dags
+from ..rl.agent import NetworkPolicy
+from ..schedulers.base import PolicyScheduler, Scheduler
 from .networks import cached_network, training_config_for_scale
-from .reporting import format_table
 from .scale import ExperimentScale, resolve_scale
+from .tournament import TournamentResult, run_tournament, summary_table
 
 __all__ = [
-    "AblationResult",
     "run_ablation",
     "feature_ablation",
     "exploration_sensitivity",
+    "report",
     "ABLATIONS",
 ]
 
 
-@dataclass
-class AblationResult:
-    """Mean makespans of the on/off variants of one design choice."""
-
-    name: str
-    scale: str
-    num_dags: int
-    makespans: Dict[str, List[int]]
-
-    def mean(self, variant: str) -> float:
-        """Mean makespan of one variant."""
-        values = self.makespans[variant]
-        return sum(values) / len(values)
-
-    def report(self) -> str:
-        rows = [(variant, self.mean(variant)) for variant in self.makespans]
-        return format_table(
-            ["variant", "mean makespan"],
-            rows,
-            title=f"Ablation: {self.name} ({self.scale} scale)",
-        )
+def _tournament(
+    arms: Dict[str, Scheduler],
+    scale: ExperimentScale,
+    seed: int,
+    graphs: Optional[Sequence[TaskGraph]] = None,
+) -> TournamentResult:
+    """``arms`` over ``graphs``, by default the Fig. 6 DAG batch."""
+    if graphs is None:
+        workload = WorkloadConfig(num_tasks=scale.num_tasks)
+        graphs = random_layered_dags(workload, scale.num_dags, seed)
+    return run_tournament(arms, graphs, EnvConfig(process_until_completion=True))
 
 
-def _evaluate(
-    schedulers: Dict[str, Scheduler],
-    graphs: Sequence[TaskGraph],
-    env_config: EnvConfig,
-) -> Dict[str, List[int]]:
-    capacities = env_config.cluster.capacities
-    makespans: Dict[str, List[int]] = {}
-    for variant, scheduler in schedulers.items():
-        values = []
-        for graph in graphs:
-            schedule = scheduler.plan(ScheduleRequest(graph))
-            validate_schedule(schedule, graph, capacities)
-            values.append(schedule.makespan)
-        makespans[variant] = values
-    return makespans
+Arms = Callable[[ExperimentScale, int], Dict[str, Scheduler]]
 
 
-def _mcts_pair(
-    scale: ExperimentScale, seed: int, on: MctsConfig, off: MctsConfig
-) -> Dict[str, Scheduler]:
-    env_config = EnvConfig(process_until_completion=True)
-    return {
-        "on": MctsScheduler(on, env_config, seed=seed),
-        "off": MctsScheduler(off, env_config, seed=seed),
-    }
+def _switch_ablation(switch: str) -> Arms:
+    """Pure MCTS at the Spear budget with the ``MctsConfig`` flag
+    ``switch`` on vs off (ablations 2-4)."""
 
+    def arms(scale: ExperimentScale, seed: int) -> Dict[str, Scheduler]:
+        env_config = EnvConfig(process_until_completion=True)
+        on = scale.search_config()
+        return {
+            "on": MctsScheduler(on, env_config, seed=seed),
+            "off": MctsScheduler(replace(on, **{switch: False}), env_config, seed=seed),
+        }
 
-def _base_config(scale: ExperimentScale) -> MctsConfig:
-    return MctsConfig(
-        initial_budget=scale.mcts_budget, min_budget=scale.mcts_min_budget
-    )
-
-
-def expansion_filter_ablation(scale: ExperimentScale, seed: int) -> Dict[str, Scheduler]:
-    """Ablation 2: Sec. III-C expansion filters on vs off."""
-    base = _base_config(scale)
-    return _mcts_pair(
-        scale, seed, base, replace(base, use_expansion_filters=False)
-    )
-
-
-def budget_decay_ablation(scale: ExperimentScale, seed: int) -> Dict[str, Scheduler]:
-    """Ablation 3: Eq. (4) budget decay vs flat budget."""
-    base = _base_config(scale)
-    return _mcts_pair(scale, seed, base, replace(base, use_budget_decay=False))
-
-
-def max_value_ucb_ablation(scale: ExperimentScale, seed: int) -> Dict[str, Scheduler]:
-    """Ablation 4: Eq. (5) max-value UCB vs classic mean UCB."""
-    base = _base_config(scale)
-    return _mcts_pair(scale, seed, base, replace(base, use_max_value_ucb=False))
+    return arms
 
 
 def guided_rollout_ablation(scale: ExperimentScale, seed: int) -> Dict[str, Scheduler]:
     """Ablation 5: network-guided vs random rollout/expansion at the same
     (Spear-sized) budget."""
     env_config = EnvConfig(process_until_completion=True)
-    network = cached_network(scale, env_config, seed=seed)
-    config = MctsConfig(
-        initial_budget=scale.spear_budget, min_budget=scale.spear_min_budget
-    )
+    network = cached_network(scale, seed=seed)
+    config = scale.search_config()
     return {
         "on": SpearScheduler(network, config, env_config, seed=seed),
         "off": MctsScheduler(config, env_config, seed=seed),
     }
 
 
-ABLATIONS: Dict[str, Callable[[ExperimentScale, int], Dict[str, Scheduler]]] = {
-    "expansion-filters": expansion_filter_ablation,
-    "budget-decay": budget_decay_ablation,
-    "max-value-ucb": max_value_ucb_ablation,
+ABLATIONS: Dict[str, Arms] = {
+    "expansion-filters": _switch_ablation("use_expansion_filters"),
+    "budget-decay": _switch_ablation("use_budget_decay"),
+    "max-value-ucb": _switch_ablation("use_max_value_ucb"),
     "guided-rollout": guided_rollout_ablation,
 }
 
@@ -143,21 +95,13 @@ def run_ablation(
     paper_scale: Optional[bool] = None,
     seed: int = 0,
     graphs: Optional[Sequence[TaskGraph]] = None,
-) -> AblationResult:
-    """Run one named ablation (see :data:`ABLATIONS`) over a DAG batch."""
+) -> TournamentResult:
+    """Run one named ablation (see :data:`ABLATIONS`): a tournament of
+    its ``on`` and ``off`` arms over a DAG batch."""
     if name not in ABLATIONS:
         raise KeyError(f"unknown ablation {name!r}; have {sorted(ABLATIONS)}")
     scale = resolve_scale(paper_scale)
-    env_config = EnvConfig(process_until_completion=True)
-    if graphs is None:
-        graphs = generate_dags(scale, seed)
-    schedulers = ABLATIONS[name](scale, seed)
-    return AblationResult(
-        name=name,
-        scale=scale.label,
-        num_dags=len(graphs),
-        makespans=_evaluate(schedulers, graphs, env_config),
-    )
+    return _tournament(ABLATIONS[name](scale, seed), scale, seed, graphs)
 
 
 def exploration_sensitivity(
@@ -165,7 +109,7 @@ def exploration_sensitivity(
     seed: int = 0,
     scales: Sequence[float] = (0.1, 0.5, 1.0, 2.0, 10.0),
     graphs: Optional[Sequence[TaskGraph]] = None,
-) -> AblationResult:
+) -> TournamentResult:
     """Sensitivity of MCTS to the exploration-constant multiplier.
 
     Sec. III-C argues ``c`` must be "in the same order of the makespan of
@@ -176,29 +120,22 @@ def exploration_sensitivity(
     """
     scale = resolve_scale(paper_scale)
     env_config = EnvConfig(process_until_completion=True)
-    if graphs is None:
-        graphs = generate_dags(scale, seed)
     schedulers: Dict[str, Scheduler] = {
         f"c={multiplier:g}x": MctsScheduler(
-            replace(_base_config(scale), exploration_scale=multiplier),
+            replace(scale.search_config(), exploration_scale=multiplier),
             env_config,
             seed=seed,
         )
         for multiplier in scales
     }
-    return AblationResult(
-        name="exploration-scale",
-        scale=scale.label,
-        num_dags=len(graphs),
-        makespans=_evaluate(schedulers, graphs, env_config),
-    )
+    return _tournament(schedulers, scale, seed, graphs)
 
 
 def feature_ablation(
     paper_scale: Optional[bool] = None,
     seed: int = 0,
     epochs: Optional[int] = None,
-) -> AblationResult:
+) -> TournamentResult:
     """Ablation 1: graph features in the DRL state, on vs off.
 
     Two networks are trained from the same seed — one with the full
@@ -209,9 +146,7 @@ def feature_ablation(
     scale = resolve_scale(paper_scale)
     training = training_config_for_scale(scale)
     run_epochs = epochs if epochs is not None else scale.train_epochs
-    makespans: Dict[str, List[int]] = {}
-    eval_env_configs: Dict[str, EnvConfig] = {}
-    networks: Dict[str, PolicyNetwork] = {}
+    schedulers: Dict[str, Scheduler] = {}
     for variant, include in (("on", True), ("off", False)):
         env_config = EnvConfig(
             process_until_completion=True, include_graph_features=include
@@ -223,30 +158,14 @@ def feature_ablation(
             seed=seed,
             epochs=run_epochs,
         )
-        networks[variant] = network
-        eval_env_configs[variant] = env_config
-
-    graphs = generate_dags(scale, seed + 1)
-    from ..rl.agent import NetworkPolicy
-    from ..schedulers.base import PolicyScheduler
-
-    for variant, network in networks.items():
-        scheduler = PolicyScheduler(
+        schedulers[variant] = PolicyScheduler(
             lambda net=network: NetworkPolicy(net, mode="greedy"),
-            eval_env_configs[variant],
+            env_config,
             name=f"drl-features-{variant}",
         )
-        values = []
-        for graph in graphs:
-            schedule = scheduler.plan(ScheduleRequest(graph))
-            validate_schedule(
-                schedule, graph, eval_env_configs[variant].cluster.capacities
-            )
-            values.append(schedule.makespan)
-        makespans[variant] = values
-    return AblationResult(
-        name="graph-features",
-        scale=scale.label,
-        num_dags=len(graphs),
-        makespans=makespans,
-    )
+    return _tournament(schedulers, scale, seed + 1)
+
+
+def report(name: str, result: TournamentResult) -> str:
+    """Per-variant makespans of ablation ``name``."""
+    return summary_table(result, f"Ablation: {name}")

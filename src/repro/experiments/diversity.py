@@ -9,10 +9,9 @@ qualitative ranking is not an artifact of one topology class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from ..config import EnvConfig, MctsConfig
+from ..config import EnvConfig
 from ..dag.graph import TaskGraph
 from ..dag.suites import (
     cholesky_dag,
@@ -21,13 +20,13 @@ from ..dag.suites import (
     stencil_dag,
 )
 from ..mcts.search import MctsScheduler
-from ..metrics.schedule import validate_schedule
-from ..schedulers.base import ScheduleRequest
+from ..schedulers.base import Scheduler
 from ..schedulers.registry import make_scheduler
 from .reporting import format_table
 from .scale import resolve_scale
+from .tournament import TournamentResult, run_tournament
 
-__all__ = ["DiversityResult", "workload_families", "diversity_study"]
+__all__ = ["workload_families", "diversity_study", "wins", "report"]
 
 
 def workload_families(size_hint: int = 5) -> Dict[str, TaskGraph]:
@@ -46,81 +45,47 @@ def workload_families(size_hint: int = 5) -> Dict[str, TaskGraph]:
     }
 
 
-@dataclass
-class DiversityResult:
-    """Makespans per (family, scheduler)."""
-
-    scale: str
-    families: Dict[str, TaskGraph]
-    makespans: Dict[str, Dict[str, int]]  # family -> scheduler -> makespan
-
-    def ranking(self, family: str) -> List[str]:
-        """Schedulers best-first for one family."""
-        per = self.makespans[family]
-        return sorted(per, key=lambda name: (per[name], name))
-
-    def wins(self, scheduler: str) -> int:
-        """Number of families where ``scheduler`` is (co-)best."""
-        count = 0
-        for family, per in self.makespans.items():
-            if per[scheduler] == min(per.values()):
-                count += 1
-        return count
-
-    def report(self) -> str:
-        schedulers = sorted(next(iter(self.makespans.values())))
-        rows = []
-        for family in sorted(self.makespans):
-            per = self.makespans[family]
-            rows.append(
-                [
-                    f"{family} ({self.families[family].num_tasks}t)",
-                    *[per[name] for name in schedulers],
-                ]
-            )
-        return format_table(
-            ["family", *schedulers],
-            rows,
-            title=f"Workload diversity ({self.scale} scale)",
-        )
-
-
 def diversity_study(
     paper_scale: Optional[bool] = None,
     seed: int = 0,
     schedulers: Sequence[str] = ("tetris", "sjf", "cp", "graphene", "heft"),
     include_mcts: bool = True,
     size_hint: Optional[int] = None,
-) -> DiversityResult:
+) -> Dict[str, TournamentResult]:
     """Run every scheduler on every structured family.
 
-    MCTS uses the scale's Spear budget; everything is validated.
+    One single-job tournament per family; MCTS uses the scale's Spear
+    budget and a fresh search per family.
     """
 
     scale = resolve_scale(paper_scale)
     env_config = EnvConfig(process_until_completion=True)
-    capacities = env_config.cluster.capacities
     hint = size_hint if size_hint is not None else (8 if scale.label == "paper" else 5)
-    families = workload_families(hint)
-
-    makespans: Dict[str, Dict[str, int]] = {name: {} for name in families}
-    for family, graph in families.items():
-        for name in schedulers:
-            schedule = make_scheduler(name, env_config).plan(ScheduleRequest(graph))
-            validate_schedule(schedule, graph, capacities)
-            makespans[family][name] = schedule.makespan
+    study: Dict[str, TournamentResult] = {}
+    for family, graph in workload_families(hint).items():
+        arms: Dict[str, Scheduler] = {
+            name: make_scheduler(name, env_config) for name in schedulers
+        }
         if include_mcts:
-            mcts = MctsScheduler(
-                MctsConfig(
-                    initial_budget=scale.spear_budget,
-                    min_budget=scale.spear_min_budget,
-                ),
-                env_config,
-                seed=seed,
-            )
-            schedule = mcts.plan(ScheduleRequest(graph))
-            validate_schedule(schedule, graph, capacities)
-            makespans[family]["mcts"] = schedule.makespan
-    return DiversityResult(
-        scale=scale.label, families=families, makespans=makespans
+            arms["mcts"] = MctsScheduler(scale.search_config(), env_config, seed=seed)
+        study[family] = run_tournament(arms, [graph], env_config)
+    return study
+
+
+def wins(study: Dict[str, TournamentResult], scheduler: str) -> int:
+    """Number of families where ``scheduler`` is (co-)best."""
+    return sum(
+        1
+        for result in study.values()
+        if result.mean(scheduler) == min(map(result.mean, result.makespans))
     )
+
+
+def report(study: Dict[str, TournamentResult]) -> str:
+    """Makespan per (family, scheduler)."""
+    schedulers = sorted(next(iter(study.values())).makespans)
+    rows = [
+        [family, *(study[family].makespans[name][0] for name in schedulers)]
+        for family in sorted(study)
+    ]
+    return format_table(["family", *schedulers], rows, title="Workload diversity")

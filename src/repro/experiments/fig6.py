@@ -12,77 +12,22 @@ Published result: similar medians, with Graphene showing a heavy tail
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..config import EnvConfig, WorkloadConfig
-from ..dag.generators import random_layered_dag
+from ..core.spear import SpearScheduler
+from ..dag.generators import random_layered_dags
 from ..dag.graph import TaskGraph
-from ..metrics.comparison import ComparisonRow, compare_makespans, win_rate
-from ..metrics.schedule import validate_schedule
 from ..rl.network import PolicyNetwork
-from ..schedulers.base import Scheduler, ScheduleRequest
+from ..schedulers.base import Scheduler
 from ..schedulers.registry import make_scheduler
-from ..telemetry import runtime as _telemetry
-from ..utils.rng import as_generator, spawn
 from .networks import cached_network
-from .reporting import format_table
-from .scale import ExperimentScale, resolve_scale
+from .scale import resolve_scale
+from .tournament import TournamentResult, run_tournament, summary_table
 
-__all__ = ["Fig6Result", "makespan_comparison", "runtime_comparison"]
+__all__ = ["makespan_comparison", "report"]
 
 BASELINES = ("graphene", "tetris", "sjf", "cp")
-
-
-@dataclass
-class Fig6Result:
-    """Everything Fig. 6 reports, for one batch of DAGs."""
-
-    scale: str
-    num_dags: int
-    makespans: Dict[str, List[int]] = field(default_factory=dict)
-    wall_times: Dict[str, List[float]] = field(default_factory=dict)
-
-    def rows(self) -> List[ComparisonRow]:
-        """Per-scheduler summary, best mean first (the Fig. 6(a) ranking)."""
-        return compare_makespans(self.makespans)
-
-    def win_rate_over(self, baseline: str, ours: str = "spear") -> float:
-        """Fraction of DAGs where ``ours`` strictly beats ``baseline``."""
-        return win_rate(self.makespans[ours], self.makespans[baseline])
-
-    def no_worse_rate_over(self, baseline: str, ours: str = "spear") -> float:
-        """Fraction of DAGs where ``ours`` is no worse than ``baseline``."""
-        return win_rate(self.makespans[ours], self.makespans[baseline], strict=False)
-
-    def report(self) -> str:
-        """Text rendering of the Fig. 6(a) comparison."""
-        rows = [
-            (r.scheduler, r.mean, r.median, r.best, r.worst) for r in self.rows()
-        ]
-        table = format_table(
-            ["scheduler", "mean", "median", "best", "worst"],
-            rows,
-            title=f"Fig 6(a) makespans ({self.scale} scale, {self.num_dags} DAGs)",
-        )
-        beats = self.no_worse_rate_over("graphene")
-        return f"{table}\nSpear no worse than Graphene on {beats:.0%} of DAGs"
-
-
-def _workload(scale: ExperimentScale) -> WorkloadConfig:
-    return WorkloadConfig(num_tasks=scale.num_tasks)
-
-
-def generate_dags(
-    scale: ExperimentScale, seed: int, count: Optional[int] = None
-) -> List[TaskGraph]:
-    """The shared random-DAG batch for Fig. 6 / Fig. 8(a)."""
-    rng = as_generator(seed)
-    n = count if count is not None else scale.num_dags
-    return [
-        random_layered_dag(_workload(scale), seed=child)
-        for child in spawn(rng, n)
-    ]
 
 
 def makespan_comparison(
@@ -90,7 +35,7 @@ def makespan_comparison(
     seed: int = 0,
     network: Optional[PolicyNetwork] = None,
     graphs: Optional[Sequence[TaskGraph]] = None,
-) -> Fig6Result:
+) -> TournamentResult:
     """Run Fig. 6: schedule every DAG with Spear and all four baselines.
 
     Args:
@@ -102,73 +47,28 @@ def makespan_comparison(
         graphs: explicit workload override (e.g. trace jobs).
 
     Returns:
-        :class:`Fig6Result` with per-scheduler makespans *and* wall times —
-        Fig. 6(a) and Fig. 6(b) come from the same runs, as in the paper.
+        The tournament: its ``makespans`` are Fig. 6(a) and its
+        ``wall_times`` Fig. 6(b) — both panels come from the same runs,
+        as in the paper.
     """
     scale = resolve_scale(paper_scale)
     env_config = EnvConfig(process_until_completion=True)
     if network is None:
-        network = cached_network(scale, env_config, seed=seed)
+        network = cached_network(scale, seed=seed)
     if graphs is None:
-        graphs = generate_dags(scale, seed)
+        workload = WorkloadConfig(num_tasks=scale.num_tasks)
+        graphs = random_layered_dags(workload, scale.num_dags, seed)
 
-    spear = make_scheduler(
-        "spear",
-        env_config,
-        budget=scale.spear_budget,
-        min_budget=scale.spear_min_budget,
-        seed=seed,
-        network=network,
-    )
-    schedulers: Dict[str, Scheduler] = {"spear": spear}
+    schedulers: Dict[str, Scheduler] = {
+        "spear": SpearScheduler(network, scale.search_config(), env_config, seed=seed)
+    }
     for name in BASELINES:
         schedulers[name] = make_scheduler(name, env_config)
-
-    result = Fig6Result(scale=scale.label, num_dags=len(graphs))
-    capacities = env_config.cluster.capacities
-    tm = _telemetry.active()
-    for name, scheduler in schedulers.items():
-        makespans: List[int] = []
-        times: List[float] = []
-        with tm.span(
-            "fig6.scheduler", scheduler=name, dags=len(graphs)
-        ) as span:
-            for index, graph in enumerate(graphs):
-                schedule = scheduler.plan(ScheduleRequest(graph))
-                validate_schedule(schedule, graph, capacities)
-                makespans.append(schedule.makespan)
-                times.append(schedule.wall_time)
-                if tm.enabled:
-                    tm.record(
-                        f"fig6.makespan.{name}", index, float(schedule.makespan)
-                    )
-            if tm.enabled:
-                span.set(
-                    mean_makespan=sum(makespans) / len(makespans),
-                    total_wall_time=sum(times),
-                )
-        result.makespans[name] = makespans
-        result.wall_times[name] = times
-    return result
+    return run_tournament(schedulers, graphs, env_config)
 
 
-def runtime_comparison(
-    paper_scale: Optional[bool] = None,
-    seed: int = 0,
-    result: Optional[Fig6Result] = None,
-) -> Dict[str, List[float]]:
-    """Fig. 6(b): scheduling wall-times of Spear vs Graphene.
-
-    Args:
-        result: reuse a prior :func:`makespan_comparison` run; otherwise
-            one is executed.
-
-    Returns:
-        ``{"spear": [...], "graphene": [...]}`` per-DAG seconds.
-    """
-    if result is None:
-        result = makespan_comparison(paper_scale=paper_scale, seed=seed)
-    return {
-        "spear": result.wall_times["spear"],
-        "graphene": result.wall_times["graphene"],
-    }
+def report(result: TournamentResult) -> str:
+    """Text rendering of the Fig. 6(a) comparison."""
+    table = summary_table(result, "Fig 6(a) makespans")
+    beats = result.win_rate("spear", "graphene", strict=False)
+    return f"{table}\nSpear no worse than Graphene on {beats:.0%} of DAGs"

@@ -8,63 +8,19 @@ and below ~500, Tetris wins more often than not).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from ..config import EnvConfig, MctsConfig, WorkloadConfig
-from ..dag.generators import random_layered_dag
+from ..dag.generators import random_layered_dags
 from ..dag.graph import TaskGraph
 from ..mcts.search import MctsScheduler
-from ..metrics.comparison import win_rate
-from ..metrics.schedule import validate_schedule
-from ..schedulers.base import ScheduleRequest
+from ..schedulers.base import Scheduler
 from ..schedulers.registry import make_scheduler
-from ..utils.rng import as_generator, spawn
 from .reporting import format_table
 from .scale import resolve_scale
+from .tournament import TournamentResult, run_tournament
 
-__all__ = ["BudgetPoint", "Fig7Result", "budget_sweep"]
-
-
-@dataclass(frozen=True)
-class BudgetPoint:
-    """One budget setting's aggregate outcome."""
-
-    budget: int
-    mean_makespan: float
-    mean_tetris_makespan: float
-    win_rate_vs_tetris: float
-    makespans: Tuple[int, ...]
-
-
-@dataclass
-class Fig7Result:
-    """The full sweep (Fig. 7(a) is ``mean_makespan`` per point, Fig. 7(b)
-    is ``win_rate_vs_tetris`` per point)."""
-
-    scale: str
-    num_dags: int
-    points: List[BudgetPoint]
-
-    def mean_makespans(self) -> List[Tuple[int, float]]:
-        """(budget, mean makespan) series — the Fig. 7(a) curve."""
-        return [(p.budget, p.mean_makespan) for p in self.points]
-
-    def win_rates(self) -> List[Tuple[int, float]]:
-        """(budget, win rate vs Tetris) series — the Fig. 7(b) curve."""
-        return [(p.budget, p.win_rate_vs_tetris) for p in self.points]
-
-    def report(self) -> str:
-        """Text rendering of both panels."""
-        rows = [
-            (p.budget, p.mean_makespan, p.mean_tetris_makespan, f"{p.win_rate_vs_tetris:.0%}")
-            for p in self.points
-        ]
-        return format_table(
-            ["budget", "MCTS mean", "Tetris mean", "MCTS beats Tetris"],
-            rows,
-            title=f"Fig 7 budget sweep ({self.scale} scale, {self.num_dags} DAGs)",
-        )
+__all__ = ["budget_sweep", "report"]
 
 
 def budget_sweep(
@@ -72,52 +28,46 @@ def budget_sweep(
     seed: int = 0,
     budgets: Optional[Sequence[int]] = None,
     graphs: Optional[Sequence[TaskGraph]] = None,
-) -> Fig7Result:
+) -> TournamentResult:
     """Sweep the MCTS initial budget over a fixed batch of DAGs.
 
-    The minimum budget is held at the paper's sweep floor (5) so small
-    budgets actually bite; Tetris is evaluated once per DAG as the
-    reference.
+    One tournament: Tetris, the reference, plus an arm ``mcts@<budget>``
+    per budget.  The minimum budget is held at the paper's sweep floor
+    (5) so small budgets actually bite.
     """
     scale = resolve_scale(paper_scale)
     env_config = EnvConfig(process_until_completion=True)
     if budgets is None:
         budgets = scale.sweep_budgets
     if graphs is None:
-        rng = as_generator(seed)
         workload = WorkloadConfig(num_tasks=scale.num_tasks)
-        graphs = [
-            random_layered_dag(workload, seed=child)
-            for child in spawn(rng, scale.sweep_num_dags)
-        ]
+        graphs = random_layered_dags(workload, scale.sweep_num_dags, seed)
 
-    capacities = env_config.cluster.capacities
-    tetris = make_scheduler("tetris", env_config)
-    tetris_makespans: List[int] = []
-    for graph in graphs:
-        schedule = tetris.plan(ScheduleRequest(graph))
-        validate_schedule(schedule, graph, capacities)
-        tetris_makespans.append(schedule.makespan)
-
-    points: List[BudgetPoint] = []
+    schedulers: Dict[str, Scheduler] = {"tetris": make_scheduler("tetris", env_config)}
     for budget in budgets:
-        mcts = MctsScheduler(
+        schedulers[f"mcts@{budget}"] = MctsScheduler(
             MctsConfig(initial_budget=budget, min_budget=scale.sweep_min_budget),
             env_config,
             seed=seed + budget,  # independent search noise per setting
         )
-        makespans: List[int] = []
-        for graph in graphs:
-            schedule = mcts.plan(ScheduleRequest(graph))
-            validate_schedule(schedule, graph, capacities)
-            makespans.append(schedule.makespan)
-        points.append(
-            BudgetPoint(
-                budget=budget,
-                mean_makespan=sum(makespans) / len(makespans),
-                mean_tetris_makespan=sum(tetris_makespans) / len(tetris_makespans),
-                win_rate_vs_tetris=win_rate(makespans, tetris_makespans),
-                makespans=tuple(makespans),
-            )
+    return run_tournament(schedulers, graphs, env_config, reference="tetris")
+
+
+def report(result: TournamentResult) -> str:
+    """Both panels: per budget, Fig. 7(a)'s mean makespan and Fig. 7(b)'s
+    win rate against Tetris."""
+    rows = [
+        (
+            name.partition("@")[2],
+            result.mean(name),
+            result.mean("tetris"),
+            f"{result.win_rate(name, 'tetris'):.0%}",
         )
-    return Fig7Result(scale=scale.label, num_dags=len(graphs), points=points)
+        for name in result.makespans
+        if name != "tetris"
+    ]
+    return format_table(
+        ["budget", "MCTS mean", "Tetris mean", "MCTS beats Tetris"],
+        rows,
+        title=f"Fig 7 budget sweep ({len(result.makespans['tetris'])} DAGs)",
+    )

@@ -12,62 +12,47 @@ examples).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from ..config import EnvConfig, MctsConfig, WorkloadConfig
-from ..core.pipeline import pretrain_network, default_network, training_graphs
+from ..core.pipeline import train_spear_network, training_graphs
 from ..core.spear import SpearScheduler
+from ..dag.generators import random_layered_dags
 from ..dag.graph import TaskGraph
 from ..mcts.search import MctsScheduler
-from ..metrics.comparison import ComparisonRow, compare_makespans
-from ..metrics.schedule import validate_schedule
 from ..rl.network import PolicyNetwork
-from ..rl.reinforce import EpochStats, ReinforceTrainer
-from ..schedulers.base import ScheduleRequest
+from ..rl.reinforce import EpochStats
 from ..schedulers.registry import make_scheduler
 from ..utils.rng import as_generator, spawn
-from .fig6 import generate_dags
 from .networks import cached_network, training_config_for_scale
 from .reporting import format_table
-from .scale import resolve_scale
+from .scale import ExperimentScale, resolve_scale
+from .tournament import TournamentResult, run_tournament, summary_table
 
 __all__ = [
-    "Fig8aResult",
+    "spear_config",
     "budget_reduction",
+    "report",
     "Fig8bResult",
     "learning_curve",
 ]
 
 
-@dataclass
-class Fig8aResult:
-    """Makespans of MCTS (high budget), Spear (low budget) and heuristics."""
+def spear_config(
+    scale: ExperimentScale, budget_divisor: Optional[int] = None
+) -> MctsConfig:
+    """Spear's Fig. 8(a) search: ``1/budget_divisor`` of the MCTS budget.
 
-    scale: str
-    num_dags: int
-    mcts_budget: int
-    spear_budget: int
-    makespans: Dict[str, List[int]] = field(default_factory=dict)
-
-    def rows(self) -> List[ComparisonRow]:
-        """Per-scheduler summary, best mean first."""
-        return compare_makespans(self.makespans)
-
-    def budget_ratio(self) -> float:
-        """How much cheaper Spear's search is (paper: 10x)."""
-        return self.mcts_budget / self.spear_budget
-
-    def report(self) -> str:
-        rows = [(r.scheduler, r.mean, r.best, r.worst) for r in self.rows()]
-        return format_table(
-            ["scheduler", "mean", "best", "worst"],
-            rows,
-            title=(
-                f"Fig 8(a): MCTS budget {self.mcts_budget} vs Spear budget "
-                f"{self.spear_budget} ({self.scale} scale)"
-            ),
-        )
+    The divisor defaults to the scale's value (10 at paper scale; smaller
+    at laptop scale where budgets are already tiny).
+    """
+    if budget_divisor is None:
+        budget_divisor = scale.fig8_budget_divisor
+    return MctsConfig(
+        initial_budget=max(1, scale.spear_budget // budget_divisor),
+        min_budget=max(1, scale.spear_min_budget // budget_divisor),
+    )
 
 
 def budget_reduction(
@@ -76,60 +61,40 @@ def budget_reduction(
     network: Optional[PolicyNetwork] = None,
     graphs: Optional[Sequence[TaskGraph]] = None,
     budget_divisor: Optional[int] = None,
-) -> Fig8aResult:
-    """Fig. 8(a): give Spear ``1/budget_divisor`` of the MCTS budget.
+) -> TournamentResult:
+    """Fig. 8(a): MCTS at the scale's budget, Spear at
+    :func:`spear_config`, and the heuristics, on one DAG batch.
 
     Paper setting: MCTS at 1000, Spear at 100 — "we can achieve the same
-    level of performance with only 10% of the budget".  The divisor
-    defaults to the scale's value (10 at paper scale; smaller at laptop
-    scale where budgets are already tiny).
+    level of performance with only 10% of the budget".
     """
     scale = resolve_scale(paper_scale)
-    if budget_divisor is None:
-        budget_divisor = scale.fig8_budget_divisor
     env_config = EnvConfig(process_until_completion=True)
     if network is None:
-        network = cached_network(scale, env_config, seed=seed)
+        network = cached_network(scale, seed=seed)
     if graphs is None:
-        graphs = generate_dags(scale, seed)
+        workload = WorkloadConfig(num_tasks=scale.num_tasks)
+        graphs = random_layered_dags(workload, scale.num_dags, seed)
 
-    spear_budget = max(1, scale.mcts_budget // budget_divisor)
-    spear_min = max(1, scale.mcts_min_budget // budget_divisor)
     schedulers = {
-        "mcts": MctsScheduler(
-            MctsConfig(
-                initial_budget=scale.mcts_budget,
-                min_budget=scale.mcts_min_budget,
-            ),
-            env_config,
-            seed=seed,
-        ),
+        "mcts": MctsScheduler(scale.search_config(), env_config, seed=seed),
         "spear": SpearScheduler(
-            network,
-            MctsConfig(initial_budget=spear_budget, min_budget=spear_min),
-            env_config,
-            seed=seed,
+            network, spear_config(scale, budget_divisor), env_config, seed=seed
         ),
         "tetris": make_scheduler("tetris", env_config),
         "sjf": make_scheduler("sjf", env_config),
         "cp": make_scheduler("cp", env_config),
     }
+    return run_tournament(schedulers, graphs, env_config)
 
-    result = Fig8aResult(
-        scale=scale.label,
-        num_dags=len(graphs),
-        mcts_budget=scale.mcts_budget,
-        spear_budget=spear_budget,
+
+def report(result: TournamentResult, scale: ExperimentScale) -> str:
+    """Text rendering of Fig. 8(a) at ``scale``'s default divisor."""
+    return summary_table(
+        result,
+        f"Fig 8(a): MCTS budget {scale.spear_budget} vs Spear budget "
+        f"{spear_config(scale).initial_budget}",
     )
-    capacities = env_config.cluster.capacities
-    for name, scheduler in schedulers.items():
-        makespans = []
-        for graph in graphs:
-            schedule = scheduler.plan(ScheduleRequest(graph))
-            validate_schedule(schedule, graph, capacities)
-            makespans.append(schedule.makespan)
-        result.makespans[name] = makespans
-    return result
 
 
 @dataclass
@@ -184,34 +149,20 @@ def learning_curve(
     scale = resolve_scale(paper_scale)
     env_config = EnvConfig(process_until_completion=True)
     training = training_config_for_scale(scale)
-    rng = as_generator(seed)
-    graph_rng, net_rng, imit_rng, rl_rng = spawn(rng, 4)
-
+    _, history = train_spear_network(
+        env_config, training, WorkloadConfig(), seed=seed, epochs=epochs
+    )
+    # The examples it trained on: the first of its four seed streams.
+    graph_rng = spawn(as_generator(seed), 4)[0]
     graphs = training_graphs(training, WorkloadConfig(), seed=graph_rng)
-    capacities = env_config.cluster.capacities
-    references = {}
-    for name in ("tetris", "sjf"):
-        scheduler = make_scheduler(name, env_config)
-        makespans = []
-        for graph in graphs:
-            schedule = scheduler.plan(ScheduleRequest(graph))
-            validate_schedule(schedule, graph, capacities)
-            makespans.append(schedule.makespan)
-        references[name] = sum(makespans) / len(makespans)
-
-    network = default_network(env_config, seed=net_rng)
-    pretrain_network(
-        network, graphs, env_config=env_config, training=training, seed=imit_rng
-    )
-    trainer = ReinforceTrainer(
-        network, graphs, env_config=env_config, training=training, seed=rl_rng
-    )
-    history = trainer.train(
-        epochs=epochs if epochs is not None else scale.train_epochs
+    references = run_tournament(
+        {name: make_scheduler(name, env_config) for name in ("tetris", "sjf")},
+        graphs,
+        env_config,
     )
     return Fig8bResult(
         scale=scale.label,
         history=history,
-        tetris_mean=references["tetris"],
-        sjf_mean=references["sjf"],
+        tetris_mean=references.mean("tetris"),
+        sjf_mean=references.mean("sjf"),
     )

@@ -11,16 +11,13 @@ better; Spear runs with a small budget (100 initial / 50 minimum) here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..config import EnvConfig, MctsConfig
 from ..core.spear import SpearScheduler
-from ..metrics.cdf import empirical_cdf, percentile
+from ..metrics.cdf import empirical_cdf
 from ..metrics.comparison import reduction_series
-from ..metrics.schedule import validate_schedule
 from ..rl.network import PolicyNetwork
-from ..schedulers.base import ScheduleRequest
 from ..schedulers.registry import make_scheduler
 from ..traces.job import Trace
 from ..traces.stats import TraceStatistics, trace_statistics
@@ -28,11 +25,13 @@ from ..traces.synthetic import TraceConfig, generate_production_trace
 from .networks import cached_network
 from .reporting import format_cdf
 from .scale import resolve_scale
+from .tournament import TournamentResult, run_tournament
 
 __all__ = [
     "trace_characteristics",
-    "Fig9cResult",
     "reduction_cdf",
+    "reductions",
+    "report",
     "build_trace",
 ]
 
@@ -61,47 +60,12 @@ def trace_characteristics(
     return trace_statistics(build_trace(paper_scale, seed))
 
 
-@dataclass
-class Fig9cResult:
-    """Per-job Spear vs Graphene outcome on the trace."""
-
-    scale: str
-    num_jobs: int
-    spear_makespans: List[int]
-    graphene_makespans: List[int]
-    reductions: List[float]
-
-    def no_worse_fraction(self) -> float:
-        """Fraction of jobs where Spear is no worse (paper: ~90%)."""
-        wins = sum(1 for r in self.reductions if r >= 0.0)
-        return wins / len(self.reductions)
-
-    def max_reduction(self) -> float:
-        """Largest per-job reduction (paper: up to ~20%)."""
-        return max(self.reductions)
-
-    def median_reduction(self) -> float:
-        """Median per-job reduction."""
-        return percentile(self.reductions, 50)
-
-    def cdf(self) -> List[Tuple[float, float]]:
-        """The Fig. 9(c) CDF of reductions."""
-        return empirical_cdf(self.reductions)
-
-    def report(self) -> str:
-        cdf = format_cdf(self.cdf(), value_label="reduction", title="Fig 9(c)")
-        return (
-            f"{cdf}\nno-worse fraction {self.no_worse_fraction():.0%}, "
-            f"max reduction {self.max_reduction():.1%}"
-        )
-
-
 def reduction_cdf(
     paper_scale: Optional[bool] = None,
     seed: int = 0,
     network: Optional[PolicyNetwork] = None,
     trace: Optional[Trace] = None,
-) -> Fig9cResult:
+) -> TournamentResult:
     """Fig. 9(c): schedule every trace job with Spear and Graphene.
 
     Spear uses the trace budget of Sec. V-C (100/50 at paper scale).
@@ -109,7 +73,7 @@ def reduction_cdf(
     scale = resolve_scale(paper_scale)
     env_config = EnvConfig(process_until_completion=True)
     if network is None:
-        network = cached_network(scale, env_config, seed=seed)
+        network = cached_network(scale, seed=seed)
     if trace is None:
         trace = build_trace(paper_scale, seed)
 
@@ -122,23 +86,27 @@ def reduction_cdf(
         env_config,
         seed=seed,
     )
-    graphene = make_scheduler("graphene", env_config)
-    capacities = env_config.cluster.capacities
+    return run_tournament(
+        {"spear": spear, "graphene": make_scheduler("graphene", env_config)},
+        [job.graph for job in trace],
+        env_config,
+    )
 
-    spear_makespans: List[int] = []
-    graphene_makespans: List[int] = []
-    for job in trace:
-        spear_schedule = spear.plan(ScheduleRequest(job.graph))
-        validate_schedule(spear_schedule, job.graph, capacities)
-        spear_makespans.append(spear_schedule.makespan)
-        graphene_schedule = graphene.plan(ScheduleRequest(job.graph))
-        validate_schedule(graphene_schedule, job.graph, capacities)
-        graphene_makespans.append(graphene_schedule.makespan)
 
-    return Fig9cResult(
-        scale=scale.label,
-        num_jobs=len(trace),
-        spear_makespans=spear_makespans,
-        graphene_makespans=graphene_makespans,
-        reductions=reduction_series(spear_makespans, graphene_makespans),
+def reductions(result: TournamentResult) -> List[float]:
+    """Per-job reduction in job duration of Spear over Graphene: the
+    samples of the Fig. 9(c) CDF (paper: >= 0 on ~90% of jobs, up to
+    ~20%)."""
+    return reduction_series(result.makespans["spear"], result.makespans["graphene"])
+
+
+def report(result: TournamentResult) -> str:
+    """The Fig. 9(c) CDF, with the no-worse fraction and the largest
+    reduction the paper quotes."""
+    samples = reductions(result)
+    cdf = format_cdf(empirical_cdf(samples), value_label="reduction", title="Fig 9(c)")
+    no_worse = result.win_rate("spear", "graphene", strict=False)
+    return (
+        f"{cdf}\nno-worse fraction {no_worse:.0%}, "
+        f"max reduction {max(samples):.1%}"
     )

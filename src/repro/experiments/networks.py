@@ -43,26 +43,20 @@ def training_config_for_scale(scale: ExperimentScale) -> TrainingConfig:
     )
 
 
-def cached_network(
-    scale: ExperimentScale,
-    env_config: EnvConfig | None = None,
-    seed: int = 0,
-) -> PolicyNetwork:
+def cached_network(scale: ExperimentScale, seed: int = 0) -> PolicyNetwork:
     """Return the trained network for ``scale``/``seed``, training it once.
 
-    Lookup order: in-process memory, on-disk checkpoint, fresh training
-    (which persists the checkpoint for next time).
+    The network is trained for the experiments' one environment shape
+    (``EnvConfig(process_until_completion=True)``), so ``(scale, seed)``
+    is the whole cache key.  Lookup order: in-process memory, on-disk
+    checkpoint, fresh training (which persists the checkpoint for next
+    time).
     """
 
     key = (scale.label, seed)
     if key in _MEMORY_CACHE:
         return _MEMORY_CACHE[key]
 
-    env_config = (
-        env_config
-        if env_config is not None
-        else EnvConfig(process_until_completion=True)
-    )
     path = cache_dir() / f"spear-network-{scale.label}-seed{seed}.npz"
     if path.exists():
         try:
@@ -74,7 +68,7 @@ def cached_network(
 
     training = training_config_for_scale(scale)
     network, _ = train_spear_network(
-        env_config=env_config,
+        env_config=EnvConfig(process_until_completion=True),
         training=training,
         workload=WorkloadConfig(),
         seed=seed,

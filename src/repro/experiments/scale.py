@@ -14,6 +14,8 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from ..config import MctsConfig
+
 __all__ = ["ExperimentScale", "resolve_scale", "paper_scale_requested"]
 
 
@@ -25,11 +27,9 @@ class ExperimentScale:
     # Workload
     num_dags: int
     num_tasks: int
-    # Search budgets
+    # Search budget of Spear and of the pure-MCTS arms it is compared with
     spear_budget: int
     spear_min_budget: int
-    mcts_budget: int
-    mcts_min_budget: int
     # Fig. 7 sweep
     sweep_budgets: Tuple[int, ...]
     sweep_num_dags: int
@@ -50,6 +50,13 @@ class ExperimentScale:
     trace_spear_budget: int
     trace_spear_min_budget: int
 
+    def search_config(self) -> MctsConfig:
+        """The search of Spear and of the pure-MCTS arms it is compared
+        with: ``spear_budget`` / ``spear_min_budget``."""
+        return MctsConfig(
+            initial_budget=self.spear_budget, min_budget=self.spear_min_budget
+        )
+
 
 #: Reduced configuration: minutes, not hours, on one core.
 LAPTOP = ExperimentScale(
@@ -58,8 +65,6 @@ LAPTOP = ExperimentScale(
     num_tasks=30,
     spear_budget=50,
     spear_min_budget=10,
-    mcts_budget=50,
-    mcts_min_budget=10,
     sweep_budgets=(5, 15, 40, 80),
     sweep_num_dags=5,
     sweep_min_budget=5,
@@ -83,8 +88,6 @@ PAPER = ExperimentScale(
     num_tasks=100,
     spear_budget=1000,
     spear_min_budget=100,
-    mcts_budget=1000,
-    mcts_min_budget=100,
     sweep_budgets=(500, 600, 1000, 2200),
     sweep_num_dags=100,
     sweep_min_budget=5,

@@ -1,12 +1,14 @@
-"""Round-robin scheduler tournaments with a paired verdict per competitor.
+"""The one scheduling loop of the experiments: round-robin tournaments.
 
-Beyond reproducing individual figures, a downstream user wants one
-command that answers "which scheduler should I run on my workload?".
-:func:`run_tournament` schedules every job with every competitor, then
-reports mean makespans, pairwise win matrices, and each competitor's
-:func:`~repro.metrics.stats.paired_verdict` against the chosen reference
-scheduler (the paper's comparisons are pairwise per DAG, e.g. "Spear
-outperforms Graphene in 90% of the cases").
+Every figure of Sec. V schedules a batch of DAGs with a set of arms and
+compares them DAG by DAG ("Spear outperforms Graphene in 90% of the
+cases").  :func:`run_tournament` is that protocol — the only place in
+:mod:`repro.experiments` that plans and validates a schedule — and
+:class:`TournamentResult` is every figure's result: per-arm, per-job
+makespans and wall times, mean makespans, win rates, and each arm's
+:func:`~repro.metrics.stats.paired_verdict` against a reference.  ``repro
+compare`` runs one over random DAGs to answer "which scheduler should I
+run on my workload?".
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from ..schedulers.base import Scheduler, ScheduleRequest
 from ..telemetry import runtime as _telemetry
 from .reporting import format_table
 
-__all__ = ["TournamentResult", "run_tournament"]
+__all__ = ["TournamentResult", "run_tournament", "summary_table"]
 
 
 @dataclass
@@ -39,11 +41,21 @@ class TournamentResult:
         """Schedulers ordered by mean makespan (best first)."""
         return compare_makespans(self.makespans)
 
+    def mean(self, name: str) -> float:
+        """Mean makespan of ``name`` over the jobs."""
+        values = self.makespans[name]
+        return sum(values) / len(values)
+
+    def win_rate(self, a: str, b: str, strict: bool = True) -> float:
+        """Fraction of jobs where ``a`` beats ``b`` (ties count when not
+        ``strict``: "no worse than")."""
+        return win_rate(self.makespans[a], self.makespans[b], strict=strict)
+
     def win_matrix(self) -> Dict[Tuple[str, str], float]:
         """``(a, b) -> fraction of jobs where a strictly beats b``."""
         names = sorted(self.makespans)
         return {
-            (a, b): win_rate(self.makespans[a], self.makespans[b])
+            (a, b): self.win_rate(a, b)
             for a in names
             for b in names
             if a != b
@@ -68,9 +80,7 @@ class TournamentResult:
                 rows.append((row.scheduler, row.mean, row.median) + ("-",) * 5)
                 continue
             v = self.verdict(row.scheduler)
-            win = win_rate(
-                self.makespans[row.scheduler], self.makespans[self.reference]
-            )
+            win = self.win_rate(row.scheduler, self.reference)
             rows.append((
                 row.scheduler,
                 row.mean,
@@ -149,4 +159,16 @@ def run_tournament(
                     )
     return TournamentResult(
         makespans=makespans, wall_times=wall_times, reference=reference
+    )
+
+
+def summary_table(result: TournamentResult, title: str) -> str:
+    """Mean, median, best and worst makespan per arm, best mean first,
+    under ``title`` and the job count."""
+    ranking = result.ranking()
+    rows = [(r.scheduler, r.mean, r.median, r.best, r.worst) for r in ranking]
+    return format_table(
+        ["scheduler", "mean", "median", "best", "worst"],
+        rows,
+        title=f"{title}, {ranking[0].num_jobs} DAGs",
     )

@@ -15,6 +15,7 @@ import pytest
 from repro import EnvConfig, MctsConfig
 from repro.config import GnnConfig, TrainingConfig
 from repro.core.spear import SpearScheduler
+from repro.experiments import ExperimentScale
 from repro.rl.ppo import PpoTrainer
 from repro.rl.reinforce import ReinforceTrainer
 from repro.schedulers.registry import scheduler_options
@@ -34,6 +35,13 @@ CONFIG_FIELDS = {
         "learning_rate max_episode_steps max_grad_norm normalize_advantages "
         "num_examples ppo_clip ppo_epochs ppo_minibatch rho rollouts_per_example "
         "seed supervised_epochs value_epochs value_learning_rate"
+    ),
+    ExperimentScale: (
+        "fig8_budget_divisor grid_budgets grid_sizes label num_dags num_tasks "
+        "spear_budget spear_min_budget supervised_epochs sweep_budgets "
+        "sweep_min_budget sweep_num_dags trace_jobs trace_spear_budget "
+        "trace_spear_min_budget train_epochs train_examples train_rollouts "
+        "train_tasks"
     ),
 }
 

@@ -222,3 +222,23 @@ def test_spear_rolls_out_to_termination():
         REPO / "src",
         REPO / "examples",
     )
+
+
+def test_every_experiment_plans_through_run_tournament():
+    # Every figure is one round-robin tournament: the per-figure
+    # plan -> validate -> append loops were folded into run_tournament,
+    # and the batches they scheduled come from one generator.
+    experiments = SRC / "experiments"
+    assert files_of(grep(r"\.plan\(|validate_schedule\(", experiments)) == [
+        "src/repro/experiments/tournament.py"
+    ]
+    batch_sites = []
+    for path in sorted(SRC.rglob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        batch_sites += [
+            str(path.relative_to(REPO))
+            for number, line in enumerate(lines)
+            if "spawn(" in line
+            and any("random_layered_dag" in near for near in lines[max(0, number - 2) : number + 3])
+        ]
+    assert sorted(set(batch_sites)) == ["src/repro/dag/generators.py"]

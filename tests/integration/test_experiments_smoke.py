@@ -8,13 +8,18 @@ invariants), not the paper's quantitative claims — those live in
 import pytest
 
 from repro.experiments import (
+    ablations,
     budget_reduction,
     budget_sweep,
+    fig6,
+    fig7,
+    fig8,
+    fig9,
     learning_curve,
     makespan_comparison,
     reduction_cdf,
-    runtime_comparison,
     runtime_grid,
+    table1,
     trace_characteristics,
 )
 from repro.experiments.ablations import run_ablation
@@ -26,8 +31,6 @@ MICRO = ExperimentScale(
     num_tasks=10,
     spear_budget=6,
     spear_min_budget=3,
-    mcts_budget=6,
-    mcts_min_budget=3,
     sweep_budgets=(3, 6),
     sweep_num_dags=2,
     sweep_min_budget=2,
@@ -65,50 +68,43 @@ class TestFig6:
             len(v) == 2 and all(t >= 0 for t in v)
             for v in result.wall_times.values()
         )
-        rows = result.rows()
+        rows = result.ranking()
         assert rows[0].mean <= rows[-1].mean
-        assert 0.0 <= result.win_rate_over("graphene") <= 1.0
-        assert "Fig 6(a)" in result.report()
-
-    def test_runtime_comparison_reuses_result(self):
-        result = makespan_comparison(seed=0)
-        times = runtime_comparison(result=result)
-        assert times["spear"] == result.wall_times["spear"]
-        assert times["graphene"] == result.wall_times["graphene"]
+        assert 0.0 <= result.win_rate("spear", "graphene") <= 1.0
+        assert "Fig 6(a)" in fig6.report(result)
 
 
 class TestFig7:
     def test_budget_sweep(self):
         result = budget_sweep(seed=0)
-        assert [p.budget for p in result.points] == [3, 6]
-        for point in result.points:
-            assert point.mean_makespan > 0
-            assert 0.0 <= point.win_rate_vs_tetris <= 1.0
-            assert len(point.makespans) == 2
-        assert len(result.mean_makespans()) == 2
-        assert "budget" in result.report()
+        assert list(result.makespans) == ["tetris", "mcts@3", "mcts@6"]
+        assert result.reference == "tetris"
+        for arm in ("mcts@3", "mcts@6"):
+            assert result.mean(arm) > 0
+            assert 0.0 <= result.win_rate(arm, "tetris") <= 1.0
+            assert len(result.makespans[arm]) == 2
+        assert "budget" in fig7.report(result)
 
 
 class TestTable1:
     def test_runtime_grid(self):
-        result = runtime_grid(seed=0)
-        assert set(result.seconds) == {(8, 3), (8, 6)}
-        assert all(s >= 0 for s in result.seconds.values())
-        assert all(m > 0 for m in result.makespans.values())
-        assert "Table I" in result.report()
+        grid = runtime_grid(seed=0)
+        assert set(table1.seconds(grid)) == {(8, 3), (8, 6)}
+        assert all(s >= 0 for s in table1.seconds(grid).values())
+        assert all(m > 0 for m, in grid[8].makespans.values())
+        assert "Table I" in table1.report(grid)
 
     def test_more_budget_more_time(self):
-        result = runtime_grid(seed=0)
-        row = result.row(8)
-        assert row[1] >= row[0] * 0.5  # noisy at micro scale; sanity only
+        cells = table1.seconds(runtime_grid(seed=0))
+        assert cells[(8, 6)] >= cells[(8, 3)] * 0.5  # noisy at micro scale; sanity only
 
 
 class TestFig8:
     def test_budget_reduction(self):
         result = budget_reduction(seed=0)
         assert set(result.makespans) == {"mcts", "spear", "tetris", "sjf", "cp"}
-        assert result.budget_ratio() == 2.0
-        assert "Fig 8(a)" in result.report()
+        assert fig8.spear_config(MICRO).initial_budget == 3
+        assert "Fig 8(a)" in fig8.report(result, MICRO)
 
     def test_learning_curve(self):
         result = learning_curve(seed=0, epochs=2)
@@ -130,11 +126,11 @@ class TestFig9:
 
     def test_reduction_cdf(self):
         result = reduction_cdf(seed=0)
-        assert result.num_jobs == 2
-        assert len(result.reductions) == 2
-        assert all(-1.0 < r < 1.0 for r in result.reductions)
-        assert 0.0 <= result.no_worse_fraction() <= 1.0
-        assert "Fig 9(c)" in result.report()
+        reductions = fig9.reductions(result)
+        assert len(reductions) == 2
+        assert all(-1.0 < r < 1.0 for r in reductions)
+        assert 0.0 <= result.win_rate("spear", "graphene", strict=False) <= 1.0
+        assert "Fig 9(c)" in fig9.report(result)
 
 
 class TestAblations:
@@ -147,7 +143,7 @@ class TestAblations:
         assert set(result.makespans) == {"on", "off"}
         assert result.mean("on") > 0
         assert result.mean("off") > 0
-        assert name in result.report()
+        assert name in ablations.report(name, result)
 
     def test_unknown_ablation_rejected(self):
         with pytest.raises(KeyError):

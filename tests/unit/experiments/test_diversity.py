@@ -3,8 +3,9 @@
 import pytest
 
 from repro.experiments.diversity import (
-    DiversityResult,
     diversity_study,
+    report,
+    wins,
     workload_families,
 )
 
@@ -37,29 +38,29 @@ class TestDiversityStudy:
         )
 
     def test_every_cell_filled(self, result):
-        for family, per in result.makespans.items():
-            assert set(per) == {"tetris", "sjf", "cp"}
-            assert all(m > 0 for m in per.values())
+        for family, tournament in result.items():
+            assert set(tournament.makespans) == {"tetris", "sjf", "cp"}
+            assert all(m > 0 for m, in tournament.makespans.values())
 
     def test_ranking_is_sorted(self, result):
-        for family in result.makespans:
-            ranking = result.ranking(family)
-            makespans = [result.makespans[family][name] for name in ranking]
+        for tournament in result.values():
+            ranking = [row.scheduler for row in tournament.ranking()]
+            makespans = [tournament.makespans[name][0] for name in ranking]
             assert makespans == sorted(makespans)
 
     def test_wins_bounded_by_family_count(self, result):
         for name in ("tetris", "sjf", "cp"):
-            assert 0 <= result.wins(name) <= len(result.makespans)
+            assert 0 <= wins(result, name) <= len(result)
 
     def test_wins_sum_at_least_family_count(self, result):
         # Every family has at least one (co-)winner.
-        total = sum(result.wins(name) for name in ("tetris", "sjf", "cp"))
-        assert total >= len(result.makespans)
+        total = sum(wins(result, name) for name in ("tetris", "sjf", "cp"))
+        assert total >= len(result)
 
     def test_report_contains_families(self, result):
-        report = result.report()
+        text = report(result)
         for family in ("gaussian", "fft", "stencil", "cholesky"):
-            assert family in report
+            assert family in text
 
     def test_mcts_included_when_requested(self):
         result = diversity_study(
@@ -68,5 +69,5 @@ class TestDiversityStudy:
             include_mcts=True,
             size_hint=3,
         )
-        for per in result.makespans.values():
-            assert "mcts" in per
+        for tournament in result.values():
+            assert "mcts" in tournament.makespans

@@ -3,9 +3,12 @@
 import pytest
 
 from repro.experiments.generalization import (
-    GeneralizationResult,
+    gap_to_best_heuristic,
     generalization_study,
+    parameter_counts,
+    report,
 )
+from repro.experiments.tournament import TournamentResult
 
 
 @pytest.fixture(scope="module")
@@ -16,25 +19,24 @@ def result():
 
 
 def test_all_schedulers_evaluated(result):
-    assert result.eval_sizes == (16,)
-    data = result.makespans[16]
+    assert list(result) == [16]
+    data = result[16].makespans
     assert set(data) == {"drl-gnn", "drl-mlp", "tetris", "sjf", "cp"}
     assert all(len(v) == 2 for v in data.values())
     assert all(m > 0 for v in data.values() for m in v)
 
 
-def test_parameter_counts_recorded(result):
-    assert result.num_parameters["drl-gnn"] > 0
+def test_parameter_counts_recorded():
+    counts = parameter_counts()
+    assert counts["drl-gnn"] > 0
     # The whole point: the graph policy is much smaller than the
     # windowed MLP at default shapes.
-    assert (
-        result.num_parameters["drl-gnn"] < result.num_parameters["drl-mlp"]
-    )
+    assert counts["drl-gnn"] < counts["drl-mlp"]
 
 
 def test_gap_is_relative_to_best_heuristic(result):
-    gap = result.gap_to_best_heuristic(16, "drl-gnn")
-    data = result.makespans[16]
+    gap = gap_to_best_heuristic(result[16], "drl-gnn")
+    data = result[16].makespans
     best = min(
         sum(data[h]) / len(data[h]) for h in ("tetris", "sjf", "cp")
     )
@@ -43,16 +45,20 @@ def test_gap_is_relative_to_best_heuristic(result):
 
 
 def test_report_mentions_sizes_and_params(result):
-    report = result.report()
-    assert "16-task DAGs" in report
-    assert "params" in report
-    assert "gap to best heuristic" in report
+    text = report(result, train_tasks=8)
+    assert "16-task DAGs, 2x training size, 2 DAGs" in text
+    assert "params" in text
+    assert "gap to best heuristic" in text
 
 
 def test_result_type_roundtrip():
-    r = GeneralizationResult(train_tasks=4, eval_sizes=(8,), num_dags=1)
-    r.makespans[8] = {
+    makespans = {
         "drl-gnn": [10], "drl-mlp": [12],
         "tetris": [11], "sjf": [13], "cp": [12],
     }
-    assert r.gap_to_best_heuristic(8, "drl-gnn") == pytest.approx(10 / 11)
+    r = TournamentResult(
+        makespans=makespans,
+        wall_times={name: [0.0] for name in makespans},
+        reference="tetris",
+    )
+    assert gap_to_best_heuristic(r, "drl-gnn") == pytest.approx(10 / 11)

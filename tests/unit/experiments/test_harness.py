@@ -27,8 +27,8 @@ class TestScaleResolution:
 
     def test_paper_scale_matches_publication(self):
         assert PAPER.num_tasks == 100
-        assert PAPER.mcts_budget == 1000
-        assert PAPER.mcts_min_budget == 100
+        assert PAPER.spear_budget == 1000
+        assert PAPER.spear_min_budget == 100
         assert PAPER.sweep_budgets == (500, 600, 1000, 2200)
         assert PAPER.train_examples == 144
         assert PAPER.train_tasks == 25
@@ -41,7 +41,7 @@ class TestScaleResolution:
 
     def test_laptop_scale_is_smaller_everywhere(self):
         assert LAPTOP.num_tasks < PAPER.num_tasks
-        assert LAPTOP.mcts_budget < PAPER.mcts_budget
+        assert LAPTOP.spear_budget < PAPER.spear_budget
         assert LAPTOP.train_epochs < PAPER.train_epochs
         assert LAPTOP.trace_jobs < PAPER.trace_jobs
 
@@ -89,8 +89,6 @@ class TestNetworkCache:
             num_tasks=8,
             spear_budget=5,
             spear_min_budget=2,
-            mcts_budget=5,
-            mcts_min_budget=2,
             sweep_budgets=(2,),
             sweep_num_dags=1,
             sweep_min_budget=2,
