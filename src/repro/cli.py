@@ -752,19 +752,14 @@ def _cmd_online(args: argparse.Namespace) -> int:
 
     names = [n.strip() for n in args.rankers.split(",") if n.strip()]
     known = {}
-    unknown = []
     for name in names:
         try:
             known[name] = resolve_ranker(name)
-        except KeyError:
-            unknown.append(name)
-    if unknown:
-        print(
-            f"unknown rankers {unknown}; choose from "
-            "['cp', 'fifo', 'sjf', 'tetris']",
-            file=sys.stderr,
-        )
-        return 2
+        except KeyError as exc:
+            print(f"online: {exc.args[0]}", file=sys.stderr)
+            return 2
+    if not names:
+        raise ConfigError("--rankers names no ranker")
 
     trace = generate_production_trace(
         TraceConfig(num_jobs=args.jobs, runtime_scale=args.runtime_scale),

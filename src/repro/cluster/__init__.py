@@ -1,17 +1,16 @@
-"""Cluster substrate: multi-resource capacity tracking and the
-resource-time space of Sec. III-B.
+"""Cluster substrate: multi-resource capacity tracking.
 
 * :class:`ClusterState` — the live simulator state used by the scheduling
   environment and MCTS: which tasks are running, what capacity is free,
   and event-driven time advancement.
-* :class:`ResourceTimeSpace` — the two-dimensional (resource x time)
-  occupancy grid used for Graphene's forward/backward placement.
+
+Graphene's virtual resource-time space (Sec. III-B) is a step-function
+profile private to :mod:`repro.schedulers.graphene`, its only user.
 """
 
 from .resources import ResourceVector, fits, subtract, add
 from .sim_adapter import ClusterProcess
 from .state import ClusterState, RunningTask
-from .timeline import ResourceTimeSpace
 
 __all__ = [
     "ResourceVector",
@@ -21,5 +20,4 @@ __all__ = [
     "ClusterProcess",
     "ClusterState",
     "RunningTask",
-    "ResourceTimeSpace",
 ]

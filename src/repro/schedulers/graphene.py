@@ -28,14 +28,16 @@ The best makespan over ``len(thresholds) x 2`` candidate plans is returned.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..cluster.timeline import ResourceTimeSpace
+from ..cluster.resources import validate_demands
 from ..config import EnvConfig, GrapheneConfig
 from ..dag.analysis import makespan_lower_bound
 from ..dag.graph import TaskGraph
 from ..env.scheduling_env import SchedulingEnv
+from ..errors import CapacityError, PlacementError
 from ..metrics.schedule import Schedule
 from ..utils.timing import Stopwatch
 from .base import Scheduler, ScheduleRequest, _planning_config, run_policy
@@ -53,6 +55,119 @@ class GraphenePlan:
     direction: str  # "forward" | "backward"
     troublesome: Tuple[int, ...]
     virtual_makespan: int
+
+
+class ResourceProfile:
+    """The virtual resource-time space of Sec. III-B as a step function.
+
+    "Each resource dimension can be expressed as a separate rectangle with
+    the width representing the capacity and the height denoting the time
+    span."  Usage only changes where a placed task starts or ends, so the
+    space is kept as sorted breakpoints ``times`` and the usage of each
+    segment ``[times[i], times[i + 1])``.  The last segment is empty and
+    runs forever, so a demand within capacity always fits somewhere and
+    the space never has to be sized in advance.
+
+    Args:
+        capacities: slots per resource dimension.
+    """
+
+    def __init__(self, capacities: Sequence[int]) -> None:
+        if not capacities or any(c <= 0 for c in capacities):
+            raise CapacityError(f"invalid capacities {tuple(capacities)}")
+        self.capacities: Tuple[int, ...] = tuple(int(c) for c in capacities)
+        self._times: List[int] = [0]
+        self._usage: List[Tuple[int, ...]] = [(0,) * len(self.capacities)]
+
+    def _check(self, demands: Sequence[int], duration: int) -> None:
+        if duration < 1:
+            raise PlacementError("duration must be >= 1")
+        validate_demands(demands, self.capacities, label="placement")
+
+    def _blocks(self, segment: int, demands: Sequence[int]) -> bool:
+        """True iff ``demands`` do not fit on top of ``segment``'s usage."""
+        return any(
+            used + demand > capacity
+            for used, demand, capacity in zip(
+                self._usage[segment], demands, self.capacities
+            )
+        )
+
+    def earliest_start(
+        self, demands: Sequence[int], duration: int, not_before: int = 0
+    ) -> int:
+        """Earliest ``t >= not_before`` at which the rectangle fits."""
+        self._check(demands, duration)
+        start = max(0, int(not_before))
+        segment = bisect_right(self._times, start) - 1
+        while True:
+            end = start + duration
+            while segment < len(self._times) and self._times[segment] < end:
+                if self._blocks(segment, demands):
+                    break
+                segment += 1
+            else:
+                return start
+            # Every start before the blocking segment ends overlaps it.
+            segment += 1
+            start = self._times[segment]
+
+    def latest_start(
+        self, demands: Sequence[int], duration: int, deadline: int
+    ) -> Optional[int]:
+        """Latest ``t >= 0`` with ``t + duration <= deadline`` at which the
+        rectangle fits; ``None`` if no such ``t`` exists.
+
+        This is the primitive behind Graphene's *backward* placement, which
+        packs troublesome tasks from the top of the time horizon downward.
+        """
+        self._check(demands, duration)
+        start = int(deadline) - int(duration)
+        while start >= 0:
+            segment = bisect_left(self._times, start + duration) - 1
+            while not self._blocks(segment, demands):
+                if self._times[segment] <= start:
+                    return start
+                segment -= 1
+            # Every start after the blocking segment begins overlaps it.
+            start = self._times[segment] - duration
+        return None
+
+    def _split(self, t: int) -> int:
+        """Index of the segment starting at ``t``, splitting one if needed."""
+        segment = bisect_right(self._times, t) - 1
+        if self._times[segment] == t:
+            return segment
+        self._times.insert(segment + 1, t)
+        self._usage.insert(segment + 1, self._usage[segment])
+        return segment + 1
+
+    def place(self, demands: Sequence[int], start: int, duration: int) -> None:
+        """Occupy ``demands`` during ``[start, start + duration)``.
+
+        Raises:
+            PlacementError: if the rectangle does not fit there.
+        """
+        if start < 0:
+            raise PlacementError(f"cannot place at t={start} < 0")
+        self._check(demands, duration)
+        first, last = self._split(start), self._split(start + duration)
+        if any(self._blocks(segment, demands) for segment in range(first, last)):
+            raise PlacementError(
+                f"demands {tuple(demands)} do not fit at t={start} "
+                f"for {duration} slots"
+            )
+        for segment in range(first, last):
+            self._usage[segment] = tuple(
+                used + demand for used, demand in zip(self._usage[segment], demands)
+            )
+
+    def makespan(self) -> int:
+        """End of the last occupied segment (0 if the space is empty)."""
+        for segment in range(len(self._times) - 2, -1, -1):
+            if any(self._usage[segment]):
+                return self._times[segment + 1]
+        return 0
 
 
 class GrapheneScheduler(Scheduler):
@@ -101,7 +216,7 @@ class GrapheneScheduler(Scheduler):
     def _place_troublesome(
         self,
         graph: TaskGraph,
-        space: ResourceTimeSpace,
+        space: ResourceProfile,
         troublesome: Sequence[int],
         direction: str,
     ) -> Dict[int, int]:
@@ -112,37 +227,20 @@ class GrapheneScheduler(Scheduler):
         proportional to the job's makespan lower bound, growing it if a
         task cannot fit below it.
         """
-        capacities = self.env_config.cluster.capacities
-        ordered = sorted(
-            troublesome,
-            key=lambda tid: (-graph.task(tid).runtime, tid),
-        )
+        bound = makespan_lower_bound(graph, self.env_config.cluster.capacities)
+        horizon = max(1, int(self.config.space_time_horizon_factor * bound))
         starts: Dict[int, int] = {}
-        if direction == "forward":
-            for tid in ordered:
-                task = graph.task(tid)
-                start = space.earliest_start(task.demands, task.runtime)
-                space.place(task.demands, start, task.runtime)
-                starts[tid] = start
-            return starts
-
-        horizon = max(
-            1,
-            int(
-                self.config.space_time_horizon_factor
-                * makespan_lower_bound(graph, capacities)
-            ),
-        )
+        ordered = sorted(troublesome, key=lambda tid: (-graph.task(tid).runtime, tid))
         for tid in ordered:
             task = graph.task(tid)
-            start: Optional[int] = space.latest_start(
-                task.demands, task.runtime, deadline=horizon
+            start = (
+                space.earliest_start(task.demands, task.runtime)
+                if direction == "forward"
+                else space.latest_start(task.demands, task.runtime, horizon)
             )
             while start is None:
                 horizon *= 2
-                start = space.latest_start(
-                    task.demands, task.runtime, deadline=horizon
-                )
+                start = space.latest_start(task.demands, task.runtime, horizon)
             space.place(task.demands, start, task.runtime)
             starts[tid] = start
         return starts
@@ -151,14 +249,12 @@ class GrapheneScheduler(Scheduler):
         self, graph: TaskGraph, threshold: float, direction: str
     ) -> GraphenePlan:
         """Construct one candidate plan for (threshold, direction)."""
-        capacities = self.env_config.cluster.capacities
-        space = ResourceTimeSpace(capacities)
+        space = ResourceProfile(self.env_config.cluster.capacities)
         troublesome = self.identify_troublesome(graph, threshold)
         starts = self._place_troublesome(graph, space, troublesome, direction)
 
-        placed = set(starts)
         for tid in graph.topological_order():
-            if tid in placed:
+            if tid in starts:
                 continue
             task = graph.task(tid)
             ready_after = 0
@@ -172,7 +268,6 @@ class GrapheneScheduler(Scheduler):
             )
             space.place(task.demands, start, task.runtime)
             starts[tid] = start
-            placed.add(tid)
 
         order = tuple(sorted(starts, key=lambda tid: (starts[tid], tid)))
         return GraphenePlan(

@@ -20,6 +20,8 @@ from typing import Callable, Union
 
 import numpy as np
 
+from ..errors import ConfigError
+
 SeedLike = Union[None, int, np.random.Generator]
 
 __all__ = ["as_generator", "spawn", "derive_seed", "bounded_draw"]
@@ -30,10 +32,16 @@ def as_generator(seed: SeedLike = None) -> np.random.Generator:
 
     Accepts ``None`` (fresh OS entropy), an ``int`` seed, or an existing
     generator (returned unchanged, *not* copied).
+
+    Raises:
+        ConfigError: for a negative integer seed (NumPy's own error is a
+            bare ``ValueError`` deep inside whatever drew first).
     """
 
     if isinstance(seed, np.random.Generator):
         return seed
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ConfigError("seed must be >= 0")
     return np.random.default_rng(seed)
 
 

@@ -242,3 +242,14 @@ def test_every_experiment_plans_through_run_tournament():
             and any("random_layered_dag" in near for near in lines[max(0, number - 2) : number + 3])
         ]
     assert sorted(set(batch_sites)) == ["src/repro/dag/generators.py"]
+
+
+def test_graphene_packs_a_step_function():
+    # Graphene's virtual resource-time space is a step function of usage
+    # over time, kept where Graphene plans; the dense NumPy
+    # (resource, slot) grid it replaced is the oracle in
+    # tests/property/test_cluster_properties.py, not library code.
+    assert not (SRC / "cluster" / "timeline.py").exists()
+    assert not grep("ResourceTimeSpace", REPO / "src", REPO / "examples")
+    graphene = SRC / "schedulers" / "graphene.py"
+    assert not grep(r"^\s*(import numpy|from numpy)", graphene)

@@ -149,7 +149,16 @@ class TestCommands:
 
     def test_online_unknown_ranker(self, capsys):
         assert main(["online", "--rankers", "quantum"]) == 2
-        assert "unknown rankers" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "online: unknown ranker 'quantum'; "
+            "choose from ['cp', 'fifo', 'sjf', 'tetris']\n"
+        )
+
+    def test_online_without_rankers_exits_2(self, capsys):
+        assert main(["online", "--rankers", ","]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "online: --rankers names no ranker\n"
+        assert captured.out == ""
 
 
 class TestSchedulersCommand:
@@ -399,6 +408,21 @@ class TestServeCommand:
         assert capsys.readouterr().err
 
 
+#: Every command that takes ``--seed``, with the arguments it needs to run.
+SEEDED_COMMANDS = (
+    ("simulate", ()),
+    ("train", ()),
+    ("trace", ()),
+    ("experiment", ("fig6a",)),
+    ("ablation", ("budget-decay",)),
+    ("compare", ()),
+    ("online", ()),
+    ("stream", ()),
+    ("federate", ()),
+    ("serve", ("--smoke",)),
+)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -407,9 +431,13 @@ class TestServeCommand:
         ["simulate", "--tasks", "0"],
         ["online", "--jobs", "0"],
         ["compare", "--jobs", "0"],
+        *(
+            [command, *extra, "--seed", "-1"]
+            for command, extra in SEEDED_COMMANDS
+        ),
     ],
     ids=["train-grad-clip", "train-examples", "simulate-tasks", "online-jobs",
-         "compare-jobs"],
+         "compare-jobs", *(f"{command}-seed" for command, _ in SEEDED_COMMANDS)],
 )
 def test_invalid_argument_is_a_one_line_error(argv, capsys):
     # A ConfigError from any command is `<command>: <message>`, exit 2;

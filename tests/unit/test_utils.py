@@ -31,6 +31,11 @@ class TestRng:
         a, b = as_generator(None), as_generator(None)
         assert a is not b
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3)])
+    def test_negative_seed_is_a_config_error(self, seed):
+        with pytest.raises(errors.ConfigError, match="seed must be >= 0"):
+            as_generator(seed)
+
     def test_same_seed_same_stream(self):
         assert as_generator(7).integers(0, 100) == as_generator(7).integers(0, 100)
 
