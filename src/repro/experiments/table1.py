@@ -8,6 +8,7 @@ is the monotone growth along both axes.
 
 from __future__ import annotations
 
+import gc
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..config import EnvConfig, MctsConfig, WorkloadConfig
@@ -33,6 +34,11 @@ def runtime_grid(
     One random DAG per graph size (shared across budgets, so the budget
     axis is measured on identical instances), scheduled in one
     tournament per size by a fresh arm ``mcts@<budget>`` per cell.
+
+    The caller's objects are frozen out of the collector for the
+    duration: a full collection of a large heap costs ten times a
+    micro-scale cell, and would otherwise land in whichever cell
+    happened to trip it.
     """
     scale = resolve_scale(paper_scale)
     env_config = EnvConfig(process_until_completion=True)
@@ -57,10 +63,15 @@ def runtime_grid(
         }
         for size in sizes
     }
-    return {
-        size: run_tournament(arms[size], [graphs[size]], env_config)
-        for size in sizes
-    }
+    gc.collect()
+    gc.freeze()
+    try:
+        return {
+            size: run_tournament(arms[size], [graphs[size]], env_config)
+            for size in sizes
+        }
+    finally:
+        gc.unfreeze()
 
 
 def seconds(grid: Dict[int, TournamentResult]) -> Dict[Tuple[int, int], float]:
