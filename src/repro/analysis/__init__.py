@@ -5,9 +5,9 @@ emitted :class:`repro.metrics.Schedule` respects every feasibility
 invariant of its :class:`repro.dag.TaskGraph` and cluster capacity,
 returning structured :class:`Violation` records instead of booleans.
 
-It backs ``repro verify``, the scheduler registry
-(``make_scheduler(name, validate=True)``) and the environment's terminal
-states (``EnvConfig(verify_terminal=True)``).  The repository's own
+It backs ``repro verify``, the ``verify=true`` scheduler spec key
+(:class:`repro.schedulers.registry.VerifyingScheduler`) and the
+tournament harness's per-plan check.  The repository's own
 source discipline is checked by tier-1 tests instead: sim time in
 ``tests/arch/test_sim_time.py``, root-parallel search in
 ``tests/unit/mcts/test_parallel.py``.

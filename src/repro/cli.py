@@ -751,13 +751,7 @@ def _cmd_online(args: argparse.Namespace) -> int:
     from .traces.synthetic import TraceConfig, generate_production_trace
 
     names = [n.strip() for n in args.rankers.split(",") if n.strip()]
-    known = {}
-    for name in names:
-        try:
-            known[name] = resolve_ranker(name)
-        except KeyError as exc:
-            print(f"online: {exc.args[0]}", file=sys.stderr)
-            return 2
+    known = {name: resolve_ranker(name) for name in names}
     if not names:
         raise ConfigError("--rankers names no ranker")
 
@@ -798,7 +792,7 @@ def _cmd_online(args: argparse.Namespace) -> int:
             replan_budget=args.replan_budget,
         )
 
-    simulator = OnlineSimulator(telemetry=None)
+    simulator = OnlineSimulator()
     rows = []
     violations = 0
     recovered = 0
@@ -866,11 +860,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         streaming_workload,
     )
 
-    try:
-        ranker = resolve_ranker(args.ranker)
-    except KeyError as exc:
-        print(f"stream: {exc.args[0]}", file=sys.stderr)
-        return 2
+    ranker = resolve_ranker(args.ranker)
     env_config = EnvConfig(process_until_completion=True)
     capacities = env_config.cluster.capacities
     factory = layered_job_factory(streaming_workload(num_tasks=args.tasks))
@@ -967,11 +957,7 @@ def _cmd_federate(args: argparse.Namespace) -> int:
         streaming_workload,
     )
 
-    try:
-        ranker = resolve_ranker(args.ranker)
-    except KeyError as exc:
-        print(f"federate: {exc.args[0]}", file=sys.stderr)
-        return 2
+    ranker = resolve_ranker(args.ranker)
     env_config = EnvConfig(process_until_completion=True)
     total = env_config.cluster.capacities
     router = parse_router_spec(args.router)

@@ -23,7 +23,7 @@ out-of-range values and is invoked in ``__post_init__``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .errors import ConfigError
 from .telemetry.config import TelemetryConfig
@@ -295,15 +295,6 @@ class EnvConfig:
             DRL state (Sec. III-D).  ``False`` zeroes them, reproducing the
             demand-only ablation the paper says "can only obtain suboptimal
             performance like Tetris".
-        verify_terminal: assert the full schedule-invariant set (see
-            :mod:`repro.analysis.verifier`) whenever an episode reaches a
-            terminal state; opt-in because it costs an event sweep per
-            episode.
-        telemetry: where episode counters (steps, clones) report.
-            ``None`` (the default) defers to the globally active pipeline
-            (:func:`repro.telemetry.active`); an enabled config binds all
-            environments sharing this ``EnvConfig`` to one dedicated
-            pipeline (see :func:`repro.telemetry.for_config`).
 
     Every environment is a :class:`repro.env.SchedulingEnv` built from
     this config; there is no implementation switch (DESIGN.md Sec. 15).
@@ -313,8 +304,6 @@ class EnvConfig:
     max_ready: int = 15
     process_until_completion: bool = False
     include_graph_features: bool = True
-    verify_terminal: bool = False
-    telemetry: Optional[TelemetryConfig] = None
 
     def __post_init__(self) -> None:
         _require(self.max_ready >= 1, "max_ready must be >= 1")

@@ -142,7 +142,6 @@ class SchedulingEnv:
         # rollout hot path.
         self._max_ready: int = self.config.max_ready
         self._until_completion: bool = self.config.process_until_completion
-        self._verify_terminal: bool = self.config.verify_terminal
         self.cluster = ClusterState(self.config.cluster.capacities)
         self._unmet: Dict[int, int] = {
             tid: len(graph.parents(tid)) for tid in graph.task_ids
@@ -348,8 +347,6 @@ class SchedulingEnv:
                         ready.append(child)
             self._version += 1
             done = len(finished) == self._num_tasks
-            if done and self._verify_terminal:
-                self.verify_terminal_state()
             return StepResult(-dt, done, tuple(completed))
         ready = self._ready
         num_visible = len(ready)
@@ -546,8 +543,6 @@ class SchedulingEnv:
         finally:
             self.steps_taken = steps_before + steps
             self._version = version_before + steps
-        if self._verify_terminal:
-            self.verify_terminal_state()
         return cluster.now
 
     def policy_playout(
@@ -703,8 +698,6 @@ class SchedulingEnv:
         finally:
             self.steps_taken = steps_before + steps
             self._version = version_before + steps
-        if self._verify_terminal:
-            self.verify_terminal_state()
         return cluster.now
 
     # ------------------------------------------------------------------ #
@@ -726,7 +719,6 @@ class SchedulingEnv:
         self.clones_made += 1
         copy._max_ready = self._max_ready
         copy._until_completion = self._until_completion
-        copy._verify_terminal = self._verify_terminal
         # Immutable per-graph tables: shared by reference.
         copy._demands = self._demands
         copy._runtimes = self._runtimes
@@ -767,37 +759,6 @@ class SchedulingEnv:
             self.cluster.occupancy(),
         )
 
-    def verify_terminal_state(self) -> None:
-        """Assert every schedule invariant on the finished episode.
-
-        The hook behind ``EnvConfig(verify_terminal=True)``: exports the
-        episode's start times and runs the full
-        :mod:`repro.analysis.verifier` invariant set (precedence,
-        capacity, completeness, time domain) against them.
-
-        Raises:
-            EnvironmentStateError: if the episode has not terminated, or
-                if the terminal state violates any schedule invariant —
-                which would mean the environment dynamics themselves have
-                drifted, so failing loudly beats learning from bad data.
-        """
-        from ..analysis.verifier import verify_placements  # local: avoids a cycle
-
-        if not self.done:
-            raise EnvironmentStateError("episode not finished")
-        placements = [
-            (tid, start, start + self.graph.task(tid).runtime)
-            for tid, start in self._starts.items()
-        ]
-        report = verify_placements(
-            placements, self.graph, self.config.cluster.capacities
-        )
-        if not report.ok:
-            raise EnvironmentStateError(
-                "terminal state violates schedule invariants:\n"
-                + report.summary()
-            )
-
     def to_schedule(self, scheduler: str = "unknown", wall_time: float = 0.0) -> Schedule:
         """Export the finished episode as a validated-shape :class:`Schedule`.
 
@@ -811,7 +772,7 @@ class SchedulingEnv:
         """
         if not self.done:
             raise EnvironmentStateError("episode not finished")
-        tm = _telemetry.for_config(self.config.telemetry)
+        tm = _telemetry.active()
         if tm.enabled:
             tm.inc("env.episodes")
             tm.inc("env.steps", self.steps_taken)

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
+from ..specs import suggest
 from ..utils.rng import as_generator
 
 __all__ = [
@@ -318,7 +319,7 @@ def parse_fault_spec(
     argument).
 
     Raises:
-        ConfigError: on unknown keys or malformed values.
+        ConfigError: on unknown or repeated keys, or malformed values.
     """
 
     values: Dict[str, str] = {}
@@ -333,7 +334,10 @@ def parse_fault_spec(
         if key not in _SPEC_KEYS:
             raise ConfigError(
                 f"unknown fault spec key {key!r}; known: {list(_SPEC_KEYS)}"
+                f"{suggest(key, _SPEC_KEYS)}"
             )
+        if key in values:
+            raise ConfigError(f"fault spec repeats key {key!r}")
         values[key] = raw.strip()
 
     def _int(key: str, default: int) -> int:

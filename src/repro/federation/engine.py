@@ -22,7 +22,6 @@ from ..errors import ConfigError
 from ..online.engine import ShardedEngine
 from ..streaming.arrivals import ArrivalProcess
 from ..telemetry import runtime as _telemetry
-from ..telemetry.config import TelemetryConfig
 from .ledger import FederationLedger
 from .results import FederationResult, ShardReport, aggregate_result
 from .routing import Router, parse_router_spec
@@ -44,8 +43,9 @@ class FederatedStreamingSimulator:
             between the most- and least-loaded shard exceeds this;
             ``None`` disables stealing (and crash rescue) entirely.
         max_steps: global safety cap on settled instants.
-        telemetry: where ``federation.*`` events and gauges report;
-            ``None`` defers to the globally active pipeline.
+
+    With telemetry active a run reports ``federation.*`` events and
+    gauges.
     """
 
     def __init__(
@@ -54,7 +54,6 @@ class FederatedStreamingSimulator:
         router: Union[Router, str] = "least-load",
         steal_threshold: Optional[int] = None,
         max_steps: int = 5_000_000,
-        telemetry: Optional[TelemetryConfig] = None,
     ) -> None:
         if not shards:
             raise ConfigError("a federation needs at least one shard")
@@ -73,7 +72,6 @@ class FederatedStreamingSimulator:
         )
         self.steal_threshold = steal_threshold
         self.max_steps = max_steps
-        self.telemetry = telemetry
 
     def run(
         self,
@@ -92,7 +90,7 @@ class FederatedStreamingSimulator:
             EnvironmentStateError: if the step cap is exceeded or the
                 federation wedges with work it can never place.
         """
-        tm = _telemetry.for_config(self.telemetry)
+        tm = _telemetry.active()
         with tm.span(
             "federation.run",
             shards=len(self.specs),

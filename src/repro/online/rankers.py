@@ -16,6 +16,7 @@ from typing import Callable, Dict, Sequence, Tuple
 
 from ..dag.features import GraphFeatures
 from ..dag.task import Task
+from ..errors import ConfigError
 
 __all__ = [
     "TaskContext",
@@ -99,8 +100,8 @@ def resolve_ranker(name: str) -> Ranker:
     """Map a CLI ranker name (``fifo|sjf|cp|tetris``) to its function.
 
     Raises:
-        KeyError: with the sorted list of known names, for the CLI's
-            uniform "unknown ranker" error path.
+        ConfigError: naming the sorted known names; the CLI prints it
+            as its one-line usage error.
     """
     known: Dict[str, Ranker] = {
         "fifo": fifo_ranker,
@@ -110,7 +111,7 @@ def resolve_ranker(name: str) -> Ranker:
     }
     ranker = known.get(name)
     if ranker is None:
-        raise KeyError(
+        raise ConfigError(
             f"unknown ranker {name!r}; choose from {sorted(known)}"
         )
     return ranker

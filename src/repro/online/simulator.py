@@ -39,7 +39,6 @@ from ..config import ClusterConfig
 from ..faults.plan import FaultPlan
 from ..schedulers.base import Scheduler
 from ..telemetry import runtime as _telemetry
-from ..telemetry.config import TelemetryConfig
 from .engine import ShardedEngine, ShardSpec
 from .rankers import Ranker
 from .reporting import ReportingLayer
@@ -61,21 +60,15 @@ class OnlineSimulator:
     Args:
         cluster: capacities (defaults to the paper's 20x20).
         max_steps: global safety cap on scheduling events.
-        telemetry: where serving metrics report (``online.jct``
-            histogram, per-job ``online.job`` events, queue-length and
-            utilization gauges, ``fault.*`` incident events).  ``None``
-            defers to the globally active pipeline.
     """
 
     def __init__(
         self,
         cluster: ClusterConfig | None = None,
         max_steps: int = 1_000_000,
-        telemetry: Optional[TelemetryConfig] = None,
     ) -> None:
         self.cluster_config = cluster if cluster is not None else ClusterConfig()
         self.max_steps = max_steps
-        self.telemetry = telemetry
 
     def run(
         self,
@@ -112,7 +105,7 @@ class OnlineSimulator:
             EnvironmentStateError: if the event cap is exceeded, or (in
                 fault-free mode only) the DAG state goes inconsistent.
         """
-        tm = _telemetry.for_config(self.telemetry)
+        tm = _telemetry.active()
         with tm.span(
             "online.run",
             jobs=len(jobs),

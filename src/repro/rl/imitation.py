@@ -30,7 +30,6 @@ from ..errors import EnvironmentStateError
 from ..schedulers.base import Policy
 from ..schedulers.policies import CriticalPathPolicy
 from ..telemetry import runtime as _telemetry
-from ..telemetry.config import TelemetryConfig
 from ..utils.rng import SeedLike
 from .network import PolicyNetwork
 from .trainer import TrainerBase, iterate_minibatches
@@ -50,8 +49,6 @@ class ImitationTrainer(TrainerBase):
         learning_rate / rho / eps: rmsprop hyper-parameters (paper values
             via :class:`TrainingConfig` defaults).
         seed: shuffling RNG.
-        telemetry: where the ``imitation.loss`` curve reports; ``None``
-            defers to the globally active pipeline.
     """
 
     algo = "imitation"
@@ -63,9 +60,8 @@ class ImitationTrainer(TrainerBase):
         teacher_factory: Callable[[], Policy] | None = None,
         training: TrainingConfig | None = None,
         seed: SeedLike = None,
-        telemetry: Optional[TelemetryConfig] = None,
     ) -> None:
-        super().__init__(network, env_config, training, seed, telemetry)
+        super().__init__(network, env_config, training, seed)
         self.teacher_factory = (
             teacher_factory if teacher_factory is not None else CriticalPathPolicy
         )
@@ -134,7 +130,7 @@ class ImitationTrainer(TrainerBase):
         ``imitation.fit`` span and each epoch streams one point of the
         ``imitation.loss`` series.
         """
-        tm = _telemetry.for_config(self.telemetry)
+        tm = _telemetry.active()
         total = epochs if epochs is not None else self.training.supervised_epochs
         with tm.span(
             "imitation.fit", graphs=len(graphs), epochs=total

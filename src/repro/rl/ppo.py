@@ -38,13 +38,12 @@ policy, reads every state: GAE needs a value per step.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..config import EnvConfig, TrainingConfig
 from ..dag.graph import TaskGraph
-from ..telemetry.config import TelemetryConfig
 from ..utils.rng import SeedLike
 from .trainer import EpochStats, Trainer, iterate_minibatches
 from .trajectories import Trajectory, returns_to_go
@@ -87,8 +86,10 @@ class PpoTrainer(Trainer):
             ``normalize_advantages`` and the critic's
             ``value_learning_rate`` / ``value_epochs``.
         seed: master seed for sampling and minibatch shuffles.
-        telemetry: per-epoch curves report as ``ppo.loss`` (mean clipped
-            surrogate), ``ppo.entropy``, ``ppo.return``, ``ppo.baseline``.
+
+    With telemetry active the per-epoch curves report as ``ppo.loss``
+    (mean clipped surrogate), ``ppo.entropy``, ``ppo.return`` and
+    ``ppo.baseline``.
     """
 
     algo = "ppo"
@@ -101,9 +102,8 @@ class PpoTrainer(Trainer):
         env_config: EnvConfig | None = None,
         training: TrainingConfig | None = None,
         seed: SeedLike = None,
-        telemetry: Optional[TelemetryConfig] = None,
     ) -> None:
-        super().__init__(network, graphs, env_config, training, seed, telemetry)
+        super().__init__(network, graphs, env_config, training, seed)
         #: The GAE critic: remaining makespan from the model's features.
         self.value_network = ValueNetwork(
             network.value_feature_size,

@@ -19,15 +19,10 @@ iterations" and eventually beats Tetris and SJF.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..config import EnvConfig, TrainingConfig
-from ..dag.graph import TaskGraph
-from ..telemetry.config import TelemetryConfig
-from ..utils.rng import SeedLike
-from .network import PolicyNetwork
 from .trainer import EpochStats, Trainer
 from .trajectories import Trajectory
 
@@ -45,26 +40,13 @@ class ReinforceTrainer(Trainer):
         env_config: environment shape used for every episode.
         training: hyper-parameters (learning rate, rollouts, batch size).
         seed: master seed for sampling.
-        telemetry: where the per-epoch training curves report.  ``None``
-            (the default) defers to the globally active pipeline; an
-            enabled config binds this trainer to a dedicated pipeline.
-            Each epoch streams the ``reinforce.loss`` /
-            ``reinforce.entropy`` / ``reinforce.return`` /
-            ``reinforce.baseline`` series.
+
+    With telemetry active each epoch streams the ``reinforce.loss`` /
+    ``reinforce.entropy`` / ``reinforce.return`` / ``reinforce.baseline``
+    series.
     """
 
     algo = "reinforce"
-
-    def __init__(
-        self,
-        network: PolicyNetwork,
-        graphs: Sequence[TaskGraph],
-        env_config: EnvConfig | None = None,
-        training: TrainingConfig | None = None,
-        seed: SeedLike = None,
-        telemetry: Optional[TelemetryConfig] = None,
-    ) -> None:
-        super().__init__(network, graphs, env_config, training, seed, telemetry)
 
     # ------------------------------------------------------------------ #
 

@@ -32,6 +32,7 @@ of being featurized and forwarded again (DESIGN.md Sec. 16.6).
 from __future__ import annotations
 
 import abc
+import sys
 from dataclasses import dataclass
 from typing import ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -41,8 +42,6 @@ from ..config import EnvConfig, TrainingConfig
 from ..dag.graph import TaskGraph
 from ..env.scheduling_env import SchedulingEnv
 from ..telemetry import runtime as _telemetry
-from ..telemetry.config import TelemetryConfig
-from ..telemetry.sinks import stderr_line
 from ..utils.rng import SeedLike, as_generator, spawn
 from .agent import PolicyMemo
 from .modules import policy_entropy
@@ -82,7 +81,6 @@ class TrainerBase:
         env_config: environment shape used for every episode.
         training: hyper-parameters (learning rate, clipping, batching).
         seed: master RNG seed.
-        telemetry: ``None`` defers to the globally active pipeline.
     """
 
     #: Telemetry prefix (``{algo}.loss``, ``{algo}.train`` span, ...).
@@ -94,7 +92,6 @@ class TrainerBase:
         env_config: EnvConfig | None = None,
         training: TrainingConfig | None = None,
         seed: SeedLike = None,
-        telemetry: Optional[TelemetryConfig] = None,
     ) -> None:
         self.network = network
         self.env_config = env_config if env_config is not None else EnvConfig()
@@ -103,7 +100,6 @@ class TrainerBase:
             self.training.learning_rate, self.training.rho, self.training.eps
         )
         self._rng = as_generator(seed)
-        self.telemetry = telemetry
 
     def apply_gradients(self, grads: Dict[str, np.ndarray]) -> None:
         """Clip (when configured) and take one optimizer step."""
@@ -136,11 +132,10 @@ class Trainer(TrainerBase, abc.ABC):
         env_config: EnvConfig | None = None,
         training: TrainingConfig | None = None,
         seed: SeedLike = None,
-        telemetry: Optional[TelemetryConfig] = None,
     ) -> None:
         if not graphs:
             raise ValueError("need at least one training graph")
-        super().__init__(network, env_config, training, seed, telemetry)
+        super().__init__(network, env_config, training, seed)
         self.graphs = list(graphs)
         self.history: List[EpochStats] = []
         #: The rollout-group memo; empty and installed on no policy
@@ -268,7 +263,7 @@ class Trainer(TrainerBase, abc.ABC):
             mean_loss=float(np.mean(losses)),
         )
         self.history.append(stats)
-        tm = _telemetry.for_config(self.telemetry)
+        tm = _telemetry.active()
         if tm.enabled:
             tm.record(f"{self.algo}.loss", epoch, stats.mean_loss)
             tm.record(f"{self.algo}.entropy", epoch, stats.mean_entropy)
@@ -286,13 +281,13 @@ class Trainer(TrainerBase, abc.ABC):
     ) -> List[EpochStats]:
         """Run ``epochs`` epochs (default from config); returns the curve.
 
-        ``log_every=k`` reports every k-th epoch: as a structured
-        ``{algo}.epoch`` log event when telemetry is active (the
-        stderr-summary sink echoes it live), else as a plain stderr
-        line — progress logging never lands on stdout.
+        ``log_every=k`` reports every k-th epoch as one ``epoch k: ...``
+        line on stderr (progress logging never lands on stdout) and,
+        when telemetry is active, also as a structured ``{algo}.epoch``
+        log event in the trace.
         """
         total = epochs if epochs is not None else self.training.epochs
-        tm = _telemetry.for_config(self.telemetry)
+        tm = _telemetry.active()
         with tm.span(
             f"{self.algo}.train", epochs=total, graphs=len(self.graphs)
         ):
@@ -304,6 +299,7 @@ class Trainer(TrainerBase, abc.ABC):
                         f"{stats.mean_makespan:.1f} entropy "
                         f"{stats.mean_entropy:.3f}"
                     )
+                    print(message, file=sys.stderr)
                     if tm.enabled:
                         tm.log(
                             f"{self.algo}.epoch",
@@ -312,8 +308,6 @@ class Trainer(TrainerBase, abc.ABC):
                             mean_makespan=stats.mean_makespan,
                             mean_entropy=stats.mean_entropy,
                         )
-                    else:
-                        stderr_line(message)
         return self.history
 
     def evaluate(self, graphs: Sequence[TaskGraph], greedy: bool = True) -> List[int]:

@@ -273,7 +273,6 @@ def compose_scheduler(
 def make_scheduler(
     spec: str,
     env_config: EnvConfig | None = None,
-    validate: bool = False,
     **options: Any,
 ) -> Scheduler:
     """Instantiate a scheduler from a registry spec.
@@ -283,9 +282,6 @@ def make_scheduler(
             keys — ``"tetris"``, ``"mcts:budget=200,seed=3"``,
             ``"spear:budget=2000,fallback=heft,verify=true"``.
         env_config: environment shape; defaults to :class:`EnvConfig()`.
-        validate: wrap in :class:`VerifyingScheduler` (equivalent to the
-            ``verify=true`` spec key) so every schedule is checked
-            against the full invariant set before being returned.
         **options: programmatic options, merged over the spec's (same
             keys, already typed — e.g. ``network=my_policy_network`` for
             ``spear``, which has no spec-string form).
@@ -323,8 +319,6 @@ def make_scheduler(
             )
 
     scheduler = factory(config, **typed) if typed else factory(config)
-    if validate:
-        wrappers["verify"] = True
     if wrappers:
         return compose_scheduler(scheduler, config, **wrappers)
     return scheduler

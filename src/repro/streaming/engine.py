@@ -24,7 +24,6 @@ from ..online.engine import ShardedEngine, ShardSpec
 from ..online.rankers import Ranker
 from ..schedulers.base import Scheduler
 from ..telemetry import runtime as _telemetry
-from ..telemetry.config import TelemetryConfig
 from .admission import AdmissionConfig
 from .arrivals import ArrivalProcess
 from .results import StreamingResult, aggregate_result
@@ -38,20 +37,18 @@ class StreamingSimulator:
     Args:
         cluster: capacities (defaults to the paper's 20x20).
         max_steps: global safety cap on settled instants.
-        telemetry: where serving metrics report (``streaming.*`` events
-            and gauges on top of the online layer's).  ``None`` defers
-            to the globally active pipeline.
+
+    With telemetry active a run reports ``streaming.*`` events and
+    gauges on top of the online layer's.
     """
 
     def __init__(
         self,
         cluster: ClusterConfig | None = None,
         max_steps: int = 5_000_000,
-        telemetry: Optional[TelemetryConfig] = None,
     ) -> None:
         self.cluster_config = cluster if cluster is not None else ClusterConfig()
         self.max_steps = max_steps
-        self.telemetry = telemetry
 
     def run(
         self,
@@ -79,7 +76,7 @@ class StreamingSimulator:
             EnvironmentStateError: if the step cap is exceeded or the
                 system wedges with work it can never place.
         """
-        tm = _telemetry.for_config(self.telemetry)
+        tm = _telemetry.active()
         with tm.span(
             "streaming.run",
             ranker=type(ranker).__name__,

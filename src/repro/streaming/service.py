@@ -39,7 +39,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 from ..errors import ProtocolError, ReproError
 from ..schedulers.base import ClusterSnapshot, ScheduleRequest, Scheduler
 from ..telemetry import runtime as _telemetry
-from ..telemetry.config import TelemetryConfig
 from ..utils.rng import as_generator
 from . import protocol
 from .arrivals import layered_job_factory
@@ -89,8 +88,9 @@ class SchedulerService:
         port: bind port; 0 picks an ephemeral port (see
             :attr:`address` after :meth:`start`).
         batch_max: most requests planned in one serving tick.
-        telemetry: pipeline for ``serve.*`` events; ``None`` defers to
-            the globally active pipeline.
+
+    ``serve.*`` events go to the pipeline active at construction: the
+    service looks it up once, not per request.
     """
 
     def __init__(
@@ -99,7 +99,6 @@ class SchedulerService:
         host: str = "127.0.0.1",
         port: int = 0,
         batch_max: int = 16,
-        telemetry: Optional[TelemetryConfig] = None,
     ) -> None:
         if batch_max < 1:
             raise ProtocolError(f"batch_max must be >= 1, got {batch_max}")
@@ -109,7 +108,7 @@ class SchedulerService:
         self.batch_max = batch_max
         self.stats = ServiceStats()
         self.address: Tuple[str, int] = (host, port)
-        self._tm = _telemetry.for_config(telemetry)
+        self._tm = _telemetry.active()
         self._queue: asyncio.Queue  # created in start()
         self._server: Optional[asyncio.AbstractServer] = None
         self._worker_task: Optional[asyncio.Task] = None
@@ -377,7 +376,6 @@ def run_serve(
     host: str = "127.0.0.1",
     port: int = 0,
     batch_max: int = 16,
-    telemetry: Optional[TelemetryConfig] = None,
     on_ready: Optional[Callable[[Tuple[str, int]], None]] = None,
 ) -> ServiceStats:
     """Run the daemon until a client drains it; returns the final stats.
@@ -387,9 +385,7 @@ def run_serve(
     """
 
     async def main() -> ServiceStats:
-        service = SchedulerService(
-            scheduler, host=host, port=port, batch_max=batch_max, telemetry=telemetry
-        )
+        service = SchedulerService(scheduler, host=host, port=port, batch_max=batch_max)
         address = await service.start()
         if on_ready is not None:
             on_ready(address)
@@ -408,7 +404,6 @@ def run_smoke(
     batch_max: int = 8,
     seed: int = 0,
     capacities: Sequence[int] = (20, 20),
-    telemetry: Optional[TelemetryConfig] = None,
 ) -> Dict[str, Any]:
     """In-process round trip: real server, concurrent clients, drain.
 
@@ -476,9 +471,7 @@ def run_smoke(
                 await writer.wait_closed()
 
     async def main() -> Dict[str, Any]:
-        service = SchedulerService(
-            scheduler, port=0, batch_max=batch_max, telemetry=telemetry
-        )
+        service = SchedulerService(scheduler, port=0, batch_max=batch_max)
         host, port = await service.start()
         try:
             replies = await asyncio.gather(*(client(port, f) for f in frames))

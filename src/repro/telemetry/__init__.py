@@ -37,12 +37,9 @@ from .runtime import (
     DisabledTelemetry,
     Telemetry,
     active,
-    configure,
-    disable,
-    for_config,
     session,
 )
-from .sinks import InMemorySink, JsonlSink, Sink, StderrSummarySink, stderr_line
+from .sinks import InMemorySink, JsonlSink, Sink
 from .tracing import NOOP_SPAN, NoopSpan, Span, Tracer
 
 __all__ = [
@@ -53,10 +50,7 @@ __all__ = [
     "DisabledTelemetry",
     "DISABLED",
     "active",
-    "configure",
-    "disable",
     "session",
-    "for_config",
     "Counter",
     "Gauge",
     "Histogram",
@@ -65,8 +59,6 @@ __all__ = [
     "Sink",
     "InMemorySink",
     "JsonlSink",
-    "StderrSummarySink",
-    "stderr_line",
     "Span",
     "NoopSpan",
     "NOOP_SPAN",

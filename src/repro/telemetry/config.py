@@ -2,13 +2,14 @@
 
 :class:`TelemetryConfig` is a frozen value object, like every other
 config in :mod:`repro.config`: it describes *what* a telemetry pipeline
-captures and where events go, never holds run-time state, and is safe to
-share between components (the runtime memoizes one pipeline per distinct
-enabled config — see :func:`repro.telemetry.runtime.for_config`).
+captures and where events go and never holds run-time state.  Its one
+consumer is :func:`repro.telemetry.runtime.session`, which builds the
+pipeline for a ``with`` block; components never take a config of their
+own.
 
-The default is **disabled**: a component handed the default config emits
-nothing and pays only a flag check, which is what keeps the instrumented
-hot paths inside the bench budgets.
+The default is **disabled**: a session opened with the default config
+installs the no-op pipeline, and instrumented code pays only a flag
+check, which is what keeps the hot paths inside the bench budgets.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ class TelemetryConfig:
         jsonl_path: stream every event to this JSONL file (see
             :mod:`repro.telemetry.analyze` for the reader).  ``None``
             keeps events in memory only.
-        stderr_summary: echo ``log`` events to stderr as they arrive and
-            write a one-block run summary when the pipeline closes.
         capture_memory: keep events in an in-memory ring (required for
             :meth:`repro.telemetry.runtime.Telemetry.events` and for
             post-run export when no ``jsonl_path`` is set).
@@ -42,17 +41,14 @@ class TelemetryConfig:
 
     enabled: bool = False
     jsonl_path: Optional[str] = None
-    stderr_summary: bool = False
     capture_memory: bool = True
     max_events: int = 200_000
 
     def __post_init__(self) -> None:
         if self.max_events < 1:
             raise ConfigError("max_events must be >= 1")
-        if self.enabled and not (
-            self.capture_memory or self.jsonl_path or self.stderr_summary
-        ):
+        if self.enabled and not (self.capture_memory or self.jsonl_path):
             raise ConfigError(
                 "enabled telemetry needs at least one sink "
-                "(capture_memory, jsonl_path or stderr_summary)"
+                "(capture_memory or jsonl_path)"
             )

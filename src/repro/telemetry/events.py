@@ -13,8 +13,8 @@ Event kinds:
 * ``span`` — a completed timed region (``duration_us`` set, ``depth`` /
   ``parent`` describe nesting at completion time).
 * ``point`` — an instantaneous structured event (attributes only).
-* ``log`` — a human-readable line (``message`` attribute) that the
-  stderr-summary sink echoes as it arrives.
+* ``log`` — a human-readable line (``message`` attribute), recorded
+  alongside the stderr line its producer writes.
 * ``series`` — one sample of a step-indexed metric series (``step`` and
   ``value`` set), e.g. a per-epoch training curve.
 * ``metric`` — an end-of-run snapshot of a counter / gauge / histogram,

@@ -16,16 +16,11 @@ so instrumentation points cost one attribute load and one call when
 telemetry is off — cheap enough for the bench gate (the enabled/disabled
 delta is itself benchmarked as ``telemetry.span_*``).
 
-Activation models:
-
-* :func:`configure` — install a pipeline globally (CLI long-running
-  runs); :func:`disable` restores the no-op.
-* :func:`session` — context-managed activation that exports and restores
-  on exit (experiments, tests).
-* :func:`for_config` — per-component resolution: an *enabled*
-  :class:`TelemetryConfig` maps to one memoized pipeline per distinct
-  config (so every ``SchedulingEnv`` sharing an ``EnvConfig`` reports to
-  the same place), anything else resolves to the global active pipeline.
+There is one way to turn telemetry on: :func:`session`, a ``with``
+block that installs a pipeline, then flushes and closes it and restores
+the previous one on exit (the CLI's ``--trace-out``, the experiments,
+the tests).  Components take no pipeline of their own; each reads
+:func:`active` when it runs.
 """
 
 from __future__ import annotations
@@ -33,12 +28,12 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import replace
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 from .config import TelemetryConfig
 from .events import TelemetryEvent
 from .metrics import MetricsRegistry, Series
-from .sinks import InMemorySink, JsonlSink, Sink, StderrSummarySink
+from .sinks import InMemorySink, JsonlSink, Sink
 from .tracing import NOOP_SPAN, NoopSpan, Span, Tracer
 
 __all__ = [
@@ -46,10 +41,7 @@ __all__ = [
     "DisabledTelemetry",
     "DISABLED",
     "active",
-    "configure",
-    "disable",
     "session",
-    "for_config",
 ]
 
 
@@ -58,11 +50,7 @@ class Telemetry:
 
     enabled = True
 
-    def __init__(
-        self,
-        config: Optional[TelemetryConfig] = None,
-        sinks: Optional[Sequence[Sink]] = None,
-    ) -> None:
+    def __init__(self, config: Optional[TelemetryConfig] = None) -> None:
         self.config = (
             config if config is not None else TelemetryConfig(enabled=True)
         )
@@ -71,20 +59,12 @@ class Telemetry:
         self._seq = 0
         self._memory: Optional[InMemorySink] = None
         self._closed = False
-        if sinks is not None:
-            self.sinks: List[Sink] = list(sinks)
-            for sink in self.sinks:
-                if isinstance(sink, InMemorySink):
-                    self._memory = sink
-        else:
-            self.sinks = []
-            if self.config.capture_memory:
-                self._memory = InMemorySink(self.config.max_events)
-                self.sinks.append(self._memory)
-            if self.config.jsonl_path:
-                self.sinks.append(JsonlSink(self.config.jsonl_path))
-            if self.config.stderr_summary:
-                self.sinks.append(StderrSummarySink())
+        self.sinks: List[Sink] = []
+        if self.config.capture_memory:
+            self._memory = InMemorySink(self.config.max_events)
+            self.sinks.append(self._memory)
+        if self.config.jsonl_path:
+            self.sinks.append(JsonlSink(self.config.jsonl_path))
 
     # ------------------------------------------------------------------ #
     # emission primitives
@@ -114,7 +94,7 @@ class Telemetry:
         )
 
     def log(self, name: str, message: str, **attrs: Any) -> None:
-        """Emit a ``log`` event (echoed live by the stderr-summary sink)."""
+        """Emit a ``log`` event (the message rides in ``attrs``)."""
         attrs["message"] = message
         self._emit(
             TelemetryEvent(
@@ -259,39 +239,19 @@ TelemetryLike = Union[Telemetry, DisabledTelemetry]
 
 _active: TelemetryLike = DISABLED
 
-#: One pipeline per distinct enabled config handed to components.
-_per_config: Dict[TelemetryConfig, Telemetry] = {}
-
 
 def active() -> TelemetryLike:
     """The globally active pipeline (the disabled singleton by default)."""
     return _active
 
 
-def configure(config: TelemetryConfig) -> TelemetryLike:
-    """Install (and return) a global pipeline built from ``config``.
-
-    A disabled config restores the no-op singleton.  The previous
-    pipeline is *not* closed — callers that created it own its lifecycle.
-    """
-    global _active
-    _active = Telemetry(config) if config.enabled else DISABLED
-    return _active
-
-
-def disable() -> None:
-    """Restore the global no-op pipeline."""
-    global _active
-    _active = DISABLED
-
-
 @contextmanager
 def session(config: TelemetryConfig) -> Iterator[TelemetryLike]:
     """Activate a pipeline for a ``with`` block; close and restore after.
 
-    The pipeline is flushed and closed on exit (writing the JSONL trace
-    and the stderr summary, when configured), and the previously active
-    pipeline is restored even on error.
+    The pipeline is flushed and closed on exit (completing the JSONL
+    trace, when configured), and the previously active pipeline is
+    restored even on error.
     """
     global _active
     previous = _active
@@ -302,22 +262,3 @@ def session(config: TelemetryConfig) -> Iterator[TelemetryLike]:
     finally:
         _active = previous
         pipeline.close()
-
-
-def for_config(config: Optional[TelemetryConfig]) -> TelemetryLike:
-    """Resolve a component-level config to a pipeline.
-
-    ``None`` or a disabled config defers to the global active pipeline;
-    an enabled config maps to one shared pipeline per distinct config
-    value (memoized), so all components constructed with the same config
-    aggregate into the same registry.
-    """
-    if config is None or not config.enabled:
-        return _active
-    pipeline = _per_config.get(config)
-    if pipeline is None:
-        pipeline = Telemetry(config)
-        # A pool worker gets its own pipeline: worker-side episode counters
-        # stay in the worker (mcts/parallel.py reports from the parent).
-        _per_config[config] = pipeline
-    return pipeline

@@ -1,6 +1,6 @@
 """Event sinks: where a pipeline's records go.
 
-Three built-ins cover the use cases in this repository:
+Two built-ins cover the use cases in this repository:
 
 * :class:`InMemorySink` — bounded ring; backs programmatic access and
   post-run export, and is the default capture target.
@@ -8,10 +8,10 @@ Three built-ins cover the use cases in this repository:
   :mod:`repro.telemetry.events` to a file (header object first, one
   event per line).  Written incrementally so a crashed run still leaves
   a readable prefix.
-* :class:`StderrSummarySink` — echoes ``log`` events as they arrive and
-  prints a compact aggregate (span counts and timings, counter totals)
-  when the pipeline closes.  This is the sink behind
-  ``ReinforceTrainer.train(log_every=...)``.
+
+Progress lines for a person at the terminal are not a sink: the caller
+writes them to stderr itself (``Trainer.train(log_every=...)`` does),
+so they appear whether or not a pipeline is active.
 
 Sinks are deliberately synchronous and unbuffered-by-default: traces in
 this repository are produced by single-process experiments where the
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import abc
 import json
-import sys
 from collections import deque
 from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, TextIO, Union
@@ -34,14 +33,7 @@ __all__ = [
     "Sink",
     "InMemorySink",
     "JsonlSink",
-    "StderrSummarySink",
-    "stderr_line",
 ]
-
-
-def stderr_line(message: str) -> None:
-    """Write one line to stderr (the sink-shared low-level writer)."""
-    sys.stderr.write(message + "\n")
 
 
 class Sink(abc.ABC):
@@ -106,50 +98,3 @@ class JsonlSink(Sink):
         if self._file is not None:
             self._file.close()
             self._file = None
-
-
-class StderrSummarySink(Sink):
-    """Echo ``log`` events live; print an aggregate block on close.
-
-    The close-time block reports, per span name, the completion count and
-    mean duration, plus every counter-style increment observed — enough
-    to answer "what did this run spend its time on" without opening the
-    JSONL trace.
-    """
-
-    def __init__(self, label: str = "telemetry") -> None:
-        self.label = label
-        self._span_count: Dict[str, int] = {}
-        self._span_total_us: Dict[str, float] = {}
-        self._event_count: Dict[str, int] = {}
-        self._closed = False
-
-    def handle(self, event: TelemetryEvent) -> None:
-        if event.kind == "log":
-            message = event.attrs.get("message")
-            stderr_line(str(message) if message is not None else event.name)
-        elif event.kind == "span" and event.duration_us is not None:
-            self._span_count[event.name] = self._span_count.get(event.name, 0) + 1
-            self._span_total_us[event.name] = (
-                self._span_total_us.get(event.name, 0.0) + event.duration_us
-            )
-        elif event.kind in ("point", "series"):
-            self._event_count[event.name] = self._event_count.get(event.name, 0) + 1
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if not (self._span_count or self._event_count):
-            return
-        stderr_line(f"[{self.label}] run summary:")
-        for name in sorted(self._span_count):
-            count = self._span_count[name]
-            mean_us = self._span_total_us[name] / count
-            stderr_line(
-                f"[{self.label}]   span {name}: n={count} mean={mean_us:.1f}us"
-            )
-        for name in sorted(self._event_count):
-            stderr_line(
-                f"[{self.label}]   events {name}: n={self._event_count[name]}"
-            )

@@ -25,10 +25,7 @@ CONFIG_FIELDS = {
         "exploration_scale initial_budget min_budget rollout_batch "
         "use_budget_decay use_expansion_filters use_max_value_ucb"
     ),
-    EnvConfig: (
-        "cluster include_graph_features max_ready process_until_completion "
-        "telemetry verify_terminal"
-    ),
+    EnvConfig: "cluster include_graph_features max_ready process_until_completion",
     GnnConfig: "global_hidden head_hidden hidden_size rounds",
     TrainingConfig: (
         "batch_size entropy_bonus epochs eps example_num_tasks gae_lambda gamma "

@@ -253,3 +253,53 @@ def test_graphene_packs_a_step_function():
     assert not grep("ResourceTimeSpace", REPO / "src", REPO / "examples")
     graphene = SRC / "schedulers" / "graphene.py"
     assert not grep(r"^\s*(import numpy|from numpy)", graphene)
+
+
+def test_one_telemetry_switch():
+    # session() is the one way to turn telemetry on; every component reads
+    # the active pipeline, so no constructor or entry point takes a
+    # pipeline config.  The per-config pipelines, the global
+    # configure/disable pair and the stderr-summary sink went with it, and
+    # a schedule is checked only by the verify=true wrapper and the
+    # verifier, not by an environment hook or a second make_scheduler flag.
+    import importlib
+    import pkgutil
+
+    import repro
+    from repro import telemetry
+    from repro.env import SchedulingEnv
+    from repro.schedulers.registry import make_scheduler
+
+    offenders = []
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith("__main__"):
+            continue
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != info.name:
+                continue
+            if inspect.isclass(obj):
+                target = obj.__init__
+            elif inspect.isfunction(obj):
+                target = obj
+            else:
+                continue
+            try:
+                params = inspect.signature(target).parameters.values()
+            except (TypeError, ValueError):
+                continue
+            for param in params:
+                # compose_scheduler's bool is the telemetry=true spec key
+                # (a TelemetryScheduler wrapper), not a pipeline choice.
+                takes_config = "TelemetryConfig" in str(param.annotation)
+                if takes_config or (param.name == "telemetry" and param.annotation not in ("bool", bool)):
+                    offenders.append(f"{info.name}.{name}({param.name})")
+    offenders.remove("repro.telemetry.runtime.Telemetry(config)")
+    offenders.remove("repro.telemetry.runtime.session(config)")
+    assert not offenders, offenders
+    for gone in ("for_config", "configure", "disable", "StderrSummarySink"):
+        assert not hasattr(telemetry, gone), gone
+        assert not hasattr(telemetry.runtime, gone), gone
+    assert not hasattr(telemetry.sinks, "StderrSummarySink")
+    assert not hasattr(SchedulingEnv, "verify_terminal_state")
+    assert "validate" not in inspect.signature(make_scheduler).parameters

@@ -92,13 +92,13 @@ def test_graphene_plans_are_permutations(seed, num_tasks, threshold, direction):
 def test_every_registered_scheduler_is_verifier_clean(seed, num_tasks):
     """Every scheduler in the registry emits a schedule that passes the
     full invariant set of repro.analysis.verifier — both through the
-    ``validate=True`` wrapper (which would raise) and by direct report."""
+    ``verify=true`` wrapper (which would raise) and by direct report."""
     from repro.analysis import verify_schedule
     from repro.schedulers import available_schedulers
 
     graph = tiny_graph(seed, num_tasks)
     for name in available_schedulers():
-        schedule = make_scheduler(name, ENV, validate=True).plan(ScheduleRequest(graph))
+        schedule = make_scheduler(name, ENV, verify=True).plan(ScheduleRequest(graph))
         report = verify_schedule(schedule, graph, ENV.cluster.capacities)
         assert report.ok, f"{name}: {report.summary()}"
         assert not report.violations

@@ -257,26 +257,6 @@ def test_finished_episode_returns_its_makespan_without_callbacks():
     assert env.steps_taken == 2
 
 
-def test_terminal_state_is_verified_when_configured(monkeypatch):
-    verified = []
-    inner = SchedulingEnv.verify_terminal_state
-
-    def counting(self):
-        verified.append(self.done)
-        inner(self)
-
-    monkeypatch.setattr(SchedulingEnv, "verify_terminal_state", counting)
-    graph = random_layered_dag(WORKLOAD, seed=GRAPH_SEEDS[1])
-    SchedulingEnv(graph, env_config()).policy_playout(
-        lambda actions: actions[-1], None, LIMIT
-    )
-    assert verified == []
-    SchedulingEnv(graph, env_config(verify_terminal=True)).policy_playout(
-        lambda actions: actions[-1], None, LIMIT
-    )
-    assert verified == [True]
-
-
 # ---------------------------------------------------------------------- #
 # the policy's half: NetworkPolicyBase.playout == select/step, per episode
 # ---------------------------------------------------------------------- #

@@ -12,6 +12,7 @@ from repro.dag.generators import (
 )
 from repro.env import PROCESS, SchedulingEnv, scheduling_env
 from repro.errors import EnvironmentStateError
+from repro.metrics import validate_schedule
 from repro.utils.rng import bounded_draw
 
 
@@ -80,7 +81,9 @@ class TestRandomPlayout:
     def test_playout_completes_and_verifies(self, fork_env):
         makespan = fork_env.random_playout(np.random.default_rng(7), limit=1000)
         assert fork_env.done and makespan == fork_env.makespan
-        fork_env.verify_terminal_state()
+        validate_schedule(
+            fork_env.to_schedule(), fork_env.graph, fork_env.config.cluster.capacities
+        )
 
     @pytest.mark.parametrize("buffered", [False, True], ids=["even", "odd"])
     def test_integers_0_1_consumes_no_state(self, buffered):

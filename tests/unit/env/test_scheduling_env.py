@@ -5,7 +5,8 @@ import pytest
 from repro.config import ClusterConfig, EnvConfig
 from repro.dag import Task, TaskGraph, chain_dag, independent_tasks_dag
 from repro.env import PROCESS, SchedulingEnv
-from repro.errors import CapacityError, EnvironmentStateError
+from repro.errors import CapacityError, EnvironmentStateError, ScheduleError
+from repro.metrics import validate_schedule
 
 
 def small_env(graph, max_ready=5, until_completion=False, capacities=(10, 10)):
@@ -217,30 +218,31 @@ class TestClone:
 
 
 class TestTerminalVerification:
+    """A finished episode is checked by exporting it and running the
+    schedule verifier on the export; the environment has no hook."""
+
     def _run_to_completion(self, env):
         while not env.done:
             schedulable = [a for a in env.legal_actions() if a != PROCESS]
             env.step(schedulable[0] if schedulable else PROCESS)
 
+    def _verify(self, env):
+        validate_schedule(
+            env.to_schedule(), env.graph, env.config.cluster.capacities
+        )
+
     def test_clean_episode_passes_hook(self):
         graph = chain_dag([2, 3], demands=[(2, 2)] * 2)
-        env = SchedulingEnv(
-            graph,
-            EnvConfig(
-                cluster=ClusterConfig(capacities=(10, 10), horizon=8),
-                process_until_completion=True,
-                verify_terminal=True,
-            ),
-        )
+        env = small_env(graph, until_completion=True)
         self._run_to_completion(env)
-        assert env.done  # hook ran inside the terminal step without raising
-        env.verify_terminal_state()  # and is explicitly re-runnable
+        self._verify(env)
+        self._verify(env)  # checking is read-only and re-runnable
 
     def test_hook_requires_terminal_state(self):
         graph = chain_dag([2, 3], demands=[(2, 2)] * 2)
         env = small_env(graph)
         with pytest.raises(EnvironmentStateError, match="not finished"):
-            env.verify_terminal_state()
+            self._verify(env)
 
     def test_corrupted_terminal_state_raises(self):
         graph = chain_dag([2, 3], demands=[(2, 2)] * 2)
@@ -248,5 +250,5 @@ class TestTerminalVerification:
         self._run_to_completion(env)
         # Simulate environment-dynamics drift: falsify a recorded start.
         env._starts[1] = 0
-        with pytest.raises(EnvironmentStateError, match="dependency"):
-            env.verify_terminal_state()
+        with pytest.raises(ScheduleError, match="dependency"):
+            self._verify(env)

@@ -115,6 +115,17 @@ class TestParseFaultSpec:
         with pytest.raises(ConfigError, match="unknown fault spec key"):
             parse_fault_spec("meteors=1", (20, 20), 100)
 
+    def test_unknown_key_suggests_the_closest(self):
+        with pytest.raises(ConfigError, match="did you mean 'crashes'"):
+            parse_fault_spec("crashs=1", (20, 20), 100)
+
+    @pytest.mark.parametrize(
+        "spec", ["crashes=1,crashes=3", "crashes=1,transient=0.1, crashes =1"]
+    )
+    def test_repeated_key_raises(self, spec):
+        with pytest.raises(ConfigError, match="fault spec repeats key 'crashes'"):
+            parse_fault_spec(spec, (20, 20), 100)
+
     def test_malformed_value_raises(self):
         with pytest.raises(ConfigError, match="not a float"):
             parse_fault_spec("transient=lots", (20, 20), 100)

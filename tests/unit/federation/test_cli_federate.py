@@ -78,7 +78,10 @@ class TestFederateConfigErrors:
 
     def test_unknown_ranker_exits_2(self, capsys):
         assert main(BASE + ["--ranker", "warp"]) == 2
-        assert "unknown ranker" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "federate: unknown ranker 'warp'; "
+            "choose from ['cp', 'fifo', 'sjf', 'tetris']\n"
+        )
 
     def test_too_many_shards_exits_2(self, capsys):
         assert main(BASE + ["--shards", "99"]) == 2

@@ -22,7 +22,7 @@ from repro.telemetry import runtime as telemetry
 
 def make_shards(n, capacities=(5, 5)):
     kernel = SimKernel()
-    tm = telemetry.for_config(None)
+    tm = telemetry.active()
     return [
         Shard(k, ShardSpec(capacities, fifo_ranker), kernel, tm, 0, 8)
         for k in range(n)
@@ -142,7 +142,7 @@ class TestSplitCapacities:
 
 class TestLedger:
     def test_sample_compresses_duplicates(self):
-        ledger = FederationLedger(telemetry.for_config(None))
+        ledger = FederationLedger(telemetry.active())
         ledger.sample_in_system(0, 1)
         ledger.sample_in_system(3, 1)  # same count: skipped
         ledger.sample_in_system(5, 2)
@@ -150,7 +150,7 @@ class TestLedger:
         assert ledger.in_system_series == [(0, 1), (5, 3)]
 
     def test_cutoff_is_idempotent(self):
-        ledger = FederationLedger(telemetry.for_config(None))
+        ledger = FederationLedger(telemetry.active())
         ledger.record_cutoff(10)
         ledger.record_cutoff(20)
         assert ledger.horizon_cutoff == 10

@@ -120,7 +120,7 @@ class TestVerifyingScheduler:
     def test_validate_wraps_transparently(self, env_config, small_random_graph):
         from repro.schedulers.registry import VerifyingScheduler
 
-        scheduler = make_scheduler("tetris", env_config, validate=True)
+        scheduler = make_scheduler("tetris:verify=true", env_config)
         assert isinstance(scheduler, VerifyingScheduler)
         assert scheduler.name == "tetris"
         schedule = scheduler.plan(ScheduleRequest(small_random_graph))

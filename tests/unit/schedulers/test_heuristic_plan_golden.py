@@ -82,7 +82,7 @@ def test_degraded_plan_fits_the_degraded_cluster(name, graph_name):
     (``ScheduleError`` on any violation) checks the plan against the
     degraded capacities, not the configured ones."""
     graph = generator.make_graph(graph_name)
-    schedule = make_scheduler(name, validate=True).plan(degraded_request(graph))
+    schedule = make_scheduler(name, verify=True).plan(degraded_request(graph))
     assert len(schedule.placements) == graph.num_tasks
 
 
@@ -91,7 +91,7 @@ def test_optimal_plans_the_degraded_request():
         WorkloadConfig(num_tasks=8, max_demand=12, demand_mean=6.0), seed=404
     )
     request = degraded_request(graph)
-    schedule = make_scheduler("optimal", validate=True).plan(request)
+    schedule = make_scheduler("optimal:verify=true").plan(request)
     # The degraded optimum can be no shorter than the full-cluster one.
     full = make_scheduler("optimal").plan(ScheduleRequest(graph))
     assert schedule.makespan >= full.makespan

@@ -1,7 +1,7 @@
 """Integration tests: the instrumented layers actually report.
 
-Each test activates a session (or hands a component its own
-TelemetryConfig) and checks that the search / training / serving paths
+Each test activates a session (the one way to turn telemetry on) and
+checks that the search / training / serving paths
 emit the spans, counters and series DESIGN.md Sec. 9 documents — and
 that with telemetry off they emit nothing.
 """
@@ -15,7 +15,6 @@ from repro.config import (
     EnvConfig,
     MctsConfig,
     NetworkConfig,
-    TelemetryConfig,
     TrainingConfig,
     WorkloadConfig,
 )
@@ -28,13 +27,13 @@ from repro.online import ArrivingJob, OnlineSimulator, fifo_ranker, sjf_ranker
 from repro.rl import ImitationTrainer, PolicyNetwork, ReinforceTrainer
 from repro.schedulers.base import ScheduleRequest
 from repro.telemetry import TelemetryConfig as TC
-from repro.telemetry import disable, session, summarize
+from repro.telemetry import load_trace, session, summarize
 
 
 @pytest.fixture(autouse=True)
 def _restore_global_pipeline():
-    yield
-    disable()
+    with session(TC()):
+        yield
 
 
 @pytest.fixture
@@ -191,7 +190,7 @@ class TestTrainingInstrumentation:
     def test_reinforce_log_every_as_telemetry_event(
         self, net, env_config, training, graphs, capsys
     ):
-        with session(TC(enabled=True, stderr_summary=True)) as tm:
+        with session(TC(enabled=True)) as tm:
             trainer = ReinforceTrainer(
                 net, graphs, env_config, training, seed=0
             )
@@ -199,9 +198,10 @@ class TestTrainingInstrumentation:
             logs = [e for e in tm.events() if e.kind == "log"]
         assert logs and logs[0].name == "reinforce.epoch"
         assert "mean makespan" in logs[0].attrs["message"]
-        # stderr-summary sink echoed it live; stdout stays clean.
+        # The trainer writes the same line to stderr itself; stdout stays
+        # clean.
         captured = capsys.readouterr()
-        assert "mean makespan" in captured.err
+        assert captured.err == logs[0].attrs["message"] + "\n"
         assert captured.out == ""
 
     def test_reinforce_log_every_falls_back_to_stderr(
@@ -256,14 +256,18 @@ class TestOnlineInstrumentation:
         assert [e.attrs["jct"] for e in jobs] == [2, 4]
         assert spans["online.run"].count == 1
 
-    def test_constructor_config_binds_dedicated_pipeline(self):
-        from repro.telemetry import for_config
-
-        cfg = TelemetryConfig(enabled=True, max_events=54_321)
-        simulator = OnlineSimulator(self.CLUSTER, telemetry=cfg)
-        simulator.run([self.job(0, [2], demands=[(2, 2)])], fifo_ranker)
-        pipeline = for_config(cfg)
-        assert pipeline.metrics.histogram("online.jct").count == 1
+    def test_trace_is_complete_on_exit(self, tmp_path):
+        # A simulator built before the session reports to the session
+        # active when it runs, and the JSONL trace is whole once the
+        # block exits.
+        simulator = OnlineSimulator(self.CLUSTER)
+        path = tmp_path / "online.jsonl"
+        with session(TC(enabled=True, jsonl_path=str(path), capture_memory=False)):
+            simulator.run([self.job(0, [2], demands=[(2, 2)])], fifo_ranker)
+        trace = load_trace(path)
+        assert summarize(trace.events).spans["online.run"].count == 1
+        jct = [e for e in trace.events if e.name == "online.jct"]
+        assert [e.attrs["count"] for e in jct] == [1]
 
     def test_equal_time_arrival_admitted_before_refill(self):
         # Job 0 is a chain 5 -> 3 filling the cluster; its first task

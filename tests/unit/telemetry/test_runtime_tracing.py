@@ -10,21 +10,17 @@ from repro.telemetry import (
     NOOP_SPAN,
     InMemorySink,
     JsonlSink,
-    StderrSummarySink,
     Telemetry,
     TelemetryConfig,
     active,
-    configure,
-    disable,
-    for_config,
     session,
 )
 
 
 @pytest.fixture(autouse=True)
 def _restore_global_pipeline():
-    yield
-    disable()
+    with session(TelemetryConfig()):
+        yield
 
 
 class TestDisabledPipeline:
@@ -119,15 +115,10 @@ class TestMetricsAndEvents:
 
 
 class TestActivation:
-    def test_configure_and_disable(self):
-        pipeline = configure(TelemetryConfig(enabled=True))
-        assert active() is pipeline
-        disable()
-        assert active() is DISABLED
-
-    def test_configure_with_disabled_config_restores_noop(self):
-        configure(TelemetryConfig(enabled=True))
-        assert configure(TelemetryConfig()) is DISABLED
+    def test_disabled_session_is_the_noop(self):
+        with session(TelemetryConfig(enabled=True)):
+            with session(TelemetryConfig()) as inner:
+                assert inner is DISABLED and active() is DISABLED
 
     def test_session_installs_and_restores(self):
         with session(TelemetryConfig(enabled=True)) as tm:
@@ -142,14 +133,6 @@ class TestActivation:
                 raise RuntimeError("boom")
         assert active() is DISABLED
 
-    def test_for_config_none_defers_to_active(self):
-        assert for_config(None) is DISABLED
-        with session(TelemetryConfig(enabled=True)) as tm:
-            assert for_config(None) is tm
-
-    def test_for_config_memoizes_enabled_configs(self):
-        cfg = TelemetryConfig(enabled=True, max_events=12_345)
-        assert for_config(cfg) is for_config(cfg)
 
 
 class TestSinks:
@@ -179,22 +162,6 @@ class TestSinks:
         path = tmp_path / "deep" / "nested" / "run.jsonl"
         JsonlSink(path).close()
         assert path.exists()
-
-    def test_stderr_summary_echoes_logs_live(self, capsys):
-        sink = StderrSummarySink(label="test")
-        tm = Telemetry(sinks=[sink])
-        tm.log("note", "hello world")
-        assert "hello world" in capsys.readouterr().err
-
-    def test_stderr_summary_block_on_close(self, capsys):
-        sink = StderrSummarySink(label="test")
-        tm = Telemetry(sinks=[sink])
-        with tm.span("work"):
-            pass
-        tm.close()
-        err = capsys.readouterr().err
-        assert "[test] run summary:" in err
-        assert "span work: n=1" in err
 
     def test_registry_type_conflict_propagates(self):
         tm = Telemetry()

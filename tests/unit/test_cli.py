@@ -105,6 +105,46 @@ class TestCommands:
 
         assert load_checkpoint(out_file).num_actions == 16
 
+    def test_traced_train_still_logs_every_epoch(self, tmp_path, capsys):
+        # --trace-out adds the epoch lines to the trace as log events; it
+        # does not take them off stderr.
+        trace = tmp_path / "train.jsonl"
+        code = main(
+            [
+                "train",
+                "--epochs",
+                "3",
+                "--examples",
+                "2",
+                "--example-tasks",
+                "5",
+                "--rollouts",
+                "2",
+                "--out",
+                str(tmp_path / "net.npz"),
+                "--log-every",
+                "1",
+                "--trace-out",
+                str(trace),
+            ]
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        epoch_lines = [line for line in err.splitlines() if line.startswith("epoch ")]
+        assert [line.split(":")[0] for line in epoch_lines] == [
+            "epoch 0",
+            "epoch 1",
+            "epoch 2",
+        ]
+        from repro.telemetry import load_trace
+
+        logged = [
+            e.attrs["message"]
+            for e in load_trace(trace).events
+            if e.name == "reinforce.epoch"
+        ]
+        assert logged == epoch_lines
+
     def test_ablation_unknown(self, capsys):
         assert main(["ablation", "nonesuch"]) == 2
         assert "unknown ablation" in capsys.readouterr().err
@@ -240,6 +280,14 @@ class TestOnlineFaults:
         assert main(["online", "--faults", "meteors=1"]) == 2
         assert "unknown fault spec key" in capsys.readouterr().err
 
+    def test_repeated_fault_spec_key_exits_2(self, capsys):
+        code = main(["stream", "--arrival", "uniform:interarrival=1,n=3",
+                     "--faults", "crashes=1,crashes=3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "stream: fault spec repeats key 'crashes'\n"
+        assert captured.out == ""
+
     def test_fallback_requires_reschedule(self, capsys):
         assert main(["online", "--fallback", "cp"]) == 2
         assert "--reschedule" in capsys.readouterr().err
@@ -359,7 +407,10 @@ class TestStreamCommand:
 
     def test_unknown_ranker_exits_2(self, capsys):
         assert main(["stream", "--ranker", "warp"]) == 2
-        assert "unknown ranker" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "stream: unknown ranker 'warp'; "
+            "choose from ['cp', 'fifo', 'sjf', 'tetris']\n"
+        )
 
     def test_bad_arrival_spec_exits_2(self, capsys):
         assert main(["stream", "--arrival", "meteors:n=3"]) == 2
