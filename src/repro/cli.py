@@ -1230,29 +1230,46 @@ def main(argv: Optional[List[str]] = None) -> int:
     Commands exposing ``--trace-out`` run inside a telemetry session
     (:func:`repro.telemetry.session`) and leave a JSONL span/metric
     trace at the given path; everything else runs with telemetry off.
+    The trace is written beside the path and moved there when the
+    command ends, so an invalid argument (exit 2) leaves the path as it
+    was.
     """
     args = build_parser().parse_args(argv)
     trace_out = getattr(args, "trace_out", None)
-    if trace_out:
-        from .telemetry import TelemetryConfig, session
+    if not trace_out:
+        return _run(args)
+    from pathlib import Path
 
-        config = TelemetryConfig(enabled=True, jsonl_path=trace_out)
-        with session(config):
-            code = _run(args)
-        print(f"wrote telemetry trace to {trace_out}", file=sys.stderr)
-        return code
-    return _run(args)
+    from .errors import ConfigError
+    from .telemetry import TelemetryConfig, session
+
+    partial = Path(f"{trace_out}.partial")
+    try:
+        with session(TelemetryConfig(enabled=True, jsonl_path=str(partial))):
+            code = _COMMANDS[args.command](args)
+    except ConfigError as exc:
+        partial.unlink(missing_ok=True)
+        return _invalid(args, exc)
+    finally:
+        if partial.exists():
+            partial.replace(trace_out)
+    print(f"wrote telemetry trace to {trace_out}", file=sys.stderr)
+    return code
 
 
 def _run(args: argparse.Namespace) -> int:
-    """Run the command; an invalid argument is a one-line error, exit 2."""
     from .errors import ConfigError
 
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return 2
+        return _invalid(args, exc)
+
+
+def _invalid(args: argparse.Namespace, exc: Exception) -> int:
+    """An invalid argument is a one-line error, exit 2."""
+    print(f"{args.command}: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -303,3 +303,18 @@ def test_one_telemetry_switch():
     assert not hasattr(telemetry.sinks, "StderrSummarySink")
     assert not hasattr(SchedulingEnv, "verify_terminal_state")
     assert "validate" not in inspect.signature(make_scheduler).parameters
+
+
+def test_one_golden_harness():
+    # Every golden file is a registered golden of tests/golden: one case
+    # registry, one parametrised test and one regenerate command, so no
+    # per-golden generator script and no file-path module loader remain.
+    from tests.golden import GOLDENS, files
+
+    data = REPO / "tests" / "data"
+    assert not sorted(data.glob("make_*.py"))
+    # (Bracketed so that this line does not match itself.)
+    assert not grep(r"spec_from_file_locatio[n]", REPO / "tests")
+    registered = [file for name in GOLDENS for file in files(name)]
+    assert len(registered) == len(set(registered)), registered
+    assert sorted(registered) == sorted(p.name for p in data.glob("*golden*.json"))

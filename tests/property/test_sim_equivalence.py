@@ -9,9 +9,6 @@ executed schedules, retry accounting — and its ``nominal_utilization``
 must equal the legacy ``mean_utilization`` bit-for-bit.
 """
 
-import importlib.util
-from pathlib import Path
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,17 +31,7 @@ from repro.online import (
     tetris_ranker,
 )
 from repro.schedulers import compose_scheduler
-
-def _load_legacy():
-    # tests/ is not a package; load the frozen oracle by file path.
-    path = Path(__file__).resolve().parent / "_legacy_online.py"
-    spec = importlib.util.spec_from_file_location("_legacy_online", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.legacy_run
-
-
-legacy_run = _load_legacy()
+from tests.property._legacy_online import legacy_run
 
 CAPACITIES = (10, 10)
 CLUSTER = ClusterConfig(capacities=CAPACITIES, horizon=8)

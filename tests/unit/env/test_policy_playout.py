@@ -12,14 +12,12 @@ counters, same memo traffic and the same generator state, from the first
 state of an episode or the middle of one.
 """
 
-import importlib.util
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro import ScheduleRequest, make_scheduler
+from repro import ScheduleRequest
 from repro.config import ClusterConfig, EnvConfig, GnnConfig, NetworkConfig, WorkloadConfig
 from repro.core.guidance import NetworkRollout
 from repro.core.pipeline import default_graph_network, default_network
@@ -38,6 +36,7 @@ from repro.schedulers.policies import (
     SjfPolicy,
 )
 from repro.schedulers.tetris import TetrisPolicy, alignment_score
+from tests.golden import spear as spear_golden
 
 MAX_READY = 3  # narrower than the DAGs' layers, so a backlog exists
 WORKLOAD = WorkloadConfig(
@@ -641,16 +640,6 @@ def test_episode_runners_pass_their_cap_to_playout():
 # ---------------------------------------------------------------------- #
 
 
-def _golden_cases():
-    path = Path(__file__).resolve().parents[2] / "data" / "make_spear_plan_golden.py"
-    spec = importlib.util.spec_from_file_location("make_spear_plan_golden", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-GOLDEN = _golden_cases()
-
 #: (decisions, iterations, rollouts, policy_evaluations, policy_memo_hits)
 #: of the golden plans, recorded at cb168db — the last commit whose
 #: rollouts were a ``select`` -> ``step`` loop.
@@ -662,15 +651,6 @@ STATISTICS_AT_PARENT = {
     ("gnn", 202): (40, 221, 192, 1238, 1135),
     ("gnn", 303): (40, 221, 196, 1105, 958),
 }
-
-
-def golden_scheduler(model, seed):
-    env = EnvConfig(process_until_completion=True)
-    graph = random_layered_dag(WorkloadConfig(num_tasks=GOLDEN.NUM_TASKS), seed=seed)
-    network = (default_network if model == "mlp" else default_graph_network)(
-        env, seed=seed
-    )
-    return make_scheduler(GOLDEN.SPEC, env, network=network, seed=seed), graph
 
 
 @pytest.mark.parametrize("model, seed", sorted(STATISTICS_AT_PARENT))
@@ -685,7 +665,7 @@ def test_spear_plan_selects_nothing_and_counts_what_the_parent_counted(
         return inner(self, env)
 
     monkeypatch.setattr(NetworkPolicyBase, "select", spying)
-    scheduler, graph = golden_scheduler(model, seed)
+    scheduler, graph = spear_golden.scheduler(model, seed)
     scheduler.plan(ScheduleRequest(graph))
     stats = scheduler.last_statistics
     assert selects == []
@@ -702,7 +682,7 @@ def test_spear_plan_selects_nothing_and_counts_what_the_parent_counted(
 @pytest.mark.parametrize("model", ["mlp", "gnn"])
 def test_spear_plan_equals_the_plan_of_the_unfused_rollout(model, monkeypatch):
     def outcome():
-        scheduler, graph = golden_scheduler(model, GOLDEN.GRAPH_SEEDS[0])
+        scheduler, graph = spear_golden.scheduler(model, spear_golden.GRAPH_SEEDS[0])
         schedule = scheduler.plan(ScheduleRequest(graph))
         return {
             "starts": {t: schedule.start_of(t) for t in sorted(graph.tasks())},

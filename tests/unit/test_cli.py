@@ -500,8 +500,21 @@ def test_invalid_argument_is_a_one_line_error(argv, capsys):
     assert len(err.splitlines()) == 1 and err.startswith(f"{argv[0]}: ")
 
 
-def test_invalid_argument_still_writes_the_trace(tmp_path, capsys):
-    trace = tmp_path / "run.jsonl"
-    assert main(["compare", "--jobs", "0", "--trace-out", str(trace)]) == 2
-    assert capsys.readouterr().err.startswith("compare: ")
-    assert trace.exists()
+@pytest.mark.parametrize(
+    "argv",
+    [["compare", "--jobs", "0"], ["stream", "--ranker", "warp"]],
+    ids=["compare-jobs", "stream-ranker"],
+)
+def test_invalid_argument_writes_no_trace(argv, tmp_path, capsys):
+    # Exit 2 creates no file at --trace-out, leaves an existing one as it
+    # was, and claims no trace.
+    fresh = tmp_path / "fresh.jsonl"
+    assert main([*argv, "--trace-out", str(fresh)]) == 2
+    kept = tmp_path / "kept.jsonl"
+    kept.write_text("an earlier trace\n", encoding="utf-8")
+    assert main([*argv, "--trace-out", str(kept)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[0].startswith(f"{argv[0]}: ")
+    assert "wrote" not in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["kept.jsonl"]
+    assert kept.read_text(encoding="utf-8") == "an earlier trace\n"
