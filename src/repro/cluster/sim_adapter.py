@@ -5,8 +5,8 @@ protocol over a live :class:`~repro.cluster.state.ClusterState`.  The
 cluster's next occurrence is its earliest running-task finish; when the
 kernel advances the clock, the adapter releases every entry finishing by
 the new instant and enqueues one ``COMPLETION`` event per released entry
-(payload: the :class:`~repro.cluster.state.RunningTask`), in completion
-order.
+(payload: the released entry as a
+:class:`~repro.cluster.state.RunningTask` record), in completion order.
 
 The split matters for same-instant semantics: capacity *release* happens
 here, during time advance — before any event of the instant runs — so a
@@ -24,7 +24,7 @@ from typing import Optional
 
 from ..sim.events import EventClass
 from ..sim.queue import EventQueue
-from .state import ClusterState
+from .state import ClusterState, RunningTask
 
 __all__ = ["ClusterProcess", "COMPLETION_KIND"]
 
@@ -58,4 +58,9 @@ class ClusterProcess:
         if dt <= 0:
             return
         for entry in state.advance_entries(dt):
-            queue.push(now, EventClass.COMPLETION, COMPLETION_KIND, payload=entry)
+            queue.push(
+                now,
+                EventClass.COMPLETION,
+                COMPLETION_KIND,
+                payload=RunningTask._make(entry),
+            )

@@ -6,6 +6,12 @@ decision, and every baseline policy queries it.  It is therefore designed
 for cheap cloning: running tasks are immutable tuples kept in a min-heap
 keyed by finish time, and a clone is a shallow list copy.
 
+A heap entry is a plain ``(finish_time, task_id, demands)`` tuple, not a
+:class:`RunningTask`: the environment's step and both playouts push one
+per start, and a plain tuple is cheaper to build while comparing,
+sorting and hashing exactly like the record.  Readers that want names
+get records from :meth:`ClusterState.running_tasks`.
+
 Time semantics: ``now`` is the current slot index.  Starting a task
 occupies its demands immediately; the task finishes at ``now + runtime``.
 ``advance(dt)`` moves time forward and releases every task whose finish
@@ -25,12 +31,17 @@ from .resources import ResourceVector, fits, validate_demands
 
 __all__ = ["RunningTask", "ClusterState"]
 
+#: A heap entry: ``(finish_time, task_id, demands)``.
+Entry = Tuple[int, int, Tuple[int, ...]]
+
 
 class RunningTask(NamedTuple):
-    """A task currently occupying the cluster.
+    """A task currently occupying the cluster, as :meth:`running_tasks`
+    reports it.
 
     Heap ordering is by ``finish_time`` then ``task_id``, which makes the
-    completion order deterministic.
+    completion order deterministic.  The heap itself holds the same
+    three fields as a plain tuple, which compares equal to the record.
     """
 
     finish_time: int
@@ -48,6 +59,7 @@ class ClusterState:
     Example:
         >>> state = ClusterState((10, 10))
         >>> state.start(task_id=1, demands=(4, 2), runtime=3)
+        (3, 1, (4, 2))
         >>> state.available
         (6, 8)
         >>> state.advance_to_next_event()
@@ -63,7 +75,7 @@ class ClusterState:
             raise CapacityError(f"invalid capacities {tuple(capacities)}")
         self.capacities: ResourceVector = tuple(int(c) for c in capacities)
         self._available: List[int] = list(self.capacities)
-        self._running: List[RunningTask] = []
+        self._running: List[Entry] = []
         self.now: int = int(now)
 
     # ------------------------------------------------------------------ #
@@ -92,11 +104,11 @@ class ClusterState:
 
     def running_tasks(self) -> List[RunningTask]:
         """Running tasks sorted by (finish_time, task_id)."""
-        return sorted(self._running)
+        return [RunningTask._make(entry) for entry in sorted(self._running)]
 
     def running_ids(self) -> List[int]:
         """Ids of running tasks, in completion order."""
-        return [entry.task_id for entry in sorted(self._running)]
+        return [entry[1] for entry in sorted(self._running)]
 
     def occupancy(self) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
         """Sorted ``(remaining slots, demands)`` of the running tasks.
@@ -122,7 +134,7 @@ class ClusterState:
         """
         if not self._running:
             raise EnvironmentStateError("no running tasks: no next event")
-        return self._running[0].finish_time
+        return self._running[0][0]
 
     def utilization(self) -> Tuple[float, ...]:
         """Fraction of each resource currently in use."""
@@ -135,12 +147,12 @@ class ClusterState:
     # mutation
     # ------------------------------------------------------------------ #
 
-    def start(self, task_id: int, demands: Sequence[int], runtime: int) -> RunningTask:
+    def start(self, task_id: int, demands: Sequence[int], runtime: int) -> Entry:
         """Begin running a task now, occupying its demands.
 
         Returns:
-            The :class:`RunningTask` entry recorded for the task — keep it
-            to remove the task again with :meth:`kill`.
+            The ``(finish_time, task_id, demands)`` entry recorded for the
+            task — keep it to remove the task again with :meth:`kill`.
 
         Raises:
             CapacityError: if the demands exceed free capacity (or can never
@@ -161,29 +173,31 @@ class ClusterState:
                 )
         for r, demand in enumerate(demands):
             available[r] -= demand
-        entry = RunningTask(self.now + int(runtime), int(task_id), tuple(demands))
+        entry = (self.now + int(runtime), int(task_id), tuple(demands))
         heapq.heappush(self._running, entry)
         return entry
 
-    def kill(self, entry: RunningTask) -> None:
+    def kill(self, entry: Entry) -> None:
         """Remove a running task *without* completing it (fault handling).
 
-        The entry leaves the heap and its demands are released; the
-        occupied slot-time is lost, not refunded, and the caller is
-        expected to re-enqueue the work.
+        ``entry`` is what :meth:`start` returned or a record from
+        :meth:`running_tasks`; the two compare equal.  The entry leaves
+        the heap and its demands are released; the occupied slot-time is
+        lost, not refunded, and the caller is expected to re-enqueue the
+        work.
 
         Raises:
             EnvironmentStateError: if ``entry`` is not currently running.
         """
-
+        _, task_id, demands = entry
         try:
             self._running.remove(entry)
         except ValueError:
             raise EnvironmentStateError(
-                f"kill: task {entry.task_id} is not running"
+                f"kill: task {task_id} is not running"
             ) from None
         heapq.heapify(self._running)
-        for r, demand in enumerate(entry.demands):
+        for r, demand in enumerate(demands):
             self._available[r] += demand
 
     def adjust_capacity(self, deltas: Sequence[int]) -> None:
@@ -230,13 +244,13 @@ class ClusterState:
         Raises:
             EnvironmentStateError: if ``dt`` is not positive.
         """
-        return [entry.task_id for entry in self.advance_entries(dt)]
+        return [entry[1] for entry in self.advance_entries(dt)]
 
-    def advance_entries(self, dt: int) -> List[RunningTask]:
+    def advance_entries(self, dt: int) -> List[Entry]:
         """Like :meth:`advance` but return the full released entries.
 
-        The returned entries (in completion order) carry the demands and
-        finish times of the released tasks.
+        The returned ``(finish_time, task_id, demands)`` entries are in
+        completion order.
 
         Raises:
             EnvironmentStateError: if ``dt`` is not positive.
@@ -244,12 +258,13 @@ class ClusterState:
         if dt < 1:
             raise EnvironmentStateError(f"dt must be >= 1, got {dt}")
         self.now += int(dt)
-        completed: List[RunningTask] = []
+        now = self.now
+        completed: List[Entry] = []
         running = self._running
         available = self._available
-        while running and running[0].finish_time <= self.now:
+        while running and running[0][0] <= now:
             entry = heapq.heappop(running)
-            for r, demand in enumerate(entry.demands):
+            for r, demand in enumerate(entry[2]):
                 available[r] += demand
             completed.append(entry)
         return completed
@@ -263,35 +278,11 @@ class ClusterState:
         Raises:
             EnvironmentStateError: if the cluster is idle.
         """
-        dt, entries = self.advance_to_next_event_entries()
-        return self.now, [entry.task_id for entry in entries]
-
-    def advance_to_next_event_entries(self) -> Tuple[int, List[RunningTask]]:
-        """Fused event sweep for the simulation hot path.
-
-        Equivalent to ``advance_entries(earliest_finish_time() - now)`` but
-        with a single method call and no intermediate bookkeeping.
-
-        Returns:
-            ``(dt, completed_entries)``; at least one task completes.
-
-        Raises:
-            EnvironmentStateError: if the cluster is idle.
-        """
         running = self._running
         if not running:
             raise EnvironmentStateError("no running tasks: no next event")
-        target = running[0].finish_time
-        dt = target - self.now
-        self.now = target
-        completed: List[RunningTask] = []
-        available = self._available
-        while running and running[0].finish_time <= target:
-            entry = heapq.heappop(running)
-            for r, demand in enumerate(entry.demands):
-                available[r] += demand
-            completed.append(entry)
-        return dt, completed
+        completed = self.advance_entries(running[0][0] - self.now)
+        return self.now, [entry[1] for entry in completed]
 
     # ------------------------------------------------------------------ #
     # copying / equality

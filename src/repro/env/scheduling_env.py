@@ -30,7 +30,7 @@ from __future__ import annotations
 import heapq  # own heap: kernel dispatch measured too slow for rollouts
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from ..cluster.state import ClusterState, RunningTask
+from ..cluster.state import ClusterState
 from ..cluster.resources import validate_demands
 from ..config import EnvConfig
 from ..dag.graph import TaskGraph
@@ -53,20 +53,16 @@ def step_limit_exceeded(limit: int) -> EnvironmentStateError:
 class StepResult(NamedTuple):
     """Outcome of one :meth:`SchedulingEnv.step` call.
 
-    A ``NamedTuple`` rather than a dataclass: one is allocated per step on
-    the rollout hot path, and tuple construction is several times cheaper.
+    A ``NamedTuple`` rather than a dataclass: a tree walk's path replay
+    allocates one per process step, and tuple construction is several
+    times cheaper.  Schedule steps return one cached result per task, and
+    neither playout allocates any.
     """
 
     reward: int
     done: bool
     completed: Tuple[int, ...]
     scheduled: Optional[int] = None
-
-
-#: Builds a :class:`RunningTask` from one ``(finish, task_id, demands)``
-#: tuple without the namedtuple's Python-level ``__new__``: every start
-#: pushes one, on the rollout hot path.
-_running_task = tuple.__new__
 
 
 class SchedulingEnv:
@@ -92,9 +88,8 @@ class SchedulingEnv:
         ... )
         >>> env.step(0).scheduled  # start the chain head
         0
-        >>> while not env.done:
-        ...     _ = env.step(PROCESS) if 0 not in env.visible_ready() \
-        ...         else env.step(env.visible_ready().index(0))
+        >>> while not env.done:  # start what is ready, else wait for it
+        ...     _ = env.step(0 if env.visible_ready() else PROCESS)
         >>> env.makespan
         5
     """
@@ -324,20 +319,24 @@ class SchedulingEnv:
             raise EnvironmentStateError("episode already finished")
         self.steps_taken += 1
         if action == PROCESS:
+            # Inlined release, as in the playouts: a tree walk replays
+            # its path with this method.
             cluster = self.cluster
-            if cluster.is_idle:
+            heap = cluster._running
+            if not heap:
                 raise EnvironmentStateError("PROCESS on an idle cluster")
-            if self._until_completion:
-                dt, released = cluster.advance_to_next_event_entries()
-            else:
-                dt = 1
-                released = cluster.advance_entries(1)
+            before = cluster.now
+            now = heap[0][0] if self._until_completion else before + 1
+            cluster.now = now
+            available = cluster._available
             completed = []
             ready = self._ready
             unmet = self._unmet
             children = self._children
-            for entry in released:
-                tid = entry.task_id
+            while heap and heap[0][0] <= now:
+                finish, tid, demands = heapq.heappop(heap)
+                for r, demand in enumerate(demands):
+                    available[r] += demand
                 completed.append(tid)
                 finished.add(tid)
                 for child in children[tid]:
@@ -347,7 +346,7 @@ class SchedulingEnv:
                         ready.append(child)
             self._version += 1
             done = len(finished) == self._num_tasks
-            return StepResult(-dt, done, tuple(completed))
+            return StepResult(before - now, done, tuple(completed))
         ready = self._ready
         num_visible = len(ready)
         if num_visible > self._max_ready:
@@ -372,10 +371,7 @@ class SchedulingEnv:
         for r, demand in enumerate(demands):
             available[r] -= demand
         heapq.heappush(
-            cluster._running,
-            _running_task(
-                RunningTask, (cluster.now + self._runtimes[tid], tid, demands)
-            ),
+            cluster._running, (cluster.now + self._runtimes[tid], tid, demands)
         )
         del ready[action]
         self._starts[tid] = cluster.now
@@ -410,6 +406,12 @@ class SchedulingEnv:
         a process step rescans the window.  The list stays ascending, so
         every draw picks what a rescan's list would.
 
+        A start pushes a plain ``(finish, task_id, demands)`` tuple.  The
+        clock and, with two resources, the free capacity stay in locals
+        for the whole playout and are written back once, by the
+        ``finally`` that also publishes ``steps_taken``, so a playout cut
+        short by an error leaves the state it stopped in.
+
         Args:
             rng: ``numpy.random.Generator`` to draw action choices from.
             limit: step cap.
@@ -440,6 +442,8 @@ class SchedulingEnv:
         heappush = heapq.heappush
         heappop = heapq.heappop
         now = cluster.now
+        if two_dim:
+            free0, free1 = available
         unfinished = num_tasks - len(finished)
         steps_before = self.steps_taken
         version_before = self._version
@@ -456,7 +460,6 @@ class SchedulingEnv:
                     visible = ready if len(ready) <= max_ready else ready[:max_ready]
                     index = 0
                     if two_dim:
-                        free0, free1 = available
                         for tid in visible:
                             demands = demands_of[tid]
                             if demands[0] <= free0 and demands[1] <= free1:
@@ -477,10 +480,7 @@ class SchedulingEnv:
                     chosen = actions[draw(n)] if n > 1 else actions[0]
                     tid = ready[chosen]
                     demands = demands_of[tid]
-                    heappush(
-                        heap,
-                        _running_task(RunningTask, (now + runtimes[tid], tid, demands)),
-                    )
+                    heappush(heap, (now + runtimes[tid], tid, demands))
                     del ready[chosen]
                     starts[tid] = now
                     steps += 1
@@ -493,8 +493,6 @@ class SchedulingEnv:
                     if two_dim:
                         free0 -= demands[0]
                         free1 -= demands[1]
-                        available[0] = free0
-                        available[1] = free1
                         for index in actions:
                             if index != chosen:
                                 if index > chosen:
@@ -523,13 +521,12 @@ class SchedulingEnv:
                     raise EnvironmentStateError("no legal actions")
                 steps += 1
                 now = heap[0][0] if until_completion else now + 1
-                cluster.now = now
                 actions = None
                 while heap and heap[0][0] <= now:
                     finish, tid, demands = heappop(heap)
                     if two_dim:
-                        available[0] += demands[0]
-                        available[1] += demands[1]
+                        free0 += demands[0]
+                        free1 += demands[1]
                     else:
                         for r, demand in enumerate(demands):
                             available[r] += demand
@@ -541,9 +538,13 @@ class SchedulingEnv:
                         if remaining == 0:
                             ready.append(child)
         finally:
+            cluster.now = now
+            if two_dim:
+                available[0] = free0
+                available[1] = free1
             self.steps_taken = steps_before + steps
             self._version = version_before + steps
-        return cluster.now
+        return now
 
     def policy_playout(
         self,
@@ -674,12 +675,7 @@ class SchedulingEnv:
                     demands = demands_of[tid]
                     for r, demand in enumerate(demands):
                         available[r] -= demand
-                    heappush(
-                        heap,
-                        _running_task(
-                            RunningTask, (cluster.now + runtimes[tid], tid, demands)
-                        ),
-                    )
+                    heappush(heap, (cluster.now + runtimes[tid], tid, demands))
                     del ready[action]
                     starts[tid] = cluster.now
                     continue

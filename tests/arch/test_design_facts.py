@@ -318,3 +318,42 @@ def test_one_golden_harness():
     registered = [file for name in GOLDENS for file in files(name)]
     assert len(registered) == len(set(registered)), registered
     assert sorted(registered) == sorted(p.name for p in data.glob("*golden*.json"))
+
+
+def test_running_entries_are_plain_tuples():
+    # The running heap holds plain (finish, task_id, demands) tuples: every
+    # writer pushes one, and only ClusterState.running_tasks() builds
+    # RunningTask records, off the hot path.  No record is built by
+    # calling tuple.__new__ on the class.
+    import numpy as np
+    import pytest
+
+    from repro.cluster import ClusterState
+    from repro.config import WorkloadConfig
+    from repro.dag.generators import random_layered_dag
+    from repro.env import SchedulingEnv
+    from repro.errors import EnvironmentStateError
+
+    # (Bracketed so that this line does not match itself.)
+    assert not grep(r"tuple\.__ne[w]__", REPO / "src")
+
+    def assert_plain(heap):
+        assert heap and {type(entry) for entry in heap} == {tuple}
+
+    cluster = ClusterState((10, 10))
+    cluster.start(1, (2, 3), 4)
+    assert_plain(cluster._running)
+
+    env = SchedulingEnv(random_layered_dag(WorkloadConfig(num_tasks=20), seed=1))
+    env.step(0)
+    assert_plain(env.cluster._running)
+
+    random_env = env.clone()
+    with pytest.raises(EnvironmentStateError, match="step limit"):
+        random_env.random_playout(np.random.default_rng(0), limit=3)
+    assert_plain(random_env.cluster._running)
+
+    policy_env = env.clone()
+    with pytest.raises(EnvironmentStateError, match="step limit"):
+        policy_env.policy_playout(lambda actions: actions[0], None, limit=3)
+    assert_plain(policy_env.cluster._running)

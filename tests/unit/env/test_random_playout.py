@@ -50,9 +50,10 @@ class TestRandomPlayout:
 
     def test_step_limit_publishes_the_steps_played(self):
         """A playout stopped at its cap leaves a consistent environment:
-        ``steps_taken`` counts the steps it played, and ``legal_actions()``
-        is recomputed for the state it stopped in (not served from the
-        cache of the state it started from)."""
+        ``steps_taken`` counts the steps it played, the clock, free
+        capacity and running entries it kept in locals are written back,
+        and ``legal_actions()`` is recomputed for the state it stopped in
+        (not served from the cache of the state it started from)."""
         workload = WorkloadConfig(num_tasks=20, max_demand=8, demand_mean=4)
         graph = random_layered_dag(workload, seed=3)
         env = make_env(graph)
@@ -68,6 +69,9 @@ class TestRandomPlayout:
             reference.step(actions[choice])
         assert env.start_times() and env.start_times() == reference.start_times()
         assert env.steps_taken == reference.steps_taken == 8
+        assert env.now > 0  # a process step moved the clock
+        assert env.cluster.signature() == reference.cluster.signature()
+        assert env.signature() == reference.signature()
         assert env.legal_actions() == reference.legal_actions()
 
     def test_finished_episode_returns_makespan_unchanged(self):
