@@ -41,7 +41,8 @@ from repro.schedulers.base import ClusterSnapshot
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 
 GOLDENS = (
-    "sim", "rl", "gnn", "mcts", "wave", "spear", "heuristic", "graphene", "experiments"
+    "sim", "rl", "gnn", "mcts", "wave", "spear", "heuristic", "graphene", "experiments",
+    "dag",
 )
 
 
