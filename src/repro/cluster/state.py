@@ -163,7 +163,10 @@ class ClusterState:
             raise EnvironmentStateError(
                 f"task {task_id}: runtime must be >= 1, got {runtime}"
             )
-        validate_demands(demands, self.capacities, label=f"task {task_id}")
+        capacities = self.capacities
+        if len(demands) != len(capacities) or not fits(demands, capacities):
+            # The label is formatted only on the failing path.
+            validate_demands(demands, capacities, label=f"task {task_id}")
         available = self._available
         for r, demand in enumerate(demands):
             if demand > available[r]:

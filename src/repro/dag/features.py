@@ -79,11 +79,12 @@ _FEATURE_CACHE_MAX = 64
 def compute_features(graph: TaskGraph) -> GraphFeatures:
     """Compute :class:`GraphFeatures` for ``graph`` in O(V + E).
 
-    A single reverse-topological sweep yields b-level and b-load together;
-    a forward sweep yields t-level.  Results are memoized per graph
-    instance (graphs are immutable): baseline policies, observation
-    builders and analysis tooling all ask for the same graph's features
-    repeatedly, often once per episode.
+    A single reverse-topological sweep over the graph's child table
+    yields b-level and b-load together (each task's load sum carried,
+    not recomputed per comparison); a forward sweep yields t-level.
+    Results are memoized per graph instance (graphs are immutable):
+    baseline policies, observation builders and analysis tooling all ask
+    for the same graph's features repeatedly, often once per episode.
     """
 
     key = id(graph)
@@ -92,39 +93,47 @@ def compute_features(graph: TaskGraph) -> GraphFeatures:
         return cached[1]
 
     order = graph.topological_order()
-    num_resources = graph.num_resources
+    children = graph.child_table()
+    tasks = graph.tasks()
 
     b_level: Dict[int, int] = {}
     b_load: Dict[int, Tuple[int, ...]] = {}
+    load_sum: Dict[int, int] = {}  # sum(b_load[tid]), carried along
     for tid in reversed(order):
-        task = graph.task(tid)
-        own_load = tuple(task.load(r) for r in range(num_resources))
-        kids = graph.children(tid)
+        task = tasks[tid]
+        runtime = task.runtime
+        own_load = tuple(runtime * demand for demand in task.demands)
+        kids = children[tid]
         if not kids:
-            b_level[tid] = task.runtime
+            b_level[tid] = runtime
             b_load[tid] = own_load
+            load_sum[tid] = sum(own_load)
             continue
         # Follow the child with the largest b-level; among equals prefer the
-        # heavier accumulated load, then the smallest id (determinism).
-        best = max(
-            kids, key=lambda k: (b_level[k], sum(b_load[k]), -k)
-        )
-        b_level[tid] = task.runtime + b_level[best]
+        # heavier accumulated load, then the smallest id (determinism):
+        # children ascend by id, so only a strictly better child replaces.
+        best = kids[0]
+        best_level = b_level[best]
+        best_sum = load_sum[best]
+        for kid in kids[1:]:
+            level, total = b_level[kid], load_sum[kid]
+            if level > best_level or (level == best_level and total > best_sum):
+                best, best_level, best_sum = kid, level, total
+        b_level[tid] = runtime + best_level
         b_load[tid] = tuple(
             own + downstream for own, downstream in zip(own_load, b_load[best])
         )
+        load_sum[tid] = sum(own_load) + best_sum
 
-    t_level: Dict[int, int] = {}
+    # Forward: each task pushes its finish offset to its children.
+    t_level: Dict[int, int] = dict.fromkeys(order, 0)
     for tid in order:
-        parents = graph.parents(tid)
-        if not parents:
-            t_level[tid] = 0
-        else:
-            t_level[tid] = max(
-                t_level[p] + graph.task(p).runtime for p in parents
-            )
+        finish = t_level[tid] + tasks[tid].runtime
+        for kid in children[tid]:
+            if finish > t_level[kid]:
+                t_level[kid] = finish
 
-    num_children = {tid: len(graph.children(tid)) for tid in order}
+    num_children = {tid: len(children[tid]) for tid in order}
     critical_path = max(b_level.values())
     features = GraphFeatures(
         b_level=b_level,

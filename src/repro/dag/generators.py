@@ -96,56 +96,54 @@ def random_layered_dag(
         raise ConfigError("num_resources must be >= 1")
     rng = as_generator(seed)
 
+    # Every draw becomes Python ints once (``tolist``): the per-task
+    # loop below reads plain lists, never NumPy scalars.
     runtimes = truncated_normal_int(
         rng, cfg.runtime_mean, cfg.runtime_std, 1, cfg.max_runtime, cfg.num_tasks
-    )
-    demands = np.stack(
-        [
-            truncated_normal_int(
-                rng, cfg.demand_mean, cfg.demand_std, 1, cfg.max_demand, cfg.num_tasks
-            )
-            for _ in range(num_resources)
-        ],
-        axis=1,
-    )
-
+    ).tolist()
+    columns = [
+        truncated_normal_int(
+            rng, cfg.demand_mean, cfg.demand_std, 1, cfg.max_demand, cfg.num_tasks
+        ).tolist()
+        for _ in range(num_resources)
+    ]
     tasks = [
-        Task(
-            task_id=i,
-            runtime=int(runtimes[i]),
-            demands=tuple(int(d) for d in demands[i]),
-            name=f"{name_prefix}{i}",
-        )
-        for i in range(cfg.num_tasks)
+        Task(task_id=i, runtime=runtime, demands=demands, name=f"{name_prefix}{i}")
+        for i, (runtime, demands) in enumerate(zip(runtimes, zip(*columns)))
     ]
 
     layer_sizes = _draw_layers(rng, cfg.num_tasks, cfg.min_width, cfg.max_width)
-    layers: List[List[int]] = []
+    layers: List[range] = []
     next_id = 0
     for size in layer_sizes:
-        layers.append(list(range(next_id, next_id + size)))
+        layers.append(range(next_id, next_id + size))
         next_id += size
 
+    probability = cfg.edge_probability
     edges: List[Tuple[int, int]] = []
     for upper, lower in zip(layers, layers[1:]):
-        # Random cross edges.
-        for u in upper:
-            for v in lower:
-                if rng.random() < cfg.edge_probability:
+        # Random cross edges: one coin per (u, v), u-major — the doubles
+        # ``len(upper) * len(lower)`` calls of ``rng.random()`` would draw.
+        width = len(lower)
+        coins = rng.random(len(upper) * width).tolist()
+        has_child = set()
+        has_parent = set()
+        for i, u in enumerate(upper):
+            for v, coin in zip(lower, coins[i * width:(i + 1) * width]):
+                if coin < probability:
                     edges.append((u, v))
-        edge_set = set(edges)
+                    has_child.add(u)
+                    has_parent.add(v)
         # Guarantee every lower task has a parent in the layer above.
         for v in lower:
-            if not any((u, v) in edge_set for u in upper):
-                u = int(upper[rng.integers(0, len(upper))])
+            if v not in has_parent:
+                u = upper[int(rng.integers(0, len(upper)))]
                 edges.append((u, v))
-                edge_set.add((u, v))
+                has_child.add(u)
         # Guarantee every upper task has a child (no accidental sinks).
         for u in upper:
-            if not any((u, v) in edge_set for v in lower):
-                v = int(lower[rng.integers(0, len(lower))])
-                edges.append((u, v))
-                edge_set.add((u, v))
+            if u not in has_child:
+                edges.append((u, lower[int(rng.integers(0, width))]))
 
     return TaskGraph(tasks, edges)
 

@@ -17,8 +17,15 @@ Kernel wiring (see :mod:`repro.sim.events` for the tie-break table):
   documented intra-tie order (recovery before crash) is preserved;
 * retry backoffs become future ``retry.ready`` events — except a
   zero-delay backoff, which the layer defers (as a
-  :class:`~repro.sim.SimProcess`) to the *next* tick so a retried task
+  :class:`~repro.sim.SimProcess`, registered only under a fault plan:
+  fault-free runs never retry) to the *next* tick so a retried task
   never competes in the dispatch round of the instant it failed in.
+
+Every handler the layer runs, :meth:`ExecutionLayer.admit` and
+:meth:`ExecutionLayer.fail_job` set :attr:`ExecutionLayer.changed`:
+the policy layer re-sweeps a shard's ready tasks only after something
+that can make one fit has happened (see
+:meth:`~repro.online.policy.PolicyLayer.dispatch_round`).
 """
 
 from __future__ import annotations
@@ -133,10 +140,16 @@ class FaultState:
 class ExecutionLayer:
     """Attempt lifecycle, cluster occupancy, and fault realization.
 
-    Also a :class:`~repro.sim.SimProcess`: zero-delay retry backoffs are
-    held here and released on the following tick (a failed attempt's
-    replacement never joins the dispatch round of its own failure
-    instant).
+    Under a fault plan also a :class:`~repro.sim.SimProcess`: zero-delay
+    retry backoffs are held here and released on the following tick (a
+    failed attempt's replacement never joins the dispatch round of its
+    own failure instant).
+
+    :attr:`changed` marks that something happened since the policy
+    layer's last dispatch round that may let a ready task fit: a
+    completion (capacity released, children unlocked), a retry becoming
+    ready, a crash or recovery, an admitted job, an abandoned job's
+    killed work.
 
     Args:
         capacities: cluster capacities.
@@ -164,8 +177,8 @@ class ExecutionLayer:
         self.running_info: Dict[int, Tuple[int, TaskAttempt]] = {}
         self.policy: "PolicyLayer" = None  # type: ignore[assignment] # wired by orchestrator
         self._deferred_retries: List[Tuple[int, int, int]] = []
+        self.changed = True
         kernel.add_process(ClusterProcess(self.state))
-        kernel.add_process(self)
         kernel.register(COMPLETION_KIND, self._on_completion)
         self.fstate: Optional[FaultState] = None
         if faults is not None and not faults.is_null:
@@ -174,6 +187,7 @@ class ExecutionLayer:
             self.fstate = FaultState(
                 plan=faults, injector=injector, cursor=TimelineCursor(timeline)
             )
+            kernel.add_process(self)
             kernel.register(TIMELINE_KIND, self._on_timeline)
             kernel.register(RETRY_KIND, self._on_retry_ready)
             for entry in timeline:
@@ -207,6 +221,7 @@ class ExecutionLayer:
         """Create the live bookkeeping for an arrived job."""
         job = ActiveJob(index, arrival, graph)
         self.active[index] = job
+        self.changed = True
         return job
 
     def start_attempt(self, job: ActiveJob, tid: int) -> None:
@@ -232,6 +247,7 @@ class ExecutionLayer:
     # ------------------------------------------------------------------ #
 
     def _on_completion(self, event: Event) -> None:
+        self.changed = True
         handle = event.payload.task_id
         job_index, tid = divmod(handle, self.offset)
         job = self.active.get(job_index)
@@ -306,6 +322,7 @@ class ExecutionLayer:
         self.policy.on_task_failure(job)
 
     def _on_retry_ready(self, event: Event) -> None:
+        self.changed = True
         job_index, tid = event.payload
         job = self.active.get(job_index)
         if job is not None:  # the job may have failed while backing off
@@ -316,6 +333,7 @@ class ExecutionLayer:
     # ------------------------------------------------------------------ #
 
     def _on_timeline(self, event: Event) -> None:
+        self.changed = True
         fstate = self.fstate
         assert fstate is not None
         fired = fstate.cursor.drain(self.state.now)
@@ -401,6 +419,7 @@ class ExecutionLayer:
 
     def fail_job(self, job: ActiveJob, reason: str) -> None:
         """Abandon a job: kill its running work, record the outcome."""
+        self.changed = True
         running_info = self.running_info
         state = self.state
         for handle in [h for h in running_info if h // self.offset == job.index]:

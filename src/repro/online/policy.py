@@ -169,8 +169,19 @@ class PolicyLayer:
     # ------------------------------------------------------------------ #
 
     def dispatch_round(self) -> None:
-        """Work-conserving fill in ranker (or plan-priority) order."""
+        """Work-conserving fill in ranker (or plan-priority) order.
+
+        A round ends with no ready task that fits, and nothing between
+        two rounds can change that but what marks
+        :attr:`ExecutionLayer.changed` (free capacity only grows, and a
+        task only becomes ready, through the layer's handlers,
+        :meth:`ExecutionLayer.admit` and :meth:`ExecutionLayer.fail_job`):
+        an unmarked shard is not swept.
+        """
         execution = self.execution
+        if not execution.changed:
+            return
+        execution.changed = False
         state = execution.state
         active = execution.active
         plan_rank = self.plan_rank

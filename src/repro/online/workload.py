@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Tuple
 
-from ..cluster.resources import validate_demands
+from ..cluster.resources import fits, validate_demands
 from ..dag.graph import TaskGraph
 from ..errors import CapacityError, ConfigError
 from ..sim import Event, EventClass, SimKernel
@@ -62,7 +62,8 @@ def check_feasible(graph: TaskGraph, capacities: Sequence[int]) -> None:
             f"cluster has {len(capacities)}"
         )
     for task in graph:
-        validate_demands(task.demands, capacities, label=task.label())
+        if not fits(task.demands, capacities):  # dimensions match: checked above
+            validate_demands(task.demands, capacities, label=task.label())
 
 
 def infeasible_reason(graph: TaskGraph, capacities: Sequence[int]) -> Optional[str]:

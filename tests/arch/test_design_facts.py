@@ -357,3 +357,49 @@ def test_running_entries_are_plain_tuples():
     with pytest.raises(EnvironmentStateError, match="step limit"):
         policy_env.policy_playout(lambda actions: actions[0], None, limit=3)
     assert_plain(policy_env.cluster._running)
+
+
+def test_a_shard_sweeps_only_after_a_change():
+    # A dispatch round ends with no ready task that fits, so a shard is
+    # swept again only after one of its events ran (or a job was admitted
+    # or abandoned): a second round with nothing in between tests no fit.
+    # The execution layer polls the kernel as a process only when its
+    # shard has a fault plan (zero-delay retries are all it defers).
+    from unittest import mock
+
+    from repro.dag.generators import independent_tasks_dag
+    from repro.faults import FaultPlan, MachineCrash
+    from repro.online import ArrivingJob, cp_ranker, sjf_ranker, tetris_ranker
+    from repro.online import policy as policy_module
+    from repro.online.engine import ShardedEngine, ShardSpec
+    from repro.telemetry import runtime
+
+    crash = FaultPlan(crashes=(MachineCrash(0, 5, (2, 2), recover_at=9),), seed=1)
+    for faults, processes in ((None, 1), (crash, 2)):
+        for ranker in (sjf_ranker, cp_ranker, tetris_ranker):
+            # Three (6, 6) tasks on (10, 10): one starts, two stay ready.
+            graph = independent_tasks_dag([3, 3, 3], [(6, 6)] * 3)
+            engine = ShardedEngine(
+                [ShardSpec((10, 10), ranker, faults=faults)],
+                iter([(0, ArrivingJob(0, graph))]),
+                3,
+                runtime.active(),
+            )
+            assert len(engine.kernel._processes) == processes
+            engine.kernel.drain_due()
+            (shard,) = engine.shards
+            shard.policy.dispatch_round()
+            (job,) = shard.execution.active.values()
+            assert len(job.ready) == 2 and shard.execution.state.num_running == 1
+
+            tests = []
+
+            def counting_fits(demands, free, fits=policy_module.fits):
+                tests.append(demands)
+                return fits(demands, free)
+
+            with mock.patch.object(policy_module, "fits", counting_fits):
+                shard.policy.dispatch_round()
+                assert tests == []
+                shard.execution.fail_job(job, reason="abandoned")
+                assert shard.execution.changed

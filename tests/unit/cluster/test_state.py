@@ -49,6 +49,23 @@ class TestStart:
         with pytest.raises(CapacityError):
             cluster.start(1, (11, 1), 1)
 
+    def test_rejection_messages_are_exact(self):
+        cluster = ClusterState((20, 20))
+        with pytest.raises(CapacityError) as never:
+            cluster.start(3, (25, 1), 1)
+        assert str(never.value) == (
+            "task 3: demand 25 for resource 0 exceeds capacity 20"
+        )
+        with pytest.raises(CapacityError) as dims:
+            cluster.start(3, (1, 1, 1), 1)
+        assert str(dims.value) == "task 3: demand vector has 3 dims, cluster has 2"
+        cluster.start(1, (15, 15), 2)
+        with pytest.raises(CapacityError) as busy:
+            cluster.start(3, (6, 1), 1)
+        assert str(busy.value) == (
+            "task 3: demands (6, 1) exceed free capacity (5, 5)"
+        )
+
     def test_zero_runtime_rejected(self, cluster):
         with pytest.raises(EnvironmentStateError):
             cluster.start(1, (1, 1), 0)

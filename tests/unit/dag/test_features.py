@@ -97,6 +97,20 @@ class TestBLoad:
         features = compute_features(graph)
         assert features.b_load[0] == (1 + 15, 1 + 15)
 
+    @pytest.mark.parametrize("first, second", [((3, 1), (1, 3)), ((1, 3), (3, 1))])
+    def test_bload_full_tie_follows_smaller_id(self, first, second):
+        # Equal b-level and equal load sum (8), different per-dimension
+        # loads: the smaller id is followed, whichever loads it carries.
+        tasks = [
+            Task(0, 1, (1, 1)),
+            Task(4, 2, second),
+            Task(3, 2, first),
+        ]
+        graph = TaskGraph(tasks, [(0, 4), (0, 3)])
+        features = compute_features(graph)
+        assert features.b_level[0] == 3
+        assert features.b_load[0] == (1 + 2 * first[0], 1 + 2 * first[1])
+
 
 class TestNumChildren:
     def test_counts_direct_children_only(self):

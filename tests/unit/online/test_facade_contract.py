@@ -108,6 +108,19 @@ class TestInfeasibleJob:
         assert "exceeds capacity 10" in rejected.reason
         assert result.arrivals == 2 and result.admitted == 1
 
+    def test_the_reason_names_the_task_by_its_label(self):
+        from repro.online.workload import infeasible_reason
+
+        named = TaskGraph([Task(0, 1, (1, 1)), Task(1, 2, (3, 11), name="reduce-1")])
+        assert infeasible_reason(named, (10, 10)) == (
+            "reduce-1: demand 11 for resource 1 exceeds capacity 10"
+        )
+        unnamed = TaskGraph([Task(7, 2, (11, 1))])
+        assert infeasible_reason(unnamed, (10, 10)) == (
+            "task-7: demand 11 for resource 0 exceeds capacity 10"
+        )
+        assert infeasible_reason(named, (10, 11)) is None
+
 
 class TestClosedBatchIndices:
     def test_unsorted_batch_keeps_stream_positions(self):
