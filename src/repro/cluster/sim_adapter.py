@@ -5,8 +5,9 @@ protocol over a live :class:`~repro.cluster.state.ClusterState`.  The
 cluster's next occurrence is its earliest running-task finish; when the
 kernel advances the clock, the adapter releases every entry finishing by
 the new instant and enqueues one ``COMPLETION`` event per released entry
-(payload: the released entry as a
-:class:`~repro.cluster.state.RunningTask` record), in completion order.
+(handler: the ``on_completion`` callable it was built with; payload: the
+released entry as a :class:`~repro.cluster.state.RunningTask` record),
+in completion order.
 
 The split matters for same-instant semantics: capacity *release* happens
 here, during time advance — before any event of the instant runs — so a
@@ -20,15 +21,13 @@ crash and recovery events of the same instant.  See
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
-from ..sim.events import EventClass
+from ..sim.events import Event, EventClass
 from ..sim.queue import EventQueue
 from .state import ClusterState, RunningTask
 
-__all__ = ["ClusterProcess", "COMPLETION_KIND"]
-
-COMPLETION_KIND = "cluster.completion"
+__all__ = ["ClusterProcess"]
 
 
 class ClusterProcess:
@@ -38,12 +37,16 @@ class ClusterProcess:
         state: the live cluster; the adapter owns its time advancement
             (callers must not call ``advance`` on it directly while the
             kernel is driving).
+        on_completion: handler of the ``COMPLETION`` events it enqueues.
     """
 
-    __slots__ = ("state",)
+    __slots__ = ("state", "on_completion")
 
-    def __init__(self, state: ClusterState) -> None:
+    def __init__(
+        self, state: ClusterState, on_completion: Callable[[Event], None]
+    ) -> None:
         self.state = state
+        self.on_completion = on_completion
 
     def next_event_time(self) -> Optional[int]:
         """Earliest running-task finish, or ``None`` when idle."""
@@ -59,8 +62,5 @@ class ClusterProcess:
             return
         for entry in state.advance_entries(dt):
             queue.push(
-                now,
-                EventClass.COMPLETION,
-                COMPLETION_KIND,
-                payload=RunningTask._make(entry),
+                now, EventClass.COMPLETION, self.on_completion, RunningTask._make(entry)
             )

@@ -41,8 +41,7 @@ from .routing import (
     parse_router_spec,
 )
 from .shard import Shard, ShardSpec, split_capacities
-from .stealing import STEAL_KIND, WorkStealer
-from .workload import ROUTE_KIND, FederationWorkloadLayer
+from .stealing import WorkStealer
 
 __all__ = [
     "AffinityRouter",
@@ -52,14 +51,11 @@ __all__ = [
     "FederationComparison",
     "FederationLedger",
     "FederationResult",
-    "FederationWorkloadLayer",
     "HashRouter",
     "LeastLoadedRouter",
     "RESCUE",
-    "ROUTE_KIND",
     "RoundRobinRouter",
     "Router",
-    "STEAL_KIND",
     "Shard",
     "ShardReport",
     "ShardSpec",

@@ -42,9 +42,7 @@ from ..telemetry import runtime as _telemetry
 from .ledger import FROM_ADMITTED, FROM_BACKLOG, RESCUE, StealRecord
 from .shard import Shard
 
-__all__ = ["STEAL_KIND", "WorkStealer"]
-
-STEAL_KIND = "federation.steal"
+__all__ = ["WorkStealer"]
 
 _BALANCE = "balance"
 
@@ -77,7 +75,6 @@ class WorkStealer:
         self.tm = tm
         self.steals: List[StealRecord] = []
         self._moved = False
-        kernel.register(STEAL_KIND, self._on_steal)
 
     # ------------------------------------------------------------------ #
     # engine entry points
@@ -89,10 +86,9 @@ class WorkStealer:
         gap = max(loads) - min(loads)
         if gap <= self.threshold or gap < 2:
             return
-        self.kernel.schedule(
-            self.kernel.now, EventClass.STEAL, STEAL_KIND, _BALANCE
-        )
-        self.kernel.drain_due()
+        kernel = self.kernel
+        kernel.schedule(kernel.now, EventClass.STEAL, self._on_steal, _BALANCE)
+        kernel.drain_due()
 
     def rescue(self) -> bool:
         """Force-move never-started jobs off a wedged federation.
@@ -103,7 +99,7 @@ class WorkStealer:
             falls through to per-shard ``fail_stuck``).
         """
         self._moved = False
-        self.kernel.schedule(self.kernel.now, EventClass.STEAL, STEAL_KIND, RESCUE)
+        self.kernel.schedule(self.kernel.now, EventClass.STEAL, self._on_steal, RESCUE)
         self.kernel.drain_due()
         return self._moved
 

@@ -3,9 +3,9 @@
 :class:`ShardedEngine` is the only code that advances simulated time.
 The cluster is a list of :class:`Shard` s — each a full scheduling stack
 (execution, policy, reporting, admission backpressure) built from a
-:class:`ShardSpec` on a :class:`~repro.online.kernelview.ShardKernelView`
-of **one** shared :class:`~repro.sim.SimKernel` instead of a private
-kernel — fed by one arrival stream
+:class:`ShardSpec` on **one** shared :class:`~repro.sim.SimKernel`
+instead of a private kernel (every event carries its layer's own bound
+handler, so shards never collide) — fed by one arrival stream
 (:class:`~repro.online.workload.ArrivalLayer`), so all cross-shard
 interleavings ride the kernel's total event order and two runs of the
 same spec are byte-identical.  :class:`~repro.online.OnlineSimulator`
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, List, Optional, Sequence, Tuple, cast
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError, EnvironmentStateError
 from ..faults.plan import FaultPlan
@@ -47,7 +47,6 @@ from ..sim import SimKernel
 from ..telemetry import runtime as _telemetry
 from .admission import ADMIT, QUEUE, AdmissionConfig, AdmissionController, QueuedJob
 from .execution import ActiveJob, ExecutionLayer
-from .kernelview import ShardKernelView
 from .policy import PolicyLayer
 from .rankers import Ranker
 from .reporting import ReportingLayer, RunLedger
@@ -88,8 +87,8 @@ class Shard:
     """The live state of one scheduling domain on the shared kernel.
 
     Args:
-        shard_id: stable identity; also the kind-namespace key and every
-            deterministic tie-break's last resort.
+        shard_id: stable identity; also every deterministic tie-break's
+            last resort.
         spec: the shard's declarative configuration.
         kernel: the shared kernel.
         tm: telemetry pipeline facade.
@@ -109,16 +108,13 @@ class Shard:
     ) -> None:
         self.id = shard_id
         self.capacities = spec.capacities
-        # The online layers only use the SimKernel surface the view
-        # reproduces (now/register/schedule/add_process/queue).
-        view = cast(SimKernel, ShardKernelView(kernel, shard_id))
         rescheduler = spec.rescheduler
         label = rescheduler.name if rescheduler is not None else "online"
         self.reporting = ReportingLayer(spec.capacities, tm, start, label)
         self.execution = ExecutionLayer(
-            spec.capacities, view, self.reporting, offset, spec.faults
+            spec.capacities, kernel, self.reporting, offset, spec.faults
         )
-        self.policy = PolicyLayer(spec.ranker, rescheduler, view, self.execution)
+        self.policy = PolicyLayer(spec.ranker, rescheduler, kernel, self.execution)
         self.execution.policy = self.policy
         self.admission = AdmissionController(spec.admission)
         self.routed = 0

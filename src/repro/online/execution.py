@@ -7,19 +7,22 @@ per-job DAG bookkeeping (:class:`ActiveJob`), and — in fault-aware runs
 failure retries with backoff, crash-kill victim selection, and job
 abandonment.
 
-Kernel wiring (see :mod:`repro.sim.events` for the tie-break table):
+Kernel wiring (see :mod:`repro.sim.events` for the tie-break table);
+every event the layer schedules carries one of its own bound methods:
 
-* task completions arrive as ``cluster.completion`` events (capacity
-  was already released during the clock advance);
-* the crash/recovery timeline is scheduled up-front as
-  ``fault.timeline`` events, drained through a
+* task completions arrive as ``COMPLETION`` events handled by
+  ``_on_completion`` (capacity was already released during the clock
+  advance);
+* the crash/recovery timeline is scheduled up-front as ``CRASH`` /
+  ``RECOVERY`` events handled by ``_on_timeline``, drained through a
   :class:`~repro.faults.injector.TimelineCursor` so the injector's
   documented intra-tie order (recovery before crash) is preserved;
-* retry backoffs become future ``retry.ready`` events — except a
-  zero-delay backoff, which the layer defers (as a
-  :class:`~repro.sim.SimProcess`, registered only under a fault plan:
-  fault-free runs never retry) to the *next* tick so a retried task
-  never competes in the dispatch round of the instant it failed in.
+* retry backoffs become future ``RETRY_READY`` events handled by
+  ``_on_retry_ready`` — except a zero-delay backoff, which the layer
+  defers (as a :class:`~repro.sim.SimProcess`, attached only under a
+  fault plan: fault-free runs never retry) to the *next* tick so a
+  retried task never competes in the dispatch round of the instant it
+  failed in.
 
 Every handler the layer runs, :meth:`ExecutionLayer.admit` and
 :meth:`ExecutionLayer.fail_job` set :attr:`ExecutionLayer.changed`:
@@ -33,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from ..cluster.sim_adapter import COMPLETION_KIND, ClusterProcess
+from ..cluster.sim_adapter import ClusterProcess
 from ..cluster.state import ClusterState
 from ..dag.features import GraphFeatures, compute_features
 from ..dag.graph import TaskGraph
@@ -53,16 +56,7 @@ from .reporting import ReportingLayer
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .policy import PolicyLayer
 
-__all__ = [
-    "ActiveJob",
-    "ExecutionLayer",
-    "FaultState",
-    "RETRY_KIND",
-    "TIMELINE_KIND",
-]
-
-TIMELINE_KIND = "fault.timeline"
-RETRY_KIND = "retry.ready"
+__all__ = ["ActiveJob", "ExecutionLayer", "FaultState"]
 
 
 class ActiveJob:
@@ -153,7 +147,7 @@ class ExecutionLayer:
 
     Args:
         capacities: cluster capacities.
-        kernel: the simulation kernel; the layer registers its handlers
+        kernel: the simulation kernel; the layer schedules its events
             and attaches the cluster adapter.
         reporting: sink for incidents, outcomes, and schedules.
         offset: job-handle stride — cluster task ids must be globally
@@ -178,8 +172,7 @@ class ExecutionLayer:
         self.policy: "PolicyLayer" = None  # type: ignore[assignment] # wired by orchestrator
         self._deferred_retries: List[Tuple[int, int, int]] = []
         self.changed = True
-        kernel.add_process(ClusterProcess(self.state))
-        kernel.register(COMPLETION_KIND, self._on_completion)
+        kernel.add_process(ClusterProcess(self.state, self._on_completion))
         self.fstate: Optional[FaultState] = None
         if faults is not None and not faults.is_null:
             injector = FaultInjector(faults)
@@ -188,15 +181,13 @@ class ExecutionLayer:
                 plan=faults, injector=injector, cursor=TimelineCursor(timeline)
             )
             kernel.add_process(self)
-            kernel.register(TIMELINE_KIND, self._on_timeline)
-            kernel.register(RETRY_KIND, self._on_retry_ready)
             for entry in timeline:
                 klass = (
                     EventClass.CRASH
                     if entry.kind == "crash"
                     else EventClass.RECOVERY
                 )
-                kernel.schedule(max(0, entry.time), klass, TIMELINE_KIND)
+                kernel.schedule(max(0, entry.time), klass, self._on_timeline)
 
     # ------------------------------------------------------------------ #
     # SimProcess: zero-delay retry deferral
@@ -211,7 +202,9 @@ class ExecutionLayer:
         deferred = self._deferred_retries
         while deferred and deferred[0][0] <= now:
             _, job_index, tid = deferred.pop(0)
-            queue.push(now, EventClass.RETRY_READY, RETRY_KIND, (job_index, tid))
+            queue.push(
+                now, EventClass.RETRY_READY, self._on_retry_ready, (job_index, tid)
+            )
 
     # ------------------------------------------------------------------ #
     # admission and dispatch
@@ -303,7 +296,7 @@ class ExecutionLayer:
         ready_at = now + delay
         if delay > 0:
             self.kernel.schedule(
-                ready_at, EventClass.RETRY_READY, RETRY_KIND, (job.index, tid)
+                ready_at, EventClass.RETRY_READY, self._on_retry_ready, (job.index, tid)
             )
         else:
             self._deferred_retries.append((ready_at, job.index, tid))

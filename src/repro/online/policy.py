@@ -6,11 +6,11 @@ the base ranker otherwise — and keeps those plans fresh: each job is
 replanned on admission, on each of its transient task failures, and
 (all jobs) after any crash/recovery fires.
 
-The crash-triggered replan is itself a kernel event (``policy.replan``,
-class ``REPLAN`` — the last class of the tie-break table), so the
-rescheduler always sees the fully settled instant: capacity changes,
-completions, retries and arrivals of the same timestamp have all been
-applied before any plan is computed.
+The crash-triggered replan is itself a kernel event (class ``REPLAN``,
+the last class of the tie-break table, handled by ``_on_replan``), so
+the rescheduler always sees the fully settled instant: capacity
+changes, completions, retries and arrivals of the same timestamp have
+all been applied before any plan is computed.
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ from ..sim import Event, EventClass, SimKernel
 from .execution import ActiveJob, ExecutionLayer
 from .rankers import Ranker, TaskContext
 
-__all__ = ["PolicyLayer", "REPLAN_KIND"]
-
-REPLAN_KIND = "policy.replan"
+__all__ = ["PolicyLayer"]
 
 
 class PolicyLayer:
@@ -61,7 +59,6 @@ class PolicyLayer:
         # it is computed once per (job, task) rather than once per
         # dispatch comparison.
         self._static_keys: Dict[int, Dict[int, Tuple]] = {}
-        kernel.register(REPLAN_KIND, self._on_replan)
 
     # ------------------------------------------------------------------ #
     # replan triggers
@@ -84,7 +81,7 @@ class PolicyLayer:
         now = self.kernel.now
         if self._replan_scheduled_at == now:
             return
-        self.kernel.schedule(now, EventClass.REPLAN, REPLAN_KIND, "crash")
+        self.kernel.schedule(now, EventClass.REPLAN, self._on_replan, "crash")
         self._replan_scheduled_at = now
 
     def _on_replan(self, event: Event) -> None:

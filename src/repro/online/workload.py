@@ -36,17 +36,7 @@ from .results import ArrivingJob
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Shard
 
-__all__ = [
-    "ARRIVAL_KIND",
-    "ROUTE_KIND",
-    "ArrivalLayer",
-    "check_feasible",
-    "infeasible_reason",
-    "validate_stream",
-]
-
-ARRIVAL_KIND = "job.arrival"
-ROUTE_KIND = "federation.route"
+__all__ = ["ArrivalLayer", "check_feasible", "infeasible_reason", "validate_stream"]
 
 
 def check_feasible(graph: TaskGraph, capacities: Sequence[int]) -> None:
@@ -94,8 +84,8 @@ class ArrivalLayer:
     Args:
         stream: ``(index, job)`` pairs, nondecreasing arrival times,
             none earlier than the kernel clock.
-        kernel: the shared kernel (unnamespaced: arrivals and routes are
-            run-level events, not shard-level ones).
+        kernel: the shared kernel (arrivals and routes are run-level
+            events, not shard-level ones).
         shards: the shard universe, ascending id.
         router: placement policy over feasible shards; never consulted
             (may be ``None``) when there is a single shard.
@@ -117,8 +107,6 @@ class ArrivalLayer:
         self._stream = stream
         self._last_arrival = kernel.now
         self._pending: Optional[Event] = None
-        kernel.register(ARRIVAL_KIND, self._on_arrival)
-        kernel.register(ROUTE_KIND, self._on_route)
         self._schedule_next()
 
     def _schedule_next(self) -> None:
@@ -133,7 +121,7 @@ class ArrivalLayer:
             )
         self._last_arrival = job.arrival_time
         self._pending = self.kernel.schedule(
-            job.arrival_time, EventClass.ARRIVAL, ARRIVAL_KIND, pair
+            job.arrival_time, EventClass.ARRIVAL, self._on_arrival, pair
         )
 
     def close(self, at: int) -> None:
@@ -162,7 +150,9 @@ class ArrivalLayer:
     def _on_arrival(self, event: Event) -> None:
         self._pending = None
         self.ledger.arrivals_seen += 1
-        self.kernel.schedule(event.time, EventClass.ROUTE, ROUTE_KIND, event.payload)
+        self.kernel.schedule(
+            event.time, EventClass.ROUTE, self._on_route, event.payload
+        )
         self._schedule_next()
 
     def _on_route(self, event: Event) -> None:

@@ -1,12 +1,12 @@
 """Deterministic discrete-event simulation kernel.
 
 ``repro.sim`` is the single source of time-advance truth for streaming
-simulations: an integer :class:`SimClock`, a stable-ordered
-:class:`EventQueue` (a binary heap keyed by ``(time, priority_class,
-seq)``), typed :class:`Event` records, and a :class:`SimKernel` that
-drives registered handlers and :class:`SimProcess` event sources
-(e.g. the cluster adapter that turns task completions into kernel
-events).
+simulations: a stable-ordered :class:`EventQueue` (a binary heap keyed
+by ``(time, priority_class, seq)``), typed :class:`Event` records that
+carry the callable handling them, and a :class:`SimKernel` that owns
+the integer clock, runs each due event's handler and polls
+:class:`SimProcess` event sources (e.g. the cluster adapter that turns
+task completions into kernel events).
 
 Determinism contract: two events never race.  At equal times the
 documented priority classes order them (crash < recovery < completion <
@@ -19,7 +19,6 @@ function of what was scheduled.  The online executor
 layered on this kernel.
 """
 
-from .clock import SimClock
 from .events import Event, EventClass
 from .kernel import SimKernel, SimProcess
 from .queue import EventQueue
@@ -28,7 +27,6 @@ __all__ = [
     "Event",
     "EventClass",
     "EventQueue",
-    "SimClock",
     "SimKernel",
     "SimProcess",
 ]

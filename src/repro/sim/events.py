@@ -1,8 +1,8 @@
 """Typed event records and the documented priority classes.
 
 Every occurrence the kernel processes is one :class:`Event`: a time, a
-priority class, a push-order sequence number, a handler-dispatch
-``kind`` string, and an opaque payload.  The total order over events is
+priority class, a push-order sequence number, the callable that handles
+it, and an opaque payload.  The total order over events is
 ``(time, priority_class, seq)``.
 
 Priority classes (the tie-break table at equal times):
@@ -37,9 +37,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Any, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
-__all__ = ["Event", "EventClass"]
+__all__ = ["Event", "EventClass", "describe"]
 
 
 class EventClass(IntEnum):
@@ -64,8 +64,8 @@ class Event:
         klass: tie-break class at equal times.
         seq: queue-assigned push counter — the final tie-break, and the
             proof that insertion order is stable.
-        kind: handler-registry key (e.g. ``"arrival"``, ``"crash"``);
-            defaults to the class name lowercased.
+        handler: called with the event when it is drained (typically a
+            bound method of the layer that scheduled it).
         payload: opaque handler argument.
         cancelled: a cancelled event stays in the heap but is skipped at
             pop time (tombstone deletion).
@@ -74,7 +74,7 @@ class Event:
     time: int
     klass: EventClass
     seq: int
-    kind: str
+    handler: Callable[["Event"], None]
     payload: Any = None
     cancelled: bool = field(default=False, compare=False)
 
@@ -84,20 +84,13 @@ class Event:
         return (self.time, int(self.klass), self.seq)
 
 
-def default_kind(klass: EventClass) -> str:
-    """The handler key an :class:`Event` gets when none is given."""
-    return klass.name.lower()
-
-
 def describe(event: Optional[Event]) -> str:
     """Compact human-readable form for logs and assertion messages."""
     if event is None:
         return "<no event>"
     flag = " cancelled" if event.cancelled else ""
     return (
-        f"<{event.kind}@{event.time} class={event.klass.name} "
+        f"<{event.handler.__qualname__}@{event.time} class={event.klass.name} "
         f"seq={event.seq}{flag}>"
     )
 
-
-__all__ += ["default_kind", "describe"]

@@ -1,11 +1,18 @@
-"""The kernel: clock + queue + handlers + pluggable event sources.
+"""The kernel: clock + queue + pluggable event sources.
 
-:class:`SimKernel` owns a :class:`~repro.sim.clock.SimClock` and an
-:class:`~repro.sim.queue.EventQueue`, dispatches popped events to
-handlers registered by ``kind``, and integrates :class:`SimProcess`
-event *sources* — components that own future occurrences the queue
-cannot see until time reaches them (canonically the cluster adapter,
-whose next occurrence is the earliest running-task finish).
+:class:`SimKernel` owns the integer clock and an
+:class:`~repro.sim.queue.EventQueue`, runs each popped event's own
+handler, and integrates :class:`SimProcess` event *sources* —
+components that own future occurrences the queue cannot see until time
+reaches them (canonically the cluster adapter, whose next occurrence is
+the earliest running-task finish).
+
+Simulated time is an integer slot index (Sec. III of the paper models
+time in unit slots, so event ties are exact, never float-fuzzy).  The
+clock only moves forward: an event scheduled at or before ``now`` (e.g.
+a fault-timeline entry dated before the first job arrival) is
+*processed at* ``now`` rather than rewinding it, as a real executor
+catches up on a backlog.
 
 One :meth:`tick` is one simulated instant, in three phases:
 
@@ -28,11 +35,10 @@ semantics; the kernel owns *when* and *in what order*.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Protocol
+from typing import Any, Callable, List, Optional, Protocol
 
-from ..errors import ConfigError, EnvironmentStateError
-from .clock import SimClock
-from .events import Event, EventClass, describe
+from ..errors import EnvironmentStateError
+from .events import Event, EventClass
 from .queue import EventQueue
 
 __all__ = ["SimKernel", "SimProcess"]
@@ -52,29 +58,35 @@ class SimKernel:
     """Deterministic event loop over one clock and one queue.
 
     Args:
-        start: initial clock time (see :class:`SimClock`).
+        start: initial clock time (e.g. the first job arrival, so
+            pre-history events collapse onto the simulation start).
+
+    Attributes:
+        now: current simulation time in slots; only :meth:`tick_to`
+            moves it, and only forward.
+
+    Raises:
+        EnvironmentStateError: on a negative ``start``.
+
+    >>> from repro.sim import EventClass, SimKernel
+    >>> kernel = SimKernel()
+    >>> greet = lambda event: print(kernel.now, event.payload)
+    >>> _ = kernel.schedule(5, EventClass.ARRIVAL, greet, "hello")
+    >>> kernel.tick()
+    5 hello
+    5
     """
 
     def __init__(self, start: int = 0) -> None:
-        self.clock = SimClock(start)
+        if start < 0:
+            raise EnvironmentStateError(f"clock cannot start at {start} < 0")
+        self.now = int(start)
         self.queue = EventQueue()
-        self._handlers: Dict[str, Callable[[Event], None]] = {}
         self._processes: List[SimProcess] = []
 
     # ------------------------------------------------------------------ #
     # wiring
     # ------------------------------------------------------------------ #
-
-    def register(self, kind: str, handler: Callable[[Event], None]) -> None:
-        """Bind ``handler`` to events of ``kind``.
-
-        Raises:
-            ConfigError: if the kind is already bound (silent override
-                would make event routing order-dependent).
-        """
-        if kind in self._handlers:
-            raise ConfigError(f"event kind {kind!r} already has a handler")
-        self._handlers[kind] = handler
 
     def add_process(self, process: SimProcess) -> None:
         """Attach an event source polled at every tick."""
@@ -84,20 +96,15 @@ class SimKernel:
         self,
         time: int,
         klass: EventClass,
-        kind: Optional[str] = None,
+        handler: Callable[[Event], None],
         payload: Any = None,
     ) -> Event:
         """Enqueue an event (past times fire at the current instant)."""
-        return self.queue.push(time, klass, kind=kind, payload=payload)
+        return self.queue.push(time, klass, handler, payload)
 
     # ------------------------------------------------------------------ #
     # the loop
     # ------------------------------------------------------------------ #
-
-    @property
-    def now(self) -> int:
-        """Current simulation time."""
-        return self.clock.now
 
     def next_event_time(self) -> Optional[int]:
         """Earliest due time over the queue and every process.
@@ -115,26 +122,21 @@ class SimKernel:
                 times.append(when)
         if not times:
             return None
-        return max(self.clock.now, min(times))
+        return max(self.now, min(times))
 
     def drain_due(self) -> int:
         """Run every due event (``time <= now``) in total order.
 
-        Handlers enqueued by handlers are drained too, so the instant is
+        Events enqueued by handlers are drained too, so the instant is
         fully settled on return.  Returns the number of events run.
         """
         ran = 0
-        now = self.clock.now
+        now = self.now
         while True:
             event = self.queue.pop_due(now)
             if event is None:
                 return ran
-            handler = self._handlers.get(event.kind)
-            if handler is None:
-                raise EnvironmentStateError(
-                    f"no handler registered for {describe(event)}"
-                )
-            handler(event)
+            event.handler(event)
             ran += 1
 
     def tick_to(self, time: int) -> int:
@@ -143,9 +145,12 @@ class SimKernel:
         Returns the number of events run.  ``time`` normally comes from
         :meth:`next_event_time`; passing a later time is allowed (the
         intervening occurrences all fire, in order, at their own
-        timestamps' priority — but within this single drain).
+        timestamps' priority — but within this single drain).  An
+        earlier ``time`` does not move the clock back.
         """
-        now = self.clock.advance_to(time)
+        if time > self.now:
+            self.now = int(time)
+        now = self.now
         queue = self.queue
         for process in self._processes:
             process.advance_to(now, queue)
@@ -162,4 +167,4 @@ class SimKernel:
         if target is None:
             return None
         self.tick_to(target)
-        return self.clock.now
+        return self.now

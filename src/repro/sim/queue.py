@@ -13,10 +13,10 @@ O(n) heap rebuild.
 from __future__ import annotations
 
 import heapq
-from typing import Any, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..errors import EnvironmentStateError
-from .events import Event, EventClass, default_kind
+from .events import Event, EventClass
 
 __all__ = ["EventQueue"]
 
@@ -35,7 +35,7 @@ class EventQueue:
         self,
         time: int,
         klass: EventClass,
-        kind: Optional[str] = None,
+        handler: Callable[[Event], None],
         payload: Any = None,
     ) -> Event:
         """Schedule an event; returns the record (keep it to cancel).
@@ -50,7 +50,7 @@ class EventQueue:
             time=int(time),
             klass=klass,
             seq=self._seq,
-            kind=kind if kind is not None else default_kind(klass),
+            handler=handler,
             payload=payload,
         )
         heapq.heappush(self._heap, (event.key, event))

@@ -403,3 +403,24 @@ def test_a_shard_sweeps_only_after_a_change():
                 assert tests == []
                 shard.execution.fail_job(job, reason="abandoned")
                 assert shard.execution.changed
+
+
+def test_events_carry_their_handlers():
+    # An event carries the callable that handles it, so the kernel keeps
+    # no registry of kind strings and shards share it without namespacing
+    # their events: no register() call, no *_KIND constant, no per-shard
+    # kernel view and no clock wrapper.
+    import importlib
+
+    import pytest
+
+    from repro.sim import Event, SimKernel
+
+    layers = [SRC / name for name in ("sim", "cluster", "online", "federation")]
+    assert not grep(r"\bregister\(|\b[A-Z]+_KIND\b", *layers)
+    for gone in ("repro.online.kernelview", "repro.sim.clock"):
+        with pytest.raises(ImportError):
+            importlib.import_module(gone)
+    assert not hasattr(SimKernel, "register")
+    assert "handler" in Event.__dataclass_fields__
+    assert "kind" not in Event.__dataclass_fields__

@@ -12,7 +12,7 @@ makespan — so any drift between the two execution semantics fails here.
 
 import pytest
 
-from repro.cluster.sim_adapter import COMPLETION_KIND, ClusterProcess
+from repro.cluster.sim_adapter import ClusterProcess
 from repro.cluster.state import ClusterState
 from repro.config import ClusterConfig, EnvConfig, WorkloadConfig
 from repro.dag.generators import random_layered_dag
@@ -20,7 +20,6 @@ from repro.env import PROCESS, SchedulingEnv
 from repro.sim import EventClass, SimKernel
 
 CAPACITIES = (6, 6)
-DISPATCH_KIND = "crosscheck.dispatch"
 
 
 def greedy_rollout(graph):
@@ -38,7 +37,6 @@ def kernel_replay(graph, starts):
     """Execute ``starts`` on the kernel; return realized finish times."""
     state = ClusterState(CAPACITIES)
     kernel = SimKernel()
-    kernel.add_process(ClusterProcess(state))
     finished = {}
 
     by_start = {}
@@ -59,10 +57,9 @@ def kernel_replay(graph, starts):
     def on_completion(event):
         finished[event.payload.task_id] = state.now
 
-    kernel.register(DISPATCH_KIND, on_dispatch)
-    kernel.register(COMPLETION_KIND, on_completion)
+    kernel.add_process(ClusterProcess(state, on_completion))
     for start in by_start:
-        kernel.schedule(start, EventClass.ARRIVAL, DISPATCH_KIND)
+        kernel.schedule(start, EventClass.ARRIVAL, on_dispatch)
     while kernel.tick() is not None:
         pass
     return finished, state.now

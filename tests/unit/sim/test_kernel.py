@@ -2,41 +2,45 @@
 
 import pytest
 
-from repro.cluster.sim_adapter import COMPLETION_KIND, ClusterProcess
+from repro.cluster.sim_adapter import ClusterProcess
 from repro.cluster.state import ClusterState
-from repro.errors import ConfigError, EnvironmentStateError
+from repro.errors import EnvironmentStateError
 from repro.faults.injector import TimelineCursor, TimelineEntry
-from repro.sim import Event, EventClass, EventQueue, SimClock, SimKernel
+from repro.sim import Event, EventClass, EventQueue, SimKernel
+
+
+def ignore(event):
+    """A handler for events whose running the test does not observe."""
 
 
 class TestSimClock:
     def test_starts_at_given_time(self):
-        assert SimClock(7).now == 7
+        assert SimKernel(start=7).now == 7
 
     def test_negative_start_rejected(self):
         with pytest.raises(EnvironmentStateError):
-            SimClock(-1)
+            SimKernel(start=-1)
 
     def test_advance_moves_forward(self):
-        clock = SimClock()
-        assert clock.advance_to(5) == 5
-        assert clock.now == 5
+        kernel = SimKernel()
+        kernel.tick_to(5)
+        assert kernel.now == 5
 
     def test_advance_clamps_backwards_jumps(self):
-        clock = SimClock(10)
-        assert clock.advance_to(3) == 10
-        assert clock.now == 10
+        kernel = SimKernel(start=10)
+        kernel.tick_to(3)
+        assert kernel.now == 10
 
 
 class TestEventQueue:
     def test_orders_by_time_then_class_then_seq(self):
         q = EventQueue()
-        q.push(5, EventClass.ARRIVAL, "late")
-        q.push(5, EventClass.CRASH, "crash")
-        q.push(3, EventClass.REPLAN, "early")
-        q.push(5, EventClass.CRASH, "crash2")
-        kinds = [q.pop().kind for _ in range(4)]
-        assert kinds == ["early", "crash", "crash2", "late"]
+        q.push(5, EventClass.ARRIVAL, ignore, "late")
+        q.push(5, EventClass.CRASH, ignore, "crash")
+        q.push(3, EventClass.REPLAN, ignore, "early")
+        q.push(5, EventClass.CRASH, ignore, "crash2")
+        labels = [q.pop().payload for _ in range(4)]
+        assert labels == ["early", "crash", "crash2", "late"]
 
     def test_full_class_table_order_at_one_instant(self):
         q = EventQueue()
@@ -51,7 +55,7 @@ class TestEventQueue:
             EventClass.CRASH,
         ]
         for klass in order:
-            q.push(9, klass)
+            q.push(9, klass, ignore)
         popped = [q.pop().klass for _ in range(len(order))]
         assert popped == sorted(order, key=int)
 
@@ -60,21 +64,21 @@ class TestEventQueue:
         # offered before placement runs, placements settle before
         # stealing reads the loads, and replans react last.
         q = EventQueue()
-        q.push(7, EventClass.REPLAN, "replan")
-        q.push(7, EventClass.STEAL, "steal")
-        q.push(7, EventClass.ARRIVAL, "arrival")
-        q.push(7, EventClass.ROUTE, "route")
-        kinds = [q.pop().kind for _ in range(4)]
-        assert kinds == ["arrival", "route", "steal", "replan"]
+        q.push(7, EventClass.REPLAN, ignore, "replan")
+        q.push(7, EventClass.STEAL, ignore, "steal")
+        q.push(7, EventClass.ARRIVAL, ignore, "arrival")
+        q.push(7, EventClass.ROUTE, ignore, "route")
+        labels = [q.pop().payload for _ in range(4)]
+        assert labels == ["arrival", "route", "steal", "replan"]
 
     def test_equal_key_events_pop_in_insertion_order(self):
         q = EventQueue()
-        events = [q.push(4, EventClass.COMPLETION, payload=i) for i in range(50)]
+        events = [q.push(4, EventClass.COMPLETION, ignore, i) for i in range(50)]
         assert [q.pop().payload for _ in events] == list(range(50))
 
     def test_negative_time_rejected(self):
         with pytest.raises(EnvironmentStateError):
-            EventQueue().push(-1, EventClass.ARRIVAL)
+            EventQueue().push(-1, EventClass.ARRIVAL, ignore)
 
     def test_pop_empty_raises(self):
         with pytest.raises(EnvironmentStateError):
@@ -82,62 +86,49 @@ class TestEventQueue:
 
     def test_cancel_tombstones_event(self):
         q = EventQueue()
-        doomed = q.push(1, EventClass.ARRIVAL, "doomed")
-        q.push(2, EventClass.ARRIVAL, "kept")
+        doomed = q.push(1, EventClass.ARRIVAL, ignore, "doomed")
+        q.push(2, EventClass.ARRIVAL, ignore, "kept")
         q.cancel(doomed)
         assert len(q) == 1
         assert q.peek_time() == 2
-        assert q.pop().kind == "kept"
+        assert q.pop().payload == "kept"
         assert not q
 
     def test_double_cancel_is_noop(self):
         q = EventQueue()
-        event = q.push(1, EventClass.ARRIVAL)
+        event = q.push(1, EventClass.ARRIVAL, ignore)
         q.cancel(event)
         q.cancel(event)
         assert len(q) == 0
 
     def test_pop_due_respects_now(self):
         q = EventQueue()
-        q.push(3, EventClass.ARRIVAL, "due")
-        q.push(8, EventClass.ARRIVAL, "future")
-        assert q.pop_due(5).kind == "due"
+        q.push(3, EventClass.ARRIVAL, ignore, "due")
+        q.push(8, EventClass.ARRIVAL, ignore, "future")
+        assert q.pop_due(5).payload == "due"
         assert q.pop_due(5) is None
         assert len(q) == 1
 
-    def test_default_kind_is_class_name(self):
-        q = EventQueue()
-        assert q.push(0, EventClass.RETRY_READY).kind == "retry_ready"
-
 
 class TestSimKernel:
-    def test_duplicate_handler_rejected(self):
-        kernel = SimKernel()
-        kernel.register("x", lambda e: None)
-        with pytest.raises(ConfigError):
-            kernel.register("x", lambda e: None)
-
-    def test_unhandled_event_raises(self):
-        kernel = SimKernel()
-        kernel.schedule(1, EventClass.ARRIVAL, "mystery")
-        with pytest.raises(EnvironmentStateError):
-            kernel.tick()
-
     def test_tick_advances_and_drains_in_order(self):
         kernel = SimKernel()
         seen = []
-        kernel.register("a", lambda e: seen.append((e.kind, kernel.now)))
-        kernel.register("crash", lambda e: seen.append((e.kind, kernel.now)))
-        kernel.schedule(10, EventClass.ARRIVAL, "a")
-        kernel.schedule(10, EventClass.CRASH)
+
+        def record(event):
+            seen.append((event.payload, kernel.now))
+
+        kernel.schedule(10, EventClass.ARRIVAL, record, "a")
+        kernel.schedule(10, EventClass.CRASH, record, "crash")
         assert kernel.tick() == 10
         assert seen == [("crash", 10), ("a", 10)]
 
     def test_backlog_event_processes_at_now(self):
         kernel = SimKernel(start=5)
         times = []
-        kernel.register("a", lambda e: times.append((e.time, kernel.now)))
-        kernel.schedule(2, EventClass.ARRIVAL, "a")
+        kernel.schedule(
+            2, EventClass.ARRIVAL, lambda e: times.append((e.time, kernel.now))
+        )
         assert kernel.next_event_time() == 5
         kernel.tick()
         assert times == [(2, 5)]
@@ -148,19 +139,22 @@ class TestSimKernel:
     def test_handler_can_schedule_same_instant_followup(self):
         kernel = SimKernel()
         seen = []
-        kernel.register(
-            "first",
-            lambda e: (
-                seen.append("first"),
-                kernel.schedule(kernel.now, EventClass.REPLAN, "second"),
-            ),
-        )
-        kernel.register("second", lambda e: seen.append("second"))
-        kernel.schedule(4, EventClass.CRASH, "first")
+
+        def second(event):
+            seen.append("second")
+
+        def first(event):
+            seen.append("first")
+            kernel.schedule(kernel.now, EventClass.REPLAN, second)
+
+        kernel.schedule(4, EventClass.CRASH, first)
         kernel.tick()
         assert seen == ["first", "second"]
 
     def test_processes_inject_events_on_advance(self):
+        kernel = SimKernel()
+        seen = []
+
         class Pulse:
             def __init__(self):
                 self.fired = False
@@ -171,11 +165,10 @@ class TestSimKernel:
             def advance_to(self, now, queue):
                 if now >= 6 and not self.fired:
                     self.fired = True
-                    queue.push(now, EventClass.COMPLETION, "pulse")
+                    queue.push(
+                        now, EventClass.COMPLETION, lambda e: seen.append(kernel.now)
+                    )
 
-        kernel = SimKernel()
-        seen = []
-        kernel.register("pulse", lambda e: seen.append(kernel.now))
         kernel.add_process(Pulse())
         assert kernel.next_event_time() == 6
         assert kernel.tick() == 6
@@ -188,8 +181,9 @@ class TestClusterProcess:
         state = ClusterState((4, 4))
         kernel = SimKernel()
         done = []
-        kernel.register(COMPLETION_KIND, lambda e: done.append(e.payload.task_id))
-        kernel.add_process(ClusterProcess(state))
+        kernel.add_process(
+            ClusterProcess(state, lambda e: done.append(e.payload.task_id))
+        )
         state.start(1, (2, 1), runtime=3)
         state.start(2, (1, 1), runtime=3)
         assert kernel.next_event_time() == 3
@@ -202,11 +196,11 @@ class TestClusterProcess:
         state = ClusterState((4, 4))
         kernel = SimKernel()
         free_at_crash = []
-        kernel.register(COMPLETION_KIND, lambda e: None)
-        kernel.register("crash", lambda e: free_at_crash.append(state.available))
-        kernel.add_process(ClusterProcess(state))
+        kernel.add_process(ClusterProcess(state, ignore))
         state.start(1, (4, 4), runtime=2)
-        kernel.schedule(2, EventClass.CRASH)
+        kernel.schedule(
+            2, EventClass.CRASH, lambda e: free_at_crash.append(state.available)
+        )
         kernel.tick()
         # The crash sees post-release occupancy: the task's slots are
         # free even though crash (class 0) pops before completion (2).
@@ -214,7 +208,7 @@ class TestClusterProcess:
 
     def test_idle_cluster_reports_no_event(self):
         kernel = SimKernel()
-        kernel.add_process(ClusterProcess(ClusterState((2,))))
+        kernel.add_process(ClusterProcess(ClusterState((2,)), ignore))
         assert kernel.next_event_time() is None
 
 
@@ -250,7 +244,7 @@ class TestEventRepr:
     def test_describe_mentions_kind_time_class(self):
         from repro.sim.events import describe
 
-        event = Event(time=3, klass=EventClass.CRASH, seq=1, kind="crash")
+        event = Event(time=3, klass=EventClass.CRASH, seq=1, handler=ignore)
         text = describe(event)
-        assert "crash" in text and "3" in text and "CRASH" in text
+        assert ignore.__qualname__ in text and "3" in text and "CRASH" in text
         assert describe(None) == "<no event>"
