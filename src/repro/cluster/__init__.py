@@ -8,15 +8,13 @@ Graphene's virtual resource-time space (Sec. III-B) is a step-function
 profile private to :mod:`repro.schedulers.graphene`, its only user.
 """
 
-from .resources import ResourceVector, fits, subtract, add
+from .resources import ResourceVector, fits
 from .sim_adapter import ClusterProcess
 from .state import ClusterState, RunningTask
 
 __all__ = [
     "ResourceVector",
     "fits",
-    "subtract",
-    "add",
     "ClusterProcess",
     "ClusterState",
     "RunningTask",

@@ -14,7 +14,7 @@ from ..errors import CapacityError
 
 ResourceVector = Tuple[int, ...]
 
-__all__ = ["ResourceVector", "fits", "subtract", "add", "validate_demands"]
+__all__ = ["ResourceVector", "fits", "validate_demands"]
 
 
 def fits(demands: Sequence[int], available: Sequence[int]) -> bool:
@@ -26,27 +26,6 @@ def fits(demands: Sequence[int], available: Sequence[int]) -> bool:
         if d > a:
             return False
     return True
-
-
-def subtract(available: Sequence[int], demands: Sequence[int]) -> ResourceVector:
-    """Allocate: return ``available - demands``.
-
-    Raises:
-        CapacityError: if any dimension would go negative.
-    """
-
-    result = tuple(a - d for a, d in zip(available, demands))
-    if any(v < 0 for v in result):
-        raise CapacityError(
-            f"allocation of {tuple(demands)} exceeds available {tuple(available)}"
-        )
-    return result
-
-
-def add(available: Sequence[int], demands: Sequence[int]) -> ResourceVector:
-    """Release: return ``available + demands``."""
-
-    return tuple(a + d for a, d in zip(available, demands))
 
 
 def validate_demands(

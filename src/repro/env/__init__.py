@@ -5,15 +5,13 @@ pending / finished bookkeeping; actions either place one ready task or
 process the cluster; the return of an episode is the negative makespan.
 """
 
-from .actions import PROCESS, Action, is_process, schedule_action
+from .actions import PROCESS, Action
 from .scheduling_env import SchedulingEnv, StepResult
 from .observation import ObservationBuilder, observation_size
 
 __all__ = [
     "PROCESS",
     "Action",
-    "is_process",
-    "schedule_action",
     "SchedulingEnv",
     "StepResult",
     "ObservationBuilder",

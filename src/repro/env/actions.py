@@ -10,28 +10,10 @@ instead of ``2^n`` — the paper's key search-space reduction.
 
 from __future__ import annotations
 
-__all__ = ["PROCESS", "Action", "is_process", "schedule_action"]
+__all__ = ["PROCESS", "Action"]
 
 #: The processing action: advance time; all running tasks make progress.
 PROCESS: int = -1
 
 #: An action is just an int: PROCESS or a visible-ready-list index.
 Action = int
-
-
-def is_process(action: Action) -> bool:
-    """True iff ``action`` is the processing action."""
-
-    return action == PROCESS
-
-
-def schedule_action(index: int) -> Action:
-    """Return the action scheduling the ``index``-th visible ready task.
-
-    Raises:
-        ValueError: for negative indices (which would collide with PROCESS).
-    """
-
-    if index < 0:
-        raise ValueError(f"ready-task index must be >= 0, got {index}")
-    return index

@@ -187,7 +187,6 @@ class WorkStealer:
     ) -> None:
         """Move an admitted, never-started job's bookkeeping wholesale."""
         del donor.execution.active[job.index]
-        donor.policy.forget(job.index)
         thief.admit(
             QueuedJob(job.index, job.arrival, job.graph),
             donor.reporting.admit_times[job.index],

@@ -32,6 +32,13 @@ reach.  Two exits from the steady path:
 * **rescue** — when nothing is scheduled anywhere and some shard carries
   a permanent capacity loss, the stealer may move never-started jobs to
   shards that can still host them before any job is failed.
+
+Inside a shard references point one way: the policy layer reads the
+execution layer (which owns the rescheduler and the replans), and each
+job carries its own dispatch caches.  When :meth:`ShardedEngine.run`
+returns or raises, the kernel drops its processes and pending events,
+whose bound handlers hold the layers; a finished run then frees by
+refcount, without the cyclic collector.
 """
 
 from __future__ import annotations
@@ -112,10 +119,9 @@ class Shard:
         label = rescheduler.name if rescheduler is not None else "online"
         self.reporting = ReportingLayer(spec.capacities, tm, start, label)
         self.execution = ExecutionLayer(
-            spec.capacities, kernel, self.reporting, offset, spec.faults
+            spec.capacities, kernel, self.reporting, offset, spec.faults, rescheduler
         )
-        self.policy = PolicyLayer(spec.ranker, rescheduler, kernel, self.execution)
-        self.execution.policy = self.policy
+        self.policy = PolicyLayer(spec.ranker, self.execution)
         self.admission = AdmissionController(spec.admission)
         self.routed = 0
         self.stolen_in = 0
@@ -152,7 +158,7 @@ class Shard:
         self.reporting.record_admission(
             queued.index, admit_at, self.admission.config.max_concurrent is not None
         )
-        self.policy.on_admit(job)
+        self.execution.replan_job(job, "admit")
         return job
 
     def release_backlog(self, now: int) -> None:
@@ -231,70 +237,76 @@ class ShardedEngine:
             EnvironmentStateError: if the step cap is exceeded or the
                 run wedges with work it can never place.
         """
-        if horizon is not None and horizon < 0:
-            raise ConfigError(f"horizon must be >= 0, got {horizon}")
-        kernel, shards, workload = self.kernel, self.shards, self.workload
-        cutoff = None if horizon is None else self.start + horizon
+        try:
+            if horizon is not None and horizon < 0:
+                raise ConfigError(f"horizon must be >= 0, got {horizon}")
+            kernel, shards, workload = self.kernel, self.shards, self.workload
+            cutoff = None if horizon is None else self.start + horizon
 
-        def any_active() -> bool:
-            return any(shard.execution.active for shard in shards)
+            def any_active() -> bool:
+                return any(shard.execution.active for shard in shards)
 
-        def dispatch() -> None:
-            for shard in shards:
-                shard.policy.dispatch_round()
+            def dispatch() -> None:
+                for shard in shards:
+                    shard.policy.dispatch_round()
 
-        def settle_instant() -> None:
-            """Backlog release, rebalance, dispatch — ascending shard id."""
-            for shard in shards:
-                shard.release_backlog(kernel.now)
-            if stealer is not None:
-                stealer.maybe_rebalance()
-            dispatch()
-            self.ledger.sample_in_system(
-                kernel.now, sum(shard.load() for shard in shards)
-            )
-
-        # Settle the opening instant (first arrivals routed, pre-history
-        # faults) and fill every shard once before the loop gauges.
-        kernel.drain_due()
-        settle_instant()
-
-        steps = 0
-        while any_active() or workload.has_pending:
-            steps += 1
-            if steps > max_steps:
-                raise EnvironmentStateError("simulation exceeded step cap")
-            for shard in shards:
-                shard.reporting.gauges(shard.execution)
-            if cutoff is not None:
-                due = workload.pending_arrival_time
-                if due is not None and due > cutoff:
-                    workload.close(cutoff)
-                    if not any_active() and not workload.has_pending:
-                        break
-            target = kernel.next_event_time()
-            if target is None:
-                if not any_active():
-                    # Everything in flight drained at the last instant;
-                    # only shard backlogs remain.  Admit from them now.
-                    settle_instant()
-                    continue
-                if any(shard.execution.fstate is not None for shard in shards):
-                    if stealer is not None and stealer.rescue():
-                        dispatch()  # migrated jobs need a round to start
-                        continue
-                    # Permanently stuck (e.g. unrecovered capacity loss
-                    # below some task's demand): report, don't lose.
-                    for shard in shards:
-                        if shard.execution.fstate is not None:
-                            shard.execution.fail_stuck()
-                    continue
-                raise EnvironmentStateError(
-                    "idle cluster with active jobs but nothing ready: "
-                    "inconsistent DAG state"
+            def settle_instant() -> None:
+                """Backlog release, rebalance, dispatch — ascending shard id."""
+                for shard in shards:
+                    shard.release_backlog(kernel.now)
+                if stealer is not None:
+                    stealer.maybe_rebalance()
+                dispatch()
+                self.ledger.sample_in_system(
+                    kernel.now, sum(shard.load() for shard in shards)
                 )
-            for shard in shards:
-                shard.reporting.account(shard.execution.state, target)
-            kernel.tick_to(target)
+
+            # Settle the opening instant (first arrivals routed, pre-history
+            # faults) and fill every shard once before the loop gauges.
+            kernel.drain_due()
             settle_instant()
-        return kernel.now
+
+            steps = 0
+            while any_active() or workload.has_pending:
+                steps += 1
+                if steps > max_steps:
+                    raise EnvironmentStateError("simulation exceeded step cap")
+                for shard in shards:
+                    shard.reporting.gauges(shard.execution)
+                if cutoff is not None:
+                    due = workload.pending_arrival_time
+                    if due is not None and due > cutoff:
+                        workload.close(cutoff)
+                        if not any_active() and not workload.has_pending:
+                            break
+                target = kernel.next_event_time()
+                if target is None:
+                    if not any_active():
+                        # Everything in flight drained at the last instant;
+                        # only shard backlogs remain.  Admit from them now.
+                        settle_instant()
+                        continue
+                    if any(shard.execution.fstate is not None for shard in shards):
+                        if stealer is not None and stealer.rescue():
+                            dispatch()  # migrated jobs need a round to start
+                            continue
+                        # Permanently stuck (e.g. unrecovered capacity loss
+                        # below some task's demand): report, don't lose.
+                        for shard in shards:
+                            if shard.execution.fstate is not None:
+                                shard.execution.fail_stuck()
+                        continue
+                    raise EnvironmentStateError(
+                        "idle cluster with active jobs but nothing ready: "
+                        "inconsistent DAG state"
+                    )
+                for shard in shards:
+                    shard.reporting.account(shard.execution.state, target)
+                kernel.tick_to(target)
+                settle_instant()
+            return kernel.now
+        finally:
+            # Processes and pending events hold their layers' bound
+            # handlers, and the layers hold the kernel: let go of them
+            # so a finished run frees by refcount.
+            self.kernel.clear()

@@ -1,11 +1,13 @@
-"""Execution layer: attempt lifecycle on the shared cluster.
+"""Execution layer: attempt lifecycle and replanning on the shared cluster.
 
 Owns the live :class:`~repro.cluster.state.ClusterState` (driven by the
 kernel through :class:`~repro.cluster.sim_adapter.ClusterProcess`), the
-per-job DAG bookkeeping (:class:`ActiveJob`), and — in fault-aware runs
-— the realized fault model: crash/recovery timeline firing, transient
-failure retries with backoff, crash-kill victim selection, and job
-abandonment.
+per-job DAG bookkeeping (:class:`ActiveJob`), in fault-aware runs the
+realized fault model (crash/recovery timeline firing, transient failure
+retries with backoff, crash-kill victim selection, job abandonment), and
+with a rescheduler the per-job plans: each job is replanned on admission
+(by :meth:`repro.online.engine.Shard.admit`), on each of its transient
+task failures, and (all jobs) after any crash/recovery fires.
 
 Kernel wiring (see :mod:`repro.sim.events` for the tie-break table);
 every event the layer schedules carries one of its own bound methods:
@@ -22,24 +24,31 @@ every event the layer schedules carries one of its own bound methods:
   defers (as a :class:`~repro.sim.SimProcess`, attached only under a
   fault plan: fault-free runs never retry) to the *next* tick so a
   retried task never competes in the dispatch round of the instant it
-  failed in.
+  failed in;
+* a crash/recovery schedules one ``REPLAN`` per instant (the last class
+  of the tie-break table, handled by ``_on_replan``), so the rescheduler
+  sees the fully settled instant: capacity changes, completions, retries
+  and arrivals of the same timestamp have all been applied first.
 
-Every handler the layer runs, :meth:`ExecutionLayer.admit` and
-:meth:`ExecutionLayer.fail_job` set :attr:`ExecutionLayer.changed`:
-the policy layer re-sweeps a shard's ready tasks only after something
-that can make one fit has happened (see
-:meth:`~repro.online.policy.PolicyLayer.dispatch_round`).
+Every handler the layer runs but the replan (which only reorders),
+:meth:`ExecutionLayer.admit` and :meth:`ExecutionLayer.fail_job` set
+:attr:`ExecutionLayer.changed`: the policy layer re-sweeps a shard's
+ready tasks only after something that can make one fit has happened
+(see :meth:`~repro.online.policy.PolicyLayer.dispatch_round`).  The
+layer never refers to its policy layer: references in a shard point one
+way, so a finished run frees by refcount.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.sim_adapter import ClusterProcess
 from ..cluster.state import ClusterState
 from ..dag.features import GraphFeatures, compute_features
 from ..dag.graph import TaskGraph
+from ..errors import ReproError
 from ..faults.events import CRASH, RECOVERY, RETRY, TASK_FAILURE, FaultEvent
 from ..faults.injector import (
     FaultInjector,
@@ -47,20 +56,24 @@ from ..faults.injector import (
     TimelineCursor,
     TimelineEntry,
 )
-from ..faults.plan import FaultPlan
+from ..faults.plan import FaultContext, FaultPlan
 from ..metrics.schedule import Schedule, ScheduledTask
+from ..schedulers.base import ClusterSnapshot, Scheduler, ScheduleRequest
 from ..sim import Event, EventClass, EventQueue, SimKernel
 from .results import JobOutcome
 from .reporting import ReportingLayer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .policy import PolicyLayer
 
 __all__ = ["ActiveJob", "ExecutionLayer", "FaultState"]
 
 
 class ActiveJob:
-    """Mutable per-job bookkeeping inside the simulator."""
+    """Mutable per-job bookkeeping inside the simulator.
+
+    It also holds the job's dispatch caches, so they end with the job:
+    ``plan_rank`` (task -> position in the rescheduler's last plan, or
+    ``None`` while unplanned) and ``static_keys`` (task -> the key of a
+    ``static_key`` ranker, which never changes over a job's lifetime).
+    """
 
     __slots__ = (
         "index",
@@ -76,6 +89,8 @@ class ActiveJob:
         "transient_failures",
         "crash_kills",
         "executed",
+        "plan_rank",
+        "static_keys",
     )
 
     def __init__(self, index: int, arrival: int, graph: TaskGraph) -> None:
@@ -96,6 +111,8 @@ class ActiveJob:
         self.transient_failures = 0
         self.crash_kills = 0
         self.executed: Dict[int, Tuple[int, int]] = {}  # successful placements
+        self.plan_rank: Optional[Dict[int, int]] = None
+        self.static_keys: Dict[int, Tuple] = {}
 
     def outcome(self, completion_time: int, failed: bool = False) -> JobOutcome:
         return JobOutcome(
@@ -132,7 +149,7 @@ class FaultState:
 
 
 class ExecutionLayer:
-    """Attempt lifecycle, cluster occupancy, and fault realization.
+    """Attempt lifecycle, cluster occupancy, fault realization, replanning.
 
     Under a fault plan also a :class:`~repro.sim.SimProcess`: zero-delay
     retry backoffs are held here and released on the following tick (a
@@ -153,6 +170,8 @@ class ExecutionLayer:
         offset: job-handle stride — cluster task ids must be globally
             unique, so a task is tracked as ``job_index * offset + tid``.
         faults: fault model; ``None`` (or a null plan) runs fault-free.
+        rescheduler: context-aware scheduler replanning each job's
+            residual DAG; ``None`` disables replanning entirely.
     """
 
     def __init__(
@@ -162,6 +181,7 @@ class ExecutionLayer:
         reporting: ReportingLayer,
         offset: int,
         faults: Optional[FaultPlan],
+        rescheduler: Optional[Scheduler],
     ) -> None:
         self.kernel = kernel
         self.reporting = reporting
@@ -169,7 +189,8 @@ class ExecutionLayer:
         self.state = ClusterState(capacities, now=kernel.now)
         self.active: Dict[int, ActiveJob] = {}
         self.running_info: Dict[int, Tuple[int, TaskAttempt]] = {}
-        self.policy: "PolicyLayer" = None  # type: ignore[assignment] # wired by orchestrator
+        self.rescheduler = rescheduler
+        self._replan_scheduled_at: Optional[int] = None
         self._deferred_retries: List[Tuple[int, int, int]] = []
         self.changed = True
         kernel.add_process(ClusterProcess(self.state, self._on_completion))
@@ -262,7 +283,6 @@ class ExecutionLayer:
         if job.remaining == 0:
             self.reporting.record_completion(job, now)
             del self.active[job_index]
-            self.policy.forget(job_index)
 
     def _transient_failure(
         self, job: ActiveJob, tid: int, attempt: TaskAttempt
@@ -312,7 +332,7 @@ class ExecutionLayer:
                 detail=f"backoff {delay}, ready at {ready_at}",
             )
         )
-        self.policy.on_task_failure(job)
+        self.replan_job(job, "task_failure")
 
     def _on_retry_ready(self, event: Event) -> None:
         self.changed = True
@@ -335,8 +355,13 @@ class ExecutionLayer:
                 self._fire_crash(entry)
             else:
                 self._fire_recovery(entry)
-        if fired:
-            self.policy.on_fault_fired()
+        if not fired or self.rescheduler is None:
+            return
+        # Replan all jobs once the instant settles, once per instant.
+        now = self.kernel.now
+        if self._replan_scheduled_at != now:
+            self.kernel.schedule(now, EventClass.REPLAN, self._on_replan, "crash")
+            self._replan_scheduled_at = now
 
     def _fire_crash(self, entry: TimelineEntry) -> None:
         fstate = self.fstate
@@ -423,9 +448,76 @@ class ExecutionLayer:
                     break
         self.reporting.record_failure(job, state.now, reason)
         del self.active[job.index]
-        self.policy.forget(job.index)
 
     def fail_stuck(self) -> None:
         """Fail every active job (permanently unschedulable residue)."""
         for job in sorted(self.active.values(), key=lambda j: j.index):
             self.fail_job(job, reason="unschedulable residual work")
+
+    # ------------------------------------------------------------------ #
+    # replanning
+    # ------------------------------------------------------------------ #
+
+    def _on_replan(self, event: Event) -> None:
+        self._replan_scheduled_at = None
+        self.replan_all(event.payload)
+
+    def replan_job(self, job: ActiveJob, trigger: str) -> None:
+        """Refresh one job's plan-priority ranks from the rescheduler."""
+        rescheduler = self.rescheduler
+        if rescheduler is None:
+            return
+        offset = self.offset
+        running_info = self.running_info
+        state = self.state
+        running_tids = {
+            handle % offset: handle
+            for handle in running_info
+            if handle // offset == job.index
+        }
+        residual = [
+            tid
+            for tid in job.graph.task_ids
+            if tid not in job.executed and tid not in running_tids
+        ]
+        if not residual:
+            job.plan_rank = None
+            return
+        pinned = {}
+        for tid, handle in running_tids.items():
+            start, attempt = running_info[handle]
+            pinned[tid] = (start, start + attempt.runtime)
+        fstate = self.fstate
+        request = ScheduleRequest(
+            graph=job.graph.subgraph(residual),
+            cluster=ClusterSnapshot(
+                capacities=tuple(state.capacities),
+                available=state.available,
+                now=state.now,
+            ),
+            frozen=dict(job.executed),
+            pinned=pinned,
+            faults=(
+                FaultContext(
+                    plan=fstate.plan,
+                    trigger=trigger,
+                    time=state.now,
+                    retries_so_far=fstate.total_retries,
+                )
+                if fstate is not None
+                else None
+            ),
+        )
+        try:
+            schedule = rescheduler.plan(request)
+        except ReproError:
+            # Graceful: keep the previous plan order; the base ranker
+            # covers tasks that never had one.
+            return
+        order = sorted(schedule.placements, key=lambda p: (p.start, p.task_id))
+        job.plan_rank = {p.task_id: r for r, p in enumerate(order)}
+
+    def replan_all(self, trigger: str) -> None:
+        """Replan every active job, in job-index order."""
+        for job in sorted(self.active.values(), key=lambda j: j.index):
+            self.replan_job(job, trigger)

@@ -55,9 +55,10 @@ class TaskContext:
 #:
 #: A ranker whose key ignores the *live* context fields (``free`` and
 #: ``now``) may declare ``static_key = True`` on the function; the
-#: dispatch loop then caches keys per (job, task) and fills each round
-#: with one sorted sweep instead of re-ranking after every start (see
-#: :meth:`repro.online.policy.PolicyLayer.dispatch_round`).
+#: dispatch loop then caches keys on each job
+#: (:attr:`repro.online.execution.ActiveJob.static_keys`) and fills each
+#: round with one sorted sweep instead of re-ranking after every start
+#: (see :meth:`repro.online.policy.PolicyLayer.dispatch_round`).
 Ranker = Callable[[TaskContext], Tuple]
 
 

@@ -102,6 +102,11 @@ class SimKernel:
         """Enqueue an event (past times fire at the current instant)."""
         return self.queue.push(time, klass, handler, payload)
 
+    def clear(self) -> None:
+        """Drop every process and every pending event (a run's end)."""
+        self._processes.clear()
+        self.queue = EventQueue()
+
     # ------------------------------------------------------------------ #
     # the loop
     # ------------------------------------------------------------------ #

@@ -1,16 +1,11 @@
-"""Small shared utilities: RNG plumbing, timing, and validation helpers."""
+"""Small shared utilities: RNG plumbing and timing."""
 
 from .rng import as_generator, spawn, derive_seed
-from .timing import Stopwatch, timed
-from .validation import check_positive, check_non_negative, check_probability
+from .timing import Stopwatch
 
 __all__ = [
     "as_generator",
     "spawn",
     "derive_seed",
     "Stopwatch",
-    "timed",
-    "check_positive",
-    "check_non_negative",
-    "check_probability",
 ]

@@ -2,17 +2,15 @@
 
 Table I and Fig. 6(b) in the paper report scheduler runtimes; the harness
 measures them with :class:`Stopwatch`, which is also usable as a context
-manager, and :func:`timed`, which returns ``(result, seconds)``.
+manager.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Tuple, TypeVar
+from typing import Any
 
-T = TypeVar("T")
-
-__all__ = ["Stopwatch", "timed"]
+__all__ = ["Stopwatch"]
 
 
 class Stopwatch:
@@ -69,11 +67,3 @@ class Stopwatch:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.stop()
-
-
-def timed(fn: Callable[..., T], *args: Any, **kwargs: Any) -> Tuple[T, float]:
-    """Call ``fn(*args, **kwargs)`` and return ``(result, seconds)``."""
-
-    start = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, time.perf_counter() - start

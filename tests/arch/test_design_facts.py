@@ -424,3 +424,81 @@ def test_events_carry_their_handlers():
     assert not hasattr(SimKernel, "register")
     assert "handler" in Event.__dataclass_fields__
     assert "kind" not in Event.__dataclass_fields__
+
+
+def test_a_finished_run_frees_by_refcount():
+    # References in a shard point one way (the policy layer reads the
+    # execution layer, which never refers back; each job carries its own
+    # dispatch caches), and the engine makes the kernel drop its processes
+    # and pending events when a run ends.  So with the cyclic collector
+    # off, the kernel, every shard's two layers and the work stealer are
+    # gone once the facade returns: a faulty batch whose crash timeline
+    # outlives its jobs, a stream cut off by its horizon, and a 4-shard
+    # federation that steals.
+    import dataclasses
+    import gc
+    import weakref
+    from unittest import mock
+
+    from repro.config import ClusterConfig
+    from repro.faults import MachineCrash
+    from repro.federation import FederatedStreamingSimulator
+    from repro.online import OnlineSimulator, cp_ranker, sjf_ranker
+    from repro.online.engine import ShardedEngine
+    from repro.streaming import AdmissionConfig, StreamingSimulator, TraceArrivals
+    from tests.golden import sim
+
+    refs = {}
+    run = ShardedEngine.run
+
+    def watched_run(engine, max_steps, horizon=None, stealer=None):
+        refs["kernel"] = weakref.ref(engine.kernel)
+        for shard in engine.shards:
+            refs[f"shard{shard.id}.execution"] = weakref.ref(shard.execution)
+            refs[f"shard{shard.id}.policy"] = weakref.ref(shard.policy)
+        if stealer is not None:
+            refs["stealer"] = weakref.ref(stealer)
+        return run(engine, max_steps, horizon, stealer)
+
+    cluster = ClusterConfig(capacities=sim.CAPACITIES)
+
+    def batch():
+        faults = sim.golden_faults()
+        late = MachineCrash(1, 100_000, (3, 3), recover_at=100_010)
+        faults = dataclasses.replace(faults, crashes=(faults.crashes[0], late))
+        result = OnlineSimulator(cluster).run(
+            sim.golden_stream(),
+            cp_ranker,
+            faults=faults,
+            rescheduler=sim.golden_rescheduler(),
+        )
+        assert result.crashes == 1  # the late crash and its recovery stay queued
+
+    def stream():
+        result = StreamingSimulator(cluster).run(
+            TraceArrivals(sim.open_stream()),
+            sjf_ranker,
+            admission=AdmissionConfig(max_concurrent=3, max_queue=2),
+            horizon=50,
+            faults=sim.streaming_faults(),
+        )
+        assert result.horizon_cutoff == 50
+
+    def federation():
+        result = FederatedStreamingSimulator(
+            sim.federation_specs(), router="least-load", steal_threshold=1
+        ).run(TraceArrivals(sim.open_stream()), horizon=50)
+        assert result.steals
+
+    gc.collect()
+    gc.disable()
+    try:
+        with mock.patch.object(ShardedEngine, "run", watched_run):
+            for case in (batch, stream, federation):
+                refs.clear()
+                case()
+                assert "kernel" in refs
+                alive = [name for name, ref in refs.items() if ref() is not None]
+                assert alive == [], case.__name__
+    finally:
+        gc.enable()

@@ -1,8 +1,8 @@
-"""Unit tests for resource-vector arithmetic."""
+"""Unit tests for resource-vector checks."""
 
 import pytest
 
-from repro.cluster import add, fits, subtract
+from repro.cluster import fits
 from repro.cluster.resources import validate_demands
 from repro.errors import CapacityError
 
@@ -19,30 +19,6 @@ class TestFits:
 
     def test_zero_demand_always_fits(self):
         assert fits((0, 0), (0, 0))
-
-
-class TestSubtract:
-    def test_allocation(self):
-        assert subtract((5, 5), (2, 3)) == (3, 2)
-
-    def test_to_zero(self):
-        assert subtract((2, 3), (2, 3)) == (0, 0)
-
-    def test_overdraft_raises(self):
-        with pytest.raises(CapacityError):
-            subtract((1, 5), (2, 3))
-
-    def test_result_is_tuple(self):
-        assert isinstance(subtract((5,), (1,)), tuple)
-
-
-class TestAdd:
-    def test_release(self):
-        assert add((3, 2), (2, 3)) == (5, 5)
-
-    def test_inverse_of_subtract(self):
-        available, demands = (7, 9), (3, 4)
-        assert add(subtract(available, demands), demands) == available
 
 
 class TestValidateDemands:

@@ -9,24 +9,13 @@ from repro.env import (
     PROCESS,
     ObservationBuilder,
     SchedulingEnv,
-    is_process,
     observation_size,
-    schedule_action,
 )
 
 
 class TestActions:
     def test_process_constant(self):
         assert PROCESS == -1
-        assert is_process(PROCESS)
-        assert not is_process(0)
-
-    def test_schedule_action_passthrough(self):
-        assert schedule_action(3) == 3
-
-    def test_schedule_action_rejects_negative(self):
-        with pytest.raises(ValueError):
-            schedule_action(-1)
 
 
 @pytest.fixture

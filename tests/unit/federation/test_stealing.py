@@ -1,5 +1,10 @@
 """Unit tests for cross-shard work stealing and crash rescue."""
 
+from unittest import mock
+
+import pytest
+
+from repro.config import ClusterConfig, EnvConfig
 from repro.dag.graph import TaskGraph
 from repro.dag.task import Task
 from repro.faults.plan import FaultPlan, MachineCrash
@@ -9,9 +14,11 @@ from repro.federation import (
     RESCUE,
     FederatedStreamingSimulator,
     ShardSpec,
+    WorkStealer,
 )
-from repro.online.rankers import fifo_ranker
+from repro.online.rankers import fifo_ranker, sjf_ranker
 from repro.online.results import ArrivingJob
+from repro.schedulers import compose_scheduler
 from repro.streaming import AdmissionConfig, TraceArrivals
 
 
@@ -145,3 +152,65 @@ class TestRescue:
         assert reports[0].result.online.crashes == 1
         assert reports[1].result.online.crashes == 0
         assert reports[1].result.online.completed_jobs == 1
+
+
+class CountingRescheduler:
+    """Test rescheduler: a real replanner on a (3, 3) shard that counts
+    its plans."""
+
+    def __init__(self, spec):
+        env_config = EnvConfig(cluster=ClusterConfig(capacities=(3, 3), horizon=8))
+        self.inner = compose_scheduler(spec, env_config, reschedule=True)
+        self.name = self.inner.name
+        self.plans = 0
+
+    def plan(self, request):
+        self.plans += 1
+        return self.inner.plan(request)
+
+
+@pytest.mark.parametrize("thief_replans", [False, True])
+def test_a_stolen_job_leaves_its_donors_plan_and_keys_behind(thief_replans):
+    # Shard 0 replans with HEFT and orders by FIFO; every job lands there
+    # and is planned on admission.  The job stolen to shard 1 is rebuilt
+    # there with no plan ranks and no cached keys: shard 1 either replans
+    # it with its own rescheduler or dispatches it by its own ranker (SJF).
+    chain = TaskGraph([Task(0, 2, (3, 3)), Task(1, 3, (3, 3))], [(0, 1)])
+    donor_planner = CountingRescheduler("heft")
+    thief_planner = CountingRescheduler("cp") if thief_replans else None
+    specs = [
+        ShardSpec((3, 3), fifo_ranker, rescheduler=donor_planner),
+        ShardSpec((3, 3), sjf_ranker, rescheduler=thief_planner),
+    ]
+    arrived = []
+    migrate = WorkStealer._migrate_admitted
+
+    def watched_migrate(stealer, donor, thief, job, now, source):
+        assert job.plan_rank is not None  # the donor planned it
+        plans = thief_planner.plans if thief_replans else 0
+        migrate(stealer, donor, thief, job, now, source)
+        moved = thief.execution.active[job.index]
+        assert moved is not job and moved.static_keys == {}
+        if thief_replans:
+            assert thief_planner.plans == plans + 1
+            assert sorted(moved.plan_rank) == [0, 1]
+            assert moved.plan_rank is not job.plan_rank
+        else:
+            assert moved.plan_rank is None
+        arrived.append(moved)
+
+    with mock.patch.object(WorkStealer, "_migrate_admitted", watched_migrate):
+        result = FederatedStreamingSimulator(
+            specs, router=Pin0Router(), steal_threshold=1
+        ).run(stream(ArrivingJob(0, chain) for _ in range(3)))
+    assert result.aggregate.online.completed_jobs == 3
+    assert arrived and result.shards[1].stolen_in == len(arrived)
+    for moved in arrived:
+        assert moved.executed.keys() == {0, 1}
+        if thief_replans:
+            assert moved.static_keys == {}
+        else:  # ordered by the thief's SJF keys, never by a plan
+            assert moved.plan_rank is None
+            assert moved.static_keys == {
+                tid: (1, chain.task(tid).runtime, moved.index, tid) for tid in (0, 1)
+            }

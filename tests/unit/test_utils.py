@@ -1,4 +1,4 @@
-"""Unit tests for utils (rng, timing, validation) and the error hierarchy."""
+"""Unit tests for utils (rng, timing) and the error hierarchy."""
 
 import time
 
@@ -9,12 +9,8 @@ from repro import errors
 from repro.utils import (
     Stopwatch,
     as_generator,
-    check_non_negative,
-    check_positive,
-    check_probability,
     derive_seed,
     spawn,
-    timed,
 )
 
 
@@ -96,32 +92,6 @@ class TestStopwatch:
             pass
         watch.reset()
         assert watch.elapsed == 0.0
-
-    def test_timed_returns_result_and_seconds(self):
-        result, seconds = timed(sum, [1, 2, 3])
-        assert result == 6
-        assert seconds >= 0.0
-
-
-class TestValidationHelpers:
-    def test_check_positive(self):
-        assert check_positive(1.5, "x") == 1.5
-        with pytest.raises(errors.ConfigError):
-            check_positive(0, "x")
-
-    def test_check_non_negative(self):
-        assert check_non_negative(0, "x") == 0
-        with pytest.raises(errors.ConfigError):
-            check_non_negative(-1, "x")
-
-    def test_check_probability(self):
-        assert check_probability(0.5, "p") == 0.5
-        with pytest.raises(errors.ConfigError):
-            check_probability(1.01, "p")
-
-    def test_error_message_names_argument(self):
-        with pytest.raises(errors.ConfigError, match="alpha"):
-            check_positive(-1, "alpha")
 
 
 class TestErrorHierarchy:
