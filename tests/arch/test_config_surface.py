@@ -1,18 +1,20 @@
 """The settable surface, pinned in one table.
 
-Every field of the configs a search or a trainer reads and every spec
-key a scheduler accepts is an option that tests and benchmarks must
-cover, so adding or losing one is a decision, not a side effect: it
+Every field of the configs a search or a trainer reads, every spec
+key a scheduler accepts and every command-line option is an option
+that tests and benchmarks must cover, so adding or losing one is a decision, not a side effect: it
 shows up as a diff of this table.  (These pins used to be inline-Python
 steps of ``.github/workflows/ci.yml`` that only CI could run.)
 """
 
+import argparse
 import inspect
 from dataclasses import fields
 
 import pytest
 
 from repro import EnvConfig, MctsConfig
+from repro.cli import build_parser
 from repro.config import GnnConfig, TrainingConfig
 from repro.core.spear import SpearScheduler
 from repro.experiments import ExperimentScale
@@ -56,6 +58,145 @@ SCHEDULER_OPTIONS = {
     "spear": "budget min_budget network rollout_mode seed",
 }
 
+#: Every subcommand's options in declaration order (which is the order
+#: of its usage line): option strings, value type, default and choices.
+CLI_OPTIONS = {
+    "simulate": (
+        "--scheduler str 'tetris'",
+        "--tasks int 50",
+        "--seed int 0",
+        "--budget int 100",
+        "--min-budget int 20",
+    ),
+    "schedulers": (
+        "--json flag",
+    ),
+    "train": (
+        "--epochs int 50",
+        "--examples int 24",
+        "--example-tasks int 15",
+        "--rollouts int 8",
+        "--seed int 0",
+        "--out str 'spear-network.npz'",
+        "--log-every int 10",
+        "--algo str 'reinforce' {reinforce,ppo}",
+        "--policy str 'mlp' {mlp,gnn}",
+        "--grad-clip float 0.0",
+        "--trace-out str None",
+    ),
+    "trace": (
+        "--out str None",
+        "--seed int 0",
+        "--jobs int 99",
+        "--stats flag",
+    ),
+    "trace summary": (
+        "path str None required",
+    ),
+    "trace export": (
+        "path str None required",
+        "--out str None required",
+    ),
+    "trace top-spans": (
+        "path str None required",
+        "--limit int 10",
+    ),
+    "experiment": (
+        "name str None {fig6a,fig6b,fig7,fig8a,fig8b,fig9ab,fig9c,table1,generalization} required",
+        "--paper-scale flag",
+        "--seed int 0",
+        "--trace-out str None",
+    ),
+    "ablation": (
+        "name str None required",
+        "--paper-scale flag",
+        "--seed int 0",
+    ),
+    "motivating": (),
+    "compare": (
+        "--schedulers str 'tetris,sjf,cp,graphene,heft'",
+        "--jobs int 5",
+        "--tasks int 30",
+        "--seed int 0",
+        "--budget int 50",
+        "--min-budget int 10",
+        "--reference str None",
+        "--trace-out str None",
+    ),
+    "online": (
+        "--jobs int 10",
+        "--seed int 0",
+        "--mean-interarrival float 25.0",
+        "--runtime-scale float 0.2",
+        "--rankers str 'fifo,sjf,cp,tetris'",
+        "--faults str None",
+        "--fault-horizon int None",
+        "--reschedule str None",
+        "--fallback str None",
+        "--replan-budget float None",
+        "--verify-executed flag",
+        "--check-recoveries flag",
+        "--trace-out str None",
+    ),
+    "stream": (
+        "--arrival str 'poisson:rate=0.05,n=200'",
+        "--seed int 0",
+        "--ranker str 'sjf'",
+        "--tasks int 8",
+        "--max-concurrent int None",
+        "--max-queue int None",
+        "--horizon int None",
+        "--faults str None",
+        "--fault-horizon int None",
+        "--reschedule str None",
+        "--fallback str None",
+        "--replan-budget float None",
+        "--metrics-out str None",
+        "--verify-executed flag",
+        "--gate-p99 float None",
+        "--trace-out str None",
+    ),
+    "federate": (
+        "--shards int 2",
+        "--router str 'least-load'",
+        "--steal-threshold int None",
+        "--scheduler append None",
+        "--arrival str 'poisson:rate=0.05,n=200'",
+        "--seed int 0",
+        "--ranker str 'sjf'",
+        "--tasks int 8",
+        "--max-concurrent int None",
+        "--max-queue int None",
+        "--horizon int None",
+        "--faults str None",
+        "--fault-horizon int None",
+        "--metrics-out str None",
+        "--gate-p99 float None",
+        "--compare-global flag",
+        "--trace-out str None",
+    ),
+    "serve": (
+        "--scheduler str 'tetris'",
+        "--host str '127.0.0.1'",
+        "--port int 0",
+        "--batch-max int 16",
+        "--smoke flag",
+        "--requests int 3",
+        "--seed int 0",
+        "--frames-out str None",
+    ),
+    "verify": (
+        "schedule str None required",
+        "--graph str None required",
+        "--capacities str None",
+        "--json flag",
+    ),
+    "bench": (
+        "--baseline str None",
+        "--update-baselines flag",
+    ),
+}
+
 #: How Spear and the trainers evaluate their network (the per-plan and
 #: per-rollout-group memo, the fused playout) is the design, not a
 #: choice: nothing settable may name it.
@@ -85,3 +226,39 @@ def test_no_option_names_a_mechanism():
         ]
     )
     assert not [n for n in names if any(w in n.lower() for w in MECHANISM_WORDS)]
+
+
+def _describe(action):
+    name = "/".join(action.option_strings) or action.dest
+    if isinstance(action, argparse._StoreTrueAction):
+        return f"{name} flag"
+    if isinstance(action, argparse._AppendAction):
+        kind = "append"
+    else:
+        kind = (action.type or str).__name__
+    text = f"{name} {kind} {action.default!r}"
+    if action.choices:
+        text += " {" + ",".join(action.choices) + "}"
+    return text + (" required" if action.required else "")
+
+
+def _subcommands(parser, prefix=""):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield prefix + name, sub
+                yield from _subcommands(sub, f"{prefix}{name} ")
+
+
+def test_cli_options():
+    surface = {
+        name: tuple(
+            _describe(action)
+            for action in sub._actions
+            if not isinstance(
+                action, (argparse._HelpAction, argparse._SubParsersAction)
+            )
+        )
+        for name, sub in _subcommands(build_parser())
+    }
+    assert surface == CLI_OPTIONS
