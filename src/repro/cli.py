@@ -26,18 +26,113 @@ Subcommands::
     repro bench      [--baseline benchmarks/baselines.json [--update-baselines]]
 
 Every command prints a plain-text report to stdout and exits non-zero on
-error.
+error: an invalid argument, or a named trace or checkpoint that cannot be
+loaded, is a one-line error with exit 2.  ``online``, ``stream`` and
+``federate`` declare the options they share once (``_SHARED_OPTIONS``)
+and build their fault plans, reschedulers and admission limits through
+the same functions; each keeps its own body and report.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from typing import List, Optional
+from pathlib import Path
+from typing import Any, Dict, List, Optional, Tuple
 
-from .config import EnvConfig, TrainingConfig, WorkloadConfig
+from .config import ClusterConfig, EnvConfig, TrainingConfig, WorkloadConfig
+from .errors import CheckpointError, ConfigError, TraceError
 
 __all__ = ["main", "build_parser"]
+
+#: Options that several commands take, each declared once.  A command
+#: passes its own help text (keyed by dest) where an option means
+#: something else there: a per-shard limit or another default.
+_SHARED_OPTIONS: Dict[str, Dict[str, Any]] = {
+    "--arrival": dict(
+        default="poisson:rate=0.05,n=200",
+        help="arrival spec: poisson:rate=R,n=N | uniform:interarrival=K,n=N "
+        "| trace:path=t.json,mean=M (see repro.streaming.parse_arrival_spec)",
+    ),
+    "--seed": dict(type=int, default=0),
+    "--ranker": dict(default="sjf", help="dispatch order: fifo|sjf|cp|tetris"),
+    "--tasks": dict(type=int, default=8, help="tasks per generated job DAG"),
+    "--max-concurrent": dict(type=int, default=None),
+    "--max-queue": dict(type=int, default=None),
+    "--horizon": dict(
+        type=int,
+        default=None,
+        help="run length in slots from the first arrival; later arrivals "
+        "are cut off (in-flight work drains)",
+    ),
+    "--faults": dict(
+        default=None,
+        help="fault spec, e.g. crashes=2,transient=0.05,straggler=0.1 "
+        "(see repro.faults.parse_fault_spec)",
+    ),
+    "--fault-horizon": dict(
+        type=int,
+        default=None,
+        help="crash-time horizon in slots (default: --horizon or 1000)",
+    ),
+    "--reschedule": dict(
+        default=None,
+        help="scheduler spec replanning each job's residual DAG on every "
+        "fault event, e.g. heft or mcts:budget=50",
+    ),
+    "--fallback": dict(
+        default=None,
+        help="heuristic spec the rescheduler degrades to on errors or "
+        "budget overruns (e.g. heft)",
+    ),
+    "--replan-budget": dict(
+        type=float, default=None, help="per-replan wall-clock budget in seconds"
+    ),
+    "--metrics-out": dict(
+        default=None,
+        help="write the deterministic metrics JSON here "
+        "(byte-identical across runs of the same spec+seed)",
+    ),
+    "--verify-executed": dict(
+        action="store_true",
+        help="verify every executed schedule against the realized DAGs "
+        "(exit 1 on any violation)",
+    ),
+    "--gate-p99": dict(
+        type=float,
+        default=None,
+        help="exit 1 if the p99 JCT exceeds this many slots (CI gate)",
+    ),
+    "--trace-out": dict(
+        default=None,
+        help="run with telemetry enabled; write the JSONL trace here",
+    ),
+}
+
+#: The open-system options ``stream`` and ``federate`` share, in order.
+_ARRIVAL_OPTIONS = (
+    "--arrival",
+    "--seed",
+    "--ranker",
+    "--tasks",
+    "--max-concurrent",
+    "--max-queue",
+    "--horizon",
+    "--faults",
+    "--fault-horizon",
+)
+_REPLAN_OPTIONS = ("--reschedule", "--fallback", "--replan-budget")
+
+
+def _add_shared(parser: argparse.ArgumentParser, *names: str, **helps: str) -> None:
+    """Add the shared options ``names`` in order; ``helps`` overrides help text."""
+    for name in names:
+        spec = dict(_SHARED_OPTIONS[name])
+        dest = name[2:].replace("-", "_")
+        if dest in helps:
+            spec["help"] = helps[dest]
+        parser.add_argument(name, **spec)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,11 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="global-norm gradient clipping threshold (0 = off)",
     )
-    train.add_argument(
-        "--trace-out",
-        default=None,
-        help="run with telemetry enabled; write the JSONL trace here",
-    )
+    _add_shared(train, "--trace-out")
 
     trace = sub.add_parser(
         "trace",
@@ -141,11 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiment.add_argument("--paper-scale", action="store_true")
     experiment.add_argument("--seed", type=int, default=0)
-    experiment.add_argument(
-        "--trace-out",
-        default=None,
-        help="run with telemetry enabled; write the JSONL trace here",
-    )
+    _add_shared(experiment, "--trace-out")
 
     ablation = sub.add_parser("ablation", help="run a design-choice ablation")
     ablation.add_argument("name")
@@ -168,57 +255,26 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--budget", type=int, default=50)
     compare.add_argument("--min-budget", type=int, default=10)
     compare.add_argument("--reference", default=None)
-    compare.add_argument(
-        "--trace-out",
-        default=None,
-        help="run with telemetry enabled; write the JSONL trace here",
-    )
+    _add_shared(compare, "--trace-out")
 
     online = sub.add_parser(
         "online", help="multi-job arrival-stream simulation on a trace"
     )
     online.add_argument("--jobs", type=int, default=10)
-    online.add_argument("--seed", type=int, default=0)
+    _add_shared(online, "--seed")
     online.add_argument("--mean-interarrival", type=float, default=25.0)
     online.add_argument("--runtime-scale", type=float, default=0.2)
     online.add_argument(
         "--rankers", default="fifo,sjf,cp,tetris", help="comma-separated"
     )
-    online.add_argument(
+    _add_shared(
+        online,
         "--faults",
-        default=None,
-        help="fault spec, e.g. crashes=2,transient=0.05,straggler=0.1 "
-        "(see repro.faults.parse_fault_spec)",
-    )
-    online.add_argument(
         "--fault-horizon",
-        type=int,
-        default=None,
-        help="crash-time horizon in slots (default: jobs x interarrival x 2)",
-    )
-    online.add_argument(
-        "--reschedule",
-        default=None,
-        help="scheduler spec replanning each job's residual DAG on every "
-        "fault event, e.g. heft or mcts:budget=50",
-    )
-    online.add_argument(
-        "--fallback",
-        default=None,
-        help="heuristic spec the rescheduler degrades to on errors or "
-        "budget overruns (e.g. heft)",
-    )
-    online.add_argument(
-        "--replan-budget",
-        type=float,
-        default=None,
-        help="per-replan wall-clock budget in seconds",
-    )
-    online.add_argument(
+        *_REPLAN_OPTIONS,
         "--verify-executed",
-        action="store_true",
-        help="verify every executed schedule against the realized DAGs "
-        "(exit 1 on any violation)",
+        fault_horizon="crash-time horizon in slots "
+        "(default: jobs x interarrival x 2)",
     )
     online.add_argument(
         "--check-recoveries",
@@ -226,97 +282,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 1 unless the run recovered capacity at least once "
         "(CI fault-smoke gate)",
     )
-    online.add_argument(
-        "--trace-out",
-        default=None,
-        help="run with telemetry enabled; write the JSONL trace here",
-    )
+    _add_shared(online, "--trace-out")
 
     stream = sub.add_parser(
         "stream",
         help="continuous-arrival steady-state simulation (open system)",
     )
-    stream.add_argument(
-        "--arrival",
-        default="poisson:rate=0.05,n=200",
-        help="arrival spec: poisson:rate=R,n=N | uniform:interarrival=K,n=N "
-        "| trace:path=t.json,mean=M (see repro.streaming.parse_arrival_spec)",
-    )
-    stream.add_argument("--seed", type=int, default=0)
-    stream.add_argument(
-        "--ranker", default="sjf", help="dispatch order: fifo|sjf|cp|tetris"
-    )
-    stream.add_argument(
-        "--tasks", type=int, default=8, help="tasks per generated job DAG"
-    )
-    stream.add_argument(
-        "--max-concurrent",
-        type=int,
-        default=None,
-        help="admission limit on jobs in the cluster (default: unbounded)",
-    )
-    stream.add_argument(
-        "--max-queue",
-        type=int,
-        default=None,
-        help="backlog capacity once --max-concurrent is hit; a full "
-        "backlog sheds (rejects) new arrivals",
-    )
-    stream.add_argument(
-        "--horizon",
-        type=int,
-        default=None,
-        help="run length in slots from the first arrival; later arrivals "
-        "are cut off (in-flight work drains)",
-    )
-    stream.add_argument(
-        "--faults",
-        default=None,
-        help="fault spec, e.g. crashes=2,transient=0.05 "
-        "(see repro.faults.parse_fault_spec)",
-    )
-    stream.add_argument(
-        "--fault-horizon",
-        type=int,
-        default=None,
-        help="crash-time horizon in slots (default: --horizon or 1000)",
-    )
-    stream.add_argument(
-        "--reschedule",
-        default=None,
-        help="scheduler spec replanning residual DAGs (e.g. heft)",
-    )
-    stream.add_argument(
-        "--fallback", default=None, help="degradation spec for --reschedule"
-    )
-    stream.add_argument(
-        "--replan-budget",
-        type=float,
-        default=None,
-        help="per-replan wall-clock budget in seconds",
-    )
-    stream.add_argument(
+    _add_shared(
+        stream,
+        *_ARRIVAL_OPTIONS,
+        *_REPLAN_OPTIONS,
         "--metrics-out",
-        default=None,
-        help="write the deterministic steady-state metrics JSON here "
-        "(byte-identical across runs of the same spec+seed)",
-    )
-    stream.add_argument(
         "--verify-executed",
-        action="store_true",
-        help="verify every executed schedule against the realized DAGs "
-        "(exit 1 on any violation)",
-    )
-    stream.add_argument(
         "--gate-p99",
-        type=float,
-        default=None,
-        help="exit 1 if the p99 JCT exceeds this many slots (CI gate)",
-    )
-    stream.add_argument(
         "--trace-out",
-        default=None,
-        help="run with telemetry enabled; write the JSONL trace here",
+        max_concurrent="admission limit on jobs in the cluster "
+        "(default: unbounded)",
+        max_queue="backlog capacity once --max-concurrent is hit; a full "
+        "backlog sheds (rejects) new arrivals",
     )
 
     federate = sub.add_parser(
@@ -351,63 +334,17 @@ def build_parser() -> argparse.ArgumentParser:
         "once for all shards, or once per shard for a heterogeneous "
         "federation; 'none' leaves a shard ranker-only",
     )
-    federate.add_argument(
-        "--arrival",
-        default="poisson:rate=0.05,n=200",
-        help="arrival spec: poisson:rate=R,n=N | uniform:interarrival=K,n=N "
-        "| trace:path=t.json,mean=M (see repro.streaming.parse_arrival_spec)",
-    )
-    federate.add_argument("--seed", type=int, default=0)
-    federate.add_argument(
-        "--ranker", default="sjf", help="dispatch order: fifo|sjf|cp|tetris"
-    )
-    federate.add_argument(
-        "--tasks", type=int, default=8, help="tasks per generated job DAG"
-    )
-    federate.add_argument(
-        "--max-concurrent",
-        type=int,
-        default=None,
-        help="per-shard admission limit on jobs in the shard "
+    _add_shared(
+        federate,
+        *_ARRIVAL_OPTIONS,
+        "--metrics-out",
+        "--gate-p99",
+        max_concurrent="per-shard admission limit on jobs in the shard "
         "(default: unbounded)",
-    )
-    federate.add_argument(
-        "--max-queue",
-        type=int,
-        default=None,
-        help="per-shard backlog capacity once --max-concurrent is hit",
-    )
-    federate.add_argument(
-        "--horizon",
-        type=int,
-        default=None,
-        help="run length in slots from the first arrival; later arrivals "
-        "are cut off (in-flight work drains)",
-    )
-    federate.add_argument(
-        "--faults",
-        default=None,
-        help="per-shard fault spec, e.g. crashes=1,transient=0.05; each "
+        max_queue="per-shard backlog capacity once --max-concurrent is hit",
+        faults="per-shard fault spec, e.g. crashes=1,transient=0.05; each "
         "shard gets its own seeded plan validated against its slice "
         "(the shard is the fault domain)",
-    )
-    federate.add_argument(
-        "--fault-horizon",
-        type=int,
-        default=None,
-        help="crash-time horizon in slots (default: --horizon or 1000)",
-    )
-    federate.add_argument(
-        "--metrics-out",
-        default=None,
-        help="write the deterministic federation metrics JSON here "
-        "(byte-identical across runs of the same spec+seed)",
-    )
-    federate.add_argument(
-        "--gate-p99",
-        type=float,
-        default=None,
-        help="exit 1 if the aggregate p99 JCT exceeds this many slots",
     )
     federate.add_argument(
         "--compare-global",
@@ -415,11 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run an equal-total-capacity single-scheduler baseline "
         "on the same stream and report the deltas",
     )
-    federate.add_argument(
-        "--trace-out",
-        default=None,
-        help="run with telemetry enabled; write the JSONL trace here",
-    )
+    _add_shared(federate, "--trace-out")
 
     serve = sub.add_parser(
         "serve", help="scheduling daemon speaking newline-delimited JSON"
@@ -525,7 +458,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from .schedulers.registry import make_scheduler
 
     graph = random_layered_dag(WorkloadConfig(num_tasks=args.tasks), seed=args.seed)
-    env_config = EnvConfig(process_until_completion=True)
+    env_config = _env_config()
     scheduler = make_scheduler(_default_mcts_spec(args.scheduler, args), env_config)
     schedule = scheduler.plan(ScheduleRequest(graph))
     validate_schedule(schedule, graph, env_config.cluster.capacities)
@@ -537,8 +470,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_schedulers(args: argparse.Namespace) -> int:
-    import json
-
     from .schedulers.registry import scheduler_options
 
     options = scheduler_options()
@@ -577,7 +508,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         max_grad_norm=args.grad_clip,
     )
     network, history = train_spear_network(
-        env_config=EnvConfig(process_until_completion=True),
+        env_config=_env_config(),
         training=training,
         seed=args.seed,
         log_every=args.log_every,
@@ -704,7 +635,6 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
 
 
 def _cmd_motivating(_: argparse.Namespace) -> int:
-    from .config import ClusterConfig
     from .dag.examples import MOTIVATING_CAPACITY, MOTIVATING_T, motivating_example
     from .metrics.schedule import validate_schedule
     from .schedulers.base import ScheduleRequest
@@ -728,7 +658,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     from .experiments.tournament import run_tournament
     from .schedulers.registry import make_scheduler, parse_scheduler_spec
 
-    env_config = EnvConfig(process_until_completion=True)
+    env_config = _env_config()
     schedulers = {}
     for spec in _split_spec_list(args.schedulers):
         label = parse_scheduler_spec(spec)[0]
@@ -743,10 +673,118 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _env_config(capacities: Optional[Tuple[int, ...]] = None) -> EnvConfig:
+    """The environment commands plan in: every task runs to completion,
+    on the default cluster or on ``capacities`` (a federation shard)."""
+    cluster = ClusterConfig() if capacities is None else ClusterConfig(capacities)
+    return EnvConfig(cluster=cluster, process_until_completion=True)
+
+
+def _fault_plan(args: argparse.Namespace, capacities, default_horizon: int, seed: int):
+    """The ``--faults`` plan on ``capacities``, or ``None`` without one.
+
+    Crash times fall before ``--fault-horizon``, else ``default_horizon``.
+    """
+    if not args.faults:
+        return None
+    from .faults import parse_fault_spec
+
+    horizon = default_horizon if args.fault_horizon is None else args.fault_horizon
+    return parse_fault_spec(args.faults, capacities, horizon, seed=seed)
+
+
+def _rescheduler(spec, capacities=None, fallback=None, replan_budget=None):
+    """A fresh scheduler replanning residual DAGs, or ``None`` without a spec.
+
+    Each call builds its own wrapper, so degradation state never leaks
+    between runs.
+    """
+    if not spec:
+        if fallback or replan_budget is not None:
+            raise ConfigError("--fallback/--replan-budget require --reschedule")
+        return None
+    from .schedulers.registry import compose_scheduler
+
+    return compose_scheduler(
+        spec,
+        _env_config(capacities),
+        reschedule=True,
+        fallback=fallback,
+        replan_budget=replan_budget,
+    )
+
+
+def _admission(args: argparse.Namespace, scale: int = 1):
+    """``--max-concurrent``/``--max-queue``, each times ``scale``, as an
+    admission policy; ``None`` when neither is set."""
+    if args.max_concurrent is None and args.max_queue is None:
+        return None
+    from .streaming import AdmissionConfig
+
+    return AdmissionConfig(
+        max_concurrent=(
+            None if args.max_concurrent is None else args.max_concurrent * scale
+        ),
+        max_queue=None if args.max_queue is None else args.max_queue * scale,
+    )
+
+
+def _arrivals(args: argparse.Namespace):
+    """A fresh ``--arrival`` process of ``--tasks``-task layered DAGs."""
+    from .streaming import layered_job_factory, parse_arrival_spec, streaming_workload
+
+    factory = layered_job_factory(streaming_workload(num_tasks=args.tasks))
+    return parse_arrival_spec(args.arrival, factory, seed=args.seed)
+
+
+def _verify_executed(runs, capacities) -> int:
+    """Check every executed schedule of ``runs`` (``(label, online result,
+    jobs)`` triples); print each violation and the verdict; return the
+    exit code."""
+    from .online import verify_execution
+
+    violations = 0
+    for label, result, jobs in runs:
+        reports = verify_execution(result, jobs, capacities)
+        bad = [r for r in reports if r is not None and not r.ok]
+        for report in bad:
+            print(f"{label}: {report.summary()}", file=sys.stderr)
+        violations += len(bad)
+    print(
+        "executed-schedule verification: "
+        + ("clean" if not violations else f"{violations} job(s) violated")
+    )
+    return 1 if violations else 0
+
+
+def _gate_p99(args: argparse.Namespace, p99: float) -> int:
+    """Exit code of the ``--gate-p99`` bound on the run's p99 JCT."""
+    if args.gate_p99 is not None and p99 > args.gate_p99:
+        print(
+            f"{args.command}: p99 JCT {p99:.0f} exceeds the "
+            f"--gate-p99 bound {args.gate_p99:g}",
+            file=sys.stderr,
+        )
+        return 1
+    return 0
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path``, creating its parent directory."""
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(text, encoding="utf-8")
+
+
+def _write_metrics(path: str, payload: dict) -> None:
+    """Write a run's deterministic metrics JSON (``--metrics-out``)."""
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    print(f"wrote metrics to {path}")
+
+
 def _cmd_online(args: argparse.Namespace) -> int:
-    from .errors import ConfigError
     from .experiments.reporting import format_table
-    from .online import OnlineSimulator, resolve_ranker, verify_execution
+    from .online import OnlineSimulator, resolve_ranker
     from .traces.arrivals import poisson_arrivals
     from .traces.synthetic import TraceConfig, generate_production_trace
 
@@ -760,45 +798,24 @@ def _cmd_online(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     stream = poisson_arrivals(trace, args.mean_interarrival, seed=args.seed)
-    env_config = EnvConfig(process_until_completion=True)
-    capacities = env_config.cluster.capacities
-
-    faults = None
-    if args.faults:
-        from .faults import parse_fault_spec
-
-        horizon = (
-            args.fault_horizon
-            if args.fault_horizon is not None
-            else max(2, int(args.jobs * args.mean_interarrival * 2))
-        )
-        faults = parse_fault_spec(args.faults, capacities, horizon, seed=args.seed)
-
-    def build_rescheduler():
-        """Fresh per-ranker wrapper so degradation state never leaks."""
-        if not args.reschedule:
-            if args.fallback or args.replan_budget is not None:
-                raise ConfigError(
-                    "--fallback/--replan-budget require --reschedule"
-                )
-            return None
-        from .schedulers.registry import compose_scheduler
-
-        return compose_scheduler(
-            args.reschedule,
-            env_config,
-            reschedule=True,
-            fallback=args.fallback,
-            replan_budget=args.replan_budget,
-        )
+    capacities = ClusterConfig().capacities
+    faults = _fault_plan(
+        args,
+        capacities,
+        max(2, int(args.jobs * args.mean_interarrival * 2)),
+        args.seed,
+    )
 
     simulator = OnlineSimulator()
     rows = []
-    violations = 0
+    runs = []
     recovered = 0
     for name in names:
+        rescheduler = _rescheduler(
+            args.reschedule, fallback=args.fallback, replan_budget=args.replan_budget
+        )
         result = simulator.run(
-            stream, known[name], faults=faults, rescheduler=build_rescheduler()
+            stream, known[name], faults=faults, rescheduler=rescheduler
         )
         cpu, mem = result.mean_utilization
         row = [name, result.mean_jct, result.max_jct, result.makespan,
@@ -815,12 +832,7 @@ def _cmd_online(args: argparse.Namespace) -> int:
             ]
             recovered += result.recoveries
         rows.append(tuple(row))
-        if args.verify_executed:
-            reports = verify_execution(result, stream, capacities)
-            bad = [r for r in reports if r is not None and not r.ok]
-            for report in bad:
-                print(f"online[{name}]: {report.summary()}", file=sys.stderr)
-            violations += len(bad)
+        runs.append((f"online[{name}]", result, stream))
     headers = ["ranker", "mean JCT", "max JCT", "makespan", "util cpu/mem"]
     if faults is not None:
         headers += ["nom util", "crash/recov", "retries", "failed"]
@@ -833,13 +845,8 @@ def _cmd_online(args: argparse.Namespace) -> int:
     if args.reschedule:
         title += f" | reschedule: {args.reschedule}"
     print(format_table(headers, rows, title=title))
-    if args.verify_executed:
-        print(
-            "executed-schedule verification: "
-            + ("clean" if not violations else f"{violations} job(s) violated")
-        )
-        if violations:
-            return 1
+    if args.verify_executed and _verify_executed(runs, capacities):
+        return 1
     if args.check_recoveries and faults is not None and recovered == 0:
         print("online: no capacity recovery occurred", file=sys.stderr)
         return 1
@@ -847,56 +854,23 @@ def _cmd_online(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from .errors import ConfigError
-    from .online import resolve_ranker, verify_execution
-    from .streaming import (
-        AdmissionConfig,
-        StreamingSimulator,
-        layered_job_factory,
-        parse_arrival_spec,
-        streaming_workload,
-    )
+    from .online import resolve_ranker
+    from .streaming import StreamingSimulator
 
     ranker = resolve_ranker(args.ranker)
-    env_config = EnvConfig(process_until_completion=True)
-    capacities = env_config.cluster.capacities
-    factory = layered_job_factory(streaming_workload(num_tasks=args.tasks))
-    arrivals = parse_arrival_spec(args.arrival, factory, seed=args.seed)
-    admission = None
-    if args.max_concurrent is not None or args.max_queue is not None:
-        admission = AdmissionConfig(
-            max_concurrent=args.max_concurrent, max_queue=args.max_queue
-        )
-    faults = None
-    if args.faults:
-        from .faults import parse_fault_spec
-
-        fault_horizon = (
-            args.fault_horizon
-            if args.fault_horizon is not None
-            else (args.horizon if args.horizon is not None else 1000)
-        )
-        faults = parse_fault_spec(
-            args.faults, capacities, fault_horizon, seed=args.seed
-        )
-    rescheduler = None
-    if args.reschedule:
-        from .schedulers.registry import compose_scheduler
-
-        rescheduler = compose_scheduler(
-            args.reschedule,
-            env_config,
-            reschedule=True,
-            fallback=args.fallback,
-            replan_budget=args.replan_budget,
-        )
-    elif args.fallback or args.replan_budget is not None:
-        raise ConfigError("--fallback/--replan-budget require --reschedule")
-    simulator = StreamingSimulator(cluster=env_config.cluster)
-    result = simulator.run(
+    arrivals = _arrivals(args)
+    admission = _admission(args)
+    cluster = ClusterConfig()
+    faults = _fault_plan(
+        args,
+        cluster.capacities,
+        1000 if args.horizon is None else args.horizon,
+        args.seed,
+    )
+    rescheduler = _rescheduler(
+        args.reschedule, fallback=args.fallback, replan_budget=args.replan_budget
+    )
+    result = StreamingSimulator(cluster=cluster).run(
         arrivals,
         ranker,
         admission=admission,
@@ -907,40 +881,17 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     print(f"Streaming: {args.arrival} | ranker {args.ranker} | seed {args.seed}")
     print(result.report())
     if args.metrics_out:
-        Path(args.metrics_out).write_text(
-            json.dumps(result.metrics_dict(), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote metrics to {args.metrics_out}")
-    if args.verify_executed:
-        # The process is restartable, so re-materializing it recovers
-        # each outcome's original graph by stream index.
-        jobs = list(arrivals.jobs())
-        reports = verify_execution(result.online, jobs, capacities)
-        bad = [r for r in reports if r is not None and not r.ok]
-        for report in bad:
-            print(f"stream: {report.summary()}", file=sys.stderr)
-        print(
-            "executed-schedule verification: "
-            + ("clean" if not bad else f"{len(bad)} job(s) violated")
-        )
-        if bad:
-            return 1
-    if args.gate_p99 is not None and result.p99_jct > args.gate_p99:
-        print(
-            f"stream: p99 JCT {result.p99_jct:.0f} exceeds the "
-            f"--gate-p99 bound {args.gate_p99:g}",
-            file=sys.stderr,
-        )
+        _write_metrics(args.metrics_out, result.metrics_dict())
+    # The process is restartable, so re-materializing it recovers each
+    # outcome's original graph by stream index.
+    if args.verify_executed and _verify_executed(
+        [("stream", result.online, list(arrivals.jobs()))], cluster.capacities
+    ):
         return 1
-    return 0
+    return _gate_p99(args, result.p99_jct)
 
 
 def _cmd_federate(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from .errors import ConfigError
     from .federation import (
         FederatedStreamingSimulator,
         FederationComparison,
@@ -949,77 +900,35 @@ def _cmd_federate(args: argparse.Namespace) -> int:
         split_capacities,
     )
     from .online import resolve_ranker
-    from .streaming import (
-        AdmissionConfig,
-        StreamingSimulator,
-        layered_job_factory,
-        parse_arrival_spec,
-        streaming_workload,
-    )
+    from .streaming import StreamingSimulator
 
     ranker = resolve_ranker(args.ranker)
-    env_config = EnvConfig(process_until_completion=True)
-    total = env_config.cluster.capacities
+    cluster = ClusterConfig()
     router = parse_router_spec(args.router)
-    slices = split_capacities(total, args.shards)
-    scheduler_specs = list(args.scheduler or [])
-    if len(scheduler_specs) not in (0, 1, args.shards):
+    slices = split_capacities(cluster.capacities, args.shards)
+    # 'none' leaves a shard ranker-only.
+    scheduler_specs = [None if s == "none" else s for s in args.scheduler or [None]]
+    if len(scheduler_specs) not in (1, args.shards):
         raise ConfigError(
             f"--scheduler given {len(scheduler_specs)} times; give it "
             f"once for all shards or once per shard ({args.shards})"
         )
     if len(scheduler_specs) == 1:
-        scheduler_specs = scheduler_specs * args.shards
-    admission = None
-    if args.max_concurrent is not None or args.max_queue is not None:
-        admission = AdmissionConfig(
-            max_concurrent=args.max_concurrent, max_queue=args.max_queue
+        scheduler_specs *= args.shards
+    admission = _admission(args)
+    fault_horizon = 1000 if args.horizon is None else args.horizon
+    specs = [
+        ShardSpec(
+            capacities=capacities,
+            ranker=ranker,
+            rescheduler=_rescheduler(scheduler_specs[k], capacities),
+            admission=admission,
+            # seed + k: each shard is its own seeded fault domain.
+            faults=_fault_plan(args, capacities, fault_horizon, args.seed + k),
         )
-    fault_horizon = (
-        args.fault_horizon
-        if args.fault_horizon is not None
-        else (args.horizon if args.horizon is not None else 1000)
-    )
-
-    def build_rescheduler(spec_str, capacities):
-        if not spec_str or spec_str == "none":
-            return None
-        import dataclasses
-
-        from .config import ClusterConfig
-        from .schedulers.registry import compose_scheduler
-
-        shard_env = dataclasses.replace(
-            env_config,
-            cluster=ClusterConfig(
-                capacities=capacities, horizon=env_config.cluster.horizon
-            ),
-        )
-        return compose_scheduler(spec_str, shard_env, reschedule=True)
-
-    def build_faults(capacities, seed):
-        if not args.faults:
-            return None
-        from .faults import parse_fault_spec
-
-        return parse_fault_spec(args.faults, capacities, fault_horizon, seed=seed)
-
-    specs = []
-    for k, capacities in enumerate(slices):
-        specs.append(
-            ShardSpec(
-                capacities=capacities,
-                ranker=ranker,
-                rescheduler=build_rescheduler(
-                    scheduler_specs[k] if scheduler_specs else None, capacities
-                ),
-                admission=admission,
-                # seed + k: each shard is its own seeded fault domain.
-                faults=build_faults(capacities, args.seed + k),
-            )
-        )
-    factory = layered_job_factory(streaming_workload(num_tasks=args.tasks))
-    arrivals = parse_arrival_spec(args.arrival, factory, seed=args.seed)
+        for k, capacities in enumerate(slices)
+    ]
+    arrivals = _arrivals(args)
     simulator = FederatedStreamingSimulator(
         specs, router=router, steal_threshold=args.steal_threshold
     )
@@ -1030,69 +939,34 @@ def _cmd_federate(args: argparse.Namespace) -> int:
         # Equal-total-capacity single scheduler on the *same* stream:
         # per-shard admission limits scale by the shard count so the
         # two systems admit the same aggregate load.
-        global_admission = None
-        if admission is not None:
-            global_admission = AdmissionConfig(
-                max_concurrent=(
-                    None
-                    if admission.max_concurrent is None
-                    else admission.max_concurrent * args.shards
-                ),
-                max_queue=(
-                    None
-                    if admission.max_queue is None
-                    else admission.max_queue * args.shards
-                ),
-            )
-        global_run = StreamingSimulator(cluster=env_config.cluster).run(
-            parse_arrival_spec(args.arrival, factory, seed=args.seed),
+        global_run = StreamingSimulator(cluster=cluster).run(
+            _arrivals(args),
             ranker,
-            admission=global_admission,
+            admission=_admission(args, args.shards),
             horizon=args.horizon,
-            faults=build_faults(total, args.seed),
-            rescheduler=build_rescheduler(
-                scheduler_specs[0] if scheduler_specs else None, total
-            ),
+            faults=_fault_plan(args, cluster.capacities, fault_horizon, args.seed),
+            rescheduler=_rescheduler(scheduler_specs[0]),
         )
         comparison = FederationComparison(result, global_run)
     print(
-        f"Federation: {args.shards} shards of {total} | router {args.router} "
-        f"| ranker {args.ranker} | seed {args.seed}"
+        f"Federation: {args.shards} shards of {cluster.capacities} "
+        f"| router {args.router} | ranker {args.ranker} | seed {args.seed}"
     )
-    if comparison is not None:
-        print(comparison.report())
-    else:
-        print(result.report())
+    print(result.report() if comparison is None else comparison.report())
     if args.metrics_out:
-        payload = (
-            comparison.metrics_dict()
-            if comparison is not None
-            else result.metrics_dict()
+        _write_metrics(
+            args.metrics_out,
+            result.metrics_dict() if comparison is None else comparison.metrics_dict(),
         )
-        Path(args.metrics_out).write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote metrics to {args.metrics_out}")
-    if args.gate_p99 is not None and result.aggregate.p99_jct > args.gate_p99:
-        print(
-            f"federate: p99 JCT {result.aggregate.p99_jct:.0f} exceeds the "
-            f"--gate-p99 bound {args.gate_p99:g}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return _gate_p99(args, result.aggregate.p99_jct)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
     from .errors import ProtocolError
     from .schedulers.registry import make_scheduler
     from .streaming.service import run_serve, run_smoke
 
-    env_config = EnvConfig(process_until_completion=True)
+    env_config = _env_config()
     scheduler = make_scheduler(args.scheduler, env_config)
     if args.smoke:
         try:
@@ -1109,9 +983,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.frames_out:
             lines = [json.dumps(r, sort_keys=True) for r in summary["replies"]]
             lines.append(json.dumps(summary["drain"], sort_keys=True))
-            Path(args.frames_out).write_text(
-                "\n".join(lines) + "\n", encoding="utf-8"
-            )
+            _write_text(args.frames_out, "\n".join(lines) + "\n")
             print(f"wrote {len(lines)} frames to {args.frames_out}")
         stats = summary["stats"]
         print(
@@ -1139,11 +1011,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
     from .analysis.verifier import verify_payload
-    from .config import ClusterConfig
     from .dag.io import load_graph
     from .errors import ReproError
 
@@ -1231,23 +1099,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     (:func:`repro.telemetry.session`) and leave a JSONL span/metric
     trace at the given path; everything else runs with telemetry off.
     The trace is written beside the path and moved there when the
-    command ends, so an invalid argument (exit 2) leaves the path as it
-    was.
+    command ends, so an invalid argument or an input that cannot be
+    loaded (exit 2) leaves the path as it was.
     """
     args = build_parser().parse_args(argv)
     trace_out = getattr(args, "trace_out", None)
     if not trace_out:
         return _run(args)
-    from pathlib import Path
-
-    from .errors import ConfigError
     from .telemetry import TelemetryConfig, session
 
     partial = Path(f"{trace_out}.partial")
     try:
         with session(TelemetryConfig(enabled=True, jsonl_path=str(partial))):
             code = _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except _INVALID_INPUT as exc:
         partial.unlink(missing_ok=True)
         return _invalid(args, exc)
     finally:
@@ -1258,16 +1123,18 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
-    from .errors import ConfigError
-
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except _INVALID_INPUT as exc:
         return _invalid(args, exc)
 
 
+#: A bad argument, or a named trace or checkpoint that cannot be loaded.
+_INVALID_INPUT = (CheckpointError, ConfigError, TraceError)
+
+
 def _invalid(args: argparse.Namespace, exc: Exception) -> int:
-    """An invalid argument is a one-line error, exit 2."""
+    """An invalid input is a one-line error, exit 2."""
     print(f"{args.command}: {exc}", file=sys.stderr)
     return 2
 

@@ -308,5 +308,7 @@ class ShardedEngine:
         finally:
             # Processes and pending events hold their layers' bound
             # handlers, and the layers hold the kernel: let go of them
-            # so a finished run frees by refcount.
+            # so a finished run frees by refcount.  A run that raised
+            # can leave the arrival layer holding its own next arrival.
             self.kernel.clear()
+            self.workload._pending = None

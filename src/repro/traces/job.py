@@ -167,9 +167,16 @@ class Trace:
 
     @staticmethod
     def load(path: Union[str, Path]) -> "Trace":
-        """Load a trace written by :meth:`save`."""
+        """Load a trace written by :meth:`save`.
+
+        Raises:
+            TraceError: on an unreadable file, invalid JSON or a payload
+                :meth:`from_dict` rejects.
+        """
         try:
             payload = json.loads(Path(path).read_text())
+        except OSError as exc:
+            raise TraceError(f"cannot read trace {path}: {exc.strerror}") from exc
         except json.JSONDecodeError as exc:
             raise TraceError(f"invalid JSON in {path}: {exc}") from exc
         return Trace.from_dict(payload)

@@ -430,17 +430,19 @@ def test_a_finished_run_frees_by_refcount():
     # References in a shard point one way (the policy layer reads the
     # execution layer, which never refers back; each job carries its own
     # dispatch caches), and the engine makes the kernel drop its processes
-    # and pending events when a run ends.  So with the cyclic collector
-    # off, the kernel, every shard's two layers and the work stealer are
-    # gone once the facade returns: a faulty batch whose crash timeline
-    # outlives its jobs, a stream cut off by its horizon, and a 4-shard
-    # federation that steals.
+    # and pending events and the arrival layer its pending arrival when a
+    # run ends.  So with the cyclic collector off, the kernel, the arrival
+    # layer, every shard's two layers and the work stealer are gone once
+    # the facade returns or raises: a faulty batch whose crash timeline
+    # outlives its jobs, a stream cut off by its horizon, a 4-shard
+    # federation that steals, and a stream that exceeds its step cap.
     import dataclasses
     import gc
     import weakref
     from unittest import mock
 
     from repro.config import ClusterConfig
+    from repro.errors import EnvironmentStateError
     from repro.faults import MachineCrash
     from repro.federation import FederatedStreamingSimulator
     from repro.online import OnlineSimulator, cp_ranker, sjf_ranker
@@ -453,6 +455,7 @@ def test_a_finished_run_frees_by_refcount():
 
     def watched_run(engine, max_steps, horizon=None, stealer=None):
         refs["kernel"] = weakref.ref(engine.kernel)
+        refs["arrivals"] = weakref.ref(engine.workload)
         for shard in engine.shards:
             refs[f"shard{shard.id}.execution"] = weakref.ref(shard.execution)
             refs[f"shard{shard.id}.policy"] = weakref.ref(shard.policy)
@@ -490,11 +493,23 @@ def test_a_finished_run_frees_by_refcount():
         ).run(TraceArrivals(sim.open_stream()), horizon=50)
         assert result.steals
 
+    def capped():
+        # Caught by name, not by pytest.raises: a kept traceback would hold
+        # the engine's frame, and the frame the engine.
+        try:
+            StreamingSimulator(cluster, max_steps=5).run(
+                TraceArrivals(sim.open_stream()), sjf_ranker
+            )
+        except EnvironmentStateError as exc:
+            assert "step cap" in str(exc)
+        else:
+            raise AssertionError("the step cap did not stop the run")
+
     gc.collect()
     gc.disable()
     try:
         with mock.patch.object(ShardedEngine, "run", watched_run):
-            for case in (batch, stream, federation):
+            for case in (batch, stream, federation, capped):
                 refs.clear()
                 case()
                 assert "kernel" in refs

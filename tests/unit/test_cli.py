@@ -459,6 +459,9 @@ class TestServeCommand:
         assert capsys.readouterr().err
 
 
+#: A trace path that names no file.
+MISSING_TRACE = "no-such-trace.json"
+
 #: Every command that takes ``--seed``, with the arguments it needs to run.
 SEEDED_COMMANDS = (
     ("simulate", ()),
@@ -486,13 +489,20 @@ SEEDED_COMMANDS = (
             [command, *extra, "--seed", "-1"]
             for command, extra in SEEDED_COMMANDS
         ),
+        ["stream", "--arrival", f"trace:path={MISSING_TRACE},mean=5"],
+        ["federate", "--arrival", f"trace:path={MISSING_TRACE},mean=5"],
+        ["stream", "--arrival", f"trace:path={__file__},mean=5"],
+        ["simulate", "--scheduler", "spear:network=no-such-network.npz"],
     ],
     ids=["train-grad-clip", "train-examples", "simulate-tasks", "online-jobs",
-         "compare-jobs", *(f"{command}-seed" for command, _ in SEEDED_COMMANDS)],
+         "compare-jobs", *(f"{command}-seed" for command, _ in SEEDED_COMMANDS),
+         "stream-missing-trace", "federate-missing-trace",
+         "stream-malformed-trace", "simulate-missing-network"],
 )
 def test_invalid_argument_is_a_one_line_error(argv, capsys):
-    # A ConfigError from any command is `<command>: <message>`, exit 2;
-    # `train` fails on its config before it would write a checkpoint.
+    # A ConfigError from any command, or a named trace or checkpoint that
+    # cannot be loaded, is `<command>: <message>`, exit 2; `train` fails
+    # on its config before it would write a checkpoint.
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 2
@@ -502,8 +512,12 @@ def test_invalid_argument_is_a_one_line_error(argv, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["compare", "--jobs", "0"], ["stream", "--ranker", "warp"]],
-    ids=["compare-jobs", "stream-ranker"],
+    [
+        ["compare", "--jobs", "0"],
+        ["stream", "--ranker", "warp"],
+        ["stream", "--arrival", f"trace:path={MISSING_TRACE},mean=5"],
+    ],
+    ids=["compare-jobs", "stream-ranker", "stream-missing-trace"],
 )
 def test_invalid_argument_writes_no_trace(argv, tmp_path, capsys):
     # Exit 2 creates no file at --trace-out, leaves an existing one as it
@@ -518,3 +532,19 @@ def test_invalid_argument_writes_no_trace(argv, tmp_path, capsys):
     assert "wrote" not in err
     assert sorted(path.name for path in tmp_path.iterdir()) == ["kept.jsonl"]
     assert kept.read_text(encoding="utf-8") == "an earlier trace\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stream", "--arrival", "poisson:rate=0.3,n=5", "--metrics-out"],
+        ["federate", "--arrival", "poisson:rate=0.3,n=5", "--metrics-out"],
+        ["serve", "--smoke", "--requests", "1", "--frames-out"],
+    ],
+    ids=["stream-metrics", "federate-metrics", "serve-frames"],
+)
+def test_output_file_creates_its_directory(argv, tmp_path, capsys):
+    out = tmp_path / "new" / "dir" / "out.json"
+    assert main([*argv, str(out)]) == 0
+    assert f"to {out}" in capsys.readouterr().out
+    assert out.read_text(encoding="utf-8").endswith("\n")
