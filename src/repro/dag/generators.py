@@ -45,12 +45,36 @@ def truncated_normal_int(
     The paper states runtimes and demands "follow normal distributions" with
     a stated maximum; clipping (rather than rejection) keeps the generator
     O(size) and deterministic in the number of RNG draws.
+    :func:`random_layered_dag` makes the same draws and clamps them in
+    Python; this NumPy form is the property tests' reference for it.
     """
 
     if low > high:
         raise ConfigError(f"empty truncation range [{low}, {high}]")
     draws = rng.normal(mean, std, size=size)
     return np.clip(np.rint(draws), low, high).astype(int)
+
+
+def _clamped_normals(
+    rng: np.random.Generator,
+    mean: float,
+    std: float,
+    low: int,
+    high: int,
+    size: int,
+) -> List[int]:
+    """:func:`truncated_normal_int`'s draws and values, as Python ints.
+
+    Clamping to the integer bounds before ``round`` (half-even, as
+    ``np.rint``) gives what rounding before clipping gives, and keeps an
+    infinite draw finite.
+    """
+    if low > high:
+        raise ConfigError(f"empty truncation range [{low}, {high}]")
+    return [
+        round(high if x > high else low if x < low else x)
+        for x in rng.normal(mean, std, size=size).tolist()
+    ]
 
 
 def _draw_layers(
@@ -96,19 +120,17 @@ def random_layered_dag(
         raise ConfigError("num_resources must be >= 1")
     rng = as_generator(seed)
 
-    # Every draw becomes Python ints once (``tolist``): the per-task
-    # loop below reads plain lists, never NumPy scalars.
-    runtimes = truncated_normal_int(
+    runtimes = _clamped_normals(
         rng, cfg.runtime_mean, cfg.runtime_std, 1, cfg.max_runtime, cfg.num_tasks
-    ).tolist()
+    )
     columns = [
-        truncated_normal_int(
+        _clamped_normals(
             rng, cfg.demand_mean, cfg.demand_std, 1, cfg.max_demand, cfg.num_tasks
-        ).tolist()
+        )
         for _ in range(num_resources)
     ]
     tasks = [
-        Task(task_id=i, runtime=runtime, demands=demands, name=f"{name_prefix}{i}")
+        Task(i, runtime, demands, f"{name_prefix}{i}")
         for i, (runtime, demands) in enumerate(zip(runtimes, zip(*columns)))
     ]
 
@@ -124,26 +146,29 @@ def random_layered_dag(
     for upper, lower in zip(layers, layers[1:]):
         # Random cross edges: one coin per (u, v), u-major — the doubles
         # ``len(upper) * len(lower)`` calls of ``rng.random()`` would draw.
-        width = len(lower)
-        coins = rng.random(len(upper) * width).tolist()
+        height, width = len(upper), len(lower)
+        coins = rng.random(height * width).tolist()
         has_child = set()
         has_parent = set()
-        for i, u in enumerate(upper):
-            for v, coin in zip(lower, coins[i * width:(i + 1) * width]):
-                if coin < probability:
-                    edges.append((u, v))
-                    has_child.add(u)
-                    has_parent.add(v)
-        # Guarantee every lower task has a parent in the layer above.
-        for v in lower:
-            if v not in has_parent:
-                u = upper[int(rng.integers(0, len(upper)))]
+        for k, coin in enumerate(coins):
+            if coin < probability:
+                u = upper[k // width]
+                v = lower[k % width]
                 edges.append((u, v))
                 has_child.add(u)
-        # Guarantee every upper task has a child (no accidental sinks).
+                has_parent.add(v)
+        # Guarantee every lower task has a parent in the layer above, and
+        # every upper task a child (no accidental sinks).  A one-task
+        # layer is the pick, with no call: ``integers(0, 1)`` draws nothing.
+        for v in lower:
+            if v not in has_parent:
+                u = upper[int(rng.integers(0, height))] if height > 1 else upper[0]
+                edges.append((u, v))
+                has_child.add(u)
         for u in upper:
             if u not in has_child:
-                edges.append((u, lower[int(rng.integers(0, width))]))
+                v = lower[int(rng.integers(0, width))] if width > 1 else lower[0]
+                edges.append((u, v))
 
     return TaskGraph(tasks, edges)
 

@@ -12,6 +12,8 @@ order.  All query methods are read-only; schedulers never mutate graphs.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Set, Tuple
 
 from ..errors import CycleError, GraphError, UnknownTaskError
@@ -43,6 +45,7 @@ class TaskGraph:
         "_topo_order",
         "_num_resources",
         "_num_edges",
+        "_peak_demand",
     )
 
     def __init__(
@@ -58,14 +61,18 @@ class TaskGraph:
         if not task_map:
             raise GraphError("a task graph must contain at least one task")
 
-        dims = {task.num_resources for task in task_map.values()}
+        demands = [task.demands for task in task_map.values()]
+        dims = set(map(len, demands))
         if len(dims) != 1:
             raise GraphError(f"inconsistent resource dimensionality: {sorted(dims)}")
         self._num_resources: int = dims.pop()
+        self._peak_demand: Tuple[int, ...] = tuple(
+            max(column) for column in zip(*demands)
+        )
 
-        children: Dict[int, Set[int]] = {tid: set() for tid in task_map}
-        parents: Dict[int, Set[int]] = {tid: set() for tid in task_map}
-        num_edges = 0
+        children: Dict[int, List[int]] = {tid: [] for tid in task_map}
+        parents: Dict[int, List[int]] = {tid: [] for tid in task_map}
+        seen: Set[Tuple[int, int]] = set()
         for up, down in edges:
             if up not in task_map:
                 raise UnknownTaskError(f"edge references unknown task {up}")
@@ -73,19 +80,23 @@ class TaskGraph:
                 raise UnknownTaskError(f"edge references unknown task {down}")
             if up == down:
                 raise GraphError(f"self-loop on task {up}")
-            if down not in children[up]:
-                children[up].add(down)
-                parents[down].add(up)
-                num_edges += 1
+            edge = (up, down)
+            if edge not in seen:
+                seen.add(edge)
+                children[up].append(down)
+                parents[down].append(up)
+        # Sorted in place: a generator's lists mostly arrive ascending.
+        for ids in chain(children.values(), parents.values()):
+            ids.sort()
 
         self._tasks: Dict[int, Task] = task_map
         self._children: Dict[int, Tuple[int, ...]] = {
-            tid: tuple(sorted(kids)) for tid, kids in children.items()
+            tid: tuple(kids) for tid, kids in children.items()
         }
         self._parents: Dict[int, Tuple[int, ...]] = {
-            tid: tuple(sorted(pars)) for tid, pars in parents.items()
+            tid: tuple(pars) for tid, pars in parents.items()
         }
-        self._num_edges = num_edges
+        self._num_edges = len(seen)
         self._topo_order: Tuple[int, ...] = self._compute_topo_order()
 
     # ------------------------------------------------------------------ #
@@ -94,22 +105,20 @@ class TaskGraph:
 
     def _compute_topo_order(self) -> Tuple[int, ...]:
         """Kahn's algorithm; deterministic (smallest id first) and cycle-safe."""
-        indegree = {tid: len(self._parents[tid]) for tid in self._tasks}
-        # Sorted container keeps the order deterministic across runs.
-        ready = sorted(tid for tid, deg in indegree.items() if deg == 0)
+        children = self._children
+        indegree = {tid: len(pars) for tid, pars in self._parents.items()}
+        ready = [tid for tid, deg in indegree.items() if deg == 0]
+        heapify(ready)
         order: List[int] = []
-        import heapq
-
-        heapq.heapify(ready)
         while ready:
-            tid = heapq.heappop(ready)
+            tid = heappop(ready)
             order.append(tid)
-            for child in self._children[tid]:
+            for child in children[tid]:
                 indegree[child] -= 1
                 if indegree[child] == 0:
-                    heapq.heappush(ready, child)
-        if len(order) != len(self._tasks):
-            remaining = sorted(set(self._tasks) - set(order))
+                    heappush(ready, child)
+        if len(order) != len(indegree):
+            remaining = sorted(set(indegree) - set(order))
             raise CycleError(f"dependency cycle involving tasks {remaining[:10]}")
         return tuple(order)
 
@@ -131,6 +140,12 @@ class TaskGraph:
     def num_resources(self) -> int:
         """Resource dimensionality shared by all tasks."""
         return self._num_resources
+
+    @property
+    def peak_demand(self) -> Tuple[int, ...]:
+        """Per resource, the largest demand of any one task: the graph can
+        ever run on capacities this vector fits."""
+        return self._peak_demand
 
     @property
     def task_ids(self) -> Tuple[int, ...]:

@@ -20,7 +20,8 @@ accounting, the clock advance, then the instant is *settled* in
 ascending shard id — backlog release (jobs queued by admission control
 admit while the concurrency limit allows, FIFO), rebalance (the stealer
 may migrate jobs, a ``STEAL`` kernel event), dispatch rounds, and one
-jobs-in-system sample (active plus backlogged).  Every step beyond the
+jobs-in-system sample (active plus backlogged, the count the ledger
+keeps up to date).  Every step beyond the
 closed batch's is a no-op in its configuration: nothing is backlogged
 under unbounded admission, there is no stealer to ask, no horizon to
 reach.  Two exits from the steady path:
@@ -102,6 +103,8 @@ class Shard:
         start: the stream's first arrival (reporting origin).
         offset: global task-handle stride (shared across shards so a
             job keeps its handle identity when stolen).
+        ledger: the run's ledger; the shard's reporting layer counts
+            each job that leaves the system there.
     """
 
     def __init__(
@@ -112,12 +115,13 @@ class Shard:
         tm: _telemetry.TelemetryLike,
         start: int,
         offset: int,
+        ledger: RunLedger,
     ) -> None:
         self.id = shard_id
         self.capacities = spec.capacities
         rescheduler = spec.rescheduler
         label = rescheduler.name if rescheduler is not None else "online"
-        self.reporting = ReportingLayer(spec.capacities, tm, start, label)
+        self.reporting = ReportingLayer(spec.capacities, tm, start, label, ledger)
         self.execution = ExecutionLayer(
             spec.capacities, kernel, self.reporting, offset, spec.faults, rescheduler
         )
@@ -213,11 +217,11 @@ class ShardedEngine:
         # any pre-history fault-timeline entries onto that instant.
         self.start = first[1].arrival_time
         self.kernel = SimKernel(start=self.start)
+        self.ledger = RunLedger(tm, federated=len(specs) > 1)
         self.shards: List[Shard] = [
-            Shard(k, spec, self.kernel, tm, self.start, offset)
+            Shard(k, spec, self.kernel, tm, self.start, offset, self.ledger)
             for k, spec in enumerate(specs)
         ]
-        self.ledger = RunLedger(tm, federated=len(specs) > 1)
         self.workload = ArrivalLayer(
             chain((first,), stream), self.kernel, self.shards, router, self.ledger
         )
@@ -241,6 +245,7 @@ class ShardedEngine:
             if horizon is not None and horizon < 0:
                 raise ConfigError(f"horizon must be >= 0, got {horizon}")
             kernel, shards, workload = self.kernel, self.shards, self.workload
+            ledger = self.ledger
             cutoff = None if horizon is None else self.start + horizon
 
             def any_active() -> bool:
@@ -257,9 +262,7 @@ class ShardedEngine:
                 if stealer is not None:
                     stealer.maybe_rebalance()
                 dispatch()
-                self.ledger.sample_in_system(
-                    kernel.now, sum(shard.load() for shard in shards)
-                )
+                ledger.sample_in_system(kernel.now, ledger.in_system)
 
             # Settle the opening instant (first arrivals routed, pre-history
             # faults) and fill every shard once before the loop gauges.

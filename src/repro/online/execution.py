@@ -71,15 +71,16 @@ class ActiveJob:
 
     It also holds the job's dispatch caches, so they end with the job:
     ``plan_rank`` (task -> position in the rescheduler's last plan, or
-    ``None`` while unplanned) and ``static_keys`` (task -> the key of a
-    ``static_key`` ranker, which never changes over a job's lifetime).
+    ``None`` while unplanned), ``static_keys`` (task -> the key of a
+    ``static_key`` ranker, which never changes over a job's lifetime) and
+    :attr:`features`, computed when a ranker first reads them.
     """
 
     __slots__ = (
         "index",
         "arrival",
         "graph",
-        "features",
+        "_features",
         "unmet",
         "ready",
         "remaining",
@@ -97,13 +98,11 @@ class ActiveJob:
         self.index = index
         self.arrival = arrival
         self.graph = graph
-        self.features: GraphFeatures = compute_features(graph)
+        self._features: Optional[GraphFeatures] = None
         self.unmet: Dict[int, int] = {
             tid: len(graph.parents(tid)) for tid in graph.task_ids
         }
-        self.ready: List[int] = [
-            tid for tid in graph.topological_order() if self.unmet[tid] == 0
-        ]
+        self.ready: List[int] = [tid for tid, n in self.unmet.items() if n == 0]
         self.remaining: int = graph.num_tasks
         self.attempts: Dict[int, int] = {}  # dispatches per task (keys the RNG)
         self.strikes: Dict[int, int] = {}  # transient failures per task
@@ -113,6 +112,14 @@ class ActiveJob:
         self.executed: Dict[int, Tuple[int, int]] = {}  # successful placements
         self.plan_rank: Optional[Dict[int, int]] = None
         self.static_keys: Dict[int, Tuple] = {}
+
+    @property
+    def features(self) -> GraphFeatures:
+        """The job's graph features, computed on first read: of the
+        built-in rankers only ``cp`` reads them."""
+        if self._features is None:
+            self._features = compute_features(self.graph)
+        return self._features
 
     def outcome(self, completion_time: int, failed: bool = False) -> JobOutcome:
         return JobOutcome(

@@ -67,14 +67,7 @@ class PolicyLayer:
                                 tid,
                             )
                         else:
-                            ctx = TaskContext(
-                                task=task,
-                                job_index=job.index,
-                                arrival_time=job.arrival,
-                                features=job.features,
-                                free=free,
-                                now=state.now,
-                            )
+                            ctx = TaskContext.of(job, task, free, state.now)
                             key = (1,) + tuple(ranker(ctx))
                         candidates.append((key, job.index, tid))
             if not candidates:
@@ -116,14 +109,7 @@ class PolicyLayer:
                 else:
                     key = cached.get(tid)  # type: ignore[assignment]
                     if key is None:
-                        ctx = TaskContext(
-                            task=task,
-                            job_index=job.index,
-                            arrival_time=job.arrival,
-                            features=job.features,
-                            free=free,
-                            now=state.now,
-                        )
+                        ctx = TaskContext.of(job, task, free, state.now)
                         key = (1,) + tuple(ranker(ctx))
                         cached[tid] = key
                 candidates.append((key, job.index, tid, task.demands))

@@ -5,18 +5,20 @@ run first*.  The simulator is work-conserving: at every event it starts
 fitting candidates in key order until nothing fits.
 
 Rankers receive a :class:`TaskContext` carrying the task itself, its job's
-arrival metadata and precomputed graph features, plus the live free
+arrival metadata and graph features, plus the live free
 capacity — enough to express every greedy baseline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
 from ..dag.features import GraphFeatures
 from ..dag.task import Task
 from ..errors import ConfigError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .execution import ActiveJob
 
 __all__ = [
     "TaskContext",
@@ -30,9 +32,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class TaskContext:
     """Everything a ranker may look at for one candidate task.
+
+    Built as ``TaskContext(task=, job_index=, arrival_time=, features=,
+    free=, now=)``, or by the engine's dispatch with :meth:`of`, which
+    leaves the job's features uncomputed until a ranker reads them.
+    Rankers only read it.
 
     Attributes:
         task: the candidate (ids are per-job, not globally unique).
@@ -43,12 +49,48 @@ class TaskContext:
         now: current simulation time.
     """
 
-    task: Task
-    job_index: int
-    arrival_time: int
-    features: GraphFeatures
-    free: Tuple[int, ...]
-    now: int
+    __slots__ = (
+        "task",
+        "job_index",
+        "arrival_time",
+        "free",
+        "now",
+        "_features",
+        "_job",
+    )
+
+    def __init__(
+        self,
+        task: Task,
+        job_index: int,
+        arrival_time: int,
+        features: Optional[GraphFeatures],
+        free: Tuple[int, ...],
+        now: int,
+    ) -> None:
+        self.task = task
+        self.job_index = job_index
+        self.arrival_time = arrival_time
+        self.free = free
+        self.now = now
+        self._features = features
+        self._job: Optional[ActiveJob] = None
+
+    @classmethod
+    def of(
+        cls, job: ActiveJob, task: Task, free: Tuple[int, ...], now: int
+    ) -> TaskContext:
+        """The context of ``task`` of a live job, whose features are read
+        from the job when a ranker first asks."""
+        ctx = cls(task, job.index, job.arrival, None, free, now)
+        ctx._job = job
+        return ctx
+
+    @property
+    def features(self) -> GraphFeatures:
+        if self._features is None:
+            self._features = self._job.features  # type: ignore[union-attr]
+        return self._features
 
 
 #: Smaller keys are scheduled first.

@@ -9,7 +9,8 @@ the slot-time integrals behind the two utilization definitions of
 :class:`~repro.online.results.OnlineResult`.  What no single shard can
 own lands in the run's one :class:`RunLedger`: the arrival count,
 rejections decided *above* the shards (infeasible everywhere, horizon
-cut-off), the jobs-in-system step series, and route events.  Both are
+cut-off), the jobs-in-system count and its step series, and route
+events.  Both are
 write-mostly; :meth:`ReportingLayer.finalize` assembles the result over
 any list of shards once the event loop drains.
 
@@ -49,6 +50,8 @@ class ReportingLayer:
         start_time: the first arrival — utilization integrals and the
             makespan horizon both start here.
         exec_label: ``scheduler`` field of the executed schedules.
+        ledger: the run's ledger, whose jobs-in-system count each
+            completed or abandoned job leaves.
     """
 
     def __init__(
@@ -57,7 +60,9 @@ class ReportingLayer:
         tm: _telemetry.TelemetryLike,
         start_time: int,
         exec_label: str,
+        ledger: RunLedger,
     ) -> None:
+        self.ledger = ledger
         self.nominal_capacities: Tuple[int, ...] = tuple(capacities)
         self.tm = tm
         self.tm_enabled = tm.enabled
@@ -125,6 +130,7 @@ class ReportingLayer:
         """One job ran to completion: outcome, executed schedule, metrics."""
         outcome = job.outcome(now)
         self.outcomes.append(outcome)
+        self.ledger.in_system -= 1
         self.executed[job.index] = job.executed_schedule(self.exec_label)
         if self.tm_enabled:
             self.tm.observe("online.jct", float(outcome.jct))
@@ -142,6 +148,7 @@ class ReportingLayer:
     def record_failure(self, job: "ActiveJob", now: int, reason: str) -> None:
         """One job was abandoned: outcome, partial schedule, incident."""
         self.outcomes.append(job.outcome(now, failed=True))
+        self.ledger.in_system -= 1
         self.executed[job.index] = job.executed_schedule(self.exec_label)
         self.emit_fault(FaultEvent(now, JOB_FAILED, job=job.index, detail=reason))
 
@@ -229,6 +236,10 @@ class RunLedger:
         self.arrivals_seen = 0
         self.rejections: List[RejectedJob] = []
         self.in_system_series: List[Tuple[int, int]] = []
+        #: jobs admitted or backlogged on some shard and not yet gone:
+        #: an accepted arrival adds one, a completed or abandoned job
+        #: takes one away, and a steal moves a job without changing it.
+        self.in_system = 0
         self.horizon_cutoff = -1  # -1: no horizon cut-off occurred
 
     def record_rejection(self, index: int, at: int, reason: str) -> None:

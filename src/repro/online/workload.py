@@ -51,8 +51,10 @@ def check_feasible(graph: TaskGraph, capacities: Sequence[int]) -> None:
             f"job has {graph.num_resources} resource dims, "
             f"cluster has {len(capacities)}"
         )
-    for task in graph:
-        if not fits(task.demands, capacities):  # dimensions match: checked above
+    if fits(graph.peak_demand, capacities):  # dimensions match: checked above
+        return
+    for task in graph:  # name the first task that can never fit
+        if not fits(task.demands, capacities):
             validate_demands(task.demands, capacities, label=task.label())
 
 
@@ -174,3 +176,5 @@ class ArrivalLayer:
         queued = QueuedJob(index, job.arrival_time, job.graph)
         if shard.offer(queued, job.arrival_time) == REJECT:
             shard.reporting.record_rejection(index, job.arrival_time, "backpressure")
+        else:
+            self.ledger.in_system += 1

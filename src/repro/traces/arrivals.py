@@ -34,7 +34,8 @@ def poisson_arrivals(
     exponential draws, rounded to integer slots.
 
     Raises:
-        ConfigError: for an empty trace or non-positive mean.
+        ConfigError: for an empty trace, a non-positive mean, or a mean
+            whose arrival times are not finite or pass ``2**63`` slots.
     """
 
     if len(trace) == 0:
@@ -43,7 +44,14 @@ def poisson_arrivals(
         raise ConfigError("mean_interarrival must be positive")
     rng = as_generator(seed)
     gaps = rng.exponential(mean_interarrival, size=len(trace))
-    arrivals = np.floor(np.cumsum(gaps)).astype(int)
+    with np.errstate(over="ignore"):
+        times = np.floor(np.cumsum(gaps))
+    if not times[-1] < 2.0**63:  # the latest arrival; also false for nan
+        raise ConfigError(
+            f"mean_interarrival {mean_interarrival:g} does not give finite "
+            "arrival times below 2**63 slots"
+        )
+    arrivals = times.astype(int)
     return [
         ArrivingJob(arrival_time=int(t), graph=job.graph)
         for t, job in zip(arrivals, trace)

@@ -162,8 +162,11 @@ class Trace:
         return Trace(jobs=jobs, name=str(payload.get("name", "trace")))
 
     def save(self, path: Union[str, Path]) -> None:
-        """Write the trace as JSON."""
-        Path(path).write_text(json.dumps(self.to_dict()))
+        """Write the trace as one line of JSON, creating its parent
+        directory."""
+        target = Path(path)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(json.dumps(self.to_dict()) + "\n")
 
     @staticmethod
     def load(path: Union[str, Path]) -> "Trace":

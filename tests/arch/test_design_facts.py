@@ -517,3 +517,47 @@ def test_a_finished_run_frees_by_refcount():
                 assert alive == [], case.__name__
     finally:
         gc.enable()
+
+
+def test_a_job_computes_features_only_when_read():
+    # A job's graph features are computed when a ranker first reads them
+    # and kept on the job; dispatch builds each ranker's context without
+    # them.  Of the built-in rankers only cp reads them: an sjf stream and
+    # a stealing 4-shard sjf federation (whose stolen jobs are rebuilt on
+    # their thief) compute none, and a cp batch computes each job's once
+    # and still runs as its golden says.
+    import json
+    from unittest import mock
+
+    from repro.config import ClusterConfig
+    from repro.federation import FederatedStreamingSimulator, ShardSpec
+    from repro.online import execution, sjf_ranker
+    from repro.streaming import (
+        PoissonProcess,
+        StreamingSimulator,
+        TraceArrivals,
+        layered_job_factory,
+    )
+    from tests.golden import expected, sim
+
+    calls = []
+
+    def counting(graph, compute=execution.compute_features):
+        calls.append(graph)
+        return compute(graph)
+
+    process = PoissonProcess(0.5, 40, layered_job_factory(), seed=3)
+    with mock.patch.object(execution, "compute_features", counting):
+        StreamingSimulator(ClusterConfig(capacities=sim.CAPACITIES)).run(
+            TraceArrivals(sim.open_stream()), sjf_ranker
+        )
+        federated = FederatedStreamingSimulator(
+            [ShardSpec((5, 5), sjf_ranker) for _ in range(4)],
+            router="least-load",
+            steal_threshold=1,
+        ).run(process)
+        assert federated.steals
+        assert calls == []
+        batch = sim._run("fault_free", sim.golden_stream())
+    assert len(calls) == len(sim.golden_stream())
+    assert json.loads(json.dumps(batch)) == expected("sim", "fault_free")["result"]

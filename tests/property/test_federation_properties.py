@@ -13,9 +13,11 @@ when there is nothing to federate.
 The rest are multi-shard invariants: job conservation across shards
 (every arrival is admitted somewhere or reported rejected, even when
 the work stealer migrates it mid-flight — no silent loss, no double
-count), steal-record consistency, and determinism of the federated
-metrics surface.
+count), steal-record consistency, determinism of the federated
+metrics surface, and the jobs-in-system count the engine samples.
 """
+
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,12 +26,14 @@ from repro.config import ClusterConfig, WorkloadConfig
 from repro.dag.generators import random_layered_dag
 from repro.faults import (
     FaultPlan,
+    MachineCrash,
     RetryPolicy,
     TransientFaults,
     random_crash_plan,
 )
 from repro.federation import FederatedStreamingSimulator, ShardSpec
 from repro.online import ArrivingJob, resolve_ranker
+from repro.online.engine import ShardedEngine
 from repro.streaming import (
     AdmissionConfig,
     PoissonProcess,
@@ -223,3 +227,86 @@ def test_federated_run_is_deterministic(seed, shards, router):
     assert a.aggregate == b.aggregate
     assert a.steals == b.steals
     assert a.metrics_dict() == b.metrics_dict()
+
+
+@st.composite
+def lossy_plans(draw):
+    """Transient failures that exhaust a two-attempt budget, and maybe a
+    permanent crash: plans under which jobs are abandoned."""
+    crash_at = draw(st.none() | st.integers(min_value=0, max_value=30))
+    return FaultPlan(
+        crashes=()
+        if crash_at is None
+        else (MachineCrash(0, crash_at, (2, 2), recover_at=None),),
+        transient=TransientFaults(draw(st.floats(min_value=0.2, max_value=0.6))),
+        retry=RetryPolicy(max_attempts=2, backoff_base=1, backoff_cap=2),
+        seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
+    )
+
+
+def sampled_in_system(run_once):
+    """Run ``run_once()``; return, for every jobs-in-system sample the
+    engine took, the count it sampled and the sum of its shards' loads
+    (active plus backlogged jobs) at that instant."""
+    pairs = []
+    run = ShardedEngine.run
+
+    def checked_run(engine, *args, **kwargs):
+        sample = engine.ledger.sample_in_system
+
+        def checked(at, count):
+            pairs.append((count, sum(shard.load() for shard in engine.shards)))
+            sample(at, count)
+
+        engine.ledger.sample_in_system = checked
+        return run(engine, *args, **kwargs)
+
+    with mock.patch.object(ShardedEngine, "run", checked_run):
+        run_once()
+    return pairs
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    plan=st.none() | lossy_plans(),
+    shards=st.integers(min_value=2, max_value=4),
+    router=st.sampled_from(ROUTERS),
+    threshold=st.integers(min_value=0, max_value=2),
+    max_concurrent=st.none() | st.integers(min_value=1, max_value=3),
+    horizon=st.none() | st.integers(min_value=5, max_value=40),
+)
+@settings(max_examples=25, deadline=None)
+def test_sampled_jobs_in_system_is_the_sum_of_shard_loads(
+    seed, plan, shards, router, threshold, max_concurrent, horizon
+):
+    """The count the engine keeps up to date at admit, queue, finish,
+    fail and steal equals, at every settled instant, what summing every
+    shard's load would give: in a stream and in a stealing federation,
+    with jobs queued, shed, cut off, abandoned and migrated."""
+    admission = (
+        AdmissionConfig(max_concurrent=max_concurrent, max_queue=2)
+        if max_concurrent is not None
+        else None
+    )
+    ranker = resolve_ranker("sjf")
+    streamed = sampled_in_system(
+        lambda: StreamingSimulator(ClusterConfig(capacities=(5, 5))).run(
+            poisson(seed, n=15, rate=0.8),
+            ranker,
+            admission=admission,
+            horizon=horizon,
+            faults=plan,
+        )
+    )
+    specs = [
+        ShardSpec((5, 5), ranker, admission=admission, faults=plan if k == 0 else None)
+        for k in range(shards)
+    ]
+    federated = sampled_in_system(
+        lambda: FederatedStreamingSimulator(
+            specs, router=router, steal_threshold=threshold
+        ).run(poisson(seed, n=15, rate=0.8), horizon=horizon)
+    )
+    for pairs in (streamed, federated):
+        assert pairs
+        assert all(count == load for count, load in pairs)

@@ -48,6 +48,39 @@ def test_generated_graphs_are_structurally_sound(config, seed):
     # Width never exceeds the configured maximum.
     assert graph.width() <= max(config.max_width, 1)
 
+    # The peak demand is the per-resource maximum over the tasks.
+    assert graph.peak_demand == tuple(
+        max(task.demands[r] for task in graph) for r in range(graph.num_resources)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    mean=st.floats(-50, 50),
+    std=st.one_of(st.floats(0, 50), st.floats(0, 1e308)),
+    low=st.integers(0, 5),
+    span=st.integers(0, 30),
+    size=st.integers(0, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_generators_clamp_rounds_and_clips_as_numpy(
+    mean, std, low, span, size, seed
+):
+    # random_layered_dag clamps its normal draws in Python; the NumPy
+    # rint-then-clip of truncated_normal_int is the reference: the same
+    # values from the same draws, down to the generator's final state.
+    import numpy as np
+
+    from repro.dag.generators import _clamped_normals, truncated_normal_int
+
+    ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    values = _clamped_normals(ours, mean, std, low, low + span, size)
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = truncated_normal_int(reference, mean, std, low, low + span, size)
+    assert values == expected.tolist()
+    assert all(type(value) is int for value in values)
+    assert ours.bit_generator.state == reference.bit_generator.state
+
 
 @settings(max_examples=40, deadline=None)
 @given(config=workload_strategy, seed=st.integers(0, 2**32 - 1))

@@ -23,8 +23,9 @@ from repro.telemetry import runtime as telemetry
 def make_shards(n, capacities=(5, 5)):
     kernel = SimKernel()
     tm = telemetry.active()
+    ledger = FederationLedger(tm)
     return [
-        Shard(k, ShardSpec(capacities, fifo_ranker), kernel, tm, 0, 8)
+        Shard(k, ShardSpec(capacities, fifo_ranker), kernel, tm, 0, 8, ledger)
         for k in range(n)
     ]
 

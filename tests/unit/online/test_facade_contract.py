@@ -121,6 +121,24 @@ class TestInfeasibleJob:
         )
         assert infeasible_reason(named, (10, 11)) is None
 
+    def test_check_feasible_names_the_first_task_that_never_fits(self):
+        # The graph's peak demand (12, 12) comes from two tasks; the error
+        # names the first of them in topological order, with its own
+        # demand, as a walk over every task would.
+        from repro.online.workload import check_feasible
+
+        graph = TaskGraph(
+            [Task(0, 1, (12, 1), name="late"), Task(1, 1, (1, 12), name="early")],
+            [(1, 0)],
+        )
+        assert graph.peak_demand == (12, 12)
+        with pytest.raises(CapacityError) as raised:
+            check_feasible(graph, (10, 10))
+        assert str(raised.value) == (
+            "early: demand 12 for resource 1 exceeds capacity 10"
+        )
+        check_feasible(graph, (12, 12))
+
 
 class TestClosedBatchIndices:
     def test_unsorted_batch_keeps_stream_positions(self):

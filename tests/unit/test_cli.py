@@ -493,11 +493,14 @@ SEEDED_COMMANDS = (
         ["federate", "--arrival", f"trace:path={MISSING_TRACE},mean=5"],
         ["stream", "--arrival", f"trace:path={__file__},mean=5"],
         ["simulate", "--scheduler", "spear:network=no-such-network.npz"],
+        ["online", "--mean-interarrival", "1e308"],
+        ["online", "--mean-interarrival", "nan"],
     ],
     ids=["train-grad-clip", "train-examples", "simulate-tasks", "online-jobs",
          "compare-jobs", *(f"{command}-seed" for command, _ in SEEDED_COMMANDS),
          "stream-missing-trace", "federate-missing-trace",
-         "stream-malformed-trace", "simulate-missing-network"],
+         "stream-malformed-trace", "simulate-missing-network",
+         "online-huge-interarrival", "online-nan-interarrival"],
 )
 def test_invalid_argument_is_a_one_line_error(argv, capsys):
     # A ConfigError from any command, or a named trace or checkpoint that
@@ -540,8 +543,9 @@ def test_invalid_argument_writes_no_trace(argv, tmp_path, capsys):
         ["stream", "--arrival", "poisson:rate=0.3,n=5", "--metrics-out"],
         ["federate", "--arrival", "poisson:rate=0.3,n=5", "--metrics-out"],
         ["serve", "--smoke", "--requests", "1", "--frames-out"],
+        ["trace", "--jobs", "3", "--out"],
     ],
-    ids=["stream-metrics", "federate-metrics", "serve-frames"],
+    ids=["stream-metrics", "federate-metrics", "serve-frames", "trace-out"],
 )
 def test_output_file_creates_its_directory(argv, tmp_path, capsys):
     out = tmp_path / "new" / "dir" / "out.json"
