@@ -22,7 +22,7 @@ out-of-range values and is invoked in ``__post_init__``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Tuple
 
 from .errors import ConfigError
@@ -38,7 +38,6 @@ __all__ = [
     "GrapheneConfig",
     "EnvConfig",
     "TelemetryConfig",
-    "paper_scale",
 ]
 
 
@@ -308,17 +307,3 @@ class EnvConfig:
     def __post_init__(self) -> None:
         _require(self.max_ready >= 1, "max_ready must be >= 1")
 
-
-def paper_scale(enabled: bool = True) -> Tuple[WorkloadConfig, MctsConfig]:
-    """Return (workload, mcts) configs at the paper's published scale.
-
-    With ``enabled=False`` returns a laptop-friendly scale (25-task DAGs and
-    a 50/10 budget) that preserves every qualitative relationship; this is
-    the default scale of the benchmark harness.
-    """
-
-    if enabled:
-        return WorkloadConfig(), MctsConfig()
-    small_workload = replace(WorkloadConfig(), num_tasks=25)
-    small_mcts = replace(MctsConfig(), initial_budget=50, min_budget=10)
-    return small_workload, small_mcts

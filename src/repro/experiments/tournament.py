@@ -14,7 +14,7 @@ run on my workload?".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..config import EnvConfig
 from ..dag.graph import TaskGraph
@@ -50,16 +50,6 @@ class TournamentResult:
         """Fraction of jobs where ``a`` beats ``b`` (ties count when not
         ``strict``: "no worse than")."""
         return win_rate(self.makespans[a], self.makespans[b], strict=strict)
-
-    def win_matrix(self) -> Dict[Tuple[str, str], float]:
-        """``(a, b) -> fraction of jobs where a strictly beats b``."""
-        names = sorted(self.makespans)
-        return {
-            (a, b): self.win_rate(a, b)
-            for a in names
-            for b in names
-            if a != b
-        }
 
     def verdict(self, name: str) -> PairedVerdict:
         """``name`` against the reference scheduler, job by job."""

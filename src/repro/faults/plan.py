@@ -29,10 +29,10 @@ decision cannot perturb the fault stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..errors import ConfigError
-from ..specs import suggest
+from ..specs import Schema, parse_spec
 from ..utils.rng import as_generator
 
 __all__ = [
@@ -281,19 +281,22 @@ def random_crash_plan(
     return tuple(crashes)
 
 
-_SPEC_KEYS = (
-    "crashes",
-    "outage",
-    "fraction",
-    "transient",
-    "straggler",
-    "slowdown",
-    "noise",
-    "noise_kind",
-    "max_attempts",
-    "backoff",
-    "backoff_cap",
-    "seed",
+#: The options of a fault spec; the spec names no kind.
+FAULT_SPEC_SCHEMA = Schema(
+    {
+        "crashes": int,
+        "outage": int,
+        "fraction": float,
+        "transient": float,
+        "straggler": float,
+        "slowdown": float,
+        "noise": float,
+        "noise_kind": str,
+        "max_attempts": int,
+        "backoff": int,
+        "backoff_cap": int,
+        "seed": int,
+    }
 )
 
 
@@ -319,57 +322,27 @@ def parse_fault_spec(
     argument).
 
     Raises:
-        ConfigError: on unknown or repeated keys, or malformed values.
+        ConfigError: on an unknown or repeated key or a bad value
+            (:func:`repro.specs.parse_spec`, against
+            :data:`FAULT_SPEC_SCHEMA`).
     """
-
-    values: Dict[str, str] = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ConfigError(f"fault spec entry {part!r} is not key=value")
-        key, _, raw = part.partition("=")
-        key = key.strip()
-        if key not in _SPEC_KEYS:
-            raise ConfigError(
-                f"unknown fault spec key {key!r}; known: {list(_SPEC_KEYS)}"
-                f"{suggest(key, _SPEC_KEYS)}"
-            )
-        if key in values:
-            raise ConfigError(f"fault spec repeats key {key!r}")
-        values[key] = raw.strip()
-
-    def _int(key: str, default: int) -> int:
-        try:
-            return int(values[key]) if key in values else default
-        except ValueError:
-            raise ConfigError(f"fault spec {key}={values[key]!r} is not an int") from None
-
-    def _float(key: str, default: float) -> float:
-        try:
-            return float(values[key]) if key in values else default
-        except ValueError:
-            raise ConfigError(
-                f"fault spec {key}={values[key]!r} is not a float"
-            ) from None
-
-    plan_seed = _int("seed", seed)
+    _, values = parse_spec("fault", spec, FAULT_SPEC_SCHEMA)
+    plan_seed = values.get("seed", seed)
     crashes = random_crash_plan(
-        _int("crashes", 0),
+        values.get("crashes", 0),
         capacities,
         horizon,
-        outage=_int("outage", max(1, horizon // 8)),
-        fraction=_float("fraction", 0.25),
+        outage=values.get("outage", max(1, horizon // 8)),
+        fraction=values.get("fraction", 0.25),
         seed=plan_seed,
     )
-    noise_scale = _float("noise", 0.0)
+    noise_scale = values.get("noise", 0.0)
     plan = FaultPlan(
         crashes=crashes,
-        transient=TransientFaults(probability=_float("transient", 0.0)),
+        transient=TransientFaults(probability=values.get("transient", 0.0)),
         straggler=StragglerModel(
-            probability=_float("straggler", 0.0),
-            slowdown=_float("slowdown", 2.0),
+            probability=values.get("straggler", 0.0),
+            slowdown=values.get("slowdown", 2.0),
         ),
         noise=(
             RuntimeNoise(kind=values.get("noise_kind", "lognormal"), scale=noise_scale)
@@ -377,9 +350,9 @@ def parse_fault_spec(
             else None
         ),
         retry=RetryPolicy(
-            max_attempts=_int("max_attempts", 4),
-            backoff_base=_int("backoff", 1),
-            backoff_cap=_int("backoff_cap", 16),
+            max_attempts=values.get("max_attempts", 4),
+            backoff_base=values.get("backoff", 1),
+            backoff_cap=values.get("backoff_cap", 16),
         ),
         seed=plan_seed,
     )

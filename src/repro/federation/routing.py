@@ -26,18 +26,11 @@ No policy ever invents randomness: every choice is a pure function of
 
 from __future__ import annotations
 
-from typing import Any, Optional, Protocol, Sequence
+from typing import Callable, Dict, Optional, Protocol, Sequence
 
 from ..errors import ConfigError
 from ..online.results import ArrivingJob
-from ..specs import (
-    ROUTER_GRAMMAR,
-    ROUTER_SPEC_SCHEMAS,
-    pop_option,
-    reject_unknown_options,
-    tokenize_spec,
-    unknown_kind_error,
-)
+from ..specs import Schema, parse_spec
 from .shard import Shard
 
 __all__ = [
@@ -183,6 +176,22 @@ class AffinityRouter:
         return min(feasible, key=lambda s: (s.load(), s.id))
 
 
+#: The options of each router policy.
+ROUTER_SPEC_SCHEMAS: Dict[str, Schema] = {
+    "round-robin": Schema(),
+    "least-load": Schema({"metric": str}),
+    "hash": Schema({"salt": int}),
+    "affinity": Schema({"spill": int}),
+}
+
+_ROUTERS: Dict[str, Callable[..., Router]] = {
+    "round-robin": RoundRobinRouter,
+    "least-load": LeastLoadedRouter,
+    "hash": HashRouter,
+    "affinity": AffinityRouter,
+}
+
+
 def parse_router_spec(spec: str) -> Router:
     """Build a :class:`Router` from a ``policy:key=value,...`` spec.
 
@@ -193,33 +202,10 @@ def parse_router_spec(spec: str) -> Router:
         hash:salt=7                 stateless index hashing
         affinity:spill=4            index % shards, spill when hot
 
-    Shared-grammar parsing (:mod:`repro.specs`): option schemas live in
-    :data:`repro.specs.ROUTER_SPEC_SCHEMAS` and unknown policies/keys
-    come back with did-you-mean suggestions.
-
     Raises:
-        ConfigError: on unknown policies, unknown keys, or bad values.
+        ConfigError: on an unknown policy, an unknown or repeated key, or
+            a bad value (:func:`repro.specs.parse_spec`, against
+            :data:`ROUTER_SPEC_SCHEMAS`).
     """
-    kind, options = tokenize_spec(spec, ROUTER_GRAMMAR)
-
-    def _pop(key: str, typ: type, default: Any = None) -> Any:
-        return pop_option(
-            options, key, typ, spec=spec, grammar=ROUTER_GRAMMAR,
-            default=default,
-        )
-
-    router: Router
-    if kind == "round-robin":
-        router = RoundRobinRouter()
-    elif kind == "least-load":
-        router = LeastLoadedRouter(metric=_pop("metric", str, default="jobs"))
-    elif kind == "hash":
-        router = HashRouter(salt=_pop("salt", int, default=0))
-    elif kind == "affinity":
-        router = AffinityRouter(spill=_pop("spill", int))
-    else:
-        raise unknown_kind_error(kind, ROUTER_SPEC_SCHEMAS, ROUTER_GRAMMAR)
-    reject_unknown_options(
-        options, ROUTER_SPEC_SCHEMAS[kind], spec=spec, grammar=ROUTER_GRAMMAR
-    )
-    return router
+    kind, options = parse_spec("router", spec, ROUTER_SPEC_SCHEMAS)
+    return _ROUTERS[kind](**options)

@@ -19,7 +19,7 @@ invariants on everything they emit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..dag.graph import TaskGraph
 from ..errors import ScheduleError
@@ -102,10 +102,6 @@ class Schedule:
     def as_dict(self) -> Dict[int, Tuple[int, int]]:
         """Mapping ``task_id -> (start, finish)``."""
         return {p.task_id: (p.start, p.finish) for p in self.placements}
-
-    def tasks_running_at(self, t: int, graph: TaskGraph) -> List[int]:
-        """Ids of tasks occupying the cluster during slot ``t``."""
-        return [p.task_id for p in self.placements if p.start <= t < p.finish]
 
 
 def validate_schedule(

@@ -73,10 +73,6 @@ class MLPStack:
         return self.sizes[0]
 
     @property
-    def output_size(self) -> int:
-        return self.sizes[-1]
-
-    @property
     def has_cache(self) -> bool:
         """True iff a ``keep_cache`` forward awaits its backward."""
         return self._has_cache

@@ -37,7 +37,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 from ..config import EnvConfig
 from ..errors import ConfigError
 from ..metrics.schedule import Schedule
-from ..specs import SCHEDULER_GRAMMAR, coerce_option, suggest, tokenize_spec
+from ..specs import OptionType, Schema, tokenize, typed_options, unknown
 from ..telemetry import runtime as _telemetry
 from .base import (
     PolicyScheduler,
@@ -64,11 +64,11 @@ __all__ = [
     "TelemetryScheduler",
 ]
 
-#: Option coercers a registration may declare: the python type of each key.
-OptionType = Callable[[str], Any]
-
 _FACTORIES: Dict[str, Callable[..., Scheduler]] = {}
-_OPTION_SCHEMAS: Dict[str, Dict[str, OptionType]] = {}
+
+#: Each registered scheduler's spec schema: its own options, sorted,
+#: then the wrapper keys.
+_SPEC_SCHEMAS: Dict[str, Schema] = {}
 
 #: Names provided by packages the registry must not import eagerly
 #: (``repro.core`` pulls in the RL stack); imported on first use.
@@ -76,7 +76,12 @@ _LAZY_PROVIDERS: Dict[str, str] = {"mcts": "repro.core", "spear": "repro.core"}
 
 #: Spec keys consumed by :func:`make_scheduler` itself (wrapper stack),
 #: valid on every scheduler and rejected as registration option names.
-_WRAPPER_KEYS = ("verify", "telemetry", "fallback", "replan_budget")
+_WRAPPER_TYPES: Dict[str, OptionType] = {
+    "verify": bool,
+    "telemetry": bool,
+    "fallback": str,
+    "replan_budget": float,
+}
 
 
 def register(
@@ -101,14 +106,14 @@ def register(
     """
     if name in _FACTORIES:
         raise ConfigError(f"scheduler {name!r} already registered")
-    schema = dict(options) if options else {}
-    clash = sorted(set(schema) & set(_WRAPPER_KEYS))
+    schema = dict(sorted(options.items())) if options else {}
+    clash = sorted(set(schema) & set(_WRAPPER_TYPES))
     if clash:
         raise ConfigError(
             f"scheduler {name!r} declares reserved option keys {clash}"
         )
     _FACTORIES[name] = factory
-    _OPTION_SCHEMAS[name] = schema
+    _SPEC_SCHEMAS[name] = Schema({**schema, **_WRAPPER_TYPES})
 
 
 def available_schedulers() -> List[str]:
@@ -123,10 +128,14 @@ def scheduler_options() -> Dict[str, Dict[str, str]]:
     CLI's ``repro schedulers`` listing prints them once.
     """
     for name in list(_LAZY_PROVIDERS):
-        _resolve_factory(name)
+        _resolve_factory(name, name)
     return {
-        name: {key: typ.__name__ for key, typ in sorted(schema.items())}
-        for name, schema in sorted(_OPTION_SCHEMAS.items())
+        name: {
+            key: typ.__name__
+            for key, typ in schema.items()
+            if key not in _WRAPPER_TYPES
+        }
+        for name, schema in sorted(_SPEC_SCHEMAS.items())
     }
 
 
@@ -134,37 +143,26 @@ def parse_scheduler_spec(spec: str) -> Tuple[str, Dict[str, str]]:
     """Split ``"name:key=val,key=val"`` into ``(name, raw options)``.
 
     A bare name parses to ``(name, {})``.  Values stay strings here;
-    :func:`make_scheduler` coerces them against the registered schema.
-    Thin layer over the shared grammar in :mod:`repro.specs`.
+    :func:`make_scheduler` types them against the registered schema.
 
     Raises:
-        ConfigError: on an empty name, a non-``key=value`` entry, or a
-            duplicated key.
+        ConfigError: on an empty name, a non-``key=value`` entry or a
+            repeated key (:func:`repro.specs.tokenize`).
     """
-    return tokenize_spec(spec, SCHEDULER_GRAMMAR)
+    name, options = tokenize("scheduler", spec)
+    if not name:
+        raise unknown("scheduler", spec, "scheduler", name, available_schedulers())
+    return name, options
 
 
-def _coerce(name: str, key: str, raw: Any, typ: OptionType) -> Any:
-    """Coerce one raw option value to its declared type.
-
-    Shared-grammar coercion (:func:`repro.specs.coerce_option`):
-    programmatic kwargs arrive pre-typed — an int where a float is
-    declared is widened, custom-typed options (e.g. a network object for
-    ``spear``) pass straight to the factory, plain mismatches raise.
-    """
-    return coerce_option(name, key, raw, typ)
-
-
-def _resolve_factory(name: str) -> Callable[..., Scheduler]:
+def _resolve_factory(name: str, spec: str) -> Callable[..., Scheduler]:
     """Look up a factory, importing its lazy provider package if needed."""
     factory = _FACTORIES.get(name)
     if factory is None and name in _LAZY_PROVIDERS:
         importlib.import_module(_LAZY_PROVIDERS[name])
         factory = _FACTORIES.get(name)
     if factory is None:
-        raise ConfigError(
-            f"unknown scheduler {name!r}; available: {available_schedulers()}"
-        )
+        raise unknown("scheduler", spec, "scheduler", name, available_schedulers())
     return factory
 
 
@@ -292,32 +290,11 @@ def make_scheduler(
     """
     config = env_config if env_config is not None else EnvConfig()
     name, raw_options = parse_scheduler_spec(spec)
-    factory = _resolve_factory(name)
-    schema = _OPTION_SCHEMAS.get(name, {})
-
-    merged: Dict[str, Any] = dict(raw_options)
-    merged.update(options)
-
-    wrapper_types: Dict[str, OptionType] = {
-        "verify": bool,
-        "telemetry": bool,
-        "fallback": str,
-        "replan_budget": float,
-    }
-    wrappers: Dict[str, Any] = {}
-    typed: Dict[str, Any] = {}
-    for key, raw in merged.items():
-        if key in wrapper_types:
-            wrappers[key] = _coerce(name, key, raw, wrapper_types[key])
-        elif key in schema:
-            typed[key] = _coerce(name, key, raw, schema[key])
-        else:
-            known = sorted(schema) + list(_WRAPPER_KEYS)
-            raise ConfigError(
-                f"unknown option {key!r} for scheduler {name!r}; "
-                f"known: {known}{suggest(key, known)}"
-            )
-
+    factory = _resolve_factory(name, spec)
+    typed = typed_options(
+        "scheduler", spec, {**raw_options, **options}, _SPEC_SCHEMAS[name]
+    )
+    wrappers = {key: typed.pop(key) for key in _WRAPPER_TYPES if key in typed}
     scheduler = factory(config, **typed) if typed else factory(config)
     if wrappers:
         return compose_scheduler(scheduler, config, **wrappers)

@@ -25,21 +25,15 @@ strings (``poisson:rate=0.05,n=1000``) onto these classes.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, List, Optional, Protocol, Sequence
+import math
+from typing import Callable, Dict, Iterator, List, Optional, Protocol, Sequence
 
 from ..config import WorkloadConfig
 from ..dag.generators import random_layered_dag
 from ..dag.graph import TaskGraph
 from ..errors import ConfigError
 from ..online.results import ArrivingJob
-from ..specs import (
-    ARRIVAL_GRAMMAR,
-    ARRIVAL_SPEC_SCHEMAS,
-    pop_option,
-    reject_unknown_options,
-    tokenize_spec,
-    unknown_kind_error,
-)
+from ..specs import Schema, parse_spec, spec_error
 from ..utils.rng import as_generator
 
 __all__ = [
@@ -57,6 +51,9 @@ __all__ = [
 JobFactory = Callable[[int, int], TaskGraph]
 
 _SEED_BOUND = 2**63 - 1
+
+#: Arrival times are slot counts and stay below this.
+_TIME_LIMIT = 2.0**63
 
 
 class ArrivalProcess(Protocol):
@@ -124,6 +121,12 @@ class PoissonProcess:
         job_factory: seeded DAG builder; one derived seed per job.
         seed: root seed; the whole stream (gaps and DAGs) is a pure
             function of it.
+
+    Raises:
+        ConfigError: for a rate that is not positive or whose mean gap
+            ``1 / rate`` is not finite; :meth:`jobs` raises it for an
+            arrival time that is not below ``2**63`` slots, as
+            :func:`~repro.traces.arrivals.poisson_arrivals` does.
     """
 
     def __init__(
@@ -135,6 +138,8 @@ class PoissonProcess:
     ) -> None:
         if rate <= 0:
             raise ConfigError(f"arrival rate must be positive, got {rate}")
+        if not math.isfinite(1.0 / rate):
+            raise ConfigError(f"arrival rate={rate!r} has no finite mean gap 1/rate")
         if num_jobs < 1:
             raise ConfigError(f"need at least one arrival, got {num_jobs}")
         self.rate = float(rate)
@@ -153,6 +158,11 @@ class PoissonProcess:
         elapsed = 0.0
         for index in range(self.num_jobs):
             elapsed += float(rng.exponential(mean_gap))
+            if not elapsed < _TIME_LIMIT:
+                raise ConfigError(
+                    f"arrival rate={self.rate!r} puts arrival {index} at "
+                    f"{elapsed:g} slots, not below 2**63"
+                )
             job_seed = int(rng.integers(0, _SEED_BOUND))
             yield ArrivingJob(
                 arrival_time=int(elapsed),
@@ -216,6 +226,17 @@ class TraceArrivals:
         return iter(self._jobs)
 
 
+#: The options of each arrival kind.  A ``trace`` spec also takes
+#: exactly one of ``mean`` and ``interarrival``.
+ARRIVAL_SPEC_SCHEMAS: Dict[str, Schema] = {
+    "poisson": Schema({"rate": float, "n": int}, required=("rate", "n")),
+    "uniform": Schema({"interarrival": int, "n": int}, required=("interarrival", "n")),
+    "trace": Schema(
+        {"path": str, "mean": float, "interarrival": int}, required=("path",)
+    ),
+}
+
+
 def parse_arrival_spec(
     spec: str,
     job_factory: Optional[JobFactory] = None,
@@ -238,44 +259,24 @@ def parse_arrival_spec(
         seed: seed for gaps and generated DAGs.
 
     Raises:
-        ConfigError: on unknown kinds, missing/unknown keys, or bad
-            values.  Shared-grammar parsing (:mod:`repro.specs`): the
-            option schemas live in
-            :data:`repro.specs.ARRIVAL_SPEC_SCHEMAS` and unknown
-            kinds/keys come back with did-you-mean suggestions.
+        ConfigError: on an unknown kind, an unknown, repeated or missing
+            key, or a bad value (:func:`repro.specs.parse_spec`, against
+            :data:`ARRIVAL_SPEC_SCHEMAS`).
     """
-    kind, options = tokenize_spec(spec, ARRIVAL_GRAMMAR)
-
-    def _pop(key: str, typ: type, required: bool = False) -> Any:
-        return pop_option(
-            options, key, typ, spec=spec, grammar=ARRIVAL_GRAMMAR,
-            required=required,
-        )
-
+    kind, options = parse_spec("arrival", spec, ARRIVAL_SPEC_SCHEMAS)
     factory = job_factory if job_factory is not None else layered_job_factory()
-    process: ArrivalProcess
     if kind == "poisson":
-        rate = _pop("rate", float, required=True)
-        n = _pop("n", int, required=True)
-        process = PoissonProcess(rate, n, factory, seed=seed)
-    elif kind == "uniform":
-        interarrival = _pop("interarrival", int, required=True)
-        n = _pop("n", int, required=True)
-        process = UniformProcess(interarrival, n, factory, seed=seed)
-    elif kind == "trace":
-        path = _pop("path", str, required=True)
-        from ..traces.arrivals import poisson_arrivals, uniform_arrivals
-        from ..traces.job import Trace
+        return PoissonProcess(options["rate"], options["n"], factory, seed=seed)
+    if kind == "uniform":
+        return UniformProcess(options["interarrival"], options["n"], factory, seed=seed)
+    if ("mean" in options) == ("interarrival" in options):
+        raise spec_error(
+            "arrival", spec, "needs exactly one of 'mean' and 'interarrival'"
+        )
+    from ..traces.arrivals import poisson_arrivals, uniform_arrivals
+    from ..traces.job import Trace
 
-        trace = Trace.load(path)
-        if "interarrival" in options:
-            stream = uniform_arrivals(trace, _pop("interarrival", int))
-        else:
-            stream = poisson_arrivals(trace, _pop("mean", float, required=True), seed=seed)
-        process = TraceArrivals(stream)
-    else:
-        raise unknown_kind_error(kind, ARRIVAL_SPEC_SCHEMAS, ARRIVAL_GRAMMAR)
-    reject_unknown_options(
-        options, ARRIVAL_SPEC_SCHEMAS[kind], spec=spec, grammar=ARRIVAL_GRAMMAR
-    )
-    return process
+    trace = Trace.load(options["path"])
+    if "interarrival" in options:
+        return TraceArrivals(uniform_arrivals(trace, options["interarrival"]))
+    return TraceArrivals(poisson_arrivals(trace, options["mean"], seed=seed))

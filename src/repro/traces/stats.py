@@ -59,12 +59,6 @@ class TraceStatistics:
         """Median runtime over all reduce tasks."""
         return percentile(self.reduce_runtimes, 50)
 
-    def mean_map_runtime_range(self) -> Tuple[float, float]:
-        """(min, max) of per-job mean map runtimes — not exposed per job
-        here, so computed from the pooled series bounds; see
-        :func:`trace_statistics` for the per-job variant."""
-        return (min(self.map_runtimes), max(self.map_runtimes))
-
     # ----------------------------- CDFs ------------------------------- #
 
     def count_cdfs(self) -> Tuple[List[Tuple[float, float]], List[Tuple[float, float]]]:

@@ -57,14 +57,6 @@ class TestTournament:
         with pytest.raises(ValueError):
             run_tournament(schedulers, [], env_config)
 
-    def test_win_matrix_antisymmetry(self, setup):
-        schedulers, graphs, env_config = setup
-        result = run_tournament(schedulers, graphs, env_config)
-        matrix = result.win_matrix()
-        for (a, b), rate in matrix.items():
-            # a beats b + b beats a + ties == 1.
-            assert 0.0 <= rate + matrix[(b, a)] <= 1.0
-
     def test_ranking_sorted(self, setup):
         schedulers, graphs, env_config = setup
         result = run_tournament(schedulers, graphs, env_config)

@@ -112,7 +112,7 @@ class TestParseFaultSpec:
         assert parse_fault_spec("", (20, 20), 100).is_null
 
     def test_unknown_key_raises(self):
-        with pytest.raises(ConfigError, match="unknown fault spec key"):
+        with pytest.raises(ConfigError, match="fault spec 'meteors=1': unknown key 'meteors'"):
             parse_fault_spec("meteors=1", (20, 20), 100)
 
     def test_unknown_key_suggests_the_closest(self):
@@ -123,7 +123,7 @@ class TestParseFaultSpec:
         "spec", ["crashes=1,crashes=3", "crashes=1,transient=0.1, crashes =1"]
     )
     def test_repeated_key_raises(self, spec):
-        with pytest.raises(ConfigError, match="fault spec repeats key 'crashes'"):
+        with pytest.raises(ConfigError, match=r"fault spec '.*': repeats key 'crashes'"):
             parse_fault_spec(spec, (20, 20), 100)
 
     def test_malformed_value_raises(self):

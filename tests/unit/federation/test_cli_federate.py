@@ -74,7 +74,7 @@ class TestFederateCommand:
 class TestFederateConfigErrors:
     def test_unknown_router_exits_2(self, capsys):
         assert main(BASE + ["--router", "warp"]) == 2
-        assert "unknown router policy" in capsys.readouterr().err
+        assert "router spec 'warp': unknown router 'warp'" in capsys.readouterr().err
 
     def test_unknown_ranker_exits_2(self, capsys):
         assert main(BASE + ["--ranker", "warp"]) == 2

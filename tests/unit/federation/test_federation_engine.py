@@ -44,7 +44,7 @@ class TestConfigValidation:
             FederatedStreamingSimulator(two_shards(), steal_threshold=-1)
 
     def test_bad_router_spec_rejected(self):
-        with pytest.raises(ConfigError, match="unknown router policy"):
+        with pytest.raises(ConfigError, match="router spec 'magic': unknown router 'magic'"):
             FederatedStreamingSimulator(two_shards(), router="magic")
 
     def test_nonpositive_shard_capacity_rejected(self):

@@ -151,7 +151,10 @@ class TestRolloutBatch:
                 "spear:rollout_batch=8", EnvConfig(process_until_completion=True)
             )
         message = str(error.value)
-        assert "unknown option 'rollout_batch' for scheduler 'spear'" in message
+        assert (
+            "scheduler spec 'spear:rollout_batch=8': unknown key 'rollout_batch'"
+            in message
+        )
         assert (
             "known: ['budget', 'min_budget', 'network', 'rollout_mode', 'seed', "
             in message

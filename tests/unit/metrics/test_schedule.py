@@ -41,12 +41,6 @@ class TestSchedule:
         with pytest.raises(ScheduleError):
             schedule.start_of(99)
 
-    def test_tasks_running_at(self, chain3):
-        schedule = Schedule.from_starts({0: 0, 1: 2, 2: 5}, chain3)
-        assert schedule.tasks_running_at(0, chain3) == [0]
-        assert schedule.tasks_running_at(2, chain3) == [1]
-        assert schedule.tasks_running_at(6, chain3) == []
-
 
 class TestValidation:
     @pytest.fixture

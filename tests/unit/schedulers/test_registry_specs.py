@@ -35,7 +35,7 @@ class TestParseSpec:
         assert opts == {"budget": "200", "seed": "3"}
 
     def test_empty_name_raises(self):
-        with pytest.raises(ConfigError, match="empty name"):
+        with pytest.raises(ConfigError, match="unknown scheduler ''"):
             parse_scheduler_spec(":budget=1")
 
     def test_non_kv_entry_raises(self):
@@ -57,7 +57,7 @@ class TestMakeScheduler:
             make_scheduler("tetris:speed=11", env_config)
 
     def test_typed_coercion_failure(self, env_config):
-        with pytest.raises(ConfigError, match="not a int"):
+        with pytest.raises(ConfigError, match="max_nodes='many' is not an int"):
             make_scheduler("optimal:max_nodes=many", env_config)
 
     def test_bool_coercion_strict(self, env_config):

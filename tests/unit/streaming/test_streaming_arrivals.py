@@ -51,6 +51,16 @@ class TestPoissonProcess:
         with pytest.raises(ConfigError):
             PoissonProcess(0.5, 0, layered_job_factory())
 
+    @pytest.mark.parametrize("rate", [1e-320, float("nan")])
+    def test_rate_without_a_finite_mean_gap_is_refused(self, rate):
+        with pytest.raises(ConfigError, match="arrival rate=.* no finite mean gap"):
+            PoissonProcess(rate, 3, layered_job_factory())
+
+    def test_arrival_past_2_63_slots_is_refused(self):
+        process = PoissonProcess(1e-300, 3, layered_job_factory())
+        with pytest.raises(ConfigError, match=r"arrival rate=1e-300 .* not below 2\*\*63"):
+            list(process.jobs())
+
     def test_task_id_bound_from_factory(self):
         factory = layered_job_factory(streaming_workload(num_tasks=5))
         process = PoissonProcess(0.5, 10, factory, seed=0)
@@ -129,6 +139,18 @@ class TestParseArrivalSpec:
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ConfigError):
             parse_arrival_spec(spec)
+
+    def test_trace_with_both_mean_and_interarrival_names_both(self, tmp_path):
+        from repro.traces.synthetic import TraceConfig, generate_production_trace
+
+        path = tmp_path / "trace.json"
+        generate_production_trace(TraceConfig(num_jobs=2), seed=0).save(path)
+        spec = f"trace:path={path},mean=5,interarrival=3"
+        with pytest.raises(ConfigError) as error:
+            parse_arrival_spec(spec)
+        assert str(error.value) == (
+            f"arrival spec {spec!r}: needs exactly one of 'mean' and 'interarrival'"
+        )
 
     def test_factory_without_bound_rejected(self):
         def factory(index, seed):  # pragma: no cover - never called

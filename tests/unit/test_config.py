@@ -10,7 +10,6 @@ from repro.config import (
     NetworkConfig,
     TrainingConfig,
     WorkloadConfig,
-    paper_scale,
 )
 from repro.errors import ConfigError
 
@@ -155,14 +154,3 @@ class TestEnvConfig:
         with pytest.raises(ConfigError):
             EnvConfig(max_ready=0)
 
-
-class TestPaperScale:
-    def test_paper_scale_returns_paper_values(self):
-        workload, mcts = paper_scale(True)
-        assert workload.num_tasks == 100
-        assert mcts.initial_budget == 1000
-
-    def test_reduced_scale_shrinks_both(self):
-        workload, mcts = paper_scale(False)
-        assert workload.num_tasks < 100
-        assert mcts.initial_budget < 1000
