@@ -561,3 +561,82 @@ def test_a_job_computes_features_only_when_read():
         batch = sim._run("fault_free", sim.golden_stream())
     assert len(calls) == len(sim.golden_stream())
     assert json.loads(json.dumps(batch)) == expected("sim", "fault_free")["result"]
+
+
+def test_a_replan_is_told_the_residual_dag_and_the_live_capacities():
+    # A replan hands the rescheduler what a planner reads: the job's
+    # residual DAG (its tasks neither finished nor running, with their
+    # runtimes, demands and the edges among them) and the capacities of
+    # the cluster at that instant, crashed slots subtracted.  Each job is
+    # replanned on admission, on its transient failures and after every
+    # crash or recovery.
+    from repro import WorkloadConfig, random_layered_dag
+    from repro.faults import FaultPlan, MachineCrash, TransientFaults
+    from repro.online import ArrivingJob, sjf_ranker
+    from repro.online.engine import ShardedEngine, ShardSpec
+    from repro.schedulers import make_scheduler
+    from repro.schedulers.base import Scheduler
+    from repro.telemetry import runtime
+
+    class Recording(Scheduler):
+        name = "recording"
+
+        def __init__(self):
+            self.cp = make_scheduler("cp")
+            self.execution = None
+            self.seen = []
+
+        def plan(self, request):
+            execution = self.execution
+            running = {entry.task_id for entry in execution.state.running_tasks()}
+            residuals = {
+                job.index: job.graph.subgraph(
+                    [
+                        tid
+                        for tid in job.graph.task_ids
+                        if tid not in job.executed
+                        and job.index * execution.offset + tid not in running
+                    ]
+                )
+                for job in execution.active.values()
+            }
+            self.seen.append(
+                (
+                    [index for index, g in residuals.items() if g == request.graph],
+                    request.graph.num_tasks,
+                    request.cluster.capacities,
+                    tuple(execution.state.capacities),
+                )
+            )
+            return self.cp.plan(request)
+
+    capacities = (20, 20)
+    plan = FaultPlan(
+        crashes=(
+            MachineCrash(0, 8, (8, 8), recover_at=30),
+            MachineCrash(1, 40, (5, 5), recover_at=60),
+        ),
+        transient=TransientFaults(probability=0.2),
+        seed=3,
+    )
+    jobs = [
+        ArrivingJob(5 * k, random_layered_dag(WorkloadConfig(num_tasks=12), seed=k))
+        for k in range(4)
+    ]
+    recording = Recording()
+    engine = ShardedEngine(
+        [ShardSpec(capacities, sjf_ranker, recording, faults=plan)],
+        iter(enumerate(jobs)),
+        12,
+        runtime.active(),
+    )
+    recording.execution = engine.shards[0].execution
+    engine.run(1_000_000)
+
+    seen = recording.seen
+    assert all(len(jobs_matched) == 1 for jobs_matched, *_ in seen)
+    assert all(told == live for *_, told, live in seen)
+    assert {jobs_matched[0] for jobs_matched, *_ in seen} == set(range(len(jobs)))
+    # Replans came on partly run jobs and on a crashed cluster.
+    assert any(size < 12 for _, size, *_ in seen)
+    assert any(told != capacities for *_, told, _ in seen)
