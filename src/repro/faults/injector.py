@@ -29,6 +29,9 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64 stream increment
 _TWO64 = float(1 << 64)
 
+#: Realized runtimes are slot counts and stay below this.
+_RUNTIME_LIMIT = 2.0**63
+
 
 def _mix64(z: int) -> int:
     """splitmix64 finalizer: avalanche one 64-bit word."""
@@ -122,7 +125,10 @@ class FaultInjector:
         never depend on which model components are enabled elsewhere.
 
         Raises:
-            ConfigError: on a non-positive attempt number or runtime.
+            ConfigError: on a non-positive attempt number or runtime, or
+                when noise or the straggler slowdown makes the realized
+                runtime not below ``2**63`` slots (the bound arrival
+                times keep, :class:`~repro.streaming.PoissonProcess`).
         """
 
         if attempt < 1:
@@ -138,13 +144,27 @@ class FaultInjector:
         factor = 1.0
         if plan.noise is not None:
             if plan.noise.kind == "lognormal":
-                factor = math.exp(plan.noise.scale * rng.normal())
+                try:
+                    factor = math.exp(plan.noise.scale * rng.normal())
+                except OverflowError:
+                    factor = math.inf
             else:
                 scale = plan.noise.scale
                 factor = (1.0 - scale) + 2.0 * scale * rng.uniform()
         if straggled:
             factor *= plan.straggler.slowdown
-        runtime = max(1, int(round(nominal_runtime * factor)))
+        realized = nominal_runtime * factor
+        if not realized < _RUNTIME_LIMIT:
+            slowdown = plan.straggler.slowdown if straggled else 1.0
+            if realized / slowdown < _RUNTIME_LIMIT:
+                cause = f"slowdown={slowdown!r}"
+            else:
+                cause = f"noise={plan.noise.scale!r}"  # type: ignore[union-attr]
+            raise ConfigError(
+                f"{cause} makes attempt {attempt} of task {task_id} of job "
+                f"{job_index} run {realized:g} slots, not below 2**63"
+            )
+        runtime = max(1, int(round(realized)))
         return TaskAttempt(runtime=runtime, fails=fails, straggled=straggled)
 
     def backoff(self, attempt: int) -> int:

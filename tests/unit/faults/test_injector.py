@@ -78,6 +78,28 @@ class TestAttempts:
             for t in range(50)
         )
 
+    def test_a_runtime_not_below_2_63_slots_names_its_cause(self):
+        # Noise that overflows (``exp`` itself, at this scale) is refused
+        # where a draw would realize it; a draw toward zero floors at 1.
+        loud = FaultInjector(
+            plan(straggler=StragglerModel(1.0, slowdown=2.0),
+                 noise=RuntimeNoise(scale=1e308))
+        )
+        outcomes = []
+        for task in range(20):
+            try:
+                outcomes.append(loud.attempt(0, task, 1, 5).runtime)
+            except ConfigError as exc:
+                assert str(exc).startswith("noise=1e+308 makes attempt 1 of ")
+                assert str(exc).endswith("not below 2**63")
+                outcomes.append("refused")
+        assert set(outcomes) == {1, "refused"}
+        slow = FaultInjector(
+            plan(straggler=StragglerModel(1.0, slowdown=1e300), noise=None)
+        )
+        with pytest.raises(ConfigError, match=r"^slowdown=1e\+300 makes attempt 2"):
+            slow.attempt(0, 3, 2, 5)
+
     def test_argument_validation(self):
         injector = FaultInjector(plan())
         with pytest.raises(ConfigError, match="1-based"):

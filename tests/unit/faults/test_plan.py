@@ -33,6 +33,16 @@ class TestModels:
         with pytest.raises(ConfigError, match="slowdown"):
             StragglerModel(probability=0.1, slowdown=0.5)
 
+    @pytest.mark.parametrize("slowdown", [float("inf"), float("nan")])
+    def test_straggler_slowdown_is_finite(self, slowdown):
+        with pytest.raises(ConfigError, match="slowdown must be finite"):
+            StragglerModel(probability=0.5, slowdown=slowdown)
+
+    @pytest.mark.parametrize("scale", [float("inf"), float("nan")])
+    def test_noise_scale_is_finite(self, scale):
+        with pytest.raises(ConfigError, match="noise scale must be finite"):
+            RuntimeNoise(scale=scale)
+
     def test_noise_kinds(self):
         with pytest.raises(ConfigError, match="kind"):
             RuntimeNoise(kind="gamma")
@@ -133,6 +143,13 @@ class TestParseFaultSpec:
     def test_non_kv_entry_raises(self):
         with pytest.raises(ConfigError, match="not key=value"):
             parse_fault_spec("crashes", (20, 20), 100)
+
+    def test_noise_zero_is_off_and_any_other_scale_is_checked(self):
+        assert parse_fault_spec("noise=0", (20, 20), 100).noise is None
+        with pytest.raises(ConfigError, match="noise scale must be > 0"):
+            parse_fault_spec("noise=-0.5", (20, 20), 100)
+        with pytest.raises(ConfigError, match="noise scale must be finite"):
+            parse_fault_spec("noise=nan", (20, 20), 100)
 
     def test_seed_argument_is_default(self):
         plan = parse_fault_spec("transient=0.1", (20, 20), 100, seed=42)
