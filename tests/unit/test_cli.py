@@ -529,13 +529,24 @@ SPEC_ERRORS = {
         *SPEC_ERRORS.values(),
         ["stream", "--arrival", "poisson:rate=1e-320,n=3"],
         ["stream", "--arrival", "poisson:rate=1e-300,n=3"],
+        ["online", "--faults", "noise=inf"],
+        ["online", "--faults", "noise=nan"],
+        ["online", "--faults", "noise=1e308"],
+        ["online", "--faults", "slowdown=inf,straggler=0.5"],
+        ["online", "--faults", "slowdown=nan,straggler=0.5"],
+        ["serve", "--batch-max", "0"],
+        ["serve", "--smoke", "--requests", "0"],
+        ["serve", "--smoke", "--batch-max", "0"],
     ],
     ids=["train-grad-clip", "train-examples", "simulate-tasks", "online-jobs",
          "compare-jobs", *(f"{command}-seed" for command, _ in SEEDED_COMMANDS),
          "stream-missing-trace", "federate-missing-trace",
          "stream-malformed-trace", "simulate-missing-network",
          "online-huge-interarrival", "online-nan-interarrival",
-         *SPEC_ERRORS, "stream-tiny-rate", "stream-huge-span"],
+         *SPEC_ERRORS, "stream-tiny-rate", "stream-huge-span",
+         "online-infinite-noise", "online-nan-noise", "online-overflowing-noise",
+         "online-infinite-slowdown", "online-nan-slowdown", "serve-batch-max",
+         "serve-smoke-requests", "serve-smoke-batch-max"],
 )
 def test_invalid_argument_is_a_one_line_error(argv, capsys):
     # A ConfigError from any command, or a named trace or checkpoint that
