@@ -25,7 +25,6 @@ replans the residual DAG on every fault event.
 from .events import CRASH, JOB_FAILED, RECOVERY, RETRY, TASK_FAILURE, FaultEvent
 from .injector import FaultInjector, TaskAttempt, TimelineEntry
 from .plan import (
-    FaultContext,
     FaultPlan,
     MachineCrash,
     RetryPolicy,
@@ -47,7 +46,6 @@ __all__ = [
     "TaskAttempt",
     "TimelineEntry",
     "FaultPlan",
-    "FaultContext",
     "MachineCrash",
     "TransientFaults",
     "StragglerModel",

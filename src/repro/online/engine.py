@@ -71,8 +71,8 @@ class ShardSpec:
     Attributes:
         capacities: this shard's slice of the cluster, per resource.
         ranker: base dispatch order inside the shard.
-        rescheduler: optional context-aware scheduler replanning the
-            shard's residual DAGs (any registry spec composition).
+        rescheduler: optional scheduler replanning the shard's
+            residual DAGs (any registry spec composition).
         admission: shard-local backpressure; ``None`` admits everything.
         faults: shard-local fault plan — the fault *domain*: its crashes
             shrink only this shard's capacity.
@@ -162,7 +162,7 @@ class Shard:
         self.reporting.record_admission(
             queued.index, admit_at, self.admission.config.max_concurrent is not None
         )
-        self.execution.replan_job(job, "admit")
+        self.execution.replan_job(job)
         return job
 
     def release_backlog(self, now: int) -> None:

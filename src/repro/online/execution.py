@@ -56,7 +56,7 @@ from ..faults.injector import (
     TimelineCursor,
     TimelineEntry,
 )
-from ..faults.plan import FaultContext, FaultPlan
+from ..faults.plan import FaultPlan
 from ..metrics.schedule import Schedule, ScheduledTask
 from ..schedulers.base import ClusterSnapshot, Scheduler, ScheduleRequest
 from ..sim import Event, EventClass, EventQueue, SimKernel
@@ -177,8 +177,8 @@ class ExecutionLayer:
         offset: job-handle stride — cluster task ids must be globally
             unique, so a task is tracked as ``job_index * offset + tid``.
         faults: fault model; ``None`` (or a null plan) runs fault-free.
-        rescheduler: context-aware scheduler replanning each job's
-            residual DAG; ``None`` disables replanning entirely.
+        rescheduler: scheduler replanning each job's residual DAG;
+            ``None`` disables replanning entirely.
     """
 
     def __init__(
@@ -339,7 +339,7 @@ class ExecutionLayer:
                 detail=f"backoff {delay}, ready at {ready_at}",
             )
         )
-        self.replan_job(job, "task_failure")
+        self.replan_job(job)
 
     def _on_retry_ready(self, event: Event) -> None:
         self.changed = True
@@ -367,7 +367,7 @@ class ExecutionLayer:
         # Replan all jobs once the instant settles, once per instant.
         now = self.kernel.now
         if self._replan_scheduled_at != now:
-            self.kernel.schedule(now, EventClass.REPLAN, self._on_replan, "crash")
+            self.kernel.schedule(now, EventClass.REPLAN, self._on_replan)
             self._replan_scheduled_at = now
 
     def _fire_crash(self, entry: TimelineEntry) -> None:
@@ -467,53 +467,32 @@ class ExecutionLayer:
 
     def _on_replan(self, event: Event) -> None:
         self._replan_scheduled_at = None
-        self.replan_all(event.payload)
+        self.replan_all()
 
-    def replan_job(self, job: ActiveJob, trigger: str) -> None:
-        """Refresh one job's plan-priority ranks from the rescheduler."""
+    def replan_job(self, job: ActiveJob) -> None:
+        """Refresh one job's plan-priority ranks from the rescheduler,
+        which plans the job's residual DAG (its tasks neither finished
+        nor running) on the cluster's current capacities."""
         rescheduler = self.rescheduler
         if rescheduler is None:
             return
         offset = self.offset
-        running_info = self.running_info
-        state = self.state
-        running_tids = {
-            handle % offset: handle
-            for handle in running_info
+        running = {
+            handle % offset
+            for handle in self.running_info
             if handle // offset == job.index
         }
         residual = [
             tid
             for tid in job.graph.task_ids
-            if tid not in job.executed and tid not in running_tids
+            if tid not in job.executed and tid not in running
         ]
         if not residual:
             job.plan_rank = None
             return
-        pinned = {}
-        for tid, handle in running_tids.items():
-            start, attempt = running_info[handle]
-            pinned[tid] = (start, start + attempt.runtime)
-        fstate = self.fstate
         request = ScheduleRequest(
             graph=job.graph.subgraph(residual),
-            cluster=ClusterSnapshot(
-                capacities=tuple(state.capacities),
-                available=state.available,
-                now=state.now,
-            ),
-            frozen=dict(job.executed),
-            pinned=pinned,
-            faults=(
-                FaultContext(
-                    plan=fstate.plan,
-                    trigger=trigger,
-                    time=state.now,
-                    retries_so_far=fstate.total_retries,
-                )
-                if fstate is not None
-                else None
-            ),
+            cluster=ClusterSnapshot(capacities=tuple(self.state.capacities)),
         )
         try:
             schedule = rescheduler.plan(request)
@@ -524,7 +503,7 @@ class ExecutionLayer:
         order = sorted(schedule.placements, key=lambda p: (p.start, p.task_id))
         job.plan_rank = {p.task_id: r for r, p in enumerate(order)}
 
-    def replan_all(self, trigger: str) -> None:
+    def replan_all(self) -> None:
         """Replan every active job, in job-index order."""
         for job in sorted(self.active.values(), key=lambda j: j.index):
-            self.replan_job(job, trigger)
+            self.replan_job(job)

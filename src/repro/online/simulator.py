@@ -84,8 +84,8 @@ class OnlineSimulator:
             ranker: base dispatch order (see :mod:`repro.online.rankers`).
             faults: seeded fault model to execute under; ``None`` runs
                 fault-free (the historical behaviour, unchanged).
-            rescheduler: context-aware scheduler replanning each job's
-                residual DAG on admission and on every fault event;
+            rescheduler: scheduler replanning each job's residual DAG
+                on admission and on every fault event;
                 dispatch then follows plan priority (jobs FIFO, plan
                 order within a job), falling back to ``ranker`` for
                 unplanned tasks.

@@ -14,21 +14,20 @@ Two complementary interfaces coexist:
   a scheduler by rolling an episode; planners like Graphene and search
   methods like MCTS implement :class:`Scheduler` directly.
 
-The scheduler entry point is founded on :class:`ScheduleRequest` — a DAG
-plus the *context* a production replanner needs: the live cluster
-snapshot, placements that are already frozen (completed) or pinned
-(running), an optional deadline, and the active fault context.  Every
-scheduler implements :meth:`Scheduler.plan`, and every caller — CLI,
-experiments, benches, examples, tests — calls
-``plan(ScheduleRequest(graph))`` (DESIGN.md Sec. 10.4).
+The scheduler entry point is :class:`ScheduleRequest`: a DAG and,
+optionally, the capacities to plan it on (a replan's live cluster, crashed
+slots subtracted).  That is all a planner reads.  Every scheduler
+implements :meth:`Scheduler.plan`, and every caller — CLI, experiments,
+benches, examples, tests — calls ``plan(ScheduleRequest(graph))``
+(DESIGN.md Sec. 10.4).
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable, List, Mapping, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..config import EnvConfig
 from ..dag.graph import TaskGraph
@@ -37,9 +36,6 @@ from ..env.scheduling_env import SchedulingEnv, step_limit_exceeded
 from ..errors import ConfigError
 from ..metrics.schedule import Schedule
 from ..utils.timing import Stopwatch
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from ..faults.plan import FaultContext
 
 __all__ = [
     "Policy",
@@ -138,60 +134,33 @@ class GreedyPolicy(Policy):
 
 @dataclass(frozen=True)
 class ClusterSnapshot:
-    """Point-in-time view of the live cluster a planner schedules against.
+    """The cluster a planner plans on.
 
     Attributes:
         capacities: total slots per resource *right now* (crashed machines
             already subtracted).
-        available: currently free slots per resource.
-        now: current simulation/wall time in slots.
     """
 
     capacities: Tuple[int, ...]
-    available: Tuple[int, ...]
-    now: int = 0
 
     def __post_init__(self) -> None:
-        if len(self.capacities) != len(self.available):
-            raise ConfigError(
-                "snapshot capacities and available must have equal dims"
-            )
         if any(c < 0 for c in self.capacities):
             raise ConfigError("snapshot capacities must be >= 0")
-        if any(a < 0 or a > c for a, c in zip(self.available, self.capacities)):
-            raise ConfigError("snapshot available must lie in [0, capacity]")
 
 
 @dataclass(frozen=True)
 class ScheduleRequest:
-    """Everything a context-aware scheduler may look at for one plan.
+    """One plan's input: a DAG and the cluster to plan it on.
 
     Attributes:
-        graph: the (residual) DAG to plan.  For replanning, completed
-            tasks are already removed and running tasks excluded; their
-            effect is carried by ``frozen`` / ``pinned``.
-        cluster: live cluster snapshot, or ``None`` for the scheduler's
+        graph: the DAG to plan; for a replan, the job's residual DAG (its
+            tasks neither finished nor running).
+        cluster: the live cluster, or ``None`` for the scheduler's
             configured default cluster (the offline planning case).
-        frozen: completed placements, ``task_id -> (start, finish)``;
-            informational — these tasks must not be re-planned.
-        pinned: running placements, ``task_id -> (start, expected_finish)``;
-            they occupy capacity until their finish and must not move.
-        deadline: optional completion target in slots (advisory).
-        faults: active fault context when planning under injection, or
-            ``None`` (see :mod:`repro.faults`).
     """
 
     graph: TaskGraph
     cluster: Optional[ClusterSnapshot] = None
-    frozen: Mapping[int, Tuple[int, int]] = field(default_factory=dict)
-    pinned: Mapping[int, Tuple[int, int]] = field(default_factory=dict)
-    deadline: Optional[int] = None
-    faults: Optional["FaultContext"] = None
-
-    @property
-    def is_replan(self) -> bool:
-        """True when this request carries residual-DAG context."""
-        return bool(self.frozen) or bool(self.pinned) or self.cluster is not None
 
 
 class Scheduler(abc.ABC):

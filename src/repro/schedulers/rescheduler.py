@@ -12,12 +12,13 @@ the serving path.
 
 The wrapper is a :class:`~repro.schedulers.base.SchedulerWrapper`: it
 keeps the planner's ``name``, forwards attribute access, and works as a
-plain offline scheduler too (a context-free request plans the whole DAG).
+plain offline scheduler too (a request without a cluster plans on the
+configured one).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..errors import ConfigError, ReproError
 from ..metrics.schedule import Schedule
@@ -114,17 +115,6 @@ class ReschedulingScheduler(SchedulerWrapper):
                 reason=reason,
             )
             tm.inc("reschedule.degradations")
-
-    def priority_order(self, request: ScheduleRequest) -> List[int]:
-        """Plan ``request`` and return its task ids in dispatch-priority
-        order (by planned start, ties by task id) — the form the online
-        executor's plan-priority ranker consumes."""
-
-        schedule = self.plan(request)
-        return [
-            p.task_id
-            for p in sorted(schedule.placements, key=lambda p: (p.start, p.task_id))
-        ]
 
     def __repr__(self) -> str:
         fb = self.fallback.name if self.fallback is not None else None

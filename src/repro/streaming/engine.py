@@ -68,8 +68,8 @@ class StreamingSimulator:
             horizon: run length in slots from the first arrival; the
                 stream is cut off past it (in-flight work drains).
             faults: seeded fault model; ``None`` runs fault-free.
-            rescheduler: context-aware scheduler replanning residual
-                DAGs, exactly as in the online simulator.
+            rescheduler: scheduler replanning residual DAGs, exactly as
+                in the online simulator.
 
         Raises:
             ConfigError: on an empty stream or invalid limits.

@@ -30,14 +30,12 @@ take down a shared scheduler).
 
 Numbers in a ``schedule`` frame are **JSON integers** (an exact ``int``
 after decoding: not ``true``, not ``2.0``, not ``"2"``): a task's ``id``
-and ``runtime``, every demand, both endpoints of every edge,
-``cluster.capacities`` / ``available`` / ``now``, ``deadline`` and both
-ends of every ``frozen`` / ``pinned`` span, whose *keys* are decimal
-strings because JSON object keys are strings.  Anything else — ``2.7``,
-``NaN``, ``1e999``, a negative demand, a runtime of 0 — is refused with
-an ``error`` frame, never truncated or coerced, and nothing but
-``ProtocolError`` leaves :func:`parse_schedule` (DESIGN.md Sec. 13.6
-lists what used to).
+and ``runtime``, every demand, both endpoints of every edge and
+``cluster.capacities``.  Anything else — ``2.7``, ``NaN``, ``1e999``, a
+negative demand, a runtime of 0 — is refused with an ``error`` frame,
+never truncated or coerced, and nothing but ``ProtocolError`` leaves
+:func:`parse_schedule` (DESIGN.md Sec. 13.6 lists what used to).  A key
+the protocol does not read is ignored, whatever its value.
 """
 
 from __future__ import annotations
@@ -133,17 +131,7 @@ def schedule_frame(
         "graph": graph_to_dict(request.graph),
     }
     if request.cluster is not None:
-        frame["cluster"] = {
-            "capacities": list(request.cluster.capacities),
-            "available": list(request.cluster.available),
-            "now": request.cluster.now,
-        }
-    if request.frozen:
-        frame["frozen"] = {str(t): list(span) for t, span in request.frozen.items()}
-    if request.pinned:
-        frame["pinned"] = {str(t): list(span) for t, span in request.pinned.items()}
-    if request.deadline is not None:
-        frame["deadline"] = request.deadline
+        frame["cluster"] = {"capacities": list(request.cluster.capacities)}
     return frame
 
 
@@ -153,34 +141,12 @@ def _integers(raw: Any, what: str) -> Tuple[int, ...]:
     return tuple(raw)
 
 
-def _parse_placements(raw: Any, field: str) -> Dict[int, Tuple[int, int]]:
-    if not isinstance(raw, dict):
-        raise ProtocolError(f"{field} must be an object of task_id -> [start, finish]")
-    spans: Dict[int, Tuple[int, int]] = {}
-    for key, value in raw.items():
-        try:
-            tid = int(key)
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed {field} key {key!r}: {exc}") from exc
-        span = _integers(value, f"{field} entry {key!r}")
-        if len(span) != 2:
-            raise ProtocolError(f"{field} entry {key!r} must be [start, finish]")
-        spans[tid] = (span[0], span[1])
-    return spans
-
-
 def _parse_cluster(raw: Any) -> ClusterSnapshot:
     if not isinstance(raw, dict):
         raise ProtocolError("cluster must be an object")
     capacities = _integers(raw.get("capacities"), "cluster capacities")
-    available = capacities
-    if "available" in raw:
-        available = _integers(raw["available"], "cluster available")
-    at = raw.get("now", 0)
-    if type(at) is not int:
-        raise ProtocolError("cluster now must be a JSON integer")
     try:
-        return ClusterSnapshot(capacities=capacities, available=available, now=at)
+        return ClusterSnapshot(capacities=capacities)
     except ConfigError as exc:
         raise ProtocolError(str(exc)) from exc
 
@@ -189,9 +155,9 @@ def parse_schedule(frame: Mapping[str, Any]) -> Tuple[str, ScheduleRequest]:
     """Server-side: extract ``(request_id, ScheduleRequest)`` from a frame.
 
     Raises:
-        ProtocolError: on a wrong type, a missing/empty id, or any
-            malformed graph/cluster/placement field — and nothing else:
-            a number that is not a JSON integer, or one a ``Task`` or a
+        ProtocolError: on a wrong type, a missing/empty id, or a
+            malformed graph or cluster — and nothing else: a number that
+            is not a JSON integer, or one a ``Task`` or a
             ``ClusterSnapshot`` refuses, is this error too.
     """
     if frame.get("type") != SCHEDULE:
@@ -209,17 +175,7 @@ def parse_schedule(frame: Mapping[str, Any]) -> Tuple[str, ScheduleRequest]:
     cluster: Optional[ClusterSnapshot] = None
     if "cluster" in frame:
         cluster = _parse_cluster(frame["cluster"])
-    deadline = frame.get("deadline")
-    if deadline is not None and type(deadline) is not int:
-        raise ProtocolError("deadline must be a JSON integer")
-    request = ScheduleRequest(
-        graph=graph,
-        cluster=cluster,
-        frozen=_parse_placements(frame.get("frozen", {}), "frozen"),
-        pinned=_parse_placements(frame.get("pinned", {}), "pinned"),
-        deadline=deadline,
-    )
-    return request_id, request
+    return request_id, ScheduleRequest(graph=graph, cluster=cluster)
 
 
 # ---------------------------------------------------------------------- #

@@ -329,9 +329,7 @@ def degraded_request(dag) -> ScheduleRequest:
         for task in dag
         for demand, capacity in zip(task.demands, DEGRADED_CAPACITIES)
     ), "the degraded case must be planned on the degraded capacities"
-    snapshot = ClusterSnapshot(
-        capacities=DEGRADED_CAPACITIES, available=DEGRADED_CAPACITIES, now=0
-    )
+    snapshot = ClusterSnapshot(capacities=DEGRADED_CAPACITIES)
     return ScheduleRequest(dag, cluster=snapshot)
 
 

@@ -28,7 +28,7 @@ from repro.faults.events import (
     FaultEvent,
 )
 from repro.faults.injector import FaultInjector, TaskAttempt
-from repro.faults.plan import FaultContext, FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.metrics.schedule import Schedule
 from repro.online.execution import ActiveJob
 from repro.online.rankers import Ranker, TaskContext
@@ -118,28 +118,10 @@ def legacy_run(
         if not residual:
             plan_rank.pop(job.index, None)
             return
-        pinned = {}
-        for tid, handle in running_tids.items():
-            start, attempt = running_info[handle]
-            pinned[tid] = (start, start + attempt.runtime)
         request = ScheduleRequest(
             graph=job.graph.subgraph(residual),
             cluster=ClusterSnapshot(
                 capacities=tuple(state.capacities),
-                available=state.available,
-                now=state.now,
-            ),
-            frozen=dict(job.executed),
-            pinned=pinned,
-            faults=(
-                FaultContext(
-                    plan=fstate.plan,
-                    trigger=trigger,
-                    time=state.now,
-                    retries_so_far=fstate.total_retries,
-                )
-                if fstate is not None
-                else None
             ),
         )
         try:

@@ -174,7 +174,7 @@ def test_degraded_replan_of_the_same_graph_object():
     graph = random_layered_dag(workload, seed=404)
     degraded = ScheduleRequest(
         graph,
-        cluster=ClusterSnapshot(capacities=(14, 14), available=(14, 14), now=0),
+        cluster=ClusterSnapshot(capacities=(14, 14)),
     )
     network = make_network("mlp")
     rng = np.random.default_rng(3)
