@@ -8,13 +8,16 @@ paths of the simulator allocation-free.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 from ..errors import CapacityError
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..dag.graph import TaskGraph
+
 ResourceVector = Tuple[int, ...]
 
-__all__ = ["ResourceVector", "fits", "validate_demands"]
+__all__ = ["ResourceVector", "fits", "validate_demands", "validate_graph_demands"]
 
 
 def fits(demands: Sequence[int], available: Sequence[int]) -> bool:
@@ -48,3 +51,17 @@ def validate_demands(
             raise CapacityError(
                 f"{label}: demand {d} for resource {r} exceeds capacity {c}"
             )
+
+
+def validate_graph_demands(graph: "TaskGraph", capacities: Sequence[int]) -> None:
+    """Raise :class:`CapacityError` unless every task of ``graph`` can ever
+    fit ``capacities``, whose dimensionality the caller has checked.
+
+    One comparison against the graph's peak demand; the tasks are walked,
+    in topological order, only to name the first one that cannot fit.
+    """
+
+    if fits(graph.peak_demand, capacities):
+        return
+    for task in graph:
+        validate_demands(task.demands, capacities, label=task.label())

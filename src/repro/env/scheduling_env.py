@@ -31,7 +31,7 @@ import heapq  # own heap: kernel dispatch measured too slow for rollouts
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from ..cluster.state import ClusterState
-from ..cluster.resources import validate_demands
+from ..cluster.resources import validate_graph_demands
 from ..config import EnvConfig
 from ..dag.graph import TaskGraph
 from ..errors import CapacityError, EnvironmentStateError
@@ -103,27 +103,19 @@ class SchedulingEnv:
                 f"cluster has {len(capacities)} resource dims, graph has "
                 f"{graph.num_resources}"
             )
-        for task in graph:
-            validate_demands(task.demands, capacities, label=task.label())
-        # Hot-path lookup tables, shared by reference across clones (the
-        # graph is immutable, so these never change after construction).
-        self._demands: Dict[int, Tuple[int, ...]] = {
-            task.task_id: task.demands for task in graph
-        }
-        self._runtimes: Dict[int, int] = {
-            task.task_id: task.runtime for task in graph
-        }
-        # Ascending, so the children one completion makes ready join the
-        # ready queue in id order (the deterministic arrival order)
-        # without a sort.
+        validate_graph_demands(graph, capacities)
+        # Hot-path lookup tables, borrowed from the immutable graph and so
+        # shared by every clone.  Children are ascending, so the children
+        # one completion makes ready join the ready queue in id order (the
+        # deterministic arrival order) without a sort.
+        self._demands: Mapping[int, Tuple[int, ...]] = graph.demand_table()
+        self._runtimes: Mapping[int, int] = graph.runtime_table()
         self._children: Mapping[int, Tuple[int, ...]] = graph.child_table()
         self._num_tasks: int = graph.num_tasks
         # Schedule-step results are fully determined by the started task id,
-        # so one immutable StepResult per task covers every schedule step of
-        # every clone — no allocation on that branch of the hot path.
-        self._sched_results: Dict[int, StepResult] = {
-            tid: StepResult(0, False, (), tid) for tid in graph.task_ids
-        }
+        # so one immutable StepResult per task, made on its first start,
+        # covers every schedule step of every clone.
+        self._sched_results: Dict[int, StepResult] = {}
         self.reset()
 
     # ------------------------------------------------------------------ #
@@ -139,13 +131,11 @@ class SchedulingEnv:
         self._until_completion: bool = self.config.process_until_completion
         self.cluster = ClusterState(self.config.cluster.capacities)
         self._unmet: Dict[int, int] = {
-            tid: len(graph.parents(tid)) for tid in graph.task_ids
+            tid: len(parents) for tid, parents in graph.parent_table().items()
         }
         # Ready queue holds *all* ready tasks in arrival order; the visible
         # window is its first ``max_ready`` entries.
-        self._ready: List[int] = [
-            tid for tid in graph.topological_order() if self._unmet[tid] == 0
-        ]
+        self._ready: List[int] = list(graph.sources())
         self._finished: set[int] = set()
         self._starts: Dict[int, int] = {}
         self.steps_taken: int = 0
@@ -376,7 +366,11 @@ class SchedulingEnv:
         del ready[action]
         self._starts[tid] = cluster.now
         self._version += 1
-        return self._sched_results[tid]
+        try:
+            return self._sched_results[tid]
+        except KeyError:
+            result = self._sched_results[tid] = StepResult(0, False, (), tid)
+            return result
 
     def random_playout(self, rng, limit: int) -> int:
         """Play uniformly random work-conserving actions until done.
@@ -566,6 +560,12 @@ class SchedulingEnv:
         have.  Only a state with two or more candidates costs a call into
         the policy (DESIGN.md Sec. 16.7).
 
+        As in :meth:`random_playout`, the clock and, with two resources,
+        the free capacity stay in locals.  They are written back, with the
+        step counters, before every ``forced()`` and ``decide()`` call and
+        by the ``finally``, so a callback, and a playout cut short by an
+        error, see the state as it stands.
+
         The two playout loops share no code on purpose: routed through
         this callback loop a random playout, whose whole step is a
         microsecond or two, was measured ~15 % slower (DESIGN.md Sec. 16.7).
@@ -605,24 +605,26 @@ class SchedulingEnv:
         demands_of = self._demands
         runtimes = self._runtimes
         children = self._children
-        num_tasks = self._num_tasks
         max_ready = self._max_ready
         until_completion = self._until_completion
         two_dim = len(available) == 2
         heappush = heapq.heappush
         heappop = heapq.heappop
+        now = cluster.now
+        if two_dim:
+            free0, free1 = available
+        unfinished = self._num_tasks - len(finished)
         steps_before = self.steps_taken
         version_before = self._version
         steps = 0
         try:
-            while len(finished) != num_tasks:
+            while unfinished:
                 if steps >= limit:
                     raise step_limit_exceeded(limit)
                 visible = ready if len(ready) <= max_ready else ready[:max_ready]
                 actions: List[Action] = []
                 index = 0
                 if two_dim:
-                    free0, free1 = available
                     for tid in visible:
                         demands = demands_of[tid]
                         if demands[0] <= free0 and demands[1] <= free1:
@@ -638,63 +640,81 @@ class SchedulingEnv:
                         index += 1
                 if heap and not (work_conserving and actions):
                     actions.append(PROCESS)
-                if len(actions) == 1:
+                if not actions:
+                    raise EnvironmentStateError("no legal actions")
+                if len(actions) == 1 and forced is None:
                     action = actions[0]
-                    if forced is not None:
-                        forced()
-                elif actions:
-                    # Publish the counters the inlined steps keep in locals
-                    # before the policy looks at the environment.
+                else:
+                    # Publish what the inlined steps keep in locals before
+                    # the policy looks at the environment.
+                    cluster.now = now
+                    if two_dim:
+                        available[0] = free0
+                        available[1] = free1
                     self.steps_taken = steps_before + steps
                     self._version = version_before + steps
-                    action = decide(actions)
-                    if action == PROCESS:
-                        if not heap:
-                            raise EnvironmentStateError(
-                                "PROCESS on an idle cluster"
-                            )
-                    elif not 0 <= action < len(visible):
-                        raise EnvironmentStateError(
-                            f"schedule index {action} out of range "
-                            f"(visible={len(visible)})"
-                        )
+                    if len(actions) == 1:
+                        action = actions[0]
+                        forced()
                     else:
-                        tid = ready[action]
-                        demands = demands_of[tid]
-                        for demand, free in zip(demands, available):
-                            if demand > free:
-                                raise CapacityError(
-                                    f"task {tid}: demands {demands} exceed "
-                                    f"free capacity {cluster.available}"
+                        action = decide(actions)
+                        if action == PROCESS:
+                            if not heap:
+                                raise EnvironmentStateError(
+                                    "PROCESS on an idle cluster"
                                 )
-                else:
-                    raise EnvironmentStateError("no legal actions")
+                        elif not 0 <= action < len(visible):
+                            raise EnvironmentStateError(
+                                f"schedule index {action} out of range "
+                                f"(visible={len(visible)})"
+                            )
+                        else:
+                            tid = ready[action]
+                            demands = demands_of[tid]
+                            for demand, free in zip(demands, available):
+                                if demand > free:
+                                    raise CapacityError(
+                                        f"task {tid}: demands {demands} exceed "
+                                        f"free capacity {cluster.available}"
+                                    )
                 steps += 1
                 if action != PROCESS:
                     tid = ready[action]
                     demands = demands_of[tid]
-                    for r, demand in enumerate(demands):
-                        available[r] -= demand
-                    heappush(heap, (cluster.now + runtimes[tid], tid, demands))
+                    if two_dim:
+                        free0 -= demands[0]
+                        free1 -= demands[1]
+                    else:
+                        for r, demand in enumerate(demands):
+                            available[r] -= demand
+                    heappush(heap, (now + runtimes[tid], tid, demands))
                     del ready[action]
-                    starts[tid] = cluster.now
+                    starts[tid] = now
                     continue
-                now = heap[0][0] if until_completion else cluster.now + 1
-                cluster.now = now
+                now = heap[0][0] if until_completion else now + 1
                 while heap and heap[0][0] <= now:
                     finish, tid, demands = heappop(heap)
-                    for r, demand in enumerate(demands):
-                        available[r] += demand
+                    if two_dim:
+                        free0 += demands[0]
+                        free1 += demands[1]
+                    else:
+                        for r, demand in enumerate(demands):
+                            available[r] += demand
                     finished.add(tid)
+                    unfinished -= 1
                     for child in children[tid]:
                         remaining = unmet[child] - 1
                         unmet[child] = remaining
                         if remaining == 0:
                             ready.append(child)
         finally:
+            cluster.now = now
+            if two_dim:
+                available[0] = free0
+                available[1] = free1
             self.steps_taken = steps_before + steps
             self._version = version_before + steps
-        return cluster.now
+        return now
 
     # ------------------------------------------------------------------ #
     # copying / export

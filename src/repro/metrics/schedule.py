@@ -72,10 +72,15 @@ class Schedule:
     ) -> "Schedule":
         """Build a schedule from a ``task_id -> start_slot`` mapping, taking
         durations from the graph."""
-        placements = tuple(
-            ScheduledTask(tid, start, start + graph.task(tid).runtime)
-            for tid, start in sorted(starts.items())
-        )
+        runtimes = graph.runtime_table()
+        try:
+            placements = tuple(
+                ScheduledTask(tid, start, start + runtimes[tid])
+                for tid, start in sorted(starts.items())
+            )
+        except KeyError as exc:
+            graph.task(exc.args[0])  # raises UnknownTaskError for the id
+            raise
         return Schedule(placements, scheduler=scheduler, wall_time=wall_time)
 
     @property

@@ -99,8 +99,9 @@ class ActiveJob:
         self.arrival = arrival
         self.graph = graph
         self._features: Optional[GraphFeatures] = None
+        parents = graph.parent_table()
         self.unmet: Dict[int, int] = {
-            tid: len(graph.parents(tid)) for tid in graph.task_ids
+            tid: len(parents[tid]) for tid in graph.task_ids
         }
         self.ready: List[int] = [tid for tid, n in self.unmet.items() if n == 0]
         self.remaining: int = graph.num_tasks

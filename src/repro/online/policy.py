@@ -55,9 +55,9 @@ class PolicyLayer:
             candidates: List[Tuple[Tuple, int, int]] = []
             for job in active.values():
                 ranks = job.plan_rank
+                demands_of = job.graph.demand_table()
                 for tid in job.ready:
-                    task = job.graph.task(tid)
-                    if fits(task.demands, free):
+                    if fits(demands_of[tid], free):
                         if ranks is not None and tid in ranks:
                             key: Tuple = (
                                 0,
@@ -67,6 +67,7 @@ class PolicyLayer:
                                 tid,
                             )
                         else:
+                            task = job.graph.task(tid)
                             ctx = TaskContext.of(job, task, free, state.now)
                             key = (1,) + tuple(ranker(ctx))
                         candidates.append((key, job.index, tid))
@@ -99,20 +100,21 @@ class PolicyLayer:
         for job in active.values():
             ranks = job.plan_rank
             cached = job.static_keys
-            task_of = job.graph.task
+            demands_of = job.graph.demand_table()
             for tid in job.ready:
-                task = task_of(tid)
-                if not fits(task.demands, free):
+                demands = demands_of[tid]
+                if not fits(demands, free):
                     continue
                 if ranks is not None and tid in ranks:
                     key: Tuple = (0, job.arrival, job.index, ranks[tid], tid)
                 else:
                     key = cached.get(tid)  # type: ignore[assignment]
                     if key is None:
+                        task = job.graph.task(tid)
                         ctx = TaskContext.of(job, task, free, state.now)
                         key = (1,) + tuple(ranker(ctx))
                         cached[tid] = key
-                candidates.append((key, job.index, tid, task.demands))
+                candidates.append((key, job.index, tid, demands))
         candidates.sort()
         for _, job_index, tid, demands in candidates:
             job = active.get(job_index)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Tuple
 
-from ..cluster.resources import fits, validate_demands
+from ..cluster.resources import validate_graph_demands
 from ..dag.graph import TaskGraph
 from ..errors import CapacityError, ConfigError
 from ..sim import Event, EventClass, SimKernel
@@ -51,11 +51,7 @@ def check_feasible(graph: TaskGraph, capacities: Sequence[int]) -> None:
             f"job has {graph.num_resources} resource dims, "
             f"cluster has {len(capacities)}"
         )
-    if fits(graph.peak_demand, capacities):  # dimensions match: checked above
-        return
-    for task in graph:  # name the first task that can never fit
-        if not fits(task.demands, capacities):
-            validate_demands(task.demands, capacities, label=task.label())
+    validate_graph_demands(graph, capacities)
 
 
 def infeasible_reason(graph: TaskGraph, capacities: Sequence[int]) -> Optional[str]:

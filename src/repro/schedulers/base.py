@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, List, Optional, Tuple
 
+from ..cluster.resources import fits
 from ..config import EnvConfig
 from ..dag.graph import TaskGraph
 from ..env.actions import PROCESS, Action
@@ -56,7 +57,7 @@ _STEP_LIMIT_FACTOR = 20
 
 def episode_step_limit(graph: TaskGraph) -> int:
     """The step cap :func:`run_policy` gives an episode on ``graph``."""
-    total_runtime = sum(task.runtime for task in graph)
+    total_runtime = sum(graph.runtime_table().values())
     return _STEP_LIMIT_FACTOR * (total_runtime + graph.num_tasks)
 
 
@@ -260,9 +261,8 @@ def _planning_config(config: EnvConfig, request: ScheduleRequest) -> EnvConfig:
         return config
     if len(capacities) != request.graph.num_resources:
         return config
-    for task in request.graph:
-        if any(d > c for d, c in zip(task.demands, capacities)):
-            return config
+    if not fits(request.graph.peak_demand, capacities):
+        return config
     if any(c <= 0 for c in capacities):
         return config
     from dataclasses import replace

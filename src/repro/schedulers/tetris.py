@@ -44,14 +44,14 @@ class TetrisPolicy(GreedyPolicy):
         # lambda and the generator frames of the ``min`` form were a sixth
         # of a 100-task plan (DESIGN.md Sec. 16.7).
         visible = env.visible_ready()
-        available = env.cluster.available
-        task = env.graph.task
+        available = env.cluster.free()
+        demands_of = env.graph.demand_table()
         best = fitting[0]
         best_score = best_tid = -1
         for action in fitting:
             tid = visible[action]
             score = 0
-            for demand, free in zip(task(tid).demands, available):
+            for demand, free in zip(demands_of[tid], available):
                 score += demand * free
             if score > best_score or (score == best_score and tid < best_tid):
                 best, best_score, best_tid = action, score, tid

@@ -176,7 +176,13 @@ class SchedulerService:
     def _plan_batch(
         self, batch: Sequence[_Pending], tick: int
     ) -> List[Tuple[Dict[str, Any], bool]]:
-        """Plan one batch (runs in the executor, off the event loop)."""
+        """Plan one batch (runs in the executor, off the event loop).
+
+        A plan that raises gets an ``error`` reply and the batch goes on:
+        a :class:`~repro.errors.ReproError` says what was refused, and any
+        other exception (a planner that overflows on a huge runtime, say)
+        is named by its type, so one frame cannot stop the worker.
+        """
         replies: List[Tuple[Dict[str, Any], bool]] = []
         for pending in batch:
             try:
@@ -184,6 +190,12 @@ class SchedulerService:
             except ReproError as exc:
                 replies.append(
                     (protocol.error_frame(pending.request_id, str(exc)), False)
+                )
+                continue
+            except Exception as exc:
+                message = f"planner failed: {type(exc).__name__}: {exc}"
+                replies.append(
+                    (protocol.error_frame(pending.request_id, message), False)
                 )
                 continue
             replies.append(

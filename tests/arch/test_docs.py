@@ -143,3 +143,37 @@ ROADMAP_CITE = re.compile(r"ROADMAP\s+(?:item\s+)?\d")
 def test_no_roadmap_item_cites(doc):
     text = (REPO / doc).read_text(encoding="utf-8")
     assert not ROADMAP_CITE.findall(text)
+
+
+#: From entry ``CAPPED_FROM`` on, a CHANGES.md entry is one header line
+#: (``PR <n> ...``) and at most ``ENTRY_BULLETS`` ``- `` bullets in at most
+#: ``ENTRY_BYTES`` bytes: a reader gets what changed, the evidence lives
+#: in DESIGN.md and the tests.  ``FOUND:`` / ``MENDED:`` lines do not
+#: count.  Earlier entries are history and are not reflowed.
+CAPPED_FROM = 51
+ENTRY_BULLETS = 8
+ENTRY_BYTES = 1600
+ENTRY_HEADER = re.compile(r"PR (\d+)\b")
+
+
+def changes_entries():
+    """``(number, counted lines)`` per CHANGES.md entry, in file order."""
+    entries = []
+    for line in (REPO / "CHANGES.md").read_text(encoding="utf-8").splitlines():
+        header = ENTRY_HEADER.match(line)
+        if header:
+            entries.append((int(header.group(1)), [line]))
+        elif entries and line.strip() and not line.startswith(("FOUND:", "MENDED:")):
+            entries[-1][1].append(line)
+    return entries
+
+
+def test_a_changes_entry_is_one_header_and_a_few_short_bullets():
+    for number, lines in changes_entries():
+        if number < CAPPED_FROM:
+            continue
+        bullets = lines[1:]
+        assert all(line.startswith("- ") for line in bullets), f"PR {number}"
+        assert len(bullets) <= ENTRY_BULLETS, f"PR {number}: {len(bullets)} bullets"
+        size = sum(len(line.encode("utf-8")) + 1 for line in lines)
+        assert size <= ENTRY_BYTES, f"PR {number}: {size} bytes"

@@ -130,3 +130,34 @@ def test_clone_divergence_never_leaks(seed, num_tasks):
         actions = clone.legal_actions()
         clone.step(actions[int(rng.integers(len(actions)))])
     assert env.signature() == snapshot
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_tasks=st.integers(1, 20),
+    capacities=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+)
+def test_an_oversized_task_is_refused_as_by_the_per_task_check(
+    seed, num_tasks, capacities
+):
+    """The environment checks capacities against the graph's peak demand;
+    when that fails it names the same task, with the same message, as
+    checking every task in topological order does."""
+    from repro.cluster.resources import validate_demands
+    from repro.errors import CapacityError
+
+    graph = make_graph(seed, num_tasks)
+    expected = None
+    try:
+        for task in graph:
+            validate_demands(task.demands, capacities, label=task.label())
+    except CapacityError as exc:
+        expected = str(exc)
+    config = EnvConfig(cluster=ClusterConfig(capacities=capacities, horizon=8))
+    try:
+        SchedulingEnv(graph, config)
+    except CapacityError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None

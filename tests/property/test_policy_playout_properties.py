@@ -205,3 +205,86 @@ def test_heuristic_playout_equals_select_step_loop(
             (makespan, env.start_times(), env.signature(), env.steps_taken)
         )
     assert outcomes[0] == outcomes[1]
+
+
+def snapshot(env):
+    """What a callback of the fused loop may read of the moving state."""
+    return env.cluster.now, env.cluster.available, env.steps_taken
+
+
+def spy_on_callbacks(env):
+    """Make ``env.policy_playout`` snapshot the state at every ``forced()``
+    and ``decide()`` call, always passing a ``forced`` hook so that every
+    move has one; returns the list the snapshots go to."""
+    seen = []
+    fused = env.policy_playout
+
+    def policy_playout(decide, forced, limit, work_conserving=True):
+        def spy_decide(actions):
+            seen.append(snapshot(env))
+            return decide(actions)
+
+        def spy_forced():
+            seen.append(snapshot(env))
+            if forced is not None:
+                forced()
+
+        return fused(spy_decide, spy_forced, limit, work_conserving)
+
+    env.policy_playout = policy_playout
+    return seen
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    num_tasks=st.integers(1, 14),
+    num_resources=st.integers(1, 3),
+    play_seed=st.integers(0, 10_000),
+    prefix=st.integers(0, 30),
+    until_completion=st.booleans(),
+    name=st.sampled_from(["tetris", "mlp"]),
+)
+def test_every_callback_sees_the_state_a_step_loop_is_in(
+    seed, num_tasks, num_resources, play_seed, prefix, until_completion, name
+):
+    """The fused loop keeps the clock and free capacity in locals; at every
+    ``forced()`` and ``decide()`` call the environment must still read
+    what a twin driven by ``step`` reads before the same move."""
+    from repro.rl.trajectories import EpisodeRecorder
+
+    graph = make_graph(seed, num_tasks, num_resources)
+    config = env_config(until_completion, num_resources)
+    envs, policies = [], []
+    for _ in range(2):
+        env = SchedulingEnv(graph, config)
+        prefix_rng = np.random.default_rng(play_seed)
+        for _ in range(prefix):
+            if env.done:
+                break
+            actions = env.legal_actions()
+            env.step(actions[int(prefix_rng.integers(len(actions)))])
+        if name == "tetris":
+            policy = TetrisPolicy()
+        else:
+            policy = network("mlp", num_resources, MAX_READY).make_policy(
+                mode="sample", seed=play_seed
+            )
+        policy.begin_episode(env)
+        envs.append(env)
+        policies.append(policy)
+    fused_env, twin = envs
+    seen = spy_on_callbacks(fused_env)
+    recorder = EpisodeRecorder()
+    if name == "tetris":
+        makespan = policies[0].playout(fused_env, LIMIT)
+    else:
+        makespan = policies[0].playout(fused_env, LIMIT, recorder=recorder)
+    stepped = []
+    while not twin.done:
+        stepped.append(snapshot(twin))
+        twin.step(policies[1].select(twin))
+    assert seen == stepped
+    if name == "mlp":
+        assert recorder.clocks == [now for now, _, _ in stepped]
+    assert snapshot(fused_env) == snapshot(twin) and makespan == twin.makespan

@@ -239,6 +239,49 @@ class TestServiceProtocol:
 
         assert reply_to(full) == reply_to(bare)
 
+    @pytest.mark.parametrize("scheduler", ["mcts", "graphene"])
+    def test_a_plan_that_raises_gets_an_error_frame_and_the_worker_lives(
+        self, scheduler
+    ):
+        # A 401-digit runtime is a JSON integer the protocol accepts, and
+        # these planners overflow converting it to a float.  The worker
+        # used to die of the OverflowError: no reply to this frame or to
+        # any later one.
+        from repro.config import EnvConfig
+        from repro.dag.io import graph_to_dict
+        from repro.streaming import layered_job_factory
+
+        good = {
+            "type": protocol.SCHEDULE,
+            "id": "good",
+            "graph": graph_to_dict(layered_job_factory()(0, 7)),
+        }
+        huge = copy.deepcopy(good)
+        huge["id"] = "huge"
+        huge["graph"]["tasks"][0]["runtime"] = 10**400
+
+        async def main():
+            planner = make_scheduler(
+                scheduler, EnvConfig(process_until_completion=True)
+            )
+            service = SchedulerService(planner, port=0)
+            _, port = await service.start()
+            try:
+                async with _Client(port) as client:
+                    await client.send(huge)
+                    error = await client.recv()
+                    await client.send(good)
+                    reply = await client.recv()
+                return error, reply, service.stats.as_dict()
+            finally:
+                await asyncio.wait_for(service.stop(), timeout=10)
+
+        error, reply, stats = asyncio.run(asyncio.wait_for(main(), timeout=30))
+        assert error["type"] == protocol.ERROR and error["id"] == "huge"
+        assert "OverflowError" in error["error"]
+        assert reply["type"] == protocol.REPLY and reply["id"] == "good"
+        assert stats["errors"] == 1 and stats["served"] == 1
+
     def test_draining_rejects_new_schedules(self):
         async def scenario(service, port):
             service._draining = True
