@@ -87,12 +87,6 @@ class ClusterState:
         """Currently free slots per resource."""
         return tuple(self._available)
 
-    def free(self) -> List[int]:
-        """The live list :attr:`available` copies — borrow only, never
-        mutate.  The hot-path form for a caller that reads free capacity
-        once per candidate of a decision."""
-        return self._available
-
     @property
     def num_resources(self) -> int:
         """Resource dimensionality."""

@@ -14,13 +14,12 @@ a table the graph owns and lends out: :meth:`TaskGraph.child_table`,
 :meth:`~TaskGraph.parent_table`, :meth:`~TaskGraph.demand_table` and
 :meth:`~TaskGraph.runtime_table`.  The environment, the list heuristics,
 the schedule export and the online engine borrow them instead of copying.
-Construction makes one sorted pass over the distinct edges; when every
-edge points from a smaller id to a larger one (every generator's and the
-wire format's graphs), the topological order is the sorted id list,
-which is exactly the order Kahn's smallest-id-first heap would give, so
-the heap runs only for other graphs.  Any bad edge sends construction
-through the per-edge checks in input order, so the first bad edge is the
-one an error names.
+Construction checks every edge in input order, so the first bad edge is
+the one an error names.  When every edge points from a smaller id to a
+larger one (every generator's graphs and every benchmark DAG), the
+topological order is the sorted id list, which is exactly the order
+Kahn's smallest-id-first heap would give, so the heap runs only for
+other graphs.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from typing import (
     Iterator,
     List,
     Mapping,
-    Optional,
     Sequence,
     Set,
     Tuple,
@@ -98,23 +96,40 @@ class TaskGraph:
             max(column) for column in zip(*demands)
         )
 
-        edges = edges if isinstance(edges, (list, tuple)) else list(edges)
-        adjacency = _sorted_adjacency(task_map, edges)
-        if adjacency is None:
-            adjacency = _checked_adjacency(task_map, edges)
-        children, parents, num_edges, forward = adjacency
+        children: Dict[int, List[int]] = {tid: [] for tid in task_map}
+        parents: Dict[int, List[int]] = {tid: [] for tid in task_map}
+        seen: Set[Tuple[int, int]] = set()
+        forward = True
+        for up, down in edges:
+            if up not in task_map:
+                raise UnknownTaskError(f"edge references unknown task {up}")
+            if down not in task_map:
+                raise UnknownTaskError(f"edge references unknown task {down}")
+            if up == down:
+                raise GraphError(f"self-loop on task {up}")
+            edge = (up, down)
+            if edge not in seen:
+                seen.add(edge)
+                children[up].append(down)
+                parents[down].append(up)
+                if up > down:
+                    forward = False
+        # Sorted in place: a generator's lists mostly arrive ascending.
+        for ids in chain(children.values(), parents.values()):
+            ids.sort()
 
         self._tasks: Dict[int, Task] = task_map
-        # Built on first read: a graph nobody plans never pays for them.
-        self._demands: Optional[Dict[int, Tuple[int, ...]]] = None
-        self._runtimes: Optional[Dict[int, int]] = None
+        self._demands: Dict[int, Tuple[int, ...]] = dict(zip(task_map, demands))
+        self._runtimes: Dict[int, int] = {
+            tid: task.runtime for tid, task in task_map.items()
+        }
         self._children: Dict[int, Tuple[int, ...]] = {
             tid: tuple(kids) for tid, kids in children.items()
         }
         self._parents: Dict[int, Tuple[int, ...]] = {
             tid: tuple(pars) for tid, pars in parents.items()
         }
-        self._num_edges = num_edges
+        self._num_edges = len(seen)
         # With every edge pointing up the ids, the smallest unfinished id is
         # always ready, so Kahn's smallest-id-first order is the sorted ids.
         self._topo_order: Tuple[int, ...] = (
@@ -221,15 +236,11 @@ class TaskGraph:
     def demand_table(self) -> Mapping[int, Tuple[int, ...]]:
         """Task id -> demand vector, one mapping; borrow only, as
         :meth:`child_table`."""
-        if self._demands is None:
-            self._demands = {tid: t.demands for tid, t in self._tasks.items()}
         return self._demands
 
     def runtime_table(self) -> Mapping[int, int]:
         """Task id -> runtime, one mapping; borrow only, as
         :meth:`child_table`."""
-        if self._runtimes is None:
-            self._runtimes = {tid: t.runtime for tid, t in self._tasks.items()}
         return self._runtimes
 
     def edges(self) -> Iterator[Tuple[int, int]]:
@@ -353,59 +364,3 @@ class TaskGraph:
             f"num_resources={self.num_resources})"
         )
 
-
-_Adjacency = Tuple[Dict[int, List[int]], Dict[int, List[int]], int, bool]
-
-
-def _sorted_adjacency(
-    task_map: Mapping[int, Task], edges: Sequence[Tuple[int, int]]
-) -> Optional[_Adjacency]:
-    """Children and parents from one pass over the sorted distinct edges.
-
-    Both lists come out ascending without a sort of their own.  Returns
-    ``(children, parents, distinct edges, every edge points up the ids)``,
-    or ``None`` when an edge is bad (unknown endpoint, self-loop, not a
-    hashable pair): :func:`_checked_adjacency` then names the first one.
-    """
-    children: Dict[int, List[int]] = {tid: [] for tid in task_map}
-    parents: Dict[int, List[int]] = {tid: [] for tid in task_map}
-    forward = True
-    try:
-        # Sorted input, as every generator and the wire format produce,
-        # keeps its order through the dedup and sorts in linear time.
-        pairs = sorted(dict.fromkeys(edges))
-        for up, down in pairs:
-            if up >= down:
-                if up == down:
-                    return None
-                forward = False
-            children[up].append(down)
-            parents[down].append(up)
-    except (KeyError, TypeError, ValueError):
-        return None
-    return children, parents, len(pairs), forward
-
-
-def _checked_adjacency(
-    task_map: Mapping[int, Task], edges: Sequence[Tuple[int, int]]
-) -> _Adjacency:
-    """The per-edge reference: checks every edge in input order, so the
-    first bad edge is the one named."""
-    children: Dict[int, List[int]] = {tid: [] for tid in task_map}
-    parents: Dict[int, List[int]] = {tid: [] for tid in task_map}
-    seen: Set[Tuple[int, int]] = set()
-    for up, down in edges:
-        if up not in task_map:
-            raise UnknownTaskError(f"edge references unknown task {up}")
-        if down not in task_map:
-            raise UnknownTaskError(f"edge references unknown task {down}")
-        if up == down:
-            raise GraphError(f"self-loop on task {up}")
-        edge = (up, down)
-        if edge not in seen:
-            seen.add(edge)
-            children[up].append(down)
-            parents[down].append(up)
-    for ids in chain(children.values(), parents.values()):
-        ids.sort()
-    return children, parents, len(seen), False

@@ -44,7 +44,7 @@ class TetrisPolicy(GreedyPolicy):
         # lambda and the generator frames of the ``min`` form were a sixth
         # of a 100-task plan (DESIGN.md Sec. 16.7).
         visible = env.visible_ready()
-        available = env.cluster.free()
+        available = env.cluster.available
         demands_of = env.graph.demand_table()
         best = fitting[0]
         best_score = best_tid = -1
