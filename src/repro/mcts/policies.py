@@ -15,6 +15,7 @@ call at a time, exactly as it plays a sequential search's single lane.
 from __future__ import annotations
 
 import abc
+from functools import partial
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from ..dag.graph import TaskGraph
@@ -151,7 +152,7 @@ class GreedyRollout(_PolicyRollout):
 
     def __init__(self, policy_factory: Callable[[], Policy] | None = None) -> None:
         if policy_factory is None:
-            from ..schedulers.tetris import TetrisPolicy
+            from ..schedulers.policies import greedy_policy
 
-            policy_factory = TetrisPolicy
+            policy_factory = partial(greedy_policy, "tetris")
         super().__init__(policy_factory)

@@ -7,21 +7,22 @@ scheduler ranks ready tasks across all active jobs.
 
 Search-based scheduling (MCTS/Spear) over an open arrival stream is
 future work even in the paper; here the online policies are *rankers* —
-pure functions from (task, job context, cluster) to a priority key — which
-covers every greedy baseline (SJF, CP within-job, Tetris packing, FIFO by
-arrival) and composes with per-job Spear planning via
-:func:`plan_priority_ranker`.
+pure functions from (task, job context, cluster) to a priority key.  They
+are the offline list heuristics' own rules
+(:mod:`repro.schedulers.rules`, under their ``*_ranker`` names): SJF, CP
+within-job, Tetris packing, FIFO (jobs by arrival, tasks in ready order),
+and per-job Spear or Graphene plans via :func:`plan_priority_ranker`.
 """
 
-from .rankers import (
+from ..schedulers.rules import (
     Ranker,
-    fifo_ranker,
-    sjf_ranker,
     cp_ranker,
-    tetris_ranker,
+    fifo_ranker,
     plan_priority_ranker,
-    resolve_ranker,
+    sjf_ranker,
+    tetris_ranker,
 )
+from .policy import resolve_ranker
 from .simulator import (
     ArrivingJob,
     JobOutcome,

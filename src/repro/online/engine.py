@@ -51,12 +51,12 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from ..errors import ConfigError, EnvironmentStateError
 from ..faults.plan import FaultPlan
 from ..schedulers.base import Scheduler
+from ..schedulers.rules import Ranker
 from ..sim import SimKernel
 from ..telemetry import runtime as _telemetry
 from .admission import ADMIT, QUEUE, AdmissionConfig, AdmissionController, QueuedJob
 from .execution import ActiveJob, ExecutionLayer
 from .policy import PolicyLayer
-from .rankers import Ranker
 from .reporting import ReportingLayer, RunLedger
 from .results import ArrivingJob
 from .workload import ArrivalLayer

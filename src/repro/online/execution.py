@@ -74,6 +74,9 @@ class ActiveJob:
     ``None`` while unplanned), ``static_keys`` (task -> the key of a
     ``static_key`` ranker, which never changes over a job's lifetime) and
     :attr:`features`, computed when a ranker first reads them.
+    ``ready_seq`` numbers the tasks in the order they *first* became
+    ready (the ``fifo`` rule's order); a retried or crash-killed task
+    keeps its number, so cached keys stay valid.
     """
 
     __slots__ = (
@@ -83,6 +86,7 @@ class ActiveJob:
         "_features",
         "unmet",
         "ready",
+        "ready_seq",
         "remaining",
         "attempts",
         "strikes",
@@ -104,6 +108,7 @@ class ActiveJob:
             tid: len(parents[tid]) for tid in graph.task_ids
         }
         self.ready: List[int] = [tid for tid, n in self.unmet.items() if n == 0]
+        self.ready_seq: Dict[int, int] = {tid: i for i, tid in enumerate(self.ready)}
         self.remaining: int = graph.num_tasks
         self.attempts: Dict[int, int] = {}  # dispatches per task (keys the RNG)
         self.strikes: Dict[int, int] = {}  # transient failures per task
@@ -288,6 +293,7 @@ class ExecutionLayer:
             job.unmet[child] -= 1
             if job.unmet[child] == 0:
                 job.ready.append(child)
+                job.ready_seq[child] = len(job.ready_seq)
         if job.remaining == 0:
             self.reporting.record_completion(job, now)
             del self.active[job_index]

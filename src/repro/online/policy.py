@@ -12,17 +12,36 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from ..cluster.resources import fits
+from ..errors import ConfigError
+from ..schedulers.rules import RANKERS, Ranker, TaskContext
 from .execution import ExecutionLayer
-from .rankers import Ranker, TaskContext
 
-__all__ = ["PolicyLayer"]
+__all__ = ["PolicyLayer", "resolve_ranker"]
+
+#: The rules ``--ranker`` accepts; heft and lpt stay offline-only.
+_ONLINE_RANKERS = ("cp", "fifo", "sjf", "tetris")
+
+
+def resolve_ranker(name: str) -> Ranker:
+    """Map a CLI ranker name (``fifo|sjf|cp|tetris``) to its rule in
+    :data:`~repro.schedulers.rules.RANKERS`.
+
+    Raises:
+        ConfigError: naming the sorted known names; the CLI prints it
+            as its one-line usage error.
+    """
+    if name not in _ONLINE_RANKERS:
+        raise ConfigError(
+            f"unknown ranker {name!r}; choose from {list(_ONLINE_RANKERS)}"
+        )
+    return RANKERS[name]
 
 
 class PolicyLayer:
     """Dispatch ordering over the execution layer.
 
     Args:
-        ranker: base dispatch order (see :mod:`repro.online.rankers`).
+        ranker: base dispatch order (see :mod:`repro.schedulers.rules`).
         execution: the execution layer being driven.
     """
 

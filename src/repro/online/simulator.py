@@ -38,9 +38,9 @@ from typing import Optional, Sequence
 from ..config import ClusterConfig
 from ..faults.plan import FaultPlan
 from ..schedulers.base import Scheduler
+from ..schedulers.rules import Ranker
 from ..telemetry import runtime as _telemetry
 from .engine import ShardedEngine, ShardSpec
-from .rankers import Ranker
 from .reporting import ReportingLayer
 from .results import ArrivingJob, JobOutcome, OnlineResult, verify_execution
 from .workload import validate_stream
@@ -81,7 +81,7 @@ class OnlineSimulator:
 
         Args:
             jobs: the arrival stream.
-            ranker: base dispatch order (see :mod:`repro.online.rankers`).
+            ranker: base dispatch order (see :mod:`repro.schedulers.rules`).
             faults: seeded fault model to execute under; ``None`` runs
                 fault-free (the historical behaviour, unchanged).
             rescheduler: scheduler replanning each job's residual DAG

@@ -18,6 +18,7 @@ records are trajectory decisions, as a rollout trainer's are.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -28,7 +29,7 @@ from ..env.actions import PROCESS
 from ..env.scheduling_env import SchedulingEnv
 from ..errors import EnvironmentStateError
 from ..schedulers.base import Policy
-from ..schedulers.policies import CriticalPathPolicy
+from ..schedulers.policies import greedy_policy
 from ..telemetry import runtime as _telemetry
 from ..utils.rng import SeedLike
 from .network import PolicyNetwork
@@ -63,7 +64,9 @@ class ImitationTrainer(TrainerBase):
     ) -> None:
         super().__init__(network, env_config, training, seed)
         self.teacher_factory = (
-            teacher_factory if teacher_factory is not None else CriticalPathPolicy
+            teacher_factory
+            if teacher_factory is not None
+            else partial(greedy_policy, "cp")
         )
 
     # ------------------------------------------------------------------ #

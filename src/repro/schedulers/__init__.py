@@ -3,17 +3,20 @@
 * :class:`Policy` + :func:`run_policy` — the event-driven execution model
   shared by every dynamic scheduler (a policy repeatedly picks one action
   from the environment's legal set).
-* Baselines of Sec. V: :class:`RandomPolicy`, :class:`SjfPolicy` (shortest
-  job first), :class:`CriticalPathPolicy` (largest b-level),
-  :class:`TetrisPolicy` (alignment-score packing), and
-  :class:`GrapheneScheduler` (troublesome-task planning with forward and
-  backward space-time placement).
+* Baselines of Sec. V: :class:`RandomPolicy`, the list heuristics —
+  SJF (shortest job first), CP (largest b-level), Tetris
+  (alignment-score packing), HEFT, LPT and FIFO, each one ranking rule
+  in :mod:`~repro.schedulers.rules` run by :class:`GreedyPolicy`
+  (:func:`greedy_policy` builds one by name; the online dispatch reads
+  the same rules) — and :class:`GrapheneScheduler` (troublesome-task
+  planning with forward and backward space-time placement).
 * :class:`BranchAndBoundScheduler` — exact makespan minimization for small
   instances, used to certify optimality in tests.
 """
 
 from .base import (
     Policy,
+    GreedyPolicy,
     Scheduler,
     SchedulerWrapper,
     PolicyScheduler,
@@ -21,16 +24,10 @@ from .base import (
     ScheduleRequest,
     run_policy,
 )
-from .policies import (
-    RandomPolicy,
-    SjfPolicy,
-    CriticalPathPolicy,
-    PriorityListPolicy,
-)
-from .tetris import TetrisPolicy
+from .policies import RandomPolicy, TetrisPolicy, greedy_policy
+from .rules import RANKERS
 from .graphene import GrapheneScheduler, GraphenePlan
 from .exact import BranchAndBoundScheduler
-from .listsched import HeftPolicy, LptPolicy, FifoPolicy
 from .registry import (
     TelemetryScheduler,
     VerifyingScheduler,
@@ -44,6 +41,7 @@ from .rescheduler import ReschedulingScheduler
 
 __all__ = [
     "Policy",
+    "GreedyPolicy",
     "Scheduler",
     "SchedulerWrapper",
     "PolicyScheduler",
@@ -51,16 +49,12 @@ __all__ = [
     "ScheduleRequest",
     "run_policy",
     "RandomPolicy",
-    "SjfPolicy",
-    "CriticalPathPolicy",
-    "PriorityListPolicy",
     "TetrisPolicy",
+    "greedy_policy",
+    "RANKERS",
     "GrapheneScheduler",
     "GraphenePlan",
     "BranchAndBoundScheduler",
-    "HeftPolicy",
-    "LptPolicy",
-    "FifoPolicy",
     "available_schedulers",
     "make_scheduler",
     "compose_scheduler",

@@ -5,10 +5,11 @@ Two complementary interfaces coexist:
 * :class:`Policy` — a *dynamic* decision rule: given the live environment,
   pick one action (:meth:`Policy.select`), or play a whole episode
   (:meth:`Policy.playout`, the entry point every episode runner calls).
-  All greedy baselines (Tetris, SJF, CP, ...) are :class:`GreedyPolicy`
-  ranking rules and the DRL agent is a policy; both override ``playout``
-  with :meth:`SchedulingEnv.policy_playout`, which calls them only where
-  they have a choice to make (DESIGN.md Sec. 16.7).
+  All greedy baselines (Tetris, SJF, CP, ...) are one :class:`GreedyPolicy`
+  over their :mod:`~repro.schedulers.rules` key and the DRL agent is a
+  policy; both override ``playout`` with
+  :meth:`SchedulingEnv.policy_playout`, which calls them only where they
+  have a choice to make (DESIGN.md Sec. 16.7).
 * :class:`Scheduler` — anything that turns a scheduling *request* into a
   :class:`Schedule`.  :class:`PolicyScheduler` adapts a policy factory into
   a scheduler by rolling an episode; planners like Graphene and search
@@ -37,6 +38,7 @@ from ..env.scheduling_env import SchedulingEnv, step_limit_exceeded
 from ..errors import ConfigError
 from ..metrics.schedule import Schedule
 from ..utils.timing import Stopwatch
+from .rules import Ranker, TaskContext
 
 __all__ = [
     "Policy",
@@ -107,21 +109,39 @@ class Policy(abc.ABC):
 
 
 class GreedyPolicy(Policy):
-    """A work-conserving list heuristic, reduced to its ranking rule.
+    """A work-conserving list heuristic: one ranking rule, run offline.
 
     Whenever a visible ready task fits in free capacity one is started;
     only when nothing fits is the cluster processed.  List heuristics
-    differ purely in *which* fitting task goes first, so that is all a
-    subclass writes (:meth:`choose`); a state with a single candidate —
-    two thirds of an episode — never reaches it.  Subclasses define
-    neither ``select`` nor ``playout``.
+    differ purely in *which* fitting task goes first: the one with the
+    smallest :mod:`~repro.schedulers.rules` key, the rule the online
+    dispatch reads too.  A state with a single candidate — two thirds of
+    an episode — never reaches :meth:`choose`.
+
+    Args:
+        ranker: the ranking rule (e.g. ``RANKERS["cp"]``).
+        name: report label.
     """
 
-    @abc.abstractmethod
+    def __init__(self, ranker: Ranker, name: str) -> None:
+        self.ranker = ranker
+        self.name = name
+
     def choose(self, env: SchedulingEnv, fitting: List[Action]) -> Action:
         """Pick one of ``fitting``: the visible-window indices, ascending,
         of two or more ready tasks that fit now (never ``PROCESS``).
         ``env`` is in the state being decided and must only be read."""
+        graph = env.graph
+        visible = env.visible_ready()
+        free = env.cluster.available
+        now = env.now
+        ranker = self.ranker
+        return min(
+            fitting,
+            key=lambda a: ranker(
+                TaskContext(graph.task(visible[a]), 0, 0, a, graph, None, free, now)
+            ),
+        )
 
     def select(self, env: SchedulingEnv) -> Action:
         candidates = env.expansion_actions()

@@ -18,8 +18,8 @@ the derived task order *online*:
    feasible start after all already-placed parents finish; this fills the
    space around ``T`` while keeping parents before children.
 4. **Derive a total order** by virtual start time and execute it with a
-   dependency- and capacity-respecting online list scheduler
-   (:class:`PriorityListPolicy`).  Virtual placements may violate
+   dependency- and capacity-respecting online list scheduler (a
+   :class:`GreedyPolicy` over :func:`plan_priority_ranker`).  Virtual placements may violate
    dependencies around the pre-placed ``T`` tasks; the online pass
    guarantees the final schedule is feasible regardless.
 
@@ -40,8 +40,14 @@ from ..env.scheduling_env import SchedulingEnv
 from ..errors import CapacityError, PlacementError
 from ..metrics.schedule import Schedule
 from ..utils.timing import Stopwatch
-from .base import Scheduler, ScheduleRequest, _planning_config, run_policy
-from .policies import PriorityListPolicy
+from .base import (
+    GreedyPolicy,
+    Scheduler,
+    ScheduleRequest,
+    _planning_config,
+    run_policy,
+)
+from .rules import plan_priority_ranker
 
 __all__ = ["GrapheneScheduler", "GraphenePlan"]
 
@@ -311,7 +317,7 @@ class GrapheneScheduler(Scheduler):
         with watch:
             for plan in self.candidate_plans(graph):
                 env = SchedulingEnv(graph, self.env_config)
-                policy = PriorityListPolicy(plan.order, name=self.name)
+                policy = GreedyPolicy(plan_priority_ranker([plan.order]), self.name)
                 candidate = run_policy(env, policy)
                 if best is None or candidate.makespan < best.makespan:
                     best = candidate

@@ -32,6 +32,7 @@ only this module has been imported.
 from __future__ import annotations
 
 import importlib
+from functools import partial
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..config import EnvConfig
@@ -49,10 +50,8 @@ from .base import (
 )
 from .exact import BranchAndBoundScheduler
 from .graphene import GrapheneScheduler
-from .listsched import FifoPolicy, HeftPolicy, LptPolicy
-from .policies import CriticalPathPolicy, RandomPolicy, SjfPolicy
+from .policies import RandomPolicy, greedy_policy
 from .rescheduler import ReschedulingScheduler
-from .tetris import TetrisPolicy
 
 __all__ = [
     "available_schedulers",
@@ -310,16 +309,21 @@ def _make_random(cfg: EnvConfig) -> PolicyScheduler:
     return PolicyScheduler(lambda: RandomPolicy(rng), cfg, name="random")
 
 
+def _greedy(name: str) -> Callable[[EnvConfig], PolicyScheduler]:
+    """The factory of the list heuristic ``name`` (a ``RANKERS`` rule)."""
+    return lambda cfg: PolicyScheduler(partial(greedy_policy, name), cfg, name=name)
+
+
 register("random", _make_random)
-register("sjf", lambda cfg: PolicyScheduler(SjfPolicy, cfg, name="sjf"))
-register("cp", lambda cfg: PolicyScheduler(CriticalPathPolicy, cfg, name="cp"))
-register("tetris", lambda cfg: PolicyScheduler(TetrisPolicy, cfg, name="tetris"))
+register("sjf", _greedy("sjf"))
+register("cp", _greedy("cp"))
+register("tetris", _greedy("tetris"))
 register("graphene", lambda cfg: GrapheneScheduler(env_config=cfg))
 register(
     "optimal",
     lambda cfg, **opts: BranchAndBoundScheduler(env_config=cfg, **opts),
     options={"max_nodes": int},
 )
-register("heft", lambda cfg: PolicyScheduler(HeftPolicy, cfg, name="heft"))
-register("lpt", lambda cfg: PolicyScheduler(LptPolicy, cfg, name="lpt"))
-register("fifo", lambda cfg: PolicyScheduler(FifoPolicy, cfg, name="fifo"))
+register("heft", _greedy("heft"))
+register("lpt", _greedy("lpt"))
+register("fifo", _greedy("fifo"))

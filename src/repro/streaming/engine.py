@@ -21,8 +21,8 @@ from typing import Optional
 from ..config import ClusterConfig
 from ..faults.plan import FaultPlan
 from ..online.engine import ShardedEngine, ShardSpec
-from ..online.rankers import Ranker
 from ..schedulers.base import Scheduler
+from ..schedulers.rules import Ranker
 from ..telemetry import runtime as _telemetry
 from .admission import AdmissionConfig
 from .arrivals import ArrivalProcess
@@ -63,7 +63,7 @@ class StreamingSimulator:
 
         Args:
             arrivals: the open workload source.
-            ranker: base dispatch order (see :mod:`repro.online.rankers`).
+            ranker: base dispatch order (see :mod:`repro.schedulers.rules`).
             admission: backpressure limits; ``None`` admits everything.
             horizon: run length in slots from the first arrival; the
                 stream is cut off past it (in-flight work drains).

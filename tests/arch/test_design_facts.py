@@ -87,23 +87,30 @@ def test_policy_memo_and_fused_playout_are_not_options():
 
 
 def test_a_list_heuristic_is_a_ranking_rule_on_the_one_episode_loop():
+    import repro.online as online
     from repro.mcts.policies import _PolicyRollout
-    from repro.schedulers import base, listsched, policies, tetris
+    from repro.schedulers import base, policies, rules
 
     for runner in (base.run_policy, _PolicyRollout.rollout, base.GreedyPolicy.playout):
         assert ".select(" not in inspect.getsource(runner), runner
-    heuristics = [
-        cls
-        for module in (policies, tetris, listsched)
-        for cls in vars(module).values()
-        if inspect.isclass(cls)
-        and issubclass(cls, base.GreedyPolicy)
-        and cls is not base.GreedyPolicy
+    # Each heuristic is one key in the rule table, read by both executors:
+    # an offline policy is the GreedyPolicy over its rule, and the online
+    # rankers are the table's own objects.
+    for name, ranker in rules.RANKERS.items():
+        policy = policies.greedy_policy(name)
+        assert policy.ranker is ranker and policy.name == name
+    for name in ("fifo", "sjf", "cp", "tetris"):
+        assert getattr(online, f"{name}_ranker") is rules.RANKERS[name]
+    assert online.plan_priority_ranker is rules.plan_priority_ranker
+    keys = grep(r"^def (?!resolve_)\w+_ranker\(", SRC)
+    assert files_of(keys) == ["src/repro/schedulers/rules.py"]
+    # Tetris's loop is the one specialised evaluation of a rule.
+    assert files_of(grep(r"\(GreedyPolicy\):", SRC)) == ["src/repro/schedulers/policies.py"]
+    assert set(vars(policies.TetrisPolicy)) & {"select", "playout"} == set()
+    assert files_of(grep(r"def choose\(", SRC)) == [
+        "src/repro/schedulers/base.py",
+        "src/repro/schedulers/policies.py",
     ]
-    assert len(heuristics) == 7, heuristics
-    for cls in heuristics:
-        assert "choose" in vars(cls), cls
-        assert not {"select", "playout"} & set(vars(cls)), cls
     # The default Policy.playout is the only select -> step episode loop
     # left where episodes are run.
     loops = grep(

@@ -2,7 +2,8 @@
 
 ``heuristic_plan_golden.json`` holds, for each of ``tetris sjf cp heft
 lpt fifo graphene`` (Graphene's online half: a
-:class:`PriorityListPolicy` over one of its derived orders, plus the same
+:func:`~repro.schedulers.rules.plan_priority_ranker` over one of its
+derived orders, plus the same
 order with every other task missing so the rank fallback is exercised):
 
 * ``episode/...`` — ``start_times()``, ``steps_taken`` and the makespan of
@@ -12,8 +13,8 @@ order with every other task missing so the rank fallback is exercised):
   unit-slot processing, through the default window and through
   ``max_ready=3`` (so a backlog exists);
 * ``rollout/...`` — ``GreedyRollout().rollout`` makespans from the same
-  fresh and mid-episode states (default Tetris, and CP, which caches
-  per-graph features in ``begin_episode``);
+  fresh and mid-episode states (default Tetris, and CP, which reads
+  per-graph features);
 * ``plan/...`` — the placements the registry schedulers (``graphene``
   being the whole planner here) return for a replan request whose
   cluster snapshot carries degraded capacities.
@@ -34,26 +35,18 @@ import numpy as np
 from repro import ClusterConfig, EnvConfig, ScheduleRequest, make_scheduler
 from repro.env.scheduling_env import SchedulingEnv
 from repro.mcts.policies import GreedyRollout
-from repro.schedulers.base import run_policy
+from repro.schedulers.base import GreedyPolicy, run_policy
 from repro.schedulers.graphene import GrapheneScheduler
-from repro.schedulers.listsched import FifoPolicy, HeftPolicy, LptPolicy
-from repro.schedulers.policies import CriticalPathPolicy, PriorityListPolicy, SjfPolicy
-from repro.schedulers.tetris import TetrisPolicy
+from repro.schedulers.policies import greedy_policy
+from repro.schedulers.rules import plan_priority_ranker
 from tests.golden import degraded_request, expected, graph, layered, placements
 
 FILE = "heuristic_plan_golden.json"
 LAYOUT = "one-case-per-line"
 
-CLASSES = {
-    "tetris": TetrisPolicy,
-    "sjf": SjfPolicy,
-    "cp": CriticalPathPolicy,
-    "heft": HeftPolicy,
-    "lpt": LptPolicy,
-    "fifo": FifoPolicy,
-}
-POLICIES = (*CLASSES, "graphene", "priority-partial")
-SCHEDULERS = (*CLASSES, "graphene")
+HEURISTICS = ("tetris", "sjf", "cp", "heft", "lpt", "fifo")
+POLICIES = (*HEURISTICS, "graphene", "priority-partial")
+SCHEDULERS = (*HEURISTICS, "graphene")
 #: The case's graph name -> the catalogue's (this golden's MapReduce DAG
 #: has demand ties; Graphene's has none).
 GRAPHS = {
@@ -111,12 +104,12 @@ def graphene_order(graph_name: str):
 
 
 def make_policy(name: str, graph_name: str):
-    if name in CLASSES:
-        return CLASSES[name]()
+    if name in HEURISTICS:
+        return greedy_policy(name)
     order = graphene_order(graph_name)
     if name == "priority-partial":
         order = order[1::2]
-    return PriorityListPolicy(order, name=name)
+    return GreedyPolicy(plan_priority_ranker([order]), name)
 
 
 def make_env(graph_name: str, env_label: str, prefix: bool):
@@ -154,7 +147,7 @@ def rollouts(graph_name: str, env_label: str) -> dict:
         ]
         for label, rollout in (
             ("default", GreedyRollout()),
-            ("cp", GreedyRollout(CriticalPathPolicy)),
+            ("cp", GreedyRollout(functools.partial(greedy_policy, "cp"))),
         )
     }
 

@@ -3,7 +3,9 @@
 Two implementations of "the same thing" must agree:
 
 * the online simulator with a single job arriving at t=0 vs the offline
-  environment executor under the matching policy;
+  environment executor under the same rule, on four fixed 10-task DAGs
+  and a small cluster (random DAGs up to 100 tasks and closed batches:
+  ``tests/property/test_online_offline_differential.py``);
 * the network policy's empirical sampling frequencies vs the distribution
   the network reports;
 * Graphene's virtual makespan vs the online execution of its own order on
@@ -20,13 +22,7 @@ from repro.dag.generators import random_layered_dag
 from repro.config import WorkloadConfig
 from repro.env import SchedulingEnv
 from repro.online import ArrivingJob, OnlineSimulator, fifo_ranker, sjf_ranker, tetris_ranker
-from repro.schedulers import (
-    FifoPolicy,
-    ScheduleRequest,
-    SjfPolicy,
-    TetrisPolicy,
-    run_policy,
-)
+from repro.schedulers import ScheduleRequest, greedy_policy, run_policy
 
 
 def workload(seed, num_tasks=10):
@@ -41,15 +37,11 @@ class TestOnlineVsOffline:
     """A single job at t=0 must behave identically in both simulators."""
 
     @pytest.mark.parametrize(
-        "ranker,policy_factory",
-        [
-            (fifo_ranker, FifoPolicy),
-            (sjf_ranker, SjfPolicy),
-            (tetris_ranker, TetrisPolicy),
-        ],
+        "ranker,name",
+        [(fifo_ranker, "fifo"), (sjf_ranker, "sjf"), (tetris_ranker, "tetris")],
     )
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_single_job_makespans_agree(self, ranker, policy_factory, seed):
+    def test_single_job_makespans_agree(self, ranker, name, seed):
         graph = workload(seed)
         capacities = (10, 10)
 
@@ -65,8 +57,9 @@ class TestOnlineVsOffline:
                 process_until_completion=True,
             ),
         )
-        offline = run_policy(env, policy_factory())
+        offline = run_policy(env, greedy_policy(name))
         assert online.makespan == offline.makespan
+        assert online.executed[0].as_dict() == offline.as_dict()
 
 
 class TestSamplingDistribution:

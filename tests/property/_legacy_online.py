@@ -31,7 +31,7 @@ from repro.faults.injector import FaultInjector, TaskAttempt
 from repro.faults.plan import FaultPlan
 from repro.metrics.schedule import Schedule
 from repro.online.execution import ActiveJob
-from repro.online.rankers import Ranker, TaskContext
+from repro.schedulers.rules import Ranker, TaskContext
 from repro.online.results import ArrivingJob, JobOutcome, OnlineResult
 from repro.schedulers.base import ClusterSnapshot, Scheduler, ScheduleRequest
 
@@ -287,6 +287,8 @@ def legacy_run(
                                 task=task,
                                 job_index=job.index,
                                 arrival_time=job.arrival,
+                                ready_seq=job.ready_seq[tid],
+                                graph=job.graph,
                                 features=job.features,
                                 free=free,
                                 now=state.now,
@@ -362,6 +364,7 @@ def legacy_run(
             job.unmet[child] -= 1
             if job.unmet[child] == 0:
                 job.ready.append(child)
+                job.ready_seq[child] = len(job.ready_seq)
         if job.remaining == 0:
             outcomes.append(job.outcome(state.now))
             executed[job.index] = job.executed_schedule(exec_label)

@@ -15,13 +15,7 @@ from repro.dag.analysis import makespan_lower_bound
 from repro.dag.generators import random_layered_dag
 from repro.env import PROCESS, SchedulingEnv
 from repro.metrics import validate_schedule
-from repro.schedulers import (
-    CriticalPathPolicy,
-    RandomPolicy,
-    SjfPolicy,
-    TetrisPolicy,
-    run_policy,
-)
+from repro.schedulers import RandomPolicy, greedy_policy, run_policy
 
 CAPS = (10, 10)
 
@@ -87,9 +81,9 @@ def test_all_baseline_policies_produce_feasible_schedules(seed, num_tasks):
     serial = sum(task.runtime for task in graph)
     bound = makespan_lower_bound(graph, CAPS)
     for policy in (
-        SjfPolicy(),
-        CriticalPathPolicy(),
-        TetrisPolicy(),
+        greedy_policy("sjf"),
+        greedy_policy("cp"),
+        greedy_policy("tetris"),
         RandomPolicy(seed=0),
     ):
         env = make_env(graph, until_completion=True)
@@ -105,12 +99,12 @@ def test_event_granularity_does_not_change_policy_outcomes(seed, num_tasks):
     makespans whether PROCESS advances one slot or jumps to the next
     completion — the two granularities are observationally equivalent."""
     graph = make_graph(seed, num_tasks)
-    for policy_factory in (SjfPolicy, CriticalPathPolicy, TetrisPolicy):
+    for name in ("sjf", "cp", "tetris"):
         slotwise = run_policy(
-            make_env(graph, until_completion=False), policy_factory()
+            make_env(graph, until_completion=False), greedy_policy(name)
         )
         eventwise = run_policy(
-            make_env(graph, until_completion=True), policy_factory()
+            make_env(graph, until_completion=True), greedy_policy(name)
         )
         assert slotwise.makespan == eventwise.makespan
         assert slotwise.as_dict() == eventwise.as_dict()

@@ -31,13 +31,9 @@ from repro.core.pipeline import default_graph_network, default_network
 from repro.dag import random_layered_dag
 from repro.env.scheduling_env import SchedulingEnv
 from repro.rl.agent import PolicyMemo
-from repro.schedulers.listsched import FifoPolicy, HeftPolicy, LptPolicy
-from repro.schedulers.policies import (
-    CriticalPathPolicy,
-    PriorityListPolicy,
-    SjfPolicy,
-)
-from repro.schedulers.tetris import TetrisPolicy
+from repro.schedulers.base import GreedyPolicy
+from repro.schedulers.policies import TetrisPolicy, greedy_policy
+from repro.schedulers.rules import plan_priority_ranker
 
 MAX_READY = 3
 LIMIT = 10_000
@@ -152,14 +148,7 @@ def test_fused_playout_equals_select_step_loop(
     assert outcomes[True] == outcomes[False]
 
 
-HEURISTICS = {
-    "tetris": TetrisPolicy,
-    "sjf": SjfPolicy,
-    "cp": CriticalPathPolicy,
-    "heft": HeftPolicy,
-    "lpt": LptPolicy,
-    "fifo": FifoPolicy,
-}
+HEURISTICS = ("tetris", "sjf", "cp", "heft", "lpt", "fifo")
 
 
 @settings(max_examples=120, deadline=None)
@@ -190,9 +179,9 @@ def test_heuristic_playout_equals_select_step_loop(
             actions = env.legal_actions()
             env.step(actions[int(prefix_rng.integers(len(actions)))])
         if name == "priority-list":
-            policy = PriorityListPolicy(order)
+            policy = GreedyPolicy(plan_priority_ranker([order]), name)
         else:
-            policy = HEURISTICS[name]()
+            policy = greedy_policy(name)
         policy.begin_episode(env)
         if fused:
             makespan = policy.playout(env, LIMIT)

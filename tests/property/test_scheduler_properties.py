@@ -108,7 +108,8 @@ def test_every_registered_scheduler_is_verifier_clean(seed, num_tasks):
 @given(seed=st.integers(0, 2**32 - 1), num_tasks=st.integers(2, 10))
 def test_graphene_best_of_candidates_is_minimal(seed, num_tasks):
     from repro.env import SchedulingEnv
-    from repro.schedulers import PriorityListPolicy, run_policy
+    from repro.schedulers import GreedyPolicy, run_policy
+    from repro.schedulers.rules import plan_priority_ranker
 
     graph = tiny_graph(seed, num_tasks)
     scheduler = GrapheneScheduler(env_config=ENV)
@@ -116,5 +117,5 @@ def test_graphene_best_of_candidates_is_minimal(seed, num_tasks):
     singles = []
     for plan in scheduler.candidate_plans(graph):
         env = SchedulingEnv(graph, ENV)
-        singles.append(run_policy(env, PriorityListPolicy(plan.order)).makespan)
+        singles.append(run_policy(env, GreedyPolicy(plan_priority_ranker([plan.order]), "plan")).makespan)
     assert best == min(singles)

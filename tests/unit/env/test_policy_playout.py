@@ -28,14 +28,12 @@ from repro.errors import CapacityError, ConfigError, EnvironmentStateError
 from repro.mcts.policies import GreedyRollout
 from repro.rl.agent import NetworkPolicyBase, PolicyMemo, candidate_actions
 from repro.schedulers.base import GreedyPolicy, Policy, run_policy
-from repro.schedulers.listsched import FifoPolicy, HeftPolicy, LptPolicy
-from repro.schedulers.policies import (
-    CriticalPathPolicy,
-    PriorityListPolicy,
-    RandomPolicy,
-    SjfPolicy,
+from repro.schedulers.policies import RandomPolicy, TetrisPolicy, greedy_policy
+from repro.schedulers.rules import (
+    alignment_score,
+    plan_priority_ranker,
+    tetris_ranker,
 )
-from repro.schedulers.tetris import TetrisPolicy, alignment_score
 from tests.golden import spear as spear_golden
 
 MAX_READY = 3  # narrower than the DAGs' layers, so a backlog exists
@@ -399,25 +397,31 @@ def _half_order(graph):
 
 
 HEURISTICS = {
-    "tetris": lambda graph: TetrisPolicy(),
-    "sjf": lambda graph: SjfPolicy(),
-    "cp": lambda graph: CriticalPathPolicy(),
-    "priority-list": lambda graph: PriorityListPolicy(_half_order(graph)),
-    "heft": lambda graph: HeftPolicy(),
-    "lpt": lambda graph: LptPolicy(),
-    "fifo": lambda graph: FifoPolicy(),
+    "tetris": lambda graph: greedy_policy("tetris"),
+    "sjf": lambda graph: greedy_policy("sjf"),
+    "cp": lambda graph: greedy_policy("cp"),
+    "priority-list": lambda graph: GreedyPolicy(
+        plan_priority_ranker([_half_order(graph)]), "priority-list"
+    ),
+    "heft": lambda graph: greedy_policy("heft"),
+    "lpt": lambda graph: greedy_policy("lpt"),
+    "fifo": lambda graph: greedy_policy("fifo"),
 }
 
 
 def test_the_seven_heuristics_are_the_greedy_policies():
-    """One ``select`` and one ``playout`` for all of them: a subclass
-    writes its ranking rule and nothing else."""
-    classes = {type(make(chain_dag([1]))) for make in HEURISTICS.values()}
-    assert len(classes) == 7
-    for cls in classes:
+    """One ``select``, one ``playout`` and one ``choose`` for all of them:
+    a heuristic is its ranking rule and nothing else.  Tetris alone keeps
+    a hand-rolled ``choose`` (the served heuristic; it evaluates the same
+    rule, see the argmax test below)."""
+    policies = [make(chain_dag([1])) for make in HEURISTICS.values()]
+    assert len({policy.ranker for policy in policies}) == 7
+    for policy in policies:
+        cls = type(policy)
         assert issubclass(cls, GreedyPolicy)
         assert cls.select is GreedyPolicy.select
         assert cls.playout is GreedyPolicy.playout
+        assert (cls.choose is GreedyPolicy.choose) == (cls is not TetrisPolicy)
         assert "choose" in vars(cls)
     assert not issubclass(RandomPolicy, GreedyPolicy)
     assert RandomPolicy.playout is Policy.playout
@@ -503,10 +507,10 @@ def test_choose_runs_once_per_real_decision_and_select_never(name, runner):
         expected = decided_states(env, plain)
         calls = []
         spy_class = _spied(type(plain), calls)
-        if name == "priority-list":
-            make = lambda: spy_class(_half_order(graph))
-        else:
+        if spy_class.__base__ is TetrisPolicy:
             make = spy_class
+        else:
+            make = lambda: spy_class(plain.ranker, plain.name)
         runner(make, env)
         assert env.done
         assert calls == expected and len(calls) > 0
@@ -520,7 +524,7 @@ def test_select_returns_a_single_candidate_without_ranking():
         def choose(self, env, fitting):
             raise AssertionError("nothing to rank")
 
-    policy = NoRanking()
+    policy = NoRanking(tetris_ranker, "no-ranking")
     env = SchedulingEnv(chain_dag([2, 3], demands=[(2, 1)] * 2), env_config())
     assert policy.select(env) == 0  # one task fits, nothing runs
     env.step(0)
@@ -540,8 +544,9 @@ def test_select_returns_a_single_candidate_without_ranking():
 
 @pytest.mark.parametrize("capacities", [(10, 10), (10, 10, 10)], ids=["2d", "3d"])
 def test_tetris_choose_is_the_argmax_of_alignment_score(capacities):
-    """``choose`` is a hand-rolled loop; ``alignment_score`` stays the
-    public definition of what it maximizes (ties to the smaller id)."""
+    """``choose`` is a hand-rolled loop; ``tetris_ranker`` stays the
+    definition of what it picks: the smallest key, i.e. the highest
+    alignment score, ties to the smaller id."""
     workload = WorkloadConfig(
         num_tasks=40, max_runtime=5, max_demand=3,
         runtime_mean=3, runtime_std=1, demand_mean=2, demand_std=1,
@@ -552,6 +557,7 @@ def test_tetris_choose_is_the_argmax_of_alignment_score(capacities):
         process_until_completion=True,
     )
     policy = TetrisPolicy()
+    by_key = GreedyPolicy(tetris_ranker, "tetris")
     decided = ties = 0
     for graph_seed in range(12):
         graph = random_layered_dag(
@@ -564,17 +570,15 @@ def test_tetris_choose_is_the_argmax_of_alignment_score(capacities):
             if len(fitting) > 1:
                 visible = env.visible_ready()
                 available = env.cluster.available
-                keys = {
-                    a: (
-                        -alignment_score(graph.task(visible[a]).demands, available),
-                        visible[a],
-                    )
+                expected = by_key.choose(env, list(fitting))
+                assert policy.choose(env, list(fitting)) == expected
+                assert policy.select(env) == expected
+                decided += 1
+                scores = {
+                    alignment_score(graph.task(visible[a]).demands, available)
                     for a in fitting
                 }
-                assert policy.choose(env, list(fitting)) == min(fitting, key=keys.get)
-                assert policy.select(env) == min(fitting, key=keys.get)
-                decided += 1
-                ties += len({score for score, _ in keys.values()}) < len(keys)
+                ties += len(scores) < len(fitting)
             # Wander: any legal move, so odd states are ranked too.
             actions = env.legal_actions()
             env.step(actions[int(chooser.integers(len(actions)))])
@@ -585,7 +589,7 @@ class _ViaSelect(Policy):
     """A custom policy: only ``select``, so the default ``playout``."""
 
     def __init__(self) -> None:
-        self._inner = SjfPolicy()
+        self._inner = greedy_policy("sjf")
 
     def select(self, env):
         return self._inner.select(env)
@@ -596,7 +600,7 @@ class _ViaSelect(Policy):
     "make",
     [
         pytest.param(_ViaSelect, id="default"),
-        pytest.param(SjfPolicy, id="greedy"),
+        pytest.param(lambda: greedy_policy("sjf"), id="greedy"),
         pytest.param(
             lambda: make_network("mlp").make_policy(mode="greedy", seed=0),
             id="network",

@@ -8,7 +8,7 @@ from repro.federation import (
     FederationComparison,
     ShardSpec,
 )
-from repro.online.rankers import fifo_ranker, sjf_ranker
+from repro.online import fifo_ranker, sjf_ranker
 from repro.streaming import (
     PoissonProcess,
     StreamingSimulator,

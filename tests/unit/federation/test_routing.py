@@ -14,7 +14,7 @@ from repro.federation import (
     parse_router_spec,
     split_capacities,
 )
-from repro.online.rankers import fifo_ranker
+from repro.online import fifo_ranker
 from repro.online.results import ArrivingJob
 from repro.sim import SimKernel
 from repro.telemetry import runtime as telemetry

@@ -16,7 +16,7 @@ from repro.federation import (
     ShardSpec,
     WorkStealer,
 )
-from repro.online.rankers import fifo_ranker, sjf_ranker
+from repro.online import fifo_ranker, sjf_ranker
 from repro.online.results import ArrivingJob
 from repro.schedulers import compose_scheduler
 from repro.streaming import AdmissionConfig, TraceArrivals

@@ -83,10 +83,14 @@ class TestImitation:
         assert after >= before
 
     def test_custom_teacher(self, net, cfg, training, graphs):
-        from repro.schedulers import SjfPolicy
+        from repro.schedulers import greedy_policy
 
         trainer = ImitationTrainer(
-            net, cfg, teacher_factory=SjfPolicy, training=training, seed=0
+            net,
+            cfg,
+            teacher_factory=lambda: greedy_policy("sjf"),
+            training=training,
+            seed=0,
         )
         records = trainer.collect(graphs[:1])
         assert len(records) > 0

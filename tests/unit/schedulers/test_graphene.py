@@ -95,12 +95,14 @@ class TestScheduling:
     def test_beats_or_matches_worst_plan(self, scheduler, small_random_graph):
         """best-of-8 must be at least as good as any single plan."""
         from repro.env import SchedulingEnv
-        from repro.schedulers import PriorityListPolicy, run_policy
+        from repro.schedulers import GreedyPolicy, run_policy
+        from repro.schedulers.rules import plan_priority_ranker
 
         best = scheduler.plan(ScheduleRequest(small_random_graph)).makespan
         for plan in scheduler.candidate_plans(small_random_graph):
             env = SchedulingEnv(small_random_graph, scheduler.env_config)
-            single = run_policy(env, PriorityListPolicy(plan.order))
+            policy = GreedyPolicy(plan_priority_ranker([plan.order]), "plan")
+            single = run_policy(env, policy)
             assert best <= single.makespan
 
     def test_custom_thresholds(self, env_config, small_random_graph):

@@ -1,4 +1,4 @@
-"""Unit tests for the classic list-scheduling baselines (HEFT/LPT/FIFO)."""
+"""Unit tests for the classic list-scheduling rules (HEFT/LPT/FIFO)."""
 
 import pytest
 
@@ -6,14 +6,7 @@ from repro.config import ClusterConfig, EnvConfig
 from repro.dag import Task, TaskGraph, independent_tasks_dag
 from repro.env import PROCESS, SchedulingEnv
 from repro.metrics import validate_schedule
-from repro.schedulers import (
-    FifoPolicy,
-    HeftPolicy,
-    LptPolicy,
-    ScheduleRequest,
-    make_scheduler,
-    run_policy,
-)
+from repro.schedulers import ScheduleRequest, greedy_policy, make_scheduler
 
 
 def env_for(graph, capacities=(10, 10)):
@@ -32,7 +25,7 @@ class TestHeft:
         tasks = [Task(0, 1, (1, 1)), Task(1, 1, (1, 1)), Task(2, 9, (1, 1))]
         graph = TaskGraph(tasks, [(0, 2)])
         env = env_for(graph)
-        policy = HeftPolicy()
+        policy = greedy_policy("heft")
         policy.begin_episode(env)
         assert policy.select(env) == 0  # rank 10 > rank 1
 
@@ -48,14 +41,14 @@ class TestHeft:
         ]
         graph = TaskGraph(tasks, [(0, 2), (0, 4), (1, 3)])
         env = env_for(graph)
-        policy = HeftPolicy()
+        policy = greedy_policy("heft")
         policy.begin_episode(env)
         assert policy.select(env) == 1
 
     def test_processes_when_blocked(self):
         graph = independent_tasks_dag([2, 2], demands=[(8, 8), (8, 8)])
         env = env_for(graph)
-        policy = HeftPolicy()
+        policy = greedy_policy("heft")
         policy.begin_episode(env)
         env.step(policy.select(env))
         assert policy.select(env) == PROCESS
@@ -63,28 +56,28 @@ class TestHeft:
     def test_lazy_rank_computation(self):
         graph = independent_tasks_dag([1, 2], demands=[(1, 1)] * 2)
         env = env_for(graph)
-        assert HeftPolicy().select(env) in (0, 1)  # no begin_episode call
+        assert greedy_policy("heft").select(env) in (0, 1)  # no begin_episode call
 
 
 class TestLpt:
     def test_longest_first(self):
         graph = independent_tasks_dag([2, 9, 5], demands=[(1, 1)] * 3)
         env = env_for(graph)
-        assert LptPolicy().select(env) == 1
+        assert greedy_policy("lpt").select(env) == 1
 
     def test_tie_by_id(self):
         graph = independent_tasks_dag([4, 4], demands=[(1, 1)] * 2)
         env = env_for(graph)
-        assert LptPolicy().select(env) == 0
+        assert greedy_policy("lpt").select(env) == 0
 
 
 class TestFifo:
     def test_takes_first_fitting(self):
         graph = independent_tasks_dag([1, 1, 1], demands=[(8, 8), (2, 2), (2, 2)])
         env = env_for(graph)
-        env.step(FifoPolicy().select(env))  # starts task 0
+        env.step(greedy_policy("fifo").select(env))  # starts task 0
         # Task 0 hogs most of the cluster; the first fitting slot is task 1.
-        assert env.visible_ready()[FifoPolicy().select(env)] == 1
+        assert env.visible_ready()[greedy_policy("fifo").select(env)] == 1
 
 
 class TestRegistryIntegration:

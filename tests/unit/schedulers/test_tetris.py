@@ -8,7 +8,7 @@ from repro.dag.examples import MOTIVATING_CAPACITY, MOTIVATING_T
 from repro.env import PROCESS, SchedulingEnv
 from repro.metrics import validate_schedule
 from repro.schedulers import TetrisPolicy, run_policy
-from repro.schedulers.tetris import alignment_score
+from repro.schedulers.rules import alignment_score
 
 
 def env_for(graph, capacities=(10, 10)):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import ClusterConfig
 from repro.errors import ConfigError
-from repro.online.rankers import sjf_ranker, tetris_ranker
+from repro.online import sjf_ranker, tetris_ranker
 from repro.online.results import ArrivingJob, verify_execution
 from repro.streaming import (
     AdmissionConfig,

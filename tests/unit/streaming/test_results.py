@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.config import ClusterConfig
-from repro.online.rankers import sjf_ranker
+from repro.online import sjf_ranker
 from repro.streaming import (
     PoissonProcess,
     StreamingSimulator,
