@@ -129,10 +129,6 @@ def random_layered_dag(
         )
         for _ in range(num_resources)
     ]
-    tasks = [
-        Task(i, runtime, demands, f"{name_prefix}{i}")
-        for i, (runtime, demands) in enumerate(zip(runtimes, zip(*columns)))
-    ]
 
     layer_sizes = _draw_layers(rng, cfg.num_tasks, cfg.min_width, cfg.max_width)
     layers: List[range] = []
@@ -170,7 +166,15 @@ def random_layered_dag(
                 v = lower[int(rng.integers(0, width))] if width > 1 else lower[0]
                 edges.append((u, v))
 
-    return TaskGraph(tasks, edges)
+    # Clamped to [1, max] as exact ints, the columns obey ``check_task``.
+    ids = range(cfg.num_tasks)
+    return TaskGraph._from_columns(
+        ids,
+        runtimes,
+        list(zip(*columns)),
+        [f"{name_prefix}{i}" for i in ids],
+        edges,
+    )
 
 
 def random_layered_dags(

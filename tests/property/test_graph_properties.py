@@ -1,6 +1,7 @@
 """Property-based tests on graphs, features and generators."""
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import assume, given, settings
 
 from repro.config import WorkloadConfig
@@ -191,7 +192,15 @@ def reference_graph(tasks, edges):
 
 def built(tasks, edges):
     """What :class:`TaskGraph` makes of the same input, in the same shape."""
-    graph = TaskGraph(tasks, edges)
+    return shape(TaskGraph(tasks, edges), tasks)
+
+
+def loaded(tasks, edges):
+    """What the loader makes of the same input, as a payload."""
+    return shape(graph_from_dict(payload_of(tasks, edges)), tasks)
+
+
+def shape(graph, tasks):
     assert dict(graph.child_table()) == {t: graph.children(t) for t in graph.task_ids}
     assert dict(graph.parent_table()) == {t: graph.parents(t) for t in graph.task_ids}
     assert dict(graph.demand_table()) == {t.task_id: t.demands for t in tasks}
@@ -205,9 +214,9 @@ def built(tasks, edges):
     )
 
 
-def outcome(build, tasks, edges):
+def outcome(build, *args):
     try:
-        return build(tasks, edges)
+        return build(*args)
     except Exception as exc:  # the class and message are what is compared
         return type(exc), str(exc)
 
@@ -245,6 +254,7 @@ def dag_inputs(draw):
 def test_construction_equals_the_per_edge_reference(inputs):
     tasks, edges = inputs
     assert outcome(built, tasks, edges) == outcome(reference_graph, tasks, edges)
+    assert outcome(loaded, tasks, edges) == outcome(reference_graph, tasks, edges)
     # A generator of edges is read once, like a list.
     assert outcome(built, tasks, iter(edges)) == outcome(reference_graph, tasks, edges)
 
@@ -293,3 +303,202 @@ def test_every_error_keeps_its_class_and_message(inputs, fault, faults, data):
     expected = outcome(reference_graph, tasks, edges)
     assert isinstance(expected[0], type), "the fault must be an error"
     assert outcome(built, tasks, edges) == expected
+    assert outcome(loaded, tasks, edges) == expected
+
+
+# ---------------------------------------------------------------------- #
+# A column-built graph (the loader, the generator) == the Task-built one
+# ---------------------------------------------------------------------- #
+
+
+def payload_of(tasks, edges, names=None):
+    """A :func:`graph_to_dict`-shaped payload of tasks and edges, in the
+    order given."""
+    return {
+        "version": 1,
+        "tasks": [
+            {
+                "id": task.task_id,
+                "runtime": task.runtime,
+                "demands": list(task.demands),
+                "name": task.name if names is None else names[i],
+            }
+            for i, task in enumerate(tasks)
+        ],
+        "edges": [list(edge) for edge in edges],
+    }
+
+
+def task_built_from_dict(payload):
+    """The loader as it was when it made one validated :class:`Task` per
+    entry and handed them to ``TaskGraph(tasks, edges)``: the column
+    builder's oracle, errors included."""
+    from repro.dag import Task
+    from repro.dag.io import is_integer_list
+    from repro.errors import TraceError
+
+    if not isinstance(payload, dict):
+        raise TraceError(f"expected a dict payload, got {type(payload).__name__}")
+    version = payload.get("version")
+    if version != 1:
+        raise TraceError(f"unsupported graph schema version {version!r}")
+    try:
+        tasks = []
+        for entry in payload["tasks"]:
+            task_id, runtime, demands = entry["id"], entry["runtime"], entry["demands"]
+            name = entry.get("name")
+            if (
+                type(task_id) is not int
+                or type(runtime) is not int
+                or not is_integer_list(demands)
+            ):
+                raise TraceError(
+                    f"task #{len(tasks)}: id and runtime must be JSON "
+                    "integers, demands a list of them"
+                )
+            if name is not None and type(name) is not str:
+                raise TraceError(f"task {task_id}: name must be a string or null")
+            tasks.append(Task(task_id, runtime, tuple(demands), name))
+        edges = []
+        for edge in payload.get("edges", []):
+            up, down = edge
+            if type(up) is not int or type(down) is not int:
+                raise TraceError(f"edge #{len(edges)}: endpoints must be JSON integers")
+            edges.append((up, down))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TraceError(f"malformed graph payload: {exc}") from exc
+    return TaskGraph(tasks, edges)
+
+
+def assert_same_graph(graph, reference):
+    """Every table in the same order, the same order of ids, the same
+    tasks with the same names, ``==`` and ``hash``."""
+    for table in ("runtime_table", "demand_table", "child_table", "parent_table"):
+        assert list(getattr(graph, table)().items()) == list(
+            getattr(reference, table)().items()
+        ), table
+    assert graph.topological_order() == reference.topological_order()
+    assert (graph.num_edges, graph.num_resources, graph.peak_demand) == (
+        reference.num_edges,
+        reference.num_resources,
+        reference.peak_demand,
+    )
+    named = [(task, task.name) for task in graph]
+    assert named == [(task, task.name) for task in reference]
+    assert list(graph.tasks().items()) == list(reference.tasks().items())
+    assert graph == reference and reference == graph
+    assert hash(graph) == hash(reference)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    inputs=dag_inputs(),
+    names=st.lists(st.one_of(st.none(), st.text(max_size=4)), min_size=14, max_size=14),
+)
+def test_a_loaded_graph_equals_the_task_built_one(inputs, names):
+    """Shuffled ids, edges pointing down the ids and repeated edges: the
+    loader's columns make the graph the per-entry ``Task`` loader made."""
+    tasks, edges = inputs
+    payload = payload_of(tasks, edges, names)
+    assert_same_graph(graph_from_dict(payload), task_built_from_dict(payload))
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=workload_strategy, seed=st.integers(0, 2**32 - 1))
+def test_a_generated_graph_equals_the_task_built_one(config, seed):
+    from repro.dag import Task
+
+    graph = random_layered_dag(config, seed=seed)
+    demands = graph.demand_table()
+    reference = TaskGraph(
+        [
+            Task(tid, runtime, demands[tid], f"t{tid}")
+            for tid, runtime in graph.runtime_table().items()
+        ],
+        list(graph.edges()),
+    )
+    assert_same_graph(graph, reference)
+    # A subgraph is column-built from its parent's tables.
+    keep = graph.task_ids[::2]
+    assert_same_graph(graph.subgraph(keep), reference.subgraph(keep))
+
+
+def malformed_payload(field, value):
+    """``TestMalformedNumbers.payload`` of the I/O unit tests."""
+    from repro.dag import Task
+
+    tasks = [Task(0, 3, (2, 1), name="a"), Task(1, 2, (1, 2))]
+    payload = payload_of(tasks, [(0, 1)])
+    if field == "edges":
+        payload["edges"] = value
+    else:
+        payload["tasks"][0][field] = value
+    return payload
+
+
+def _malformed_cases():
+    from tests.unit.dag.test_examples_io_analysis import MALFORMED_NUMBERS
+
+    cases = [(param.values, param.id) for param in MALFORMED_NUMBERS]
+    cases += [  # what only the assembled DAG can show
+        (("edges", edges), f"structural-{label}")
+        for edges, label in (
+            ([[0, 0]], "self-loop"),
+            ([[0, 5]], "unknown-task"),
+            ([[0, 1], [1, 0]], "cycle"),
+            ([[1, 0], [0, 1], [1, 0]], "cycle-repeated"),
+        )
+    ]
+    cases += [
+        (("tasks", entry), f"entry-{label}")
+        for entry, label in ((7, "number"), ("ab", "string"), (None, "null"))
+    ]
+    cases += [(("id", 1), "duplicate-id"), (("demands", [1, 2, 3]), "mixed-dims")]
+    return cases
+
+
+@pytest.mark.parametrize(
+    "field, value", [case for case, _ in _malformed_cases()],
+    ids=[label for _, label in _malformed_cases()],
+)
+def test_every_malformed_payload_raises_what_the_task_built_loader_raised(
+    field, value
+):
+    if field == "tasks":
+        payload = malformed_payload("runtime", 3)
+        payload["tasks"][0] = value
+    else:
+        payload = malformed_payload(field, value)
+    expected = outcome(task_built_from_dict, payload)
+    assert isinstance(expected[0], type), "the case must be an error"
+    assert outcome(graph_from_dict, payload) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    inputs=dag_inputs(),
+    entry=st.integers(0, 13),
+    field=st.sampled_from(["id", "runtime", "demands", "name", None]),
+    value=st.one_of(
+        st.integers(-3, 3), st.floats(), st.booleans(), st.none(), st.text(max_size=2),
+        st.lists(st.integers(-2, 5), max_size=3),
+    ),
+    edge_value=st.one_of(st.none(), st.just([0]), st.just(["a", 1]), st.just(7)),
+)
+def test_a_doubly_malformed_payload_names_the_first_fault(
+    inputs, entry, field, value, edge_value
+):
+    """One bad value in a task entry and maybe one bad edge: the loader
+    names the fault the per-entry ``Task`` loader named first."""
+    tasks, edges = inputs
+    payload = payload_of(tasks, edges)
+    if field is not None:
+        payload["tasks"][entry % len(tasks)][field] = value
+    if edge_value is not None:
+        payload["edges"].append(edge_value)
+    expected = outcome(task_built_from_dict, payload)
+    got = outcome(graph_from_dict, payload)
+    if isinstance(expected, tuple) and isinstance(expected[0], type):
+        assert got == expected
+    else:
+        assert_same_graph(got, expected)

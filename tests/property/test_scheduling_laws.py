@@ -4,6 +4,9 @@
   start, and so the makespan, by ``k``: no deterministic heuristic looks
   at absolute time, offline under either processing granularity or
   online.
+* **A faultless run replays into itself.**  With no faults, every task
+  of every job runs once for its graph runtime, and ``verify_execution``
+  finds each executed schedule feasible on the graph it executed.
 * **Graham's anomaly.**  More capacity can *lengthen* a greedy schedule
   (Graham, 1969), so "more capacity never hurts" is not a law for list
   heuristics; it is pinned on a hand-checkable instance instead, next to
@@ -18,7 +21,12 @@ from repro.config import ClusterConfig, EnvConfig, WorkloadConfig
 from repro.dag import Task, TaskGraph, independent_tasks_dag
 from repro.dag.features import compute_features
 from repro.dag.generators import random_layered_dag
-from repro.online import ArrivingJob, OnlineSimulator, plan_priority_ranker
+from repro.online import (
+    ArrivingJob,
+    OnlineSimulator,
+    plan_priority_ranker,
+    verify_execution,
+)
 from repro.online.policy import resolve_ranker
 from repro.schedulers import ScheduleRequest, make_scheduler
 
@@ -76,6 +84,39 @@ def test_scaling_runtimes_scales_an_online_run(seed, num_tasks, k, rule):
     stretched = simulator.run([ArrivingJob(0, scaled(graph, k))], ranker)
     assert stretched.makespan == k * base.makespan
     assert times(stretched.executed[0]) == times(base.executed[0], k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    sizes=st.lists(st.integers(1, 20), min_size=1, max_size=4),
+    gap=st.integers(0, 15),
+    rule=st.sampled_from(ONLINE_RULES),
+    capacity=st.integers(20, 30),
+)
+def test_a_faultless_run_replays_into_itself(seed, sizes, gap, rule, capacity):
+    graphs = [
+        random_layered_dag(WorkloadConfig(num_tasks=n), seed=seed + i)
+        for i, n in enumerate(sizes)
+    ]
+    stream = [ArrivingJob(i * gap, graph) for i, graph in enumerate(graphs)]
+    if rule == "priority":
+        ranker = plan_priority_ranker(
+            [compute_features(graph).priority_order() for graph in graphs]
+        )
+    else:
+        ranker = resolve_ranker(rule)
+    cluster = ClusterConfig(capacities=(capacity, capacity))
+    result = OnlineSimulator(cluster).run(stream, ranker)
+    assert len(result.executed) == len(result.outcomes) == len(graphs)
+    for outcome, schedule in zip(result.outcomes, result.executed):
+        assert not outcome.failed
+        durations = {p.task_id: p.duration for p in schedule.placements}
+        assert durations == dict(graphs[outcome.job_index].runtime_table())
+    reports = verify_execution(result, stream, cluster.capacities)
+    assert all(report is not None and report.ok for report in reports), [
+        str(report) for report in reports
+    ]
 
 
 #: Three independent tasks, runtimes (2, 2, 3), demands (2, 2), (2, 2),

@@ -157,3 +157,70 @@ class TestDeterminism:
     def test_independent_tasks_sorted_by_id(self):
         graph = TaskGraph(make_tasks(5))
         assert graph.topological_order() == (0, 1, 2, 3, 4)
+
+
+class TestColumnBuiltGraphs:
+    """The loader and the layered generator fill the graph's tables
+    directly: no :class:`Task` exists until one is asked for, and then
+    all of them are made once."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        made = []
+        check = Task.__post_init__
+
+        def counting(task):
+            made.append(task.task_id)
+            check(task)
+
+        monkeypatch.setattr(Task, "__post_init__", counting)
+        return made
+
+    @staticmethod
+    def payload():
+        from repro.config import WorkloadConfig
+        from repro.dag import graph_to_dict, random_layered_dag
+
+        return graph_to_dict(random_layered_dag(WorkloadConfig(num_tasks=30), seed=3))
+
+    def test_a_served_request_makes_no_task(self, made):
+        from repro.config import EnvConfig
+        from repro.schedulers import make_scheduler
+        from repro.streaming import protocol
+
+        frame = {"type": "schedule", "id": "r", "graph": self.payload()}
+        made.clear()  # graph_to_dict reads Task objects
+        request_id, request = protocol.parse_schedule(frame)
+        planner = make_scheduler("tetris", EnvConfig(process_until_completion=True))
+        schedule = planner.plan(request)
+        protocol.encode_reply(request_id, schedule, 1, 1)
+        assert made == []
+
+    def test_a_generated_graph_makes_no_task(self, made):
+        from repro.config import WorkloadConfig
+        from repro.dag import random_layered_dag
+
+        graph = random_layered_dag(WorkloadConfig(num_tasks=30), seed=3)
+        graph.subgraph(graph.task_ids[:10]).critical_path_length()
+        assert (graph.total_work(), graph.levels(), graph.descendants(0)) is not None
+        assert made == []
+
+    def test_the_first_use_makes_every_task_once(self, made):
+        from repro.dag import graph_from_dict
+
+        payload = self.payload()  # graph_to_dict reads Task objects
+        made.clear()
+        graph = graph_from_dict(payload)
+        assert made == []
+        assert graph.task(7).name == "t7"
+        assert sorted(made) == list(range(30))
+        assert len(list(graph)) == len(graph.tasks()) == 30
+        assert graph.task(7) is graph.tasks()[7]
+        assert len(made) == 30
+        with pytest.raises(UnknownTaskError):
+            graph.task(99)
+
+    def test_the_constructor_keeps_the_tasks_it_was_given(self):
+        tasks = make_tasks(3)
+        graph = TaskGraph(tasks, [(0, 1)])
+        assert all(graph.task(task.task_id) is task for task in tasks)

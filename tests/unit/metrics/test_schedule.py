@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dag import Task, TaskGraph, chain_dag
-from repro.errors import ScheduleError
+from repro.errors import ScheduleError, UnknownTaskError
 from repro.metrics import Schedule, ScheduledTask, validate_schedule
 
 
@@ -34,6 +34,38 @@ class TestSchedule:
     def test_from_starts_uses_graph_runtimes(self, chain3):
         schedule = Schedule.from_starts({0: 0, 1: 2, 2: 5}, chain3, "x")
         assert schedule.as_dict() == {0: (0, 2), 1: (2, 5), 2: (5, 6)}
+
+    def test_from_starts_rejects_a_negative_start(self, chain3):
+        with pytest.raises(ScheduleError, match="task 1: negative start"):
+            Schedule.from_starts({0: 0, 1: -1, 2: 5}, chain3)
+
+    def test_from_starts_rejects_an_unknown_id(self, chain3):
+        with pytest.raises(UnknownTaskError, match="no task with id 9"):
+            Schedule.from_starts({0: 0, 1: 2, 9: 5}, chain3)
+
+    @pytest.mark.parametrize(
+        "starts, error",
+        [
+            ({9: 0, 1: -1}, ScheduleError),  # by id, the negative start is first
+            ({0: -1, 9: 0}, ScheduleError),
+            ({-3: 0, 1: -1}, UnknownTaskError),  # the unknown id is first
+        ],
+    )
+    def test_from_starts_names_the_first_bad_task_by_id(self, chain3, starts, error):
+        with pytest.raises(error):
+            Schedule.from_starts(starts, chain3)
+
+    def test_from_starts_placements_equal_validated_ones(self, chain3):
+        schedule = Schedule.from_starts({2: 5, 0: 0, 1: 2}, chain3, "x", 0.5)
+        validated = (
+            ScheduledTask(0, 0, 2),
+            ScheduledTask(1, 2, 5),
+            ScheduledTask(2, 5, 6),
+        )
+        assert schedule == Schedule(validated, "x", 0.5)
+        assert [hash(p) for p in schedule.placements] == [hash(p) for p in validated]
+        assert all(type(p) is ScheduledTask for p in schedule.placements)
+        assert [repr(p) for p in schedule.placements] == [repr(p) for p in validated]
 
     def test_start_of(self, chain3):
         schedule = Schedule.from_starts({0: 0, 1: 2, 2: 5}, chain3)

@@ -18,6 +18,7 @@ from repro.streaming.protocol import (
     SCHEDULE,
     decode_frame,
     encode_frame,
+    encode_reply,
     error_frame,
     parse_schedule,
     reply_frame,
@@ -362,3 +363,103 @@ class TestReplies:
 
     def test_type_constants_are_wire_values(self):
         assert SCHEDULE == "schedule" and REPLY == "schedule.reply"
+
+
+# ---------------------------------------------------------------------- #
+# encode_reply == encode_frame(reply_frame(...)), byte for byte
+# ---------------------------------------------------------------------- #
+
+
+def _reference_reply(request_id, schedule, tick, batch_size):
+    return encode_frame(reply_frame(request_id, schedule, tick, batch_size))
+
+
+def _outcome(render, *args):
+    try:
+        return render(*args)
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+
+
+#: Strings JSON must escape: a quote, a backslash, control characters,
+#: non-ASCII (two- and four-byte UTF-8) and a lone surrogate.
+ESCAPED_TEXT = ['a"b', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "caf\u00e9",
+                "\u2603\U0001F600", "\ud800", "", "/</script>"]
+
+
+@st.composite
+def schedules(draw):
+    from repro.metrics.schedule import Schedule, ScheduledTask
+
+    placements = []
+    for tid in draw(st.lists(st.integers(0, 10**6), max_size=12, unique=True)):
+        start = draw(st.one_of(st.integers(0, 10**6), st.integers(0, 10**400)))
+        duration = draw(st.integers(1, 10**6))
+        placements.append(ScheduledTask(tid, start, start + duration))
+    return Schedule(
+        tuple(placements),
+        scheduler=draw(st.one_of(st.text(), st.sampled_from(ESCAPED_TEXT))),
+        wall_time=draw(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e300]),
+                st.floats(allow_nan=True, allow_infinity=True),
+            )
+        ),
+    )
+
+
+class TestReplyRenderer:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        request_id=st.one_of(st.text(), st.sampled_from(ESCAPED_TEXT)),
+        schedule=schedules(),
+        tick=st.integers(1, 10**9),
+        batch_size=st.integers(1, 64),
+    )
+    def test_the_bytes_are_the_reference_encoders(
+        self, request_id, schedule, tick, batch_size
+    ):
+        args = (request_id, schedule, tick, batch_size)
+        assert encode_reply(*args) == _reference_reply(*args)
+
+    @pytest.mark.parametrize("scheduler", ["tetris", "sjf", "cp", "heft", "graphene"])
+    @pytest.mark.parametrize("wall_time", [0.0, 5e-324, 1e300])
+    def test_a_planned_schedule_renders_as_the_reference(self, scheduler, wall_time):
+        from repro.metrics.schedule import Schedule
+        from repro.schedulers import make_scheduler
+
+        planned = make_scheduler(scheduler).plan(_request())
+        schedule = Schedule(planned.placements, planned.scheduler, wall_time)
+        for request_id in ESCAPED_TEXT + ["job-1"]:
+            args = (request_id, schedule, 7, 3)
+            assert encode_reply(*args) == _reference_reply(*args)
+
+    def test_an_empty_schedule(self):
+        from repro.metrics.schedule import Schedule
+
+        args = ("job", Schedule((), "x"), 1, 1)
+        assert encode_reply(*args) == _reference_reply(*args)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            pytest.param(True, id="bool"),
+            pytest.param(2.0, id="float"),
+            pytest.param(float("inf"), id="infinity"),
+            pytest.param("np.int64", id="numpy-int"),
+        ],
+    )
+    def test_a_number_that_is_not_an_exact_int_takes_the_reference_path(
+        self, value
+    ):
+        """Bytes equal to the reference's, or the reference's error (JSON
+        cannot write a NumPy integer)."""
+        import numpy as np
+
+        from repro.metrics.schedule import Schedule, ScheduledTask
+
+        if value == "np.int64":
+            value = np.int64(2)
+        placements = (ScheduledTask(0, 0, 3), ScheduledTask(1, 0, value))
+        args = ("job", Schedule(placements, "x", 0.5), 1, 1)
+        assert _outcome(encode_reply, *args) == _outcome(_reference_reply, *args)
