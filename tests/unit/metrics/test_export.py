@@ -1,16 +1,20 @@
 """Unit tests for schedule JSON export."""
 
+import json
+
 import pytest
 
 from repro.dag import chain_dag
 from repro.errors import ScheduleError
 from repro.metrics import (
     Schedule,
+    ScheduledTask,
     load_schedule,
     save_schedule,
     schedule_from_dict,
     schedule_to_dict,
 )
+from repro.metrics.export import schedule_json
 from repro.schedulers import ScheduleRequest
 
 
@@ -37,6 +41,29 @@ class TestRoundTrip:
     def test_makespan_recorded(self, schedule):
         payload = schedule_to_dict(schedule)
         assert payload["makespan"] == schedule.makespan
+
+
+class TestScheduleJson:
+    """``schedule_json`` is ``schedule_to_dict`` as compact sorted-key
+    JSON; the reply-line tests in ``test_protocol.py`` pin it further."""
+
+    @staticmethod
+    def _reference(schedule):
+        return json.dumps(
+            schedule_to_dict(schedule), sort_keys=True, separators=(",", ":")
+        )
+
+    def test_text_is_the_reference(self, schedule):
+        assert schedule_json(schedule) == self._reference(schedule)
+
+    def test_empty_schedule(self):
+        empty = Schedule((), scheduler='a "quoted" name')
+        assert schedule_json(empty) == self._reference(empty)
+
+    @pytest.mark.parametrize("value", [True, 3.0], ids=["bool", "float"])
+    def test_declines_a_number_that_is_not_an_exact_int(self, value):
+        placements = (ScheduledTask(0, 0, 3), ScheduledTask(1, 0, value))
+        assert schedule_json(Schedule(placements)) is None
 
 
 class TestValidation:
